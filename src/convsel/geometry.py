@@ -2,20 +2,37 @@
 
 Three variants cover everything the selection pipelines need: intervals
 (m = 1, endpoints may be infinite), balls, and H-polytopes
-``{y : A y <= b}``.  Intervals and balls project in closed form;
-polytopes run Dykstra's alternating projections over their halfspaces.
-Emptiness of a polytope is decided once at construction by linear
-programming, so downstream code can treat every constructed body as a
-value of a set-valued map with nonempty closed convex values.
+``{y : A y <= b}``.  Intervals and balls project in closed form.
+
+A polytope in small output dimension m with few rows is handled by one
+exact active-set kernel: the nearest point of a polytope is the
+projection onto the affine span ``{A_S y = b_S}`` of some set S of at
+most m independent rows, so enumerating those sets and keeping the
+nearest candidate that satisfies ``A y <= b`` gives the projection, the
+least-norm point (which doubles as the feasibility witness checked at
+construction) and, from the same candidates for the origin, the
+coordinate extremes together with points attaining them.  Whether a
+coordinate is bounded is decided from the rows alone (``-+e_j`` must lie
+in the cone they span).
+
+Polytopes with too many candidate sets fall back to Dykstra's
+alternating projections and to linear programming; so do the rare bodies
+the kernel cannot certify (no candidate member was found), which is also
+how an empty polytope is confirmed.  scipy is imported only when that
+fallback first runs, so ``import convsel`` does not load it.  Either
+way, every constructed body has been checked nonempty, so downstream
+code can treat it as a value of a set-valued map with nonempty closed
+convex values.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
+import itertools
 import math
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DimensionMismatchError,
@@ -30,6 +47,75 @@ PROJECTION_TOL = 1e-10
 
 #: Default membership slack for ``contains``.
 CONTAINS_TOL = 1e-9
+
+#: The exact kernel handles a polytope when it has fewer candidate active
+#: sets (row subsets of size <= m) than this; its work per query point
+#: grows with the count, Dykstra's and the LP's do not.
+_MAX_ACTIVE_SETS = 256
+
+#: Row subsets whose Gram determinant, on unit rows, is below this are
+#: treated as dependent and skipped: a subset that only just spans its
+#: rows would amplify rounding in its candidate by the inverse.
+_DEPENDENT_GRAM = 1e-12
+
+#: Slack, on unit rows, for deciding that ``+-e_j`` lies in the cone of
+#: the rows (the j-th coordinate is bounded on that side).
+_CONE_TOL = 1e-9
+
+#: Chunk size, in floats, of the candidate arrays built per projection call.
+_CANDIDATE_FLOATS = 1 << 20
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use.
+
+    Only the fallback path solves linear programs, so importing this
+    module does not pay for ``scipy.optimize``.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
+@functools.lru_cache(maxsize=None)
+def _row_subsets(p: int, k: int) -> np.ndarray:
+    """All k-element subsets of range(p), one per row, in lexicographic
+    order; read-only, since every caller shares the cached array."""
+    idx = np.array(list(itertools.combinations(range(p), k)), dtype=np.intp)
+    idx = idx.reshape(-1, k)
+    idx.setflags(write=False)
+    return idx
+
+
+def _active_set_count(p: int, m: int) -> int:
+    return sum(math.comb(p, k) for k in range(min(p, m) + 1))
+
+
+def _active_set_operators(A: np.ndarray) -> np.ndarray:
+    """Stacked operators ``H`` of shape (K, p, m), one per independent row
+    subset S of size <= m (the empty set first).
+
+    ``H_S`` holds ``(A_S A_S^T)^-1 A_S`` on the rows of S and zeros on the
+    others, so the projection of z onto ``{A_S y = b_S}`` is
+    ``z - H_S^T (A z - b)`` and ``A^T H_S`` is the orthogonal projector
+    onto the span of the rows of S.
+    """
+    p, m = A.shape
+    norms2 = np.einsum("ij,ij->i", A, A)
+    blocks = [np.zeros((1, p, m))]
+    for k in range(1, min(p, m) + 1):
+        idx = _row_subsets(p, k)
+        AS = A[idx]
+        G = AS @ AS.transpose(0, 2, 1)
+        unit_det = np.linalg.det(G) / np.prod(norms2[idx], axis=1)
+        keep = unit_det > _DEPENDENT_GRAM
+        if not keep.any():
+            continue
+        idx = idx[keep]
+        H = np.zeros((idx.shape[0], p, m))
+        H[np.arange(idx.shape[0])[:, None], idx] = np.linalg.solve(G[keep], AS[keep])
+        blocks.append(H)
+    return np.concatenate(blocks)
 
 
 class ConvexBody(abc.ABC):
@@ -101,6 +187,8 @@ class Interval(ConvexBody):
             raise InfeasibleBodyError("interval endpoint is NaN")
         if self.lo > self.hi:
             raise InfeasibleBodyError(f"interval has lo={self.lo} > hi={self.hi}")
+        if self.lo == self.hi and math.isinf(self.lo):
+            raise InfeasibleBodyError(f"interval [{self.lo}, {self.hi}] has no real point")
         self.dim = 1
 
     def project_many(self, Z: np.ndarray) -> np.ndarray:
@@ -167,13 +255,19 @@ class HPolytope(ConvexBody):
 
     Zero rows of ``A`` are resolved at construction: a vacuous constraint
     (``0 <= b_i`` with ``b_i >= 0``) is dropped, an impossible one raises.
-    Projection runs Dykstra's cyclic scheme batched over query points and
-    raises :class:`ProjectionError` if the sweep budget runs out while an
-    iterate still violates a constraint.  ``bounding_box`` is optional and
+
+    With fewer than ``_MAX_ACTIVE_SETS`` candidate active sets the exact
+    kernel of this module projects batches of points, and its candidates
+    for the origin give the least-norm point (found at construction as
+    the feasibility witness) and the coordinate extremes, both cached.
+    Otherwise projection runs Dykstra's cyclic scheme batched over query
+    points, raising :class:`ProjectionError` if the sweep budget runs out
+    while an iterate still violates a constraint, and feasibility and the
+    extremes come from linear programs.  ``bounding_box`` is optional and
     only consulted by sampling oracles when a coordinate is unbounded.
     """
 
-    def __init__(self, A, b, bounding_box=None, _validated: bool = False):
+    def __init__(self, A, b, bounding_box=None, _validated: bool = False, _sets=None):
         A = np.atleast_2d(np.asarray(A, dtype=float))
         b = np.asarray(b, dtype=float).reshape(-1)
         if A.shape[0] != b.shape[0]:
@@ -192,11 +286,17 @@ class HPolytope(ConvexBody):
         self.bounding_box = bounding_box
         self._norms = norms
         self._norms2 = norms**2
+        # the kernel's operators depend on A alone, so translates share them
+        if _sets is None and _active_set_count(*A.shape) < _MAX_ACTIVE_SETS:
+            _sets = _active_set_operators(A)
+        self._sets = _sets
+        self._members = None
+        self._extremes = None
         if not _validated:
             self._check_feasible()
 
     def _check_feasible(self):
-        if self.A.shape[0] == 0:
+        if self._origin_members() is not None:
             return
         res = linprog(
             c=np.zeros(self.dim),
@@ -210,8 +310,74 @@ class HPolytope(ConvexBody):
         if not res.success:
             raise InfeasibleBodyError(f"feasibility check failed: {res.message}")
 
-    def project_many(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    # -- exact kernel --------------------------------------------------------
+
+    def _candidates(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every active-set candidate for each row of ``Z``, shape (K, N, m),
+        and whether it lies in the body, shape (K, N)."""
+        Y = Z - (Z @ self.A.T - self.b) @ self._sets
+        K, N, m = Y.shape
+        return Y, self.contains_many(Y.reshape(-1, m)).reshape(K, N)
+
+    def _origin_members(self) -> np.ndarray | None:
+        """The candidates for the origin that lie in the body, in candidate
+        order; None when the body is on the fallback path."""
+        if self._members is None and self._sets is not None:
+            Y, inside = self._candidates(np.zeros((1, self.dim)))
+            if inside.any():
+                self._members = Y[inside[:, 0], 0]
+            else:
+                # no member found means empty or too ill-conditioned for the
+                # kernel to tell: the fallback decides from here on
+                self._sets = None
+        return self._members
+
+    def _kernel_project(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest in-body candidate for each row of ``Z``, and which rows
+        have one."""
+        K, p = self._sets.shape[:2]
+        step = max(1, _CANDIDATE_FLOATS // (K * (p + self.dim)))
+        Y = np.empty_like(Z)
+        found = np.empty(Z.shape[0], dtype=bool)
+        for s in range(0, Z.shape[0], step):
+            chunk = Z[s : s + step]
+            cand, inside = self._candidates(chunk)
+            d2 = np.where(inside, np.sum((cand - chunk) ** 2, axis=2), np.inf)
+            best = np.argmin(d2, axis=0)
+            rows = np.arange(chunk.shape[0])
+            Y[s : s + step] = cand[best, rows]
+            found[s : s + step] = inside[best, rows]
+        return Y, found
+
+    def _kernel_extremes(self, members: np.ndarray):
+        """``coord_extremes`` from the in-body candidates for the origin."""
+        m = self.dim
+        H = self._sets
+        # e_j = A_S^T lam has lam = H_S e_j when e_j lies in the span of S;
+        # the coordinate is bounded above (below) when lam >= 0 (<= 0)
+        spans = np.linalg.norm(np.eye(m) - self.A.T @ H, axis=1) <= _CONE_TOL
+        lam = H * self._norms[:, None]
+        bounded = (
+            np.any(spans & np.all(lam <= _CONE_TOL, axis=1), axis=0),
+            np.any(spans & np.all(lam >= -_CONE_TOL, axis=1), axis=0),
+        )
+        # the least-norm point of each optimal face is one of the members
+        norms2 = np.sum(members**2, axis=1)
+        bounds = (np.full(m, -math.inf), np.full(m, math.inf))
+        args = (np.full((m, m), math.nan), np.full((m, m), math.nan))
+        for side, sign in enumerate((1.0, -1.0)):
+            for j in np.nonzero(bounded[side])[0]:
+                t = sign * members[:, j]
+                best = float(np.min(t))
+                ties = t <= best + CONTAINS_TOL * max(1.0, abs(best))
+                i = int(np.argmin(np.where(ties, norms2, np.inf)))
+                bounds[side][j] = members[i, j]
+                args[side][j] = members[i]
+        return bounds[0], bounds[1], args[0], args[1]
+
+    # -- fallback ------------------------------------------------------------
+
+    def _dykstra(self, Z: np.ndarray) -> np.ndarray:
         if self.A.shape[0] == 0:
             return Z.copy()
         if np.all(self.A @ Z.T - self.b[:, None] <= 0):
@@ -242,6 +408,68 @@ class HPolytope(ConvexBody):
             )
         return Y
 
+    def _lp_extremes(self):
+        m = self.dim
+        bounds = (np.empty(m), np.empty(m))
+        args = (np.full((m, m), math.nan), np.full((m, m), math.nan))
+        for j in range(m):
+            e = np.zeros(m)
+            e[j] = 1.0
+            for side, sign in enumerate((1.0, -1.0)):
+                lp = dict(
+                    c=sign * e,
+                    A_ub=self.A,
+                    b_ub=self.b,
+                    bounds=[(None, None)] * m,
+                    method="highs",
+                )
+                res = linprog(**lp)
+                if res.status == 2:
+                    # the body is nonempty: HiGHS's presolve reports some
+                    # unbounded LPs (a slab in R^3) as infeasible
+                    res = linprog(**lp, options={"presolve": False})
+                if res.status == 3:
+                    bounds[side][j] = -sign * math.inf
+                elif res.success:
+                    bounds[side][j] = sign * res.fun
+                    args[side][j] = res.x
+                else:
+                    raise ProjectionError(f"bounds LP failed: {res.message}")
+        return bounds[0], bounds[1], args[0], args[1]
+
+    # -- public interface ----------------------------------------------------
+
+    def project_many(self, Z: np.ndarray) -> np.ndarray:
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        if self._sets is None:
+            return self._dykstra(Z)
+        Y, found = self._kernel_project(Z)
+        if not found.all():
+            Y[~found] = self._dykstra(Z[~found])
+        return Y
+
+    def least_norm(self) -> np.ndarray:
+        members = self._origin_members()
+        if members is None:
+            return super().least_norm()
+        return members[np.argmin(np.sum(members**2, axis=1))].copy()
+
+    def coord_extremes(self):
+        """``(lo, hi, arg_lo, arg_hi)``: the coordinate bounds, +-inf where
+        unbounded, and in row j of the (m, m) arrays ``arg_lo``/``arg_hi`` a
+        member attaining ``lo[j]``/``hi[j]`` (NaN where that bound is
+        infinite).  Computed once per body; the arrays are read-only."""
+        if self._extremes is None:
+            members = self._origin_members()
+            if members is None:
+                extremes = self._lp_extremes()
+            else:
+                extremes = self._kernel_extremes(members)
+            for a in extremes:
+                a.setflags(write=False)
+            self._extremes = extremes
+        return self._extremes
+
     def contains_many(self, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if self.A.shape[0] == 0:
@@ -254,29 +482,14 @@ class HPolytope(ConvexBody):
         box = self.bounding_box
         if box is not None:
             box = (box[0] + c, box[1] + c)
-        return HPolytope(self.A, self.b + self.A @ c, bounding_box=box, _validated=True)
+        return HPolytope(
+            self.A, self.b + self.A @ c, bounding_box=box, _validated=True,
+            _sets=self._sets,
+        )
 
     def coord_bounds(self):
-        lo = np.empty(self.dim)
-        hi = np.empty(self.dim)
-        for j in range(self.dim):
-            e = np.zeros(self.dim)
-            e[j] = 1.0
-            for sign, slot in ((1.0, lo), (-1.0, hi)):
-                res = linprog(
-                    c=sign * e,
-                    A_ub=self.A,
-                    b_ub=self.b,
-                    bounds=[(None, None)] * self.dim,
-                    method="highs",
-                )
-                if res.status == 3:
-                    slot[j] = -math.inf if sign > 0 else math.inf
-                elif res.success:
-                    slot[j] = sign * res.fun
-                else:
-                    raise ProjectionError(f"bounds LP failed: {res.message}")
-        return lo, hi
+        lo, hi, _, _ = self.coord_extremes()
+        return lo.copy(), hi.copy()
 
     def boundary_margin(self, y) -> float:
         y = self._check_dim(y)

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DimensionMismatchError,
     StratificationError,
     TagError,
+    UnboundedBodyError,
     UncoveredPointError,
 )
 from .fields import (
@@ -200,19 +200,11 @@ def _extreme_points(body: ConvexBody) -> list[np.ndarray]:
             out.append(body.center + e)
         return out
     if isinstance(body, HPolytope):
+        lo, hi, arg_lo, arg_hi = body.coord_extremes()
         for j in range(body.dim):
-            e = np.zeros(body.dim)
-            e[j] = 1.0
-            for sign in (1.0, -1.0):
-                res = linprog(
-                    c=sign * e,
-                    A_ub=body.A,
-                    b_ub=body.b,
-                    bounds=[(None, None)] * body.dim,
-                    method="highs",
-                )
-                if res.success:
-                    out.append(np.asarray(res.x, dtype=float))
+            for bound, arg in ((lo[j], arg_lo[j]), (hi[j], arg_hi[j])):
+                if math.isfinite(bound):
+                    out.append(arg.copy())
         return out
     return out
 
@@ -227,7 +219,7 @@ def probe_points(body: ConvexBody, count: int, rng: np.random.Generator) -> list
         try:
             extra = sample(body, count - len(pts), rng)
             pts.extend(np.asarray(extra))
-        except Exception:
+        except UnboundedBodyError:
             pass
     while len(pts) < count:
         pts.append(pts[-1].copy())

@@ -57,6 +57,12 @@ class TestInterval:
         with pytest.raises(InfeasibleBodyError):
             Interval(math.nan, 1.0)
 
+    @pytest.mark.parametrize("end", [math.inf, -math.inf])
+    def test_point_at_infinity_rejected(self, end):
+        # [inf, inf] holds no real number; accepting it made least_norm inf
+        with pytest.raises(InfeasibleBodyError, match="no real point"):
+            Interval(end, end)
+
     def test_contains(self):
         assert contains(Interval(0.0, 1.0), [0.5])
         assert not contains(Interval(0.0, 1.0), [1.5])
@@ -168,6 +174,14 @@ class TestHPolytope:
         assert interior_margin(TRIANGLE, [1.0, 2.0]) == pytest.approx(0.0, abs=1e-12)
         outside = interior_margin(TRIANGLE, [0.0, 0.0])
         assert outside == pytest.approx(-math.sqrt(2.0), abs=1e-8)
+
+    @pytest.mark.parametrize("a", [0.01, 0.1])
+    def test_thin_wedge_least_norm(self, a):
+        # the apex (1, 0) of a wedge opening at angle 2a; at a = 0.01
+        # Dykstra's sweeps stalled at residual 3.7e-4 and raised
+        A = [[-math.sin(a), math.cos(a)], [-math.sin(a), -math.cos(a)], [1.0, 0.0]]
+        b = [-math.sin(a), -math.sin(a), 5.0]
+        assert HPolytope(A, b).least_norm() == pytest.approx([1.0, 0.0], abs=1e-9)
 
     def test_projection_matches_sampling_oracle(self):
         rng = np.random.default_rng(21)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from convsel import maps
 from convsel.errors import (
     DimensionMismatchError,
+    ProjectionError,
     TagError,
     UncoveredPointError,
 )
@@ -161,6 +163,15 @@ class TestProbes:
     def test_unbounded_interval_pads_by_repetition(self):
         pts = probe_points(Interval(float("-inf"), float("inf")), 3, np.random.default_rng(0))
         assert all(p[0] == 0.0 for p in pts)
+
+    def test_sampling_failure_propagates(self, monkeypatch):
+        # only an unbounded body (nothing to sample) is padded by repetition
+        def failing_sample(body, k, rng):
+            raise ProjectionError("projection did not converge")
+
+        monkeypatch.setattr(maps, "sample", failing_sample)
+        with pytest.raises(ProjectionError):
+            probe_points(Interval(2.0, 5.0), 5, np.random.default_rng(0))
 
     def test_graph_sample_of_moving_interval(self):
         dom = Domain(1, boxes=(((0.0,), (1.0,)),))

@@ -315,6 +315,24 @@ class TestCli:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["lns", "select-michael", "envelopes"])
+    @pytest.mark.parametrize("end", ["inf", "-inf"])
+    def test_interval_at_infinity_is_rejected(self, command, end, tmp_path, capsys):
+        # [inf, inf] used to pass membership with inf in every CSV row
+        spec = tmp_path / "spec.json"
+        raw = variant(
+            pieces=[{"region": [], "body": {"interval": {"lo": end, "hi": end}}}]
+        )
+        spec.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "h.csv"
+        rc = run_cli(command, "--spec", str(spec), "--grid", "5", "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "has no real point" in err and "Traceback" not in err
+        if out.exists():
+            rows = out.read_text(encoding="utf-8").splitlines()[1:]
+            assert all(np.isfinite([float(v) for v in r.split(",")]).all() for r in rows)
+
     def test_usage_errors_exit_one(self):
         assert run_cli("select-michael") == 1        # missing --spec
         assert run_cli("no-such-command") == 1
