@@ -20,6 +20,7 @@ import mpmath
 import numpy as np
 
 from .errors import (
+    ConvselError,
     DimensionMismatchError,
     IndeterminateSumError,
     TagError,
@@ -148,9 +149,6 @@ class Domain:
                 return True
         return False
 
-    def grid(self, per_axis: int) -> "Grid":
-        return Grid.from_domain(self, per_axis)
-
 
 class Grid:
     """Sample points of a domain with an axis-neighbour relation.
@@ -243,10 +241,6 @@ class Grid:
                 out = max(out, float(np.max(spacing)))
         return out
 
-    @classmethod
-    def from_domain(cls, domain: Domain, per_axis: int) -> "Grid":
-        return cls(domain, per_axis)
-
     def refined(self) -> "Grid":
         """Grid over the same domain with halved box spacing."""
         if self.per_axis < 2:
@@ -258,14 +252,28 @@ class Grid:
 # fields
 
 
+#: What a batch rule may raise where the pointwise rule would raise too;
+#: ``ScalarField.many`` then re-evaluates point by point.
+EVAL_ERRORS = (ConvselError, ValueError, ArithmeticError)
+
+
 @dataclass(frozen=True)
 class ScalarField:
-    """A rule from domain points to extended reals, plus a claimed tag."""
+    """A rule from domain points to extended reals, plus a claimed tag.
+
+    ``rule`` maps one point, shape (n,), to a float.  The optional
+    ``batch`` rule maps an array of points, shape (N, n), to the (N,)
+    array of the values ``rule`` gives, bit for bit; :meth:`many` uses
+    it, and a field built without one is evaluated point by point.
+    """
 
     domain: Domain | None
     rule: Callable[[np.ndarray], float]
     tag: str = TAG_UNKNOWN
     name: str = ""
+    batch: Callable[[np.ndarray], np.ndarray] | None = dc_field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.tag not in _TAGS:
@@ -276,6 +284,27 @@ class ScalarField:
         if math.isnan(v):
             raise ValueError(f"field {self.name or '<anon>'} returned NaN")
         return v
+
+    def many(self, X) -> np.ndarray:
+        """Values at every row of ``X`` (shape (N, n)) as an (N,) array.
+
+        The result equals ``[self(x) for x in X]`` bit for bit, and so do
+        the errors: when the batch rule raises or yields NaN, the points
+        are evaluated one by one, so the first point that fails raises
+        what ``self(x)`` raises there.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise DimensionMismatchError(f"many needs points of shape (N, n), got {X.shape}")
+        if self.batch is not None:
+            try:
+                out = np.asarray(self.batch(X), dtype=float)
+            except EVAL_ERRORS:
+                pass
+            else:
+                if not np.isnan(out).any():
+                    return out
+        return np.fromiter((self(x) for x in X), dtype=float, count=X.shape[0])
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         return add(self, other)
@@ -328,7 +357,10 @@ class VectorField:
 
 def constant_field(domain: Domain | None, value: float, name: str = "") -> ScalarField:
     v = _as_extended(value)
-    return ScalarField(domain, lambda x: v, tag=TAG_CONTINUOUS, name=name)
+    return ScalarField(
+        domain, lambda x: v, tag=TAG_CONTINUOUS, name=name,
+        batch=lambda X: np.full(X.shape[0], v),
+    )
 
 
 def _sum_tag(a: str, b: str) -> str:
@@ -339,6 +371,27 @@ def _sum_tag(a: str, b: str) -> str:
     if a == b and a in (TAG_UPPER, TAG_LOWER):
         return a
     raise TagError(f"cannot add fields tagged {a!r} and {b!r}")
+
+
+def sum_values(va, vb):
+    """``va + vb`` for floats or arrays, raising where (+inf) + (-inf)."""
+    with np.errstate(invalid="ignore"):
+        s = va + vb
+    if np.any(np.isnan(s)):
+        raise IndeterminateSumError("(+inf) + (-inf) in a field sum")
+    return s
+
+
+def pymin(a, b):
+    """Elementwise ``min(a, b)`` as Python's ``min`` picks: ``b`` only
+    where ``b < a``, so signed zeros come out as they do pointwise (numpy's
+    ``minimum`` leaves the choice between equal zeros unspecified)."""
+    return np.where(b < a, b, a)
+
+
+def pymax(a, b):
+    """Elementwise ``max(a, b)`` as Python's ``max`` picks."""
+    return np.where(b > a, b, a)
 
 
 def add(a: ScalarField, b: ScalarField) -> ScalarField:
@@ -358,18 +411,29 @@ def add(a: ScalarField, b: ScalarField) -> ScalarField:
             raise IndeterminateSumError(f"(+inf) + (-inf) at {x!r}")
         return s
 
-    return ScalarField(dom, rule, tag=tag)
+    return ScalarField(
+        dom, rule, tag=tag, batch=lambda X: sum_values(a.many(X), b.many(X))
+    )
 
 
 def negate(a: ScalarField) -> ScalarField:
     flip = {TAG_UPPER: TAG_LOWER, TAG_LOWER: TAG_UPPER}
-    return ScalarField(a.domain, lambda x: -a(x), tag=flip.get(a.tag, a.tag))
+    return ScalarField(
+        a.domain, lambda x: -a(x), tag=flip.get(a.tag, a.tag),
+        batch=lambda X: -a.many(X),
+    )
 
 
 def compress_field(f: ScalarField) -> ScalarField:
-    """Compose with the squash map; strictly increasing, so the tag holds."""
+    """Compose with the squash map; strictly increasing, so the tag holds.
+
+    The batch rule squashes value by value: ``math.hypot`` and
+    ``np.hypot`` may differ in the last bit.
+    """
     return ScalarField(
-        f.domain, lambda x: squash(f(x)), tag=f.tag, name=f"squash({f.name})" if f.name else ""
+        f.domain, lambda x: squash(f(x)), tag=f.tag,
+        name=f"squash({f.name})" if f.name else "",
+        batch=lambda X: np.array([squash(v) for v in f.many(X).tolist()]),
     )
 
 
@@ -509,7 +573,10 @@ def semicontinuity_audit(
 
 
 def grid_values(f, grid: Grid) -> np.ndarray:
-    """Evaluate a scalar or vector rule at every grid point."""
+    """Evaluate a scalar or vector rule at every grid point; a
+    :class:`ScalarField` is evaluated on the whole grid at once."""
+    if isinstance(f, ScalarField):
+        return f.many(grid.points)
     rows = [f(x) for x in grid.points]
     return np.asarray(rows, dtype=float)
 

@@ -118,6 +118,23 @@ def _active_set_operators(A: np.ndarray) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def kernel_operators(A) -> np.ndarray | None:
+    """The exact kernel's operators for the normals ``A``, with zero rows
+    dropped as :class:`HPolytope` drops them, or None when a polytope with
+    these normals takes the fallback path.
+
+    The operators depend on ``A`` alone, so polytopes that share their
+    normals can share one read-only array, passed as ``_sets``.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = A[np.linalg.norm(A, axis=1) != 0.0]
+    if _active_set_count(*A.shape) >= _MAX_ACTIVE_SETS:
+        return None
+    sets = _active_set_operators(A)
+    sets.setflags(write=False)
+    return sets
+
+
 class ConvexBody(abc.ABC):
     """A nonempty closed convex subset of R^m."""
 
@@ -287,9 +304,7 @@ class HPolytope(ConvexBody):
         self._norms = norms
         self._norms2 = norms**2
         # the kernel's operators depend on A alone, so translates share them
-        if _sets is None and _active_set_count(*A.shape) < _MAX_ACTIVE_SETS:
-            _sets = _active_set_operators(A)
-        self._sets = _sets
+        self._sets = kernel_operators(A) if _sets is None else _sets
         self._members = None
         self._extremes = None
         if not _validated:

@@ -75,13 +75,17 @@ def region_or(*rs: Region) -> Region:
 def boundary_cloud(region: Region, grid: Grid) -> np.ndarray:
     """Grid realization of the boundary of an open region: the points
     outside it that touch it along a grid edge."""
-    inside = region.mask(grid.points)
+    return grid.points[boundary_mask(region.mask(grid.points), grid)]
+
+
+def boundary_mask(inside: np.ndarray, grid: Grid) -> np.ndarray:
+    """Which grid points lie outside the mask ``inside`` but share a grid
+    edge with a point inside it."""
     edges, _ = grid.directed_edges()
+    tail, head = edges[:, 0], edges[:, 1]
     flag = np.zeros(len(grid), dtype=bool)
-    for t, h, _far in edges:
-        if not inside[t] and inside[h]:
-            flag[t] = True
-    return grid.points[flag]
+    flag[tail[~inside[tail] & inside[head]]] = True
+    return flag
 
 
 @dataclass(frozen=True)

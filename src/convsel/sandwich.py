@@ -20,12 +20,26 @@ the glued function strictly sandwiched.
 Closed sets needed by the construction (the equality locus, boundaries,
 the sign regions) are realized as clouds of construction-grid points, so
 the Tietze operator always extends from finite data with baked values.
+
+Evaluation runs on arrays, one pass per level: given the compressed
+envelopes at a batch of points, a glue level computes h1, h3, the level
+envelopes f2/g2, the regions U, X, V, Z1, Z2, S, W, then h4, h5, delta
+and its total, each once for the whole batch.  A pass reads only its own
+level's baked extensions, so levels never re-enter each other.  The
+selection's ``many`` evaluates the envelopes once and runs the outer
+pass; :func:`region_audit` reads the passes' arrays; and the
+construction takes its clouds and baked values from the passes on the
+construction grid.  The pointwise stage operators below and the fields
+of each :class:`SandwichLevel` stay as the reference that the passes
+reproduce bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +51,7 @@ from .errors import (
     UncoveredPointError,
 )
 from .fields import (
+    EVAL_ERRORS,
     AuditReport,
     Domain,
     Grid,
@@ -48,13 +63,16 @@ from .fields import (
     compress_field,
     constant_field,
     negate,
+    pymax,
+    pymin,
     semicontinuity_audit,
+    sum_values,
     unsquash,
 )
 from .maps import (
     Region,
     Stratification,
-    boundary_cloud,
+    boundary_mask,
     region_not,
     region_or,
     stratification_audit,
@@ -125,18 +143,8 @@ def equalizer_glue(
 
     if grid is not None:
         for x in grid.points:
-            if U(x):
-                continue
-            vf, vg = f1(x), g1(x)
-            if vf > STRICT_GAP or vg < -STRICT_GAP:
-                raise PostconditionError(
-                    f"glue precondition f-h <= 0 <= g-h fails at {x.tolist()}: "
-                    f"[{vf:.3e}, {vg:.3e}]"
-                )
-            if vg - vf > STRICT_GAP and not (vf < 0.0 < vg):
-                raise PostconditionError(
-                    f"glue strictness fails at {x.tolist()}: [{vf:.3e}, {vg:.3e}]"
-                )
+            if not U(x):
+                _check_glue_point(x, f1(x), g1(x))
 
     def rule(x):
         if not U(x):
@@ -149,6 +157,18 @@ def equalizer_glue(
 
     h2 = ScalarField(E, rule, tag=TAG_CONTINUOUS, name="equalizer-glue")
     return h2, X
+
+
+def _check_glue_point(x, vf: float, vg: float):
+    if vf > STRICT_GAP or vg < -STRICT_GAP:
+        raise PostconditionError(
+            f"glue precondition f-h <= 0 <= g-h fails at {x.tolist()}: "
+            f"[{vf:.3e}, {vg:.3e}]"
+        )
+    if vg - vf > STRICT_GAP and not (vf < 0.0 < vg):
+        raise PostconditionError(
+            f"glue strictness fails at {x.tolist()}: [{vf:.3e}, {vg:.3e}]"
+        )
 
 
 def interior_adjust(
@@ -252,6 +272,8 @@ class SandwichLevel:
     g_level: ScalarField | None = None
     regions: dict = dc_field(default_factory=dict)
     total: ScalarField | None = None
+    #: the level's array pass: (X, f_c at X, g_c at X) -> dict of arrays
+    arrays: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -261,30 +283,122 @@ class SandwichTrace:
     levels: tuple
     construction_grid: Grid
     h_compressed: ScalarField | None = None
+    f_compressed: ScalarField | None = None
+    g_compressed: ScalarField | None = None
 
     @property
     def outer(self) -> SandwichLevel:
         return self.levels[-1]
 
 
-def _eta_for(boundary: np.ndarray, Z: Region, E: Domain, name: str) -> ScalarField:
-    if boundary.shape[0]:
-        keep = Z.mask(boundary)
-        pts = boundary[keep]
-        if pts.shape[0]:
-            return dist_field(ClosedSet.from_cloud(pts), E, name=name)
+def _midpoint_pass(P: np.ndarray, fP: np.ndarray, gP: np.ndarray) -> dict:
+    """The base level on arrays: :func:`base_midpoint` at every row of P."""
+    bad = ~(np.isfinite(fP) & np.isfinite(gP))
+    if bad.any():
+        raise EvalDomainError(
+            f"midpoint of infinite values at {P[np.argmax(bad)].tolist()}; compress first"
+        )
+    return {"total": 0.5 * (fP + gP)}
+
+
+class _GluePass:
+    """A glue level on arrays: its fields and regions at a batch of points.
+
+    The pass holds the level's stratum U, its extensions h1, h3, h5 (baked
+    on clouds, so evaluating them never calls another level) and its
+    distance fields eta1, eta2.  Each stage adds arrays to a dict, with
+    the formulas of the pointwise stage operators; the construction runs
+    the stages one by one as it bakes each extension, and a finished pass
+    runs them all.  ``h2`` and ``h4`` are NaN where the pointwise fields
+    raise (U∖X, and V∖(Z1 ∪ Z2)), ``delta`` where it would raise.
+    """
+
+    def __init__(self, U: Region):
+        self.U = U
+        self.h1 = self.h3 = self.h5 = self.eta1 = self.eta2 = None
+
+    def __call__(self, P: np.ndarray, fP: np.ndarray, gP: np.ndarray) -> dict:
+        a = self.start(P, fP, gP)
+        for stage in (self.glue, self.split, self.adjust, self.damp):
+            stage(P, a)
+        return a
+
+    def start(self, P, fP, gP) -> dict:
+        return {"f": fP, "g": gP, "U": self.U.mask(P)}
+
+    def glue(self, P, a):
+        """h1, the shifted envelopes f1/g1, the equality locus X and h2."""
+        h1 = self.h1.many(P)
+        a["h1"] = h1
+        a["f1"] = sum_values(a["f"], -h1)
+        a["g1"] = sum_values(a["g"], -h1)
+        a["X"] = a["U"] & (np.abs(a["f1"] - a["g1"]) <= EQUALITY_TOL)
+        a["h2"] = np.where(a["U"], np.where(a["X"], a["f1"], np.nan), 0.0)
+
+    def split(self, P, a):
+        """h3, the level envelopes f2/g2 and the regions V, Z1, Z2, S."""
+        h3 = self.h3.many(P)
+        a["h3"] = h3
+        a["f2"] = sum_values(a["f1"], -h3)
+        a["g2"] = sum_values(a["g1"], -h3)
+        a["V"] = a["U"] & ~a["X"]
+        a["Z1"] = a["f2"] >= 0.0
+        a["Z2"] = a["g2"] <= 0.0
+        a["S"] = a["Z1"] | a["Z2"] | ~a["V"]
+
+    def adjust(self, P, a):
+        """h4: zero off V, the nudge on V ∩ (Z1 ∪ Z2)."""
+        f2, g2, V = a["f2"], a["g2"], a["V"]
+        mid = 0.5 * (f2 + g2)
+        h4 = np.where(V, np.nan, 0.0)
+        on1 = V & a["Z1"]
+        on2 = V & ~a["Z1"] & a["Z2"]
+        if on1.any():
+            h4[on1] = pymin(f2[on1] + self.eta1.many(P[on1]), mid[on1])
+        if on2.any():
+            h4[on2] = pymax(g2[on2] - self.eta2.many(P[on2]), mid[on2])
+        a["h4"] = h4
+
+    def damp(self, P, a):
+        """h5, the escape region W, delta and the level total."""
+        f2, g2, S = a["f2"], a["g2"], a["S"]
+        h5 = self.h5.many(P)
+        phi_w = pymax(0.0, pymin(h5 - f2, g2 - h5))
+        phi_b = pymax(0.0, pymin(-f2, g2))
+        tot = phi_w + phi_b
+        defined = tot > 0.0
+        delta = np.divide(phi_w, tot, out=np.full(tot.shape, np.nan), where=defined)
+        if np.any(~S & ~defined):
+            _delta_undefined(P[np.argmax(~S & ~defined)])
+        glued = np.where(S, h5, delta * h5)
+        a["h5"] = h5
+        a["W"] = a["V"] & ((h5 <= f2) | (h5 >= g2))
+        a["delta"] = delta
+        a["total"] = sum_values(sum_values(glued, a["h3"]), a["h1"])
+
+
+def _delta_undefined(x):
+    raise PostconditionError(
+        f"W meets V∩(Z1∪Z2) at {np.asarray(x).tolist()} — "
+        "the interior adjustment failed upstream"
+    )
+
+
+def _eta_for(P: np.ndarray, near: np.ndarray, E: Domain, name: str) -> ScalarField:
+    pts = P[near]
+    if pts.shape[0]:
+        return dist_field(ClosedSet.from_cloud(pts), E, name=name)
     # the boundary slice is empty: any positive continuous function works
     return constant_field(E, 1.0, name=name)
 
 
-def _cloud_from(region: Region, grid: Grid, what: str) -> ClosedSet:
-    pts = grid.points[region.mask(grid.points)]
-    if pts.shape[0] == 0:
+def _cloud_of(P: np.ndarray, mask: np.ndarray, what: str) -> ClosedSet:
+    if not mask.any():
         raise StratificationError(
             f"{what} contains no construction grid point; refine the "
             "construction grid or fix the stratification"
         )
-    return ClosedSet.from_cloud(pts)
+    return ClosedSet.from_cloud(P[mask])
 
 
 def _select_level(
@@ -293,26 +407,42 @@ def _select_level(
     strata: tuple,
     E: Domain,
     grid: Grid,
+    fP: np.ndarray,
+    gP: np.ndarray,
     levels: list,
-) -> ScalarField:
+) -> dict:
+    """Append the levels of ``strata``, innermost first, and return the
+    outermost one's arrays on the construction grid (f and g are the
+    compressed envelopes, fP and gP their values there)."""
+    P = grid.points
     if len(strata) == 1:
         h0 = base_midpoint(f, g, E)
         levels.append(
             SandwichLevel(stratum=strata[0].label, kind="base", h0=h0,
-                          f_level=f, g_level=g, total=h0)
+                          f_level=f, g_level=g, total=h0, arrays=_midpoint_pass)
         )
-        return h0
+        return _midpoint_pass(P, fP, gP)
 
     U = strata[0]
-    h_rest = _select_level(f, g, strata[1:], E, grid, levels)
+    rest = _select_level(f, g, strata[1:], E, grid, fP, gP, levels)
+    h_rest = levels[-1].total
+    lvl = _GluePass(U)
+    a = lvl.start(P, fP, gP)
 
-    rest_cloud = _cloud_from(region_not(U), grid, "the tail of the stratification")
-    h1 = tietze_extend(h_rest, rest_cloud, E, name="h1")
-    h2, X = equalizer_glue(f, g, U, E, h_prev=h1, grid=grid)
-    glue_cloud = _cloud_from(
-        region_or(region_not(U), X), grid, "(E∖U) ∪ X"
+    outside = ~a["U"]
+    lvl.h1 = h1 = tietze_extend(
+        h_rest, _cloud_of(P, outside, "the tail of the stratification"), E,
+        name="h1", values=rest["total"][outside],
     )
-    h3 = tietze_extend(h2, glue_cloud, E, name="h3")
+    lvl.glue(P, a)
+    for x, vf, vg in zip(P[outside], a["f1"][outside].tolist(), a["g1"][outside].tolist()):
+        _check_glue_point(x, vf, vg)
+    h2, X = equalizer_glue(f, g, U, E, h_prev=h1)
+    glued = outside | a["X"]
+    lvl.h3 = h3 = tietze_extend(
+        h2, _cloud_of(P, glued, "(E∖U) ∪ X"), E, name="h3", values=a["h2"][glued]
+    )
+    lvl.split(P, a)
 
     f2 = add(add(f, negate(h1)), negate(h3))
     g2 = add(add(g, negate(h1)), negate(h3))
@@ -321,14 +451,18 @@ def _select_level(
     Z1 = Region(lambda x: f2(x) >= 0.0, "floor has caught up (f2 >= 0)")
     Z2 = Region(lambda x: g2(x) <= 0.0, "ceiling has caught up (g2 <= 0)")
 
-    boundary = boundary_cloud(V, grid)
-    eta1 = _eta_for(boundary, Z1, E, "eta1")
-    eta2 = _eta_for(boundary, Z2, E, "eta2")
+    boundary = boundary_mask(a["V"], grid)
+    lvl.eta1 = eta1 = _eta_for(P, boundary & a["Z1"], E, "eta1")
+    lvl.eta2 = eta2 = _eta_for(P, boundary & a["Z2"], E, "eta2")
+    lvl.adjust(P, a)
 
     h4 = interior_adjust(f2, g2, V, Z1, Z2, eta1, eta2, E)
     S = region_or(Z1, Z2, region_not(V))
-    s_cloud = _cloud_from(S, grid, "S = Z1 ∪ Z2 ∪ (E∖V)")
-    h5 = tietze_extend(h4, s_cloud, E, name="h5")
+    lvl.h5 = h5 = tietze_extend(
+        h4, _cloud_of(P, a["S"], "S = Z1 ∪ Z2 ∪ (E∖V)"), E, name="h5",
+        values=a["h4"][a["S"]],
+    )
+    lvl.damp(P, a)
 
     h_glued, delta, W = damp_to_safe(h5, f2, g2, V, Z1, Z2)
     total = add(add(h_glued, h3), h1)
@@ -345,9 +479,15 @@ def _select_level(
                 "S": S, "W": W,
             },
             total=total,
+            arrays=lvl,
         )
     )
-    return total
+    return a
+
+
+def _check_not_crossed(x, vf: float, vg: float):
+    if vf > vg + EQUALITY_TOL:
+        raise InfeasibleBodyError(f"empty interval: f(x) > g(x) at x={x.tolist()}")
 
 
 def sandwich_select(
@@ -364,7 +504,8 @@ def sandwich_select(
     result happen on whatever grid the caller chooses afterwards.
     Raises if f > g at a construction point, or when the stratification
     fails its audits (partition, relative openness, per-stratum
-    continuity of the envelopes).
+    continuity of the envelopes).  The returned h evaluates batches with
+    ``h.many``: the envelopes once, then the outer level's array pass.
     """
     E = f.domain or g.domain
     if E is None:
@@ -372,14 +513,20 @@ def sandwich_select(
     if resolution is None:
         resolution = 129 if E.ambient_dim == 1 else 17
     grid = Grid(E, resolution)
+    P = grid.points
 
     f_c, g_c, compressed = reduce_to_bounded(f, g)
 
-    for x in grid.points:
-        if f_c(x) > g_c(x) + EQUALITY_TOL:
-            raise InfeasibleBodyError(
-                f"empty interval: f(x) > g(x) at x={x.tolist()}"
-            )
+    try:
+        fP, gP = f_c.many(P), g_c.many(P)
+    except EVAL_ERRORS:
+        # the pointwise order decides whether a crossing comes first
+        for x in P:
+            _check_not_crossed(x, f_c(x), g_c(x))
+        raise
+    crossed = np.flatnonzero(fP > gP + EQUALITY_TOL)
+    if crossed.size:
+        _check_not_crossed(P[crossed[0]], fP[crossed[0]], gP[crossed[0]])
 
     if check:
         report = stratification_audit(strat, grid)
@@ -389,7 +536,7 @@ def sandwich_select(
                 f"{report.violations[0].message} at {report.violations[0].x}",
             )
         for j, stratum in enumerate(strat.strata):
-            mask = stratum.mask(grid.points)
+            mask = stratum.mask(P)
             for fld, label in ((f_c, "floor"), (g_c, "ceiling")):
                 rep = semicontinuity_audit(
                     fld, grid, tag=TAG_CONTINUOUS, mask=mask
@@ -410,7 +557,12 @@ def sandwich_select(
                 )
 
     levels: list[SandwichLevel] = []
-    h_c = _select_level(f_c, g_c, tuple(strat.strata), E, grid, levels)
+    _select_level(f_c, g_c, tuple(strat.strata), E, grid, fP, gP, levels)
+    outer = levels[-1]
+    h_c = dataclasses.replace(
+        outer.total,
+        batch=lambda X: outer.arrays(X, f_c.many(X), g_c.many(X))["total"],
+    )
 
     lo = -1.0 + STRICTNESS_MARGIN
     hi = 1.0 - STRICTNESS_MARGIN
@@ -418,13 +570,20 @@ def sandwich_select(
     def h_rule(x):
         return unsquash(min(max(h_c(x), lo), hi))
 
-    h = ScalarField(E, h_rule, tag=TAG_CONTINUOUS, name="sandwich")
+    def h_batch(X):
+        w = np.minimum(np.maximum(h_c.many(X), lo), hi)
+        # unsquash: np.sqrt rounds as math.sqrt does
+        return w / np.sqrt((1.0 - w) * (1.0 + w))
+
+    h = ScalarField(E, h_rule, tag=TAG_CONTINUOUS, name="sandwich", batch=h_batch)
     trace = SandwichTrace(
         compressed=compressed,
         strata=tuple(r.label for r in strat.strata),
         levels=tuple(levels),
         construction_grid=grid,
         h_compressed=h_c,
+        f_compressed=f_c,
+        g_compressed=g_c,
     )
     return h, trace
 
@@ -433,62 +592,48 @@ def region_audit(trace: SandwichTrace, grid: Grid) -> AuditReport:
     """Re-check the non-definitional facts tying a trace's regions and
     fields together, at every grid point: S ∪ V covers, X ⊆ U, V = U∖X,
     delta lands in [0,1] with the right values on W and V∩(Z1∪Z2), W
-    stays clear of V∩(Z1∪Z2), and h4 carries the advertised signs."""
+    stays clear of V∩(Z1∪Z2), and h4 carries the advertised signs.
+
+    Each glue level is checked on the arrays of its pass over the grid;
+    violations come in the order of a sweep over levels, then points,
+    then the checks as listed."""
     violations = []
     checked = 0
-    for level in trace.levels:
-        if level.kind != "glue":
-            continue
-        R = level.regions
-        U, X, V, Z1, Z2, S, W = (
-            R["U"], R["X"], R["V"], R["Z1"], R["Z2"], R["S"], R["W"]
+    P = grid.points
+    glue = [level for level in trace.levels if level.kind == "glue"]
+    if glue:
+        fP, gP = trace.f_compressed.many(P), trace.g_compressed.many(P)
+    for level in glue:
+        a = level.arrays(P, fP, gP)
+        checked += P.shape[0]
+        U, X, V, Z1, Z2, S, W = (a[k] for k in ("U", "X", "V", "Z1", "Z2", "S", "W"))
+        f2, g2, h4, d = a["f2"], a["g2"], a["h4"], a["delta"]
+        in_b = Z1 | Z2
+        clash = V & W & in_b
+        live = V & ~clash  # where delta is read
+        if np.any(live & np.isnan(d)):
+            _delta_undefined(P[np.argmax(live & np.isnan(d))])
+        signs = live & in_b  # where h4 is read
+        checks = (
+            (~(S | V), lambda i: 1.0, "S ∪ V misses a point"),
+            (X & ~U, lambda i: 1.0, "X escapes U"),
+            (V != (U & ~X), lambda i: 1.0, "V is not U∖X"),
+            (clash, lambda i: 1.0, "W meets V∩(Z1∪Z2)"),
+            (live & ~((d >= -1e-15) & (d <= 1.0 + 1e-15)),
+             lambda i: abs(float(d[i]) - 0.5) - 0.5, "delta outside [0,1]"),
+            (live & in_b & (d != 1.0),
+             lambda i: 1.0 - float(d[i]), "delta != 1 on V∩(Z1∪Z2)"),
+            (live & W & (d != 0.0), lambda i: float(d[i]), "delta != 0 on W"),
+            (signs & ~((f2 < h4) & (h4 < g2)),
+             lambda i: max(float(f2[i] - h4[i]), float(h4[i] - g2[i])),
+             "h4 not strictly inside [f2, g2] on V∩(Z1∪Z2)"),
+            (signs & Z1 & ~(h4 > 0.0), lambda i: -float(h4[i]), "h4 <= 0 on Z1∩V"),
+            (signs & Z2 & ~(h4 < 0.0), lambda i: float(h4[i]), "h4 >= 0 on Z2∩V"),
         )
-        f2, g2, h4, delta = level.f_level, level.g_level, level.h4, level.delta
-        for x in grid.points:
-            checked += 1
-            in_v = V(x)
-            if not (S(x) or in_v):
-                violations.append(Violation(tuple(x), 1.0, message="S ∪ V misses a point"))
-            if X(x) and not U(x):
-                violations.append(Violation(tuple(x), 1.0, message="X escapes U"))
-            if in_v != (U(x) and not X(x)):
-                violations.append(Violation(tuple(x), 1.0, message="V is not U∖X"))
-            if not in_v:
-                continue
-            in_b = Z1(x) or Z2(x)
-            if W(x) and in_b:
-                violations.append(
-                    Violation(tuple(x), 1.0, message="W meets V∩(Z1∪Z2)")
-                )
-                continue
-            d = delta(x)
-            if not -1e-15 <= d <= 1.0 + 1e-15:
-                violations.append(
-                    Violation(tuple(x), abs(d - 0.5) - 0.5, message="delta outside [0,1]")
-                )
-            if in_b and d != 1.0:
-                violations.append(
-                    Violation(tuple(x), 1.0 - d, message="delta != 1 on V∩(Z1∪Z2)")
-                )
-            if W(x) and d != 0.0:
-                violations.append(
-                    Violation(tuple(x), d, message="delta != 0 on W")
-                )
-            if in_b:
-                v4, vf, vg = h4(x), f2(x), g2(x)
-                if not vf < v4 < vg:
-                    violations.append(
-                        Violation(tuple(x), max(vf - v4, v4 - vg),
-                                  message="h4 not strictly inside [f2, g2] on V∩(Z1∪Z2)")
-                    )
-                if Z1(x) and not v4 > 0.0:
-                    violations.append(
-                        Violation(tuple(x), -v4, message="h4 <= 0 on Z1∩V")
-                    )
-                if Z2(x) and not v4 < 0.0:
-                    violations.append(
-                        Violation(tuple(x), v4, message="h4 >= 0 on Z2∩V")
-                    )
+        for i in np.flatnonzero(np.logical_or.reduce([m for m, _, _ in checks])):
+            for mask, deficit, message in checks:
+                if mask[i]:
+                    violations.append(Violation(tuple(P[i]), deficit(i), message=message))
     return AuditReport(
         kind="sandwich-regions",
         passed=not violations,

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import AuditError, StratificationError
 from .fields import (
+    DEFAULT_SEED,
     AuditReport,
     Domain,
     Grid,
@@ -186,6 +187,7 @@ def michael_select(
     resolution: int | None = None,
     check: bool = True,
     force_compress: bool = False,
+    seed: int = DEFAULT_SEED,
 ):
     """Continuous selection h with h(x) in T(x), plus its trace.
 
@@ -193,7 +195,7 @@ def michael_select(
     ``check`` is on, the default) the declared structure to survive its
     grid audits: lsc for the whole map, partition + relative openness for
     the stratification, and two-sided continuity of the restriction to
-    each stratum.
+    each stratum.  ``seed`` drives the audits' random probes.
     """
     E = map_.domain
     if resolution is None:
@@ -203,7 +205,7 @@ def michael_select(
     if not map_.declared_lsc:
         raise AuditError("michael_select needs a map declared lower semicontinuous")
     if check:
-        rep = lsc_audit(map_, grid)
+        rep = lsc_audit(map_, grid, seed=seed)
         if not rep.passed:
             v = rep.violations[0]
             raise AuditError(
@@ -218,7 +220,7 @@ def michael_select(
                 report=rep,
             )
         for region in strat.strata:
-            rep = continuity_audit(map_, grid, region=region)
+            rep = continuity_audit(map_, grid, region=region, seed=seed)
             if not rep.passed:
                 v = rep.violations[0]
                 raise StratificationError(

@@ -35,7 +35,9 @@ from convsel.errors import ConvselError, SpecValidationError
 from convsel.fields import (
     DEFAULT_SEED,
     Grid,
+    grid_values,
     modulus_ratios,
+    pymax,
     semicontinuity_audit,
 )
 from convsel.maps import (
@@ -108,14 +110,18 @@ def _eval_grid(spec: ProblemSpec, args) -> Grid:
     return Grid(spec.domain, per_axis)
 
 
-def _write_csv(path: str, grid: Grid, rule, width: int, labels=None):
-    labels = labels or [f"h{i + 1}" for i in range(width)]
+def _write_csv(path: str, grid: Grid, values, labels):
+    """One row per grid point: its coordinates, then its row of ``values``."""
+    values = np.asarray(values, dtype=float).reshape(len(grid), len(labels))
     lines = [",".join([f"x{i + 1}" for i in range(grid.domain.ambient_dim)] + labels)]
-    for x in grid.points:
-        v = np.atleast_1d(np.asarray(rule(x), dtype=float))
+    for x, v in zip(grid.points, values):
         lines.append(",".join("%.17g" % c for c in (*x, *v)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _labels(width: int) -> list[str]:
+    return [f"h{i + 1}" for i in range(width)]
 
 
 def _violation_dict(v) -> dict:
@@ -154,11 +160,12 @@ def _ratio_entry(ratios: list) -> dict:
     }
 
 
-def _membership_entry(map_, h, grid: Grid, tol: float) -> dict:
+def _membership_entry(map_, values, grid: Grid, tol: float) -> dict:
+    """Distance from each grid point's value of h (a row of ``values``) to T(x)."""
     worst = 0.0
     witness = None
-    for x in grid.points:
-        y = np.atleast_1d(np.asarray(h(x), dtype=float))
+    values = np.asarray(values, dtype=float).reshape(len(grid), -1)
+    for x, y in zip(grid.points, values):
         d = float(map_.evaluate(x).distance(y))
         if d > worst:
             worst, witness = d, x
@@ -181,6 +188,58 @@ def _membership_entry(map_, h, grid: Grid, tol: float) -> dict:
             }
         ]
     return out
+
+
+def _envelope_entries(grid: Grid, vf, vg, vh) -> list[dict]:
+    """The between-envelopes and strictly-between checks of h against the
+    envelopes, from their values on the grid."""
+    slack = 1e-9
+    strict_gap = 1e-3
+    err = pymax(vf - slack - vh, vh - vg - slack)
+    worst_bound = 0.0
+    bound_witness = None
+    if err.max() > 0.0:
+        i = int(np.argmax(err))  # the first point of the worst excess
+        worst_bound, bound_witness = float(err[i]), grid.points[i]
+    worst_strict = -np.inf  # stays -inf when no point has a real gap
+    strict_witness = None
+    gapped = np.flatnonzero(vg - vf > strict_gap)
+    if gapped.size:
+        err = pymax(vf - vh, vh - vg)[gapped]  # must be strictly negative
+        worst_strict = float(err.max())
+        # the last point of the worst, as a sweep keeping ties would pick
+        strict_witness = grid.points[gapped[np.flatnonzero(err == worst_strict)[-1]]]
+    bounds_entry = {
+        "name": "between-envelopes",
+        "passed": worst_bound <= 0.0,
+        "checked": len(grid),
+        "violations": []
+        if worst_bound <= 0.0
+        else [
+            {
+                "x": list(bound_witness),
+                "deficit": worst_bound,
+                "message": "h leaves [f - 1e-9, g + 1e-9]",
+            }
+        ],
+        "notes": [],
+    }
+    strict_entry = {
+        "name": "strictly-between",
+        "passed": worst_strict < 0.0,
+        "checked": len(grid),
+        "violations": []
+        if worst_strict < 0.0
+        else [
+            {
+                "x": list(strict_witness) if strict_witness is not None else [],
+                "deficit": worst_strict,
+                "message": f"h touches an envelope where g - f > {strict_gap}",
+            }
+        ],
+        "notes": [],
+    }
+    return [bounds_entry, strict_entry]
 
 
 def _finish(args, spec: ProblemSpec, entries: list[dict], extra=None) -> int:
@@ -229,19 +288,23 @@ def _cmd_michael(spec: ProblemSpec, args) -> int:
     grid = _eval_grid(spec, args)
     try:
         h, trace = michael_select(
-            spec.map, spec.stratification, resolution=grid.per_axis
+            spec.map, spec.stratification, resolution=grid.per_axis, seed=args.seed
         )
     except ConvselError as exc:
         return _abort(args, spec, "selection", exc)
-    if args.out:
-        _write_csv(args.out, grid, h, spec.output_dim)
-    entries = [
-        _membership_entry(spec.map, h, grid, args.tol),
-        _report_entry(boundary_decay_audit(trace, grid)),
-        _ratio_entry(
-            modulus_ratios(h, spec.domain, grid.per_axis, halvings=args.refine)
-        ),
-    ]
+    try:
+        values = grid_values(h, grid)
+        if args.out:
+            _write_csv(args.out, grid, values, _labels(spec.output_dim))
+        entries = [
+            _membership_entry(spec.map, values, grid, args.tol),
+            _report_entry(boundary_decay_audit(trace, grid)),
+            _ratio_entry(
+                modulus_ratios(h, spec.domain, grid.per_axis, halvings=args.refine)
+            ),
+        ]
+    except ConvselError as exc:
+        return _abort(args, spec, "evaluation", exc)
     return _finish(args, spec, entries)
 
 
@@ -254,61 +317,20 @@ def _cmd_sandwich(spec: ProblemSpec, args) -> int:
         )
     except ConvselError as exc:
         return _abort(args, spec, "selection", exc)
-    if args.out:
-        _write_csv(args.out, grid, h, 1)
-
-    slack = 1e-9
-    strict_gap = 1e-3
-    worst_bound = 0.0
-    worst_strict = -np.inf  # stays -inf when no point has a real gap
-    bound_witness = strict_witness = None
-    for x in grid.points:
-        vf, vg, vh = f(x), g(x), h(x)
-        err = max(vf - slack - vh, vh - vg - slack)
-        if err > worst_bound:
-            worst_bound, bound_witness = err, x
-        if vg - vf > strict_gap:
-            err = max(vf - vh, vh - vg)  # must be strictly negative here
-            if err >= worst_strict:
-                worst_strict, strict_witness = err, x
-    bounds_entry = {
-        "name": "between-envelopes",
-        "passed": worst_bound <= 0.0,
-        "checked": len(grid),
-        "violations": []
-        if worst_bound <= 0.0
-        else [
-            {
-                "x": list(bound_witness),
-                "deficit": worst_bound,
-                "message": "h leaves [f - 1e-9, g + 1e-9]",
-            }
-        ],
-        "notes": [],
-    }
-    strict_entry = {
-        "name": "strictly-between",
-        "passed": worst_strict < 0.0,
-        "checked": len(grid),
-        "violations": []
-        if worst_strict < 0.0
-        else [
-            {
-                "x": list(strict_witness) if strict_witness is not None else [],
-                "deficit": worst_strict,
-                "message": f"h touches an envelope where g - f > {strict_gap}",
-            }
-        ],
-        "notes": [],
-    }
-    entries = [
-        bounds_entry,
-        strict_entry,
-        _report_entry(region_audit(trace, grid)),
-        _ratio_entry(
-            modulus_ratios(h, spec.domain, grid.per_axis, halvings=args.refine)
-        ),
-    ]
+    try:
+        vh = h.many(grid.points)
+        if args.out:
+            _write_csv(args.out, grid, vh, _labels(1))
+        vf, vg = f.many(grid.points), g.many(grid.points)
+        entries = [
+            *_envelope_entries(grid, vf, vg, vh),
+            _report_entry(region_audit(trace, grid)),
+            _ratio_entry(
+                modulus_ratios(h, spec.domain, grid.per_axis, halvings=args.refine)
+            ),
+        ]
+    except ConvselError as exc:
+        return _abort(args, spec, "evaluation", exc)
     return _finish(args, spec, entries)
 
 
@@ -316,9 +338,10 @@ def _cmd_lns(spec: ProblemSpec, args) -> int:
     grid = _eval_grid(spec, args)
     h = lns_field(spec.map)
     try:
+        values = grid_values(h, grid)
         if args.out:
-            _write_csv(args.out, grid, h, spec.output_dim)
-        entries = [_membership_entry(spec.map, h, grid, args.tol)]
+            _write_csv(args.out, grid, values, _labels(spec.output_dim))
+        entries = [_membership_entry(spec.map, values, grid, args.tol)]
     except ConvselError as exc:
         return _abort(args, spec, "evaluation", exc)
     return _finish(args, spec, entries)
@@ -332,9 +355,8 @@ def _cmd_envelopes(spec: ProblemSpec, args) -> int:
     f, g = envelopes(spec.map)
     try:
         if args.out:
-            _write_csv(
-                args.out, grid, lambda x: (f(x), g(x)), 2, labels=["f", "g"]
-            )
+            values = np.column_stack([f.many(grid.points), g.many(grid.points)])
+            _write_csv(args.out, grid, values, ["f", "g"])
         entries = [
             _report_entry(semicontinuity_audit(f, grid)),
             _report_entry(semicontinuity_audit(g, grid)),

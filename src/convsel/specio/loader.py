@@ -38,9 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from convsel.errors import ExprSyntaxError, SpecValidationError, UncoveredPointError
+from convsel.errors import (
+    EvalDomainError,
+    ExprSyntaxError,
+    SpecValidationError,
+    UncoveredPointError,
+)
 from convsel.fields import Domain, Grid
-from convsel.geometry import Ball, HPolytope, Interval
+from convsel.geometry import Ball, HPolytope, Interval, kernel_operators
 from convsel.maps import EVERYWHERE, Region, SetValuedMap, Stratification
 from convsel.specio import expr
 
@@ -207,6 +212,7 @@ def _build_hpolytope(spec: dict, path: str, n: int, m: int):
     if not rows_spec:
         raise _fail(f"{path}.rows", "needs at least one row")
     rows = []
+    constant = True
     for i, row in enumerate(rows_spec):
         rpath = f"{path}.rows[{i}]"
         _require(row, rpath, dict, "an object")
@@ -218,10 +224,9 @@ def _build_hpolytope(spec: dict, path: str, n: int, m: int):
             raise _fail(
                 f"{rpath}.normal", f"expected {m} coordinates, got {len(normal_spec)}"
             )
-        normal = [
-            expr.compile_expr(_parse(c, f"{rpath}.normal[{j}]", n))
-            for j, c in enumerate(normal_spec)
-        ]
+        nodes = [_parse(c, f"{rpath}.normal[{j}]", n) for j, c in enumerate(normal_spec)]
+        constant = constant and all(expr.max_var_index(c) == -1 for c in nodes)
+        normal = [expr.compile_expr(c) for c in nodes]
         if "offset" not in row:
             raise _fail(f"{rpath}.offset", "missing")
         offset = expr.compile_expr(_parse(row["offset"], f"{rpath}.offset", n))
@@ -235,12 +240,28 @@ def _build_hpolytope(spec: dict, path: str, n: int, m: int):
         hi = np.array(_number_list(bspec.get("hi"), f"{bpath}.hi", m))
         box = (lo, hi)
 
-    def rule(x):
-        A = np.array([[c(x) for c in normal] for normal, _ in rows])
-        b = np.array([offset(x) for _, offset in rows])
-        return HPolytope(A, b, bounding_box=box)
+    def normals(x):
+        return np.array([[c(x) for c in normal] for normal, _ in rows])
 
-    return rule
+    def rule(x):
+        b = np.array([offset(x) for _, offset in rows])
+        return HPolytope(normals(x), b, bounding_box=box)
+
+    if not constant:
+        return rule
+    try:
+        A = normals(np.zeros(n))
+    except EvalDomainError:
+        return rule  # each evaluation raises, as the point-by-point build would
+    A.setflags(write=False)
+    sets = kernel_operators(A)
+
+    def shared_rule(x):
+        # constant normals: every body shares A and the kernel's operators
+        b = np.array([offset(x) for _, offset in rows])
+        return HPolytope(A, b, bounding_box=box, _sets=sets)
+
+    return shared_rule
 
 
 _BODY_BUILDERS = {

@@ -31,7 +31,17 @@ MEMBERSHIP_SNAP = 1e-12
 #: Nested coordinate search stops when every cell side is below this.
 SEARCH_TOL = 1e-10
 
-_CHUNK = 2048
+#: Element budget, in floats, of each (rows, cloud, n) temporary built by
+#: the batched distance and extension rules; small enough to stay in cache.
+_FLOAT_BUDGET = 8192
+
+
+def _row_blocks(N: int, cloud: np.ndarray):
+    """Row slices of an (N, n) query array, each small enough that its
+    differences against the (nonempty) ``cloud`` fit the element budget."""
+    step = max(1, _FLOAT_BUDGET // cloud.size)
+    for s in range(0, N, step):
+        yield slice(s, s + step)
 
 
 @dataclass(frozen=True)
@@ -77,14 +87,6 @@ class ClosedSet:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return ClosedSet(pts.shape[1], points=tuple(pts))
 
-    @staticmethod
-    def from_domain(domain: Domain) -> "ClosedSet":
-        return ClosedSet(
-            domain.ambient_dim,
-            boxes=tuple((lo.copy(), hi.copy()) for lo, hi in domain.boxes),
-            points=tuple(p.copy() for p in domain.points),
-        )
-
     def contains(self, x, tol: float = MEMBERSHIP_SNAP) -> bool:
         if self.is_empty:
             return False
@@ -101,11 +103,10 @@ class ClosedSet:
             np.minimum(best, d, out=best)
         cloud = self._cloud
         if cloud.shape[0]:
-            for s in range(0, X.shape[0], _CHUNK):
-                blk = X[s : s + _CHUNK]
+            for rows in _row_blocks(X.shape[0], cloud):
+                blk = X[rows]
                 d2 = ((blk[:, None, :] - cloud[None, :, :]) ** 2).sum(axis=2)
-                np.minimum(best[s : s + _CHUNK], np.sqrt(d2.min(axis=1)),
-                           out=best[s : s + _CHUNK])
+                np.minimum(best[rows], np.sqrt(d2.min(axis=1)), out=best[rows])
         return best
 
 
@@ -123,7 +124,8 @@ def dist_field(A: ClosedSet, domain: Domain | None = None, name: str = "") -> Sc
     if A.is_empty:
         raise EmptySetError("distance field of the empty set")
     return ScalarField(
-        domain, lambda x: dist_to_set(A, x), tag=TAG_CONTINUOUS, name=name or "dist"
+        domain, lambda x: dist_to_set(A, x), tag=TAG_CONTINUOUS, name=name or "dist",
+        batch=A.dist_many,
     )
 
 
@@ -213,6 +215,7 @@ def tietze_extend(
     lo: float | None = None,
     hi: float | None = None,
     name: str = "",
+    values=None,
 ) -> ScalarField:
     """Continuous extension of ``f`` from A to everything, range [lo, hi].
 
@@ -222,12 +225,27 @@ def tietze_extend(
     peaks off-lattice; the formula's range stays inside [lo, hi] either
     way, only tightness is at stake).  Values at A's points are baked
     here, so evaluating the extension never calls ``f`` on point
-    components again.
+    components again; a caller that already holds them passes them, in
+    the order of A's points, as ``values``.
+
+    The extension has a batch rule when A is a finite cloud: one distance
+    query per batch and the ratios in blocks of the element budget, with
+    the pointwise formulas, so ``many`` matches ``__call__`` bit for bit.
+    Over box components it is evaluated point by point.
     """
     if A.is_empty:
         raise EmptySetError("cannot extend from the empty set")
     cloud = A._cloud
-    baked = np.array([float(f(p)) for p in cloud]) if cloud.shape[0] else np.empty(0)
+    if values is not None:
+        baked = np.array(values, dtype=float).reshape(-1)
+        if baked.shape != (cloud.shape[0],):
+            raise DimensionMismatchError(
+                f"{baked.shape[0]} values for {cloud.shape[0]} cloud points"
+            )
+    elif cloud.shape[0]:
+        baked = np.array([float(f(p)) for p in cloud])
+    else:
+        baked = np.empty(0)
     if baked.size and not np.all(np.isfinite(baked)):
         raise ValueError("tietze_extend needs finite values; compress first")
     data_lo = float(baked.min()) if baked.size else math.inf
@@ -269,4 +287,26 @@ def tietze_extend(
         F = min(max(best - 1.0, 1.0), 2.0)
         return lo + (F - 1.0) * span
 
-    return ScalarField(X, rule, tag=TAG_CONTINUOUS, name=name or "tietze")
+    def batch(P):
+        d = A.dist_many(P)
+        out = np.empty(P.shape[0])
+        near = np.flatnonzero(d <= MEMBERSHIP_SNAP)
+        far = np.flatnonzero(d > MEMBERSHIP_SNAP)
+        for rows in _row_blocks(near.size, cloud):
+            idx = near[rows]
+            gaps = np.linalg.norm(cloud[None, :, :] - P[idx, None, :], axis=2)
+            k = np.argmin(gaps, axis=1)
+            if not np.all(gaps[np.arange(idx.size), k] <= MEMBERSHIP_SNAP):
+                raise ValueError("a snapped point has no cloud point within the snap")
+            out[idx] = baked[k]
+        for rows in _row_blocks(far.size, cloud):
+            idx = far[rows]
+            ratios = np.linalg.norm(cloud[None, :, :] - P[idx, None, :], axis=2) / d[idx, None]
+            F = np.minimum(np.maximum(np.min(scaled + ratios, axis=1) - 1.0, 1.0), 2.0)
+            out[idx] = lo + (F - 1.0) * span
+        return out
+
+    return ScalarField(
+        X, rule, tag=TAG_CONTINUOUS, name=name or "tietze",
+        batch=None if boxes else batch,
+    )

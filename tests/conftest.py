@@ -77,6 +77,17 @@ def random_body(rng: np.random.Generator, m: int) -> ConvexBody:
     )
 
 
+# --- bitwise comparison -------------------------------------------------
+
+
+def assert_same_bits(values, reference):
+    """Equal float arrays, bit for bit: signed zeros and NaNs included."""
+    np.testing.assert_array_equal(
+        np.asarray(values, dtype=float).view(np.uint64),
+        np.asarray(reference, dtype=float).view(np.uint64),
+    )
+
+
 # --- expression oracle ----------------------------------------------------
 
 _REF_BINARY = {

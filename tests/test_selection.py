@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_body, sampled_min_norm
 from convsel.errors import AuditError, StratificationError
-from convsel.fields import Domain, Grid
+from convsel.fields import DEFAULT_SEED, Domain, Grid
 from convsel.geometry import Ball, Interval
 from convsel.maps import (
     EVERYWHERE,
@@ -13,12 +13,14 @@ from convsel.maps import (
     constant_map,
     shift,
 )
+from convsel import selection
 from convsel.selection import (
     boundary_decay_audit,
     extend_componentwise,
     lns_field,
     michael_select,
 )
+from convsel.specio.cli import main
 from convsel.urysohn import ClosedSet
 
 LINE = Domain(1, boxes=(((-1.0,), (1.0,)),))
@@ -219,3 +221,33 @@ class TestMichaelSelect:
         outer = trace.outer
         assert outer.C1 is not None and outer.D is not None
         assert outer.extension is not None and outer.shifted is not None
+
+
+@pytest.mark.parametrize("seed", [None, 12345])
+def test_seed_reaches_the_selection_audits(seed, monkeypatch):
+    seen = []
+    for name in ("lsc_audit", "continuity_audit"):
+        real = getattr(selection, name)
+
+        def spy(*args, real=real, name=name, **kwargs):
+            seen.append((name, kwargs.get("seed")))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(selection, name, spy)
+    kwargs = {} if seed is None else {"seed": seed}
+    michael_select(vband_map(), PUNCTURED, resolution=17, **kwargs)
+    want = DEFAULT_SEED if seed is None else seed
+    assert seen == [("lsc_audit", want)] + [("continuity_audit", want)] * 2
+
+
+def test_cli_seed_reaches_the_selection_audits(specs_dir, monkeypatch):
+    seeds = []
+    real = selection.lsc_audit
+    monkeypatch.setattr(
+        selection, "lsc_audit",
+        lambda *a, **k: seeds.append(k.get("seed")) or real(*a, **k),
+    )
+    rc = main(["select-michael", "--spec", str(specs_dir / "m_vband.json"),
+               "--grid", "9", "--seed", "77"])
+    assert rc == 0
+    assert seeds == [77]

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from convsel.errors import InfeasibleBodyError, SpecValidationError
-from convsel.geometry import Ball, Interval
+from convsel.errors import EvalDomainError, InfeasibleBodyError, SpecValidationError
+from convsel.geometry import Ball, HPolytope, Interval
 from convsel.specio.cli import main
 from convsel.specio.loader import load_spec, load_spec_dict
 
@@ -348,3 +348,101 @@ class TestCli:
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text(encoding="utf-8").startswith('{\n  "')
+
+
+# 1/32 is not on the --grid 17 lattice but is on its second halving, so the
+# selection succeeds and only the modulus-ratio sweep meets the bad point
+_HOLE_AT_ONE_32ND = {
+    "ambient_dim": 1,
+    "output_dim": 1,
+    "domain": {"boxes": [{"lo": [-1.0], "hi": [1.0]}]},
+    "pieces": [
+        {"region": [], "body": {"interval": {
+            "lo": "(x1 - 0.03125)/(x1 - 0.03125) - 2", "hi": "1"}}}
+    ],
+    "tags": {"declared_lsc": True, "declared_continuous": True},
+}
+
+
+@pytest.mark.parametrize("command", ["select-sandwich", "select-michael"])
+def test_evaluation_errors_abort_with_a_report(command, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_HOLE_AT_ONE_32ND), encoding="utf-8")
+    report = tmp_path / "report.json"
+    out = tmp_path / "h.csv"
+    rc = run_cli(command, "--spec", str(spec), "--grid", "17",
+                 "--out", str(out), "--report", str(report))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err and "division by zero" in err
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    assert payload["passed"] is False
+    assert payload["error"] == {
+        "stage": "evaluation", "type": "EvalDomainError", "message": "division by zero",
+    }
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 18
+
+
+class TestConstantNormals:
+    """Polytope pieces whose normals are constant share A and the kernel's
+    operators across every point instead of rebuilding them."""
+
+    @staticmethod
+    def build(rows, x):
+        raw = variant(
+            ambient_dim=2,
+            output_dim=2,
+            domain={"boxes": [{"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}]},
+            pieces=[{"region": [], "body": {"hpolytope": {"rows": rows}}}],
+        )
+        rule = load_spec_dict(raw).map.pieces[0][1]
+        return rule, rule(np.asarray(x, dtype=float))
+
+    ROWS = [
+        {"normal": ["-1", "0"], "offset": "-1 + x1^2"},
+        {"normal": ["0", "-1"], "offset": "-1 + x2^2"},
+        {"normal": ["0", "0"], "offset": "1"},  # vacuous, dropped at build
+        {"normal": ["1", "1/2"], "offset": "4 + x1"},
+    ]
+
+    def test_bodies_share_one_operator_array(self):
+        rule, first = self.build(self.ROWS, [0.0, 0.0])
+        second = rule(np.array([0.5, -0.25]))
+        assert first._sets is not None
+        assert first._sets is second._sets
+        assert not first._sets.flags.writeable
+
+    @pytest.mark.parametrize("x", [[0.0, 0.0], [0.5, -0.25], [-1.0, 1.0]])
+    def test_shared_build_equals_the_unshared_one(self, x):
+        _, body = self.build(self.ROWS, x)
+        A = np.array([[-1.0, 0.0], [0.0, -1.0], [0.0, 0.0], [1.0, 0.5]])
+        b = np.array([-1 + x[0] ** 2, -1 + x[1] ** 2, 1.0, 4 + x[0]])
+        plain = HPolytope(A, b)
+        np.testing.assert_array_equal(body.A, plain.A)
+        np.testing.assert_array_equal(body._sets, plain._sets)
+        np.testing.assert_array_equal(body.least_norm(), plain.least_norm())
+        for got, want in zip(body.coord_extremes(), plain.coord_extremes()):
+            np.testing.assert_array_equal(got, want)
+        Z = np.random.default_rng(3).uniform(-6, 6, size=(40, 2))
+        np.testing.assert_array_equal(body.project_many(Z), plain.project_many(Z))
+
+    def test_varying_normals_are_built_per_point(self):
+        rows = [dict(self.ROWS[0], normal=["-1", "x1"])] + self.ROWS[1:]
+        rule, first = self.build(rows, [0.0, 0.0])
+        assert rule(np.array([0.5, 0.0]))._sets is not first._sets
+
+    def test_a_failing_constant_normal_fails_where_it_is_evaluated(self):
+        rows = [dict(self.ROWS[0], normal=["-1", "1/0"])] + self.ROWS[1:]
+        raw = variant(
+            ambient_dim=2,
+            output_dim=2,
+            domain={"boxes": [{"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}]},
+            pieces=[
+                {"region": ["x1 <= 2"], "body": {"ball": {"center": ["0", "0"], "radius": "1"}}},
+                {"region": [], "body": {"hpolytope": {"rows": rows}}},
+            ],
+        )
+        spec = load_spec_dict(raw)  # the second piece is never reached here
+        rule = spec.map.pieces[1][1]
+        with pytest.raises(EvalDomainError):
+            rule(np.zeros(2))
