@@ -8,6 +8,8 @@ neighbouring grid cell is tolerated when the next cell in the same
 direction recovers, because an exceptional point adjacent to the probe is
 exactly what semicontinuity permits in the limit.  Two consecutive bad
 cells are treated as a genuine violation at the current resolution.
+:func:`confirmed_edges` is the one implementation of that rule; every
+grid audit in the package calls it.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ class Grid:
     nonzero width); isolated points contribute themselves, with no
     neighbours.  ``directed_edges`` lists every ordered adjacent pair
     together with the index of the next point in the same direction, which
-    the audits use for the two-cell confirmation rule.
+    :func:`confirmed_edges` uses for the two-cell confirmation rule.
     """
 
     def __init__(self, domain: Domain, per_axis: int):
@@ -198,7 +200,7 @@ class Grid:
     def _build_edges(self) -> np.ndarray:
         # columns: tail, head, far (next point past head; -1 if none)
         rows = []
-        self._edge_spacing = []
+        spacings = []
         for start, shape, spacing in self._blocks:
             size = int(np.prod(shape))
             strides = np.ones(len(shape), dtype=int)
@@ -221,18 +223,15 @@ class Grid:
                     rows.append(
                         np.column_stack([tails, heads, far]) + start
                     )
-                    self._edge_spacing.extend([spacing[a]] * len(tails))
+                    spacings.append(np.full(len(tails), spacing[a]))
+        self._edge_spacing = np.concatenate(spacings) if spacings else np.empty(0)
         if rows:
             return np.vstack(rows)
         return np.empty((0, 3), dtype=int)
 
     def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """(edges, spacing): edges has columns (tail, head, far)."""
-        return self._edges, np.asarray(self._edge_spacing)
-
-    def neighbors(self, i: int) -> list[int]:
-        e = self._edges
-        return [int(h) for t, h, _ in e if t == i]
+        return self._edges, self._edge_spacing
 
     def max_spacing(self) -> float:
         out = 0.0
@@ -443,13 +442,20 @@ def compress_field(f: ScalarField) -> ScalarField:
 
 @dataclass(frozen=True)
 class Violation:
-    """One confirmed audit failure, anchored at a grid point."""
+    """One confirmed audit failure, anchored at a grid point; ``x``,
+    ``neighbor`` and ``probe`` are kept as tuples of Python floats."""
 
     x: tuple
     deficit: float
     neighbor: tuple | None = None
     probe: tuple | None = None
     message: str = ""
+
+    def __post_init__(self):
+        for name in ("x", "neighbor", "probe"):
+            v = getattr(self, name)
+            if v is not None:
+                object.__setattr__(self, name, tuple(float(c) for c in v))
 
 
 @dataclass(frozen=True)
@@ -472,34 +478,41 @@ def default_eps(grid: Grid, slope: float = 1.0) -> float:
 
 def confirmed_edges(
     grid: Grid,
-    bad: Callable[[int, int, float], float],
+    defect: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     mask: np.ndarray | None = None,
-) -> list[tuple[int, int, float]]:
-    """Directed edges whose defect persists for a second cell.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The two-cell confirmation rule, swept over every directed edge.
 
-    ``bad(tail, head, spacing)`` returns a positive defect when the pair
-    violates the property being audited, else a value <= 0.  An edge is
-    confirmed when its continuation (the next point past ``head`` in the
-    same direction, at double spacing) is missing, outside ``mask``, or
-    also defective.  Single-cell defects are attributed to an exceptional
-    point next door and tolerated; they vanish as the grid refines.
+    ``defect(tails, heads, spacings)`` gets index and length arrays for a
+    batch of edges and returns their defects, shape (E,) or (E, k) for k
+    probes per edge: positive where the pair violates the audited
+    property.  Only edges with both ends in ``mask`` are swept.  Rows with
+    a positive defect whose far point (next past the head, same direction)
+    exists and lies in ``mask`` are confirmed by one more call,
+    ``defect(tails, fars, 2 * spacings)``, keeping the pairs still
+    positive: a single-cell defect is an exceptional point next door.
+
+    Returns ``(tails, heads, probes, deficits)`` for the confirmed (edge,
+    probe) pairs, edge-major in :meth:`Grid.directed_edges` order, with
+    their first-cell defects (``probes`` is 0 for an (E,) defect).
     """
     edges, spacing = grid.directed_edges()
-    out = []
-    for k in range(edges.shape[0]):
-        t, h, far = map(int, edges[k])
-        if mask is not None and not (mask[t] and mask[h]):
-            continue
-        d = bad(t, h, float(spacing[k]))
-        if d <= 0:
-            continue
-        if far < 0 or (mask is not None and not mask[far]):
-            out.append((t, h, d))
-            continue
-        d2 = bad(t, far, 2.0 * float(spacing[k]))
-        if d2 > 0:
-            out.append((t, h, d))
-    return out
+    mask = np.ones(len(grid), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    keep = mask[edges[:, 0]] & mask[edges[:, 1]]
+    (tail, head, far), spacing = edges[keep].T, spacing[keep]
+    d = _probe_columns(defect(tail, head, spacing))
+    bad = d > 0
+    rows = np.flatnonzero(bad.any(axis=1) & (far >= 0))
+    rows = rows[mask[far[rows]]]
+    if rows.size:
+        bad[rows] &= _probe_columns(defect(tail[rows], far[rows], 2 * spacing[rows])) > 0
+    e, p = np.nonzero(bad)
+    return tail[e], head[e], p, d[e, p]
+
+
+def _probe_columns(d) -> np.ndarray:
+    d = np.asarray(d)
+    return d[:, None] if d.ndim == 1 else d
 
 
 def semicontinuity_audit(
@@ -517,9 +530,25 @@ def semicontinuity_audit(
     A field tagged ``unknown`` makes no checkable claim and passes.
     ``mask`` restricts the sweep to a subset of grid points (used for
     per-stratum continuity checks, where the claim only holds on the
-    stratum).
+    stratum); ``f`` is evaluated only there.
     """
     tag = tag or f.tag
+    values = np.zeros(len(grid))
+    if tag != TAG_UNKNOWN:
+        inside = slice(None) if mask is None else np.asarray(mask, dtype=bool)
+        values[inside] = f.many(grid.points[inside])
+    return semicontinuity_audit_values(values, grid, tag, eps=eps, mask=mask)
+
+
+def semicontinuity_audit_values(
+    values: np.ndarray,
+    grid: Grid,
+    tag: str,
+    eps: float | None = None,
+    mask: np.ndarray | None = None,
+) -> AuditReport:
+    """:func:`semicontinuity_audit` for a field given by its ``values`` at
+    the grid points (only those in ``mask`` are read)."""
     if eps is None:
         eps = default_eps(grid)
     if tag == TAG_UNKNOWN:
@@ -530,39 +559,30 @@ def semicontinuity_audit(
             eps=eps,
             notes=("no semicontinuity claim to audit",),
         )
-    values = np.array(
-        [f(x) if mask is None or mask[i] else 0.0
-         for i, x in enumerate(grid.points)]
-    )
+    values = np.asarray(values, dtype=float)
 
-    def jump(a: float, b: float) -> float:
-        if a == b:  # covers equal infinities, where a - b is NaN
-            return 0.0
-        return a - b
-
-    def drop(t: int, h: int, _s: float) -> float:
-        return jump(values[t], values[h]) - eps
-
-    def rise(t: int, h: int, _s: float) -> float:
-        return jump(values[h], values[t]) - eps
+    def jump(a, b):
+        with np.errstate(invalid="ignore"):  # a == b covers equal infinities
+            return np.where(a == b, 0.0, a - b)
 
     checks = []
     if tag in (TAG_LOWER, TAG_CONTINUOUS):
-        checks.append(("lower", drop))
+        checks.append(("lower", lambda t, h, _s: jump(values[t], values[h]) - eps))
     if tag in (TAG_UPPER, TAG_CONTINUOUS):
-        checks.append(("upper", rise))
+        checks.append(("upper", lambda t, h, _s: jump(values[h], values[t]) - eps))
 
     violations = []
-    for label, fn in checks:
-        for t, h, d in confirmed_edges(grid, fn, mask=mask):
-            violations.append(
-                Violation(
-                    x=tuple(grid.points[t]),
-                    deficit=float(d),
-                    neighbor=tuple(grid.points[h]),
-                    message=f"{label}-semicontinuity drop beyond eps",
-                )
+    for label, defect in checks:
+        tails, heads, _, deficits = confirmed_edges(grid, defect, mask=mask)
+        violations.extend(
+            Violation(
+                x=grid.points[t],
+                deficit=d,
+                neighbor=grid.points[h],
+                message=f"{label}-semicontinuity drop beyond eps",
             )
+            for t, h, d in zip(tails, heads, deficits.tolist())
+        )
     return AuditReport(
         kind=f"semicontinuity:{tag}",
         passed=not violations,

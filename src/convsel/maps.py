@@ -4,17 +4,17 @@ A map is an ordered list of (region, body rule) pieces over a domain;
 the first matching piece wins, which makes evaluation deterministic on
 region overlaps.  Lower semicontinuity and stratification structure are
 declared by the caller and audited on grids, never proven.  All audits
-use the package-wide two-cell confirmation rule (see ``fields``): a
-defect against a single neighbouring cell is tolerated when the next
-cell in the same direction recovers, since that is the signature of an
-exceptional point sitting next to the probe rather than of a genuine
-violation.
+use the package-wide two-cell confirmation rule: a defect against a
+single neighbouring cell is tolerated when the next cell in the same
+direction recovers, since that is the signature of an exceptional point
+sitting next to the probe rather than of a genuine violation.  Each audit
+hands its defect to the one kernel of that rule, ``fields.confirmed_edges``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ from .fields import (
     TAG_UPPER,
     VectorField,
     Violation,
+    confirmed_edges,
     default_eps,
 )
 from .geometry import Ball, ConvexBody, HPolytope, Interval, sample
@@ -274,42 +275,37 @@ def lsc_audit(
     if eps is None:
         eps = default_eps(grid)
     pts = grid.points
-    n_pts = pts.shape[0]
     bodies = [map_.evaluate(x) for x in pts]
     rng = np.random.default_rng(seed)
     probe_count = 2 * map_.output_dim + 1 + interior_probes
     probes = [
         np.asarray(probe_points(b, probe_count, rng), dtype=float) for b in bodies
     ]
-    edges, spacing = grid.directed_edges()
-    violations = []
-    for k in range(edges.shape[0]):
-        t, h, far = map(int, edges[k])
-        if mask is not None and not (mask[t] and mask[h]):
-            continue
-        s = float(spacing[k])
-        d = _distance_to(bodies[h], probes[t]) - (eps + s * slope)
-        bad = np.nonzero(d > 0)[0]
-        if bad.size == 0:
-            continue
-        if far >= 0 and (mask is None or mask[far]):
-            d2 = _distance_to(bodies[far], probes[t][bad]) - (eps + 2 * s * slope)
-            bad = bad[d2 > 0]
-        for j in bad:
-            violations.append(
-                Violation(
-                    x=tuple(pts[t]),
-                    deficit=float(d[j]),
-                    neighbor=tuple(pts[h]),
-                    probe=tuple(probes[t][j]),
-                    message="neighbour body stays far from a probe point",
-                )
-            )
+
+    def defect(tails, heads, spacings):
+        # one project_many per edge on its tail's probes: the fallback's
+        # stopping rule reads the whole batch, so regrouping changes results
+        pairs = zip(tails.tolist(), heads.tolist())
+        dist = np.reshape([_distance_to(bodies[h], probes[t]) for t, h in pairs],
+                          (len(tails), probe_count))
+        return dist - (eps + spacings * slope)[:, None]
+
+    tails, heads, js, deficits = confirmed_edges(grid, defect, mask=mask)
+    violations = [
+        Violation(
+            x=pts[t],
+            deficit=d,
+            neighbor=pts[h],
+            probe=probes[t][j],
+            message="neighbour body stays far from a probe point",
+        )
+        for t, h, j, d in zip(tails, heads, js, deficits.tolist())
+    ]
     return AuditReport(
         kind=kind,
         passed=not violations,
         violations=tuple(violations),
-        checked=n_pts,
+        checked=len(grid),
         eps=eps,
     )
 
@@ -329,15 +325,9 @@ def continuity_audit(
     report = lsc_audit(
         map_, grid, eps=eps, slope=slope, mask=mask, kind="continuity", seed=seed
     )
-    if region is not None:
-        return AuditReport(
-            kind=f"continuity[{region.label}]",
-            passed=report.passed,
-            violations=report.violations,
-            checked=int(mask.sum()) if mask is not None else report.checked,
-            eps=report.eps,
-        )
-    return report
+    if region is None:
+        return report
+    return replace(report, kind=f"continuity[{region.label}]", checked=int(mask.sum()))
 
 
 @dataclass(frozen=True)
@@ -366,11 +356,6 @@ class Stratification:
                 return j
         raise UncoveredPointError(f"no stratum covers {np.asarray(x).tolist()}")
 
-    def classify_grid(self, grid: Grid) -> np.ndarray:
-        return np.fromiter(
-            (self.classify(x) for x in grid.points), dtype=int, count=len(grid)
-        )
-
     def tail_region(self, j: int) -> Region:
         """C_j ∪ ... ∪ C_k as a single region."""
         return region_or(*self.strata[j:])
@@ -378,14 +363,13 @@ class Stratification:
 
 def stratification_audit(strat: Stratification, grid: Grid) -> AuditReport:
     pts = grid.points
+    inside = np.array([region.mask(pts) for region in strat.strata])
+    counts = inside.sum(axis=0)
     violations = []
-    counts = np.zeros(len(grid), dtype=int)
-    for region in strat.strata:
-        counts += region.mask(pts).astype(int)
     for i in np.nonzero(counts != 1)[0]:
         word = "no stratum" if counts[i] == 0 else f"{counts[i]} strata"
         violations.append(
-            Violation(x=tuple(pts[i]), deficit=float(abs(counts[i] - 1)),
+            Violation(x=pts[i], deficit=float(abs(counts[i] - 1)),
                       message=f"grid point matches {word}")
         )
     if violations:
@@ -393,26 +377,22 @@ def stratification_audit(strat: Stratification, grid: Grid) -> AuditReport:
             kind="stratification", passed=False, violations=tuple(violations),
             checked=len(grid),
         )
-    cls = strat.classify_grid(grid)
-    edges, _ = grid.directed_edges()
-    for k in range(edges.shape[0]):
-        t, h, far = map(int, edges[k])
-        j = int(cls[t])
-        if cls[h] <= j:  # earlier stratum or same: no constraint broken
-            continue
-        if far >= 0 and cls[far] <= j:
-            continue  # single-cell contact with a later stratum: tolerated
-        violations.append(
-            Violation(
-                x=tuple(pts[t]),
-                deficit=float(cls[h] - j),
-                neighbor=tuple(pts[h]),
-                message=(
-                    f"stratum {j} point has persistent stratum-{int(cls[h])} "
-                    "neighbours (relative openness fails)"
-                ),
-            )
+    cls = np.argmax(inside, axis=0)  # each point's first stratum
+    tails, heads, _, deficits = confirmed_edges(
+        grid, lambda t, h, _s: cls[h] - cls[t]
+    )
+    violations = [
+        Violation(
+            x=pts[t],
+            deficit=float(d),
+            neighbor=pts[h],
+            message=(
+                f"stratum {cls[t]} point has persistent stratum-{cls[h]} "
+                "neighbours (relative openness fails)"
+            ),
         )
+        for t, h, d in zip(tails, heads, deficits)
+    ]
     return AuditReport(
         kind="stratification",
         passed=not violations,

@@ -65,7 +65,7 @@ from .fields import (
     negate,
     pymax,
     pymin,
-    semicontinuity_audit,
+    semicontinuity_audit_values,
     sum_values,
     unsquash,
 )
@@ -95,11 +95,10 @@ def reduce_to_bounded(f: ScalarField, g: ScalarField):
     """Squash both envelopes onto [-1, 1]; tags survive (the squash map is
     a strictly increasing homeomorphism of the extended line onto it).
 
-    Compression is applied unconditionally — one code path — so the flag
-    is always True and records that the final answer must be clamped a
-    strictness margin inside the endpoints and decompressed.
+    Compression is applied unconditionally, so the final answer is always
+    clamped a strictness margin inside the endpoints and decompressed.
     """
-    return compress_field(f), compress_field(g), True
+    return compress_field(f), compress_field(g)
 
 
 def base_midpoint(f: ScalarField, g: ScalarField, domain: Domain | None = None) -> ScalarField:
@@ -278,7 +277,6 @@ class SandwichLevel:
 
 @dataclass(frozen=True)
 class SandwichTrace:
-    compressed: bool
     strata: tuple
     levels: tuple
     construction_grid: Grid
@@ -515,7 +513,7 @@ def sandwich_select(
     grid = Grid(E, resolution)
     P = grid.points
 
-    f_c, g_c, compressed = reduce_to_bounded(f, g)
+    f_c, g_c = reduce_to_bounded(f, g)
 
     try:
         fP, gP = f_c.many(P), g_c.many(P)
@@ -535,20 +533,19 @@ def sandwich_select(
                 "stratification audit failed: "
                 f"{report.violations[0].message} at {report.violations[0].x}",
             )
+        # the envelope audits read the values already computed on the grid
         for j, stratum in enumerate(strat.strata):
             mask = stratum.mask(P)
-            for fld, label in ((f_c, "floor"), (g_c, "ceiling")):
-                rep = semicontinuity_audit(
-                    fld, grid, tag=TAG_CONTINUOUS, mask=mask
-                )
+            for vals, label in ((fP, "floor"), (gP, "ceiling")):
+                rep = semicontinuity_audit_values(vals, grid, TAG_CONTINUOUS, mask=mask)
                 if not rep.passed:
                     v = rep.violations[0]
                     raise StratificationError(
                         f"{label} is not continuous on stratum {j} "
                         f"({stratum.label!r}): jump {v.deficit:.3e} at {v.x}"
                     )
-        for fld, label in ((f_c, "floor"), (g_c, "ceiling")):
-            rep = semicontinuity_audit(fld, grid)
+        for vals, tag, label in ((fP, f_c.tag, "floor"), (gP, g_c.tag, "ceiling")):
+            rep = semicontinuity_audit_values(vals, grid, tag)
             if not rep.passed:
                 v = rep.violations[0]
                 raise StratificationError(
@@ -577,7 +574,6 @@ def sandwich_select(
 
     h = ScalarField(E, h_rule, tag=TAG_CONTINUOUS, name="sandwich", batch=h_batch)
     trace = SandwichTrace(
-        compressed=compressed,
         strata=tuple(r.label for r in strat.strata),
         levels=tuple(levels),
         construction_grid=grid,

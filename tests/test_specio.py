@@ -446,3 +446,32 @@ class TestConstantNormals:
         rule = spec.map.pieces[1][1]
         with pytest.raises(EvalDomainError):
             rule(np.zeros(2))
+
+
+_ABORT_MESSAGES = {
+    "select-michael": "lsc audit failed at (0.0,) (probe (1.0,), deficit 8.281e-01)",
+    "select-sandwich":
+        "ceiling fails its declared semicontinuity: deficit 5.509e-01 at (0.0,)",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ABORT_MESSAGES))
+def test_audit_aborts_print_plain_coordinates(command, specs_dir, tmp_path, capsys):
+    message = _ABORT_MESSAGES[command]
+    # violation coordinates used to print as (np.float64(0.0),)
+    report = tmp_path / "report.json"
+    rc = run_cli(command, "--spec", str(specs_dir / "bad_lsc.json"), "--report", str(report))
+    assert rc == 2
+    assert capsys.readouterr().err == f"selection: {message}\n"
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    assert payload["error"]["message"] == message
+
+
+def test_verify_report_matches_the_golden_bytes(specs_dir, tmp_path, monkeypatch):
+    # lsc and ceiling violations in sweep order, with their deficits and
+    # probes to the last digit; the golden file predates the edge kernel
+    golden = specs_dir.parent / "golden" / "verify_bad_lsc.json"
+    report = tmp_path / "report.json"
+    monkeypatch.chdir(specs_dir)
+    assert run_cli("verify", "--spec", "bad_lsc.json", "--report", str(report)) == 2
+    assert report.read_bytes() == golden.read_bytes()
