@@ -43,6 +43,7 @@ from convsel.maps import (
     continuity_audit,
     envelopes,
     graph_sample,
+    hypothesis_audits,
     lsc_audit,
     shift,
     stratification_audit,
@@ -82,6 +83,7 @@ __all__ = [
     "envelopes",
     "errors",
     "graph_sample",
+    "hypothesis_audits",
     "interior_margin",
     "least_norm_point",
     "lns_field",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import mpmath
 import numpy as np
@@ -332,14 +332,6 @@ class VectorField:
                 f"vector field {self.name or '<anon>'} returned shape {y.shape}"
             )
         return y
-
-    def component(self, i: int) -> ScalarField:
-        return ScalarField(
-            self.domain,
-            lambda x, i=i: float(self.rule(x)[i]),
-            tag=self.tag,
-            name=f"{self.name}[{i}]" if self.name else "",
-        )
 
     @staticmethod
     def from_components(parts: Sequence[ScalarField], name: str = "") -> "VectorField":

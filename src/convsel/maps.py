@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -255,79 +256,108 @@ def _distance_to(body: ConvexBody, probes: np.ndarray) -> np.ndarray:
     return np.linalg.norm(proj - probes, axis=1)
 
 
+class _ProbedGrid:
+    """T evaluated and probed at every grid point, shared by the lsc and
+    continuity audits on that grid.
+
+    The bodies and probes are drawn at the first audit, from one seeded
+    stream in grid order, so each audit reads exactly the probes a fresh
+    audit would draw; each (tail, head) row of distances from the tail's
+    probes to the head's body is projected once and remembered.
+    """
+
+    def __init__(self, map_: SetValuedMap, grid: Grid, seed: int):
+        self.map, self.grid, self.seed = map_, grid, seed
+        self.probe_count = 2 * map_.output_dim + 4
+        self._rows: dict[tuple[int, int], np.ndarray] = {}
+
+    @cached_property
+    def _drawn(self) -> tuple[list, list]:
+        bodies = [self.map.evaluate(x) for x in self.grid.points]
+        rng = np.random.default_rng(self.seed)
+        probes = [
+            np.asarray(probe_points(b, self.probe_count, rng), dtype=float)
+            for b in bodies
+        ]
+        return bodies, probes
+
+    def _distances(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        bodies, probes = self._drawn
+        rows = self._rows
+        pairs = list(zip(tails.tolist(), heads.tolist()))
+        for t, h in pairs:
+            if (t, h) not in rows:
+                # one project_many per pair on its tail's probes: the
+                # fallback's stopping rule reads the whole batch, so
+                # regrouping changes results
+                rows[t, h] = _distance_to(bodies[h], probes[t])
+        return np.reshape([rows[p] for p in pairs], (len(pairs), self.probe_count))
+
+    def audit(self, kind: str, eps: float | None = None,
+              mask: np.ndarray | None = None) -> AuditReport:
+        """The lsc sweep of :func:`lsc_audit` over the edges with both
+        ends in ``mask``."""
+        grid = self.grid
+        if eps is None:
+            eps = default_eps(grid)
+        _, probes = self._drawn
+        tails, heads, js, deficits = confirmed_edges(
+            grid, lambda t, h, s: self._distances(t, h) - (eps + s)[:, None], mask=mask
+        )
+        pts = grid.points
+        violations = [
+            Violation(
+                x=pts[t],
+                deficit=d,
+                neighbor=pts[h],
+                probe=probes[t][j],
+                message="neighbour body stays far from a probe point",
+            )
+            for t, h, j, d in zip(tails, heads, js, deficits.tolist())
+        ]
+        return AuditReport(
+            kind=kind,
+            passed=not violations,
+            violations=tuple(violations),
+            checked=len(grid),
+            eps=eps,
+        )
+
+    def continuity(self, region: Region | None, eps: float | None = None) -> AuditReport:
+        if region is None:
+            return self.audit("continuity", eps)
+        mask = region.mask(self.grid.points)
+        report = self.audit(f"continuity[{region.label}]", eps, mask)
+        return replace(report, checked=int(mask.sum()))
+
+
 def lsc_audit(
     map_: SetValuedMap,
     grid: Grid,
     eps: float | None = None,
-    slope: float = 1.0,
-    interior_probes: int = 3,
     mask: np.ndarray | None = None,
-    kind: str = "lsc",
     seed: int = DEFAULT_SEED,
 ) -> AuditReport:
-    """Grid audit of lower semicontinuity.
-
-    For every grid point x0 and probe y0 of T(x0), each grid neighbour x
-    must have distance(T(x), y0) within eps plus a spacing-proportional
-    slope allowance.  Defects are confirmed against the next cell in the
-    same direction before being reported.
-    """
-    if eps is None:
-        eps = default_eps(grid)
-    pts = grid.points
-    bodies = [map_.evaluate(x) for x in pts]
-    rng = np.random.default_rng(seed)
-    probe_count = 2 * map_.output_dim + 1 + interior_probes
-    probes = [
-        np.asarray(probe_points(b, probe_count, rng), dtype=float) for b in bodies
-    ]
-
-    def defect(tails, heads, spacings):
-        # one project_many per edge on its tail's probes: the fallback's
-        # stopping rule reads the whole batch, so regrouping changes results
-        pairs = zip(tails.tolist(), heads.tolist())
-        dist = np.reshape([_distance_to(bodies[h], probes[t]) for t, h in pairs],
-                          (len(tails), probe_count))
-        return dist - (eps + spacings * slope)[:, None]
-
-    tails, heads, js, deficits = confirmed_edges(grid, defect, mask=mask)
-    violations = [
-        Violation(
-            x=pts[t],
-            deficit=d,
-            neighbor=pts[h],
-            probe=probes[t][j],
-            message="neighbour body stays far from a probe point",
-        )
-        for t, h, j, d in zip(tails, heads, js, deficits.tolist())
-    ]
-    return AuditReport(
-        kind=kind,
-        passed=not violations,
-        violations=tuple(violations),
-        checked=len(grid),
-        eps=eps,
-    )
+    """Grid audit of lower semicontinuity, optionally restricted to the
+    edges with both ends in ``mask``: for every grid point x0 and probe
+    y0 of T(x0), each grid neighbour x must have distance(T(x), y0)
+    within eps plus a spacing-proportional allowance.  Defects are
+    confirmed against the next cell in the same direction before being
+    reported."""
+    return _ProbedGrid(map_, grid, seed).audit("lsc", eps, mask)
 
 
 def continuity_audit(
     map_: SetValuedMap,
     grid: Grid,
     eps: float | None = None,
-    slope: float = 1.0,
     region: Region | None = None,
     seed: int = DEFAULT_SEED,
 ) -> AuditReport:
     """Two-sided audit (the directed-edge sweep covers both directions,
     which on grids is the closed-graph check on top of lsc), optionally
-    restricted to a region — used per stratum by the selection drivers."""
-    mask = region.mask(grid.points) if region is not None else None
-    report = lsc_audit(
-        map_, grid, eps=eps, slope=slope, mask=mask, kind="continuity", seed=seed
-    )
-    if region is None:
-        return report
-    return replace(report, kind=f"continuity[{region.label}]", checked=int(mask.sum()))
+    restricted to a region, as for each stratum in :func:`hypothesis_audits`."""
+    return _ProbedGrid(map_, grid, seed).continuity(region, eps)
 
 
 @dataclass(frozen=True)
@@ -399,3 +429,23 @@ def stratification_audit(strat: Stratification, grid: Grid) -> AuditReport:
         violations=tuple(violations),
         checked=len(grid),
     )
+
+
+def hypothesis_audits(
+    map_: SetValuedMap, strat: Stratification, grid: Grid, seed: int = DEFAULT_SEED
+) -> Iterator[AuditReport]:
+    """The grid audits of Michael's hypotheses, one report at a time: lsc
+    (only for a map declared lsc), then the stratification, then
+    ``continuity[<label>]`` for each stratum.
+
+    All map audits share one :class:`_ProbedGrid`: T is evaluated and
+    probed once, at the first of them, and no edge is projected twice.
+    Each report equals that of the separate audit call; a consumer that
+    stops at a failed report runs none of the later audits.
+    """
+    probed = _ProbedGrid(map_, grid, seed)
+    if map_.declared_lsc:
+        yield probed.audit("lsc")
+    yield stratification_audit(strat, grid)
+    for region in strat.strata:
+        yield probed.continuity(region)

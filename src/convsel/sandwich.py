@@ -493,7 +493,6 @@ def sandwich_select(
     g: ScalarField,
     strat: Stratification,
     resolution: int | None = None,
-    check: bool = True,
 ):
     """Continuous h with f <= h <= g, strict wherever f < g.
 
@@ -526,32 +525,31 @@ def sandwich_select(
     if crossed.size:
         _check_not_crossed(P[crossed[0]], fP[crossed[0]], gP[crossed[0]])
 
-    if check:
-        report = stratification_audit(strat, grid)
-        if not report.passed:
-            raise StratificationError(
-                "stratification audit failed: "
-                f"{report.violations[0].message} at {report.violations[0].x}",
-            )
-        # the envelope audits read the values already computed on the grid
-        for j, stratum in enumerate(strat.strata):
-            mask = stratum.mask(P)
-            for vals, label in ((fP, "floor"), (gP, "ceiling")):
-                rep = semicontinuity_audit_values(vals, grid, TAG_CONTINUOUS, mask=mask)
-                if not rep.passed:
-                    v = rep.violations[0]
-                    raise StratificationError(
-                        f"{label} is not continuous on stratum {j} "
-                        f"({stratum.label!r}): jump {v.deficit:.3e} at {v.x}"
-                    )
-        for vals, tag, label in ((fP, f_c.tag, "floor"), (gP, g_c.tag, "ceiling")):
-            rep = semicontinuity_audit_values(vals, grid, tag)
+    report = stratification_audit(strat, grid)
+    if not report.passed:
+        raise StratificationError(
+            "stratification audit failed: "
+            f"{report.violations[0].message} at {report.violations[0].x}",
+        )
+    # the envelope audits read the values already computed on the grid
+    for j, stratum in enumerate(strat.strata):
+        mask = stratum.mask(P)
+        for vals, label in ((fP, "floor"), (gP, "ceiling")):
+            rep = semicontinuity_audit_values(vals, grid, TAG_CONTINUOUS, mask=mask)
             if not rep.passed:
                 v = rep.violations[0]
                 raise StratificationError(
-                    f"{label} fails its declared semicontinuity: "
-                    f"deficit {v.deficit:.3e} at {v.x}"
+                    f"{label} is not continuous on stratum {j} "
+                    f"({stratum.label!r}): jump {v.deficit:.3e} at {v.x}"
                 )
+    for vals, tag, label in ((fP, f_c.tag, "floor"), (gP, g_c.tag, "ceiling")):
+        rep = semicontinuity_audit_values(vals, grid, tag)
+        if not rep.passed:
+            v = rep.violations[0]
+            raise StratificationError(
+                f"{label} fails its declared semicontinuity: "
+                f"deficit {v.deficit:.3e} at {v.x}"
+            )
 
     levels: list[SandwichLevel] = []
     _select_level(f_c, g_c, tuple(strat.strata), E, grid, fP, gP, levels)

@@ -18,7 +18,6 @@ so there is no runtime closedness flag.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,24 +28,18 @@ from .fields import (
     AuditReport,
     Domain,
     Grid,
-    STRICTNESS_MARGIN,
-    ScalarField,
     TAG_CONTINUOUS,
     VectorField,
     Violation,
-    squash,
-    unsquash,
 )
 from .maps import (
     Region,
     SetValuedMap,
     Stratification,
     boundary_cloud,
-    continuity_audit,
-    lsc_audit,
+    hypothesis_audits,
     region_or,
     shift,
-    stratification_audit,
 )
 from .urysohn import ClosedSet, tietze_extend
 
@@ -63,39 +56,18 @@ def lns_field(map_: SetValuedMap) -> VectorField:
 
 
 def extend_componentwise(
-    fv,
-    dim: int,
-    cloud: ClosedSet,
-    E: Domain,
-    force_compress: bool = False,
-    name: str = "",
+    fv, dim: int, cloud: ClosedSet, E: Domain, name: str = ""
 ) -> VectorField:
-    """Tietze-extend a vector function coordinate by coordinate.
-
-    Values over a finite cloud are always bounded, so the plain bounded
-    operator applies; ``force_compress`` routes each coordinate through
-    the squash map instead (extend in [-1,1], clamp a strictness margin
-    inside, unsquash), the path a caller with genuinely unbounded data
-    would need.
-    """
-    comps = []
-    for i in range(dim):
-        coord = lambda x, i=i: float(np.asarray(fv(x), dtype=float)[i])
-        if force_compress:
-            inner = tietze_extend(
-                lambda x, c=coord: squash(c(x)), cloud, E, lo=-1.0, hi=1.0
-            )
-            lo, hi = -1.0 + STRICTNESS_MARGIN, 1.0 - STRICTNESS_MARGIN
-            comps.append(
-                ScalarField(
-                    E,
-                    lambda x, inner=inner: unsquash(min(max(inner(x), lo), hi)),
-                    tag=TAG_CONTINUOUS,
-                    name=f"{name}[{i}]" if name else "",
-                )
-            )
-        else:
-            comps.append(tietze_extend(coord, cloud, E, name=f"{name}[{i}]" if name else ""))
+    """Tietze-extend a vector function coordinate by coordinate; values
+    over a finite cloud are always bounded, so the plain bounded operator
+    applies."""
+    comps = [
+        tietze_extend(
+            lambda x, i=i: float(np.asarray(fv(x), dtype=float)[i]),
+            cloud, E, name=f"{name}[{i}]" if name else "",
+        )
+        for i in range(dim)
+    ]
     return VectorField.from_components(comps, name=name)
 
 
@@ -128,7 +100,6 @@ def _select(
     strata: tuple,
     grid: Grid,
     levels: list,
-    force_compress: bool,
 ) -> VectorField:
     if len(strata) == 1:
         h = lns_field(map_)
@@ -137,7 +108,7 @@ def _select(
 
     C1 = strata[0]
     D = region_or(*strata[1:])
-    partial = _select(map_, strata[1:], grid, levels, force_compress)
+    partial = _select(map_, strata[1:], grid, levels)
 
     pts = grid.points[D.mask(grid.points)]
     if pts.shape[0] == 0:
@@ -146,7 +117,7 @@ def _select(
         )
     extension = extend_componentwise(
         partial, map_.output_dim, ClosedSet.from_cloud(pts), map_.domain,
-        force_compress=force_compress, name="partial-extension",
+        name="partial-extension",
     )
     shifted = shift(map_, extension)
     shifted_lns = lns_field(shifted)
@@ -185,17 +156,16 @@ def michael_select(
     map_: SetValuedMap,
     strat: Stratification,
     resolution: int | None = None,
-    check: bool = True,
-    force_compress: bool = False,
     seed: int = DEFAULT_SEED,
 ):
     """Continuous selection h with h(x) in T(x), plus its trace.
 
-    Requires the map to be declared lower semicontinuous, and (when
-    ``check`` is on, the default) the declared structure to survive its
-    grid audits: lsc for the whole map, partition + relative openness for
-    the stratification, and two-sided continuity of the restriction to
-    each stratum.  ``seed`` drives the audits' random probes.
+    Requires the map to be declared lower semicontinuous and its declared
+    structure to survive the grid audits of :func:`hypothesis_audits`:
+    lsc for the whole map, partition + relative openness for the
+    stratification, and two-sided continuity of the restriction to each
+    stratum.  The first failed audit raises; ``seed`` drives the audits'
+    random probes.
     """
     E = map_.domain
     if resolution is None:
@@ -204,33 +174,28 @@ def michael_select(
 
     if not map_.declared_lsc:
         raise AuditError("michael_select needs a map declared lower semicontinuous")
-    if check:
-        rep = lsc_audit(map_, grid, seed=seed)
-        if not rep.passed:
-            v = rep.violations[0]
+    for rep in hypothesis_audits(map_, strat, grid, seed=seed):
+        if rep.passed:
+            continue
+        v = rep.violations[0]
+        if rep.kind == "lsc":
             raise AuditError(
                 f"lsc audit failed at {v.x} (probe {v.probe}, deficit {v.deficit:.3e})",
                 report=rep,
             )
-        rep = stratification_audit(strat, grid)
-        if not rep.passed:
+        if rep.kind == "stratification":
             raise StratificationError(
-                f"stratification audit failed: {rep.violations[0].message} "
-                f"at {rep.violations[0].x}",
-                report=rep,
+                f"stratification audit failed: {v.message} at {v.x}", report=rep
             )
-        for region in strat.strata:
-            rep = continuity_audit(map_, grid, region=region, seed=seed)
-            if not rep.passed:
-                v = rep.violations[0]
-                raise StratificationError(
-                    f"map restricted to {region.label!r} fails its continuity "
-                    f"audit at {v.x} (deficit {v.deficit:.3e})",
-                    report=rep,
-                )
+        label = rep.kind[len("continuity["):-1]
+        raise StratificationError(
+            f"map restricted to {label!r} fails its continuity "
+            f"audit at {v.x} (deficit {v.deficit:.3e})",
+            report=rep,
+        )
 
     levels: list[MichaelLevel] = []
-    h = _select(map_, tuple(strat.strata), grid, levels, force_compress)
+    h = _select(map_, tuple(strat.strata), grid, levels)
     trace = MichaelTrace(
         strata=tuple(r.label for r in strat.strata),
         levels=tuple(levels),

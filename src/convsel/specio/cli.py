@@ -40,12 +40,7 @@ from convsel.fields import (
     pymax,
     semicontinuity_audit,
 )
-from convsel.maps import (
-    continuity_audit,
-    envelopes,
-    lsc_audit,
-    stratification_audit,
-)
+from convsel.maps import envelopes, hypothesis_audits
 from convsel.sandwich import region_audit, sandwich_select
 from convsel.selection import boundary_decay_audit, lns_field, michael_select
 from convsel.specio.loader import ProblemSpec, load_spec
@@ -372,9 +367,7 @@ def _cmd_verify(spec: ProblemSpec, args) -> int:
     grid = _eval_grid(spec, args)
     entries = []
     try:
-        if spec.map.declared_lsc:
-            entries.append(_report_entry(lsc_audit(spec.map, grid, seed=args.seed)))
-        else:
+        if not spec.map.declared_lsc:
             entries.append(
                 {
                     "name": "lsc",
@@ -384,13 +377,10 @@ def _cmd_verify(spec: ProblemSpec, args) -> int:
                     "notes": ["map not declared lower semicontinuous; skipped"],
                 }
             )
-        entries.append(_report_entry(stratification_audit(spec.stratification, grid)))
-        for region in spec.stratification.strata:
-            entries.append(
-                _report_entry(
-                    continuity_audit(spec.map, grid, region=region, seed=args.seed)
-                )
-            )
+        entries.extend(
+            _report_entry(rep)
+            for rep in hypothesis_audits(spec.map, spec.stratification, grid, seed=args.seed)
+        )
         if spec.output_dim == 1:
             f, g = envelopes(spec.map)
             for fld, label in ((f, "floor"), (g, "ceiling")):

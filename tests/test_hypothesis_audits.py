@@ -1,0 +1,184 @@
+"""One sweep over a map's hypotheses against the separate audit calls.
+
+``maps.hypothesis_audits`` evaluates and probes T once per grid and
+remembers every per-edge distance row, where ``lsc_audit`` and each
+``continuity_audit`` used to redo both.  Its reports must equal, field
+for field and bit for bit, those of the separate calls with the same
+seed, and an error must come at the same report; the counts pin the work
+it saves.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from convsel import maps, selection
+from convsel.errors import AuditError, ConvselError, UncoveredPointError
+from convsel.fields import DEFAULT_SEED, Domain, Grid
+from convsel.geometry import Interval
+from convsel.maps import (
+    Region,
+    SetValuedMap,
+    Stratification,
+    continuity_audit,
+    hypothesis_audits,
+    lsc_audit,
+    stratification_audit,
+)
+from convsel.specio import cli
+from convsel.specio.cli import main
+from convsel.specio.loader import load_spec
+
+from conftest import SPECS
+
+FIXTURES = sorted(p.stem for p in SPECS.glob("*.json"))
+LINE = Domain(1, boxes=(((-1.0,), (1.0,)),))
+NONZERO = Region(lambda x: x[0] != 0.0, "x != 0")
+ORIGIN = Region(lambda x: x[0] == 0.0, "x == 0")
+
+
+def bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def report_bits(rep) -> tuple:
+    """Every field of an audit report, floats as their bit patterns."""
+    violations = tuple(
+        (v.message, bits([v.deficit]),
+         *(None if u is None else bits(u) for u in (v.x, v.neighbor, v.probe)))
+        for v in rep.violations
+    )
+    eps = None if rep.eps is None else bits([rep.eps])
+    return rep.kind, rep.passed, rep.checked, eps, rep.notes, violations
+
+
+def collect(reports) -> list:
+    """The reports in order, then the type and text of what stopped them."""
+    out = []
+    try:
+        for rep in reports:
+            out.append(report_bits(rep))
+    except ConvselError as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def separate_audits(map_, strat, grid, seed):
+    if map_.declared_lsc:
+        yield lsc_audit(map_, grid, seed=seed)
+    yield stratification_audit(strat, grid)
+    for region in strat.strata:
+        yield continuity_audit(map_, grid, region=region, seed=seed)
+
+
+def assert_one_sweep_matches(map_, strat, grid, seed):
+    want = collect(separate_audits(map_, strat, grid, seed))
+    got = collect(hypothesis_audits(map_, strat, grid, seed=seed))
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 12345])
+@pytest.mark.parametrize("per_axis", [9, 17])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_sweep_matches_the_separate_audits(name, per_axis, seed):
+    spec = load_spec(str(SPECS / f"{name}.json"))
+    assert_one_sweep_matches(spec.map, spec.stratification, Grid(spec.domain, per_axis), seed)
+
+
+def pinch_map(declared_lsc: bool) -> SetValuedMap:
+    """[0, 0] away from the origin and [0, 5] at it: lsc fails at the
+    origin, beyond the default eps, and the failing probes of T(0) differ
+    from seed to seed."""
+    return SetValuedMap(
+        LINE, 1,
+        ((NONZERO, lambda x: Interval(0.0, 0.0)), (ORIGIN, lambda x: Interval(0.0, 5.0))),
+        declared_lsc=declared_lsc,
+    )
+
+
+@pytest.mark.parametrize("declared_lsc", [True, False])
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 12345])
+def test_failing_and_undeclared_maps_match(declared_lsc, seed):
+    # without the lsc declaration the first continuity audit draws the
+    # probes; with it every audit still reports, failed or not
+    strat = Stratification((NONZERO, ORIGIN))
+    assert_one_sweep_matches(pinch_map(declared_lsc), strat, Grid(LINE, 17), seed)
+    assert_one_sweep_matches(pinch_map(declared_lsc), Stratification((NONZERO,)),
+                             Grid(LINE, 17), seed)
+
+
+def test_an_evaluation_error_comes_at_the_first_map_audit():
+    holed = SetValuedMap(LINE, 1, ((NONZERO, lambda x: Interval(0.0, 1.0)),))
+    grid = Grid(LINE, 9)
+    got = collect(hypothesis_audits(holed, Stratification((NONZERO, ORIGIN)), grid))
+    assert [entry[0] for entry in got] == ["stratification", UncoveredPointError]
+    assert got == collect(separate_audits(holed, Stratification((NONZERO, ORIGIN)), grid,
+                                          DEFAULT_SEED))
+
+
+# --- the work saved -------------------------------------------------------------
+
+
+@pytest.fixture
+def audit_work(monkeypatch):
+    """Count ``SetValuedMap.evaluate`` calls and per-edge projections made
+    while a ``hypothesis_audits`` sweep (through selection or the CLI)
+    computes a report, and the kinds of the reports it yields."""
+    counts = Counter()
+    inside = [False]
+    real_evaluate, real_distance = SetValuedMap.evaluate, maps._distance_to
+
+    def evaluate(self, x):
+        counts["evaluate"] += inside[0]
+        return real_evaluate(self, x)
+
+    def distance_to(body, probes):
+        counts["project"] += 1
+        return real_distance(body, probes)
+
+    def sweep(*args, **kwargs):
+        reports = maps.hypothesis_audits(*args, **kwargs)
+        while True:
+            inside[0] = True
+            try:
+                rep = next(reports)
+            except StopIteration:
+                return
+            finally:
+                inside[0] = False
+            counts[rep.kind] += 1
+            yield rep
+
+    monkeypatch.setattr(SetValuedMap, "evaluate", evaluate)
+    monkeypatch.setattr(maps, "_distance_to", distance_to)
+    for module in (selection, cli):
+        monkeypatch.setattr(module, "hypothesis_audits", sweep)
+    return counts
+
+
+M_POLY_WORK = {
+    "evaluate": 81, "project": 288, "lsc": 1, "stratification": 1,
+    "continuity[0 < x1^2 + x2^2]": 1, "continuity[x1^2 + x2^2 <= 0]": 1,
+}
+
+
+def test_michael_select_evaluates_and_projects_once_per_grid(audit_work):
+    # 81 evaluations and 288 edges at resolution 9; the separate audits
+    # made 243 evaluations and 568 projections
+    spec = load_spec(str(SPECS / "m_poly.json"))
+    selection.michael_select(spec.map, spec.stratification, resolution=9)
+    assert audit_work == M_POLY_WORK
+
+
+def test_verify_evaluates_and_projects_once_per_grid(audit_work):
+    assert main(["verify", "--spec", str(SPECS / "m_poly.json"), "--grid", "9"]) == 0
+    assert audit_work == M_POLY_WORK
+
+
+def test_a_failed_lsc_audit_is_the_only_sweep(audit_work):
+    spec = load_spec(str(SPECS / "bad_lsc.json"))
+    with pytest.raises(AuditError, match="lsc audit failed"):
+        selection.michael_select(spec.map, spec.stratification)
+    # 129 grid points, 256 directed edges and 2 far-cell confirmations
+    assert audit_work == {"evaluate": 129, "project": 258, "lsc": 1}

@@ -20,6 +20,7 @@ from convsel.selection import (
     lns_field,
     michael_select,
 )
+from convsel.specio import cli
 from convsel.specio.cli import main
 from convsel.urysohn import ClosedSet
 
@@ -98,13 +99,6 @@ class TestExtendComponentwise:
         ext = extend_componentwise(fv, 2, cloud, LINE)
         assert ext([0.5]) == pytest.approx([0.5, 0.25], abs=1e-12)
         assert ext([-0.5]) == pytest.approx([-0.5, 0.25], abs=1e-12)
-
-    def test_compressed_route_matches_on_cloud(self):
-        cloud = ClosedSet.from_cloud(np.array([[-0.5], [0.5]]))
-        fv = lambda x: np.array([x[0]])
-        ext = extend_componentwise(fv, 1, cloud, LINE, force_compress=True)
-        assert ext([0.5]) == pytest.approx([0.5], abs=1e-9)
-        assert ext([-0.5]) == pytest.approx([-0.5], abs=1e-9)
 
 
 class TestMichaelSelect:
@@ -206,14 +200,6 @@ class TestMichaelSelect:
         with pytest.raises(StratificationError, match="continuity"):
             michael_select(m, PUNCTURED, resolution=17)
 
-    def test_force_compress_route_agrees(self):
-        h_plain, _ = michael_select(vband_map(), PUNCTURED, resolution=33)
-        h_comp, _ = michael_select(
-            vband_map(), PUNCTURED, resolution=33, force_compress=True
-        )
-        for x in np.linspace(-1, 1, 21):
-            assert h_comp([x])[0] == pytest.approx(h_plain([x])[0], abs=1e-7)
-
     def test_trace_structure(self):
         _, trace = michael_select(vband_map(), PUNCTURED, resolution=17)
         assert trace.strata == ("x != 0", "x == 0")
@@ -223,31 +209,42 @@ class TestMichaelSelect:
         assert outer.extension is not None and outer.shifted is not None
 
 
+def spy_on_hypothesis_audits(monkeypatch, *modules) -> list:
+    """Record the seed each call of ``hypothesis_audits``, through any of
+    ``modules``, receives and the kinds of the reports it yields."""
+    calls = []
+    for module in modules:
+
+        def spy(*args, real=module.hypothesis_audits, **kwargs):
+            kinds = []
+            calls.append((kwargs.get("seed"), kinds))
+            for rep in real(*args, **kwargs):
+                kinds.append(rep.kind)
+                yield rep
+
+        monkeypatch.setattr(module, "hypothesis_audits", spy)
+    return calls
+
+
 @pytest.mark.parametrize("seed", [None, 12345])
 def test_seed_reaches_the_selection_audits(seed, monkeypatch):
-    seen = []
-    for name in ("lsc_audit", "continuity_audit"):
-        real = getattr(selection, name)
-
-        def spy(*args, real=real, name=name, **kwargs):
-            seen.append((name, kwargs.get("seed")))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(selection, name, spy)
+    # every randomized audit (lsc and each stratum's continuity) draws its
+    # probes from the one seeded stream of this call
+    calls = spy_on_hypothesis_audits(monkeypatch, selection)
     kwargs = {} if seed is None else {"seed": seed}
     michael_select(vband_map(), PUNCTURED, resolution=17, **kwargs)
     want = DEFAULT_SEED if seed is None else seed
-    assert seen == [("lsc_audit", want)] + [("continuity_audit", want)] * 2
+    assert calls == [
+        (want, ["lsc", "stratification", "continuity[x != 0]", "continuity[x == 0]"])
+    ]
 
 
 def test_cli_seed_reaches_the_selection_audits(specs_dir, monkeypatch):
-    seeds = []
-    real = selection.lsc_audit
-    monkeypatch.setattr(
-        selection, "lsc_audit",
-        lambda *a, **k: seeds.append(k.get("seed")) or real(*a, **k),
-    )
-    rc = main(["select-michael", "--spec", str(specs_dir / "m_vband.json"),
-               "--grid", "9", "--seed", "77"])
-    assert rc == 0
-    assert seeds == [77]
+    # select-michael and verify both hand --seed to the one sweep
+    calls = spy_on_hypothesis_audits(monkeypatch, cli, selection)
+    for command in ("select-michael", "verify"):
+        rc = main([command, "--spec", str(specs_dir / "m_vband.json"),
+                   "--grid", "9", "--seed", "77"])
+        assert rc == 0
+    kinds = ["lsc", "stratification", "continuity[0 < abs(x1)]", "continuity[abs(x1) <= 0]"]
+    assert calls == [(77, kinds)] * 2

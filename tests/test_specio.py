@@ -475,3 +475,13 @@ def test_verify_report_matches_the_golden_bytes(specs_dir, tmp_path, monkeypatch
     monkeypatch.chdir(specs_dir)
     assert run_cli("verify", "--spec", "bad_lsc.json", "--report", str(report)) == 2
     assert report.read_bytes() == golden.read_bytes()
+
+
+def test_verify_report_matches_the_2d_golden_bytes(specs_dir, tmp_path, monkeypatch):
+    # the polytope map's lsc and both continuity[...] entries, as the
+    # separate audit calls reported them before the shared sweep
+    golden = specs_dir.parent / "golden" / "verify_m_poly.json"
+    report = tmp_path / "report.json"
+    monkeypatch.chdir(specs_dir)
+    assert run_cli("verify", "--spec", "m_poly.json", "--grid", "9", "--report", str(report)) == 0
+    assert report.read_bytes() == golden.read_bytes()
