@@ -62,14 +62,6 @@ class Region:
 EVERYWHERE = Region(lambda x: True, "everywhere")
 
 
-def region_not(r: Region) -> Region:
-    return Region(lambda x: not r(x), f"not({r.label})")
-
-
-def region_and(*rs: Region) -> Region:
-    return Region(lambda x: all(r(x) for r in rs), " & ".join(r.label for r in rs))
-
-
 def region_or(*rs: Region) -> Region:
     return Region(lambda x: any(r(x) for r in rs), " | ".join(r.label for r in rs))
 
@@ -323,11 +315,11 @@ class _ProbedGrid:
             eps=eps,
         )
 
-    def continuity(self, region: Region | None, eps: float | None = None) -> AuditReport:
-        if region is None:
-            return self.audit("continuity", eps)
-        mask = region.mask(self.grid.points)
-        report = self.audit(f"continuity[{region.label}]", eps, mask)
+    def continuity(self, label: str, mask: np.ndarray,
+                   eps: float | None = None) -> AuditReport:
+        """The continuity audit of the region ``label``, whose grid points
+        are ``mask``."""
+        report = self.audit(f"continuity[{label}]", eps, mask)
         return replace(report, checked=int(mask.sum()))
 
 
@@ -357,7 +349,10 @@ def continuity_audit(
     """Two-sided audit (the directed-edge sweep covers both directions,
     which on grids is the closed-graph check on top of lsc), optionally
     restricted to a region, as for each stratum in :func:`hypothesis_audits`."""
-    return _ProbedGrid(map_, grid, seed).continuity(region, eps)
+    probed = _ProbedGrid(map_, grid, seed)
+    if region is None:
+        return probed.audit("continuity", eps)
+    return probed.continuity(region.label, region.mask(grid.points), eps)
 
 
 @dataclass(frozen=True)
@@ -386,14 +381,19 @@ class Stratification:
                 return j
         raise UncoveredPointError(f"no stratum covers {np.asarray(x).tolist()}")
 
-    def tail_region(self, j: int) -> Region:
-        """C_j ∪ ... ∪ C_k as a single region."""
-        return region_or(*self.strata[j:])
+    def masks(self, X: np.ndarray) -> np.ndarray:
+        """(k, N) membership of each row of ``X`` in each stratum."""
+        return np.array([region.mask(X) for region in self.strata])
 
 
 def stratification_audit(strat: Stratification, grid: Grid) -> AuditReport:
+    return stratification_audit_masks(strat.masks(grid.points), grid)
+
+
+def stratification_audit_masks(inside: np.ndarray, grid: Grid) -> AuditReport:
+    """:func:`stratification_audit` for strata given by their (k, N)
+    ``inside`` masks at the grid points."""
     pts = grid.points
-    inside = np.array([region.mask(pts) for region in strat.strata])
     counts = inside.sum(axis=0)
     violations = []
     for i in np.nonzero(counts != 1)[0]:
@@ -440,12 +440,15 @@ def hypothesis_audits(
 
     All map audits share one :class:`_ProbedGrid`: T is evaluated and
     probed once, at the first of them, and no edge is projected twice.
-    Each report equals that of the separate audit call; a consumer that
-    stops at a failed report runs none of the later audits.
+    The strata's masks are computed once, for the stratification audit,
+    and read by the continuity audits.  Each report equals that of the
+    separate audit call; a consumer that stops at a failed report runs
+    none of the later audits.
     """
     probed = _ProbedGrid(map_, grid, seed)
     if map_.declared_lsc:
         yield probed.audit("lsc")
-    yield stratification_audit(strat, grid)
-    for region in strat.strata:
-        yield probed.continuity(region)
+    masks = strat.masks(grid.points)
+    yield stratification_audit_masks(masks, grid)
+    for region, mask in zip(strat.strata, masks):
+        yield probed.continuity(region.label, mask)

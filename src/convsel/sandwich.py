@@ -25,20 +25,16 @@ Evaluation runs on arrays, one pass per level: given the compressed
 envelopes at a batch of points, a glue level computes h1, h3, the level
 envelopes f2/g2, the regions U, X, V, Z1, Z2, S, W, then h4, h5, delta
 and its total, each once for the whole batch.  A pass reads only its own
-level's baked extensions, so levels never re-enter each other.  The
-selection's ``many`` evaluates the envelopes once and runs the outer
-pass; :func:`region_audit` reads the passes' arrays; and the
-construction takes its clouds and baked values from the passes on the
-construction grid.  The pointwise stage operators below and the fields
-of each :class:`SandwichLevel` stay as the reference that the passes
-reproduce bit for bit.
+level's baked extensions, so levels never re-enter each other.  The pass
+is the one evaluator of a level: a level's total and the selection
+evaluate a single point as a batch of one row.  :func:`region_audit`
+reads the passes' arrays, and the construction takes its clouds and baked
+values from the passes on the construction grid.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -48,7 +44,6 @@ from .errors import (
     InfeasibleBodyError,
     PostconditionError,
     StratificationError,
-    UncoveredPointError,
 )
 from .fields import (
     EVAL_ERRORS,
@@ -59,24 +54,14 @@ from .fields import (
     ScalarField,
     TAG_CONTINUOUS,
     Violation,
-    add,
     compress_field,
     constant_field,
-    negate,
     pymax,
     pymin,
     semicontinuity_audit_values,
     sum_values,
-    unsquash,
 )
-from .maps import (
-    Region,
-    Stratification,
-    boundary_mask,
-    region_not,
-    region_or,
-    stratification_audit,
-)
+from .maps import Region, Stratification, boundary_mask, stratification_audit_masks
 from .urysohn import ClosedSet, dist_field, tietze_extend
 
 #: Two values within this of each other count as equal when forming the
@@ -85,77 +70,6 @@ EQUALITY_TOL = 1e-12
 
 #: Gap above which the strictness preconditions/postconditions are enforced.
 STRICT_GAP = 1e-9
-
-
-# ---------------------------------------------------------------------------
-# stage operators
-
-
-def reduce_to_bounded(f: ScalarField, g: ScalarField):
-    """Squash both envelopes onto [-1, 1]; tags survive (the squash map is
-    a strictly increasing homeomorphism of the extended line onto it).
-
-    Compression is applied unconditionally, so the final answer is always
-    clamped a strictness margin inside the endpoints and decompressed.
-    """
-    return compress_field(f), compress_field(g)
-
-
-def base_midpoint(f: ScalarField, g: ScalarField, domain: Domain | None = None) -> ScalarField:
-    """(f + g)/2, the base-case selection; inputs must be finite."""
-
-    def rule(x):
-        vf, vg = f(x), g(x)
-        if not (math.isfinite(vf) and math.isfinite(vg)):
-            raise EvalDomainError(
-                f"midpoint of infinite values at {np.asarray(x).tolist()}; compress first"
-            )
-        return 0.5 * (vf + vg)
-
-    return ScalarField(domain or f.domain, rule, tag=TAG_CONTINUOUS, name="midpoint")
-
-
-def equalizer_glue(
-    f: ScalarField,
-    g: ScalarField,
-    U: Region,
-    E: Domain,
-    h_prev: ScalarField | None = None,
-    grid: Grid | None = None,
-):
-    """Zero function on E∖U glued with the common value on X = {f = g} ∩ U.
-
-    ``h_prev`` (the extension of the partial answer from E∖U) is
-    subtracted first; the preconditions — f - h_prev <= 0 <= g - h_prev on
-    E∖U, strictly where the gap is positive — are audited on ``grid``
-    when one is supplied.  Returns (h2 on (E∖U) ∪ X, X).
-    """
-    if h_prev is None:
-        h_prev = constant_field(E, 0.0)
-    f1 = add(f, negate(h_prev))
-    g1 = add(g, negate(h_prev))
-
-    X = Region(
-        lambda x: U(x) and abs(f1(x) - g1(x)) <= EQUALITY_TOL,
-        f"equality locus in {U.label or 'U'}",
-    )
-
-    if grid is not None:
-        for x in grid.points:
-            if not U(x):
-                _check_glue_point(x, f1(x), g1(x))
-
-    def rule(x):
-        if not U(x):
-            return 0.0
-        if X(x):
-            return f1(x)
-        raise UncoveredPointError(
-            f"{np.asarray(x).tolist()} is outside (E∖U) ∪ X"
-        )
-
-    h2 = ScalarField(E, rule, tag=TAG_CONTINUOUS, name="equalizer-glue")
-    return h2, X
 
 
 def _check_glue_point(x, vf: float, vg: float):
@@ -170,109 +84,29 @@ def _check_glue_point(x, vf: float, vg: float):
         )
 
 
-def interior_adjust(
-    f: ScalarField,
-    g: ScalarField,
-    V: Region,
-    Z1: Region,
-    Z2: Region,
-    eta1: ScalarField,
-    eta2: ScalarField,
-    domain: Domain | None = None,
-) -> ScalarField:
-    """The strictly-inside nudge on S = Z1 ∪ Z2 ∪ (E∖V).
-
-    Zero off V; min(f + eta1, midpoint) where the floor has reached 0
-    (Z1), max(g - eta2, midpoint) where the ceiling has (Z2).  The etas
-    vanish exactly on the boundary-of-V slices of Z1/Z2, which is what
-    lets the three cases meet continuously.
-    """
-
-    def rule(x):
-        if not V(x):
-            return 0.0
-        vf, vg = f(x), g(x)
-        mid = 0.5 * (vf + vg)
-        if Z1(x):
-            return min(vf + eta1(x), mid)
-        if Z2(x):
-            return max(vg - eta2(x), mid)
-        raise UncoveredPointError(f"{np.asarray(x).tolist()} is outside S")
-
-    return ScalarField(domain or f.domain, rule, tag=TAG_CONTINUOUS, name="interior-adjust")
-
-
-def damp_to_safe(
-    h5: ScalarField,
-    f: ScalarField,
-    g: ScalarField,
-    V: Region,
-    Z1: Region,
-    Z2: Region,
-):
-    """Final glue: h5 on S, delta * h5 on V.
-
-    W collects the V-points where the extension h5 escaped the open
-    envelope (h5 <= f or h5 >= g).  delta is 0 exactly on W and 1 exactly
-    on V ∩ (Z1 ∪ Z2) ⊆ S, built as a ratio of two hinge functions whose
-    zero sets are exactly those: phi_W = (min(h5-f, g-h5))⁺ vanishes
-    exactly under W's condition, phi_B = (min(-f, g))⁺ vanishes exactly
-    on Z1 ∪ Z2.  Both zero at one V-point would mean W meets
-    V ∩ (Z1 ∪ Z2), which the construction of h4 rules out — it is
-    reported as an upstream failure.  Returns (h, delta, W).
-    """
-    S = region_or(Z1, Z2, region_not(V))
-    W = Region(
-        lambda x: V(x) and (h5(x) <= f(x) or h5(x) >= g(x)),
-        "escape region W",
-    )
-
-    def delta_rule(x):
-        vf, vg, v5 = f(x), g(x), h5(x)
-        phi_w = max(0.0, min(v5 - vf, vg - v5))
-        phi_b = max(0.0, min(-vf, vg))
-        tot = phi_w + phi_b
-        if tot <= 0.0:
-            raise PostconditionError(
-                f"W meets V∩(Z1∪Z2) at {np.asarray(x).tolist()} — "
-                "the interior adjustment failed upstream"
-            )
-        return phi_w / tot
-
-    delta = ScalarField(f.domain, delta_rule, tag=TAG_CONTINUOUS, name="delta")
-
-    def h_rule(x):
-        if S(x):
-            return h5(x)
-        return delta(x) * h5(x)
-
-    h = ScalarField(f.domain, h_rule, tag=TAG_CONTINUOUS, name="damped-glue")
-    return h, delta, W
+def _check_glue(P: np.ndarray, vf: np.ndarray, vg: np.ndarray):
+    """The glue preconditions at every row of P (the points off U):
+    f1 <= 0 <= g1, strictly where the gap is positive.  Raises at the
+    first row that fails."""
+    bad = (vf > STRICT_GAP) | (vg < -STRICT_GAP)
+    bad |= (vg - vf > STRICT_GAP) & ~((vf < 0.0) & (0.0 < vg))
+    if bad.any():
+        i = int(np.argmax(bad))
+        _check_glue_point(P[i], float(vf[i]), float(vg[i]))
 
 
 # ---------------------------------------------------------------------------
-# trace and driver
+# levels and driver
 
 
 @dataclass(frozen=True)
 class SandwichLevel:
     stratum: str
     kind: str  # "base" or "glue"
-    h0: ScalarField | None = None
-    h1: ScalarField | None = None
-    h2: ScalarField | None = None
-    h3: ScalarField | None = None
-    h4: ScalarField | None = None
-    h5: ScalarField | None = None
-    eta1: ScalarField | None = None
-    eta2: ScalarField | None = None
-    delta: ScalarField | None = None
-    f_level: ScalarField | None = None
-    g_level: ScalarField | None = None
-    regions: dict = dc_field(default_factory=dict)
-    total: ScalarField | None = None
     #: the level's array pass: (X, f_c at X, g_c at X) -> dict of arrays
-    arrays: Callable | None = None
+    arrays: Callable
+    #: the pass's "total" as a field of x
+    total: ScalarField
 
 
 @dataclass(frozen=True)
@@ -280,17 +114,27 @@ class SandwichTrace:
     strata: tuple
     levels: tuple
     construction_grid: Grid
-    h_compressed: ScalarField | None = None
-    f_compressed: ScalarField | None = None
-    g_compressed: ScalarField | None = None
+    h_compressed: ScalarField
+    f_compressed: ScalarField
+    g_compressed: ScalarField
 
     @property
     def outer(self) -> SandwichLevel:
         return self.levels[-1]
 
 
+def _batch_field(E: Domain, batch: Callable, name: str) -> ScalarField:
+    """A continuous field given by its batch rule alone: one point is
+    evaluated as a batch of one row, so ``f(x)`` and ``f.many`` (its
+    point-by-point fallback included) run the same code."""
+    return ScalarField(
+        E, lambda x: batch(x[None])[0], tag=TAG_CONTINUOUS, name=name, batch=batch
+    )
+
+
 def _midpoint_pass(P: np.ndarray, fP: np.ndarray, gP: np.ndarray) -> dict:
-    """The base level on arrays: :func:`base_midpoint` at every row of P."""
+    """The base level on arrays: the midpoint (f + g)/2 at every row of P,
+    which needs finite (compressed) envelopes."""
     bad = ~(np.isfinite(fP) & np.isfinite(gP))
     if bad.any():
         raise EvalDomainError(
@@ -304,11 +148,11 @@ class _GluePass:
 
     The pass holds the level's stratum U, its extensions h1, h3, h5 (baked
     on clouds, so evaluating them never calls another level) and its
-    distance fields eta1, eta2.  Each stage adds arrays to a dict, with
-    the formulas of the pointwise stage operators; the construction runs
-    the stages one by one as it bakes each extension, and a finished pass
-    runs them all.  ``h2`` and ``h4`` are NaN where the pointwise fields
-    raise (U∖X, and V∖(Z1 ∪ Z2)), ``delta`` where it would raise.
+    distance fields eta1, eta2.  Each stage adds arrays to a dict; the
+    construction runs the stages one by one as it bakes each extension,
+    and a finished pass runs them all.  ``h2`` is NaN on U∖X and ``h4`` on
+    V∖(Z1 ∪ Z2), where they are undefined, and ``delta`` where both of its
+    hinges vanish; the level total raises if it needs delta there.
     """
 
     def __init__(self, U: Region):
@@ -316,16 +160,14 @@ class _GluePass:
         self.h1 = self.h3 = self.h5 = self.eta1 = self.eta2 = None
 
     def __call__(self, P: np.ndarray, fP: np.ndarray, gP: np.ndarray) -> dict:
-        a = self.start(P, fP, gP)
+        a = {"f": fP, "g": gP, "U": self.U.mask(P)}
         for stage in (self.glue, self.split, self.adjust, self.damp):
             stage(P, a)
         return a
 
-    def start(self, P, fP, gP) -> dict:
-        return {"f": fP, "g": gP, "U": self.U.mask(P)}
-
     def glue(self, P, a):
-        """h1, the shifted envelopes f1/g1, the equality locus X and h2."""
+        """h1, the shifted envelopes f1/g1, the equality locus
+        X = {f1 = g1} ∩ U and h2: zero off U, the common value on X."""
         h1 = self.h1.many(P)
         a["h1"] = h1
         a["f1"] = sum_values(a["f"], -h1)
@@ -334,7 +176,9 @@ class _GluePass:
         a["h2"] = np.where(a["U"], np.where(a["X"], a["f1"], np.nan), 0.0)
 
     def split(self, P, a):
-        """h3, the level envelopes f2/g2 and the regions V, Z1, Z2, S."""
+        """h3, the level envelopes f2/g2 and the regions V = U∖X, Z1 (the
+        floor has caught up, f2 >= 0), Z2 (the ceiling has, g2 <= 0) and
+        S = Z1 ∪ Z2 ∪ (E∖V)."""
         h3 = self.h3.many(P)
         a["h3"] = h3
         a["f2"] = sum_values(a["f1"], -h3)
@@ -345,7 +189,10 @@ class _GluePass:
         a["S"] = a["Z1"] | a["Z2"] | ~a["V"]
 
     def adjust(self, P, a):
-        """h4: zero off V, the nudge on V ∩ (Z1 ∪ Z2)."""
+        """h4, the strictly-inside nudge: zero off V, min(f2 + eta1,
+        midpoint) on V ∩ Z1 and max(g2 - eta2, midpoint) on V ∩ Z2∖Z1.
+        The etas vanish exactly on the boundary-of-V slices of Z1/Z2,
+        which is what lets the three cases meet continuously."""
         f2, g2, V = a["f2"], a["g2"], a["V"]
         mid = 0.5 * (f2 + g2)
         h4 = np.where(V, np.nan, 0.0)
@@ -358,7 +205,17 @@ class _GluePass:
         a["h4"] = h4
 
     def damp(self, P, a):
-        """h5, the escape region W, delta and the level total."""
+        """h5, the escape region W, delta and the level total: h5 on S,
+        delta * h5 elsewhere.
+
+        W collects the V-points where h5 escaped the open envelope (h5 <=
+        f2 or h5 >= g2).  delta is 0 exactly on W and 1 exactly on V ∩ (Z1
+        ∪ Z2) ⊆ S, as a ratio of two hinges whose zero sets are exactly
+        those: phi_W = (min(h5 - f2, g2 - h5))⁺ and phi_B = (min(-f2,
+        g2))⁺.  Both zero at one point off S would mean W meets V ∩ (Z1 ∪
+        Z2), which the construction of h4 rules out; it raises as an
+        upstream failure.
+        """
         f2, g2, S = a["f2"], a["g2"], a["S"]
         h5 = self.h5.many(P)
         phi_w = pymax(0.0, pymin(h5 - f2, g2 - h5))
@@ -399,88 +256,65 @@ def _cloud_of(P: np.ndarray, mask: np.ndarray, what: str) -> ClosedSet:
     return ClosedSet.from_cloud(P[mask])
 
 
-def _select_level(
-    f: ScalarField,
-    g: ScalarField,
-    strata: tuple,
-    E: Domain,
-    grid: Grid,
-    fP: np.ndarray,
-    gP: np.ndarray,
-    levels: list,
-) -> dict:
-    """Append the levels of ``strata``, innermost first, and return the
-    outermost one's arrays on the construction grid (f and g are the
-    compressed envelopes, fP and gP their values there)."""
-    P = grid.points
-    if len(strata) == 1:
-        h0 = base_midpoint(f, g, E)
-        levels.append(
-            SandwichLevel(stratum=strata[0].label, kind="base", h0=h0,
-                          f_level=f, g_level=g, total=h0, arrays=_midpoint_pass)
-        )
-        return _midpoint_pass(P, fP, gP)
-
-    U = strata[0]
-    rest = _select_level(f, g, strata[1:], E, grid, fP, gP, levels)
-    h_rest = levels[-1].total
-    lvl = _GluePass(U)
-    a = lvl.start(P, fP, gP)
-
+def _bake(lvl: _GluePass, grid: Grid, a: dict, inner: np.ndarray) -> dict:
+    """Run the stages of ``lvl`` on the construction grid, baking each
+    extension from the arrays of the stages before it.  ``a`` holds the
+    envelopes and U's mask there, ``inner`` the next level's total."""
+    P, E = grid.points, grid.domain
     outside = ~a["U"]
-    lvl.h1 = h1 = tietze_extend(
-        h_rest, _cloud_of(P, outside, "the tail of the stratification"), E,
-        name="h1", values=rest["total"][outside],
+    lvl.h1 = tietze_extend(
+        None, _cloud_of(P, outside, "the tail of the stratification"), E,
+        name="h1", values=inner[outside],
     )
     lvl.glue(P, a)
-    for x, vf, vg in zip(P[outside], a["f1"][outside].tolist(), a["g1"][outside].tolist()):
-        _check_glue_point(x, vf, vg)
-    h2, X = equalizer_glue(f, g, U, E, h_prev=h1)
+    _check_glue(P[outside], a["f1"][outside], a["g1"][outside])
     glued = outside | a["X"]
-    lvl.h3 = h3 = tietze_extend(
-        h2, _cloud_of(P, glued, "(E∖U) ∪ X"), E, name="h3", values=a["h2"][glued]
+    lvl.h3 = tietze_extend(
+        None, _cloud_of(P, glued, "(E∖U) ∪ X"), E, name="h3", values=a["h2"][glued]
     )
     lvl.split(P, a)
-
-    f2 = add(add(f, negate(h1)), negate(h3))
-    g2 = add(add(g, negate(h1)), negate(h3))
-
-    V = Region(lambda x: U(x) and not X(x), f"{U.label or 'U'} minus equality locus")
-    Z1 = Region(lambda x: f2(x) >= 0.0, "floor has caught up (f2 >= 0)")
-    Z2 = Region(lambda x: g2(x) <= 0.0, "ceiling has caught up (g2 <= 0)")
-
     boundary = boundary_mask(a["V"], grid)
-    lvl.eta1 = eta1 = _eta_for(P, boundary & a["Z1"], E, "eta1")
-    lvl.eta2 = eta2 = _eta_for(P, boundary & a["Z2"], E, "eta2")
+    lvl.eta1 = _eta_for(P, boundary & a["Z1"], E, "eta1")
+    lvl.eta2 = _eta_for(P, boundary & a["Z2"], E, "eta2")
     lvl.adjust(P, a)
-
-    h4 = interior_adjust(f2, g2, V, Z1, Z2, eta1, eta2, E)
-    S = region_or(Z1, Z2, region_not(V))
-    lvl.h5 = h5 = tietze_extend(
-        h4, _cloud_of(P, a["S"], "S = Z1 ∪ Z2 ∪ (E∖V)"), E, name="h5",
+    lvl.h5 = tietze_extend(
+        None, _cloud_of(P, a["S"], "S = Z1 ∪ Z2 ∪ (E∖V)"), E, name="h5",
         values=a["h4"][a["S"]],
     )
     lvl.damp(P, a)
-
-    h_glued, delta, W = damp_to_safe(h5, f2, g2, V, Z1, Z2)
-    total = add(add(h_glued, h3), h1)
-    levels.append(
-        SandwichLevel(
-            stratum=U.label,
-            kind="glue",
-            h1=h1, h2=h2, h3=h3, h4=h4, h5=h5,
-            eta1=eta1, eta2=eta2, delta=delta,
-            f_level=f2, g_level=g2,
-            regions={
-                "U": U, "X": X, "V": V, "Z1": Z1, "Z2": Z2,
-                "Y": Region(lambda x: f2(x) < 0.0 < g2(x), "strictly mixed sign"),
-                "S": S, "W": W,
-            },
-            total=total,
-            arrays=lvl,
-        )
-    )
     return a
+
+
+def _build_levels(
+    f_c: ScalarField,
+    g_c: ScalarField,
+    strat: Stratification,
+    masks: np.ndarray,
+    grid: Grid,
+    fP: np.ndarray,
+    gP: np.ndarray,
+) -> list[SandwichLevel]:
+    """The levels innermost first: the midpoint on the last stratum, then a
+    glue level for each earlier stratum, baked from the arrays of the level
+    inside it (f_c and g_c are the compressed envelopes, fP and gP their
+    values on the construction grid, masks the strata's there)."""
+
+    def level(label, kind, arrays):
+        def batch(X):
+            return arrays(X, f_c.many(X), g_c.many(X))["total"]
+
+        return SandwichLevel(
+            label, kind, arrays, _batch_field(grid.domain, batch, f"total[{label}]")
+        )
+
+    levels = [level(strat.strata[-1].label, "base", _midpoint_pass)]
+    a = _midpoint_pass(grid.points, fP, gP)
+    for j in range(strat.depth - 2, -1, -1):
+        U = strat.strata[j]
+        lvl = _GluePass(U)
+        a = _bake(lvl, grid, {"f": fP, "g": gP, "U": masks[j]}, a["total"])
+        levels.append(level(U.label, "glue", lvl))
+    return levels
 
 
 def _check_not_crossed(x, vf: float, vg: float):
@@ -512,7 +346,7 @@ def sandwich_select(
     grid = Grid(E, resolution)
     P = grid.points
 
-    f_c, g_c = reduce_to_bounded(f, g)
+    f_c, g_c = compress_field(f), compress_field(g)
 
     try:
         fP, gP = f_c.many(P), g_c.many(P)
@@ -525,7 +359,8 @@ def sandwich_select(
     if crossed.size:
         _check_not_crossed(P[crossed[0]], fP[crossed[0]], gP[crossed[0]])
 
-    report = stratification_audit(strat, grid)
+    masks = strat.masks(P)
+    report = stratification_audit_masks(masks, grid)
     if not report.passed:
         raise StratificationError(
             "stratification audit failed: "
@@ -533,9 +368,8 @@ def sandwich_select(
         )
     # the envelope audits read the values already computed on the grid
     for j, stratum in enumerate(strat.strata):
-        mask = stratum.mask(P)
         for vals, label in ((fP, "floor"), (gP, "ceiling")):
-            rep = semicontinuity_audit_values(vals, grid, TAG_CONTINUOUS, mask=mask)
+            rep = semicontinuity_audit_values(vals, grid, TAG_CONTINUOUS, mask=masks[j])
             if not rep.passed:
                 v = rep.violations[0]
                 raise StratificationError(
@@ -551,26 +385,16 @@ def sandwich_select(
                 f"deficit {v.deficit:.3e} at {v.x}"
             )
 
-    levels: list[SandwichLevel] = []
-    _select_level(f_c, g_c, tuple(strat.strata), E, grid, fP, gP, levels)
-    outer = levels[-1]
-    h_c = dataclasses.replace(
-        outer.total,
-        batch=lambda X: outer.arrays(X, f_c.many(X), g_c.many(X))["total"],
-    )
-
+    levels = _build_levels(f_c, g_c, strat, masks, grid, fP, gP)
+    h_c = levels[-1].total
     lo = -1.0 + STRICTNESS_MARGIN
     hi = 1.0 - STRICTNESS_MARGIN
-
-    def h_rule(x):
-        return unsquash(min(max(h_c(x), lo), hi))
 
     def h_batch(X):
         w = np.minimum(np.maximum(h_c.many(X), lo), hi)
         # unsquash: np.sqrt rounds as math.sqrt does
         return w / np.sqrt((1.0 - w) * (1.0 + w))
 
-    h = ScalarField(E, h_rule, tag=TAG_CONTINUOUS, name="sandwich", batch=h_batch)
     trace = SandwichTrace(
         strata=tuple(r.label for r in strat.strata),
         levels=tuple(levels),
@@ -579,7 +403,7 @@ def sandwich_select(
         f_compressed=f_c,
         g_compressed=g_c,
     )
-    return h, trace
+    return _batch_field(E, h_batch, "sandwich"), trace
 
 
 def region_audit(trace: SandwichTrace, grid: Grid) -> AuditReport:

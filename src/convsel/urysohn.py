@@ -31,6 +31,9 @@ MEMBERSHIP_SNAP = 1e-12
 #: Nested coordinate search stops when every cell side is below this.
 SEARCH_TOL = 1e-10
 
+#: What evaluating at a point within the snap of A but of no cloud point raises.
+_SNAP_MISS = "a snapped point has no cloud point within the snap"
+
 #: Element budget, in floats, of each (rows, cloud, n) temporary built by
 #: the batched distance and extension rules; small enough to stay in cache.
 _FLOAT_BUDGET = 8192
@@ -226,7 +229,10 @@ def tietze_extend(
     way, only tightness is at stake).  Values at A's points are baked
     here, so evaluating the extension never calls ``f`` on point
     components again; a caller that already holds them passes them, in
-    the order of A's points, as ``values``.
+    the order of A's points, as ``values``.  Over a finite cloud with
+    ``values`` given, ``f`` is not read at all and may be None; a point
+    that snaps to the cloud without a cloud point within the snap then
+    raises the batch rule's ``ValueError``.
 
     The extension has a batch rule when A is a finite cloud: one distance
     query per batch and the ratios in blocks of the element budget, with
@@ -274,6 +280,8 @@ def tietze_extend(
                 k = int(np.argmin(gaps))
                 if gaps[k] <= MEMBERSHIP_SNAP:
                     return float(baked[k])
+            if f is None:
+                raise ValueError(_SNAP_MISS)
             return float(f(x))
         best = math.inf
         if cloud.shape[0]:
@@ -297,7 +305,7 @@ def tietze_extend(
             gaps = np.linalg.norm(cloud[None, :, :] - P[idx, None, :], axis=2)
             k = np.argmin(gaps, axis=1)
             if not np.all(gaps[np.arange(idx.size), k] <= MEMBERSHIP_SNAP):
-                raise ValueError("a snapped point has no cloud point within the snap")
+                raise ValueError(_SNAP_MISS)
             out[idx] = baked[k]
         for rows in _row_blocks(far.size, cloud):
             idx = far[rows]

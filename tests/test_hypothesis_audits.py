@@ -26,6 +26,7 @@ from convsel.maps import (
     lsc_audit,
     stratification_audit,
 )
+from convsel.sandwich import sandwich_select
 from convsel.specio import cli
 from convsel.specio.cli import main
 from convsel.specio.loader import load_spec
@@ -182,3 +183,50 @@ def test_a_failed_lsc_audit_is_the_only_sweep(audit_work):
         selection.michael_select(spec.map, spec.stratification)
     # 129 grid points, 256 directed edges and 2 far-cell confirmations
     assert audit_work == {"evaluate": 129, "project": 258, "lsc": 1}
+
+
+def count_masks(monkeypatch) -> Counter:
+    """Count ``Region.mask`` calls by region label."""
+    calls = Counter()
+    real = Region.mask
+
+    def mask(self, X):
+        calls[self.label] += 1
+        return real(self, X)
+
+    monkeypatch.setattr(Region, "mask", mask)
+    return calls
+
+
+def test_each_stratum_mask_is_computed_once_per_grid(monkeypatch):
+    # the stratification audit and the continuity audits read one (k, N)
+    # array of masks; computing them in both made 162 of the sweep's 650
+    # region tests on m_poly at grid 9
+    spec = load_spec(str(SPECS / "m_poly.json"))
+    calls = count_masks(monkeypatch)
+    list(hypothesis_audits(spec.map, spec.stratification, Grid(spec.domain, 9)))
+    assert calls == {region.label: 1 for region in spec.stratification.strata}
+
+
+def test_the_sandwich_computes_each_stratum_mask_once(monkeypatch):
+    # the stratification audit, the envelopes' continuity audits and the
+    # construction's U all read one array of masks on the construction grid
+    spec = load_spec(str(SPECS / "s_mixed.json"))
+    f, g = maps.envelopes(spec.map)
+    calls = count_masks(monkeypatch)
+    sandwich_select(f, g, spec.stratification, resolution=65)
+    assert calls == {region.label: 1 for region in spec.stratification.strata}
+
+
+def test_stratification_audit_masks_matches_the_audit():
+    strat = Stratification((NONZERO, ORIGIN))
+    for grid in (Grid(LINE, 9), Grid(LINE, 16)):
+        masks = strat.masks(grid.points)
+        assert masks.shape == (2, len(grid))
+        assert report_bits(maps.stratification_audit_masks(masks, grid)) == report_bits(
+            stratification_audit(strat, grid))
+    bad = Stratification((NONZERO, Region(lambda x: x[0] <= 0.0, "x <= 0")))
+    grid = Grid(LINE, 9)
+    report = maps.stratification_audit_masks(bad.masks(grid.points), grid)
+    assert not report.passed
+    assert report_bits(report) == report_bits(stratification_audit(bad, grid))

@@ -30,8 +30,6 @@ from convsel.maps import (
     graph_sample,
     lsc_audit,
     probe_points,
-    region_and,
-    region_not,
     region_or,
     shift,
     stratification_audit,
@@ -88,8 +86,6 @@ class TestSetValuedMap:
 class TestRegions:
     def test_combinators(self):
         left = Region(lambda x: x[0] < 0, "left")
-        assert region_not(left)(np.array([0.5]))
-        assert not region_and(left, NONZERO)(np.array([0.5]))
         assert region_or(left, ORIGIN)(np.array([0.0]))
 
     def test_boundary_cloud_of_punctured_line(self):
@@ -258,14 +254,6 @@ class TestStratification:
         strat = Stratification((NONZERO,))
         with pytest.raises(UncoveredPointError):
             strat.classify([0.0])
-
-    def test_tail_region(self):
-        strat = Stratification((NONZERO, ORIGIN))
-        tail = strat.tail_region(1)
-        assert tail(np.array([0.0]))
-        assert not tail(np.array([0.5]))
-        full = strat.tail_region(0)
-        assert full(np.array([0.7]))
 
     def test_open_first_stratum_passes(self):
         grid = Grid(LINE, 17)

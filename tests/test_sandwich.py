@@ -22,14 +22,14 @@ from convsel.fields import (
     unsquash,
 )
 from convsel.maps import EVERYWHERE, Region, Stratification
-from convsel.sandwich import (
+from convsel.sandwich import region_audit, sandwich_select
+from reference.sandwich_pointwise import (
     base_midpoint,
     damp_to_safe,
     equalizer_glue,
     interior_adjust,
+    pointwise_levels,
     reduce_to_bounded,
-    region_audit,
-    sandwich_select,
 )
 
 LINE = Domain(1, boxes=(((-1.0,), (1.0,)),))
@@ -346,4 +346,4 @@ class TestSandwichSelect:
         assert len(trace.levels) == 2
         assert trace.levels[0].kind == "base"
         assert trace.outer.kind == "glue"
-        assert set(trace.outer.regions) >= {"U", "X", "V", "Z1", "Z2", "S", "W"}
+        assert set(pointwise_levels(trace)[-1].regions) >= {"U", "X", "V", "Z1", "Z2", "S", "W"}

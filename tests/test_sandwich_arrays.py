@@ -1,7 +1,8 @@
 """The sandwich selection on arrays against its pointwise reference.
 
 Each glue level's array pass, ``h.many`` and the array ``region_audit``
-must agree bit for bit with the pointwise fields of the trace and with the
+must agree bit for bit with the pointwise fields that
+``reference.sandwich_pointwise`` rebuilds around the trace and with the
 point-by-point audit kept below, on every ``s_*`` fixture and on a drawn
 family of two-stratum interval maps.
 """
@@ -14,20 +15,34 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import assert_same_bits
-from convsel.errors import ConvselError, PostconditionError, UncoveredPointError
-from convsel.fields import AuditReport, Grid, Violation
+from convsel import sandwich
+from convsel.errors import (
+    ConvselError,
+    EvalDomainError,
+    PostconditionError,
+    UncoveredPointError,
+)
+from convsel.fields import AuditReport, Grid, Violation, constant_field
 from convsel.maps import Region, envelopes
 from convsel.sandwich import region_audit, sandwich_select
 from convsel.specio.loader import load_spec, load_spec_dict
+from reference.sandwich_pointwise import (
+    check_glue_point,
+    damp_to_safe,
+    pointwise_levels,
+    pointwise_selection,
+)
+from test_specio import _HOLE_AT_ONE_32ND
 
 FIXTURES = ("s_free", "s_kink", "s_line", "s_mixed", "s_parab", "s_spike")
 
 
-def pointwise_region_audit(trace, grid: Grid) -> AuditReport:
-    """The point-by-point region audit the array version replaced."""
+def pointwise_region_audit(levels, grid: Grid) -> AuditReport:
+    """The point-by-point region audit the array version replaced, over
+    the levels of :func:`pointwise_levels`."""
     violations = []
     checked = 0
-    for level in trace.levels:
+    for level in levels:
         if level.kind != "glue":
             continue
         R = level.regions
@@ -99,16 +114,16 @@ def defined(field, x) -> float:
 def check_level_passes(trace, P: np.ndarray):
     fP = trace.f_compressed.many(P)
     gP = trace.g_compressed.many(P)
-    for level in trace.levels:
+    for level, ref in zip(trace.levels, pointwise_levels(trace)):
         a = level.arrays(P, fP, gP)
-        assert_same_bits(a["total"], [level.total(x) for x in P])
+        assert_same_bits(a["total"], [ref.total(x) for x in P])
         if level.kind != "glue":
             continue
         for key in ("U", "X", "V", "Z1", "Z2", "S", "W"):
-            np.testing.assert_array_equal(a[key], level.regions[key].mask(P), err_msg=key)
-        for key, field in (("h1", level.h1), ("h3", level.h3), ("h5", level.h5),
-                           ("f2", level.f_level), ("g2", level.g_level),
-                           ("h2", level.h2), ("h4", level.h4), ("delta", level.delta)):
+            np.testing.assert_array_equal(a[key], ref.regions[key].mask(P), err_msg=key)
+        for key, field in (("h1", ref.h1), ("h3", ref.h3), ("h5", ref.h5),
+                           ("f2", ref.f_level), ("g2", ref.g_level),
+                           ("h2", ref.h2), ("h4", ref.h4), ("delta", ref.delta)):
             assert_same_bits(a[key], [defined(field, x) for x in P])
 
 
@@ -118,23 +133,24 @@ def check_bakes(trace, P: np.ndarray):
     fG = trace.f_compressed.many(G)
     gG = trace.g_compressed.many(G)
     inner = None
-    for level in trace.levels:
+    for level, ref in zip(trace.levels, pointwise_levels(trace)):
         a = level.arrays(G, fG, gG)
         if level.kind == "glue":
-            for ext, source, on in ((level.h1, inner.total, ~a["U"]),
-                                    (level.h3, level.h2, ~a["U"] | a["X"]),
-                                    (level.h5, level.h4, a["S"])):
+            for ext, source, on in ((ref.h1, inner.total, ~a["U"]),
+                                    (ref.h3, ref.h2, ~a["U"] | a["X"]),
+                                    (ref.h5, ref.h4, a["S"])):
                 cloud = G[on]
                 assert_same_bits(ext.many(cloud), [source(x) for x in cloud])
-        inner = level
+        inner = ref
 
 
 def check_selection(h, trace, grid: Grid):
     P = grid.points
-    assert_same_bits(h.many(P), [h(x) for x in P])
-    assert_same_bits(trace.h_compressed.many(P), [trace.h_compressed(x) for x in P])
+    levels = pointwise_levels(trace)
+    assert_same_bits(h.many(P), [pointwise_selection(levels)(x) for x in P])
+    assert_same_bits(trace.h_compressed.many(P), [levels[-1].total(x) for x in P])
     check_level_passes(trace, P)
-    assert region_audit(trace, grid) == pointwise_region_audit(trace, grid)
+    assert region_audit(trace, grid) == pointwise_region_audit(levels, grid)
 
 
 def select(spec, resolution: int):
@@ -167,21 +183,23 @@ def test_region_audit_reports_violations_like_the_sweep(specs_dir):
         a["X"] = a["X"] | origin
         return a
 
-    regions = dict(level.regions)
+    levels = pointwise_levels(trace)
+    real_regions = levels[-1].regions
+    regions = dict(real_regions)
     regions["V"] = Region(
-        lambda x: (level.regions["V"](x) and x[0] < 0.5) or x[0] == 0.0, "forged V"
+        lambda x: (real_regions["V"](x) and x[0] < 0.5) or x[0] == 0.0, "forged V"
     )
-    regions["X"] = Region(lambda x: level.regions["X"](x) or x[0] == 0.0, "forged X")
+    regions["X"] = Region(lambda x: real_regions["X"](x) or x[0] == 0.0, "forged X")
     bad = dataclasses.replace(
         trace,
-        levels=(*trace.levels[:-1],
-                dataclasses.replace(level, arrays=forged, regions=regions)),
+        levels=(*trace.levels[:-1], dataclasses.replace(level, arrays=forged)),
     )
+    bad_levels = [*levels[:-1], dataclasses.replace(levels[-1], regions=regions)]
     grid = Grid(spec.domain, 17)
     report = region_audit(bad, grid)
     at_origin = [v.message for v in report.violations if v.x == (0.0,)]
     assert at_origin[:2] == ["X escapes U", "V is not U∖X"]
-    assert report == pointwise_region_audit(bad, grid)
+    assert report == pointwise_region_audit(bad_levels, grid)
 
 
 def two_stratum_problem(n, slope, beta, width, lo_frac, hi_frac, touch):
@@ -226,3 +244,94 @@ def test_drawn_two_stratum_maps_match_pointwise(n, slope, beta, width, fracs, to
         return  # nothing to compare: the construction refused the problem
     check_bakes(trace, trace.construction_grid.points)
     check_selection(h, trace, Grid(spec.domain, 2 * resolution - 1))
+
+
+# --- the one-row rule: a point is a batch of one row ---------------------------
+
+
+def raised(fn, *args):
+    """The type and text of what ``fn(*args)`` raises."""
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_one_point_matches_the_pointwise_levels(name, specs_dir):
+    # 41 points per axis: off the construction lattice of 33 but for the
+    # ends and the middle, so the extensions run their ratio branch
+    spec = load_spec(str(specs_dir / f"{name}.json"))
+    h, trace = select(spec, 33)
+    levels = pointwise_levels(trace)
+    P = Grid(spec.domain, 41).points
+    assert_same_bits([h(x) for x in P], [pointwise_selection(levels)(x) for x in P])
+    assert_same_bits([trace.h_compressed(x) for x in P], [levels[-1].total(x) for x in P])
+    for level, ref in zip(trace.levels, levels):
+        assert_same_bits([level.total(x) for x in P], [ref.total(x) for x in P])
+
+
+def test_an_evaluation_error_is_the_pointwise_one():
+    # 1/32 is off the construction lattice of 17, so the selection is
+    # built; evaluating there divides by zero in the map itself
+    spec = load_spec_dict(json.loads(json.dumps(_HOLE_AT_ONE_32ND)))
+    h, trace = select(spec, 17)
+    want = raised(pointwise_selection(pointwise_levels(trace)), [0.03125])
+    assert want == (EvalDomainError, "division by zero")
+    assert raised(h, [0.03125]) == want
+    assert raised(h.many, Grid(spec.domain, 65).points) == want
+    assert raised(trace.h_compressed, [0.03125]) == want
+
+
+def test_an_undefined_delta_raises_the_pointwise_message(specs_dir):
+    # a forged pass: h5 is 0 and S drops Z1 ∪ Z2, so at a point of
+    # V ∩ (Z1 ∪ Z2) both hinges vanish off S
+    spec = load_spec(str(specs_dir / "s_mixed.json"))
+    h, trace = select(spec, 17)
+    P = trace.construction_grid.points
+    a = trace.outer.arrays(P, trace.f_compressed.many(P), trace.g_compressed.many(P))
+    x = P[np.argmax(a["V"] & (a["Z1"] | a["Z2"]))]
+    ref = pointwise_levels(trace)[-1]
+    zero = constant_field(spec.domain, 0.0)
+    never = Region(lambda x: False, "empty")
+    h_ref, _, _ = damp_to_safe(zero, ref.f_level, ref.g_level, ref.regions["V"], never, never)
+    want = raised(h_ref, x)
+    assert want[0] is PostconditionError
+
+    forged = trace.outer.arrays
+    real_split = forged.split
+
+    def split(P, a):
+        real_split(P, a)
+        a["S"] = ~a["V"]
+
+    forged.split = split
+    forged.h5 = zero
+    assert raised(h, x) == want
+    assert raised(trace.outer.total, x) == want
+
+
+# values on and next to the STRICT_GAP thresholds, and anything else
+gap_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 2e-9, -2e-9, 5e-10, -5e-10]),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(gap_values, gap_values), min_size=1, max_size=12))
+def test_the_masked_glue_check_fails_where_the_loop_does(rows):
+    vf, vg = np.array(rows).T
+    P = np.arange(vf.size, dtype=float).reshape(-1, 1)
+
+    def loop():
+        for x, a, b in zip(P, vf.tolist(), vg.tolist()):
+            check_glue_point(x, a, b)
+
+    try:
+        loop()
+    except PostconditionError as exc:
+        with pytest.raises(PostconditionError) as info:
+            sandwich._check_glue(P, vf, vg)
+        assert str(info.value) == str(exc)
+    else:
+        sandwich._check_glue(P, vf, vg)

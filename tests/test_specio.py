@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import numpy as np
@@ -485,3 +486,32 @@ def test_verify_report_matches_the_2d_golden_bytes(specs_dir, tmp_path, monkeypa
     monkeypatch.chdir(specs_dir)
     assert run_cli("verify", "--spec", "m_poly.json", "--grid", "9", "--report", str(report)) == 0
     assert report.read_bytes() == golden.read_bytes()
+
+
+def test_select_sandwich_matches_the_golden_bytes(specs_dir, tmp_path, monkeypatch, capsys):
+    # exit code, CSV, report, stdout and stderr of every fixture at two
+    # grids, and of the 1/32 hole, whose evaluation error aborts the run
+    golden = json.loads((specs_dir.parent / "golden" / "select_sandwich.json").read_text(
+        encoding="utf-8"))
+    (tmp_path / "hole_at_one_32nd.json").write_text(
+        json.dumps(_HOLE_AT_ONE_32ND), encoding="utf-8")
+    runs = [(specs_dir, p.stem, g) for p in sorted(specs_dir.glob("*.json")) for g in (9, 65)]
+    runs.append((tmp_path, "hole_at_one_32nd", 17))
+    out, report = tmp_path / "h.csv", tmp_path / "report.json"
+
+    def sha(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+
+    seen = {}
+    for where, name, grid in runs:
+        monkeypatch.chdir(where)
+        out.unlink(missing_ok=True)
+        report.unlink(missing_ok=True)
+        rc = run_cli("select-sandwich", "--spec", f"{name}.json", "--grid", str(grid),
+                     "--out", str(out), "--report", str(report))
+        std = capsys.readouterr()
+        seen[f"{name} --grid {grid}"] = {
+            "exit": rc, "csv_sha256": sha(out), "report_sha256": sha(report),
+            "stdout": std.out, "stderr": std.err,
+        }
+    assert seen == golden

@@ -1,6 +1,7 @@
 """Properties of the installed package as a whole, checked in a fresh
 interpreter so that nothing this test session imported leaks in."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -23,3 +24,24 @@ def test_import_does_not_load_scipy_optimize():
         check=True, timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_the_library_imports_nothing_from_the_tests():
+    # the pointwise oracles in tests/reference stay out of the library
+    src = Path(convsel.__file__).resolve().parent
+    tests = Path(__file__).resolve().parent
+    local = {p.stem for p in tests.glob("*.py")} | {p.name for p in tests.iterdir() if p.is_dir()}
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top in local or top in ("reference", "tests"):
+                    offenders.append(f"{path.relative_to(src)}: {name}")
+    assert offenders == []
