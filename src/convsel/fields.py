@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -57,6 +56,8 @@ def compress(v):
     precision is what keeps ``decompress(compress(v))`` faithful for large
     v, where double rounding of values near 1 would destroy the input.
     """
+    import mpmath  # only these two functions need it; see linprog in geometry
+
     v = _as_extended(v)
     if math.isinf(float(v)):
         return mpmath.mpf(1 if float(v) > 0 else -1)
@@ -71,6 +72,8 @@ def decompress(w):
     Raises ``ValueError`` at or beyond the endpoints: the preimages of
     +-1 are the infinities, which are not representable targets here.
     """
+    import mpmath
+
     with mpmath.workdps(_COMPRESS_DPS):
         x = mpmath.mpf(w)
         if abs(x) >= 1:
@@ -595,7 +598,13 @@ def grid_values(f, grid: Grid) -> np.ndarray:
 
 def continuity_modulus(f, grid: Grid) -> float:
     """Largest jump of ``f`` across any adjacent grid pair."""
-    vals = grid_values(f, grid)
+    return continuity_modulus_values(grid_values(f, grid), grid)
+
+
+def continuity_modulus_values(vals: np.ndarray, grid: Grid) -> float:
+    """:func:`continuity_modulus` for a field given by its values at the
+    grid points, shape (N,) or (N, m)."""
+    vals = np.asarray(vals, dtype=float)
     edges, _ = grid.directed_edges()
     if edges.shape[0] == 0:
         return 0.0
@@ -606,15 +615,21 @@ def continuity_modulus(f, grid: Grid) -> float:
 
 
 def modulus_ratios(
-    f, domain: Domain, per_axis: int, halvings: int = 2
+    f, domain: Domain, per_axis: int, halvings: int = 2, values=None
 ) -> list[float | None]:
     """Modulus ratios across successive grid halvings.
 
     ``None`` marks a step where both moduli sit below the noise floor
     (1e-12): a locally constant field has nothing left to shrink.
+    ``values`` are the values of ``f`` at ``Grid(domain, per_axis)``,
+    when the caller already holds them; ``f`` is then evaluated only on
+    the refined grids.
     """
     grid = Grid(domain, per_axis)
-    mods = [continuity_modulus(f, grid)]
+    if values is None:
+        mods = [continuity_modulus(f, grid)]
+    else:
+        mods = [continuity_modulus_values(values, grid)]
     for _ in range(halvings):
         grid = grid.refined()
         mods.append(continuity_modulus(f, grid))

@@ -14,7 +14,7 @@ hands its defect to the one kernel of that rule, ``fields.confirmed_edges``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Callable, Iterator
 
@@ -30,6 +30,7 @@ from .errors import (
 from .fields import (
     AuditReport,
     DEFAULT_SEED,
+    EVAL_ERRORS,
     Domain,
     Grid,
     ScalarField,
@@ -46,24 +47,51 @@ from .geometry import Ball, ConvexBody, HPolytope, Interval, sample
 
 @dataclass(frozen=True)
 class Region:
-    """A predicate over domain points, with a label for reports."""
+    """A predicate over domain points, with a label for reports.
+
+    The optional ``batch`` predicate maps an (N, n) array of points to
+    the (N,) mask ``predicate`` gives row by row; :meth:`mask` uses it.
+    """
 
     predicate: Callable[[np.ndarray], bool]
     label: str = ""
+    batch: Callable[[np.ndarray], np.ndarray] | None = dc_field(
+        default=None, repr=False, compare=False
+    )
 
     def __call__(self, x) -> bool:
         return bool(self.predicate(np.asarray(x, dtype=float)))
 
     def mask(self, X: np.ndarray) -> np.ndarray:
+        """Membership of each row of ``X``.  When the batch predicate
+        raises, the rows are tested one by one, so the first row that
+        fails raises what ``self(x)`` raises there."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self.batch is not None:
+            try:
+                return np.asarray(self.batch(X), dtype=bool)
+            except EVAL_ERRORS:
+                pass
         return np.fromiter((self(x) for x in X), dtype=bool, count=X.shape[0])
 
 
-EVERYWHERE = Region(lambda x: True, "everywhere")
+EVERYWHERE = Region(
+    lambda x: True, "everywhere", batch=lambda X: np.ones(X.shape[0], dtype=bool)
+)
 
 
 def region_or(*rs: Region) -> Region:
-    return Region(lambda x: any(r(x) for r in rs), " | ".join(r.label for r in rs))
+    def batch(X):
+        # each member is tested only where the earlier ones failed, as ``any`` does
+        inside = np.zeros(X.shape[0], dtype=bool)
+        for r in rs:
+            rest = np.flatnonzero(~inside)
+            inside[rest] = r.mask(X[rest])
+        return inside
+
+    return Region(
+        lambda x: any(r(x) for r in rs), " | ".join(r.label for r in rs), batch=batch
+    )
 
 
 def boundary_cloud(region: Region, grid: Grid) -> np.ndarray:
@@ -83,7 +111,24 @@ def boundary_mask(inside: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class BodyRule:
+    """A piece's rule ``x -> ConvexBody`` with a batch rule for the
+    coordinate bounds: ``bounds_many(X)`` maps (N, n) points to the
+    ``(lo, hi)`` arrays, shape (N, m), that ``rule(x).coord_bounds()``
+    gives row by row, raising where ``rule`` would raise at some row."""
+
+    rule: Callable[[np.ndarray], ConvexBody]
+    bounds_many: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+    def __call__(self, x) -> ConvexBody:
+        return self.rule(x)
+
+
+@dataclass(frozen=True)
 class SetValuedMap:
+    """Pieces ``(region, rule)``, first match wins; a rule maps a point to
+    a body, and a :class:`BodyRule` also gives its bounds on arrays."""
+
     domain: Domain
     output_dim: int
     pieces: tuple
@@ -95,16 +140,48 @@ class SetValuedMap:
         x = np.asarray(x, dtype=float)
         for region, rule in self.pieces:
             if region(x):
-                body = rule(x)
-                if body.dim != self.output_dim:
-                    raise DimensionMismatchError(
-                        f"piece produced dim {body.dim}, map has m={self.output_dim}"
-                    )
-                return body
+                return self._checked(rule(x))
         raise UncoveredPointError(f"no piece covers {x.tolist()}")
 
     def __call__(self, x) -> ConvexBody:
         return self.evaluate(x)
+
+    def _checked(self, body: ConvexBody) -> ConvexBody:
+        if body.dim != self.output_dim:
+            raise DimensionMismatchError(
+                f"piece produced dim {body.dim}, map has m={self.output_dim}"
+            )
+        return body
+
+    def coord_bounds_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)``, shape (N, m): the array twin of
+        ``evaluate(x).coord_bounds()`` at every row of ``X``.
+
+        Each piece takes the rows that no earlier piece's region holds and
+        its own region does, and runs its rule on those rows only: a
+        :class:`BodyRule` at once, any other rule row by row.  Raises
+        where :meth:`evaluate` would raise at some row, though not
+        necessarily the error of the first such row.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        lo = np.empty((X.shape[0], self.output_dim))
+        hi = np.empty_like(lo)
+        todo = np.arange(X.shape[0])
+        for region, rule in self.pieces:
+            if not todo.size:
+                break
+            hit = region.mask(X[todo])
+            rows, todo = todo[hit], todo[~hit]
+            if not rows.size:
+                continue
+            if isinstance(rule, BodyRule):
+                lo[rows], hi[rows] = rule.bounds_many(X[rows])
+            else:
+                for i in rows:
+                    lo[i], hi[i] = self._checked(rule(X[i])).coord_bounds()
+        if todo.size:
+            raise UncoveredPointError(f"no piece covers {X[todo[0]].tolist()}")
+        return lo, hi
 
 
 def constant_map(domain: Domain, body: ConvexBody, name: str = "") -> SetValuedMap:
@@ -173,8 +250,10 @@ def envelopes(map_: SetValuedMap) -> tuple[ScalarField, ScalarField]:
 
     tag_lo = TAG_UPPER if map_.declared_lsc else TAG_UNKNOWN
     tag_hi = TAG_LOWER if map_.declared_lsc else TAG_UNKNOWN
-    f = ScalarField(map_.domain, lo_rule, tag=tag_lo, name=f"inf({map_.name})")
-    g = ScalarField(map_.domain, hi_rule, tag=tag_hi, name=f"sup({map_.name})")
+    f = ScalarField(map_.domain, lo_rule, tag=tag_lo, name=f"inf({map_.name})",
+                    batch=lambda X: map_.coord_bounds_many(X)[0][:, 0])
+    g = ScalarField(map_.domain, hi_rule, tag=tag_hi, name=f"sup({map_.name})",
+                    batch=lambda X: map_.coord_bounds_many(X)[1][:, 0])
     return f, g
 
 

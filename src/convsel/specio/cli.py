@@ -294,9 +294,9 @@ def _cmd_michael(spec: ProblemSpec, args) -> int:
         entries = [
             _membership_entry(spec.map, values, grid, args.tol),
             _report_entry(boundary_decay_audit(trace, grid)),
-            _ratio_entry(
-                modulus_ratios(h, spec.domain, grid.per_axis, halvings=args.refine)
-            ),
+            _ratio_entry(modulus_ratios(
+                h, spec.domain, grid.per_axis, halvings=args.refine, values=values
+            )),
         ]
     except ConvselError as exc:
         return _abort(args, spec, "evaluation", exc)
@@ -320,9 +320,9 @@ def _cmd_sandwich(spec: ProblemSpec, args) -> int:
         entries = [
             *_envelope_entries(grid, vf, vg, vh),
             _report_entry(region_audit(trace, grid)),
-            _ratio_entry(
-                modulus_ratios(h, spec.domain, grid.per_axis, halvings=args.refine)
-            ),
+            _ratio_entry(modulus_ratios(
+                h, spec.domain, grid.per_axis, halvings=args.refine, values=vh
+            )),
         ]
     except ConvselError as exc:
         return _abort(args, spec, "evaluation", exc)

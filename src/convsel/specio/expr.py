@@ -15,6 +15,20 @@ Exponents are integer literals only.  Functions: ``abs``, ``sqrt``
 
 Offsets in error messages are zero-based character positions into the
 source string.
+
+:func:`compile_expr` gives an expression two calls.  ``expr(x)`` is the
+pointwise :func:`evaluate`, the reference.  ``expr.many(X)`` walks the
+AST once over an ``(N, n)`` array of points and returns the ``(N,)``
+values bit for bit: the arithmetic, ``abs``, ``neg`` and ``sqrt`` are
+correctly rounded in numpy as in Python, and ``min`` / ``max`` pick the
+operand Python's do (:func:`convsel.fields.pymin`).  ``^`` does not use
+``np.power``, whose results differ from Python's ``float ** int`` in the
+last bit for some bases (``x = -0.3902108345010009``: ``x**2`` is
+``0.15226449536196754``, ``np.power(x, 2)`` is ``0.1522644953619675``);
+it raises the Python floats of an object array, which gives Python's
+bits and exceptions.  Wherever the pointwise rule would raise at some
+row, ``many`` raises :class:`EvalDomainError`; callers that need the
+exact error of the first failing point re-evaluate pointwise.
 """
 
 from __future__ import annotations
@@ -22,7 +36,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from convsel.errors import EvalDomainError, ExprSyntaxError, UnknownIdentifierError
+from convsel.fields import pymax, pymin
 
 _UNARY_FUNCS = ("abs", "sqrt")
 _BINARY_FUNCS = ("min", "max")
@@ -279,9 +296,69 @@ def evaluate(node: Node, point) -> float:
     return max(lhs, rhs)
 
 
-def compile_expr(node: Node):
-    """Return ``point -> float`` evaluating the AST."""
-    return lambda point: evaluate(node, point)
+def evaluate_many(node: Node, X: np.ndarray) -> np.ndarray:
+    """Evaluate ``node`` at every row of ``X`` (shape (N, n)), bit for bit
+    as :func:`evaluate` does at each row; raises :class:`EvalDomainError`
+    if :func:`evaluate` would raise at any row."""
+    if isinstance(node, Const):
+        return np.full(X.shape[0], node.value)
+    if isinstance(node, Var):
+        if node.index >= X.shape[1]:
+            raise EvalDomainError(
+                f"expression uses x{node.index + 1} but the point has "
+                f"{X.shape[1]} coordinates"
+            )
+        return X[:, node.index]
+    if isinstance(node, Unary):
+        v = evaluate_many(node.arg, X)
+        if node.op == "neg":
+            return -v
+        if node.op == "abs":
+            return np.abs(v)
+        if (v < 0.0).any():
+            raise EvalDomainError(f"sqrt of negative value {v[v < 0.0][0]}")
+        return np.sqrt(v)
+    if isinstance(node, Pow):
+        v = evaluate_many(node.base, X)
+        try:
+            return (v.astype(object) ** node.exponent).astype(float)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise EvalDomainError(f"cannot raise to power {node.exponent}") from exc
+    lhs = evaluate_many(node.lhs, X)
+    rhs = evaluate_many(node.rhs, X)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, as in Python
+        if node.op == "add":
+            return lhs + rhs
+        if node.op == "sub":
+            return lhs - rhs
+        if node.op == "mul":
+            return lhs * rhs
+        if node.op == "div":
+            if (rhs == 0.0).any():
+                raise EvalDomainError("division by zero")
+            return lhs / rhs
+    if node.op == "min":
+        return pymin(lhs, rhs)
+    return pymax(lhs, rhs)
+
+
+@dataclass(frozen=True)
+class CompiledExpr:
+    """An AST with its two evaluators: ``expr(x)`` at one point, the
+    reference, and ``expr.many(X)`` at every row of an (N, n) array."""
+
+    node: Node
+
+    def __call__(self, point) -> float:
+        return evaluate(self.node, point)
+
+    def many(self, X: np.ndarray) -> np.ndarray:
+        return evaluate_many(self.node, X)
+
+
+def compile_expr(node: Node) -> CompiledExpr:
+    """Return the AST as a :class:`CompiledExpr`."""
+    return CompiledExpr(node)
 
 
 def max_var_index(node: Node) -> int:

@@ -41,12 +41,13 @@ import numpy as np
 from convsel.errors import (
     EvalDomainError,
     ExprSyntaxError,
+    InfeasibleBodyError,
     SpecValidationError,
     UncoveredPointError,
 )
 from convsel.fields import Domain, Grid
 from convsel.geometry import Ball, HPolytope, Interval, kernel_operators
-from convsel.maps import EVERYWHERE, Region, SetValuedMap, Stratification
+from convsel.maps import EVERYWHERE, BodyRule, Region, SetValuedMap, Stratification
 from convsel.specio import expr
 
 _BODY_KINDS = ("interval", "ball", "hpolytope")
@@ -161,21 +162,32 @@ def build_region(atoms, path: str, n: int) -> Region:
                 return False
         return True
 
-    return Region(predicate, label)
+    def batch(X):
+        # atom k is evaluated only on the rows where the earlier atoms hold
+        inside = np.ones(X.shape[0], dtype=bool)
+        for lhs, rhs, strict in parsed:
+            rows = np.flatnonzero(inside)
+            Y = X[rows]
+            a = expr.evaluate_many(lhs, Y)
+            b = expr.evaluate_many(rhs, Y)
+            inside[rows] = ~((a >= b) if strict else (a > b))
+        return inside
+
+    return Region(predicate, label, batch=batch)
 
 
 # --- bodies -----------------------------------------------------------------
 
 
-def _interval_bound(source, path: str, n: int):
+def _interval_bound(source, path: str, n: int) -> expr.CompiledExpr:
     if isinstance(source, str) and source.strip() in ("inf", "-inf"):
-        value = math.inf if source.strip() == "inf" else -math.inf
-        return lambda x: value
-    node = _parse(source, path, n)
+        node = expr.Const(math.inf if source.strip() == "inf" else -math.inf)
+    else:
+        node = _parse(source, path, n)
     return expr.compile_expr(node)
 
 
-def _build_interval(spec: dict, path: str, n: int, m: int):
+def _build_interval(spec: dict, path: str, n: int, m: int) -> BodyRule:
     if m != 1:
         raise _fail(path, f"interval bodies need output_dim 1, got {m}")
     _reject_unknown(spec, path, ("lo", "hi"))
@@ -184,7 +196,17 @@ def _build_interval(spec: dict, path: str, n: int, m: int):
             raise _fail(f"{path}.{key}", "missing")
     lo = _interval_bound(spec["lo"], f"{path}.lo", n)
     hi = _interval_bound(spec["hi"], f"{path}.hi", n)
-    return lambda x: Interval(lo(x), hi(x))
+
+    def bounds_many(X):
+        a, b = lo.many(X), hi.many(X)
+        # Interval's checks, on every row
+        if np.isnan(a).any() or np.isnan(b).any():
+            raise InfeasibleBodyError("interval endpoint is NaN")
+        if (a > b).any() or ((a == b) & np.isinf(a)).any():
+            raise InfeasibleBodyError("interval has no real point")
+        return a[:, None], b[:, None]
+
+    return BodyRule(lambda x: Interval(lo(x), hi(x)), bounds_many)
 
 
 def _build_ball(spec: dict, path: str, n: int, m: int):
@@ -203,7 +225,16 @@ def _build_ball(spec: dict, path: str, n: int, m: int):
         for i, c in enumerate(center_spec)
     ]
     radius = expr.compile_expr(_parse(spec["radius"], f"{path}.radius", n))
-    return lambda x: Ball([c(x) for c in center], radius(x))
+
+    def bounds_many(X):
+        C = np.column_stack([c.many(X) for c in center])
+        r = radius.many(X)[:, None]
+        # Ball's checks, on every row
+        if (r < 0).any() or not (np.isfinite(C).all() and np.isfinite(r).all()):
+            raise InfeasibleBodyError("ball parameters must be finite, radius >= 0")
+        return C - r, C + r
+
+    return BodyRule(lambda x: Ball([c(x) for c in center], radius(x)), bounds_many)
 
 
 def _build_hpolytope(spec: dict, path: str, n: int, m: int):

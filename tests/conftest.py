@@ -127,8 +127,9 @@ def ref_eval(node, point) -> float:
     return _REF_BINARY[node.op](lhs, rhs)
 
 
-def random_ast(rng: np.random.Generator, depth: int, n_vars: int):
-    """Random well-formed AST of the expression language, depth <= ``depth``."""
+def random_ast(rng: np.random.Generator, depth: int, n_vars: int, exponents=(-2, 3)):
+    """Random well-formed AST of the expression language, depth <= ``depth``,
+    with ``^`` exponents drawn from the closed range ``exponents``."""
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.5:
             return expr.Const(float(np.round(rng.uniform(0, 4), 3)))
@@ -136,12 +137,15 @@ def random_ast(rng: np.random.Generator, depth: int, n_vars: int):
     pick = rng.random()
     if pick < 0.25:
         op = ("neg", "abs", "sqrt")[rng.integers(0, 3)]
-        return expr.Unary(op, random_ast(rng, depth - 1, n_vars))
+        return expr.Unary(op, random_ast(rng, depth - 1, n_vars, exponents))
     if pick < 0.35:
+        low, high = exponents
         return expr.Pow(
-            random_ast(rng, depth - 1, n_vars), int(rng.integers(-2, 4))
+            random_ast(rng, depth - 1, n_vars, exponents), int(rng.integers(low, high + 1))
         )
     op = ("add", "sub", "mul", "div", "min", "max")[rng.integers(0, 6)]
     return expr.Binary(
-        op, random_ast(rng, depth - 1, n_vars), random_ast(rng, depth - 1, n_vars)
+        op,
+        random_ast(rng, depth - 1, n_vars, exponents),
+        random_ast(rng, depth - 1, n_vars, exponents),
     )

@@ -488,14 +488,12 @@ def test_verify_report_matches_the_2d_golden_bytes(specs_dir, tmp_path, monkeypa
     assert report.read_bytes() == golden.read_bytes()
 
 
-def test_select_sandwich_matches_the_golden_bytes(specs_dir, tmp_path, monkeypatch, capsys):
-    # exit code, CSV, report, stdout and stderr of every fixture at two
-    # grids, and of the 1/32 hole, whose evaluation error aborts the run
-    golden = json.loads((specs_dir.parent / "golden" / "select_sandwich.json").read_text(
-        encoding="utf-8"))
+def golden_runs(command, names, specs_dir, tmp_path, monkeypatch, capsys) -> dict:
+    """Exit code, CSV and report sha256, stdout and stderr of ``command`` on
+    each fixture in ``names`` at grids 9 and 65, and on the 1/32 hole at 17."""
     (tmp_path / "hole_at_one_32nd.json").write_text(
         json.dumps(_HOLE_AT_ONE_32ND), encoding="utf-8")
-    runs = [(specs_dir, p.stem, g) for p in sorted(specs_dir.glob("*.json")) for g in (9, 65)]
+    runs = [(specs_dir, name, g) for name in names for g in (9, 65)]
     runs.append((tmp_path, "hole_at_one_32nd", 17))
     out, report = tmp_path / "h.csv", tmp_path / "report.json"
 
@@ -507,11 +505,38 @@ def test_select_sandwich_matches_the_golden_bytes(specs_dir, tmp_path, monkeypat
         monkeypatch.chdir(where)
         out.unlink(missing_ok=True)
         report.unlink(missing_ok=True)
-        rc = run_cli("select-sandwich", "--spec", f"{name}.json", "--grid", str(grid),
+        rc = run_cli(command, "--spec", f"{name}.json", "--grid", str(grid),
                      "--out", str(out), "--report", str(report))
         std = capsys.readouterr()
         seen[f"{name} --grid {grid}"] = {
             "exit": rc, "csv_sha256": sha(out), "report_sha256": sha(report),
             "stdout": std.out, "stderr": std.err,
         }
-    assert seen == golden
+    return seen
+
+
+def read_golden(specs_dir, name) -> dict:
+    return json.loads((specs_dir.parent / "golden" / name).read_text(encoding="utf-8"))
+
+
+def test_select_sandwich_matches_the_golden_bytes(specs_dir, tmp_path, monkeypatch, capsys):
+    # exit code, CSV, report, stdout and stderr of every fixture at two
+    # grids, and of the 1/32 hole, whose evaluation error aborts the run
+    names = [p.stem for p in sorted(specs_dir.glob("*.json"))]
+    seen = golden_runs("select-sandwich", names, specs_dir, tmp_path, monkeypatch, capsys)
+    assert seen == read_golden(specs_dir, "select_sandwich.json")
+
+
+@pytest.mark.parametrize("command", ["envelopes", "verify"])
+def test_envelope_commands_match_the_golden_bytes(
+    command, specs_dir, tmp_path, monkeypatch, capsys
+):
+    # both evaluate the envelopes through the map's batch rule; the golden
+    # files were captured from the point-by-point envelopes
+    names = [
+        p.stem for p in sorted(specs_dir.glob("*.json"))
+        if json.loads(p.read_text(encoding="utf-8"))["output_dim"] == 1
+    ]
+    assert len(names) == 11
+    seen = golden_runs(command, names, specs_dir, tmp_path, monkeypatch, capsys)
+    assert seen == read_golden(specs_dir, f"{command}.json")

@@ -10,20 +10,27 @@ from pathlib import Path
 import convsel
 
 
-def test_import_does_not_load_scipy_optimize():
-    # scipy.optimize is only needed by the polytope fallback and is imported
-    # on first use; loading it up front costs most of the start-up time
+def loaded_by_import(module: str) -> bool:
+    """Whether importing convsel and its CLI in a fresh interpreter loads ``module``."""
     src = str(Path(convsel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = (
-        "import sys, convsel, convsel.specio.cli; "
-        "print('scipy.optimize' in sys.modules)"
-    )
+    code = f"import sys, convsel, convsel.specio.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize is only needed by the polytope fallback and is imported
+    # on first use; loading it up front costs most of the start-up time
+    assert not loaded_by_import("scipy.optimize")
+
+
+def test_import_does_not_load_mpmath():
+    # only fields.compress / decompress need mpmath, and no CLI path calls them
+    assert not loaded_by_import("mpmath")
 
 
 def test_the_library_imports_nothing_from_the_tests():
