@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -153,6 +153,11 @@ class Domain:
             if np.max(np.abs(x - p), initial=0.0) <= tol:
                 return True
         return False
+
+
+def default_per_axis(ambient_dim: int) -> int:
+    """Grid points per axis when none is given: 129 in 1D, 17 otherwise."""
+    return 129 if ambient_dim == 1 else 17
 
 
 class Grid:
@@ -335,18 +340,6 @@ class VectorField:
                 f"vector field {self.name or '<anon>'} returned shape {y.shape}"
             )
         return y
-
-    @staticmethod
-    def from_components(parts: Sequence[ScalarField], name: str = "") -> "VectorField":
-        dom = parts[0].domain
-        tag = parts[0].tag
-        if any(p.tag != tag for p in parts):
-            tag = TAG_UNKNOWN
-
-        def rule(x, parts=tuple(parts)):
-            return np.array([p(x) for p in parts])
-
-        return VectorField(dom, len(parts), rule, tag=tag, name=name)
 
 
 def constant_field(domain: Domain | None, value: float, name: str = "") -> ScalarField:

@@ -446,8 +446,15 @@ class HPolytope(ConvexBody):
                 if res.status == 3:
                     bounds[side][j] = -sign * math.inf
                 elif res.success:
-                    bounds[side][j] = sign * res.fun
-                    args[side][j] = res.x
+                    x = res.x
+                    if self.contains(x):
+                        bounds[side][j] = sign * res.fun
+                    else:
+                        # HiGHS stops within its feasibility tolerance, which
+                        # can leave a thin body; the projection is a member
+                        x = self._dykstra(x[None])[0]
+                        bounds[side][j] = x[j]
+                    args[side][j] = x
                 else:
                     raise ProjectionError(f"bounds LP failed: {res.message}")
         return bounds[0], bounds[1], args[0], args[1]

@@ -56,6 +56,7 @@ from .fields import (
     Violation,
     compress_field,
     constant_field,
+    default_per_axis,
     pymax,
     pymin,
     semicontinuity_audit_values,
@@ -342,7 +343,7 @@ def sandwich_select(
     if E is None:
         raise ValueError("sandwich_select needs a domain on f or g")
     if resolution is None:
-        resolution = 129 if E.ambient_dim == 1 else 17
+        resolution = default_per_axis(E.ambient_dim)
     grid = Grid(E, resolution)
     P = grid.points
 

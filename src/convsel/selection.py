@@ -1,13 +1,13 @@
 """Continuous selections of set-valued maps via stratified recursion.
 
 The single-stratum case is the least-norm selection: project the origin
-onto each value.  With k strata the recursion selects on the later
-strata D = C_2 ∪ ... ∪ C_k, extends that partial selection to the whole
-domain componentwise (Tietze over a construction-grid cloud of D, with
-the values baked), subtracts the extension from the map, takes the
-least-norm selection of the shifted map on the open top stratum and zero
-elsewhere, and adds the extension back.  On D the shifted map contains
-the origin, so its least-norm selection vanishes there — that is the
+onto each value.  With k strata the levels are built innermost first, the
+base level on the last stratum; each earlier stratum C1 glues over the
+later ones, D.  A glue level bakes the level inside it once on the
+construction-grid cloud of D, Tietze-extends it componentwise, and has one
+rule: with e the extension at x, the least-norm point of T(x) - e plus e
+on the open top stratum, and e elsewhere.  On D the map minus e contains
+the origin, so that least-norm point vanishes there — that is the
 continuity mechanism across the stratum boundary, and the decay audit
 measures it directly.
 
@@ -31,15 +31,15 @@ from .fields import (
     TAG_CONTINUOUS,
     VectorField,
     Violation,
+    default_per_axis,
 )
 from .maps import (
     Region,
     SetValuedMap,
     Stratification,
-    boundary_cloud,
+    boundary_mask,
     hypothesis_audits,
     region_or,
-    shift,
 )
 from .urysohn import ClosedSet, tietze_extend
 
@@ -58,17 +58,19 @@ def lns_field(map_: SetValuedMap) -> VectorField:
 def extend_componentwise(
     fv, dim: int, cloud: ClosedSet, E: Domain, name: str = ""
 ) -> VectorField:
-    """Tietze-extend a vector function coordinate by coordinate; values
-    over a finite cloud are always bounded, so the plain bounded operator
-    applies."""
+    """Tietze-extend a vector function from a finite cloud coordinate by
+    coordinate, reading ``fv`` once per cloud point; values over a finite
+    cloud are always bounded, so the plain bounded operator applies."""
+    vals = np.array([fv(p) for p in cloud.points], dtype=float).reshape(-1, dim)
     comps = [
-        tietze_extend(
-            lambda x, i=i: float(np.asarray(fv(x), dtype=float)[i]),
-            cloud, E, name=f"{name}[{i}]" if name else "",
-        )
-        for i in range(dim)
+        tietze_extend(None, cloud, E, name=f"{name}[{i}]" if name else "", values=v)
+        for i, v in enumerate(vals.T)
     ]
-    return VectorField.from_components(comps, name=name)
+
+    def rule(x):
+        return np.array([c(x) for c in comps])
+
+    return VectorField(E, dim, rule, tag=TAG_CONTINUOUS, name=name)
 
 
 @dataclass(frozen=True)
@@ -78,10 +80,8 @@ class MichaelLevel:
     total: VectorField
     C1: Region | None = None
     D: Region | None = None
-    partial: VectorField | None = None
     extension: VectorField | None = None
-    shifted: SetValuedMap | None = None
-    glued: VectorField | None = None  # lns of the shifted map on C1, 0 on D
+    glued: VectorField | None = None  # lns of T - extension on C1, 0 on D
 
 
 @dataclass(frozen=True)
@@ -95,61 +95,44 @@ class MichaelTrace:
         return self.levels[-1]
 
 
-def _select(
-    map_: SetValuedMap,
-    strata: tuple,
-    grid: Grid,
-    levels: list,
-) -> VectorField:
-    if len(strata) == 1:
-        h = lns_field(map_)
-        levels.append(MichaelLevel(stratum=strata[0].label, kind="base", total=h))
-        return h
+def _glue_level(map_: SetValuedMap, C1: Region, D: Region, extension) -> MichaelLevel:
+    """The level of C1 over D, whose rule reads T(x) and extension(x) once."""
+    E, m = map_.domain, map_.output_dim
+    zero = np.zeros(m)
 
-    C1 = strata[0]
-    D = region_or(*strata[1:])
-    partial = _select(map_, strata[1:], grid, levels)
+    def glued_at(x, e):
+        return map_.evaluate(x).translate(-e).least_norm() if C1(x) else zero
 
-    pts = grid.points[D.mask(grid.points)]
-    if pts.shape[0] == 0:
-        raise StratificationError(
-            f"strata tail {D.label!r} holds no construction grid point"
+    def rule(x):
+        e = extension(x)
+        return glued_at(x, e) + e
+
+    def field(rule, name):
+        return VectorField(E, m, rule, tag=TAG_CONTINUOUS, name=name)
+
+    glued = field(lambda x: glued_at(x, extension(x)), "glued")
+    total = field(rule, "selection")
+    return MichaelLevel(C1.label, "glue", total, C1, D, extension, glued)
+
+
+def _build_levels(map_: SetValuedMap, strata: tuple, grid: Grid) -> list[MichaelLevel]:
+    """The levels innermost first: the least-norm selection on the last
+    stratum, then a glue level for each earlier stratum, whose extension
+    bakes the total of the level inside it on the tail's grid cloud."""
+    levels = [MichaelLevel(strata[-1].label, "base", lns_field(map_))]
+    for j in range(len(strata) - 2, -1, -1):
+        D = region_or(*strata[j + 1:])
+        pts = grid.points[D.mask(grid.points)]
+        if pts.shape[0] == 0:
+            raise StratificationError(
+                f"strata tail {D.label!r} holds no construction grid point"
+            )
+        extension = extend_componentwise(
+            levels[-1].total, map_.output_dim, ClosedSet.from_cloud(pts), map_.domain,
+            name="partial-extension",
         )
-    extension = extend_componentwise(
-        partial, map_.output_dim, ClosedSet.from_cloud(pts), map_.domain,
-        name="partial-extension",
-    )
-    shifted = shift(map_, extension)
-    shifted_lns = lns_field(shifted)
-    zero = np.zeros(map_.output_dim)
-
-    def glued_rule(x):
-        return shifted_lns(x) if C1(x) else zero
-
-    glued = VectorField(
-        map_.domain, map_.output_dim, glued_rule, tag=TAG_CONTINUOUS, name="glued"
-    )
-
-    def total_rule(x):
-        return glued(x) + extension(x)
-
-    total = VectorField(
-        map_.domain, map_.output_dim, total_rule, tag=TAG_CONTINUOUS, name="selection"
-    )
-    levels.append(
-        MichaelLevel(
-            stratum=C1.label,
-            kind="glue",
-            total=total,
-            C1=C1,
-            D=D,
-            partial=partial,
-            extension=extension,
-            shifted=shifted,
-            glued=glued,
-        )
-    )
-    return total
+        levels.append(_glue_level(map_, strata[j], D, extension))
+    return levels
 
 
 def michael_select(
@@ -169,7 +152,7 @@ def michael_select(
     """
     E = map_.domain
     if resolution is None:
-        resolution = 129 if E.ambient_dim == 1 else 17
+        resolution = default_per_axis(E.ambient_dim)
     grid = Grid(E, resolution)
 
     if not map_.declared_lsc:
@@ -194,14 +177,13 @@ def michael_select(
             report=rep,
         )
 
-    levels: list[MichaelLevel] = []
-    h = _select(map_, tuple(strat.strata), grid, levels)
+    levels = _build_levels(map_, tuple(strat.strata), grid)
     trace = MichaelTrace(
         strata=tuple(r.label for r in strat.strata),
         levels=tuple(levels),
         construction_grid=grid,
     )
-    return h, trace
+    return levels[-1].total, trace
 
 
 def boundary_decay_audit(
@@ -226,11 +208,11 @@ def boundary_decay_audit(
             notes=("single stratum: no boundary to decay toward",),
         )
     for lv in glue_levels:
-        cloud = boundary_cloud(lv.C1, grid)
+        inside = lv.C1.mask(grid.points)
+        cloud = grid.points[boundary_mask(inside, grid)]
         if cloud.shape[0] == 0:
             notes.append(f"{lv.stratum}: boundary invisible at this resolution")
             continue
-        inside = lv.C1.mask(grid.points)
         pts = grid.points[inside]
         checked += pts.shape[0]
         bset = ClosedSet.from_cloud(cloud)

@@ -35,6 +35,7 @@ from convsel.errors import ConvselError, SpecValidationError
 from convsel.fields import (
     DEFAULT_SEED,
     Grid,
+    default_per_axis,
     grid_values,
     modulus_ratios,
     pymax,
@@ -99,7 +100,7 @@ def build_parser() -> _Parser:
 def _eval_grid(spec: ProblemSpec, args) -> Grid:
     per_axis = args.grid
     if per_axis is None:
-        per_axis = 129 if spec.ambient_dim == 1 else 17
+        per_axis = default_per_axis(spec.ambient_dim)
     if per_axis < 2:
         raise SpecValidationError("--grid must be at least 2")
     return Grid(spec.domain, per_axis)

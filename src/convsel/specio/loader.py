@@ -41,7 +41,6 @@ import numpy as np
 from convsel.errors import (
     EvalDomainError,
     ExprSyntaxError,
-    InfeasibleBodyError,
     SpecValidationError,
     UncoveredPointError,
 )
@@ -199,11 +198,11 @@ def _build_interval(spec: dict, path: str, n: int, m: int) -> BodyRule:
 
     def bounds_many(X):
         a, b = lo.many(X), hi.many(X)
-        # Interval's checks, on every row
-        if np.isnan(a).any() or np.isnan(b).any():
-            raise InfeasibleBodyError("interval endpoint is NaN")
-        if (a > b).any() or ((a == b) & np.isinf(a)).any():
-            raise InfeasibleBodyError("interval has no real point")
+        # NaNs compare False, so ``a <= b`` rules them out too
+        ok = (a <= b) & ((a != b) | np.isfinite(a))
+        if not ok.all():
+            i = int(np.argmin(ok))
+            Interval(a[i], b[i])  # raises Interval's error at the first bad row
         return a[:, None], b[:, None]
 
     return BodyRule(lambda x: Interval(lo(x), hi(x)), bounds_many)
@@ -228,11 +227,12 @@ def _build_ball(spec: dict, path: str, n: int, m: int):
 
     def bounds_many(X):
         C = np.column_stack([c.many(X) for c in center])
-        r = radius.many(X)[:, None]
-        # Ball's checks, on every row
-        if (r < 0).any() or not (np.isfinite(C).all() and np.isfinite(r).all()):
-            raise InfeasibleBodyError("ball parameters must be finite, radius >= 0")
-        return C - r, C + r
+        r = radius.many(X)
+        ok = (r >= 0) & np.isfinite(r) & np.isfinite(C).all(axis=1)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            Ball(C[i], r[i])  # raises Ball's error at the first bad row
+        return C - r[:, None], C + r[:, None]
 
     return BodyRule(lambda x: Ball([c(x) for c in center], radius(x)), bounds_many)
 

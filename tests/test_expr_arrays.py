@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SPECS, assert_same_bits, random_ast
-from convsel.errors import EvalDomainError, UncoveredPointError
+from convsel.errors import EvalDomainError, InfeasibleBodyError, UncoveredPointError
 from convsel.fields import Domain, Grid, ScalarField, modulus_ratios
 from convsel.geometry import Interval
 from convsel.maps import EVERYWHERE, Region, SetValuedMap, envelopes, region_or
@@ -228,6 +228,29 @@ def test_coord_bounds_many_raises_at_an_uncovered_point():
         map_.coord_bounds_many(X)
     with pytest.raises(UncoveredPointError):
         map_.evaluate(X[1])
+
+
+@pytest.mark.parametrize("body", [
+    {"interval": {"lo": "1", "hi": "0"}},
+    {"interval": {"lo": "inf", "hi": "inf"}},
+    {"ball": {"center": ["0"], "radius": "-1"}},
+])
+def test_coord_bounds_many_raises_what_evaluate_raises(body):
+    # a crossed interval, [inf, inf] and a negative radius, in a piece that
+    # holds right of the domain [-1, 0], so the load-time check never reads
+    # it: the batch rule raises the body's own error, as evaluate does
+    map_ = load_spec_dict({
+        "ambient_dim": 1, "output_dim": 1,
+        "domain": {"boxes": [{"lo": [-1.0], "hi": [0.0]}]},
+        "pieces": [{"region": ["0 < x1"], "body": body},
+                   {"region": [], "body": {"interval": {"lo": "0", "hi": "1"}}}],
+    }).map
+    x = np.array([0.5])
+    with pytest.raises(InfeasibleBodyError) as want:
+        map_.evaluate(x)
+    with pytest.raises(InfeasibleBodyError) as got:
+        map_.coord_bounds_many(x[None])
+    assert str(got.value) == str(want.value)
 
 
 def test_modulus_ratios_take_the_values_the_caller_holds():

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from convsel import geometry
 from convsel.errors import InfeasibleBodyError, ProjectionError
@@ -96,6 +96,9 @@ def assert_extremes_attained(body: HPolytope, lo, hi, tol: float):
 
 @settings(max_examples=150, deadline=None)
 @given(polytopes())
+# the body is {1}; HiGHS's optimum 1.0000001 for sup y lies 1e-7 outside it
+@example((np.array([[-1.0], [1.0], [1.0]]), np.array([-1.0, 1.0000001, 1.0]),
+          np.array([[0.0]])))
 def test_kernel_matches_fallback(case):
     A, b, Z = case
     fast = build(A, b, kernel=True)

@@ -26,13 +26,13 @@ from convsel.fields import AuditReport, Grid, Violation, constant_field
 from convsel.maps import Region, envelopes
 from convsel.sandwich import region_audit, sandwich_select
 from convsel.specio.loader import load_spec, load_spec_dict
+from golden.capture import HOLE_AT_ONE_32ND
 from reference.sandwich_pointwise import (
     check_glue_point,
     damp_to_safe,
     pointwise_levels,
     pointwise_selection,
 )
-from test_specio import _HOLE_AT_ONE_32ND
 
 FIXTURES = ("s_free", "s_kink", "s_line", "s_mixed", "s_parab", "s_spike")
 
@@ -273,7 +273,7 @@ def test_one_point_matches_the_pointwise_levels(name, specs_dir):
 def test_an_evaluation_error_is_the_pointwise_one():
     # 1/32 is off the construction lattice of 17, so the selection is
     # built; evaluating there divides by zero in the map itself
-    spec = load_spec_dict(json.loads(json.dumps(_HOLE_AT_ONE_32ND)))
+    spec = load_spec_dict(json.loads(json.dumps(HOLE_AT_ONE_32ND)))
     h, trace = select(spec, 17)
     want = raised(pointwise_selection(pointwise_levels(trace)), [0.03125])
     assert want == (EvalDomainError, "division by zero")

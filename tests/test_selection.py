@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_body, sampled_min_norm
 from convsel.errors import AuditError, StratificationError
-from convsel.fields import DEFAULT_SEED, Domain, Grid
+from convsel.fields import DEFAULT_SEED, Domain, Grid, VectorField
 from convsel.geometry import Ball, Interval
 from convsel.maps import (
     EVERYWHERE,
@@ -206,7 +206,37 @@ class TestMichaelSelect:
         assert [lv.kind for lv in trace.levels] == ["base", "glue"]
         outer = trace.outer
         assert outer.C1 is not None and outer.D is not None
-        assert outer.extension is not None and outer.shifted is not None
+        assert outer.extension is not None
+
+
+def counting(field: VectorField, calls: list) -> VectorField:
+    """``field`` with each call's point appended to ``calls``."""
+    def rule(x):
+        calls.append(tuple(x))
+        return field(x)
+
+    return VectorField(field.domain, field.dim, rule, tag=field.tag, name=field.name)
+
+
+def test_each_level_reads_the_partial_and_the_extension_once(monkeypatch):
+    # the moving ball into R^2 over two strata; the tail, the line x1 == 0,
+    # holds 9 points of the construction grid
+    base, ext = [], []
+    real_lns, real_extend = selection.lns_field, selection.extend_componentwise
+    monkeypatch.setattr(selection, "lns_field", lambda map_: counting(real_lns(map_), base))
+    monkeypatch.setattr(
+        selection, "extend_componentwise",
+        lambda *args, **kwargs: counting(real_extend(*args, **kwargs), ext),
+    )
+    h, trace = michael_select(moving_ball_map(), PUNCTURED, resolution=9)
+    tail = [tuple(p) for p in trace.construction_grid.points if p[0] == 0.0]
+    assert len(tail) == 9
+    assert base == tail  # the partial is baked once per cloud point
+    assert ext == []
+    for x in ([0.5, 0.25], [0.0, 0.25]):  # on C1, then on the tail
+        h(x)
+        assert ext == [tuple(x)]
+        ext.clear()
 
 
 def spy_on_hypothesis_audits(monkeypatch, *modules) -> list:

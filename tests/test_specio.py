@@ -1,5 +1,4 @@
 import copy
-import hashlib
 import json
 
 import numpy as np
@@ -9,6 +8,7 @@ from convsel.errors import EvalDomainError, InfeasibleBodyError, SpecValidationE
 from convsel.geometry import Ball, HPolytope, Interval
 from convsel.specio.cli import main
 from convsel.specio.loader import load_spec, load_spec_dict
+from golden.capture import HOLE_AT_ONE_32ND, fixture_names, golden_runs
 
 MINIMAL = {
     "ambient_dim": 1,
@@ -351,24 +351,10 @@ class TestCli:
         assert a.read_text(encoding="utf-8").startswith('{\n  "')
 
 
-# 1/32 is not on the --grid 17 lattice but is on its second halving, so the
-# selection succeeds and only the modulus-ratio sweep meets the bad point
-_HOLE_AT_ONE_32ND = {
-    "ambient_dim": 1,
-    "output_dim": 1,
-    "domain": {"boxes": [{"lo": [-1.0], "hi": [1.0]}]},
-    "pieces": [
-        {"region": [], "body": {"interval": {
-            "lo": "(x1 - 0.03125)/(x1 - 0.03125) - 2", "hi": "1"}}}
-    ],
-    "tags": {"declared_lsc": True, "declared_continuous": True},
-}
-
-
 @pytest.mark.parametrize("command", ["select-sandwich", "select-michael"])
 def test_evaluation_errors_abort_with_a_report(command, tmp_path, capsys):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(_HOLE_AT_ONE_32ND), encoding="utf-8")
+    spec.write_text(json.dumps(HOLE_AT_ONE_32ND), encoding="utf-8")
     report = tmp_path / "report.json"
     out = tmp_path / "h.csv"
     rc = run_cli(command, "--spec", str(spec), "--grid", "17",
@@ -488,55 +474,29 @@ def test_verify_report_matches_the_2d_golden_bytes(specs_dir, tmp_path, monkeypa
     assert report.read_bytes() == golden.read_bytes()
 
 
-def golden_runs(command, names, specs_dir, tmp_path, monkeypatch, capsys) -> dict:
-    """Exit code, CSV and report sha256, stdout and stderr of ``command`` on
-    each fixture in ``names`` at grids 9 and 65, and on the 1/32 hole at 17."""
-    (tmp_path / "hole_at_one_32nd.json").write_text(
-        json.dumps(_HOLE_AT_ONE_32ND), encoding="utf-8")
-    runs = [(specs_dir, name, g) for name in names for g in (9, 65)]
-    runs.append((tmp_path, "hole_at_one_32nd", 17))
-    out, report = tmp_path / "h.csv", tmp_path / "report.json"
-
-    def sha(path):
-        return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
-
-    seen = {}
-    for where, name, grid in runs:
-        monkeypatch.chdir(where)
-        out.unlink(missing_ok=True)
-        report.unlink(missing_ok=True)
-        rc = run_cli(command, "--spec", f"{name}.json", "--grid", str(grid),
-                     "--out", str(out), "--report", str(report))
-        std = capsys.readouterr()
-        seen[f"{name} --grid {grid}"] = {
-            "exit": rc, "csv_sha256": sha(out), "report_sha256": sha(report),
-            "stdout": std.out, "stderr": std.err,
-        }
-    return seen
-
-
 def read_golden(specs_dir, name) -> dict:
     return json.loads((specs_dir.parent / "golden" / name).read_text(encoding="utf-8"))
 
 
-def test_select_sandwich_matches_the_golden_bytes(specs_dir, tmp_path, monkeypatch, capsys):
+def test_select_sandwich_matches_the_golden_bytes(specs_dir):
     # exit code, CSV, report, stdout and stderr of every fixture at two
     # grids, and of the 1/32 hole, whose evaluation error aborts the run
-    names = [p.stem for p in sorted(specs_dir.glob("*.json"))]
-    seen = golden_runs("select-sandwich", names, specs_dir, tmp_path, monkeypatch, capsys)
+    seen = golden_runs("select-sandwich", fixture_names("select-sandwich"), (9, 65))
     assert seen == read_golden(specs_dir, "select_sandwich.json")
 
 
+def test_select_michael_matches_the_golden_bytes(specs_dir):
+    # every fixture at grids 9 and 17 and the 1/32 hole; the golden file
+    # predates the loop that builds the Michael levels
+    seen = golden_runs("select-michael", fixture_names("select-michael"), (9, 17))
+    assert seen == read_golden(specs_dir, "select_michael.json")
+
+
 @pytest.mark.parametrize("command", ["envelopes", "verify"])
-def test_envelope_commands_match_the_golden_bytes(
-    command, specs_dir, tmp_path, monkeypatch, capsys
-):
+def test_envelope_commands_match_the_golden_bytes(command, specs_dir):
     # both evaluate the envelopes through the map's batch rule; the golden
     # files were captured from the point-by-point envelopes
-    names = [
-        p.stem for p in sorted(specs_dir.glob("*.json"))
-        if json.loads(p.read_text(encoding="utf-8"))["output_dim"] == 1
-    ]
+    names = fixture_names(command)
     assert len(names) == 11
-    seen = golden_runs(command, names, specs_dir, tmp_path, monkeypatch, capsys)
+    seen = golden_runs(command, names, (9, 65))
     assert seen == read_golden(specs_dir, f"{command}.json")
