@@ -27,15 +27,7 @@ from convsel.fields import (
     modulus_ratios,
     semicontinuity_audit,
 )
-from convsel.geometry import (
-    Ball,
-    ConvexBody,
-    HPolytope,
-    Interval,
-    coord_bounds,
-    interior_margin,
-    least_norm_point,
-)
+from convsel.geometry import Ball, ConvexBody, HPolytope, Interval
 from convsel.maps import (
     Region,
     SetValuedMap,
@@ -77,15 +69,12 @@ __all__ = [
     "boundary_decay_audit",
     "compress",
     "continuity_audit",
-    "coord_bounds",
     "decompress",
     "dist_to_set",
     "envelopes",
     "errors",
     "graph_sample",
     "hypothesis_audits",
-    "interior_margin",
-    "least_norm_point",
     "lns_field",
     "load_spec",
     "lsc_audit",

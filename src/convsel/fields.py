@@ -15,7 +15,8 @@ grid audit in the package calls it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+import threading
+from dataclasses import KW_ONLY, dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
@@ -259,59 +260,71 @@ class Grid:
 # fields
 
 
-#: What a batch rule may raise where the pointwise rule would raise too;
-#: ``ScalarField.many`` then re-evaluates point by point.
+#: What a batch rule may raise at a row where it fails; the outermost
+#: ``ScalarField.many`` then searches for the first failing row.
 EVAL_ERRORS = (ConvselError, ValueError, ArithmeticError)
+
+
+class _Nesting(threading.local):
+    #: whether a ``ScalarField.many`` call is running further up the stack
+    active = False
+
+
+_nesting = _Nesting()
 
 
 @dataclass(frozen=True)
 class ScalarField:
     """A rule from domain points to extended reals, plus a claimed tag.
 
-    ``rule`` maps one point, shape (n,), to a float.  The optional
-    ``batch`` rule maps an array of points, shape (N, n), to the (N,)
-    array of the values ``rule`` gives, bit for bit; :meth:`many` uses
-    it, and a field built without one is evaluated point by point.
+    ``batch`` maps an array of points, shape (N, n), to the (N,) array of
+    their values; a single point is evaluated as a batch of one row.
     """
 
     domain: Domain | None
-    rule: Callable[[np.ndarray], float]
+    _: KW_ONLY
+    batch: Callable[[np.ndarray], np.ndarray] = dc_field(repr=False, compare=False)
     tag: str = TAG_UNKNOWN
     name: str = ""
-    batch: Callable[[np.ndarray], np.ndarray] | None = dc_field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise TagError(f"unknown tag {self.tag!r}")
 
     def __call__(self, x) -> float:
-        v = float(self.rule(np.asarray(x, dtype=float)))
+        v = float(self.batch(np.asarray(x, dtype=float)[None])[0])
         if math.isnan(v):
             raise ValueError(f"field {self.name or '<anon>'} returned NaN")
         return v
 
-    def many(self, X) -> np.ndarray:
-        """Values at every row of ``X`` (shape (N, n)) as an (N,) array.
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        out = np.asarray(self.batch(X), dtype=float)
+        if np.isnan(out).any():
+            raise ValueError(f"field {self.name or '<anon>'} returned NaN")
+        return out
 
-        The result equals ``[self(x) for x in X]`` bit for bit, and so do
-        the errors: when the batch rule raises or yields NaN, the points
-        are evaluated one by one, so the first point that fails raises
-        what ``self(x)`` raises there.
+    def many(self, X) -> np.ndarray:
+        """Values at every row of ``X`` (shape (N, n)) as an (N,) array,
+        equal to ``[self(x) for x in X]`` bit for bit.
+
+        When the batch raises or yields NaN, the outermost ``many`` on the
+        stack evaluates the rows one by one, so the first row that fails
+        raises what ``self(x)`` raises there; a ``many`` called inside
+        another field's batch raises at once and leaves the search to it.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise DimensionMismatchError(f"many needs points of shape (N, n), got {X.shape}")
-        if self.batch is not None:
-            try:
-                out = np.asarray(self.batch(X), dtype=float)
-            except EVAL_ERRORS:
-                pass
-            else:
-                if not np.isnan(out).any():
-                    return out
-        return np.fromiter((self(x) for x in X), dtype=float, count=X.shape[0])
+        if _nesting.active:
+            return self._values(X)
+        _nesting.active = True
+        try:
+            return self._values(X)
+        except EVAL_ERRORS:
+            rows = (self._values(x[None])[0] for x in X)
+            return np.fromiter(rows, dtype=float, count=X.shape[0])
+        finally:
+            _nesting.active = False
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         return add(self, other)
@@ -343,10 +356,9 @@ class VectorField:
 
 
 def constant_field(domain: Domain | None, value: float, name: str = "") -> ScalarField:
-    v = _as_extended(value)
+    row = np.array([_as_extended(value)])
     return ScalarField(
-        domain, lambda x: v, tag=TAG_CONTINUOUS, name=name,
-        batch=lambda X: np.full(X.shape[0], v),
+        domain, batch=lambda X: row.repeat(X.shape[0]), tag=TAG_CONTINUOUS, name=name
     )
 
 
@@ -388,27 +400,16 @@ def add(a: ScalarField, b: ScalarField) -> ScalarField:
     tag; adding a continuous function preserves either tag.  Evaluation
     raises if the two sides contribute opposite infinities at a point.
     """
-    tag = _sum_tag(a.tag, b.tag)
-    dom = a.domain if a.domain is not None else b.domain
-
-    def rule(x):
-        va, vb = a(x), b(x)
-        s = va + vb
-        if math.isnan(s):
-            raise IndeterminateSumError(f"(+inf) + (-inf) at {x!r}")
-        return s
-
     return ScalarField(
-        dom, rule, tag=tag, batch=lambda X: sum_values(a.many(X), b.many(X))
+        a.domain if a.domain is not None else b.domain,
+        batch=lambda X: sum_values(a.many(X), b.many(X)),
+        tag=_sum_tag(a.tag, b.tag),
     )
 
 
 def negate(a: ScalarField) -> ScalarField:
     flip = {TAG_UPPER: TAG_LOWER, TAG_LOWER: TAG_UPPER}
-    return ScalarField(
-        a.domain, lambda x: -a(x), tag=flip.get(a.tag, a.tag),
-        batch=lambda X: -a.many(X),
-    )
+    return ScalarField(a.domain, batch=lambda X: -a.many(X), tag=flip.get(a.tag, a.tag))
 
 
 def compress_field(f: ScalarField) -> ScalarField:
@@ -418,9 +419,10 @@ def compress_field(f: ScalarField) -> ScalarField:
     ``np.hypot`` may differ in the last bit.
     """
     return ScalarField(
-        f.domain, lambda x: squash(f(x)), tag=f.tag,
-        name=f"squash({f.name})" if f.name else "",
+        f.domain,
         batch=lambda X: np.array([squash(v) for v in f.many(X).tolist()]),
+        tag=f.tag,
+        name=f"squash({f.name})" if f.name else "",
     )
 
 

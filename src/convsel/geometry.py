@@ -552,31 +552,6 @@ class HPolytope(ConvexBody):
         return f"HPolytope({self.A.shape[0]} halfspaces, dim={self.dim})"
 
 
-# -- functional aliases matching the rest of the package's call style -------
-
-
-def contains(body: ConvexBody, y, tol: float = CONTAINS_TOL) -> bool:
-    return body.contains(y, tol)
-
-
-def distance(body: ConvexBody, y) -> float:
-    return body.distance(y)
-
-
-def least_norm_point(body: ConvexBody) -> np.ndarray:
-    return body.least_norm()
-
-
-def coord_bounds(body: ConvexBody, axis: int) -> tuple[float, float]:
-    lo, hi = body.coord_bounds()
-    if not 0 <= axis < body.dim:
-        raise DimensionMismatchError(f"axis {axis} out of range for dim {body.dim}")
-    return float(lo[axis]), float(hi[axis])
-
-def interior_margin(body: ConvexBody, y) -> float:
-    return body.boundary_margin(y)
-
-
 def sample(body: ConvexBody, k: int, rng: np.random.Generator) -> np.ndarray:
     """``k`` feasible points: rejection inside the body's bounding box,
     topped up with projections of leftover proposals when the body is thin

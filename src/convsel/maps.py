@@ -94,12 +94,6 @@ def region_or(*rs: Region) -> Region:
     )
 
 
-def boundary_cloud(region: Region, grid: Grid) -> np.ndarray:
-    """Grid realization of the boundary of an open region: the points
-    outside it that touch it along a grid edge."""
-    return grid.points[boundary_mask(region.mask(grid.points), grid)]
-
-
 def boundary_mask(inside: np.ndarray, grid: Grid) -> np.ndarray:
     """Which grid points lie outside the mask ``inside`` but share a grid
     edge with a point inside it."""
@@ -240,20 +234,11 @@ def envelopes(map_: SetValuedMap) -> tuple[ScalarField, ScalarField]:
     if map_.output_dim != 1:
         raise DimensionMismatchError("envelopes need a map into R^1")
 
-    def lo_rule(x):
-        lo, _ = map_.evaluate(x).coord_bounds()
-        return float(lo[0])
-
-    def hi_rule(x):
-        _, hi = map_.evaluate(x).coord_bounds()
-        return float(hi[0])
-
-    tag_lo = TAG_UPPER if map_.declared_lsc else TAG_UNKNOWN
-    tag_hi = TAG_LOWER if map_.declared_lsc else TAG_UNKNOWN
-    f = ScalarField(map_.domain, lo_rule, tag=tag_lo, name=f"inf({map_.name})",
-                    batch=lambda X: map_.coord_bounds_many(X)[0][:, 0])
-    g = ScalarField(map_.domain, hi_rule, tag=tag_hi, name=f"sup({map_.name})",
-                    batch=lambda X: map_.coord_bounds_many(X)[1][:, 0])
+    lsc = map_.declared_lsc
+    f = ScalarField(map_.domain, batch=lambda X: map_.coord_bounds_many(X)[0][:, 0],
+                    tag=TAG_UPPER if lsc else TAG_UNKNOWN, name=f"inf({map_.name})")
+    g = ScalarField(map_.domain, batch=lambda X: map_.coord_bounds_many(X)[1][:, 0],
+                    tag=TAG_LOWER if lsc else TAG_UNKNOWN, name=f"sup({map_.name})")
     return f, g
 
 

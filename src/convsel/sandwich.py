@@ -124,15 +124,6 @@ class SandwichTrace:
         return self.levels[-1]
 
 
-def _batch_field(E: Domain, batch: Callable, name: str) -> ScalarField:
-    """A continuous field given by its batch rule alone: one point is
-    evaluated as a batch of one row, so ``f(x)`` and ``f.many`` (its
-    point-by-point fallback included) run the same code."""
-    return ScalarField(
-        E, lambda x: batch(x[None])[0], tag=TAG_CONTINUOUS, name=name, batch=batch
-    )
-
-
 def _midpoint_pass(P: np.ndarray, fP: np.ndarray, gP: np.ndarray) -> dict:
     """The base level on arrays: the midpoint (f + g)/2 at every row of P,
     which needs finite (compressed) envelopes."""
@@ -304,9 +295,10 @@ def _build_levels(
         def batch(X):
             return arrays(X, f_c.many(X), g_c.many(X))["total"]
 
-        return SandwichLevel(
-            label, kind, arrays, _batch_field(grid.domain, batch, f"total[{label}]")
+        total = ScalarField(
+            grid.domain, batch=batch, tag=TAG_CONTINUOUS, name=f"total[{label}]"
         )
+        return SandwichLevel(label, kind, arrays, total)
 
     levels = [level(strat.strata[-1].label, "base", _midpoint_pass)]
     a = _midpoint_pass(grid.points, fP, gP)
@@ -404,7 +396,7 @@ def sandwich_select(
         f_compressed=f_c,
         g_compressed=g_c,
     )
-    return _batch_field(E, h_batch, "sandwich"), trace
+    return ScalarField(E, batch=h_batch, tag=TAG_CONTINUOUS, name="sandwich"), trace
 
 
 def region_audit(trace: SandwichTrace, grid: Grid) -> AuditReport:

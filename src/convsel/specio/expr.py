@@ -26,9 +26,9 @@ operand Python's do (:func:`convsel.fields.pymin`).  ``^`` does not use
 last bit for some bases (``x = -0.3902108345010009``: ``x**2`` is
 ``0.15226449536196754``, ``np.power(x, 2)`` is ``0.1522644953619675``);
 it raises the Python floats of an object array, which gives Python's
-bits and exceptions.  Wherever the pointwise rule would raise at some
-row, ``many`` raises :class:`EvalDomainError`; callers that need the
-exact error of the first failing point re-evaluate pointwise.
+bits and exceptions.  Wherever :func:`evaluate` would raise at some row,
+``many`` raises :class:`EvalDomainError`, with its message on one row;
+callers that need the first failing row's error search row by row.
 """
 
 from __future__ import annotations
@@ -253,6 +253,13 @@ def parse_expr(source: str) -> Node:
 # --- evaluation -----------------------------------------------------------
 
 
+def _pow(v: float, exponent: int) -> float:
+    try:
+        return float(v**exponent)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise EvalDomainError(f"cannot raise {v} to power {exponent}") from exc
+
+
 def evaluate(node: Node, point) -> float:
     """Evaluate ``node`` at ``point`` (a sequence of coordinates)."""
     if isinstance(node, Const):
@@ -274,11 +281,7 @@ def evaluate(node: Node, point) -> float:
             raise EvalDomainError(f"sqrt of negative value {v}")
         return math.sqrt(v)
     if isinstance(node, Pow):
-        v = evaluate(node.base, point)
-        try:
-            return float(v**node.exponent)
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise EvalDomainError(f"cannot raise {v} to power {node.exponent}") from exc
+        return _pow(evaluate(node.base, point), node.exponent)
     lhs = evaluate(node.lhs, point)
     rhs = evaluate(node.rhs, point)
     if node.op == "add":
@@ -322,8 +325,10 @@ def evaluate_many(node: Node, X: np.ndarray) -> np.ndarray:
         v = evaluate_many(node.base, X)
         try:
             return (v.astype(object) ** node.exponent).astype(float)
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise EvalDomainError(f"cannot raise to power {node.exponent}") from exc
+        except (ZeroDivisionError, OverflowError):
+            for base in v.tolist():  # name the base of the first failing row
+                _pow(base, node.exponent)
+            raise
     lhs = evaluate_many(node.lhs, X)
     rhs = evaluate_many(node.rhs, X)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, as in Python

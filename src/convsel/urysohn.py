@@ -10,9 +10,10 @@ least 2 (the ratio is >= 1) and the nearest-point term is at most
 f~(a*) + 1, so F lands in [1, 2] and the extension respects the original
 bounds no matter how crude they are.  Over point components the infimum
 is an exact finite minimum with the data values baked at construction
-time -- important for pipelines that extend, subtract are extend again,
+time -- important for pipelines that extend, subtract and extend again,
 since evaluation then never re-enters the extended function.  Over box
-components it is a nested coordinate search per box.
+components it is a nested coordinate search per box.  Every field here is
+a batch rule; the Tietze batch covers clouds and boxes alike.
 """
 
 from __future__ import annotations
@@ -100,6 +101,10 @@ class ClosedSet:
         if self.is_empty:
             raise EmptySetError("distance to the empty set")
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != self.ambient_dim:
+            raise DimensionMismatchError(
+                f"point has dim {X.shape[1]}, set has dim {self.ambient_dim}"
+            )
         best = np.full(X.shape[0], math.inf)
         for lo, hi in self.boxes:
             d = np.linalg.norm(np.clip(X, lo, hi) - X, axis=1)
@@ -114,22 +119,14 @@ class ClosedSet:
 
 
 def dist_to_set(A: ClosedSet, x) -> float:
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    if x.shape[1] != A.ambient_dim:
-        raise DimensionMismatchError(
-            f"point has dim {x.shape[1]}, set has dim {A.ambient_dim}"
-        )
-    return float(A.dist_many(x)[0])
+    return float(A.dist_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 def dist_field(A: ClosedSet, domain: Domain | None = None, name: str = "") -> ScalarField:
     """The (1-Lipschitz, hence continuous) distance-to-A field."""
     if A.is_empty:
         raise EmptySetError("distance field of the empty set")
-    return ScalarField(
-        domain, lambda x: dist_to_set(A, x), tag=TAG_CONTINUOUS, name=name or "dist",
-        batch=A.dist_many,
-    )
+    return ScalarField(domain, batch=A.dist_many, tag=TAG_CONTINUOUS, name=name or "dist")
 
 
 def set_distance(A: ClosedSet, B: ClosedSet) -> float:
@@ -164,12 +161,11 @@ def separator(
     if set_distance(A1, A2) <= 0.0:
         raise OverlapError("separator sets intersect")
 
-    def rule(x):
-        d1 = dist_to_set(A1, x)
-        d2 = dist_to_set(A2, x)
+    def batch(X):
+        d1, d2 = A1.dist_many(X), A2.dist_many(X)
         return d1 / (d1 + d2)
 
-    return ScalarField(domain, rule, tag=TAG_CONTINUOUS, name="separator")
+    return ScalarField(domain, batch=batch, tag=TAG_CONTINUOUS, name="separator")
 
 
 def _nested_min(fun, lo: np.ndarray, hi: np.ndarray, tol: float = SEARCH_TOL) -> float:
@@ -234,13 +230,15 @@ def tietze_extend(
     that snaps to the cloud without a cloud point within the snap then
     raises the batch rule's ``ValueError``.
 
-    The extension has a batch rule when A is a finite cloud: one distance
-    query per batch and the ratios in blocks of the element budget, with
-    the pointwise formulas, so ``many`` matches ``__call__`` bit for bit.
-    Over box components it is evaluated point by point.
+    The batch rule makes one distance query per batch and takes the
+    ratios to the cloud in blocks of the element budget; over box
+    components it adds each row's nested coordinate search, and a row
+    within the snap of a box but of no cloud point reads ``f``.
     """
     if A.is_empty:
         raise EmptySetError("cannot extend from the empty set")
+    if A.boxes and f is None:
+        raise ValueError("tietze_extend over box components needs f")
     cloud = A._cloud
     if values is not None:
         baked = np.array(values, dtype=float).reshape(-1)
@@ -271,50 +269,39 @@ def tietze_extend(
     scaled = 1.0 + np.clip((baked - lo) / span, 0.0, 1.0) if baked.size else baked
     boxes = A.boxes
 
-    def rule(x):
-        x = np.asarray(x, dtype=float)
-        d = float(A.dist_many(x.reshape(1, -1))[0])
-        if d <= MEMBERSHIP_SNAP:
-            if cloud.shape[0]:
-                gaps = np.linalg.norm(cloud - x, axis=1)
-                k = int(np.argmin(gaps))
-                if gaps[k] <= MEMBERSHIP_SNAP:
-                    return float(baked[k])
-            if f is None:
-                raise ValueError(_SNAP_MISS)
-            return float(f(x))
-        best = math.inf
-        if cloud.shape[0]:
-            ratios = np.linalg.norm(cloud - x, axis=1) / d
-            best = float(np.min(scaled + ratios))
-        for blo, bhi in boxes:
-            g = lambda a: 1.0 + min(max((float(f(a)) - lo) / span, 0.0), 1.0) + float(
-                np.linalg.norm(x - a)
-            ) / d
-            best = min(best, _nested_min(g, blo, bhi))
-        F = min(max(best - 1.0, 1.0), 2.0)
-        return lo + (F - 1.0) * span
-
     def batch(P):
         d = A.dist_many(P)
         out = np.empty(P.shape[0])
         near = np.flatnonzero(d <= MEMBERSHIP_SNAP)
         far = np.flatnonzero(d > MEMBERSHIP_SNAP)
-        for rows in _row_blocks(near.size, cloud):
-            idx = near[rows]
-            gaps = np.linalg.norm(cloud[None, :, :] - P[idx, None, :], axis=2)
-            k = np.argmin(gaps, axis=1)
-            if not np.all(gaps[np.arange(idx.size), k] <= MEMBERSHIP_SNAP):
+        best = np.full(far.size, math.inf)  # the infimum of the formula
+        missed = near
+        if cloud.shape[0]:
+            hit = np.empty(near.size, dtype=bool)
+            for rows in _row_blocks(near.size, cloud):
+                idx = near[rows]
+                gaps = np.linalg.norm(cloud[None, :, :] - P[idx, None, :], axis=2)
+                k = np.argmin(gaps, axis=1)
+                hit[rows] = gaps[np.arange(idx.size), k] <= MEMBERSHIP_SNAP
+                out[idx] = baked[k]
+            missed = near[~hit]
+            for rows in _row_blocks(far.size, cloud):
+                idx = far[rows]
+                ratios = np.linalg.norm(cloud[None, :, :] - P[idx, None, :], axis=2) / d[idx, None]
+                best[rows] = np.min(scaled + ratios, axis=1)
+        for i in missed:
+            if f is None:
                 raise ValueError(_SNAP_MISS)
-            out[idx] = baked[k]
-        for rows in _row_blocks(far.size, cloud):
-            idx = far[rows]
-            ratios = np.linalg.norm(cloud[None, :, :] - P[idx, None, :], axis=2) / d[idx, None]
-            F = np.minimum(np.maximum(np.min(scaled + ratios, axis=1) - 1.0, 1.0), 2.0)
-            out[idx] = lo + (F - 1.0) * span
+            out[i] = float(f(P[i]))
+        for blo, bhi in boxes:
+            for j, i in enumerate(far):
+                x, di = P[i], float(d[i])
+                g = lambda a: 1.0 + min(max((float(f(a)) - lo) / span, 0.0), 1.0) + float(
+                    np.linalg.norm(x - a)
+                ) / di
+                best[j] = min(best[j], _nested_min(g, blo, bhi))
+        F = np.minimum(np.maximum(best - 1.0, 1.0), 2.0)
+        out[far] = lo + (F - 1.0) * span
         return out
 
-    return ScalarField(
-        X, rule, tag=TAG_CONTINUOUS, name=name or "tietze",
-        batch=None if boxes else batch,
-    )
+    return ScalarField(X, batch=batch, tag=TAG_CONTINUOUS, name=name or "tietze")

@@ -4,7 +4,7 @@
 
 runs ``convsel <command>`` from this checkout on every fixture of
 ``tests/specs`` (those into R^1 for ``envelopes`` and ``verify``) at each
-grid, and on :data:`HOLE_AT_ONE_32ND` at grid 17, and writes the exit code,
+grid, and on each spec of :data:`HOLES` at grid 17, and writes the exit code,
 the CSV and report sha256, stdout and stderr of every run to
 ``tests/golden/<command>.json`` (dashes as underscores).  The golden tests
 call :func:`golden_runs` the same way and compare with that file.
@@ -43,6 +43,18 @@ HOLE_AT_ONE_32ND = {
     "tags": {"declared_lsc": True, "declared_continuous": True},
 }
 
+# the same hole made by ``^``: the floor's error names the base at 1/32
+POW_HOLE_AT_ONE_32ND = {
+    **HOLE_AT_ONE_32ND,
+    "pieces": [
+        {"region": [], "body": {"interval": {
+            "lo": "0*(x1 - 0.03125)^-1 - 2", "hi": "1"}}}
+    ],
+}
+
+#: Specs captured at grid 17 besides the fixtures, by file stem.
+HOLES = {"hole_at_one_32nd": HOLE_AT_ONE_32ND, "pow_hole_at_one_32nd": POW_HOLE_AT_ONE_32ND}
+
 #: Commands that read the envelopes, which exist for maps into R^1 only.
 ENVELOPE_COMMANDS = ("envelopes", "verify")
 
@@ -59,17 +71,17 @@ def fixture_names(command: str) -> list[str]:
 
 def golden_runs(command: str, names, grids) -> dict:
     """Exit code, CSV and report sha256, stdout and stderr of ``command`` on
-    each fixture in ``names`` at each of ``grids``, and on the 1/32 hole at
-    17.  Each run starts in the fixture's directory, with stdout and stderr
-    redirected and warnings recorded, not printed."""
+    each fixture in ``names`` at each of ``grids``, and on each of
+    :data:`HOLES` at 17.  Each run starts in the fixture's directory, with
+    stdout and stderr redirected and warnings recorded, not printed."""
     seen = {}
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "hole_at_one_32nd.json").write_text(
-            json.dumps(HOLE_AT_ONE_32ND), encoding="utf-8")
         runs = [(SPECS, name, g) for name in names for g in grids]
-        runs.append((tmp, "hole_at_one_32nd", 17))
+        for name, spec in HOLES.items():
+            (tmp / f"{name}.json").write_text(json.dumps(spec), encoding="utf-8")
+            runs.append((tmp, name, 17))
         out, report = tmp / "h.csv", tmp / "report.json"
 
         def sha(path):

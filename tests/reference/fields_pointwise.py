@@ -1,0 +1,123 @@
+"""Scalar fields one point at a time: a field lifted from a per-point rule,
+the field operators, and the per-point formulas of the distance, Tietze
+and envelope fields, the oracles that ``convsel``'s batch rules must
+reproduce bit for bit."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from convsel.errors import IndeterminateSumError
+from convsel.fields import (
+    TAG_CONTINUOUS,
+    TAG_LOWER,
+    TAG_UNKNOWN,
+    TAG_UPPER,
+    ScalarField,
+    _as_extended,
+    _sum_tag,
+    squash,
+)
+from convsel.urysohn import MEMBERSHIP_SNAP, ClosedSet, _box_extremes, _nested_min
+
+
+def lift(domain, rule, tag: str = TAG_UNKNOWN, name: str = "") -> ScalarField:
+    """The field of a per-point rule: its batch applies ``rule`` row by
+    row, so the first row that fails raises."""
+
+    def batch(X):
+        return np.fromiter((float(rule(x)) for x in X), dtype=float, count=X.shape[0])
+
+    return ScalarField(domain, batch=batch, tag=tag, name=name)
+
+
+def constant_field(domain, value: float, name: str = "") -> ScalarField:
+    v = _as_extended(value)
+    return lift(domain, lambda x: v, tag=TAG_CONTINUOUS, name=name)
+
+
+def add(a: ScalarField, b: ScalarField) -> ScalarField:
+    """a + b, raising where the two sides are opposite infinities."""
+
+    def rule(x):
+        s = a(x) + b(x)
+        if math.isnan(s):
+            raise IndeterminateSumError("(+inf) + (-inf) in a field sum")
+        return s
+
+    return lift(a.domain if a.domain is not None else b.domain, rule, tag=_sum_tag(a.tag, b.tag))
+
+
+def negate(a: ScalarField) -> ScalarField:
+    flip = {TAG_UPPER: TAG_LOWER, TAG_LOWER: TAG_UPPER}
+    return lift(a.domain, lambda x: -a(x), tag=flip.get(a.tag, a.tag))
+
+
+def compress_field(f: ScalarField) -> ScalarField:
+    return lift(f.domain, lambda x: squash(f(x)), tag=f.tag,
+                name=f"squash({f.name})" if f.name else "")
+
+
+def dist_pointwise(A: ClosedSet, x) -> float:
+    """Distance from ``x`` to A, one component at a time."""
+    x = np.asarray(x, dtype=float)
+    best = math.inf
+    for lo, hi in A.boxes:
+        best = min(best, math.sqrt(float(np.sum((np.clip(x, lo, hi) - x) ** 2))))
+    if A.points:
+        cloud = np.asarray(A.points, dtype=float)
+        best = min(best, math.sqrt(float(np.min(np.sum((x - cloud) ** 2, axis=1)))))
+    return best
+
+
+def tietze_pointwise(f, A: ClosedSet, lo=None, hi=None, values=None) -> ScalarField:
+    """Hausdorff's formula for the extension of ``f`` from A, evaluated
+    at one point: the values at A's points baked (or ``values``), the
+    bounds those of the data unless given, the infimum over each box a
+    nested coordinate search."""
+    cloud = np.asarray(A.points, dtype=float).reshape(-1, A.ambient_dim)
+    if values is None:
+        values = [float(f(p)) for p in cloud]
+    baked = np.array(values, dtype=float).reshape(-1)
+    data = [*baked.tolist(), *(v for blo, bhi in A.boxes for v in _box_extremes(f, blo, bhi))]
+    lo = min(data) if lo is None else float(lo)
+    hi = max(data) if hi is None else float(hi)
+    span = hi - lo
+    scaled = 1.0 + np.clip((baked - lo) / span, 0.0, 1.0)
+
+    def rule(x):
+        d = dist_pointwise(A, x)
+        if d <= MEMBERSHIP_SNAP:
+            if cloud.shape[0]:
+                gaps = np.linalg.norm(cloud - x, axis=1)
+                k = int(np.argmin(gaps))
+                if gaps[k] <= MEMBERSHIP_SNAP:
+                    return float(baked[k])
+            if f is None:
+                raise ValueError("a snapped point has no cloud point within the snap")
+            return float(f(x))
+        best = math.inf
+        if cloud.shape[0]:
+            ratios = np.linalg.norm(cloud - x, axis=1) / d
+            best = float(np.min(scaled + ratios))
+        for blo, bhi in A.boxes:
+            g = lambda a: 1.0 + min(max((float(f(a)) - lo) / span, 0.0), 1.0) + float(
+                np.linalg.norm(x - a)
+            ) / d
+            best = min(best, _nested_min(g, blo, bhi))
+        F = min(max(best - 1.0, 1.0), 2.0)
+        return lo + (F - 1.0) * span
+
+    return lift(None, rule, tag=TAG_CONTINUOUS, name="tietze")
+
+
+def envelopes_pointwise(map_) -> tuple[ScalarField, ScalarField]:
+    """(inf T, sup T) from ``map_.evaluate(x).coord_bounds()`` at each point."""
+    lsc = map_.declared_lsc
+    f = lift(map_.domain, lambda x: map_.evaluate(x).coord_bounds()[0][0],
+             tag=TAG_UPPER if lsc else TAG_UNKNOWN, name=f"inf({map_.name})")
+    g = lift(map_.domain, lambda x: map_.evaluate(x).coord_bounds()[1][0],
+             tag=TAG_LOWER if lsc else TAG_UNKNOWN, name=f"sup({map_.name})")
+    return f, g

@@ -22,14 +22,11 @@ from convsel.fields import (
     Grid,
     ScalarField,
     TAG_CONTINUOUS,
-    add,
-    compress_field,
-    constant_field,
-    negate,
     unsquash,
 )
 from convsel.maps import Region, region_or
 from convsel.sandwich import EQUALITY_TOL, STRICT_GAP
+from reference.fields_pointwise import add, compress_field, constant_field, lift, negate
 
 
 def region_not(r: Region) -> Region:
@@ -53,7 +50,7 @@ def base_midpoint(f: ScalarField, g: ScalarField, domain: Domain | None = None) 
             )
         return 0.5 * (vf + vg)
 
-    return ScalarField(domain or f.domain, rule, tag=TAG_CONTINUOUS, name="midpoint")
+    return lift(domain or f.domain, rule, tag=TAG_CONTINUOUS, name="midpoint")
 
 
 def check_glue_point(x, vf: float, vg: float):
@@ -105,7 +102,7 @@ def equalizer_glue(
             return f1(x)
         raise UncoveredPointError(f"{np.asarray(x).tolist()} is outside (E∖U) ∪ X")
 
-    h2 = ScalarField(E, rule, tag=TAG_CONTINUOUS, name="equalizer-glue")
+    h2 = lift(E, rule, tag=TAG_CONTINUOUS, name="equalizer-glue")
     return h2, X
 
 
@@ -133,7 +130,7 @@ def interior_adjust(
             return max(vg - eta2(x), mid)
         raise UncoveredPointError(f"{np.asarray(x).tolist()} is outside S")
 
-    return ScalarField(domain or f.domain, rule, tag=TAG_CONTINUOUS, name="interior-adjust")
+    return lift(domain or f.domain, rule, tag=TAG_CONTINUOUS, name="interior-adjust")
 
 
 def damp_to_safe(
@@ -165,14 +162,14 @@ def damp_to_safe(
             )
         return phi_w / tot
 
-    delta = ScalarField(f.domain, delta_rule, tag=TAG_CONTINUOUS, name="delta")
+    delta = lift(f.domain, delta_rule, tag=TAG_CONTINUOUS, name="delta")
 
     def h_rule(x):
         if S(x):
             return h5(x)
         return delta(x) * h5(x)
 
-    h = ScalarField(f.domain, h_rule, tag=TAG_CONTINUOUS, name="damped-glue")
+    h = lift(f.domain, h_rule, tag=TAG_CONTINUOUS, name="damped-glue")
     return h, delta, W
 
 
@@ -245,7 +242,7 @@ def pointwise_selection(levels: list[PointwiseLevel]) -> ScalarField:
     h_c = levels[-1].total
     lo = -1.0 + STRICTNESS_MARGIN
     hi = 1.0 - STRICTNESS_MARGIN
-    return ScalarField(
+    return lift(
         h_c.domain, lambda x: unsquash(min(max(h_c(x), lo), hi)),
         tag=TAG_CONTINUOUS, name="sandwich",
     )

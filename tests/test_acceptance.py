@@ -18,7 +18,6 @@ from convsel.errors import EvalDomainError, ExprSyntaxError
 from convsel.fields import (
     Domain,
     Grid,
-    ScalarField,
     TAG_CONTINUOUS,
     compress,
     constant_field,
@@ -42,6 +41,7 @@ from convsel.specio.cli import main as cli_main
 from convsel.specio.expr import evaluate, parse_expr
 from convsel.specio.loader import load_spec
 from convsel.urysohn import ClosedSet, dist_field, separator, tietze_extend
+from reference.fields_pointwise import lift
 
 SPECS = Path(__file__).parent / "specs"
 
@@ -237,7 +237,7 @@ def test_criterion_4_tietze_instances():
     E1 = Domain(1, boxes=(((-1.0,), (2.0,)),))
     A1 = ClosedSet.from_cloud(np.array([[0.0], [1.0]]))
     g1 = tietze_extend(
-        ScalarField(E1, lambda x: x[0], tag=TAG_CONTINUOUS), A1, E1
+        lift(E1, lambda x: x[0], tag=TAG_CONTINUOUS), A1, E1
     )
     check("two-point", g1, [[0.0], [1.0]], [0.0, 1.0], E1, 33, 0.0, 1.0)
     if abs(g1([0.5])) > 1e-10:
@@ -247,7 +247,7 @@ def test_criterion_4_tietze_instances():
     E2 = Domain(1, boxes=(((-3.0,), (3.0,)),))
     A2 = ClosedSet(1, boxes=(((-1.0,), (1.0,)),))
     g2 = tietze_extend(
-        ScalarField(E2, lambda x: x[0] ** 2, tag=TAG_CONTINUOUS), A2, E2
+        lift(E2, lambda x: x[0] ** 2, tag=TAG_CONTINUOUS), A2, E2
     )
     anchors2 = [[v] for v in np.linspace(-1, 1, 9)]
     check("parabola", g2, anchors2, [v[0] ** 2 for v in anchors2], E2, 33, 0.0, 1.0)
@@ -256,7 +256,7 @@ def test_criterion_4_tietze_instances():
     E3 = Domain(2, boxes=(((0.0, 0.0), (1.0, 1.0)),))
     A3 = ClosedSet.from_cloud(np.array([[0.0, 0.0], [1.0, 1.0]]))
     g3 = tietze_extend(
-        ScalarField(E3, lambda x: x[0], tag=TAG_CONTINUOUS), A3, E3
+        lift(E3, lambda x: x[0], tag=TAG_CONTINUOUS), A3, E3
     )
     check("diagonal-cloud", g3, [[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0], E3, 9, 0.0, 1.0)
 

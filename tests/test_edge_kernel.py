@@ -24,7 +24,6 @@ from convsel.fields import (
     TAG_UPPER,
     Domain,
     Grid,
-    ScalarField,
     Violation,
     confirmed_edges,
     default_eps,
@@ -46,6 +45,7 @@ from convsel.maps import (
 from convsel.specio.loader import load_spec
 
 from conftest import SPECS
+from reference.fields_pointwise import lift
 
 FIXTURES = sorted(p.stem for p in SPECS.glob("*.json"))
 
@@ -409,7 +409,7 @@ def test_field_audit_evaluates_only_the_mask_and_raises_as_pointwise():
             raise EvalDomainError(f"bad point {x[0]}")
         return x[0]
 
-    f = ScalarField(grid.domain, rule, tag=TAG_CONTINUOUS)
+    f = lift(grid.domain, rule, tag=TAG_CONTINUOUS)
     mask = grid.points[:, 0] <= 0.5
     assert semicontinuity_audit(f, grid, mask=mask).passed
     with pytest.raises(EvalDomainError, match="bad point 0.625"):

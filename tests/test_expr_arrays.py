@@ -4,8 +4,8 @@
 row and raise wherever ``evaluate`` raises at some row; a region's batch
 predicate must give its pointwise mask, with the loader's short-circuit;
 ``SetValuedMap.coord_bounds_many`` must give ``evaluate(x).coord_bounds()``
-at every row.  Where a batch raises, the fields fall back to the pointwise
-path, whose first failing point names the error.
+at every row.  Where a batch raises, a field searches its rows one at a
+time, and the first failing row names the error, as ``evaluate`` does.
 """
 
 import json
@@ -22,6 +22,8 @@ from convsel.geometry import Interval
 from convsel.maps import EVERYWHERE, Region, SetValuedMap, envelopes, region_or
 from convsel.specio import compile_expr, load_spec, load_spec_dict, parse_expr
 from convsel.specio.expr import evaluate
+from golden.capture import HOLES
+from reference.fields_pointwise import envelopes_pointwise
 
 LINE = Domain(1, boxes=(((-1.0,), (1.0,)),))
 
@@ -107,14 +109,30 @@ def test_each_domain_error_raises_and_the_field_names_the_first_failing_point(
     c = compile_expr(parse_expr(source))
     with pytest.raises(EvalDomainError, match=message):
         c.many(X)
-    field = ScalarField(None, c, batch=c.many)
+    field = ScalarField(None, batch=c.many)
     with pytest.raises(EvalDomainError) as pointwise:
         for x in X:
-            field(x)
+            evaluate(c.node, x)
     with pytest.raises(EvalDomainError) as batch:
         field.many(X)
     assert str(batch.value) == str(pointwise.value)
     assert message in str(batch.value)
+
+
+@pytest.mark.parametrize("source, message", _ERRORS)
+def test_one_row_raises_what_evaluate_raises(source, message):
+    # the ``^`` errors name their base, as evaluate's do
+    c = compile_expr(parse_expr(source))
+    failed = 0
+    for x in np.array([[1.0], [0.5], [0.25], [-0.5]]):
+        try:
+            evaluate(c.node, x)
+        except EvalDomainError as want:
+            with pytest.raises(EvalDomainError) as got:
+                c.many(x[None])
+            assert str(got.value) == str(want)
+            failed += 1
+    assert failed
 
 
 def test_sqrt_reports_the_first_failing_row_through_the_envelopes():
@@ -251,6 +269,21 @@ def test_coord_bounds_many_raises_what_evaluate_raises(body):
     with pytest.raises(InfeasibleBodyError) as got:
         map_.coord_bounds_many(x[None])
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name", sorted(HOLES))
+def test_envelopes_raise_the_pointwise_error(name):
+    # at x = 1/32, row 33 of 65, each hole's floor fails
+    def raised(fn, *args):
+        with pytest.raises(Exception) as info:
+            fn(*args)
+        return type(info.value), str(info.value)
+
+    spec = load_spec_dict(json.loads(json.dumps(HOLES[name])))
+    X = Grid(spec.domain, 65).points
+    for field, ref in zip(envelopes(spec.map), envelopes_pointwise(spec.map)):
+        assert raised(field.many, X) == raised(ref.many, X)
+        assert raised(field, X[33]) == raised(ref, X[33])
 
 
 def test_modulus_ratios_take_the_values_the_caller_holds():

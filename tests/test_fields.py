@@ -29,6 +29,7 @@ from convsel.fields import (
     squash,
     unsquash,
 )
+from reference.fields_pointwise import lift
 
 LINE = Domain(1, boxes=(((-1.0,), (1.0,)),))
 
@@ -139,21 +140,21 @@ class TestDomainAndGrid:
 
 class TestFieldAlgebra:
     def test_call_and_operators(self):
-        f = ScalarField(LINE, lambda x: x[0], tag=TAG_CONTINUOUS)
-        g = ScalarField(LINE, lambda x: 1.0, tag=TAG_CONTINUOUS)
+        f = lift(LINE, lambda x: x[0], tag=TAG_CONTINUOUS)
+        g = lift(LINE, lambda x: 1.0, tag=TAG_CONTINUOUS)
         assert (f + g)([0.25]) == 1.25
         assert (-f)([0.25]) == -0.25
         assert (f - g)([0.5]) == -0.5
 
     def test_nan_rejected_at_call(self):
-        f = ScalarField(LINE, lambda x: math.nan)
+        f = lift(LINE, lambda x: math.nan)
         with pytest.raises(ValueError):
             f([0.0])
 
     def test_sum_tags(self):
-        lower = ScalarField(LINE, lambda x: 0.0, tag=TAG_LOWER)
-        upper = ScalarField(LINE, lambda x: 0.0, tag=TAG_UPPER)
-        cont = ScalarField(LINE, lambda x: 1.0, tag=TAG_CONTINUOUS)
+        lower = lift(LINE, lambda x: 0.0, tag=TAG_LOWER)
+        upper = lift(LINE, lambda x: 0.0, tag=TAG_UPPER)
+        cont = lift(LINE, lambda x: 1.0, tag=TAG_CONTINUOUS)
         assert add(lower, cont).tag == TAG_LOWER
         assert add(cont, upper).tag == TAG_UPPER
         assert add(lower, lower).tag == TAG_LOWER
@@ -162,20 +163,20 @@ class TestFieldAlgebra:
             add(lower, upper)  # jumps can cancel or not; no claim survives
 
     def test_negate_flips_direction(self):
-        lower = ScalarField(LINE, lambda x: x[0], tag=TAG_LOWER)
+        lower = lift(LINE, lambda x: x[0], tag=TAG_LOWER)
         assert negate(lower).tag == TAG_UPPER
         assert negate(negate(lower)).tag == TAG_LOWER
         assert negate(lower)([0.5]) == -0.5
 
     def test_indeterminate_sum(self):
-        plus = ScalarField(LINE, lambda x: math.inf, tag=TAG_CONTINUOUS)
-        minus = ScalarField(LINE, lambda x: -math.inf, tag=TAG_CONTINUOUS)
+        plus = lift(LINE, lambda x: math.inf, tag=TAG_CONTINUOUS)
+        minus = lift(LINE, lambda x: -math.inf, tag=TAG_CONTINUOUS)
         s = add(plus, minus)
         with pytest.raises(IndeterminateSumError):
             s([0.0])
 
     def test_compress_field(self):
-        f = ScalarField(LINE, lambda x: math.inf if x[0] > 0 else x[0],
+        f = lift(LINE, lambda x: math.inf if x[0] > 0 else x[0],
                         tag=TAG_CONTINUOUS)
         fc = compress_field(f)
         assert fc([0.5]) == 1.0
@@ -189,7 +190,7 @@ class TestFieldAlgebra:
 
 
 def spike_field(at_zero: float, elsewhere: float) -> ScalarField:
-    return ScalarField(
+    return lift(
         LINE,
         lambda x: at_zero if x[0] == 0.0 else elsewhere,
         tag=TAG_LOWER,
@@ -209,24 +210,24 @@ class TestSemicontinuityAudit:
         assert any(v.x == (0.0,) for v in rep.violations)
 
     def test_upper_sc_mirror(self):
-        f = ScalarField(LINE, lambda x: 1.0 if x[0] == 0.0 else 0.0, tag=TAG_UPPER)
+        f = lift(LINE, lambda x: 1.0 if x[0] == 0.0 else 0.0, tag=TAG_UPPER)
         assert semicontinuity_audit(f, Grid(LINE, 33)).passed
-        g = ScalarField(LINE, lambda x: 0.0 if x[0] == 0.0 else 1.0, tag=TAG_UPPER)
+        g = lift(LINE, lambda x: 0.0 if x[0] == 0.0 else 1.0, tag=TAG_UPPER)
         assert not semicontinuity_audit(g, Grid(LINE, 33)).passed
 
     def test_unknown_tag_is_vacuous(self):
-        f = ScalarField(LINE, lambda x: 1.0 if x[0] > 0 else -1.0, tag=TAG_UNKNOWN)
+        f = lift(LINE, lambda x: 1.0 if x[0] > 0 else -1.0, tag=TAG_UNKNOWN)
         rep = semicontinuity_audit(f, Grid(LINE, 33))
         assert rep.passed
         assert rep.notes
 
     def test_explicit_tag_overrides(self):
-        f = ScalarField(LINE, lambda x: 1.0 if x[0] >= 0 else 0.0, tag=TAG_UNKNOWN)
+        f = lift(LINE, lambda x: 1.0 if x[0] >= 0 else 0.0, tag=TAG_UNKNOWN)
         rep = semicontinuity_audit(f, Grid(LINE, 33), tag=TAG_CONTINUOUS)
         assert not rep.passed  # a real step is not continuous
 
     def test_mask_restricts(self):
-        f = ScalarField(LINE, lambda x: 1.0 if x[0] >= 0 else 0.0,
+        f = lift(LINE, lambda x: 1.0 if x[0] >= 0 else 0.0,
                         tag=TAG_CONTINUOUS)
         grid = Grid(LINE, 33)
         mask = np.array([x[0] < 0 for x in grid.points])
@@ -235,7 +236,7 @@ class TestSemicontinuityAudit:
         assert rep.checked == int(mask.sum())
 
     def test_constant_infinite_field_passes(self):
-        f = ScalarField(LINE, lambda x: math.inf, tag=TAG_CONTINUOUS)
+        f = lift(LINE, lambda x: math.inf, tag=TAG_CONTINUOUS)
         assert semicontinuity_audit(f, Grid(LINE, 17)).passed
 
     def test_single_cell_exception_tolerated(self):
@@ -243,7 +244,7 @@ class TestSemicontinuityAudit:
         # attributes the defect to the exceptional point and tolerates it
         grid = Grid(LINE, 33)
         bad_x = grid.points[7][0]
-        f = ScalarField(
+        f = lift(
             LINE, lambda x: -5.0 if x[0] == bad_x else 0.0, tag=TAG_LOWER
         )
         assert semicontinuity_audit(f, grid, eps=0.1).passed
@@ -251,7 +252,7 @@ class TestSemicontinuityAudit:
 
 class TestModulus:
     def test_continuity_modulus_linear(self):
-        f = ScalarField(LINE, lambda x: 3.0 * x[0], tag=TAG_CONTINUOUS)
+        f = lift(LINE, lambda x: 3.0 * x[0], tag=TAG_CONTINUOUS)
         g = Grid(LINE, 33)
         assert continuity_modulus(f, g) == pytest.approx(3.0 * g.max_spacing())
 

@@ -9,17 +9,7 @@ from convsel.errors import (
     InfeasibleBodyError,
     UnboundedBodyError,
 )
-from convsel.geometry import (
-    Ball,
-    HPolytope,
-    Interval,
-    contains,
-    coord_bounds,
-    distance,
-    interior_margin,
-    least_norm_point,
-    sample,
-)
+from convsel.geometry import Ball, HPolytope, Interval, sample
 
 
 class TestInterval:
@@ -30,26 +20,26 @@ class TestInterval:
         assert box.project([0.5]) == pytest.approx([0.5])
 
     def test_least_norm(self):
-        assert least_norm_point(Interval(1.0, 2.0)) == pytest.approx([1.0])
-        assert least_norm_point(Interval(-2.0, -1.0)) == pytest.approx([-1.0])
-        assert least_norm_point(Interval(-1.0, 2.0)) == pytest.approx([0.0])
+        assert Interval(1.0, 2.0).least_norm() == pytest.approx([1.0])
+        assert Interval(-2.0, -1.0).least_norm() == pytest.approx([-1.0])
+        assert Interval(-1.0, 2.0).least_norm() == pytest.approx([0.0])
 
     def test_extended_endpoints(self):
         ray = Interval(0.0, math.inf)
         assert ray.project([7.0]) == pytest.approx([7.0])
         assert ray.project([-7.0]) == pytest.approx([0.0])
-        lo, hi = coord_bounds(ray, 0)
-        assert lo == 0.0 and hi == math.inf
+        lo, hi = ray.coord_bounds()
+        assert lo[0] == 0.0 and hi[0] == math.inf
 
     def test_interior_margin_is_min_side_gap(self):
         box = Interval(0.0, 4.0)
-        assert interior_margin(box, [1.0]) == pytest.approx(1.0)
-        assert interior_margin(box, [3.5]) == pytest.approx(0.5)
-        assert interior_margin(box, [0.0]) == pytest.approx(0.0)
-        assert interior_margin(box, [-2.0]) == pytest.approx(-2.0)
+        assert box.boundary_margin([1.0]) == pytest.approx(1.0)
+        assert box.boundary_margin([3.5]) == pytest.approx(0.5)
+        assert box.boundary_margin([0.0]) == pytest.approx(0.0)
+        assert box.boundary_margin([-2.0]) == pytest.approx(-2.0)
 
     def test_degenerate_margin_nonpositive(self):
-        assert interior_margin(Interval(1.0, 1.0), [1.0]) <= 0.0
+        assert Interval(1.0, 1.0).boundary_margin([1.0]) <= 0.0
 
     def test_invalid(self):
         with pytest.raises(InfeasibleBodyError):
@@ -64,19 +54,19 @@ class TestInterval:
             Interval(end, end)
 
     def test_contains(self):
-        assert contains(Interval(0.0, 1.0), [0.5])
-        assert not contains(Interval(0.0, 1.0), [1.5])
+        assert Interval(0.0, 1.0).contains([0.5])
+        assert not Interval(0.0, 1.0).contains([1.5])
 
 
 class TestBall:
     def test_least_norm_hand_value(self):
         # center (3,4) has norm 5; the nearest point to the origin sits
         # one radius inward along the ray: (3,4) * (1 - 1/5).
-        y = least_norm_point(Ball([3.0, 4.0], 1.0))
+        y = Ball([3.0, 4.0], 1.0).least_norm()
         assert y == pytest.approx([2.4, 3.2], abs=1e-12)
 
     def test_least_norm_inside_origin(self):
-        assert least_norm_point(Ball([0.1, 0.0], 1.0)) == pytest.approx([0.0, 0.0])
+        assert Ball([0.1, 0.0], 1.0).least_norm() == pytest.approx([0.0, 0.0])
 
     def test_projection_oracle(self):
         rng = np.random.default_rng(7)
@@ -84,7 +74,7 @@ class TestBall:
         members = sample_in_body(body, 4000, rng)
         for z in rng.normal(scale=4, size=(5, 3)):
             proj = body.project(z)
-            assert contains(body, proj, tol=1e-9)
+            assert body.contains(proj, tol=1e-9)
             best = float(np.min(np.linalg.norm(members - z, axis=1)))
             assert np.linalg.norm(proj - z) <= best + 1e-6
 
@@ -95,8 +85,8 @@ class TestBall:
 
     def test_interior_margin(self):
         body = Ball([0.0, 0.0], 2.0)
-        assert interior_margin(body, [1.0, 0.0]) == pytest.approx(1.0)
-        assert interior_margin(body, [3.0, 0.0]) == pytest.approx(-1.0)
+        assert body.boundary_margin([1.0, 0.0]) == pytest.approx(1.0)
+        assert body.boundary_margin([3.0, 0.0]) == pytest.approx(-1.0)
 
     def test_infinite_center_rejected(self):
         with pytest.raises(InfeasibleBodyError):
@@ -117,7 +107,7 @@ class TestHPolytope:
         assert box.project([0.2, 1.0]) == pytest.approx([0.2, 1.0])
 
     def test_triangle_least_norm_is_corner(self):
-        assert least_norm_point(TRIANGLE) == pytest.approx([1.0, 1.0], abs=1e-9)
+        assert TRIANGLE.least_norm() == pytest.approx([1.0, 1.0], abs=1e-9)
 
     def test_triangle_projection_onto_facet(self):
         # (3,3) projects onto the hypotenuse y1+y2=4 at (2,2)
@@ -157,12 +147,12 @@ class TestHPolytope:
 
     def test_translate(self):
         moved = TRIANGLE.translate([1.0, -1.0])
-        assert least_norm_point(moved) == pytest.approx([2.0, 0.0], abs=1e-9)
+        assert moved.least_norm() == pytest.approx([2.0, 0.0], abs=1e-9)
 
     def test_intersect(self):
         upper = HPolytope([[0.0, -1.0]], [-1.5])  # y2 >= 1.5
         both = HPolytope.intersect(TRIANGLE, upper)
-        y = least_norm_point(both)
+        y = both.least_norm()
         assert y == pytest.approx([1.0, 1.5], abs=1e-8)
 
     def test_dim_mismatch(self):
@@ -170,9 +160,9 @@ class TestHPolytope:
             HPolytope([[1.0, 0.0]], [1.0, 2.0])
 
     def test_interior_margin_signs(self):
-        assert interior_margin(TRIANGLE, [1.5, 1.5]) > 0
-        assert interior_margin(TRIANGLE, [1.0, 2.0]) == pytest.approx(0.0, abs=1e-12)
-        outside = interior_margin(TRIANGLE, [0.0, 0.0])
+        assert TRIANGLE.boundary_margin([1.5, 1.5]) > 0
+        assert TRIANGLE.boundary_margin([1.0, 2.0]) == pytest.approx(0.0, abs=1e-12)
+        outside = TRIANGLE.boundary_margin([0.0, 0.0])
         assert outside == pytest.approx(-math.sqrt(2.0), abs=1e-8)
 
     @pytest.mark.parametrize("a", [0.01, 0.1])
@@ -190,15 +180,15 @@ class TestHPolytope:
             members = sample_in_body(body, 3000, rng)
             z = rng.normal(scale=5, size=body.dim)
             proj = body.project(z)
-            assert contains(body, proj, tol=1e-7)
+            assert body.contains(proj, tol=1e-7)
             best = float(np.min(np.linalg.norm(members - z, axis=1)))
             assert np.linalg.norm(proj - z) <= best + 1e-6
 
 
 class TestFunctional:
     def test_distance(self):
-        assert distance(Interval(1.0, 2.0), [0.0]) == pytest.approx(1.0)
-        assert distance(Ball([3.0, 4.0], 1.0), [0.0, 0.0]) == pytest.approx(4.0)
+        assert Interval(1.0, 2.0).distance([0.0]) == pytest.approx(1.0)
+        assert Ball([3.0, 4.0], 1.0).distance([0.0, 0.0]) == pytest.approx(4.0)
 
     def test_sample_members(self):
         rng = np.random.default_rng(3)
@@ -208,6 +198,6 @@ class TestFunctional:
             assert body.contains_many(pts, tol=1e-7).all()
 
     def test_coord_bounds_functional_form(self):
-        lo, hi = coord_bounds(TRIANGLE, 1)
-        assert lo == pytest.approx(1.0, abs=1e-8)
-        assert hi == pytest.approx(3.0, abs=1e-8)
+        lo, hi = TRIANGLE.coord_bounds()
+        assert lo[1] == pytest.approx(1.0, abs=1e-8)
+        assert hi[1] == pytest.approx(3.0, abs=1e-8)

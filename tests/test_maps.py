@@ -23,7 +23,6 @@ from convsel.maps import (
     Region,
     SetValuedMap,
     Stratification,
-    boundary_cloud,
     constant_map,
     continuity_audit,
     envelopes,
@@ -88,15 +87,14 @@ class TestRegions:
         left = Region(lambda x: x[0] < 0, "left")
         assert region_or(left, ORIGIN)(np.array([0.0]))
 
-    def test_boundary_cloud_of_punctured_line(self):
+    @pytest.mark.parametrize("region, boundary", [
+        (NONZERO, [[0.0]]),  # the puncture of the line
+        (EVERYWHERE, np.empty((0, 1))),  # no point lies outside
+    ], ids=["punctured_line", "everything"])
+    def test_boundary_mask(self, region, boundary):
         grid = Grid(LINE, 5)
-        cloud = boundary_cloud(NONZERO, grid)
-        assert cloud.shape == (1, 1)
-        assert cloud[0, 0] == 0.0
-
-    def test_boundary_cloud_empty_when_region_is_everything(self):
-        grid = Grid(LINE, 5)
-        assert boundary_cloud(EVERYWHERE, grid).shape[0] == 0
+        mask = maps.boundary_mask(region.mask(grid.points), grid)
+        np.testing.assert_array_equal(grid.points[mask], boundary)
 
 
 class TestShift:

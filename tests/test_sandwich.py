@@ -16,13 +16,13 @@ from convsel.fields import (
     TAG_UPPER,
     Domain,
     Grid,
-    ScalarField,
     constant_field,
     squash,
     unsquash,
 )
 from convsel.maps import EVERYWHERE, Region, Stratification
 from convsel.sandwich import region_audit, sandwich_select
+from reference.fields_pointwise import lift
 from reference.sandwich_pointwise import (
     base_midpoint,
     damp_to_safe,
@@ -43,7 +43,7 @@ TRIVIAL = Stratification((EVERYWHERE,))
 
 
 def field(domain, fn, tag=TAG_CONTINUOUS):
-    return ScalarField(domain, fn, tag=tag)
+    return lift(domain, fn, tag=tag)
 
 
 class TestReduceToBounded:
@@ -238,7 +238,7 @@ class TestDampToSafe:
 
 def spike_pair():
     """Upper-sc floor spiking to 1 at the origin under a constant ceiling."""
-    f = ScalarField(
+    f = lift(
         LINE, lambda x: 1.0 if x[0] == 0.0 else 0.0, tag=TAG_UPPER, name="spike"
     )
     g = constant_field(LINE, 2.0)
@@ -246,10 +246,10 @@ def spike_pair():
 
 
 def mixed_pair():
-    f = ScalarField(
+    f = lift(
         LINE, lambda x: 0.5 if x[0] == 0.0 else x[0], tag=TAG_UPPER
     )
-    g = ScalarField(
+    g = lift(
         LINE, lambda x: 0.6 if x[0] == 0.0 else x[0] + 1.0, tag=TAG_LOWER
     )
     return f, g
@@ -320,7 +320,7 @@ class TestSandwichSelect:
     def test_wrong_tag_rejected(self):
         # a floor that jumps down is not upper semicontinuous; the global
         # tag audit catches it even though each stratum is fine
-        f = ScalarField(
+        f = lift(
             LINE, lambda x: -1.0 if x[0] == 0.0 else 0.0, tag=TAG_UPPER
         )
         g = constant_field(LINE, 2.0)

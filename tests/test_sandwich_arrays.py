@@ -23,10 +23,11 @@ from convsel.errors import (
     UncoveredPointError,
 )
 from convsel.fields import AuditReport, Grid, Violation, constant_field
-from convsel.maps import Region, envelopes
+from convsel.maps import Region, SetValuedMap, envelopes
 from convsel.sandwich import region_audit, sandwich_select
 from convsel.specio.loader import load_spec, load_spec_dict
 from golden.capture import HOLE_AT_ONE_32ND
+from reference.fields_pointwise import compress_field, envelopes_pointwise
 from reference.sandwich_pointwise import (
     check_glue_point,
     damp_to_safe,
@@ -154,8 +155,14 @@ def check_selection(h, trace, grid: Grid):
 
 
 def select(spec, resolution: int):
+    """The selection and its trace, whose compressed envelopes, read by
+    the reference levels, are the pointwise envelope oracle's."""
     f, g = envelopes(spec.map)
-    return sandwich_select(f, g, spec.stratification, resolution=resolution)
+    h, trace = sandwich_select(f, g, spec.stratification, resolution=resolution)
+    f_ref, g_ref = envelopes_pointwise(spec.map)
+    return h, dataclasses.replace(
+        trace, f_compressed=compress_field(f_ref), g_compressed=compress_field(g_ref)
+    )
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -280,6 +287,25 @@ def test_an_evaluation_error_is_the_pointwise_one():
     assert raised(h, [0.03125]) == want
     assert raised(h.many, Grid(spec.domain, 65).points) == want
     assert raised(trace.h_compressed, [0.03125]) == want
+
+
+def test_a_failing_batch_is_searched_once_at_the_outermost_many(monkeypatch):
+    # one failing batch, then a one-row pass per row up to the first
+    # failing one (row 33 of 65, x = 1/32), each reading the map's bounds
+    # once for the floor and once for the ceiling: 1 + 2 * 33 + 1 calls
+    spec = load_spec_dict(json.loads(json.dumps(HOLE_AT_ONE_32ND)))
+    h, _ = select(spec, 17)
+    calls = dict.fromkeys(("evaluate", "coord_bounds_many"), 0)
+    for name in calls:
+        def counted(*args, real=getattr(SetValuedMap, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(SetValuedMap, name, counted)
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        h.many(Grid(spec.domain, 65).points)
+    assert calls["evaluate"] == 0
+    assert calls["coord_bounds_many"] <= 68
 
 
 def test_an_undefined_delta_raises_the_pointwise_message(specs_dir):

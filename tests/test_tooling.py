@@ -52,3 +52,11 @@ def test_the_library_imports_nothing_from_the_tests():
                 if top in local or top in ("reference", "tests"):
                     offenders.append(f"{path.relative_to(src)}: {name}")
     assert offenders == []
+
+
+def test_every_exported_name_resolves():
+    import convsel.specio
+
+    for module in (convsel, convsel.specio):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__

@@ -8,7 +8,6 @@ from convsel.fields import (
     TAG_CONTINUOUS,
     Domain,
     Grid,
-    ScalarField,
     modulus_ratios,
 )
 from convsel.urysohn import (
@@ -19,6 +18,7 @@ from convsel.urysohn import (
     set_distance,
     tietze_extend,
 )
+from reference.fields_pointwise import lift
 
 SEGMENT_AND_POINT = ClosedSet(1, boxes=(((0.0,), (1.0,)),), points=((3.0,),))
 WIDE = Domain(1, boxes=(((-3.0,), (4.0,)),))
@@ -145,7 +145,7 @@ class TestTietze:
     def test_two_point_instance_matches_closed_form(self):
         E = Domain(1, boxes=(((-1.0,), (2.0,)),))
         A = ClosedSet.from_cloud(np.array([[0.0], [1.0]]))
-        f = ScalarField(E, lambda x: x[0], tag=TAG_CONTINUOUS)
+        f = lift(E, lambda x: x[0], tag=TAG_CONTINUOUS)
         g = tietze_extend(f, A, E)
         assert g([0.5]) == pytest.approx(0.0, abs=1e-10)
         for x in np.linspace(0.0, 1.0, 41):
@@ -157,7 +157,7 @@ class TestTietze:
     def test_agreement_on_anchor_set(self):
         E = Domain(1, boxes=(((-3.0,), (3.0,)),))
         A = ClosedSet(1, boxes=(((-1.0,), (1.0,)),))
-        f = ScalarField(E, lambda x: x[0] ** 2, tag=TAG_CONTINUOUS)
+        f = lift(E, lambda x: x[0] ** 2, tag=TAG_CONTINUOUS)
         g = tietze_extend(f, A, E)
         for x in np.linspace(-1.0, 1.0, 17):
             assert g([x]) == pytest.approx(x**2, abs=1e-12)
@@ -165,14 +165,14 @@ class TestTietze:
     def test_range_containment(self):
         E = Domain(1, boxes=(((-3.0,), (3.0,)),))
         A = ClosedSet(1, boxes=(((-1.0,), (1.0,)),))
-        f = ScalarField(E, lambda x: x[0] ** 2, tag=TAG_CONTINUOUS)
+        f = lift(E, lambda x: x[0] ** 2, tag=TAG_CONTINUOUS)
         g = tietze_extend(f, A, E)
         for x in np.linspace(-3.0, 3.0, 61):
             assert 0.0 - 1e-12 <= g([x]) <= 1.0 + 1e-12
 
     def test_constants_extend_to_themselves(self):
         E = Domain(1, boxes=(((-2.0,), (4.0,)),))
-        f = ScalarField(E, lambda x: 2.5, tag=TAG_CONTINUOUS)
+        f = lift(E, lambda x: 2.5, tag=TAG_CONTINUOUS)
         g = tietze_extend(f, SEGMENT_AND_POINT, E)
         for x in (-2.0, -0.5, 0.5, 2.0, 2.9, 3.5, 4.0):
             assert g([x]) == pytest.approx(2.5, abs=1e-12)
@@ -180,14 +180,14 @@ class TestTietze:
     def test_degenerate_bounds_give_constant(self):
         E = Domain(1, boxes=(((-2.0,), (2.0,)),))
         A = ClosedSet.from_cloud(np.array([[0.0]]))
-        f = ScalarField(E, lambda x: 1.5, tag=TAG_CONTINUOUS)
+        f = lift(E, lambda x: 1.5, tag=TAG_CONTINUOUS)
         g = tietze_extend(f, A, E, lo=1.5, hi=1.5)
         assert g([2.0]) == 1.5
 
     def test_2d_cloud(self):
         E = Domain(2, boxes=(((0.0, 0.0), (1.0, 1.0)),))
         A = ClosedSet.from_cloud(np.array([[0.0, 0.0], [1.0, 1.0]]))
-        f = ScalarField(E, lambda x: x[0], tag=TAG_CONTINUOUS)
+        f = lift(E, lambda x: x[0], tag=TAG_CONTINUOUS)
         g = tietze_extend(f, A, E)
         assert g([0.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
         assert g([1.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
@@ -200,14 +200,14 @@ class TestTietze:
     def test_nonfinite_data_rejected(self):
         E = Domain(1, boxes=(((-1.0,), (1.0,)),))
         A = ClosedSet.from_cloud(np.array([[0.0]]))
-        f = ScalarField(E, lambda x: math.inf, tag=TAG_CONTINUOUS)
+        f = lift(E, lambda x: math.inf, tag=TAG_CONTINUOUS)
         with pytest.raises(ValueError, match="compress"):
             tietze_extend(f, A, E)
 
     def test_modulus_shrinks_under_refinement(self):
         E = Domain(1, boxes=(((-2.0,), (2.0,)),))
         A = ClosedSet.from_cloud(np.array([[0.0], [1.0]]))
-        f = ScalarField(E, lambda x: x[0], tag=TAG_CONTINUOUS)
+        f = lift(E, lambda x: x[0], tag=TAG_CONTINUOUS)
         g = tietze_extend(f, A, E)
         for r in modulus_ratios(g, E, 33, halvings=3):
             assert r is None or r <= 0.75
