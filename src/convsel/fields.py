@@ -261,16 +261,41 @@ class Grid:
 
 
 #: What a batch rule may raise at a row where it fails; the outermost
-#: ``ScalarField.many`` then searches for the first failing row.
+#: ``many`` then searches for the first failing row.
 EVAL_ERRORS = (ConvselError, ValueError, ArithmeticError)
 
 
 class _Nesting(threading.local):
-    #: whether a ``ScalarField.many`` call is running further up the stack
+    #: whether a field's ``many`` call is running further up the stack
     active = False
 
 
 _nesting = _Nesting()
+
+
+def _outermost_many(values: Callable[[np.ndarray], np.ndarray], X) -> np.ndarray:
+    """``values(X)`` for the points ``X``, shape (N, n), equal to the rows
+    of ``values`` one at a time, bit for bit.
+
+    When ``values`` raises, the outermost ``many`` on the stack evaluates
+    the rows one by one, so the first row that fails raises what it raises
+    alone; a ``many`` called inside another field's batch raises at once
+    and leaves the search to it.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatchError(f"many needs points of shape (N, n), got {X.shape}")
+    if _nesting.active:
+        return values(X)
+    _nesting.active = True
+    try:
+        return values(X)
+    except EVAL_ERRORS:
+        if not X.shape[0]:
+            raise
+        return np.concatenate([values(X[i : i + 1]) for i in range(X.shape[0])])
+    finally:
+        _nesting.active = False
 
 
 @dataclass(frozen=True)
@@ -305,26 +330,9 @@ class ScalarField:
 
     def many(self, X) -> np.ndarray:
         """Values at every row of ``X`` (shape (N, n)) as an (N,) array,
-        equal to ``[self(x) for x in X]`` bit for bit.
-
-        When the batch raises or yields NaN, the outermost ``many`` on the
-        stack evaluates the rows one by one, so the first row that fails
-        raises what ``self(x)`` raises there; a ``many`` called inside
-        another field's batch raises at once and leaves the search to it.
-        """
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise DimensionMismatchError(f"many needs points of shape (N, n), got {X.shape}")
-        if _nesting.active:
-            return self._values(X)
-        _nesting.active = True
-        try:
-            return self._values(X)
-        except EVAL_ERRORS:
-            rows = (self._values(x[None])[0] for x in X)
-            return np.fromiter(rows, dtype=float, count=X.shape[0])
-        finally:
-            _nesting.active = False
+        equal to ``[self(x) for x in X]`` bit for bit; a failing batch
+        raises the first failing row's error (:func:`_outermost_many`)."""
+        return _outermost_many(self._values, X)
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         return add(self, other)
@@ -338,21 +346,35 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField:
-    """An R^m-valued rule; components share one semicontinuity tag."""
+    """An R^m-valued rule; components share one semicontinuity tag.
+
+    ``batch`` maps an array of points, shape (N, n), to the (N, m) array
+    of their values; a single point is evaluated as a batch of one row.
+    """
 
     domain: Domain | None
     dim: int
-    rule: Callable[[np.ndarray], np.ndarray]
+    _: KW_ONLY
+    batch: Callable[[np.ndarray], np.ndarray] = dc_field(repr=False, compare=False)
     tag: str = TAG_UNKNOWN
     name: str = ""
 
     def __call__(self, x) -> np.ndarray:
-        y = np.asarray(self.rule(np.asarray(x, dtype=float)), dtype=float)
-        if y.shape != (self.dim,):
+        return self._values(np.asarray(x, dtype=float)[None])[0]
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        Y = np.asarray(self.batch(X), dtype=float)
+        if Y.shape != (X.shape[0], self.dim):
             raise DimensionMismatchError(
-                f"vector field {self.name or '<anon>'} returned shape {y.shape}"
+                f"vector field {self.name or '<anon>'} returned shape {Y.shape[1:]}"
             )
-        return y
+        return Y
+
+    def many(self, X) -> np.ndarray:
+        """Values at every row of ``X`` (shape (N, n)) as an (N, m) array,
+        equal to ``[self(x) for x in X]`` bit for bit; a failing batch
+        raises the first failing row's error (:func:`_outermost_many`)."""
+        return _outermost_many(self._values, X)
 
 
 def constant_field(domain: Domain | None, value: float, name: str = "") -> ScalarField:
@@ -583,12 +605,8 @@ def semicontinuity_audit_values(
 
 
 def grid_values(f, grid: Grid) -> np.ndarray:
-    """Evaluate a scalar or vector rule at every grid point; a
-    :class:`ScalarField` is evaluated on the whole grid at once."""
-    if isinstance(f, ScalarField):
-        return f.many(grid.points)
-    rows = [f(x) for x in grid.points]
-    return np.asarray(rows, dtype=float)
+    """A scalar or vector field at every grid point, evaluated at once."""
+    return f.many(grid.points)
 
 
 def continuity_modulus(f, grid: Grid) -> float:

@@ -552,6 +552,293 @@ class HPolytope(ConvexBody):
         return f"HPolytope({self.A.shape[0]} halfspaces, dim={self.dim})"
 
 
+# ---------------------------------------------------------------------------
+# body batches
+
+
+def row_norms(V) -> np.ndarray:
+    """The Euclidean norm of each row of ``V`` (shape (N, m)), row i bit
+    for bit ``np.linalg.norm(V[i])``.
+
+    The norm of one vector takes a BLAS dot, which rounds differently from
+    the ``axis=1`` sum of squares; a stack of one-row products takes that
+    dot row by row.
+    """
+    V = np.asarray(V, dtype=float)
+    return np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
+
+
+class BodyBatch(abc.ABC):
+    """N bodies in R^m, one per row.  Row i of every result equals, bit for
+    bit, what the i-th body's own method gives."""
+
+    dim: int
+
+    @abc.abstractmethod
+    def __len__(self) -> int:
+        """The number of bodies."""
+
+    @abc.abstractmethod
+    def translate(self, C) -> "BodyBatch":
+        """Body i shifted by row i of ``C`` (shape (N, m))."""
+
+    @abc.abstractmethod
+    def project(self, Z) -> np.ndarray:
+        """Row i of ``Z`` (shape (N, m)) projected onto body i."""
+
+    @abc.abstractmethod
+    def coord_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)``, shape (N, m): each body's coordinate bounds."""
+
+    def least_norm(self) -> np.ndarray:
+        """Each body's point of least norm, shape (N, m)."""
+        return self.project(np.zeros((len(self), self.dim)))
+
+    def distance(self, Y) -> np.ndarray:
+        """Distance from row i of ``Y`` to body i, shape (N,)."""
+        Y = np.asarray(Y, dtype=float)
+        return row_norms(self.project(Y) - Y)
+
+
+class IntervalBatch(BodyBatch):
+    """Intervals ``[lo_i, hi_i]``, checked as :class:`Interval` checks them."""
+
+    def __init__(self, lo, hi):
+        lo = np.asarray(lo, dtype=float).reshape(-1)
+        hi = np.asarray(hi, dtype=float).reshape(-1)
+        # NaNs compare False, so ``lo <= hi`` rules them out too
+        ok = (lo <= hi) & ((lo != hi) | np.isfinite(lo))
+        if not ok.all():
+            i = int(np.argmin(ok))
+            Interval(lo[i], hi[i])  # raises Interval's error at the first bad row
+        self.lo, self.hi, self.dim = lo, hi, 1
+
+    def __len__(self) -> int:
+        return self.lo.shape[0]
+
+    def translate(self, C) -> "IntervalBatch":
+        c = np.asarray(C, dtype=float)[:, 0]
+        return IntervalBatch(self.lo + c, self.hi + c)
+
+    def project(self, Z) -> np.ndarray:
+        # np.clip between scalar bounds keeps the point where it ties with a
+        # bound, between array bounds it takes the bound: the sign of a zero
+        # tells them apart, so the ties are kept here as the body keeps them
+        Z = np.asarray(Z, dtype=float)
+        lo, hi = self.lo[:, None], self.hi[:, None]
+        Y = np.where(lo > Z, lo, Z)
+        return np.where(hi < Y, hi, Y)
+
+    def coord_bounds(self):
+        return self.lo[:, None].copy(), self.hi[:, None].copy()
+
+
+class BallBatch(BodyBatch):
+    """Balls with centres the rows of ``centers``, checked as :class:`Ball`
+    checks them."""
+
+    def __init__(self, centers, radii):
+        C = np.asarray(centers, dtype=float)
+        r = np.asarray(radii, dtype=float).reshape(-1)
+        ok = (r >= 0) & np.isfinite(r) & np.isfinite(C).all(axis=1)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            Ball(C[i], r[i])  # raises Ball's error at the first bad row
+        self.centers, self.radii, self.dim = C, r, C.shape[1]
+
+    def __len__(self) -> int:
+        return self.radii.shape[0]
+
+    def translate(self, C) -> "BallBatch":
+        return BallBatch(self.centers + np.asarray(C, dtype=float), self.radii)
+
+    def project(self, Z) -> np.ndarray:
+        D = np.asarray(Z, dtype=float) - self.centers
+        norms = np.linalg.norm(D, axis=1)
+        scale = np.ones_like(norms)
+        out = norms > self.radii
+        scale[out] = self.radii[out] / norms[out]
+        return self.centers + D * scale[:, None]
+
+    def coord_bounds(self):
+        r = self.radii[:, None]
+        return self.centers - r, self.centers + r
+
+
+class PolytopeBatch(BodyBatch):
+    """Polytopes ``{y : A y <= b_i}`` that share their normals ``A`` and
+    the exact kernel's operators ``sets`` (from :func:`kernel_operators`),
+    with ``b_i`` the rows of ``B``.
+
+    Zero rows of ``A`` are resolved and, unless ``_validated``, every row
+    is checked nonempty, as :class:`HPolytope` does.  The kernel's products
+    are stacked over the rows, so that each row's are taken one at a time
+    by the same BLAS calls as its body's and round alike.  A row where the
+    kernel finds no member is handed to its own :class:`HPolytope`, which
+    confirms it by LP (or raises), and so is every later query of that row
+    that the kernel cannot answer.
+    """
+
+    def __init__(self, A, sets, B, _validated: bool = False):
+        A = np.asarray(A, dtype=float)
+        B = np.asarray(B, dtype=float).reshape(-1, A.shape[0])
+        zero = np.linalg.norm(A, axis=1) == 0.0
+        if zero.any():
+            bad = np.any(B[:, zero] < 0, axis=1)
+            if bad.any():
+                HPolytope(A, B[np.argmax(bad)])  # raises at the first bad row
+            A, B = A[~zero], B[:, ~zero]
+        self.A, self.B, self.dim = A, B, A.shape[1]
+        self._sets = sets
+        self._min_slack = -CONTAINS_TOL * np.maximum(1.0, np.linalg.norm(A, axis=1))[:, None]
+        self._validated = _validated
+        self._origin = None
+        if not _validated:
+            _, lost = self._origin_pass()
+            for i in np.flatnonzero(lost):
+                self.body(i)  # the LP confirms the row or raises
+
+    def __len__(self) -> int:
+        return self.B.shape[0]
+
+    def body(self, i: int) -> HPolytope:
+        """Row i as the :class:`HPolytope` the map builds, in the state its
+        queries so far have left it."""
+        body = HPolytope(self.A, self.B[i], _validated=self._validated, _sets=self._sets)
+        if self._origin is not None:
+            body._origin_members()
+        return body
+
+    def _blocks(self):
+        K, p = self._sets.shape[:2]
+        step = max(1, _CANDIDATE_FLOATS // (K * (p + self.dim)))
+        for s in range(0, len(self), step):
+            yield slice(s, s + step)
+
+    def _nearest(self, Z: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """For row i of ``Z``, body i's nearest in-body candidate, and
+        whether it has one."""
+        Zr = Z[:, None, :]
+        W = Zr @ self.A.T - self.B[rows, None, :]
+        Y = (Zr[:, None] - W[:, None] @ self._sets)[:, :, 0, :]
+        slack = self.B[rows, :, None] - self.A @ Y.transpose(0, 2, 1)
+        inside = np.all(slack >= self._min_slack, axis=1)
+        d2 = np.where(inside, np.sum((Y - Zr) ** 2, axis=2), np.inf)
+        best = np.argmin(d2, axis=1)
+        n = np.arange(Z.shape[0])
+        return Y[n, best], inside[n, best]
+
+    def _origin_pass(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's least-norm member among the candidates for the origin,
+        and the rows with none, computed once."""
+        if self._origin is None:
+            least = np.empty((len(self), self.dim))
+            lost = np.empty(len(self), dtype=bool)
+            for rows in self._blocks():
+                Y, found = self._nearest(np.zeros_like(least[rows]), rows)
+                least[rows], lost[rows] = Y, ~found
+            self._origin = (least, lost)
+        return self._origin
+
+    def least_norm(self) -> np.ndarray:
+        least, lost = self._origin_pass()
+        out = least.copy()
+        for i in np.flatnonzero(lost):
+            out[i] = self.body(i).least_norm()
+        return out
+
+    def project(self, Z) -> np.ndarray:
+        Z = np.asarray(Z, dtype=float)
+        out = np.empty_like(Z)
+        missed = np.empty(len(self), dtype=bool)
+        for rows in self._blocks():
+            out[rows], found = self._nearest(Z[rows], rows)
+            missed[rows] = ~found
+        if self._origin is not None:
+            missed |= self._origin[1]  # those bodies project by the fallback
+        for i in np.flatnonzero(missed):
+            out[i] = self.body(i).project(Z[i])
+        return out
+
+    def translate(self, C) -> "PolytopeBatch":
+        C = np.asarray(C, dtype=float)
+        B = self.B + np.matmul(self.A, C[:, :, None])[:, :, 0]
+        return PolytopeBatch(self.A, self._sets, B, _validated=True)
+
+    def coord_bounds(self):
+        return _bounds_by_row(map(self.body, range(len(self))), self.dim)
+
+
+class BodyRows(BodyBatch):
+    """Bodies held one by one, for rules without a batch: every query runs
+    body by body."""
+
+    def __init__(self, bodies, dim: int):
+        self.bodies, self.dim = list(bodies), dim
+
+    def __len__(self) -> int:
+        return len(self.bodies)
+
+    def _rows(self, values) -> np.ndarray:
+        return np.array(list(values), dtype=float).reshape(len(self), self.dim)
+
+    def translate(self, C) -> "BodyRows":
+        return BodyRows([b.translate(c) for b, c in zip(self.bodies, C)], self.dim)
+
+    def project(self, Z) -> np.ndarray:
+        return self._rows(b.project(z) for b, z in zip(self.bodies, Z))
+
+    def least_norm(self) -> np.ndarray:
+        return self._rows(b.least_norm() for b in self.bodies)
+
+    def coord_bounds(self):
+        return _bounds_by_row(self.bodies, self.dim)
+
+
+def _bounds_by_row(bodies, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinate bounds of each body, stacked as (N, dim) arrays."""
+    bounds = [b.coord_bounds() for b in bodies]
+    lo = np.array([lo for lo, _ in bounds]).reshape(-1, dim)
+    hi = np.array([hi for _, hi in bounds]).reshape(-1, dim)
+    return lo, hi
+
+
+class StackedBatch(BodyBatch):
+    """N rows split among batches: ``parts`` holds ``(rows, batch)`` pairs,
+    row ``rows[j]`` being body j of ``batch``; every row is in one part."""
+
+    def __init__(self, count: int, dim: int, parts):
+        self.count, self.dim, self.parts = count, dim, list(parts)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def _gather(self, values) -> np.ndarray:
+        out = np.empty((self.count, self.dim))
+        for rows, batch in self.parts:
+            out[rows] = values(rows, batch)
+        return out
+
+    def translate(self, C) -> "StackedBatch":
+        C = np.asarray(C, dtype=float)
+        parts = [(rows, batch.translate(C[rows])) for rows, batch in self.parts]
+        return StackedBatch(self.count, self.dim, parts)
+
+    def project(self, Z) -> np.ndarray:
+        Z = np.asarray(Z, dtype=float)
+        return self._gather(lambda rows, batch: batch.project(Z[rows]))
+
+    def least_norm(self) -> np.ndarray:
+        return self._gather(lambda rows, batch: batch.least_norm())
+
+    def coord_bounds(self):
+        lo = np.empty((self.count, self.dim))
+        hi = np.empty_like(lo)
+        for rows, batch in self.parts:
+            lo[rows], hi[rows] = batch.coord_bounds()
+        return lo, hi
+
+
 def sample(body: ConvexBody, k: int, rng: np.random.Generator) -> np.ndarray:
     """``k`` feasible points: rejection inside the body's bounding box,
     topped up with projections of leftover proposals when the body is thin

@@ -42,7 +42,16 @@ from .fields import (
     confirmed_edges,
     default_eps,
 )
-from .geometry import Ball, ConvexBody, HPolytope, Interval, sample
+from .geometry import (
+    Ball,
+    BodyBatch,
+    BodyRows,
+    ConvexBody,
+    HPolytope,
+    Interval,
+    StackedBatch,
+    sample,
+)
 
 
 @dataclass(frozen=True)
@@ -106,13 +115,12 @@ def boundary_mask(inside: np.ndarray, grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BodyRule:
-    """A piece's rule ``x -> ConvexBody`` with a batch rule for the
-    coordinate bounds: ``bounds_many(X)`` maps (N, n) points to the
-    ``(lo, hi)`` arrays, shape (N, m), that ``rule(x).coord_bounds()``
-    gives row by row, raising where ``rule`` would raise at some row."""
+    """A piece's rule ``x -> ConvexBody`` with its batch rule: ``batch(X)``
+    maps (N, n) points to the :class:`BodyBatch` whose row i is
+    ``rule(X[i])``, raising where ``rule`` would raise at some row."""
 
     rule: Callable[[np.ndarray], ConvexBody]
-    bounds_many: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    batch: Callable[[np.ndarray], BodyBatch]
 
     def __call__(self, x) -> ConvexBody:
         return self.rule(x)
@@ -121,7 +129,7 @@ class BodyRule:
 @dataclass(frozen=True)
 class SetValuedMap:
     """Pieces ``(region, rule)``, first match wins; a rule maps a point to
-    a body, and a :class:`BodyRule` also gives its bounds on arrays."""
+    a body, and a :class:`BodyRule` also maps arrays of points to batches."""
 
     domain: Domain
     output_dim: int
@@ -140,26 +148,25 @@ class SetValuedMap:
     def __call__(self, x) -> ConvexBody:
         return self.evaluate(x)
 
-    def _checked(self, body: ConvexBody) -> ConvexBody:
+    def _checked(self, body):
         if body.dim != self.output_dim:
             raise DimensionMismatchError(
                 f"piece produced dim {body.dim}, map has m={self.output_dim}"
             )
         return body
 
-    def coord_bounds_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(lo, hi)``, shape (N, m): the array twin of
-        ``evaluate(x).coord_bounds()`` at every row of ``X``.
+    def evaluate_many(self, X: np.ndarray) -> BodyBatch:
+        """The bodies at every row of ``X`` as one :class:`BodyBatch`, the
+        array twin of :meth:`evaluate`.
 
         Each piece takes the rows that no earlier piece's region holds and
-        its own region does, and runs its rule on those rows only: a
-        :class:`BodyRule` at once, any other rule row by row.  Raises
-        where :meth:`evaluate` would raise at some row, though not
-        necessarily the error of the first such row.
+        its own region does, and builds their bodies: a :class:`BodyRule`
+        as one batch, any other rule row by row.  Raises where
+        :meth:`evaluate` would raise at some row, though not necessarily
+        the error of the first such row.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        lo = np.empty((X.shape[0], self.output_dim))
-        hi = np.empty_like(lo)
+        parts = []
         todo = np.arange(X.shape[0])
         for region, rule in self.pieces:
             if not todo.size:
@@ -169,13 +176,20 @@ class SetValuedMap:
             if not rows.size:
                 continue
             if isinstance(rule, BodyRule):
-                lo[rows], hi[rows] = rule.bounds_many(X[rows])
+                bodies = self._checked(rule.batch(X[rows]))
             else:
-                for i in rows:
-                    lo[i], hi[i] = self._checked(rule(X[i])).coord_bounds()
+                bodies = BodyRows([self._checked(rule(X[i])) for i in rows], self.output_dim)
+            parts.append((rows, bodies))
         if todo.size:
             raise UncoveredPointError(f"no piece covers {X[todo[0]].tolist()}")
-        return lo, hi
+        if len(parts) == 1:
+            return parts[0][1]  # one piece holds every row, in order
+        return StackedBatch(X.shape[0], self.output_dim, parts)
+
+    def coord_bounds_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)``, shape (N, m): ``evaluate(x).coord_bounds()`` at
+        every row of ``X``."""
+        return self.evaluate_many(X).coord_bounds()
 
 
 def constant_map(domain: Domain, body: ConvexBody, name: str = "") -> SetValuedMap:

@@ -5,8 +5,10 @@ onto each value.  With k strata the levels are built innermost first, the
 base level on the last stratum; each earlier stratum C1 glues over the
 later ones, D.  A glue level bakes the level inside it once on the
 construction-grid cloud of D, Tietze-extends it componentwise, and has one
-rule: with e the extension at x, the least-norm point of T(x) - e plus e
-on the open top stratum, and e elsewhere.  On D the map minus e contains
+array pass: with e the extension at x, the least-norm point of T(x) - e
+plus e on the open top stratum, and e elsewhere.  A point is a batch of
+one row, and every level reads T through ``SetValuedMap.evaluate_many``,
+so its bodies are built as batches.  On D the map minus e contains
 the origin, so that least-norm point vanishes there — that is the
 continuity mechanism across the stratum boundary, and the decay audit
 measures it directly.
@@ -33,6 +35,7 @@ from .fields import (
     Violation,
     default_per_axis,
 )
+from .geometry import row_norms
 from .maps import (
     Region,
     SetValuedMap,
@@ -49,28 +52,29 @@ def lns_field(map_: SetValuedMap) -> VectorField:
     return VectorField(
         map_.domain,
         map_.output_dim,
-        lambda x: map_.evaluate(x).least_norm(),
+        batch=lambda X: map_.evaluate_many(X).least_norm(),
         tag=TAG_CONTINUOUS,
         name=f"lns({map_.name})" if map_.name else "lns",
     )
 
 
 def extend_componentwise(
-    fv, dim: int, cloud: ClosedSet, E: Domain, name: str = ""
+    fv: VectorField, pts: np.ndarray, E: Domain, name: str = ""
 ) -> VectorField:
-    """Tietze-extend a vector function from a finite cloud coordinate by
-    coordinate, reading ``fv`` once per cloud point; values over a finite
-    cloud are always bounded, so the plain bounded operator applies."""
-    vals = np.array([fv(p) for p in cloud.points], dtype=float).reshape(-1, dim)
+    """Tietze-extend a vector field from the finite cloud ``pts`` (shape
+    (N, n)) coordinate by coordinate, reading ``fv`` once, on the whole
+    cloud; values over a finite cloud are always bounded, so the plain
+    bounded operator applies."""
+    vals = fv.many(pts)
+    cloud = ClosedSet.from_cloud(pts)
     comps = [
         tietze_extend(None, cloud, E, name=f"{name}[{i}]" if name else "", values=v)
         for i, v in enumerate(vals.T)
     ]
-
-    def rule(x):
-        return np.array([c(x) for c in comps])
-
-    return VectorField(E, dim, rule, tag=TAG_CONTINUOUS, name=name)
+    return VectorField(
+        E, fv.dim, batch=lambda X: np.column_stack([c.many(X) for c in comps]),
+        tag=TAG_CONTINUOUS, name=name,
+    )
 
 
 @dataclass(frozen=True)
@@ -96,23 +100,30 @@ class MichaelTrace:
 
 
 def _glue_level(map_: SetValuedMap, C1: Region, D: Region, extension) -> MichaelLevel:
-    """The level of C1 over D, whose rule reads T(x) and extension(x) once."""
+    """The level of C1 over D, whose array pass reads T and the extension
+    once each: with e = extension(x), the least-norm point of T(x) - e on
+    C1 and 0 elsewhere is ``glued``, and ``glued + e`` the total."""
     E, m = map_.domain, map_.output_dim
-    zero = np.zeros(m)
 
-    def glued_at(x, e):
-        return map_.evaluate(x).translate(-e).least_norm() if C1(x) else zero
+    def glue(X):
+        e = extension.many(X)
+        glued = np.zeros_like(e)
+        on = np.flatnonzero(C1.mask(X))
+        if on.size:
+            glued[on] = map_.evaluate_many(X[on]).translate(-e[on]).least_norm()
+        return glued, e
 
-    def rule(x):
-        e = extension(x)
-        return glued_at(x, e) + e
+    def field(batch, name):
+        return VectorField(E, m, batch=batch, tag=TAG_CONTINUOUS, name=name)
 
-    def field(rule, name):
-        return VectorField(E, m, rule, tag=TAG_CONTINUOUS, name=name)
+    def total(X):
+        glued, e = glue(X)
+        return glued + e
 
-    glued = field(lambda x: glued_at(x, extension(x)), "glued")
-    total = field(rule, "selection")
-    return MichaelLevel(C1.label, "glue", total, C1, D, extension, glued)
+    return MichaelLevel(
+        C1.label, "glue", field(total, "selection"), C1, D, extension,
+        field(lambda X: glue(X)[0], "glued"),
+    )
 
 
 def _build_levels(map_: SetValuedMap, strata: tuple, grid: Grid) -> list[MichaelLevel]:
@@ -128,8 +139,7 @@ def _build_levels(map_: SetValuedMap, strata: tuple, grid: Grid) -> list[Michael
                 f"strata tail {D.label!r} holds no construction grid point"
             )
         extension = extend_componentwise(
-            levels[-1].total, map_.output_dim, ClosedSet.from_cloud(pts), map_.domain,
-            name="partial-extension",
+            levels[-1].total, pts, map_.domain, name="partial-extension"
         )
         levels.append(_glue_level(map_, strata[j], D, extension))
     return levels
@@ -217,7 +227,7 @@ def boundary_decay_audit(
         checked += pts.shape[0]
         bset = ClosedSet.from_cloud(cloud)
         dists = bset.dist_many(pts)
-        mags = np.array([float(np.linalg.norm(lv.glued(x))) for x in pts])
+        mags = row_norms(lv.glued.many(pts))
         vmax = float(mags.max(initial=0.0))
         slack = 1e-9 + 0.05 * vmax
         edges_q = np.quantile(dists, np.linspace(0, 1, bands + 1))

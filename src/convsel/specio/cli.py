@@ -161,8 +161,8 @@ def _membership_entry(map_, values, grid: Grid, tol: float) -> dict:
     worst = 0.0
     witness = None
     values = np.asarray(values, dtype=float).reshape(len(grid), -1)
-    for x, y in zip(grid.points, values):
-        d = float(map_.evaluate(x).distance(y))
+    dists = map_.evaluate_many(grid.points).distance(values)
+    for x, d in zip(grid.points, dists.tolist()):
         if d > worst:
             worst, witness = d, x
     passed = worst <= tol

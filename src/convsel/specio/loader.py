@@ -44,8 +44,16 @@ from convsel.errors import (
     SpecValidationError,
     UncoveredPointError,
 )
-from convsel.fields import Domain, Grid
-from convsel.geometry import Ball, HPolytope, Interval, kernel_operators
+from convsel.fields import EVAL_ERRORS, Domain, Grid
+from convsel.geometry import (
+    Ball,
+    BallBatch,
+    HPolytope,
+    Interval,
+    IntervalBatch,
+    PolytopeBatch,
+    kernel_operators,
+)
 from convsel.maps import EVERYWHERE, BodyRule, Region, SetValuedMap, Stratification
 from convsel.specio import expr
 
@@ -196,16 +204,9 @@ def _build_interval(spec: dict, path: str, n: int, m: int) -> BodyRule:
     lo = _interval_bound(spec["lo"], f"{path}.lo", n)
     hi = _interval_bound(spec["hi"], f"{path}.hi", n)
 
-    def bounds_many(X):
-        a, b = lo.many(X), hi.many(X)
-        # NaNs compare False, so ``a <= b`` rules them out too
-        ok = (a <= b) & ((a != b) | np.isfinite(a))
-        if not ok.all():
-            i = int(np.argmin(ok))
-            Interval(a[i], b[i])  # raises Interval's error at the first bad row
-        return a[:, None], b[:, None]
-
-    return BodyRule(lambda x: Interval(lo(x), hi(x)), bounds_many)
+    return BodyRule(
+        lambda x: Interval(lo(x), hi(x)), lambda X: IntervalBatch(lo.many(X), hi.many(X))
+    )
 
 
 def _build_ball(spec: dict, path: str, n: int, m: int):
@@ -225,16 +226,10 @@ def _build_ball(spec: dict, path: str, n: int, m: int):
     ]
     radius = expr.compile_expr(_parse(spec["radius"], f"{path}.radius", n))
 
-    def bounds_many(X):
-        C = np.column_stack([c.many(X) for c in center])
-        r = radius.many(X)
-        ok = (r >= 0) & np.isfinite(r) & np.isfinite(C).all(axis=1)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            Ball(C[i], r[i])  # raises Ball's error at the first bad row
-        return C - r[:, None], C + r[:, None]
+    def batch(X):
+        return BallBatch(np.column_stack([c.many(X) for c in center]), radius.many(X))
 
-    return BodyRule(lambda x: Ball([c(x) for c in center], radius(x)), bounds_many)
+    return BodyRule(lambda x: Ball([c(x) for c in center], radius(x)), batch)
 
 
 def _build_hpolytope(spec: dict, path: str, n: int, m: int):
@@ -292,7 +287,13 @@ def _build_hpolytope(spec: dict, path: str, n: int, m: int):
         b = np.array([offset(x) for _, offset in rows])
         return HPolytope(A, b, bounding_box=box, _sets=sets)
 
-    return shared_rule
+    if sets is None:
+        return shared_rule  # past the kernel's limit: row by row, on the fallback
+
+    def batch(X):
+        return PolytopeBatch(A, sets, np.column_stack([offset.many(X) for _, offset in rows]))
+
+    return BodyRule(shared_rule, batch)
 
 
 _BODY_BUILDERS = {
@@ -411,24 +412,33 @@ def _check_coverage(domain: Domain, map_: SetValuedMap, strat: Stratification):
     """Probe a coarse grid: every point needs a piece and exactly one stratum.
 
     This catches holes at load time with a concrete witness; the finer
-    audits downstream still re-check on the caller's grid.
+    audits downstream still re-check on the caller's grid.  The grid is
+    checked at once; when that fails, point by point, so the first failing
+    point raises, its piece checked before its strata.
     """
     per_axis = _VALIDATION_PER_AXIS.get(domain.ambient_dim, 5)
-    grid = Grid(domain, per_axis)
-    for x in grid.points:
-        try:
-            map_.evaluate(x)
-        except UncoveredPointError:
-            raise _fail(
-                "$.pieces", f"no piece covers the domain point {x.tolist()}"
-            ) from None
-        matches = sum(1 for region in strat.strata if region(x))
-        if matches == 0:
-            raise _fail("$.strata", f"no stratum covers the domain point {x.tolist()}")
-        if matches > 1:
-            raise _fail(
-                "$.strata", f"{matches} strata overlap at the domain point {x.tolist()}"
-            )
+    points = Grid(domain, per_axis).points
+    try:
+        map_.evaluate_many(points)
+        if np.all(strat.masks(points).sum(axis=0) == 1):
+            return
+    except EVAL_ERRORS:
+        pass
+    for x in points:
+        _check_point(x, map_, strat)
+
+
+def _check_point(x: np.ndarray, map_: SetValuedMap, strat: Stratification):
+    """Raise unless a piece and exactly one stratum hold the point ``x``."""
+    try:
+        map_.evaluate_many(x[None])
+    except UncoveredPointError:
+        raise _fail("$.pieces", f"no piece covers the domain point {x.tolist()}") from None
+    matches = int(strat.masks(x[None]).sum())
+    if matches == 0:
+        raise _fail("$.strata", f"no stratum covers the domain point {x.tolist()}")
+    if matches > 1:
+        raise _fail("$.strata", f"{matches} strata overlap at the domain point {x.tolist()}")
 
 
 def load_spec(path: str) -> ProblemSpec:

@@ -48,6 +48,20 @@ def _row_blocks(N: int, cloud: np.ndarray):
         yield slice(s, s + step)
 
 
+def _snap_to_cloud(cloud: np.ndarray, baked: np.ndarray, P: np.ndarray, near, out) -> np.ndarray:
+    """Write into ``out`` the baked value of the nearest point of the
+    (nonempty) ``cloud`` to each row of ``P`` indexed by ``near``; return
+    the indices among ``near`` with no cloud point within the snap."""
+    hit = np.empty(near.size, dtype=bool)
+    for rows in _row_blocks(near.size, cloud):
+        idx = near[rows]
+        gaps = np.linalg.norm(cloud[None, :, :] - P[idx, None, :], axis=2)
+        k = np.argmin(gaps, axis=1)
+        hit[rows] = gaps[np.arange(idx.size), k] <= MEMBERSHIP_SNAP
+        out[idx] = baked[k]
+    return near[~hit]
+
+
 @dataclass(frozen=True)
 class ClosedSet:
     """A finite union of closed boxes and points, possibly empty."""
@@ -264,7 +278,16 @@ def tietze_extend(
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ValueError(f"need finite lo <= hi, got [{lo}, {hi}]")
     if hi - lo <= 0:
-        return constant_field(X, lo, name=name or "tietze")
+        if not np.any(baked.view(np.uint64) != np.float64(lo).view(np.uint64)):
+            return constant_field(X, lo, name=name or "tietze")
+
+        def signed(P):  # one value, but the cloud keeps the signs of its zeros
+            out = np.full(P.shape[0], lo)
+            near = np.flatnonzero(A.dist_many(P) <= MEMBERSHIP_SNAP)
+            out[_snap_to_cloud(cloud, baked, P, near, out)] = lo
+            return out
+
+        return ScalarField(X, batch=signed, tag=TAG_CONTINUOUS, name=name or "tietze")
     span = hi - lo
     scaled = 1.0 + np.clip((baked - lo) / span, 0.0, 1.0) if baked.size else baked
     boxes = A.boxes
@@ -277,14 +300,7 @@ def tietze_extend(
         best = np.full(far.size, math.inf)  # the infimum of the formula
         missed = near
         if cloud.shape[0]:
-            hit = np.empty(near.size, dtype=bool)
-            for rows in _row_blocks(near.size, cloud):
-                idx = near[rows]
-                gaps = np.linalg.norm(cloud[None, :, :] - P[idx, None, :], axis=2)
-                k = np.argmin(gaps, axis=1)
-                hit[rows] = gaps[np.arange(idx.size), k] <= MEMBERSHIP_SNAP
-                out[idx] = baked[k]
-            missed = near[~hit]
+            missed = _snap_to_cloud(cloud, baked, P, near, out)
             for rows in _row_blocks(far.size, cloud):
                 idx = far[rows]
                 ratios = np.linalg.norm(cloud[None, :, :] - P[idx, None, :], axis=2) / d[idx, None]

@@ -226,6 +226,15 @@ class TestTietzeBatch:
         F = tietze_extend(lambda p: 0.75, A)
         assert_same_bits(F.many(POINTS), np.full(POINTS.shape[0], 0.75))
 
+    def test_constant_data_keeps_the_signs_of_its_zeros_on_the_cloud(self):
+        A = ClosedSet.from_cloud(np.array([[0.0], [0.5]]))
+        F = tietze_extend(None, A, values=[0.0, -0.0])
+        P = np.array([[0.0], [0.5], [0.25], [1.0]])
+        values = F.many(P)
+        assert_same_bits(values[:2], [0.0, -0.0])
+        assert_same_bits(values, [F(x) for x in P])
+        assert np.all(values[2:] == 0.0)
+
     def test_memory_stays_within_the_element_budget(self):
         cloud = ClosedSet.from_cloud(np.linspace(-1.0, 1.0, 2049).reshape(-1, 1))
         F = tietze_extend(lambda p: float(p[0] ** 3), cloud)

@@ -257,12 +257,12 @@ class TestModulus:
         assert continuity_modulus(f, g) == pytest.approx(3.0 * g.max_spacing())
 
     def test_modulus_ratios_smooth(self):
-        ratios = modulus_ratios(lambda x: x[0] ** 2, LINE, 33, halvings=2)
+        ratios = modulus_ratios(lift(LINE, lambda x: x[0] ** 2), LINE, 33, halvings=2)
         assert len(ratios) == 2
         assert all(r is not None and r <= 0.75 for r in ratios)
 
     def test_modulus_ratios_constant_is_none(self):
-        ratios = modulus_ratios(lambda x: 4.0, LINE, 33, halvings=2)
+        ratios = modulus_ratios(lift(LINE, lambda x: 4.0), LINE, 33, halvings=2)
         assert ratios == [None, None]
 
     def test_default_eps_scales_with_spacing(self):

@@ -113,13 +113,13 @@ class TestShift:
 
     def test_vector_field_must_be_continuous(self):
         m = constant_map(LINE, Interval(0.0, 1.0))
-        rough = VectorField(LINE, 1, lambda x: np.array([0.0]), tag=TAG_UNKNOWN)
+        rough = VectorField(LINE, 1, batch=lambda X: np.zeros((len(X), 1)), tag=TAG_UNKNOWN)
         with pytest.raises(TagError):
             shift(m, rough)
 
     def test_vector_field_dim_checked(self):
         m = constant_map(LINE, Interval(0.0, 1.0))
-        f2 = VectorField(LINE, 2, lambda x: np.zeros(2), tag=TAG_CONTINUOUS)
+        f2 = VectorField(LINE, 2, batch=lambda X: np.zeros((len(X), 2)), tag=TAG_CONTINUOUS)
         with pytest.raises(DimensionMismatchError):
             shift(m, f2)
 

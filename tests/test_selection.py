@@ -22,7 +22,6 @@ from convsel.selection import (
 )
 from convsel.specio import cli
 from convsel.specio.cli import main
-from convsel.urysohn import ClosedSet
 
 LINE = Domain(1, boxes=(((-1.0,), (1.0,)),))
 SQUARE = Domain(2, boxes=(((-1.0, -1.0), (1.0, 1.0)),))
@@ -94,9 +93,9 @@ class TestLnsField:
 
 class TestExtendComponentwise:
     def test_exact_on_cloud(self):
-        cloud = ClosedSet.from_cloud(np.array([[-0.5], [0.5]]))
-        fv = lambda x: np.array([x[0], x[0] ** 2])
-        ext = extend_componentwise(fv, 2, cloud, LINE)
+        cloud = np.array([[-0.5], [0.5]])
+        fv = VectorField(LINE, 2, batch=lambda X: np.column_stack([X[:, 0], X[:, 0] ** 2]))
+        ext = extend_componentwise(fv, cloud, LINE)
         assert ext([0.5]) == pytest.approx([0.5, 0.25], abs=1e-12)
         assert ext([-0.5]) == pytest.approx([-0.5, 0.25], abs=1e-12)
 
@@ -210,12 +209,13 @@ class TestMichaelSelect:
 
 
 def counting(field: VectorField, calls: list) -> VectorField:
-    """``field`` with each call's point appended to ``calls``."""
-    def rule(x):
-        calls.append(tuple(x))
-        return field(x)
+    """``field`` with the points of each batch it evaluates appended to
+    ``calls``, one list per batch."""
+    def batch(X):
+        calls.append([tuple(x) for x in X])
+        return field.batch(X)
 
-    return VectorField(field.domain, field.dim, rule, tag=field.tag, name=field.name)
+    return VectorField(field.domain, field.dim, batch=batch, tag=field.tag, name=field.name)
 
 
 def test_each_level_reads_the_partial_and_the_extension_once(monkeypatch):
@@ -231,12 +231,46 @@ def test_each_level_reads_the_partial_and_the_extension_once(monkeypatch):
     h, trace = michael_select(moving_ball_map(), PUNCTURED, resolution=9)
     tail = [tuple(p) for p in trace.construction_grid.points if p[0] == 0.0]
     assert len(tail) == 9
-    assert base == tail  # the partial is baked once per cloud point
+    assert base == [tail]  # the partial is baked by one batch over the cloud
     assert ext == []
-    for x in ([0.5, 0.25], [0.0, 0.25]):  # on C1, then on the tail
-        h(x)
-        assert ext == [tuple(x)]
-        ext.clear()
+    X = np.array([[0.5, 0.25], [0.0, 0.25], [-0.5, 1.0]])  # on C1, on the tail, on C1
+    h.many(X)
+    assert ext == [[tuple(x) for x in X]]  # one batch of the extension per call
+    ext.clear()
+    h(X[0])
+    assert ext == [[tuple(X[0])]]
+    assert base == [tail]
+
+
+def test_select_michael_builds_bodies_one_at_a_time_only_for_the_probes(
+    specs_dir, monkeypatch
+):
+    # m_poly at --grid 9: the load-time coverage check and every level,
+    # membership and the decay audit read body batches; only the probed
+    # grid of the hypothesis audits evaluates T point by point (81 points)
+    counts = {"evaluate": 0, "vector_call": 0}
+    at_load = {}
+    real_evaluate, real_call = SetValuedMap.evaluate, VectorField.__call__
+
+    def evaluate(self, x):
+        counts["evaluate"] += 1
+        return real_evaluate(self, x)
+
+    def call(self, x):
+        counts["vector_call"] += 1
+        return real_call(self, x)
+
+    def load_spec(path, real=cli.load_spec):
+        spec = real(path)
+        at_load.update(counts)
+        return spec
+
+    monkeypatch.setattr(SetValuedMap, "evaluate", evaluate)
+    monkeypatch.setattr(VectorField, "__call__", call)
+    monkeypatch.setattr(cli, "load_spec", load_spec)
+    assert main(["select-michael", "--spec", str(specs_dir / "m_poly.json"), "--grid", "9"]) == 0
+    assert at_load == {"evaluate": 0, "vector_call": 0}
+    assert counts == {"evaluate": 81, "vector_call": 0}
 
 
 def spy_on_hypothesis_audits(monkeypatch, *modules) -> list:

@@ -142,6 +142,30 @@ class TestLoader:
         with pytest.raises(SpecValidationError, match="no stratum covers"):
             load_spec_dict(raw)
 
+    @pytest.mark.parametrize("hole,strata,want", [
+        (-0.5, [[], ["abs(x1 - 0.5) <= 0"]],
+         "$.pieces: no piece covers the domain point [-0.5]"),
+        (0.5, [[], ["abs(x1 + 0.5) <= 0"]],
+         "$.strata: 2 strata overlap at the domain point [-0.5]"),
+        (0.25, [[], ["abs(x1 - 0.25) <= 0"]],
+         "$.pieces: no piece covers the domain point [0.25]"),
+        (0.75, [["0 < abs(x1 + 0.75)"]],
+         "$.strata: no stratum covers the domain point [-0.75]"),
+        (-0.5, [["0 < 1/(x1 + 0.5)"], ["1/(x1 + 0.5) <= 0"]],  # strata raise there
+         "$.pieces: no piece covers the domain point [-0.5]"),
+    ])
+    def test_coverage_names_the_first_failing_point(self, hole, strata, want):
+        # the grid is checked at once, then point by point in grid order,
+        # each point's piece before its strata
+        raw = variant(
+            pieces=[{"region": [f"0 < abs(x1 - {hole})"],
+                     "body": {"interval": {"lo": "0", "hi": "2"}}}],
+            strata=strata,
+        )
+        with pytest.raises(SpecValidationError) as info:
+            load_spec_dict(raw)
+        assert str(info.value) == want
+
     def test_atom_without_comparison(self):
         raw = variant(
             pieces=[{"region": ["x1"], "body": {"interval": {"lo": "0", "hi": "2"}}}]
@@ -490,6 +514,13 @@ def test_select_michael_matches_the_golden_bytes(specs_dir):
     # predates the loop that builds the Michael levels
     seen = golden_runs("select-michael", fixture_names("select-michael"), (9, 17))
     assert seen == read_golden(specs_dir, "select_michael.json")
+
+
+def test_lns_matches_the_golden_bytes(specs_dir):
+    # every fixture at grids 9 and 17 and both holes: the least-norm batch
+    # and the membership entry; the golden file predates the body batches
+    seen = golden_runs("lns", fixture_names("lns"), (9, 17))
+    assert seen == read_golden(specs_dir, "lns.json")
 
 
 @pytest.mark.parametrize("command", ["envelopes", "verify"])

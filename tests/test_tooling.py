@@ -2,6 +2,8 @@
 interpreter so that nothing this test session imported leaks in."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -60,3 +62,24 @@ def test_every_exported_name_resolves():
     for module in (convsel, convsel.specio):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], module.__name__
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # perfbench/tracer.py patches these names from outside the package; a
+    # name that disappears crashes the traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [t[:3] for t in tracer.SPANS] + [t[:3] for t in tracer.COUNTERS]
+    missing = []
+    for module, owner, attr in targets:
+        mod = importlib.import_module(module)
+        if owner is None:
+            found = callable(getattr(mod, attr, None))
+        else:
+            # the tracer wraps ``cls.__dict__[attr]``: an inherited name fails
+            found = attr in vars(getattr(mod, owner, object))
+        if not found:
+            missing.append(f"{module}.{owner + '.' if owner else ''}{attr}")
+    assert missing == []
