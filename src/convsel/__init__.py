@@ -27,7 +27,16 @@ from convsel.fields import (
     modulus_ratios,
     semicontinuity_audit,
 )
-from convsel.geometry import Ball, ConvexBody, HPolytope, Interval
+from convsel.geometry import (
+    Ball,
+    BallBatch,
+    BodyBatch,
+    BodyRows,
+    ConvexBody,
+    HPolytope,
+    Interval,
+    IntervalBatch,
+)
 from convsel.maps import (
     Region,
     SetValuedMap,
@@ -49,6 +58,9 @@ __all__ = [
     "AuditError",
     "AuditReport",
     "Ball",
+    "BallBatch",
+    "BodyBatch",
+    "BodyRows",
     "ClosedSet",
     "ConvexBody",
     "ConvselError",
@@ -57,6 +69,7 @@ __all__ = [
     "Grid",
     "HPolytope",
     "Interval",
+    "IntervalBatch",
     "PostconditionError",
     "Region",
     "ScalarField",

@@ -273,14 +273,15 @@ class _Nesting(threading.local):
 _nesting = _Nesting()
 
 
-def _outermost_many(values: Callable[[np.ndarray], np.ndarray], X) -> np.ndarray:
+def _outermost_many(values: Callable, X, join: Callable = np.concatenate):
     """``values(X)`` for the points ``X``, shape (N, n), equal to the rows
     of ``values`` one at a time, bit for bit.
 
     When ``values`` raises, the outermost ``many`` on the stack evaluates
     the rows one by one, so the first row that fails raises what it raises
-    alone; a ``many`` called inside another field's batch raises at once
-    and leaves the search to it.
+    alone, and ``join`` puts the rows back together if none does; a
+    ``many`` called inside another batch (a field's, a region's or a
+    map's) raises at once and leaves the search to it.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -293,7 +294,7 @@ def _outermost_many(values: Callable[[np.ndarray], np.ndarray], X) -> np.ndarray
     except EVAL_ERRORS:
         if not X.shape[0]:
             raise
-        return np.concatenate([values(X[i : i + 1]) for i in range(X.shape[0])])
+        return join([values(X[i : i + 1]) for i in range(X.shape[0])])
     finally:
         _nesting.active = False
 

@@ -579,6 +579,10 @@ class BodyBatch(abc.ABC):
         """The number of bodies."""
 
     @abc.abstractmethod
+    def body(self, i: int) -> ConvexBody:
+        """Body i, as the map's rule builds it at that point."""
+
+    @abc.abstractmethod
     def translate(self, C) -> "BodyBatch":
         """Body i shifted by row i of ``C`` (shape (N, m))."""
 
@@ -616,6 +620,9 @@ class IntervalBatch(BodyBatch):
     def __len__(self) -> int:
         return self.lo.shape[0]
 
+    def body(self, i: int) -> Interval:
+        return Interval(self.lo[i], self.hi[i])
+
     def translate(self, C) -> "IntervalBatch":
         c = np.asarray(C, dtype=float)[:, 0]
         return IntervalBatch(self.lo + c, self.hi + c)
@@ -649,6 +656,9 @@ class BallBatch(BodyBatch):
     def __len__(self) -> int:
         return self.radii.shape[0]
 
+    def body(self, i: int) -> Ball:
+        return Ball(self.centers[i], self.radii[i])
+
     def translate(self, C) -> "BallBatch":
         return BallBatch(self.centers + np.asarray(C, dtype=float), self.radii)
 
@@ -668,7 +678,10 @@ class BallBatch(BodyBatch):
 class PolytopeBatch(BodyBatch):
     """Polytopes ``{y : A y <= b_i}`` that share their normals ``A`` and
     the exact kernel's operators ``sets`` (from :func:`kernel_operators`),
-    with ``b_i`` the rows of ``B``.
+    with ``b_i`` the rows of ``B``.  ``bounding_box`` is None or a pair
+    ``(lo, hi)`` that broadcasts to (N, m): row i is body i's box, which
+    :meth:`translate` shifts with the body as :meth:`HPolytope.translate`
+    does.
 
     Zero rows of ``A`` are resolved and, unless ``_validated``, every row
     is checked nonempty, as :class:`HPolytope` does.  The kernel's products
@@ -679,9 +692,12 @@ class PolytopeBatch(BodyBatch):
     that the kernel cannot answer.
     """
 
-    def __init__(self, A, sets, B, _validated: bool = False):
+    def __init__(self, A, sets, B, bounding_box=None, _validated: bool = False):
         A = np.asarray(A, dtype=float)
         B = np.asarray(B, dtype=float).reshape(-1, A.shape[0])
+        if bounding_box is not None:
+            bounding_box = tuple(np.broadcast_to(v, (B.shape[0], A.shape[1]))
+                                 for v in bounding_box)
         zero = np.linalg.norm(A, axis=1) == 0.0
         if zero.any():
             bad = np.any(B[:, zero] < 0, axis=1)
@@ -689,6 +705,7 @@ class PolytopeBatch(BodyBatch):
                 HPolytope(A, B[np.argmax(bad)])  # raises at the first bad row
             A, B = A[~zero], B[:, ~zero]
         self.A, self.B, self.dim = A, B, A.shape[1]
+        self.bounding_box = bounding_box
         self._sets = sets
         self._min_slack = -CONTAINS_TOL * np.maximum(1.0, np.linalg.norm(A, axis=1))[:, None]
         self._validated = _validated
@@ -704,7 +721,11 @@ class PolytopeBatch(BodyBatch):
     def body(self, i: int) -> HPolytope:
         """Row i as the :class:`HPolytope` the map builds, in the state its
         queries so far have left it."""
-        body = HPolytope(self.A, self.B[i], _validated=self._validated, _sets=self._sets)
+        box = self.bounding_box
+        if box is not None:
+            box = (box[0][i], box[1][i])
+        body = HPolytope(self.A, self.B[i], bounding_box=box, _validated=self._validated,
+                         _sets=self._sets)
         if self._origin is not None:
             body._origin_members()
         return body
@@ -763,21 +784,28 @@ class PolytopeBatch(BodyBatch):
     def translate(self, C) -> "PolytopeBatch":
         C = np.asarray(C, dtype=float)
         B = self.B + np.matmul(self.A, C[:, :, None])[:, :, 0]
-        return PolytopeBatch(self.A, self._sets, B, _validated=True)
+        box = self.bounding_box
+        if box is not None:
+            box = (box[0] + C, box[1] + C)
+        return PolytopeBatch(self.A, self._sets, B, box, _validated=True)
 
     def coord_bounds(self):
         return _bounds_by_row(map(self.body, range(len(self))), self.dim)
 
 
 class BodyRows(BodyBatch):
-    """Bodies held one by one, for rules without a batch: every query runs
-    body by body."""
+    """Bodies held one by one, for bodies with no batch of their own
+    (polytopes whose normals vary, or past the kernel's limit): every
+    query runs body by body."""
 
     def __init__(self, bodies, dim: int):
         self.bodies, self.dim = list(bodies), dim
 
     def __len__(self) -> int:
         return len(self.bodies)
+
+    def body(self, i: int) -> ConvexBody:
+        return self.bodies[i]
 
     def _rows(self, values) -> np.ndarray:
         return np.array(list(values), dtype=float).reshape(len(self), self.dim)
@@ -805,13 +833,21 @@ def _bounds_by_row(bodies, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 class StackedBatch(BodyBatch):
     """N rows split among batches: ``parts`` holds ``(rows, batch)`` pairs,
-    row ``rows[j]`` being body j of ``batch``; every row is in one part."""
+    row ``rows[j]`` being body j of ``batch``, with ``rows`` ascending;
+    every row is in one part."""
 
     def __init__(self, count: int, dim: int, parts):
         self.count, self.dim, self.parts = count, dim, list(parts)
 
     def __len__(self) -> int:
         return self.count
+
+    def body(self, i: int) -> ConvexBody:
+        for rows, batch in self.parts:
+            j = int(np.searchsorted(rows, i))
+            if j < rows.shape[0] and rows[j] == i:
+                return batch.body(j)
+        raise IndexError(f"no part holds row {i}")
 
     def _gather(self, values) -> np.ndarray:
         out = np.empty((self.count, self.dim))

@@ -2,7 +2,10 @@
 
 A map is an ordered list of (region, body rule) pieces over a domain;
 the first matching piece wins, which makes evaluation deterministic on
-region overlaps.  Lower semicontinuity and stratification structure are
+region overlaps.  Maps and regions evaluate on arrays only: a region is
+its batch, from (N, n) points to their (N,) mask, and a body rule maps
+(N, n) points to the :class:`BodyBatch` of their bodies; one point is a
+batch of one row.  Lower semicontinuity and stratification structure are
 declared by the caller and audited on grids, never proven.  All audits
 use the package-wide two-cell confirmation rule: a defect against a
 single neighbouring cell is tolerated when the next cell in the same
@@ -14,7 +17,7 @@ hands its defect to the one kernel of that rule, ``fields.confirmed_edges``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import KW_ONLY, dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Callable, Iterator
 
@@ -30,7 +33,6 @@ from .errors import (
 from .fields import (
     AuditReport,
     DEFAULT_SEED,
-    EVAL_ERRORS,
     Domain,
     Grid,
     ScalarField,
@@ -39,6 +41,7 @@ from .fields import (
     TAG_UPPER,
     VectorField,
     Violation,
+    _outermost_many,
     confirmed_edges,
     default_eps,
 )
@@ -56,37 +59,35 @@ from .geometry import (
 
 @dataclass(frozen=True)
 class Region:
-    """A predicate over domain points, with a label for reports.
+    """A set of domain points, with a label for reports.
 
-    The optional ``batch`` predicate maps an (N, n) array of points to
-    the (N,) mask ``predicate`` gives row by row; :meth:`mask` uses it.
+    ``batch`` maps an (N, n) array of points to the (N,) mask of the rows
+    inside the region; a single point is tested as a batch of one row.
     """
 
-    predicate: Callable[[np.ndarray], bool]
     label: str = ""
-    batch: Callable[[np.ndarray], np.ndarray] | None = dc_field(
-        default=None, repr=False, compare=False
-    )
+    _: KW_ONLY
+    batch: Callable[[np.ndarray], np.ndarray] = dc_field(repr=False)
 
     def __call__(self, x) -> bool:
-        return bool(self.predicate(np.asarray(x, dtype=float)))
+        return bool(self.mask(np.asarray(x, dtype=float)[None])[0])
+
+    def _mask(self, X: np.ndarray) -> np.ndarray:
+        inside = np.asarray(self.batch(X), dtype=bool)
+        if inside.shape != (X.shape[0],):
+            raise DimensionMismatchError(
+                f"region {self.label or '<anon>'} gave a mask of shape {inside.shape} "
+                f"for {X.shape[0]} points"
+            )
+        return inside
 
     def mask(self, X: np.ndarray) -> np.ndarray:
-        """Membership of each row of ``X``.  When the batch predicate
-        raises, the rows are tested one by one, so the first row that
-        fails raises what ``self(x)`` raises there."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.batch is not None:
-            try:
-                return np.asarray(self.batch(X), dtype=bool)
-            except EVAL_ERRORS:
-                pass
-        return np.fromiter((self(x) for x in X), dtype=bool, count=X.shape[0])
+        """Membership of each row of ``X``; a failing batch raises the first
+        failing row's error (:func:`fields._outermost_many`)."""
+        return _outermost_many(self._mask, np.atleast_2d(np.asarray(X, dtype=float)))
 
 
-EVERYWHERE = Region(
-    lambda x: True, "everywhere", batch=lambda X: np.ones(X.shape[0], dtype=bool)
-)
+EVERYWHERE = Region("everywhere", batch=lambda X: np.ones(X.shape[0], dtype=bool))
 
 
 def region_or(*rs: Region) -> Region:
@@ -98,9 +99,7 @@ def region_or(*rs: Region) -> Region:
             inside[rest] = r.mask(X[rest])
         return inside
 
-    return Region(
-        lambda x: any(r(x) for r in rs), " | ".join(r.label for r in rs), batch=batch
-    )
+    return Region(" | ".join(r.label for r in rs), batch=batch)
 
 
 def boundary_mask(inside: np.ndarray, grid: Grid) -> np.ndarray:
@@ -114,22 +113,9 @@ def boundary_mask(inside: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BodyRule:
-    """A piece's rule ``x -> ConvexBody`` with its batch rule: ``batch(X)``
-    maps (N, n) points to the :class:`BodyBatch` whose row i is
-    ``rule(X[i])``, raising where ``rule`` would raise at some row."""
-
-    rule: Callable[[np.ndarray], ConvexBody]
-    batch: Callable[[np.ndarray], BodyBatch]
-
-    def __call__(self, x) -> ConvexBody:
-        return self.rule(x)
-
-
-@dataclass(frozen=True)
 class SetValuedMap:
-    """Pieces ``(region, rule)``, first match wins; a rule maps a point to
-    a body, and a :class:`BodyRule` also maps arrays of points to batches."""
+    """Pieces ``(region, rule)``, first match wins; a rule maps (N, n)
+    points to the :class:`BodyBatch` of their bodies."""
 
     domain: Domain
     output_dim: int
@@ -139,33 +125,24 @@ class SetValuedMap:
     name: str = ""
 
     def evaluate(self, x) -> ConvexBody:
-        x = np.asarray(x, dtype=float)
-        for region, rule in self.pieces:
-            if region(x):
-                return self._checked(rule(x))
-        raise UncoveredPointError(f"no piece covers {x.tolist()}")
+        """T(x), from a batch of one row."""
+        return self.evaluate_many(np.asarray(x, dtype=float)[None]).body(0)
 
     def __call__(self, x) -> ConvexBody:
         return self.evaluate(x)
 
-    def _checked(self, body):
-        if body.dim != self.output_dim:
-            raise DimensionMismatchError(
-                f"piece produced dim {body.dim}, map has m={self.output_dim}"
-            )
-        return body
-
     def evaluate_many(self, X: np.ndarray) -> BodyBatch:
-        """The bodies at every row of ``X`` as one :class:`BodyBatch`, the
-        array twin of :meth:`evaluate`.
+        """The bodies at every row of ``X`` as one :class:`BodyBatch`.
 
         Each piece takes the rows that no earlier piece's region holds and
-        its own region does, and builds their bodies: a :class:`BodyRule`
-        as one batch, any other rule row by row.  Raises where
-        :meth:`evaluate` would raise at some row, though not necessarily
-        the error of the first such row.
+        its own region does, and its rule builds their bodies as one
+        batch.  A failing batch raises the first failing row's error
+        (:func:`fields._outermost_many`).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        return _outermost_many(self._bodies, X, join=self._joined)
+
+    def _bodies(self, X: np.ndarray) -> BodyBatch:
         parts = []
         todo = np.arange(X.shape[0])
         for region, rule in self.pieces:
@@ -173,18 +150,31 @@ class SetValuedMap:
                 break
             hit = region.mask(X[todo])
             rows, todo = todo[hit], todo[~hit]
-            if not rows.size:
-                continue
-            if isinstance(rule, BodyRule):
-                bodies = self._checked(rule.batch(X[rows]))
-            else:
-                bodies = BodyRows([self._checked(rule(X[i])) for i in rows], self.output_dim)
-            parts.append((rows, bodies))
+            if rows.size:
+                parts.append((rows, self._checked(rule(X[rows]), rows.size)))
         if todo.size:
             raise UncoveredPointError(f"no piece covers {X[todo[0]].tolist()}")
         if len(parts) == 1:
             return parts[0][1]  # one piece holds every row, in order
         return StackedBatch(X.shape[0], self.output_dim, parts)
+
+    def _checked(self, bodies, count: int) -> BodyBatch:
+        if not isinstance(bodies, BodyBatch):
+            raise TypeError(
+                f"a piece rule must return a BodyBatch, got {type(bodies).__name__}"
+            )
+        if len(bodies) != count:  # not searched row by row: no row is to blame
+            raise TypeError(f"a piece rule returned {len(bodies)} bodies for {count} points")
+        if bodies.dim != self.output_dim:
+            raise DimensionMismatchError(
+                f"piece produced dim {bodies.dim}, map has m={self.output_dim}"
+            )
+        return bodies
+
+    def _joined(self, batches: list) -> StackedBatch:
+        """One-row batches, in order, as one batch."""
+        parts = [(np.array([i]), b) for i, b in enumerate(batches)]
+        return StackedBatch(len(parts), self.output_dim, parts)
 
     def coord_bounds_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(lo, hi)``, shape (N, m): ``evaluate(x).coord_bounds()`` at
@@ -196,7 +186,7 @@ def constant_map(domain: Domain, body: ConvexBody, name: str = "") -> SetValuedM
     return SetValuedMap(
         domain,
         body.dim,
-        ((EVERYWHERE, lambda x: body),),
+        ((EVERYWHERE, lambda X: BodyRows([body] * X.shape[0], body.dim)),),
         declared_lsc=True,
         declared_continuous=True,
         name=name,
@@ -206,8 +196,9 @@ def constant_map(domain: Domain, body: ConvexBody, name: str = "") -> SetValuedM
 def shift(map_: SetValuedMap, f) -> SetValuedMap:
     """The map x -> {y - f(x) : y in T(x)}; preserves declared tags.
 
-    ``f`` may be a VectorField (must be tagged continuous), a plain
-    callable, or a constant vector.
+    ``f`` is a VectorField tagged continuous or a constant vector.  Each
+    piece's rule becomes ``rule(X).translate(-F)``, with F the values of
+    ``f`` at the rows ``X``.
     """
     if isinstance(f, VectorField):
         if f.tag != "continuous":
@@ -216,19 +207,17 @@ def shift(map_: SetValuedMap, f) -> SetValuedMap:
             raise DimensionMismatchError(
                 f"shift field has dim {f.dim}, map has m={map_.output_dim}"
             )
-        fv = f
-    elif callable(f):
-        fv = f
+        values = f.many
     else:
         c = np.asarray(f, dtype=float).reshape(-1)
         if c.shape != (map_.output_dim,):
             raise DimensionMismatchError(
                 f"shift vector has shape {c.shape}, map has m={map_.output_dim}"
             )
-        fv = lambda x: c
+        values = lambda X: np.tile(c, (X.shape[0], 1))
 
     pieces = tuple(
-        (region, lambda x, rule=rule: rule(x).translate(-np.asarray(fv(x), dtype=float)))
+        (region, lambda X, rule=rule: rule(X).translate(-values(X)))
         for region, rule in map_.pieces
     )
     return SetValuedMap(
@@ -309,10 +298,10 @@ def graph_sample(
     if per_point < 1:
         raise ValueError("per_point must be >= 1")
     rng = np.random.default_rng(seed)
+    bodies = map_.evaluate_many(grid.points)
     out = []
-    for x in grid.points:
-        body = map_.evaluate(x)
-        for y in probe_points(body, per_point, rng):
+    for i, x in enumerate(grid.points):
+        for y in probe_points(bodies.body(i), per_point, rng):
             out.append((x.copy(), np.asarray(y, dtype=float)))
     return out
 
@@ -343,7 +332,8 @@ class _ProbedGrid:
 
     @cached_property
     def _drawn(self) -> tuple[list, list]:
-        bodies = [self.map.evaluate(x) for x in self.grid.points]
+        batch = self.map.evaluate_many(self.grid.points)
+        bodies = [batch.body(i) for i in range(len(batch))]
         rng = np.random.default_rng(self.seed)
         probes = [
             np.asarray(probe_points(b, self.probe_count, rng), dtype=float)
@@ -452,12 +442,6 @@ class Stratification:
     @property
     def depth(self) -> int:
         return len(self.strata)
-
-    def classify(self, x) -> int:
-        for j, region in enumerate(self.strata):
-            if region(x):
-                return j
-        raise UncoveredPointError(f"no stratum covers {np.asarray(x).tolist()}")
 
     def masks(self, X: np.ndarray) -> np.ndarray:
         """(k, N) membership of each row of ``X`` in each stratum."""

@@ -7,8 +7,9 @@ later ones, D.  A glue level bakes the level inside it once on the
 construction-grid cloud of D, Tietze-extends it componentwise, and has one
 array pass: with e the extension at x, the least-norm point of T(x) - e
 plus e on the open top stratum, and e elsewhere.  A point is a batch of
-one row, and every level reads T through ``SetValuedMap.evaluate_many``,
-so its bodies are built as batches.  On D the map minus e contains
+one row.  Every level, and the hypothesis audits that come first, read T
+through ``SetValuedMap.evaluate_many``, the map's one evaluator, so its
+bodies are built as batches.  On D the map minus e contains
 the origin, so that least-norm point vanishes there — that is the
 continuity mechanism across the stratum boundary, and the decay audit
 measures it directly.

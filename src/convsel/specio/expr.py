@@ -16,24 +16,24 @@ Exponents are integer literals only.  Functions: ``abs``, ``sqrt``
 Offsets in error messages are zero-based character positions into the
 source string.
 
-:func:`compile_expr` gives an expression two calls.  ``expr(x)`` is the
-pointwise :func:`evaluate`, the reference.  ``expr.many(X)`` walks the
-AST once over an ``(N, n)`` array of points and returns the ``(N,)``
-values bit for bit: the arithmetic, ``abs``, ``neg`` and ``sqrt`` are
-correctly rounded in numpy as in Python, and ``min`` / ``max`` pick the
-operand Python's do (:func:`convsel.fields.pymin`).  ``^`` does not use
-``np.power``, whose results differ from Python's ``float ** int`` in the
-last bit for some bases (``x = -0.3902108345010009``: ``x**2`` is
-``0.15226449536196754``, ``np.power(x, 2)`` is ``0.1522644953619675``);
-it raises the Python floats of an object array, which gives Python's
-bits and exceptions.  Wherever :func:`evaluate` would raise at some row,
-``many`` raises :class:`EvalDomainError`, with its message on one row;
-callers that need the first failing row's error search row by row.
+:func:`evaluate_many` walks the AST once over an ``(N, n)`` array of
+points and returns the ``(N,)`` values, each the value of Python float
+arithmetic at that row, bit for bit: the arithmetic, ``abs``, ``neg`` and
+``sqrt`` are correctly rounded in numpy as in Python, and ``min`` /
+``max`` pick the operand Python's do (:func:`convsel.fields.pymin`).
+``^`` does not use ``np.power``, whose results differ from Python's
+``float ** int`` in the last bit for some bases
+(``x = -0.3902108345010009``: ``x**2`` is ``0.15226449536196754``,
+``np.power(x, 2)`` is ``0.1522644953619675``); it raises the Python
+floats of an object array, which gives Python's bits and exceptions.
+Where some row leaves the numeric domain, it raises
+:class:`EvalDomainError` with the message of one such row; callers that
+need the first failing row's error search row by row.
+:func:`evaluate` is a batch of one row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,48 +261,14 @@ def _pow(v: float, exponent: int) -> float:
 
 
 def evaluate(node: Node, point) -> float:
-    """Evaluate ``node`` at ``point`` (a sequence of coordinates)."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        if node.index >= len(point):
-            raise EvalDomainError(
-                f"expression uses x{node.index + 1} but the point has "
-                f"{len(point)} coordinates"
-            )
-        return float(point[node.index])
-    if isinstance(node, Unary):
-        v = evaluate(node.arg, point)
-        if node.op == "neg":
-            return -v
-        if node.op == "abs":
-            return abs(v)
-        if v < 0.0:
-            raise EvalDomainError(f"sqrt of negative value {v}")
-        return math.sqrt(v)
-    if isinstance(node, Pow):
-        return _pow(evaluate(node.base, point), node.exponent)
-    lhs = evaluate(node.lhs, point)
-    rhs = evaluate(node.rhs, point)
-    if node.op == "add":
-        return lhs + rhs
-    if node.op == "sub":
-        return lhs - rhs
-    if node.op == "mul":
-        return lhs * rhs
-    if node.op == "div":
-        if rhs == 0.0:
-            raise EvalDomainError("division by zero")
-        return lhs / rhs
-    if node.op == "min":
-        return min(lhs, rhs)
-    return max(lhs, rhs)
+    """Evaluate ``node`` at ``point`` (a sequence of coordinates), as a
+    batch of one row."""
+    return float(evaluate_many(node, np.asarray(point, dtype=float)[None])[0])
 
 
 def evaluate_many(node: Node, X: np.ndarray) -> np.ndarray:
-    """Evaluate ``node`` at every row of ``X`` (shape (N, n)), bit for bit
-    as :func:`evaluate` does at each row; raises :class:`EvalDomainError`
-    if :func:`evaluate` would raise at any row."""
+    """Evaluate ``node`` at every row of ``X`` (shape (N, n)); raises
+    :class:`EvalDomainError` where some row leaves the numeric domain."""
     if isinstance(node, Const):
         return np.full(X.shape[0], node.value)
     if isinstance(node, Var):
@@ -345,25 +311,6 @@ def evaluate_many(node: Node, X: np.ndarray) -> np.ndarray:
     if node.op == "min":
         return pymin(lhs, rhs)
     return pymax(lhs, rhs)
-
-
-@dataclass(frozen=True)
-class CompiledExpr:
-    """An AST with its two evaluators: ``expr(x)`` at one point, the
-    reference, and ``expr.many(X)`` at every row of an (N, n) array."""
-
-    node: Node
-
-    def __call__(self, point) -> float:
-        return evaluate(self.node, point)
-
-    def many(self, X: np.ndarray) -> np.ndarray:
-        return evaluate_many(self.node, X)
-
-
-def compile_expr(node: Node) -> CompiledExpr:
-    """Return the AST as a :class:`CompiledExpr`."""
-    return CompiledExpr(node)
 
 
 def max_var_index(node: Node) -> int:

@@ -24,6 +24,10 @@ expressions, or the literal strings ``"inf"`` / ``"-inf"``), ``ball``
 expressions + offset expression, optional numeric ``bounding_box``).
 ``strata`` is optional and defaults to the single stratum "everywhere".
 
+Regions and body rules are built as batches: each expression is
+evaluated with :func:`expr.evaluate_many` over the rows of an (N, n)
+array of points.
+
 Validation failures raise :class:`SpecValidationError` whose message
 starts with the JSON path of the offending field.  Coverage of the
 domain by pieces and by strata is checked on a coarse grid; a gap is
@@ -46,15 +50,14 @@ from convsel.errors import (
 )
 from convsel.fields import EVAL_ERRORS, Domain, Grid
 from convsel.geometry import (
-    Ball,
     BallBatch,
+    BodyRows,
     HPolytope,
-    Interval,
     IntervalBatch,
     PolytopeBatch,
     kernel_operators,
 )
-from convsel.maps import EVERYWHERE, BodyRule, Region, SetValuedMap, Stratification
+from convsel.maps import EVERYWHERE, Region, SetValuedMap, Stratification
 from convsel.specio import expr
 
 _BODY_KINDS = ("interval", "ball", "hpolytope")
@@ -161,14 +164,6 @@ def build_region(atoms, path: str, n: int) -> Region:
     ]
     label = " and ".join(str(a).strip() for a in atoms)
 
-    def predicate(x):
-        for lhs, rhs, strict in parsed:
-            a = expr.evaluate(lhs, x)
-            b = expr.evaluate(rhs, x)
-            if (a >= b) if strict else (a > b):
-                return False
-        return True
-
     def batch(X):
         # atom k is evaluated only on the rows where the earlier atoms hold
         inside = np.ones(X.shape[0], dtype=bool)
@@ -180,21 +175,24 @@ def build_region(atoms, path: str, n: int) -> Region:
             inside[rows] = ~((a >= b) if strict else (a > b))
         return inside
 
-    return Region(predicate, label, batch=batch)
+    return Region(label, batch=batch)
 
 
 # --- bodies -----------------------------------------------------------------
 
 
-def _interval_bound(source, path: str, n: int) -> expr.CompiledExpr:
+def _interval_bound(source, path: str, n: int) -> expr.Node:
     if isinstance(source, str) and source.strip() in ("inf", "-inf"):
-        node = expr.Const(math.inf if source.strip() == "inf" else -math.inf)
-    else:
-        node = _parse(source, path, n)
-    return expr.compile_expr(node)
+        return expr.Const(math.inf if source.strip() == "inf" else -math.inf)
+    return _parse(source, path, n)
 
 
-def _build_interval(spec: dict, path: str, n: int, m: int) -> BodyRule:
+def _columns(nodes, X: np.ndarray) -> np.ndarray:
+    """The values of ``nodes`` at the rows of ``X``, one column each."""
+    return np.column_stack([expr.evaluate_many(node, X) for node in nodes])
+
+
+def _build_interval(spec: dict, path: str, n: int, m: int):
     if m != 1:
         raise _fail(path, f"interval bodies need output_dim 1, got {m}")
     _reject_unknown(spec, path, ("lo", "hi"))
@@ -203,10 +201,7 @@ def _build_interval(spec: dict, path: str, n: int, m: int) -> BodyRule:
             raise _fail(f"{path}.{key}", "missing")
     lo = _interval_bound(spec["lo"], f"{path}.lo", n)
     hi = _interval_bound(spec["hi"], f"{path}.hi", n)
-
-    return BodyRule(
-        lambda x: Interval(lo(x), hi(x)), lambda X: IntervalBatch(lo.many(X), hi.many(X))
-    )
+    return lambda X: IntervalBatch(expr.evaluate_many(lo, X), expr.evaluate_many(hi, X))
 
 
 def _build_ball(spec: dict, path: str, n: int, m: int):
@@ -220,16 +215,9 @@ def _build_ball(spec: dict, path: str, n: int, m: int):
         raise _fail(
             f"{path}.center", f"expected {m} coordinates, got {len(center_spec)}"
         )
-    center = [
-        expr.compile_expr(_parse(c, f"{path}.center[{i}]", n))
-        for i, c in enumerate(center_spec)
-    ]
-    radius = expr.compile_expr(_parse(spec["radius"], f"{path}.radius", n))
-
-    def batch(X):
-        return BallBatch(np.column_stack([c.many(X) for c in center]), radius.many(X))
-
-    return BodyRule(lambda x: Ball([c(x) for c in center], radius(x)), batch)
+    center = [_parse(c, f"{path}.center[{i}]", n) for i, c in enumerate(center_spec)]
+    radius = _parse(spec["radius"], f"{path}.radius", n)
+    return lambda X: BallBatch(_columns(center, X), expr.evaluate_many(radius, X))
 
 
 def _build_hpolytope(spec: dict, path: str, n: int, m: int):
@@ -237,8 +225,7 @@ def _build_hpolytope(spec: dict, path: str, n: int, m: int):
     rows_spec = _require(spec.get("rows"), f"{path}.rows", list, "a list of rows")
     if not rows_spec:
         raise _fail(f"{path}.rows", "needs at least one row")
-    rows = []
-    constant = True
+    normals, offsets = [], []
     for i, row in enumerate(rows_spec):
         rpath = f"{path}.rows[{i}]"
         _require(row, rpath, dict, "an object")
@@ -250,13 +237,12 @@ def _build_hpolytope(spec: dict, path: str, n: int, m: int):
             raise _fail(
                 f"{rpath}.normal", f"expected {m} coordinates, got {len(normal_spec)}"
             )
-        nodes = [_parse(c, f"{rpath}.normal[{j}]", n) for j, c in enumerate(normal_spec)]
-        constant = constant and all(expr.max_var_index(c) == -1 for c in nodes)
-        normal = [expr.compile_expr(c) for c in nodes]
+        normals.append(
+            [_parse(c, f"{rpath}.normal[{j}]", n) for j, c in enumerate(normal_spec)]
+        )
         if "offset" not in row:
             raise _fail(f"{rpath}.offset", "missing")
-        offset = expr.compile_expr(_parse(row["offset"], f"{rpath}.offset", n))
-        rows.append((normal, offset))
+        offsets.append(_parse(row["offset"], f"{rpath}.offset", n))
     box = None
     if "bounding_box" in spec:
         bpath = f"{path}.bounding_box"
@@ -266,34 +252,25 @@ def _build_hpolytope(spec: dict, path: str, n: int, m: int):
         hi = np.array(_number_list(bspec.get("hi"), f"{bpath}.hi", m))
         box = (lo, hi)
 
-    def normals(x):
-        return np.array([[c(x) for c in normal] for normal, _ in rows])
+    def normals_at(X):
+        return np.stack([_columns(normal, X) for normal in normals], axis=1)
 
-    def rule(x):
-        b = np.array([offset(x) for _, offset in rows])
-        return HPolytope(normals(x), b, bounding_box=box)
+    def rows(X):
+        B = _columns(offsets, X)  # before the normals, as one point evaluates them
+        return BodyRows([HPolytope(a, b, bounding_box=box) for a, b in zip(normals_at(X), B)], m)
 
-    if not constant:
-        return rule
+    if any(expr.max_var_index(c) != -1 for normal in normals for c in normal):
+        return rows  # the normals vary: one polytope per point
     try:
-        A = normals(np.zeros(n))
+        A = normals_at(np.zeros((1, n)))[0]
     except EvalDomainError:
-        return rule  # each evaluation raises, as the point-by-point build would
+        return rows  # every evaluation raises
     A.setflags(write=False)
     sets = kernel_operators(A)
-
-    def shared_rule(x):
-        # constant normals: every body shares A and the kernel's operators
-        b = np.array([offset(x) for _, offset in rows])
-        return HPolytope(A, b, bounding_box=box, _sets=sets)
-
     if sets is None:
-        return shared_rule  # past the kernel's limit: row by row, on the fallback
-
-    def batch(X):
-        return PolytopeBatch(A, sets, np.column_stack([offset.many(X) for _, offset in rows]))
-
-    return BodyRule(shared_rule, batch)
+        return rows  # past the kernel's limit: one polytope per point, on the fallback
+    # constant normals: every body shares A and the kernel's operators
+    return lambda X: PolytopeBatch(A, sets, _columns(offsets, X), box)
 
 
 _BODY_BUILDERS = {

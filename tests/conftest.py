@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convsel.geometry import Ball, ConvexBody, HPolytope, Interval
+from convsel.geometry import Ball, BodyRows, ConvexBody, HPolytope, Interval, IntervalBatch
+from convsel.maps import Region
 from convsel.specio import expr
 
 SPECS = Path(__file__).parent / "specs"
@@ -22,6 +23,28 @@ SPECS = Path(__file__).parent / "specs"
 @pytest.fixture
 def specs_dir() -> Path:
     return SPECS
+
+
+# --- hand-written maps ---------------------------------------------------
+
+#: The two strata of the punctured line, as batches.
+NONZERO = Region("x != 0", batch=lambda X: X[:, 0] != 0.0)
+ORIGIN = Region("x == 0", batch=lambda X: X[:, 0] == 0.0)
+
+
+def constant_rule(body: ConvexBody):
+    """The piece rule whose body is ``body`` at every row."""
+    return lambda X: BodyRows([body] * X.shape[0], body.dim)
+
+
+def interval_rule(lo, hi):
+    """The piece rule ``[lo(X), hi(X)]``, each bound a function of the
+    (N, n) points or a number."""
+
+    def bound(b, X):
+        return b(X) if callable(b) else np.full(X.shape[0], float(b))
+
+    return lambda X: IntervalBatch(bound(lo, X), bound(hi, X))
 
 
 # --- geometry oracles ---------------------------------------------------

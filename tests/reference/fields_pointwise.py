@@ -33,6 +33,26 @@ def lift(domain, rule, tag: str = TAG_UNKNOWN, name: str = "") -> ScalarField:
     return ScalarField(domain, batch=batch, tag=tag, name=name)
 
 
+def once_per_point(rule):
+    """The per-point ``rule``, run once at each point: a value is kept
+    under the point's bits and handed out again, so an oracle that reads
+    a field or a region many times at one point pays for it once."""
+    seen = {}
+
+    def kept(x):
+        key = np.asarray(x, dtype=float).tobytes()
+        if key not in seen:
+            seen[key] = rule(x)
+        return seen[key]
+
+    return kept
+
+
+def lift_once(f: ScalarField) -> ScalarField:
+    """``f`` as a field read once at each point (:func:`once_per_point`)."""
+    return lift(f.domain, once_per_point(f), tag=f.tag, name=f.name)
+
+
 def constant_field(domain, value: float, name: str = "") -> ScalarField:
     v = _as_extended(value)
     return lift(domain, lambda x: v, tag=TAG_CONTINUOUS, name=name)
@@ -114,7 +134,8 @@ def tietze_pointwise(f, A: ClosedSet, lo=None, hi=None, values=None) -> ScalarFi
 
 
 def envelopes_pointwise(map_) -> tuple[ScalarField, ScalarField]:
-    """(inf T, sup T) from ``map_.evaluate(x).coord_bounds()`` at each point."""
+    """(inf T, sup T) from ``map_.evaluate(x).coord_bounds()`` at each point
+    of a pointwise map (``reference.maps_pointwise``)."""
     lsc = map_.declared_lsc
     f = lift(map_.domain, lambda x: map_.evaluate(x).coord_bounds()[0][0],
              tag=TAG_UPPER if lsc else TAG_UNKNOWN, name=f"inf({map_.name})")

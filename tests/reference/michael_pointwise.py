@@ -2,8 +2,9 @@
 passes of ``convsel.selection`` and the body batches of
 ``SetValuedMap.evaluate_many`` must reproduce bit for bit.
 
-:func:`pointwise_levels` rebuilds every level of a selection from the map,
-its strata and the construction grid, a point at a time: the least-norm
+:func:`pointwise_levels` rebuilds every level of a selection from the map
+and its strata, both the one-point oracles of ``reference.maps_pointwise``,
+and the construction grid, a point at a time: the least-norm
 point of T(x) on the base level; on a glue level the level inside read at
 each cloud point, Hausdorff's formula over that cloud coordinate by
 coordinate (``tietze_pointwise``), and with e the extension at x, the
@@ -33,7 +34,7 @@ def lift_vector(domain, dim: int, rule, name: str = "") -> VectorField:
 
 
 def lns_pointwise(map_) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> the least-norm point of T(x)."""
+    """x -> the least-norm point of T(x), for a pointwise ``map_``."""
     return lambda x: map_.evaluate(x).least_norm()
 
 

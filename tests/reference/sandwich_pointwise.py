@@ -24,13 +24,17 @@ from convsel.fields import (
     TAG_CONTINUOUS,
     unsquash,
 )
-from convsel.maps import Region, region_or
 from convsel.sandwich import EQUALITY_TOL, STRICT_GAP
-from reference.fields_pointwise import add, compress_field, constant_field, lift, negate
-
-
-def region_not(r: Region) -> Region:
-    return Region(lambda x: not r(x), f"not({r.label})")
+from reference.fields_pointwise import (
+    add,
+    compress_field,
+    constant_field,
+    lift,
+    lift_once,
+    negate,
+    once_per_point,
+)
+from reference.maps_pointwise import PointwiseRegion, region_not, region_or
 
 
 def reduce_to_bounded(f: ScalarField, g: ScalarField):
@@ -68,7 +72,7 @@ def check_glue_point(x, vf: float, vg: float):
 def equalizer_glue(
     f: ScalarField,
     g: ScalarField,
-    U: Region,
+    U: PointwiseRegion,
     E: Domain,
     h_prev: ScalarField | None = None,
     grid: Grid | None = None,
@@ -85,7 +89,7 @@ def equalizer_glue(
     f1 = add(f, negate(h_prev))
     g1 = add(g, negate(h_prev))
 
-    X = Region(
+    X = PointwiseRegion(
         lambda x: U(x) and abs(f1(x) - g1(x)) <= EQUALITY_TOL,
         f"equality locus in {U.label or 'U'}",
     )
@@ -109,9 +113,9 @@ def equalizer_glue(
 def interior_adjust(
     f: ScalarField,
     g: ScalarField,
-    V: Region,
-    Z1: Region,
-    Z2: Region,
+    V: PointwiseRegion,
+    Z1: PointwiseRegion,
+    Z2: PointwiseRegion,
     eta1: ScalarField,
     eta2: ScalarField,
     domain: Domain | None = None,
@@ -137,15 +141,15 @@ def damp_to_safe(
     h5: ScalarField,
     f: ScalarField,
     g: ScalarField,
-    V: Region,
-    Z1: Region,
-    Z2: Region,
+    V: PointwiseRegion,
+    Z1: PointwiseRegion,
+    Z2: PointwiseRegion,
 ):
     """Final glue: h5 on S, delta * h5 on V, with delta the ratio of the
     hinges phi_W = (min(h5-f, g-h5))⁺ and phi_W + phi_B, phi_B =
     (min(-f, g))⁺.  Returns (h, delta, W)."""
     S = region_or(Z1, Z2, region_not(V))
-    W = Region(
+    W = PointwiseRegion(
         lambda x: V(x) and (h5(x) <= f(x) or h5(x) >= g(x)),
         "escape region W",
     )
@@ -200,9 +204,9 @@ def glue_level(f, g, E, stratum, U, h1, h3, h5, eta1, eta2) -> PointwiseLevel:
     h2, X = equalizer_glue(f, g, U, E, h_prev=h1)
     f2 = add(add(f, negate(h1)), negate(h3))
     g2 = add(add(g, negate(h1)), negate(h3))
-    V = Region(lambda x: U(x) and not X(x), f"{U.label or 'U'} minus equality locus")
-    Z1 = Region(lambda x: f2(x) >= 0.0, "floor has caught up (f2 >= 0)")
-    Z2 = Region(lambda x: g2(x) <= 0.0, "ceiling has caught up (g2 <= 0)")
+    V = PointwiseRegion(lambda x: U(x) and not X(x), f"{U.label or 'U'} minus equality locus")
+    Z1 = PointwiseRegion(lambda x: f2(x) >= 0.0, "floor has caught up (f2 >= 0)")
+    Z2 = PointwiseRegion(lambda x: g2(x) <= 0.0, "ceiling has caught up (g2 <= 0)")
     h4 = interior_adjust(f2, g2, V, Z1, Z2, eta1, eta2, E)
     h_glued, delta, W = damp_to_safe(h5, f2, g2, V, Z1, Z2)
     S = region_or(Z1, Z2, region_not(V))
@@ -230,9 +234,10 @@ def pointwise_levels(trace) -> list[PointwiseLevel]:
             out.append(PointwiseLevel(level.stratum, "base", h0, f, g, h0=h0))
             continue
         p = level.arrays
-        out.append(
-            glue_level(f, g, E, level.stratum, p.U, p.h1, p.h3, p.h5, p.eta1, p.eta2)
-        )
+        # the pass's region and baked fields, each read once at a point
+        U = PointwiseRegion(once_per_point(p.U), p.U.label)
+        baked = (lift_once(v) for v in (p.h1, p.h3, p.h5, p.eta1, p.eta2))
+        out.append(glue_level(f, g, E, level.stratum, U, *baked))
     return out
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from conftest import ref_eval, random_ast
+from conftest import NONZERO, ORIGIN, interval_rule, ref_eval, random_ast
 from convsel.errors import EvalDomainError, ExprSyntaxError
 from convsel.fields import (
     Domain,
@@ -28,7 +28,6 @@ from convsel.fields import (
 from convsel.geometry import Ball, HPolytope, Interval
 from convsel.maps import (
     EVERYWHERE,
-    Region,
     SetValuedMap,
     Stratification,
     envelopes,
@@ -42,6 +41,7 @@ from convsel.specio.expr import evaluate, parse_expr
 from convsel.specio.loader import load_spec
 from convsel.urysohn import ClosedSet, dist_field, separator, tietze_extend
 from reference.fields_pointwise import lift
+from reference.maps_pointwise import load_pointwise
 
 SPECS = Path(__file__).parent / "specs"
 
@@ -137,10 +137,11 @@ def test_criterion_2_michael_suite():
 
         membership_grid = Grid(spec.domain, 1025 if one_d else 33)
         assert len(membership_grid) >= 1000
+        oracle, _ = load_pointwise(spec.raw)  # T one point at a time
         worst = 0.0
         for x in membership_grid.points:
             y = np.asarray(h(x), dtype=float)
-            worst = max(worst, float(spec.map.evaluate(x).distance(y)))
+            worst = max(worst, float(oracle.evaluate(x).distance(y)))
         if worst > 1e-7:
             failures.append(f"{name}: membership distance {worst:.3e} > 1e-7")
 
@@ -307,20 +308,18 @@ def test_criterion_5_urysohn_instances():
 def test_criterion_6_audit_pair():
     failures = []
     dom = Domain(1, boxes=(((-1.0,), (1.0,)),))
-    nonzero = Region(lambda x: x[0] != 0.0, "x != 0")
-    origin = Region(lambda x: x[0] == 0.0, "x == 0")
     grid = Grid(dom, 33)
 
     good = SetValuedMap(
         dom,
         1,
-        ((nonzero, lambda x: Interval(0.0, 1.0)), (origin, lambda x: Interval(0.0, 0.0))),
+        ((NONZERO, interval_rule(0.0, 1.0)), (ORIGIN, interval_rule(0.0, 0.0))),
         declared_lsc=True,
     )
     bad = SetValuedMap(
         dom,
         1,
-        ((nonzero, lambda x: Interval(0.0, 0.0)), (origin, lambda x: Interval(0.0, 1.0))),
+        ((NONZERO, interval_rule(0.0, 0.0)), (ORIGIN, interval_rule(0.0, 1.0))),
         declared_lsc=True,
     )
 

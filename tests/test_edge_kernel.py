@@ -32,8 +32,6 @@ from convsel.fields import (
 )
 from convsel.geometry import Interval
 from convsel.maps import (
-    Region,
-    SetValuedMap,
     Stratification,
     _distance_to,
     continuity_audit,
@@ -45,7 +43,8 @@ from convsel.maps import (
 from convsel.specio.loader import load_spec
 
 from conftest import SPECS
-from reference.fields_pointwise import lift
+from reference.fields_pointwise import envelopes_pointwise, lift
+from reference.maps_pointwise import EVERYWHERE, PointwiseMap, PointwiseRegion, load_pointwise
 
 FIXTURES = sorted(p.stem for p in SPECS.glob("*.json"))
 
@@ -104,6 +103,7 @@ def ref_semicontinuity(values, grid, tag, eps, mask=None):
 
 
 def ref_lsc(map_, grid, eps=None, slope=1.0, interior_probes=3, mask=None):
+    """The lsc sweep edge by edge over the bodies of the pointwise ``map_``."""
     if eps is None:
         eps = default_eps(grid)
     pts = grid.points
@@ -140,11 +140,12 @@ def ref_lsc(map_, grid, eps=None, slope=1.0, interior_probes=3, mask=None):
     return tuple(violations)
 
 
-def ref_stratification(strat, grid):
+def ref_stratification(strata, grid):
+    """The stratification audit point by point over pointwise ``strata``."""
     pts = grid.points
     violations = []
     counts = np.zeros(len(grid), dtype=int)
-    for region in strat.strata:
+    for region in strata:
         counts += region.mask(pts).astype(int)
     for i in np.nonzero(counts != 1)[0]:
         word = "no stratum" if counts[i] == 0 else f"{counts[i]} strata"
@@ -154,7 +155,7 @@ def ref_stratification(strat, grid):
         )
     if violations:
         return tuple(violations)
-    cls = np.fromiter((strat.classify(x) for x in pts), dtype=int, count=len(grid))
+    cls = [next(j for j, region in enumerate(strata) if region(x)) for x in pts]
     edges, _ = grid.directed_edges()
     for k in range(edges.shape[0]):
         t, h, far = map(int, edges[k])
@@ -219,29 +220,30 @@ def assert_same_outcome(got, want):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_audits_match_the_loops(name, per_axis):
     spec = load_spec(str(SPECS / f"{name}.json"))
+    oracle, strata = load_pointwise(spec.raw)
     grid = Grid(spec.domain, per_axis)
     strat = spec.stratification
 
     got = outcome(lambda: stratification_audit(strat, grid).violations)
-    assert_same_outcome(got, outcome(ref_stratification, strat, grid))
+    assert_same_outcome(got, outcome(ref_stratification, strata, grid))
 
     # the default eps passes nearly every fixture; eps = 0 flags every
     # jump the slope allowance does not cover, so order and deficits show
     for eps in (None, 0.0):
         got = outcome(lambda: lsc_audit(spec.map, grid, eps=eps).violations)
-        assert_same_outcome(got, outcome(ref_lsc, spec.map, grid, eps=eps))
+        assert_same_outcome(got, outcome(ref_lsc, oracle, grid, eps=eps))
         for region in strat.strata:
             mask = region.mask(grid.points)
             got = outcome(
                 lambda: continuity_audit(spec.map, grid, eps=eps, region=region).violations
             )
-            assert_same_outcome(got, outcome(ref_lsc, spec.map, grid, eps=eps, mask=mask))
+            assert_same_outcome(got, outcome(ref_lsc, oracle, grid, eps=eps, mask=mask))
 
     if spec.output_dim != 1:
         return
-    for fld in envelopes(spec.map):
+    for fld, ref in zip(envelopes(spec.map), envelopes_pointwise(oracle)):
         try:
-            values = np.array([fld(x) for x in grid.points])
+            values = np.array([ref(x) for x in grid.points])
         except ConvselError:
             with pytest.raises(ConvselError):
                 semicontinuity_audit(fld, grid, tag=TAG_CONTINUOUS)
@@ -317,10 +319,9 @@ def test_drawn_values_match_the_loop(data):
     assert rep.checked == (n if mask is None else int(mask.sum()))
 
 
-def interval_map(domain, lo_of, hi_of):
-    return SetValuedMap(
-        domain, 1, ((Region(lambda x: True), lambda x: Interval(lo_of(x), hi_of(x))),),
-        declared_lsc=True,
+def interval_map(domain, lo_of, hi_of) -> PointwiseMap:
+    return PointwiseMap(
+        domain, 1, ((EVERYWHERE, lambda x: Interval(lo_of(x), hi_of(x))),), declared_lsc=True,
     )
 
 
@@ -338,7 +339,7 @@ def test_drawn_masks_on_a_jumping_map_match_the_loop(data):
     )
     mask = data.draw(masks(n))
     eps = data.draw(st.sampled_from([0.0, 0.1]))
-    got = lsc_audit(m, grid, eps=eps, mask=mask).violations
+    got = lsc_audit(m.library(), grid, eps=eps, mask=mask).violations
     assert_same_violations(got, ref_lsc(m, grid, eps=eps, mask=mask))
 
 
@@ -355,12 +356,12 @@ def test_drawn_labellings_match_the_loop(data):
     else:  # any masks: gaps and overlaps too
         inside = [data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
                   for _ in range(k)]
-    strat = Stratification(tuple(
-        Region(lambda x, m=m: m[index[tuple(x.tolist())]], f"C{j}")
+    strata = tuple(
+        PointwiseRegion(lambda x, m=m: m[index[tuple(x.tolist())]], f"C{j}")
         for j, m in enumerate(inside)
-    ))
-    rep = stratification_audit(strat, grid)
-    want = ref_stratification(strat, grid)
+    )
+    rep = stratification_audit(Stratification(tuple(r.region() for r in strata)), grid)
+    want = ref_stratification(strata, grid)
     assert_same_violations(rep.violations, want)
     assert rep.passed == (not want)
 

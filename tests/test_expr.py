@@ -11,8 +11,8 @@ from convsel.specio.expr import (
     Pow,
     Unary,
     Var,
-    compile_expr,
     evaluate,
+    evaluate_many,
     max_var_index,
     parse_expr,
     to_source,
@@ -66,9 +66,11 @@ class TestParsing:
     def test_whitespace_insensitive(self):
         assert parse_expr(" 1 + 2 * x1 ") == parse_expr("1+2*x1")
 
-    def test_compile(self):
-        fn = compile_expr(parse_expr("x1*x2"))
-        assert fn((3.0, 4.0)) == 12.0
+    def test_evaluate_many(self):
+        node = parse_expr("x1*x2")
+        got = evaluate_many(node, np.array([[3.0, 4.0], [-0.5, 2.0]]))
+        np.testing.assert_array_equal(got, [12.0, -1.0])
+        assert evaluate(node, (3.0, 4.0)) == 12.0
 
 
 class TestErrors:

@@ -1,11 +1,13 @@
-"""Array evaluation of expressions, regions and maps against the pointwise path.
+"""Array evaluation of expressions, regions and maps against the pointwise
+oracle of ``reference.maps_pointwise``.
 
-``CompiledExpr.many`` must give ``evaluate``'s values bit for bit at every
-row and raise wherever ``evaluate`` raises at some row; a region's batch
-predicate must give its pointwise mask, with the loader's short-circuit;
-``SetValuedMap.coord_bounds_many`` must give ``evaluate(x).coord_bounds()``
-at every row.  Where a batch raises, a field searches its rows one at a
-time, and the first failing row names the error, as ``evaluate`` does.
+``expr.evaluate_many`` must give the recursive evaluator's values bit for
+bit at every row and raise wherever it raises at some row; a loaded
+region's batch must give the oracle's mask, with the loader's
+short-circuit; ``SetValuedMap.coord_bounds_many`` must give the oracle's
+``evaluate(x).coord_bounds()`` at every row.  Where a batch raises, a
+field searches its rows one at a time, and the first failing row names
+the error, as the oracle does.
 """
 
 import json
@@ -15,23 +17,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SPECS, assert_same_bits, random_ast
+from conftest import SPECS, assert_same_bits, interval_rule, random_ast
 from convsel.errors import EvalDomainError, InfeasibleBodyError, UncoveredPointError
 from convsel.fields import Domain, Grid, ScalarField, modulus_ratios
 from convsel.geometry import Interval
 from convsel.maps import EVERYWHERE, Region, SetValuedMap, envelopes, region_or
-from convsel.specio import compile_expr, load_spec, load_spec_dict, parse_expr
-from convsel.specio.expr import evaluate
+from convsel.specio import evaluate, evaluate_many, load_spec, load_spec_dict, parse_expr
 from golden.capture import HOLES
+from reference import maps_pointwise as pw
 from reference.fields_pointwise import envelopes_pointwise
 
 LINE = Domain(1, boxes=(((-1.0,), (1.0,)),))
 
 
 def pointwise_or_error(node, X):
-    """(values, None) when ``evaluate`` succeeds at every row, else (None, error)."""
+    """(values, None) when the oracle succeeds at every row, else (None, error)."""
     try:
-        return np.array([evaluate(node, x) for x in X]), None
+        return np.array([pw.evaluate(node, x) for x in X]), None
     except EvalDomainError as exc:
         return None, exc
 
@@ -59,9 +61,9 @@ def test_many_matches_evaluate_bit_for_bit(seed, rows, tie):
     values, error = pointwise_or_error(node, X)
     if error is not None:
         with pytest.raises(EvalDomainError):
-            compile_expr(node).many(X)
+            evaluate_many(node, X)
     else:
-        assert_same_bits(compile_expr(node).many(X), values)
+        assert_same_bits(evaluate_many(node, X), values)
 
 
 @pytest.mark.parametrize("base, exponent, python", [
@@ -71,7 +73,7 @@ def test_many_matches_evaluate_bit_for_bit(seed, rows, tie):
 ])
 def test_powers_take_pythons_bits(base, exponent, python):
     assert base**exponent == python
-    got = compile_expr(parse_expr(f"x1^{exponent}")).many(np.array([[base], [-base]]))
+    got = evaluate_many(parse_expr(f"x1^{exponent}"), np.array([[base], [-base]]))
     assert_same_bits(got, [python, (-base) ** exponent])
 
 
@@ -80,7 +82,7 @@ def test_min_and_max_pick_the_operand_python_picks(source):
     # signed zeros and NaNs, where np.minimum / np.maximum may choose the other side
     X = np.array([[0.0, -0.0], [-0.0, 0.0], [math.nan, 1.0], [1.0, math.nan], [2.0, 2.0]])
     node = parse_expr(source)
-    assert_same_bits(compile_expr(node).many(X), [evaluate(node, x) for x in X])
+    assert_same_bits(evaluate_many(node, X), [pw.evaluate(node, x) for x in X])
 
 
 def test_the_array_path_does_not_call_np_power():
@@ -106,13 +108,13 @@ def test_each_domain_error_raises_and_the_field_names_the_first_failing_point(
     source, message
 ):
     X = np.array([[1.0], [0.5], [0.25], [-0.5]])
-    c = compile_expr(parse_expr(source))
+    node = parse_expr(source)
     with pytest.raises(EvalDomainError, match=message):
-        c.many(X)
-    field = ScalarField(None, batch=c.many)
+        evaluate_many(node, X)
+    field = ScalarField(None, batch=lambda X: evaluate_many(node, X))
     with pytest.raises(EvalDomainError) as pointwise:
         for x in X:
-            evaluate(c.node, x)
+            pw.evaluate(node, x)
     with pytest.raises(EvalDomainError) as batch:
         field.many(X)
     assert str(batch.value) == str(pointwise.value)
@@ -121,15 +123,19 @@ def test_each_domain_error_raises_and_the_field_names_the_first_failing_point(
 
 @pytest.mark.parametrize("source, message", _ERRORS)
 def test_one_row_raises_what_evaluate_raises(source, message):
-    # the ``^`` errors name their base, as evaluate's do
-    c = compile_expr(parse_expr(source))
+    # the ``^`` errors name their base, as the oracle's do; ``evaluate``
+    # is the batch of one row
+    node = parse_expr(source)
     failed = 0
     for x in np.array([[1.0], [0.5], [0.25], [-0.5]]):
         try:
-            evaluate(c.node, x)
+            pw.evaluate(node, x)
         except EvalDomainError as want:
             with pytest.raises(EvalDomainError) as got:
-                c.many(x[None])
+                evaluate_many(node, x[None])
+            assert str(got.value) == str(want)
+            with pytest.raises(EvalDomainError) as got:
+                evaluate(node, x)
             assert str(got.value) == str(want)
             failed += 1
     assert failed
@@ -159,7 +165,7 @@ def test_a_guarded_atom_is_not_evaluated_where_the_guard_fails():
     spec = load_spec_dict(raw)
     region = spec.stratification.strata[0]
     X = Grid(spec.domain, 65).points
-    want = np.array([region(x) for x in X])
+    want = pw.load_pointwise(raw)[1][0].mask(X)
     assert want.any() and not want.all()
     np.testing.assert_array_equal(region.batch(X), want)  # no fallback: it does not raise
     np.testing.assert_array_equal(region.mask(X), want)
@@ -176,30 +182,34 @@ def test_a_nan_comparison_holds_as_it_does_pointwise():
     }
     region = load_spec_dict(raw).map.pieces[0][0]
     X = np.array([[0.0], [0.25], [0.75], [-1.0]])
-    want = np.array([region(x) for x in X])
+    want = pw.load_pointwise(raw)[0].pieces[0][0].mask(X)
     np.testing.assert_array_equal(region.batch(X), want)
     assert want.tolist() == [False, True, False, True]
 
 
 def test_region_or_masks_like_any():
-    left = Region(lambda x: x[0] < 0.0, "left", batch=lambda X: X[:, 0] < 0.0)
-    origin = Region(lambda x: x[0] == 0.0, "origin")  # no batch: tested row by row
+    left = pw.PointwiseRegion(lambda x: x[0] < 0.0, "left")
+    origin = pw.PointwiseRegion(lambda x: x[0] == 0.0, "origin")
+    batched = Region("left", batch=lambda X: X[:, 0] < 0.0)
     X = Grid(LINE, 17).points
-    for r in (region_or(left, origin), region_or(origin, left, EVERYWHERE)):
-        np.testing.assert_array_equal(r.mask(X), [r(x) for x in X])
+    for r, ref in ((region_or(batched, origin.region()), pw.region_or(left, origin)),
+                   (region_or(origin.region(), batched, EVERYWHERE),
+                    pw.region_or(origin, left, pw.EVERYWHERE))):
+        np.testing.assert_array_equal(r.mask(X), ref.mask(X))
+        np.testing.assert_array_equal([r(x) for x in X], ref.mask(X))
 
 
 def test_region_or_tests_a_member_only_where_the_earlier_ones_fail():
     seen = []
-    left = Region(lambda x: x[0] < 0.0, "left", batch=lambda X: X[:, 0] < 0.0)
-    spy = Region(lambda x: seen.append(float(x[0])) or True, "spy")
+    left = Region("left", batch=lambda X: X[:, 0] < 0.0)
+    spy = pw.PointwiseRegion(lambda x: seen.append(float(x[0])) or True, "spy").region()
     region_or(left, spy).mask(Grid(LINE, 5).points)
     assert seen == [0.0, 0.5, 1.0]
 
 
-def assert_bounds_match(map_, X):
+def assert_bounds_match(map_, oracle, X):
     lo, hi = map_.coord_bounds_many(X)
-    want = [map_.evaluate(x).coord_bounds() for x in X]
+    want = [oracle.evaluate(x).coord_bounds() for x in X]
     assert lo.shape == hi.shape == (X.shape[0], map_.output_dim)
     assert_same_bits(lo, [w[0] for w in want])
     assert_same_bits(hi, [w[1] for w in want])
@@ -209,7 +219,8 @@ def assert_bounds_match(map_, X):
 @pytest.mark.parametrize("per_axis", [9, 65])
 def test_coord_bounds_many_matches_each_fixture(name, per_axis):
     spec = load_spec(str(SPECS / f"{name}.json"))
-    assert_bounds_match(spec.map, Grid(spec.domain, per_axis).points)
+    oracle, _ = pw.load_pointwise(spec.raw)
+    assert_bounds_match(spec.map, oracle, Grid(spec.domain, per_axis).points)
 
 
 def test_the_fixtures_cover_every_body_kind():
@@ -226,21 +237,23 @@ def test_coord_bounds_many_runs_a_plain_rule_row_by_row():
         calls.append(float(x[0]))
         return Interval(x[0] ** 2, 1.0 + abs(x[0]))
 
-    loaded = load_spec_dict({
+    raw = {
         "ambient_dim": 1, "output_dim": 1,
         "domain": {"boxes": [{"lo": [-1.0], "hi": [1.0]}]},
         "pieces": [{"region": ["x1 < 0"], "body": {"interval": {"lo": "x1", "hi": "0"}}},
                    {"region": [], "body": {"interval": {"lo": "0", "hi": "1"}}}],
-    }).map.pieces[0]
-    map_ = SetValuedMap(LINE, 1, (loaded, (EVERYWHERE, rule)))
+    }
+    loaded = load_spec_dict(raw).map.pieces[0]
+    map_ = SetValuedMap(LINE, 1, (loaded, (EVERYWHERE, pw.rows_rule(rule, 1))))
+    oracle = pw.PointwiseMap(LINE, 1, (pw.load_pointwise(raw)[0].pieces[0], (pw.EVERYWHERE, rule)))
     X = Grid(LINE, 9).points
-    assert_bounds_match(map_, X)
+    assert_bounds_match(map_, oracle, X)
     assert calls[:5] == [0.0, 0.25, 0.5, 0.75, 1.0]  # only the rows the first piece leaves
 
 
 def test_coord_bounds_many_raises_at_an_uncovered_point():
-    right = Region(lambda x: x[0] > 0.0, "right", batch=lambda X: X[:, 0] > 0.0)
-    map_ = SetValuedMap(LINE, 1, ((right, lambda x: Interval(0.0, 1.0)),))
+    right = Region("right", batch=lambda X: X[:, 0] > 0.0)
+    map_ = SetValuedMap(LINE, 1, ((right, interval_rule(0.0, 1.0)),))
     X = np.array([[0.5], [-0.5], [1.0]])
     with pytest.raises(UncoveredPointError, match=r"\[-0\.5\]"):
         map_.coord_bounds_many(X)
@@ -257,17 +270,21 @@ def test_coord_bounds_many_raises_what_evaluate_raises(body):
     # a crossed interval, [inf, inf] and a negative radius, in a piece that
     # holds right of the domain [-1, 0], so the load-time check never reads
     # it: the batch rule raises the body's own error, as evaluate does
-    map_ = load_spec_dict({
+    raw = {
         "ambient_dim": 1, "output_dim": 1,
         "domain": {"boxes": [{"lo": [-1.0], "hi": [0.0]}]},
         "pieces": [{"region": ["0 < x1"], "body": body},
                    {"region": [], "body": {"interval": {"lo": "0", "hi": "1"}}}],
-    }).map
+    }
+    map_ = load_spec_dict(raw).map
     x = np.array([0.5])
     with pytest.raises(InfeasibleBodyError) as want:
-        map_.evaluate(x)
+        pw.load_pointwise(raw)[0].evaluate(x)
     with pytest.raises(InfeasibleBodyError) as got:
         map_.coord_bounds_many(x[None])
+    assert str(got.value) == str(want.value)
+    with pytest.raises(InfeasibleBodyError) as got:
+        map_.evaluate(x)
     assert str(got.value) == str(want.value)
 
 
@@ -281,7 +298,8 @@ def test_envelopes_raise_the_pointwise_error(name):
 
     spec = load_spec_dict(json.loads(json.dumps(HOLES[name])))
     X = Grid(spec.domain, 65).points
-    for field, ref in zip(envelopes(spec.map), envelopes_pointwise(spec.map)):
+    oracle, _ = pw.load_pointwise(spec.raw)
+    for field, ref in zip(envelopes(spec.map), envelopes_pointwise(oracle)):
         assert raised(field.many, X) == raised(ref.many, X)
         assert raised(field, X[33]) == raised(ref, X[33])
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import NONZERO, ORIGIN, constant_rule, interval_rule
 from convsel import maps
 from convsel.errors import (
     DimensionMismatchError,
@@ -17,7 +18,7 @@ from convsel.fields import (
     Grid,
     VectorField,
 )
-from convsel.geometry import Ball, Interval
+from convsel.geometry import Ball, Interval, IntervalBatch
 from convsel.maps import (
     EVERYWHERE,
     Region,
@@ -35,15 +36,13 @@ from convsel.maps import (
 )
 
 LINE = Domain(1, boxes=(((-1.0,), (1.0,)),))
-NONZERO = Region(lambda x: x[0] != 0.0, "x != 0")
-ORIGIN = Region(lambda x: x[0] == 0.0, "x == 0")
 
 
 def two_piece_map(inner: Interval, at_zero: Interval, **tags) -> SetValuedMap:
     return SetValuedMap(
         LINE,
         1,
-        ((NONZERO, lambda x: inner), (ORIGIN, lambda x: at_zero)),
+        ((NONZERO, constant_rule(inner)), (ORIGIN, constant_rule(at_zero))),
         name="two-piece",
         **tags,
     )
@@ -61,20 +60,35 @@ class TestSetValuedMap:
         m = SetValuedMap(
             LINE,
             1,
-            ((EVERYWHERE, lambda x: Interval(0, 0)), (EVERYWHERE, lambda x: Interval(5, 5))),
+            ((EVERYWHERE, interval_rule(0, 0)), (EVERYWHERE, interval_rule(5, 5))),
         )
         body = m([0.3])
         assert (body.lo, body.hi) == (0.0, 0.0)
 
     def test_uncovered_point(self):
-        m = SetValuedMap(LINE, 1, ((NONZERO, lambda x: Interval(0, 1)),))
+        m = SetValuedMap(LINE, 1, ((NONZERO, interval_rule(0, 1)),))
         with pytest.raises(UncoveredPointError):
             m([0.0])
 
     def test_output_dim_enforced(self):
-        m = SetValuedMap(LINE, 2, ((EVERYWHERE, lambda x: Interval(0, 1)),))
+        m = SetValuedMap(LINE, 2, ((EVERYWHERE, interval_rule(0, 1)),))
         with pytest.raises(DimensionMismatchError):
             m([0.0])
+
+    def test_a_rule_returning_a_body_is_refused(self):
+        # a piece rule maps an array of points to a batch, not a point to a body
+        m = SetValuedMap(LINE, 1, ((EVERYWHERE, lambda X: Interval(0, 1)),))
+        with pytest.raises(TypeError, match="must return a BodyBatch, got Interval"):
+            m.evaluate_many(np.zeros((3, 1)))
+        with pytest.raises(TypeError, match="must return a BodyBatch"):
+            m([0.0])
+
+    def test_a_batch_of_the_wrong_length_is_refused(self):
+        m = SetValuedMap(LINE, 1, ((EVERYWHERE, interval_rule(0, 1)),))
+        short = SetValuedMap(LINE, 1, ((EVERYWHERE, lambda X: IntervalBatch([0.0], [1.0])),))
+        assert len(m.evaluate_many(np.zeros((3, 1)))) == 3
+        with pytest.raises(TypeError, match="returned 1 bodies for 3 points"):
+            short.evaluate_many(np.zeros((3, 1)))
 
     def test_constant_map_tags(self):
         m = constant_map(LINE, Ball((0.0, 0.0), 1.0))
@@ -84,8 +98,28 @@ class TestSetValuedMap:
 
 class TestRegions:
     def test_combinators(self):
-        left = Region(lambda x: x[0] < 0, "left")
+        left = Region("left", batch=lambda X: X[:, 0] < 0)
         assert region_or(left, ORIGIN)(np.array([0.0]))
+        np.testing.assert_array_equal(
+            region_or(left, ORIGIN).mask(np.array([[-1.0], [0.0], [1.0]])), [True, True, False]
+        )
+
+    def test_a_pointwise_predicate_is_refused(self):
+        # a region is its batch, given by keyword; the old (predicate, label)
+        # call has no place for the predicate
+        with pytest.raises(TypeError):
+            Region(lambda x: x[0] < 0, "left")
+        with pytest.raises(TypeError):
+            Region("left")
+        assert not hasattr(Region("left", batch=lambda X: X[:, 0] < 0), "predicate")
+
+    def test_a_mask_of_the_wrong_shape_is_refused(self):
+        scalar = Region("scalar", batch=lambda X: X[0, 0] < 0)
+        with pytest.raises(DimensionMismatchError, match=r"scalar gave a mask of shape \(\)"):
+            scalar.mask(np.zeros((3, 1)))
+        column = Region("column", batch=lambda X: X < 0)
+        with pytest.raises(DimensionMismatchError, match=r"shape \(1, 1\) for 1 points"):
+            column([0.0])
 
     @pytest.mark.parametrize("region, boundary", [
         (NONZERO, [[0.0]]),  # the puncture of the line
@@ -104,12 +138,21 @@ class TestShift:
         body = shifted([0.0])
         assert (body.lo, body.hi) == (-1.0, 1.0)
 
-    def test_callable(self):
+    def test_continuous_vector_field(self):
         m = constant_map(LINE, Interval(0.0, 1.0))
-        shifted = shift(m, lambda x: np.array([x[0]]))
+        f = VectorField(LINE, 1, batch=lambda X: X[:, :1].copy(), tag=TAG_CONTINUOUS)
+        shifted = shift(m, f)
         body = shifted([0.5])
         assert body.lo == pytest.approx(-0.5)
         assert body.hi == pytest.approx(0.5)
+        lo, hi = shifted.evaluate_many(np.array([[0.5], [-1.0]])).coord_bounds()
+        np.testing.assert_array_equal(np.hstack([lo, hi]), [[-0.5, 0.5], [1.0, 2.0]])
+
+    def test_callable(self):
+        # a plain callable is neither a field nor a vector: refused
+        m = constant_map(LINE, Interval(0.0, 1.0))
+        with pytest.raises(TypeError):
+            shift(m, lambda x: np.array([x[0]]))
 
     def test_vector_field_must_be_continuous(self):
         m = constant_map(LINE, Interval(0.0, 1.0))
@@ -137,7 +180,7 @@ class TestEnvelopes:
         assert f([0.0]) == 0.0 and g([0.0]) == 0.0
 
     def test_unknown_tags_without_declaration(self):
-        m = SetValuedMap(LINE, 1, ((EVERYWHERE, lambda x: Interval(0, 1)),))
+        m = SetValuedMap(LINE, 1, ((EVERYWHERE, interval_rule(0, 1)),))
         f, g = envelopes(m)
         assert f.tag == TAG_UNKNOWN and g.tag == TAG_UNKNOWN
 
@@ -170,7 +213,7 @@ class TestProbes:
     def test_graph_sample_of_moving_interval(self):
         dom = Domain(1, boxes=(((0.0,), (1.0,)),))
         m = SetValuedMap(
-            dom, 1, ((EVERYWHERE, lambda x: Interval(x[0], x[0] + 1.0)),)
+            dom, 1, ((EVERYWHERE, interval_rule(lambda X: X[:, 0], lambda X: X[:, 0] + 1.0)),)
         )
         pairs = graph_sample(m, Grid(dom, 2), per_point=2)
         flat = [(x[0], y[0]) for x, y in pairs]
@@ -179,7 +222,7 @@ class TestProbes:
     def test_graph_sample_membership(self):
         dom = Domain(1, boxes=(((0.0,), (1.0,)),))
         m = SetValuedMap(
-            dom, 1, ((EVERYWHERE, lambda x: Interval(x[0], x[0] + 1.0)),)
+            dom, 1, ((EVERYWHERE, interval_rule(lambda X: X[:, 0], lambda X: X[:, 0] + 1.0)),)
         )
         for x, y in graph_sample(m, Grid(dom, 9), per_point=5):
             assert m(x).contains(y, tol=1e-12)
@@ -213,7 +256,8 @@ class TestLscAudit:
         m = SetValuedMap(
             dom,
             1,
-            ((EVERYWHERE, lambda x: Interval(np.sin(x[0]), np.sin(x[0]) + 1.0)),),
+            ((EVERYWHERE, interval_rule(lambda X: np.sin(X[:, 0]),
+                                        lambda X: np.sin(X[:, 0]) + 1.0)),),
             declared_lsc=True,
             declared_continuous=True,
         )
@@ -243,16 +287,6 @@ class TestLscAudit:
 
 
 class TestStratification:
-    def test_classify_first_match(self):
-        strat = Stratification((NONZERO, EVERYWHERE))
-        assert strat.classify([0.5]) == 0
-        assert strat.classify([0.0]) == 1
-
-    def test_classify_uncovered(self):
-        strat = Stratification((NONZERO,))
-        with pytest.raises(UncoveredPointError):
-            strat.classify([0.0])
-
     def test_open_first_stratum_passes(self):
         grid = Grid(LINE, 17)
         report = stratification_audit(Stratification((NONZERO, ORIGIN)), grid)

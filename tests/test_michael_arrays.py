@@ -1,9 +1,10 @@
 """The Michael path on arrays against its pointwise oracle, bit for bit.
 
 ``SetValuedMap.evaluate_many`` and each body batch are compared with the
-bodies ``evaluate`` builds one point at a time; every level's total, glued
-and extension pass with :func:`reference.michael_pointwise.pointwise_levels`;
-the selection, membership and the decay audit with the same oracle.
+bodies the oracle of ``reference.maps_pointwise`` builds one point at a
+time; every level's total, glued and extension pass with
+:func:`reference.michael_pointwise.pointwise_levels` over that oracle; the
+selection, membership and the decay audit with the same oracles.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import assert_same_bits
+from conftest import assert_same_bits, interval_rule
 from convsel.errors import EvalDomainError, InfeasibleBodyError, UncoveredPointError
 from convsel.fields import Domain, Grid, VectorField
 from convsel.geometry import (
@@ -27,11 +28,12 @@ from convsel.geometry import (
     kernel_operators,
     row_norms,
 )
-from convsel.maps import EVERYWHERE, Region, SetValuedMap, Stratification
+from convsel.maps import Region, SetValuedMap, shift
 from convsel.selection import boundary_decay_audit, lns_field, michael_select
 from convsel.specio.cli import _membership_entry
 from convsel.specio.loader import load_spec, load_spec_dict
 from golden.capture import fixture_names
+from reference import maps_pointwise as pw
 from reference.michael_pointwise import lift_vector, membership_pointwise, pointwise_levels
 
 FIXTURES = fixture_names("select-michael")
@@ -84,9 +86,12 @@ THREE_STRATA = {"line": THREE_STRATA_LINE, "plane": THREE_STRATA_PLANE}
 
 
 def spec_of(name, specs_dir):
+    """The loaded problem, and its map and strata as the pointwise oracle."""
     if name in THREE_STRATA:
-        return load_spec_dict(json.loads(json.dumps(THREE_STRATA[name])))
-    return load_spec(str(specs_dir / f"{name}.json"))
+        spec = load_spec_dict(json.loads(json.dumps(THREE_STRATA[name])))
+    else:
+        spec = load_spec(str(specs_dir / f"{name}.json"))
+    return spec, *pw.load_pointwise(spec.raw)
 
 
 def probe_points(domain: Domain, per_axis: int) -> np.ndarray:
@@ -118,10 +123,17 @@ def test_row_norms_are_each_rows_norm(m):
 
 
 def check_batch(batch, bodies, rng):
-    """Every query of ``batch`` against the same query of each body."""
+    """Every query of ``batch``, and of each body it gives out, against the
+    same query of each body."""
     N, m = len(bodies), bodies[0].dim
     Z = signed_rows(rng, N, m)
     C = signed_rows(rng, N, m)
+    assert len(batch) == N
+    for i in (0, N // 2, N - 1):
+        own = batch.body(i)
+        assert_same_bits(own.least_norm(), bodies[i].least_norm())
+        assert_same_bits(own.project(Z[i]), bodies[i].project(Z[i]))
+        assert_same_bits(own.coord_bounds(), bodies[i].coord_bounds())
     assert_same_bits(batch.least_norm(), [b.least_norm() for b in bodies])
     assert_same_bits(batch.project(Z), [b.project(z) for b, z in zip(bodies, Z)])
     assert_same_bits(batch.distance(Z), [b.distance(z) for b, z in zip(bodies, Z)])
@@ -200,29 +212,56 @@ def test_interval_and_ball_batches_raise_the_bodies_errors():
 
 @pytest.mark.parametrize("name", [*FIXTURES, *THREE_STRATA])
 def test_evaluate_many_matches_evaluate(name, specs_dir):
-    spec = spec_of(name, specs_dir)
+    spec, oracle, _ = spec_of(name, specs_dir)
     P = probe_points(spec.domain, 13 if spec.ambient_dim == 2 else 41)
-    bodies = [spec.map.evaluate(x) for x in P]
+    bodies = [oracle.evaluate(x) for x in P]
     check_batch(spec.map.evaluate_many(P), bodies, np.random.default_rng(len(name)))
+    rng = np.random.default_rng(1)
+    for x in P[rng.choice(len(P), 5, replace=False)]:  # a point is a batch of one row
+        check_batch(spec.map.evaluate_many(x[None]), [oracle.evaluate(x)], rng)
+        assert_same_bits(spec.map.evaluate(x).least_norm(), oracle.evaluate(x).least_norm())
 
 
 def test_plain_rules_go_row_by_row():
     line = Domain(1, boxes=(((-1.0,), (1.0,)),))
-    left = Region(lambda x: x[0] < 0.0, "x < 0")
-    map_ = SetValuedMap(line, 1, (
-        (left, lambda x: Interval(x[0], 1.0)),
-        (EVERYWHERE, lambda x: Ball([x[0] - 0.5], 0.25)),
+    oracle = pw.PointwiseMap(line, 1, (
+        (pw.PointwiseRegion(lambda x: x[0] < 0.0, "x < 0"), lambda x: Interval(x[0], 1.0)),
+        (pw.EVERYWHERE, lambda x: Ball([x[0] - 0.5], 0.25)),
     ))
     P = Grid(line, 17).points
-    check_batch(map_.evaluate_many(P), [map_.evaluate(x) for x in P], np.random.default_rng(3))
+    check_batch(oracle.library().evaluate_many(P), [oracle.evaluate(x) for x in P],
+                np.random.default_rng(3))
 
 
 def test_evaluate_many_names_an_uncovered_point():
     line = Domain(1, boxes=(((-1.0,), (1.0,)),))
-    map_ = SetValuedMap(line, 1, ((Region(lambda x: x[0] < 0.5, "x < 1/2"),
-                                   lambda x: Interval(0.0, 1.0)),))
+    map_ = SetValuedMap(line, 1, ((Region("x < 1/2", batch=lambda X: X[:, 0] < 0.5),
+                                   interval_rule(0.0, 1.0)),))
     with pytest.raises(UncoveredPointError, match=r"no piece covers \[0.5\]"):
         map_.evaluate_many(Grid(line, 9).points)
+
+
+def test_a_shifted_map_translates_its_batches(specs_dir, monkeypatch):
+    # m_poly's 33-grid: each piece's kernel batch is translated as a
+    # whole, where the per-point pieces of the shift built 2,178 polytopes
+    spec, oracle, _ = spec_of("m_poly", specs_dir)
+    P = Grid(spec.domain, 33).points
+    c = np.full(2, -0.25)
+    built = [0]
+    real_init = HPolytope.__init__
+
+    def init(self, *args, **kwargs):
+        built[0] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HPolytope, "__init__", init)
+    batch = shift(spec.map, c).evaluate_many(P)
+    least = batch.least_norm()
+    assert built[0] == 0
+    # the origin has a piece of its own, so the rows are split in two
+    assert [type(part) for _, part in batch.parts] == [PolytopeBatch] * 2
+    monkeypatch.undo()
+    assert_same_bits(least, [oracle.evaluate(x).translate(-c).least_norm() for x in P])
 
 
 # --- the levels ------------------------------------------------------------------
@@ -231,10 +270,10 @@ def test_evaluate_many_names_an_uncovered_point():
 @pytest.mark.parametrize("grid", [9, 17])
 @pytest.mark.parametrize("name", [*FIXTURES, *THREE_STRATA])
 def test_every_level_matches_the_pointwise_construction(name, grid, specs_dir):
-    spec = spec_of(name, specs_dir)
+    spec, oracle, strata = spec_of(name, specs_dir)
     h, trace = michael_select(spec.map, spec.stratification, resolution=grid)
     assert len(trace.levels) == len(spec.stratification.strata)
-    refs = pointwise_levels(spec.map, spec.stratification.strata, trace.construction_grid)
+    refs = pointwise_levels(oracle, strata, trace.construction_grid)
     P = probe_points(spec.domain, 13 if spec.ambient_dim == 2 else 41)
     for level, ref in zip(trace.levels, refs):
         assert_same_bits(level.total.many(P), [ref.total(x) for x in P])
@@ -247,23 +286,23 @@ def test_every_level_matches_the_pointwise_construction(name, grid, specs_dir):
 
 @pytest.mark.parametrize("name", [*FIXTURES, *THREE_STRATA])
 def test_membership_and_decay_match_the_pointwise_readers(name, specs_dir):
-    spec = spec_of(name, specs_dir)
+    spec, oracle, strata = spec_of(name, specs_dir)
     h, trace = michael_select(spec.map, spec.stratification, resolution=9)
     grid = Grid(spec.domain, 17)
     values = h.many(grid.points)
     entry = _membership_entry(spec.map, values, grid, 1e-7)
-    worst, witness = membership_pointwise(spec.map, values, grid.points)
+    worst, witness = membership_pointwise(oracle, values, grid.points)
     assert entry["worst_distance"] == worst
     assert entry["passed"] == (worst <= 1e-7)
     # h sits a last bit off T at some points: probe a little further out too
     moved = values + 1e-3 * np.sign(values)
     entry = _membership_entry(spec.map, moved, grid, 1e-7)
-    worst, witness = membership_pointwise(spec.map, moved, grid.points)
+    worst, witness = membership_pointwise(oracle, moved, grid.points)
     assert entry["worst_distance"] == worst
     if witness is not None and worst > 1e-7:
         assert entry["violations"][0]["x"] == list(witness)
     # the decay audit over the pointwise glue equals the audit over the passes
-    refs = pointwise_levels(spec.map, spec.stratification.strata, trace.construction_grid)
+    refs = pointwise_levels(oracle, strata, trace.construction_grid)
     levels = tuple(
         lv if lv.kind == "base"
         else replace(lv, glued=lift_vector(spec.domain, lv.glued.dim, ref.glued))
@@ -288,15 +327,16 @@ def test_signed_zeros_survive_the_glue():
         "tags": {"declared_lsc": True},
     }
     spec = load_spec_dict(raw)
+    oracle, strata = pw.load_pointwise(raw)
     h, trace = michael_select(spec.map, spec.stratification, resolution=9)
-    refs = pointwise_levels(spec.map, spec.stratification.strata, trace.construction_grid)
+    refs = pointwise_levels(oracle, strata, trace.construction_grid)
     P = np.vstack([Grid(line, 33).points, [[-0.0]]])
-    ends = [spec.map.evaluate(x).hi for x in P]
+    ends = [oracle.evaluate(x).hi for x in P]
     assert any(e == 0.0 and np.signbit(e) for e in ends)
     assert_same_bits(h.many(P), [refs[-1].total(x) for x in P])
     assert_same_bits(trace.outer.glued.many(P), [refs[-1].glued(x) for x in P])
     base = lns_field(spec.map)
-    assert_same_bits(base.many(P), [spec.map.evaluate(x).least_norm() for x in P])
+    assert_same_bits(base.many(P), [oracle.evaluate(x).least_norm() for x in P])
 
 
 # --- errors ----------------------------------------------------------------------
@@ -320,13 +360,16 @@ def test_a_failing_batch_raises_the_first_failing_rows_error():
         "tags": {"declared_lsc": True},
     }
     spec = load_spec_dict(raw)
+    oracle, _ = pw.load_pointwise(raw)
     X = np.array([[0.0], [0.71875], [0.03125], [1.0]])
     h = lns_field(spec.map)
-    want = raised(lambda: [spec.map.evaluate(x).least_norm() for x in X])
+    want = raised(lambda: [oracle.evaluate(x).least_norm() for x in X])
     assert want == (InfeasibleBodyError, "interval has lo=1.0 > hi=0.5")
     assert raised(h.many, X) == want
     assert raised(h.many, X[[0, 2, 1]]) == (EvalDomainError, "cannot raise 0.0 to power -1")
-    assert raised(spec.map.evaluate_many, X)[0] is EvalDomainError  # not searched
+    # the map searches its own rows when it is the outermost batch
+    assert raised(spec.map.evaluate_many, X) == want
+    assert raised(spec.map.evaluate_many, X[[0, 2, 1]]) == raised(h.many, X[[0, 2, 1]])
 
 
 def test_a_one_point_field_has_its_batch_rule():

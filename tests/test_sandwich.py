@@ -20,9 +20,11 @@ from convsel.fields import (
     squash,
     unsquash,
 )
-from convsel.maps import EVERYWHERE, Region, Stratification
+from conftest import NONZERO, ORIGIN
+from convsel.maps import EVERYWHERE, Stratification
 from convsel.sandwich import region_audit, sandwich_select
 from reference.fields_pointwise import lift
+from reference.maps_pointwise import PointwiseRegion
 from reference.sandwich_pointwise import (
     base_midpoint,
     damp_to_safe,
@@ -34,9 +36,7 @@ from reference.sandwich_pointwise import (
 
 LINE = Domain(1, boxes=(((-1.0,), (1.0,)),))
 WIDE = Domain(1, boxes=(((-2.0,), (2.0,)),))
-NONZERO = Region(lambda x: x[0] != 0.0, "x != 0")
-ORIGIN = Region(lambda x: x[0] == 0.0, "x == 0")
-NEVER = Region(lambda x: False, "empty")
+NEVER = PointwiseRegion(lambda x: False, "empty")
 
 PUNCTURED = Stratification((NONZERO, ORIGIN))
 TRIVIAL = Stratification((EVERYWHERE,))
@@ -83,7 +83,7 @@ class TestEqualizerGlue:
         self.E = WIDE
         self.f = field(WIDE, lambda x: x[0] ** 2 - 1.0, tag=TAG_UPPER)
         self.g = field(WIDE, lambda x: abs(x[0] ** 2 - 1.0), tag=TAG_LOWER)
-        self.U = Region(lambda x: abs(x[0]) > 1.0, "|x| > 1")
+        self.U = PointwiseRegion(lambda x: abs(x[0]) > 1.0, "|x| > 1")
 
     def test_values_on_the_three_zones(self):
         h2, X = equalizer_glue(self.f, self.g, self.U, self.E, grid=Grid(self.E, 33))
@@ -134,8 +134,8 @@ class TestInteriorAdjust:
     def test_case_table(self):
         E = LINE
         V = EVERYWHERE
-        floor_zone = Region(lambda x: x[0] < 0.0, "Z1")
-        ceil_zone = Region(lambda x: x[0] > 0.0, "Z2")
+        floor_zone = PointwiseRegion(lambda x: x[0] < 0.0, "Z1")
+        ceil_zone = PointwiseRegion(lambda x: x[0] > 0.0, "Z2")
         f2 = field(E, lambda x: 0.0 if x[0] < 0 else -4.0)
         g2 = field(E, lambda x: 4.0 if x[0] < 0 else 0.0)
         eta1 = constant_field(E, 1.0)

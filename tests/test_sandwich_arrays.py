@@ -23,11 +23,12 @@ from convsel.errors import (
     UncoveredPointError,
 )
 from convsel.fields import AuditReport, Grid, Violation, constant_field
-from convsel.maps import Region, SetValuedMap, envelopes
+from convsel.maps import SetValuedMap, envelopes
 from convsel.sandwich import region_audit, sandwich_select
 from convsel.specio.loader import load_spec, load_spec_dict
 from golden.capture import HOLE_AT_ONE_32ND
-from reference.fields_pointwise import compress_field, envelopes_pointwise
+from reference.fields_pointwise import compress_field, envelopes_pointwise, lift_once
+from reference.maps_pointwise import PointwiseRegion, load_pointwise
 from reference.sandwich_pointwise import (
     check_glue_point,
     damp_to_safe,
@@ -159,9 +160,10 @@ def select(spec, resolution: int):
     the reference levels, are the pointwise envelope oracle's."""
     f, g = envelopes(spec.map)
     h, trace = sandwich_select(f, g, spec.stratification, resolution=resolution)
-    f_ref, g_ref = envelopes_pointwise(spec.map)
+    f_ref, g_ref = envelopes_pointwise(load_pointwise(spec.raw)[0])
     return h, dataclasses.replace(
-        trace, f_compressed=compress_field(f_ref), g_compressed=compress_field(g_ref)
+        trace, f_compressed=lift_once(compress_field(f_ref)),
+        g_compressed=lift_once(compress_field(g_ref)),
     )
 
 
@@ -193,10 +195,10 @@ def test_region_audit_reports_violations_like_the_sweep(specs_dir):
     levels = pointwise_levels(trace)
     real_regions = levels[-1].regions
     regions = dict(real_regions)
-    regions["V"] = Region(
+    regions["V"] = PointwiseRegion(
         lambda x: (real_regions["V"](x) and x[0] < 0.5) or x[0] == 0.0, "forged V"
     )
-    regions["X"] = Region(lambda x: real_regions["X"](x) or x[0] == 0.0, "forged X")
+    regions["X"] = PointwiseRegion(lambda x: real_regions["X"](x) or x[0] == 0.0, "forged X")
     bad = dataclasses.replace(
         trace,
         levels=(*trace.levels[:-1], dataclasses.replace(level, arrays=forged)),
@@ -318,7 +320,7 @@ def test_an_undefined_delta_raises_the_pointwise_message(specs_dir):
     x = P[np.argmax(a["V"] & (a["Z1"] | a["Z2"]))]
     ref = pointwise_levels(trace)[-1]
     zero = constant_field(spec.domain, 0.0)
-    never = Region(lambda x: False, "empty")
+    never = PointwiseRegion(lambda x: False, "empty")
     h_ref, _, _ = damp_to_safe(zero, ref.f_level, ref.g_level, ref.regions["V"], never, never)
     want = raised(h_ref, x)
     assert want[0] is PostconditionError

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import random_body, sampled_min_norm
+from conftest import NONZERO, ORIGIN, interval_rule, random_body, sampled_min_norm
 from convsel.errors import AuditError, StratificationError
 from convsel.fields import DEFAULT_SEED, Domain, Grid, VectorField
-from convsel.geometry import Ball, Interval
+from convsel.geometry import Ball, BallBatch, Interval
 from convsel.maps import (
     EVERYWHERE,
     Region,
@@ -25,8 +25,6 @@ from convsel.specio.cli import main
 
 LINE = Domain(1, boxes=(((-1.0,), (1.0,)),))
 SQUARE = Domain(2, boxes=(((-1.0, -1.0), (1.0, 1.0)),))
-NONZERO = Region(lambda x: x[0] != 0.0, "x != 0")
-ORIGIN = Region(lambda x: x[0] == 0.0, "x == 0")
 PUNCTURED = Stratification((NONZERO, ORIGIN))
 TRIVIAL = Stratification((EVERYWHERE,))
 
@@ -39,8 +37,8 @@ def vband_map() -> SetValuedMap:
         LINE,
         1,
         (
-            (NONZERO, lambda x: Interval(abs(x[0]), 2.0)),
-            (ORIGIN, lambda x: Interval(0.0, 2.0)),
+            (NONZERO, interval_rule(lambda X: np.abs(X[:, 0]), 2.0)),
+            (ORIGIN, interval_rule(0.0, 2.0)),
         ),
         declared_lsc=True,
         name="vband",
@@ -51,9 +49,9 @@ def moving_ball_map() -> SetValuedMap:
     """A ball sliding along the diagonal: the origin and the test shift
     -0.25*(1,1) project onto the same face point."""
 
-    def rule(x):
-        t = 1.0 + 0.5 * float(x @ x)
-        return Ball((t, t), 1.0)
+    def rule(X):
+        t = 1.0 + 0.5 * np.einsum("ij,ij->i", X, X)
+        return BallBatch(np.column_stack([t, t]), np.ones(X.shape[0]))
 
     return SetValuedMap(
         SQUARE,
@@ -68,7 +66,8 @@ def moving_ball_map() -> SetValuedMap:
 class TestLnsField:
     def test_moving_interval_clamps(self):
         m = SetValuedMap(
-            LINE, 1, ((EVERYWHERE, lambda x: Interval(x[0] - 0.5, x[0] + 0.5)),)
+            LINE, 1, ((EVERYWHERE, interval_rule(lambda X: X[:, 0] - 0.5,
+                                                  lambda X: X[:, 0] + 0.5)),)
         )
         h = lns_field(m)
         assert h([0.9])[0] == pytest.approx(0.4)   # interval above zero
@@ -160,7 +159,7 @@ class TestMichaelSelect:
         assert worst <= 1e-9
 
     def test_needs_lsc_declaration(self):
-        m = SetValuedMap(LINE, 1, ((EVERYWHERE, lambda x: Interval(0, 1)),))
+        m = SetValuedMap(LINE, 1, ((EVERYWHERE, interval_rule(0, 1)),))
         with pytest.raises(AuditError, match="lower semicontinuous"):
             michael_select(m, TRIVIAL)
 
@@ -169,8 +168,8 @@ class TestMichaelSelect:
             LINE,
             1,
             (
-                (NONZERO, lambda x: Interval(0.0, 0.0)),
-                (ORIGIN, lambda x: Interval(0.0, 1.0)),
+                (NONZERO, interval_rule(0.0, 0.0)),
+                (ORIGIN, interval_rule(0.0, 1.0)),
             ),
             declared_lsc=True,
         )
@@ -186,13 +185,13 @@ class TestMichaelSelect:
         # a one-cell collapse inside the top stratum: the global audit
         # forgives it (the far cell recovers) but the per-stratum
         # continuity audit cannot reach across the masked-out origin
-        pinch_point = Region(lambda x: x[0] == 0.125, "x == 0.125")
+        pinch_point = Region("x == 0.125", batch=lambda X: X[:, 0] == 0.125)
         m = SetValuedMap(
             LINE,
             1,
             (
-                (pinch_point, lambda x: Interval(0.0, 0.0)),
-                (EVERYWHERE, lambda x: Interval(0.0, 5.0)),
+                (pinch_point, interval_rule(0.0, 0.0)),
+                (EVERYWHERE, interval_rule(0.0, 5.0)),
             ),
             declared_lsc=True,
         )
@@ -245,16 +244,24 @@ def test_each_level_reads_the_partial_and_the_extension_once(monkeypatch):
 def test_select_michael_builds_bodies_one_at_a_time_only_for_the_probes(
     specs_dir, monkeypatch
 ):
-    # m_poly at --grid 9: the load-time coverage check and every level,
-    # membership and the decay audit read body batches; only the probed
-    # grid of the hypothesis audits evaluates T point by point (81 points)
-    counts = {"evaluate": 0, "vector_call": 0}
+    # m_poly at --grid 9: the load-time coverage check, the hypothesis
+    # audits, every level, membership and the decay audit all read body
+    # batches; the sweep reads T through one evaluate_many over its 81 grid
+    # points, where it made 81 one-point evaluations, and takes each body
+    # out of that batch to probe it
+    counts = {"evaluate": 0, "vector_call": 0, "sweep_batches": 0}
     at_load = {}
-    real_evaluate, real_call = SetValuedMap.evaluate, VectorField.__call__
+    sweep = [False]
+    real_evaluate, real_many = SetValuedMap.evaluate, SetValuedMap.evaluate_many
+    real_call = VectorField.__call__
 
     def evaluate(self, x):
         counts["evaluate"] += 1
         return real_evaluate(self, x)
+
+    def evaluate_many(self, X):
+        counts["sweep_batches"] += sweep[0]
+        return real_many(self, X)
 
     def call(self, x):
         counts["vector_call"] += 1
@@ -265,12 +272,21 @@ def test_select_michael_builds_bodies_one_at_a_time_only_for_the_probes(
         at_load.update(counts)
         return spec
 
+    def hypothesis_audits(*args, real=selection.hypothesis_audits, **kwargs):
+        sweep[0] = True
+        try:
+            yield from real(*args, **kwargs)
+        finally:
+            sweep[0] = False
+
     monkeypatch.setattr(SetValuedMap, "evaluate", evaluate)
+    monkeypatch.setattr(SetValuedMap, "evaluate_many", evaluate_many)
     monkeypatch.setattr(VectorField, "__call__", call)
     monkeypatch.setattr(cli, "load_spec", load_spec)
+    monkeypatch.setattr(selection, "hypothesis_audits", hypothesis_audits)
     assert main(["select-michael", "--spec", str(specs_dir / "m_poly.json"), "--grid", "9"]) == 0
-    assert at_load == {"evaluate": 0, "vector_call": 0}
-    assert counts == {"evaluate": 81, "vector_call": 0}
+    assert at_load == {"evaluate": 0, "vector_call": 0, "sweep_batches": 0}
+    assert counts == {"evaluate": 0, "vector_call": 0, "sweep_batches": 1}
 
 
 def spy_on_hypothesis_audits(monkeypatch, *modules) -> list:

@@ -188,8 +188,8 @@ class TestLoader:
             pieces=[{"region": [], "body": {"interval": {"lo": "0", "hi": "2"}}}],
         )
         spec = load_spec_dict(raw)
-        assert spec.stratification.classify([0.0]) == 0
-        assert spec.stratification.classify([-0.5]) == 1
+        masks = spec.stratification.masks(np.array([[0.0], [-0.5]]))
+        np.testing.assert_array_equal(masks, [[True, False], [False, True]])
 
     def test_tags_must_be_boolean(self):
         with pytest.raises(SpecValidationError, match=r"\$\.tags\.declared_lsc"):
@@ -407,7 +407,7 @@ class TestConstantNormals:
             pieces=[{"region": [], "body": {"hpolytope": {"rows": rows}}}],
         )
         rule = load_spec_dict(raw).map.pieces[0][1]
-        return rule, rule(np.asarray(x, dtype=float))
+        return rule, rule(np.asarray(x, dtype=float)[None]).body(0)
 
     ROWS = [
         {"normal": ["-1", "0"], "offset": "-1 + x1^2"},
@@ -418,7 +418,7 @@ class TestConstantNormals:
 
     def test_bodies_share_one_operator_array(self):
         rule, first = self.build(self.ROWS, [0.0, 0.0])
-        second = rule(np.array([0.5, -0.25]))
+        second = rule(np.array([[0.5, -0.25]])).body(0)
         assert first._sets is not None
         assert first._sets is second._sets
         assert not first._sets.flags.writeable
@@ -440,7 +440,7 @@ class TestConstantNormals:
     def test_varying_normals_are_built_per_point(self):
         rows = [dict(self.ROWS[0], normal=["-1", "x1"])] + self.ROWS[1:]
         rule, first = self.build(rows, [0.0, 0.0])
-        assert rule(np.array([0.5, 0.0]))._sets is not first._sets
+        assert rule(np.array([[0.5, 0.0]])).body(0)._sets is not first._sets
 
     def test_a_failing_constant_normal_fails_where_it_is_evaluated(self):
         rows = [dict(self.ROWS[0], normal=["-1", "1/0"])] + self.ROWS[1:]
@@ -456,7 +456,7 @@ class TestConstantNormals:
         spec = load_spec_dict(raw)  # the second piece is never reached here
         rule = spec.map.pieces[1][1]
         with pytest.raises(EvalDomainError):
-            rule(np.zeros(2))
+            rule(np.zeros((1, 2)))
 
 
 _ABORT_MESSAGES = {

@@ -4,6 +4,7 @@ interpreter so that nothing this test session imported leaks in."""
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -83,3 +84,29 @@ def test_every_name_the_tracer_wraps_resolves():
         if not found:
             missing.append(f"{module}.{owner + '.' if owner else ''}{attr}")
     assert missing == []
+
+
+def test_a_traced_run_writes_the_same_bytes_and_evaluates_no_point_alone(tmp_path):
+    # perfbench/child.py with and without the tracer, as ``perfbench/run.py
+    # --trace 1`` starts it: the CSV is the same, and the counters of
+    # one-point map, region and expression calls read 0
+    root = Path(__file__).resolve().parents[1]
+    src = root / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = {}
+    for mode in ("solve", "trace"):
+        result, csv = tmp_path / f"{mode}.json", tmp_path / f"{mode}.csv"
+        subprocess.run(
+            [sys.executable, str(root / "perfbench" / "child.py"), str(result), str(src), mode,
+             "--", "select-michael", "--spec", str(root / "tests" / "specs" / "m_poly.json"),
+             "--grid", "5", "--out", str(csv)],
+            env=env, capture_output=True, check=True, timeout=120,
+        )
+        stamps = json.loads(result.read_text(encoding="utf-8"))
+        assert stamps["rc"] == 0
+        out[mode] = csv.read_bytes()
+    assert out["trace"] == out["solve"]
+    layers = stamps["layers"]
+    assert [layers[k] for k in ("maps.map_evals", "maps.region_tests", "specio.expr_nodes")] == [
+        0, 0, 0]
+    assert layers["geometry.project_calls"] > 0
