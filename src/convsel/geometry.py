@@ -23,6 +23,10 @@ fallback first runs, so ``import convsel`` does not load it.  Either
 way, every constructed body has been checked nonempty, so downstream
 code can treat it as a value of a set-valued map with nonempty closed
 convex values.
+
+A map's bodies come as one :class:`BodyBatch`, whose queries answer every
+row at once; :class:`PolytopeBatch` holds the one implementation of the
+kernel and the fallback, and an :class:`HPolytope` is a batch of one row.
 """
 
 from __future__ import annotations
@@ -135,6 +139,38 @@ def kernel_operators(A) -> np.ndarray | None:
     return sets
 
 
+def _kernel_extremes(A, H, norms, Y, inside) -> tuple:
+    """``coord_extremes`` of N polytopes ``{y : A y <= b_i}`` with the
+    kernel's operators ``H`` and row norms ``norms``, from each one's
+    candidates for the origin, ``Y`` of shape (N, K, m), and which of them
+    lie in it, ``inside`` of shape (N, K); a row with no member gets
+    meaningless values.  Shapes (N, m), (N, m), (N, m, m), (N, m, m)."""
+    m = A.shape[1]
+    # e_j = A_S^T lam has lam = H_S e_j when e_j lies in the span of S;
+    # the coordinate is bounded above (below) when lam >= 0 (<= 0)
+    spans = np.linalg.norm(np.eye(m) - A.T @ H, axis=1) <= _CONE_TOL
+    lam = H * norms[:, None]
+    bounded = (
+        np.any(spans & np.all(lam <= _CONE_TOL, axis=1), axis=0),
+        np.any(spans & np.all(lam >= -_CONE_TOL, axis=1), axis=0),
+    )
+    # the least-norm point of each optimal face is one of the members
+    N = Y.shape[0]
+    norms2 = np.sum(Y**2, axis=2)
+    rows = np.arange(N)
+    bounds = (np.full((N, m), -math.inf), np.full((N, m), math.inf))
+    args = (np.full((N, m, m), math.nan), np.full((N, m, m), math.nan))
+    for side, sign in enumerate((1.0, -1.0)):
+        for j in np.flatnonzero(bounded[side]):
+            t = np.where(inside, sign * Y[:, :, j], math.inf)
+            best = np.min(t, axis=1, keepdims=True)
+            ties = inside & (t <= best + CONTAINS_TOL * np.maximum(1.0, np.abs(best)))
+            i = np.argmin(np.where(ties, norms2, math.inf), axis=1)
+            bounds[side][:, j] = Y[rows, i, j]
+            args[side][:, j] = Y[rows, i]
+    return bounds[0], bounds[1], args[0], args[1]
+
+
 class ConvexBody(abc.ABC):
     """A nonempty closed convex subset of R^m."""
 
@@ -155,6 +191,13 @@ class ConvexBody(abc.ABC):
     @abc.abstractmethod
     def coord_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Componentwise (inf, sup) over the body; +-inf where unbounded."""
+
+    @abc.abstractmethod
+    def coord_extremes(self) -> tuple:
+        """``(lo, hi, arg_lo, arg_hi)``: the coordinate bounds, +-inf where
+        unbounded, and in row j of the (m, m) arrays ``arg_lo``/``arg_hi`` a
+        member attaining ``lo[j]``/``hi[j]`` (NaN where that bound is
+        infinite)."""
 
     @abc.abstractmethod
     def boundary_margin(self, y) -> float:
@@ -222,6 +265,9 @@ class Interval(ConvexBody):
     def coord_bounds(self):
         return np.array([self.lo]), np.array([self.hi])
 
+    def coord_extremes(self):
+        return tuple(a[0] for a in IntervalBatch([self.lo], [self.hi]).coord_extremes())
+
     def boundary_margin(self, y) -> float:
         y = float(self._check_dim(y)[0])
         return min(y - self.lo, self.hi - y)
@@ -259,6 +305,9 @@ class Ball(ConvexBody):
     def coord_bounds(self):
         return self.center - self.radius, self.center + self.radius
 
+    def coord_extremes(self):
+        return tuple(a[0] for a in BallBatch(self.center[None], [self.radius]).coord_extremes())
+
     def boundary_margin(self, y) -> float:
         y = self._check_dim(y)
         return self.radius - float(np.linalg.norm(y - self.center))
@@ -270,18 +319,17 @@ class Ball(ConvexBody):
 class HPolytope(ConvexBody):
     """Intersection of halfspaces ``{y : A y <= b}``, checked nonempty.
 
-    Zero rows of ``A`` are resolved at construction: a vacuous constraint
-    (``0 <= b_i`` with ``b_i >= 0``) is dropped, an impossible one raises.
-
-    With fewer than ``_MAX_ACTIVE_SETS`` candidate active sets the exact
-    kernel of this module projects batches of points, and its candidates
-    for the origin give the least-norm point (found at construction as
-    the feasibility witness) and the coordinate extremes, both cached.
-    Otherwise projection runs Dykstra's cyclic scheme batched over query
-    points, raising :class:`ProjectionError` if the sweep budget runs out
-    while an iterate still violates a constraint, and feasibility and the
-    extremes come from linear programs.  ``bounding_box`` is optional and
-    only consulted by sampling oracles when a coordinate is unbounded.
+    A polytope is a :class:`PolytopeBatch` of one row, which projects
+    batches of points and finds the least-norm point and the coordinate
+    extremes: by the exact kernel of this module when ``A`` has fewer than
+    ``_MAX_ACTIVE_SETS`` candidate active sets, and otherwise by Dykstra's
+    cyclic scheme, batched over query points and raising
+    :class:`ProjectionError` if the sweep budget runs out while an iterate
+    still violates a constraint, with feasibility and the extremes from
+    linear programs.  Zero rows of ``A`` are resolved at construction: a
+    vacuous constraint (``0 <= b_i`` with ``b_i >= 0``) is dropped, an
+    impossible one raises.  ``bounding_box`` is optional and only consulted
+    by sampling oracles when a coordinate is unbounded.
     """
 
     def __init__(self, A, b, bounding_box=None, _validated: bool = False, _sets=None):
@@ -291,213 +339,40 @@ class HPolytope(ConvexBody):
             raise DimensionMismatchError(
                 f"A has {A.shape[0]} rows but b has {b.shape[0]} entries"
             )
-        norms = np.linalg.norm(A, axis=1)
-        zero = norms == 0.0
-        if np.any(zero):
-            if np.any(b[zero] < 0):
-                raise InfeasibleBodyError("constraint 0 <= b with b < 0")
-            A, b, norms = A[~zero], b[~zero], norms[~zero]
-        self.A = A
-        self.b = b
-        self.dim = A.shape[1]
-        self.bounding_box = bounding_box
-        self._norms = norms
-        self._norms2 = norms**2
         # the kernel's operators depend on A alone, so translates share them
-        self._sets = kernel_operators(A) if _sets is None else _sets
-        self._members = None
+        sets = kernel_operators(A) if _sets is None else _sets
+        self._row = PolytopeBatch(A, sets, b, _validated=_validated)
+        self.A, self.b, self.dim = self._row.A, self._row.B[0], self._row.dim
+        self.bounding_box = bounding_box
+        self._norms = self._row._norms
         self._extremes = None
-        if not _validated:
-            self._check_feasible()
 
-    def _check_feasible(self):
-        if self._origin_members() is not None:
-            return
-        res = linprog(
-            c=np.zeros(self.dim),
-            A_ub=self.A,
-            b_ub=self.b,
-            bounds=[(None, None)] * self.dim,
-            method="highs",
-        )
-        if res.status == 2:
-            raise InfeasibleBodyError("halfspace system has no solution")
-        if not res.success:
-            raise InfeasibleBodyError(f"feasibility check failed: {res.message}")
-
-    # -- exact kernel --------------------------------------------------------
-
-    def _candidates(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every active-set candidate for each row of ``Z``, shape (K, N, m),
-        and whether it lies in the body, shape (K, N)."""
-        Y = Z - (Z @ self.A.T - self.b) @ self._sets
-        K, N, m = Y.shape
-        return Y, self.contains_many(Y.reshape(-1, m)).reshape(K, N)
-
-    def _origin_members(self) -> np.ndarray | None:
-        """The candidates for the origin that lie in the body, in candidate
-        order; None when the body is on the fallback path."""
-        if self._members is None and self._sets is not None:
-            Y, inside = self._candidates(np.zeros((1, self.dim)))
-            if inside.any():
-                self._members = Y[inside[:, 0], 0]
-            else:
-                # no member found means empty or too ill-conditioned for the
-                # kernel to tell: the fallback decides from here on
-                self._sets = None
-        return self._members
-
-    def _kernel_project(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest in-body candidate for each row of ``Z``, and which rows
-        have one."""
-        K, p = self._sets.shape[:2]
-        step = max(1, _CANDIDATE_FLOATS // (K * (p + self.dim)))
-        Y = np.empty_like(Z)
-        found = np.empty(Z.shape[0], dtype=bool)
-        for s in range(0, Z.shape[0], step):
-            chunk = Z[s : s + step]
-            cand, inside = self._candidates(chunk)
-            d2 = np.where(inside, np.sum((cand - chunk) ** 2, axis=2), np.inf)
-            best = np.argmin(d2, axis=0)
-            rows = np.arange(chunk.shape[0])
-            Y[s : s + step] = cand[best, rows]
-            found[s : s + step] = inside[best, rows]
-        return Y, found
-
-    def _kernel_extremes(self, members: np.ndarray):
-        """``coord_extremes`` from the in-body candidates for the origin."""
-        m = self.dim
-        H = self._sets
-        # e_j = A_S^T lam has lam = H_S e_j when e_j lies in the span of S;
-        # the coordinate is bounded above (below) when lam >= 0 (<= 0)
-        spans = np.linalg.norm(np.eye(m) - self.A.T @ H, axis=1) <= _CONE_TOL
-        lam = H * self._norms[:, None]
-        bounded = (
-            np.any(spans & np.all(lam <= _CONE_TOL, axis=1), axis=0),
-            np.any(spans & np.all(lam >= -_CONE_TOL, axis=1), axis=0),
-        )
-        # the least-norm point of each optimal face is one of the members
-        norms2 = np.sum(members**2, axis=1)
-        bounds = (np.full(m, -math.inf), np.full(m, math.inf))
-        args = (np.full((m, m), math.nan), np.full((m, m), math.nan))
-        for side, sign in enumerate((1.0, -1.0)):
-            for j in np.nonzero(bounded[side])[0]:
-                t = sign * members[:, j]
-                best = float(np.min(t))
-                ties = t <= best + CONTAINS_TOL * max(1.0, abs(best))
-                i = int(np.argmin(np.where(ties, norms2, np.inf)))
-                bounds[side][j] = members[i, j]
-                args[side][j] = members[i]
-        return bounds[0], bounds[1], args[0], args[1]
-
-    # -- fallback ------------------------------------------------------------
-
-    def _dykstra(self, Z: np.ndarray) -> np.ndarray:
-        if self.A.shape[0] == 0:
-            return Z.copy()
-        if np.all(self.A @ Z.T - self.b[:, None] <= 0):
-            return Z.copy()
-        Y = Z.copy()
-        corr = np.zeros((self.A.shape[0],) + Y.shape)
-        for _ in range(MAX_PROJECTION_SWEEPS):
-            start = Y.copy()
-            corr_start = corr.copy()
-            for i in range(self.A.shape[0]):
-                W = Y + corr[i]
-                t = (W @ self.A[i] - self.b[i]) / self._norms2[i]
-                np.maximum(t, 0.0, out=t)
-                Y = W - t[:, None] * self.A[i]
-                corr[i] = W - Y
-            # the iterate alone can revisit a point mid-convergence while
-            # the corrections still churn; both must settle before stopping
-            move = max(
-                float(np.max(np.abs(Y - start))),
-                float(np.max(np.abs(corr - corr_start))),
-            )
-            if move < PROJECTION_TOL:
-                break
-        worst = float(np.max((self.A @ Y.T - self.b[:, None]) / self._norms[:, None]))
-        if worst > 1e-7:
-            raise ProjectionError(
-                f"projection did not converge (residual {worst:.3e})"
-            )
-        return Y
-
-    def _lp_extremes(self):
-        m = self.dim
-        bounds = (np.empty(m), np.empty(m))
-        args = (np.full((m, m), math.nan), np.full((m, m), math.nan))
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = 1.0
-            for side, sign in enumerate((1.0, -1.0)):
-                lp = dict(
-                    c=sign * e,
-                    A_ub=self.A,
-                    b_ub=self.b,
-                    bounds=[(None, None)] * m,
-                    method="highs",
-                )
-                res = linprog(**lp)
-                if res.status == 2:
-                    # the body is nonempty: HiGHS's presolve reports some
-                    # unbounded LPs (a slab in R^3) as infeasible
-                    res = linprog(**lp, options={"presolve": False})
-                if res.status == 3:
-                    bounds[side][j] = -sign * math.inf
-                elif res.success:
-                    x = res.x
-                    if self.contains(x):
-                        bounds[side][j] = sign * res.fun
-                    else:
-                        # HiGHS stops within its feasibility tolerance, which
-                        # can leave a thin body; the projection is a member
-                        x = self._dykstra(x[None])[0]
-                        bounds[side][j] = x[j]
-                    args[side][j] = x
-                else:
-                    raise ProjectionError(f"bounds LP failed: {res.message}")
-        return bounds[0], bounds[1], args[0], args[1]
-
-    # -- public interface ----------------------------------------------------
+    @property
+    def _sets(self):
+        """The kernel's operators, or None on the fallback path."""
+        row = self._row
+        if row._sets is None or (row._origin is not None and row._lost()[0]):
+            return None
+        return row._sets
 
     def project_many(self, Z: np.ndarray) -> np.ndarray:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        if self._sets is None:
-            return self._dykstra(Z)
-        Y, found = self._kernel_project(Z)
-        if not found.all():
-            Y[~found] = self._dykstra(Z[~found])
-        return Y
+        return self._row.project_rows([0], Z[None])[0]
 
     def least_norm(self) -> np.ndarray:
-        members = self._origin_members()
-        if members is None:
-            return super().least_norm()
-        return members[np.argmin(np.sum(members**2, axis=1))].copy()
+        return self._row.least_norm()[0]
 
     def coord_extremes(self):
-        """``(lo, hi, arg_lo, arg_hi)``: the coordinate bounds, +-inf where
-        unbounded, and in row j of the (m, m) arrays ``arg_lo``/``arg_hi`` a
-        member attaining ``lo[j]``/``hi[j]`` (NaN where that bound is
-        infinite).  Computed once per body; the arrays are read-only."""
+        """:meth:`ConvexBody.coord_extremes`, computed once per body; the
+        arrays are read-only."""
         if self._extremes is None:
-            members = self._origin_members()
-            if members is None:
-                extremes = self._lp_extremes()
-            else:
-                extremes = self._kernel_extremes(members)
-            for a in extremes:
+            self._extremes = tuple(a[0] for a in self._row.coord_extremes())
+            for a in self._extremes:
                 a.setflags(write=False)
-            self._extremes = extremes
         return self._extremes
 
     def contains_many(self, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if self.A.shape[0] == 0:
-            return np.ones(Y.shape[0], dtype=bool)
-        slack = self.b[:, None] - self.A @ Y.T
-        return np.all(slack >= -tol * np.maximum(1.0, self._norms)[:, None], axis=0)
+        return self._row.contains([0], np.atleast_2d(np.asarray(Y, dtype=float))[None], tol)[0]
 
     def translate(self, c) -> "HPolytope":
         c = np.asarray(c, dtype=float)
@@ -570,7 +445,13 @@ def row_norms(V) -> np.ndarray:
 
 class BodyBatch(abc.ABC):
     """N bodies in R^m, one per row.  Row i of every result equals, bit for
-    bit, what the i-th body's own method gives."""
+    bit, what the i-th body's own method gives.
+
+    A query of several points per body takes ``rows``, body indices, and
+    blocks of shape (R, k, m), block n going to body ``rows[n]``.  The
+    queries here run body by body through :meth:`body`; a batch kind with
+    arrays of its own answers them on its arrays.
+    """
 
     dim: int
 
@@ -586,13 +467,43 @@ class BodyBatch(abc.ABC):
     def translate(self, C) -> "BodyBatch":
         """Body i shifted by row i of ``C`` (shape (N, m))."""
 
-    @abc.abstractmethod
-    def project(self, Z) -> np.ndarray:
-        """Row i of ``Z`` (shape (N, m)) projected onto body i."""
+    def project_rows(self, rows, Z) -> np.ndarray:
+        """Block ``Z[n]`` projected onto body ``rows[n]``, as that body's
+        ``project_many`` projects it."""
+        Z = np.asarray(Z, dtype=float)
+        return np.array([self.body(i).project_many(z) for i, z in zip(rows, Z)]).reshape(Z.shape)
 
-    @abc.abstractmethod
+    def contains(self, rows, Y) -> np.ndarray:
+        """Whether each point of block ``Y[n]`` lies in body ``rows[n]``,
+        shape (R, k), as that body's ``contains_many`` tells at its default
+        slack."""
+        Y = np.asarray(Y, dtype=float)
+        return np.array([self.body(i).contains_many(y) for i, y in zip(rows, Y)],
+                        dtype=bool).reshape(Y.shape[:2])
+
+    def coord_extremes(self) -> tuple:
+        """``(lo, hi, arg_lo, arg_hi)``, shapes (N, m) and (N, m, m): each
+        body's :meth:`ConvexBody.coord_extremes`."""
+        each = [self.body(i).coord_extremes() for i in range(len(self))]
+        m = self.dim
+        return tuple(np.array([e[k] for e in each], dtype=float).reshape((len(self),) + shape)
+                     for k, shape in enumerate(((m,), (m,), (m, m), (m, m))))
+
     def coord_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """``(lo, hi)``, shape (N, m): each body's coordinate bounds."""
+        lo, hi, _, _ = self.coord_extremes()
+        return lo, hi
+
+    def sample_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)``, shape (N, m): the box that each body's
+        ``sample_bounds`` gives, infinite on the rows of a body that cannot
+        be sampled (unbounded, with no box)."""
+        return self.coord_bounds()
+
+    def project(self, Z) -> np.ndarray:
+        """Row i of ``Z`` (shape (N, m)) projected onto body i."""
+        Z = np.asarray(Z, dtype=float)
+        return self.project_rows(np.arange(len(self)), Z[:, None])[:, 0]
 
     def least_norm(self) -> np.ndarray:
         """Each body's point of least norm, shape (N, m)."""
@@ -627,17 +538,24 @@ class IntervalBatch(BodyBatch):
         c = np.asarray(C, dtype=float)[:, 0]
         return IntervalBatch(self.lo + c, self.hi + c)
 
-    def project(self, Z) -> np.ndarray:
+    def project_rows(self, rows, Z) -> np.ndarray:
         # np.clip between scalar bounds keeps the point where it ties with a
         # bound, between array bounds it takes the bound: the sign of a zero
         # tells them apart, so the ties are kept here as the body keeps them
         Z = np.asarray(Z, dtype=float)
-        lo, hi = self.lo[:, None], self.hi[:, None]
+        lo, hi = self.lo[rows, None, None], self.hi[rows, None, None]
         Y = np.where(lo > Z, lo, Z)
         return np.where(hi < Y, hi, Y)
 
-    def coord_bounds(self):
-        return self.lo[:, None].copy(), self.hi[:, None].copy()
+    def contains(self, rows, Y) -> np.ndarray:
+        y = np.asarray(Y, dtype=float)[:, :, 0]
+        lo, hi = self.lo[rows] - CONTAINS_TOL, self.hi[rows] + CONTAINS_TOL
+        return (y >= lo[:, None]) & (y <= hi[:, None])
+
+    def coord_extremes(self):
+        lo, hi = self.lo[:, None].copy(), self.hi[:, None].copy()
+        # a finite end is its own extreme point
+        return lo, hi, *(np.where(np.isinf(v), math.nan, v)[:, :, None] for v in (lo, hi))
 
 
 class BallBatch(BodyBatch):
@@ -662,34 +580,47 @@ class BallBatch(BodyBatch):
     def translate(self, C) -> "BallBatch":
         return BallBatch(self.centers + np.asarray(C, dtype=float), self.radii)
 
-    def project(self, Z) -> np.ndarray:
-        D = np.asarray(Z, dtype=float) - self.centers
-        norms = np.linalg.norm(D, axis=1)
+    def project_rows(self, rows, Z) -> np.ndarray:
+        C = self.centers[rows, None, :]
+        D = np.asarray(Z, dtype=float) - C
+        norms = np.linalg.norm(D, axis=2)
         scale = np.ones_like(norms)
-        out = norms > self.radii
-        scale[out] = self.radii[out] / norms[out]
-        return self.centers + D * scale[:, None]
+        out = norms > self.radii[rows, None]
+        scale[out] = np.broadcast_to(self.radii[rows, None], out.shape)[out] / norms[out]
+        return C + D * scale[:, :, None]
 
-    def coord_bounds(self):
+    def contains(self, rows, Y) -> np.ndarray:
+        D = np.asarray(Y, dtype=float) - self.centers[rows, None, :]
+        return np.linalg.norm(D, axis=2) <= (self.radii[rows] + CONTAINS_TOL)[:, None]
+
+    def coord_extremes(self):
         r = self.radii[:, None]
-        return self.centers - r, self.centers + r
+        # the ends of the diameter along each axis
+        step = r[:, :, None] * np.eye(self.dim)
+        C = self.centers[:, None, :]
+        return self.centers - r, self.centers + r, C - step, C + step
 
 
 class PolytopeBatch(BodyBatch):
     """Polytopes ``{y : A y <= b_i}`` that share their normals ``A`` and
-    the exact kernel's operators ``sets`` (from :func:`kernel_operators`),
-    with ``b_i`` the rows of ``B``.  ``bounding_box`` is None or a pair
-    ``(lo, hi)`` that broadcasts to (N, m): row i is body i's box, which
-    :meth:`translate` shifts with the body as :meth:`HPolytope.translate`
-    does.
+    the exact kernel's operators ``sets`` (``kernel_operators(A)``; None
+    past the kernel's limit), with ``b_i`` the rows of ``B``.
+    ``bounding_box`` is None or a pair ``(lo, hi)`` that broadcasts to
+    (N, m): row i is body i's box, which :meth:`translate` shifts with the
+    body as :meth:`HPolytope.translate` does.
 
     Zero rows of ``A`` are resolved and, unless ``_validated``, every row
-    is checked nonempty, as :class:`HPolytope` does.  The kernel's products
-    are stacked over the rows, so that each row's are taken one at a time
-    by the same BLAS calls as its body's and round alike.  A row where the
-    kernel finds no member is handed to its own :class:`HPolytope`, which
-    confirms it by LP (or raises), and so is every later query of that row
-    that the kernel cannot answer.
+    is checked nonempty, as :class:`HPolytope` describes.  The kernel's
+    products are stacked over the rows, so that each row's are taken one
+    at a time by the same BLAS calls as for that row alone; an
+    :class:`HPolytope` is a batch of one row.  The candidates for the
+    origin give every row's least-norm point and coordinate extremes, and
+    are computed once.  A row where the kernel finds no member among them
+    (empty, or too ill-conditioned for the kernel to tell) is on the
+    fallback path once that is known, as is every row without ``sets``:
+    Dykstra's scheme projects its blocks of points, and linear programs
+    give its extremes and confirm it nonempty.  The points of a block that
+    the kernel cannot answer go to Dykstra's scheme together.
     """
 
     def __init__(self, A, sets, B, bounding_box=None, _validated: bool = False):
@@ -700,86 +631,127 @@ class PolytopeBatch(BodyBatch):
                                  for v in bounding_box)
         zero = np.linalg.norm(A, axis=1) == 0.0
         if zero.any():
-            bad = np.any(B[:, zero] < 0, axis=1)
-            if bad.any():
-                HPolytope(A, B[np.argmax(bad)])  # raises at the first bad row
+            if np.any(B[:, zero] < 0):
+                raise InfeasibleBodyError("constraint 0 <= b with b < 0")
             A, B = A[~zero], B[:, ~zero]
         self.A, self.B, self.dim = A, B, A.shape[1]
         self.bounding_box = bounding_box
         self._sets = sets
-        self._min_slack = -CONTAINS_TOL * np.maximum(1.0, np.linalg.norm(A, axis=1))[:, None]
-        self._validated = _validated
+        self._norms = np.linalg.norm(A, axis=1)
         self._origin = None
         if not _validated:
-            _, lost = self._origin_pass()
-            for i in np.flatnonzero(lost):
-                self.body(i)  # the LP confirms the row or raises
+            for i in np.flatnonzero(self._lost()):
+                self._lp_feasible(i)  # the LP confirms the row or raises
 
     def __len__(self) -> int:
         return self.B.shape[0]
 
     def body(self, i: int) -> HPolytope:
-        """Row i as the :class:`HPolytope` the map builds, in the state its
-        queries so far have left it."""
+        """Row i as the :class:`HPolytope` the map builds, in the state the
+        batch's queries so far have left it: once the batch holds the
+        candidates for the origin, the body takes its own from them."""
         box = self.bounding_box
         if box is not None:
             box = (box[0][i], box[1][i])
-        body = HPolytope(self.A, self.B[i], bounding_box=box, _validated=self._validated,
-                         _sets=self._sets)
+        body = HPolytope(self.A, self.B[i], bounding_box=box, _validated=True, _sets=self._sets)
         if self._origin is not None:
-            body._origin_members()
+            body._row._origin = tuple(a[i : i + 1] for a in self._origin)
         return body
 
-    def _blocks(self):
+    def _blocks(self, count: int, k: int):
+        """``(block slice, point slice)`` chunks of ``count`` blocks of ``k``
+        points whose candidates fit in the chunk size: several whole blocks
+        at a time, or one block in parts."""
         K, p = self._sets.shape[:2]
-        step = max(1, _CANDIDATE_FLOATS // (K * (p + self.dim)))
-        for s in range(0, len(self), step):
-            yield slice(s, s + step)
+        per = max(1, _CANDIDATE_FLOATS // (K * (p + self.dim)))  # points per chunk
+        step, part = max(1, per // max(k, 1)), max(1, min(k, per))
+        for r in range(0, count, step):
+            for s in range(0, k, part):
+                yield slice(r, r + step), slice(s, s + part)
 
-    def _nearest(self, Z: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        """For row i of ``Z``, body i's nearest in-body candidate, and
-        whether it has one."""
-        Zr = Z[:, None, :]
-        W = Zr @ self.A.T - self.B[rows, None, :]
-        Y = (Zr[:, None] - W[:, None] @ self._sets)[:, :, 0, :]
-        slack = self.B[rows, :, None] - self.A @ Y.transpose(0, 2, 1)
-        inside = np.all(slack >= self._min_slack, axis=1)
-        d2 = np.where(inside, np.sum((Y - Zr) ** 2, axis=2), np.inf)
-        best = np.argmin(d2, axis=1)
-        n = np.arange(Z.shape[0])
-        return Y[n, best], inside[n, best]
+    def _candidates(self, rows, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every active-set candidate of body ``rows[n]`` for each point of
+        block ``Z[n]``, shape (R, K, k, m), and whether it lies in that
+        body, shape (R, K, k)."""
+        W = Z @ self.A.T - self.B[rows, None, :]
+        Y = Z[:, None] - W[:, None] @ self._sets
+        R, K, k, m = Y.shape
+        return Y, self.contains(rows, Y.reshape(R, K * k, m)).reshape(R, K, k)
 
-    def _origin_pass(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's least-norm member among the candidates for the origin,
-        and the rows with none, computed once."""
+    def _origin_candidates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's candidates for the origin, shape (N, K, m), and which
+        lie in its body, shape (N, K), computed once."""
         if self._origin is None:
-            least = np.empty((len(self), self.dim))
-            lost = np.empty(len(self), dtype=bool)
-            for rows in self._blocks():
-                Y, found = self._nearest(np.zeros_like(least[rows]), rows)
-                least[rows], lost[rows] = Y, ~found
-            self._origin = (least, lost)
+            N, K = len(self), self._sets.shape[0]
+            Y, inside = np.empty((N, K, self.dim)), np.empty((N, K), dtype=bool)
+            zero = np.zeros((N, 1, self.dim))
+            for rows, _ in self._blocks(N, 1):
+                Yr, inside_r = self._candidates(rows, zero[rows])
+                Y[rows], inside[rows] = Yr[:, :, 0], inside_r[:, :, 0]
+            self._origin = (Y, inside)
         return self._origin
 
-    def least_norm(self) -> np.ndarray:
-        least, lost = self._origin_pass()
-        out = least.copy()
-        for i in np.flatnonzero(lost):
-            out[i] = self.body(i).least_norm()
-        return out
+    def _lost(self) -> np.ndarray:
+        """The rows on the fallback path, from the candidates for the
+        origin."""
+        if self._sets is None:
+            return np.ones(len(self), dtype=bool)
+        return ~self._origin_candidates()[1].any(axis=1)
 
-    def project(self, Z) -> np.ndarray:
+    def contains(self, rows, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
+        slack = self.B[rows, :, None] - self.A @ np.asarray(Y, dtype=float).transpose(0, 2, 1)
+        return np.all(slack >= -tol * np.maximum(1.0, self._norms)[:, None], axis=1)
+
+    def project_rows(self, rows, Z) -> np.ndarray:
+        rows = np.asarray(rows)
         Z = np.asarray(Z, dtype=float)
         out = np.empty_like(Z)
-        missed = np.empty(len(self), dtype=bool)
-        for rows in self._blocks():
-            out[rows], found = self._nearest(Z[rows], rows)
-            missed[rows] = ~found
-        if self._origin is not None:
-            missed |= self._origin[1]  # those bodies project by the fallback
-        for i in np.flatnonzero(missed):
-            out[i] = self.body(i).project(Z[i])
+        found = np.zeros(Z.shape[:2], dtype=bool)
+        if self._sets is not None:
+            for r, s in self._blocks(len(rows), Z.shape[1]):
+                Zc = Z[r, s]
+                Y, inside = self._candidates(rows[r], Zc)
+                d2 = np.where(inside, np.sum((Y - Zc[:, None]) ** 2, axis=3), np.inf)
+                best = np.argmin(d2, axis=1)[:, None]
+                out[r, s] = np.take_along_axis(Y, best[..., None], axis=1)[:, 0]
+                found[r, s] = np.take_along_axis(inside, best, axis=1)[:, 0]
+            if self._origin is not None:
+                found[self._lost()[rows]] = False  # rows on the fallback path
+        for n in np.flatnonzero(~found.all(axis=1)):
+            miss = ~found[n]
+            out[n, miss] = self._dykstra(rows[n], Z[n, miss])
         return out
+
+    def least_norm(self) -> np.ndarray:
+        lost = self._lost()
+        out = np.empty((len(self), self.dim))
+        if self._sets is not None:
+            Y, inside = self._origin
+            d2 = np.where(inside, np.sum(Y**2, axis=2), np.inf)
+            out[:] = Y[np.arange(len(self)), np.argmin(d2, axis=1)]
+        for i in np.flatnonzero(lost):
+            out[i] = self._dykstra(i, np.zeros((1, self.dim)))[0]
+        return out
+
+    def coord_extremes(self):
+        lost = self._lost()
+        if self._sets is None:
+            N, m = len(self), self.dim
+            extremes = (np.empty((N, m)), np.empty((N, m)), np.empty((N, m, m)), np.empty((N, m, m)))
+        else:
+            extremes = _kernel_extremes(self.A, self._sets, self._norms, *self._origin)
+        for i in np.flatnonzero(lost):
+            for a, v in zip(extremes, self._lp_extremes(i)):
+                a[i] = v
+        return extremes
+
+    def sample_bounds(self):
+        lo, hi = self.coord_bounds()
+        if self.bounding_box is not None:
+            # an unbounded body samples in its box
+            box = ~(np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1))
+            lo[box], hi[box] = self.bounding_box[0][box], self.bounding_box[1][box]
+        return lo, hi
 
     def translate(self, C) -> "PolytopeBatch":
         C = np.asarray(C, dtype=float)
@@ -789,14 +761,90 @@ class PolytopeBatch(BodyBatch):
             box = (box[0] + C, box[1] + C)
         return PolytopeBatch(self.A, self._sets, B, box, _validated=True)
 
-    def coord_bounds(self):
-        return _bounds_by_row(map(self.body, range(len(self))), self.dim)
+    # -- fallback: Dykstra's projection and linear programs, row by row --------
+
+    def _dykstra(self, i: int, Z: np.ndarray) -> np.ndarray:
+        """Each row of ``Z`` projected onto body i by Dykstra's cyclic
+        scheme, batched over the rows; raises :class:`ProjectionError` if the
+        sweep budget runs out while an iterate still violates a row."""
+        A, b, norms2 = self.A, self.B[i], self._norms**2
+        if A.shape[0] == 0:
+            return Z.copy()
+        if np.all(A @ Z.T - b[:, None] <= 0):
+            return Z.copy()
+        Y = Z.copy()
+        corr = np.zeros((A.shape[0],) + Y.shape)
+        for _ in range(MAX_PROJECTION_SWEEPS):
+            start = Y.copy()
+            corr_start = corr.copy()
+            for j in range(A.shape[0]):
+                W = Y + corr[j]
+                t = (W @ A[j] - b[j]) / norms2[j]
+                np.maximum(t, 0.0, out=t)
+                Y = W - t[:, None] * A[j]
+                corr[j] = W - Y
+            # the iterate alone can revisit a point mid-convergence while
+            # the corrections still churn; both must settle before stopping
+            move = max(
+                float(np.max(np.abs(Y - start))),
+                float(np.max(np.abs(corr - corr_start))),
+            )
+            if move < PROJECTION_TOL:
+                break
+        worst = float(np.max((A @ Y.T - b[:, None]) / self._norms[:, None]))
+        if worst > 1e-7:
+            raise ProjectionError(
+                f"projection did not converge (residual {worst:.3e})"
+            )
+        return Y
+
+    def _lp_feasible(self, i: int) -> None:
+        """Raise :class:`InfeasibleBodyError` unless body i has a point, as
+        a linear program decides."""
+        m = self.dim
+        res = linprog(c=np.zeros(m), A_ub=self.A, b_ub=self.B[i], bounds=[(None, None)] * m,
+                      method="highs")
+        if res.status == 2:
+            raise InfeasibleBodyError("halfspace system has no solution")
+        if not res.success:
+            raise InfeasibleBodyError(f"feasibility check failed: {res.message}")
+
+    def _lp_extremes(self, i: int) -> tuple:
+        """Body i's ``coord_extremes``, from linear programs."""
+        m = self.dim
+        bounds = (np.empty(m), np.empty(m))
+        args = (np.full((m, m), math.nan), np.full((m, m), math.nan))
+        for j in range(m):
+            e = np.zeros(m)
+            e[j] = 1.0
+            for side, sign in enumerate((1.0, -1.0)):
+                lp = dict(c=sign * e, A_ub=self.A, b_ub=self.B[i], bounds=[(None, None)] * m,
+                          method="highs")
+                res = linprog(**lp)
+                if res.status == 2:
+                    # the body is nonempty: HiGHS's presolve reports some
+                    # unbounded LPs (a slab in R^3) as infeasible
+                    res = linprog(**lp, options={"presolve": False})
+                if res.status == 3:
+                    bounds[side][j] = -sign * math.inf
+                elif res.success:
+                    x = res.x
+                    if self.contains([i], x[None, None])[0, 0]:
+                        bounds[side][j] = sign * res.fun
+                    else:
+                        # HiGHS stops within its feasibility tolerance, which
+                        # can leave a thin body; the projection is a member
+                        x = self._dykstra(i, x[None])[0]
+                        bounds[side][j] = x[j]
+                    args[side][j] = x
+                else:
+                    raise ProjectionError(f"bounds LP failed: {res.message}")
+        return bounds[0], bounds[1], args[0], args[1]
 
 
 class BodyRows(BodyBatch):
     """Bodies held one by one, for bodies with no batch of their own
-    (polytopes whose normals vary, or past the kernel's limit): every
-    query runs body by body."""
+    (polytopes whose normals vary): every query runs body by body."""
 
     def __init__(self, bodies, dim: int):
         self.bodies, self.dim = list(bodies), dim
@@ -807,28 +855,17 @@ class BodyRows(BodyBatch):
     def body(self, i: int) -> ConvexBody:
         return self.bodies[i]
 
-    def _rows(self, values) -> np.ndarray:
-        return np.array(list(values), dtype=float).reshape(len(self), self.dim)
-
     def translate(self, C) -> "BodyRows":
         return BodyRows([b.translate(c) for b, c in zip(self.bodies, C)], self.dim)
 
-    def project(self, Z) -> np.ndarray:
-        return self._rows(b.project(z) for b, z in zip(self.bodies, Z))
-
-    def least_norm(self) -> np.ndarray:
-        return self._rows(b.least_norm() for b in self.bodies)
-
-    def coord_bounds(self):
-        return _bounds_by_row(self.bodies, self.dim)
-
-
-def _bounds_by_row(bodies, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coordinate bounds of each body, stacked as (N, dim) arrays."""
-    bounds = [b.coord_bounds() for b in bodies]
-    lo = np.array([lo for lo, _ in bounds]).reshape(-1, dim)
-    hi = np.array([hi for _, hi in bounds]).reshape(-1, dim)
-    return lo, hi
+    def sample_bounds(self):
+        lo, hi = np.full((2, len(self), self.dim), math.inf)
+        for i, b in enumerate(self.bodies):
+            try:
+                lo[i], hi[i] = b.sample_bounds()
+            except UnboundedBodyError:
+                pass
+        return lo, hi
 
 
 class StackedBatch(BodyBatch):
@@ -838,21 +875,36 @@ class StackedBatch(BodyBatch):
 
     def __init__(self, count: int, dim: int, parts):
         self.count, self.dim, self.parts = count, dim, list(parts)
+        # the part that holds each row, and the row's index in that part
+        self._part = np.empty(count, dtype=np.intp)
+        self._local = np.empty(count, dtype=np.intp)
+        for p, (rows, _) in enumerate(self.parts):
+            self._part[rows], self._local[rows] = p, np.arange(rows.shape[0])
 
     def __len__(self) -> int:
         return self.count
 
     def body(self, i: int) -> ConvexBody:
-        for rows, batch in self.parts:
-            j = int(np.searchsorted(rows, i))
-            if j < rows.shape[0] and rows[j] == i:
-                return batch.body(j)
-        raise IndexError(f"no part holds row {i}")
+        return self.parts[self._part[i]][1].body(self._local[i])
 
-    def _gather(self, values) -> np.ndarray:
-        out = np.empty((self.count, self.dim))
+    def _gather(self, method: str, *shapes) -> tuple:
+        """The arrays of every part's ``method()``, each placed at the
+        part's rows of an array of that trailing shape."""
+        out = tuple(np.empty((self.count,) + shape) for shape in shapes)
         for rows, batch in self.parts:
-            out[rows] = values(rows, batch)
+            for whole, a in zip(out, getattr(batch, method)()):
+                whole[rows] = a
+        return out
+
+    def _at(self, method: str, rows, Y, out: np.ndarray) -> np.ndarray:
+        """``method(rows, Y)`` of every part on the blocks of its rows,
+        written into ``out`` at those blocks."""
+        rows = np.asarray(rows)
+        part = self._part[rows]
+        for p, (_, batch) in enumerate(self.parts):
+            at = np.flatnonzero(part == p)
+            if at.size:
+                out[at] = getattr(batch, method)(self._local[rows[at]], Y[at])
         return out
 
     def translate(self, C) -> "StackedBatch":
@@ -860,34 +912,17 @@ class StackedBatch(BodyBatch):
         parts = [(rows, batch.translate(C[rows])) for rows, batch in self.parts]
         return StackedBatch(self.count, self.dim, parts)
 
-    def project(self, Z) -> np.ndarray:
+    def project_rows(self, rows, Z) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
-        return self._gather(lambda rows, batch: batch.project(Z[rows]))
+        return self._at("project_rows", rows, Z, np.empty_like(Z))
 
-    def least_norm(self) -> np.ndarray:
-        return self._gather(lambda rows, batch: batch.least_norm())
+    def contains(self, rows, Y) -> np.ndarray:
+        Y = np.asarray(Y, dtype=float)
+        return self._at("contains", rows, Y, np.empty(Y.shape[:2], dtype=bool))
 
-    def coord_bounds(self):
-        lo = np.empty((self.count, self.dim))
-        hi = np.empty_like(lo)
-        for rows, batch in self.parts:
-            lo[rows], hi[rows] = batch.coord_bounds()
-        return lo, hi
+    def coord_extremes(self):
+        m = self.dim
+        return self._gather("coord_extremes", (m,), (m,), (m, m), (m, m))
 
-
-def sample(body: ConvexBody, k: int, rng: np.random.Generator) -> np.ndarray:
-    """``k`` feasible points: rejection inside the body's bounding box,
-    topped up with projections of leftover proposals when the body is thin
-    relative to its box."""
-    lo, hi = body.sample_bounds()
-    span = np.maximum(hi - lo, 0.0)
-    batch = max(4 * k, 64)
-    hits = np.empty((0, body.dim))
-    for _ in range(40):
-        Z = lo + span * rng.random((batch, body.dim))
-        inside = body.contains_many(Z)
-        hits = np.vstack([hits, Z[inside]])
-        if hits.shape[0] >= k:
-            return hits[:k]
-    Z = lo + span * rng.random((k - hits.shape[0], body.dim))
-    return np.vstack([hits, body.project_many(Z)])[:k]
+    def sample_bounds(self):
+        return self._gather("sample_bounds", (self.dim,), (self.dim,))

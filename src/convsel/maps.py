@@ -16,7 +16,6 @@ hands its defect to the one kernel of that rule, ``fields.confirmed_edges``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import KW_ONLY, dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Callable, Iterator
@@ -27,7 +26,6 @@ from .errors import (
     DimensionMismatchError,
     StratificationError,
     TagError,
-    UnboundedBodyError,
     UncoveredPointError,
 )
 from .fields import (
@@ -45,16 +43,7 @@ from .fields import (
     confirmed_edges,
     default_eps,
 )
-from .geometry import (
-    Ball,
-    BodyBatch,
-    BodyRows,
-    ConvexBody,
-    HPolytope,
-    Interval,
-    StackedBatch,
-    sample,
-)
+from .geometry import BodyBatch, BodyRows, ConvexBody, StackedBatch
 
 
 @dataclass(frozen=True)
@@ -249,46 +238,86 @@ def envelopes(map_: SetValuedMap) -> tuple[ScalarField, ScalarField]:
 # probing
 
 
-def _extreme_points(body: ConvexBody) -> list[np.ndarray]:
-    """Points attaining each finite coordinate bound (the probe anchors)."""
-    out: list[np.ndarray] = []
-    if isinstance(body, Interval):
-        for v in (body.lo, body.hi):
-            if math.isfinite(v):
-                out.append(np.array([v]))
-        return out
-    if isinstance(body, Ball):
-        for j in range(body.dim):
-            e = np.zeros(body.dim)
-            e[j] = body.radius
-            out.append(body.center - e)
-            out.append(body.center + e)
-        return out
-    if isinstance(body, HPolytope):
-        lo, hi, arg_lo, arg_hi = body.coord_extremes()
-        for j in range(body.dim):
-            for bound, arg in ((lo[j], arg_lo[j]), (hi[j], arg_hi[j])):
-                if math.isfinite(bound):
-                    out.append(arg.copy())
-        return out
-    return out
+def _probes(bodies: BodyBatch, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Deterministic probes of every body, shape (N, count, m): the points
+    attaining its finite coordinate bounds (lower then upper, coordinate by
+    coordinate), then its least-norm point, then seeded members
+    (:func:`_sample`); padded by repeating the last probe when the body
+    cannot be sampled (unbounded without a box)."""
+    lo, hi, arg_lo, arg_hi = bodies.coord_extremes()
+    N, m = lo.shape
+    anchors = np.stack([arg_lo, arg_hi], axis=2).reshape(N, 2 * m, m)
+    finite = np.isfinite(np.stack([lo, hi], axis=2)).reshape(N, 2 * m)
+    least = bodies.least_norm()
+    samples, drawn = _sample(bodies, np.maximum(count - 1 - finite.sum(axis=1), 0), rng)
+    points = np.concatenate([anchors, least[:, None], samples], axis=1)
+    valid = np.concatenate([finite, np.ones((N, 1), dtype=bool), drawn], axis=1)
+    order = np.argsort(~valid, axis=1, kind="stable")  # each body's probes first, in order
+    last = valid.sum(axis=1, keepdims=True) - 1
+    at = np.arange(N)[:, None]
+    return points[at, order[at, np.minimum(np.arange(count), last)]]
 
 
-def probe_points(body: ConvexBody, count: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Deterministic probes of a body: coordinate extremes, then the
-    least-norm point, then seeded interior samples; padded by repetition
-    when the body cannot be sampled (unbounded without a box)."""
-    pts = _extreme_points(body)
-    pts.append(body.least_norm())
-    if len(pts) < count:
-        try:
-            extra = sample(body, count - len(pts), rng)
-            pts.extend(np.asarray(extra))
-        except UnboundedBodyError:
-            pass
-    while len(pts) < count:
-        pts.append(pts[-1].copy())
-    return pts[:count]
+def _sample(bodies: BodyBatch, k: np.ndarray, rng: np.random.Generator):
+    """``k[i]`` members of each body i that can be sampled, shape
+    (N, max k, m), and which entries hold one, shape (N, max k).
+
+    Body i draws rounds of ``max(4 k_i, 64)`` proposals, uniform in its
+    ``sample_bounds`` box, and keeps those inside it, in order; after 40
+    rounds it tops up with projections of further proposals.  The bodies
+    draw from ``rng`` one after another, in row order.  Round 1 nearly
+    always suffices, so every body's round 1 comes from one draw; from the
+    first body whose round 1 falls short, the generator is set back, the
+    rounds up to that body's are drawn again, and that body goes on alone
+    before the draw resumes at the next body: the stream is the same.
+    """
+    lo, hi = bodies.sample_bounds()
+    m = lo.shape[1]
+    span = np.maximum(hi - lo, 0.0)
+    size = np.maximum(4 * k, 64)
+    can = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1) & (k > 0)
+    out = np.zeros((len(k), int(k.max(initial=0)), m))
+    todo = np.flatnonzero(can)
+    while todo.size:
+        # the bodies up to the next change of round size draw round 1 together
+        run = todo[: np.argmax(np.append(size[todo] != size[todo[0]], True))]
+        state = rng.bit_generator.state
+        Z, inside = _round(bodies, run, lo, span, size[run[0]], rng)
+        rank = np.cumsum(inside, axis=1) - inside  # the hits before, in its body's round
+        hits = rank[:, -1] + inside[:, -1]
+        short = np.flatnonzero(hits < k[run])
+        done = run.size if not short.size else short[0] + 1
+        b, j = np.nonzero(inside[:done] & (rank[:done] < k[run[:done], None]))
+        out[run[b], rank[b, j]] = Z[b, j]
+        todo = todo[done:]
+        if not short.size:
+            continue
+        i, got = run[short[0]], hits[short[0]]
+        rng.bit_generator.state = state
+        rng.random((done * size[i], m))  # the rounds used, up to body i's
+        for _ in range(39):
+            Zi, inside = _round(bodies, run[short[:1]], lo, span, size[i], rng)
+            Zi = Zi[inside][: k[i] - got]
+            out[i, got : got + len(Zi)] = Zi
+            got += len(Zi)
+            if got == k[i]:
+                break
+        else:
+            Zi = lo[i] + span[i] * rng.random((k[i] - got, m))
+            out[i, got : k[i]] = bodies.project_rows([i], Zi[None])[0]
+    return out, np.arange(out.shape[1]) < np.where(can, k, 0)[:, None]
+
+
+def _round(bodies: BodyBatch, rows: np.ndarray, lo, span, size: int, rng):
+    """One round of ``size`` proposals for each body of ``rows`` in turn,
+    from one draw, shape (R, size, m), and whether each lies in its body,
+    shape (R, size)."""
+    shape = (rows.size, size, lo.shape[1])
+    # each body's box repeated over its round: faster than a broadcast whose
+    # last axis is short
+    box = [np.repeat(v[rows], size, axis=0).reshape(shape) for v in (lo, span)]
+    Z = box[0] + box[1] * rng.random(shape)
+    return Z, bodies.contains(rows, Z)
 
 
 def graph_sample(
@@ -297,61 +326,59 @@ def graph_sample(
     """``per_point`` members of T(x) for every grid x, deterministically."""
     if per_point < 1:
         raise ValueError("per_point must be >= 1")
-    rng = np.random.default_rng(seed)
-    bodies = map_.evaluate_many(grid.points)
-    out = []
-    for i, x in enumerate(grid.points):
-        for y in probe_points(bodies.body(i), per_point, rng):
-            out.append((x.copy(), np.asarray(y, dtype=float)))
-    return out
+    probes = _probes(map_.evaluate_many(grid.points), per_point, np.random.default_rng(seed))
+    return [(x.copy(), y) for x, ys in zip(grid.points, probes) for y in ys]
 
 
 # ---------------------------------------------------------------------------
 # audits
 
 
-def _distance_to(body: ConvexBody, probes: np.ndarray) -> np.ndarray:
-    proj = body.project_many(probes)
-    return np.linalg.norm(proj - probes, axis=1)
-
-
 class _ProbedGrid:
     """T evaluated and probed at every grid point, shared by the lsc and
     continuity audits on that grid.
 
-    The bodies and probes are drawn at the first audit, from one seeded
-    stream in grid order, so each audit reads exactly the probes a fresh
-    audit would draw; each (tail, head) row of distances from the tail's
-    probes to the head's body is projected once and remembered.
+    At the first audit T is evaluated as one batch and every body's probes
+    are drawn from it (:func:`_probes`), from one seeded stream in grid
+    order, so each audit reads exactly the probes a fresh audit would draw.
+    Each (tail, head) row of distances, from the tail's probes to the
+    head's body, is projected once and remembered; the rows that a sweep
+    asks for are projected together, in one call per batch of heads.
     """
 
     def __init__(self, map_: SetValuedMap, grid: Grid, seed: int):
         self.map, self.grid, self.seed = map_, grid, seed
         self.probe_count = 2 * map_.output_dim + 4
-        self._rows: dict[tuple[int, int], np.ndarray] = {}
+        # the (tail, head) rows projected so far by key tail * N + head,
+        # sorted, after a sentinel key that no row has
+        self._keys = np.array([np.iinfo(np.intp).max])
+        self._rows = np.empty((1, self.probe_count))
 
     @cached_property
-    def _drawn(self) -> tuple[list, list]:
-        batch = self.map.evaluate_many(self.grid.points)
-        bodies = [batch.body(i) for i in range(len(batch))]
-        rng = np.random.default_rng(self.seed)
-        probes = [
-            np.asarray(probe_points(b, self.probe_count, rng), dtype=float)
-            for b in bodies
-        ]
-        return bodies, probes
+    def _drawn(self) -> tuple[BodyBatch, np.ndarray]:
+        bodies = self.map.evaluate_many(self.grid.points)
+        return bodies, _probes(bodies, self.probe_count, np.random.default_rng(self.seed))
+
+    def _project(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        """Distances from each probe of ``tails[e]`` to the body at
+        ``heads[e]``, shape (E, probe_count)."""
+        bodies, probes = self._drawn
+        P = probes[tails]
+        return np.linalg.norm(bodies.project_rows(heads, P) - P, axis=2)
 
     def _distances(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-        bodies, probes = self._drawn
-        rows = self._rows
-        pairs = list(zip(tails.tolist(), heads.tolist()))
-        for t, h in pairs:
-            if (t, h) not in rows:
-                # one project_many per pair on its tail's probes: the
-                # fallback's stopping rule reads the whole batch, so
-                # regrouping changes results
-                rows[t, h] = _distance_to(bodies[h], probes[t])
-        return np.reshape([rows[p] for p in pairs], (len(pairs), self.probe_count))
+        """:meth:`_project` of every (tail, head) pair, projecting only the
+        pairs not projected before on this grid."""
+        n = len(self.grid)
+        keys = tails * n + heads
+        new = np.sort(keys[self._keys[np.searchsorted(self._keys, keys)] != keys])
+        new = new[np.diff(new, prepend=-1) != 0]
+        if new.size:
+            every = np.concatenate([self._keys, new])
+            order = np.argsort(every, kind="stable")
+            self._keys = every[order]
+            self._rows = np.concatenate([self._rows, self._project(*np.divmod(new, n))])[order]
+        return self._rows[np.searchsorted(self._keys, keys)]
 
     def audit(self, kind: str, eps: float | None = None,
               mask: np.ndarray | None = None) -> AuditReport:

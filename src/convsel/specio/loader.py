@@ -266,9 +266,7 @@ def _build_hpolytope(spec: dict, path: str, n: int, m: int):
     except EvalDomainError:
         return rows  # every evaluation raises
     A.setflags(write=False)
-    sets = kernel_operators(A)
-    if sets is None:
-        return rows  # past the kernel's limit: one polytope per point, on the fallback
+    sets = kernel_operators(A)  # None past the kernel's limit: every row on the fallback
     # constant normals: every body shares A and the kernel's operators
     return lambda X: PolytopeBatch(A, sets, _columns(offsets, X), box)
 

@@ -11,6 +11,10 @@ from a problem dict as the loader reads it (:func:`load_pointwise`).
 ``PointwiseRegion.region()`` and ``PointwiseMap.library()`` give the
 library objects whose batches run the per-point rules row by row, for
 tests that write a map as per-point rules.
+
+The probes of the grid audits are here body by body too
+(:func:`probe_points`, :func:`sample`, :func:`distance_to`): the library
+draws them from one body batch, and must give the same bits.
 """
 
 from __future__ import annotations
@@ -21,9 +25,14 @@ from typing import Callable
 
 import numpy as np
 
-from convsel.errors import DimensionMismatchError, EvalDomainError, UncoveredPointError
+from convsel.errors import (
+    DimensionMismatchError,
+    EvalDomainError,
+    UnboundedBodyError,
+    UncoveredPointError,
+)
 from convsel.fields import Domain
-from convsel.geometry import Ball, BodyRows, HPolytope, Interval, kernel_operators
+from convsel.geometry import Ball, BodyRows, ConvexBody, HPolytope, Interval, kernel_operators
 from convsel.maps import Region, SetValuedMap
 from convsel.specio.expr import Const, Pow, Unary, Var, _pow, max_var_index
 from convsel.specio.loader import _interval_bound, _parse, _parse_atom, build_domain
@@ -212,3 +221,77 @@ def load_pointwise(raw: dict) -> tuple[PointwiseMap, tuple[PointwiseRegion, ...]
         declared_continuous=bool(tags.get("declared_continuous", False)),
     )
     return map_, tuple(_region(atoms, n) for atoms in raw.get("strata", [[]]))
+
+
+# --- probes, body by body ---------------------------------------------------------
+
+
+def sample(body: ConvexBody, k: int, rng: np.random.Generator) -> np.ndarray:
+    """``k`` feasible points: rejection inside the body's bounding box,
+    topped up with projections of leftover proposals when the body is thin
+    relative to its box."""
+    lo, hi = body.sample_bounds()
+    span = np.maximum(hi - lo, 0.0)
+    batch = max(4 * k, 64)
+    hits = np.empty((0, body.dim))
+    for _ in range(40):
+        Z = lo + span * rng.random((batch, body.dim))
+        inside = body.contains_many(Z)
+        hits = np.vstack([hits, Z[inside]])
+        if hits.shape[0] >= k:
+            return hits[:k]
+    Z = lo + span * rng.random((k - hits.shape[0], body.dim))
+    return np.vstack([hits, body.project_many(Z)])[:k]
+
+
+def extreme_points(body: ConvexBody) -> list[np.ndarray]:
+    """Points attaining each finite coordinate bound (the probe anchors)."""
+    out: list[np.ndarray] = []
+    if isinstance(body, Interval):
+        for v in (body.lo, body.hi):
+            if math.isfinite(v):
+                out.append(np.array([v]))
+        return out
+    if isinstance(body, Ball):
+        for j in range(body.dim):
+            e = np.zeros(body.dim)
+            e[j] = body.radius
+            out.append(body.center - e)
+            out.append(body.center + e)
+        return out
+    lo, hi, arg_lo, arg_hi = body.coord_extremes()
+    for j in range(body.dim):
+        for bound, arg in ((lo[j], arg_lo[j]), (hi[j], arg_hi[j])):
+            if math.isfinite(bound):
+                out.append(arg.copy())
+    return out
+
+
+def probe_points(body: ConvexBody, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Deterministic probes of a body: coordinate extremes, then the
+    least-norm point, then seeded interior samples; padded by repetition
+    when the body cannot be sampled (unbounded without a box)."""
+    pts = extreme_points(body)
+    pts.append(body.least_norm())
+    if len(pts) < count:
+        try:
+            extra = sample(body, count - len(pts), rng)
+            pts.extend(np.asarray(extra))
+        except UnboundedBodyError:
+            pass
+    while len(pts) < count:
+        pts.append(pts[-1].copy())
+    return pts[:count]
+
+
+def grid_probes(bodies, count: int, seed: int) -> np.ndarray:
+    """The probes of each body in turn, drawn from one seeded stream,
+    shape (N, count, m)."""
+    rng = np.random.default_rng(seed)
+    return np.array([probe_points(b, count, rng) for b in bodies], dtype=float)
+
+
+def distance_to(body: ConvexBody, probes: np.ndarray) -> np.ndarray:
+    """The distance from each probe to the body, by one ``project_many``."""
+    proj = body.project_many(probes)
+    return np.linalg.norm(proj - probes, axis=1)

@@ -33,18 +33,23 @@ from convsel.fields import (
 from convsel.geometry import Interval
 from convsel.maps import (
     Stratification,
-    _distance_to,
     continuity_audit,
     envelopes,
     lsc_audit,
-    probe_points,
     stratification_audit,
 )
 from convsel.specio.loader import load_spec
 
 from conftest import SPECS
 from reference.fields_pointwise import envelopes_pointwise, lift
-from reference.maps_pointwise import EVERYWHERE, PointwiseMap, PointwiseRegion, load_pointwise
+from reference.maps_pointwise import (
+    EVERYWHERE,
+    PointwiseMap,
+    PointwiseRegion,
+    distance_to,
+    load_pointwise,
+    probe_points,
+)
 
 FIXTURES = sorted(p.stem for p in SPECS.glob("*.json"))
 
@@ -120,12 +125,12 @@ def ref_lsc(map_, grid, eps=None, slope=1.0, interior_probes=3, mask=None):
         if mask is not None and not (mask[t] and mask[h]):
             continue
         s = float(spacing[k])
-        d = _distance_to(bodies[h], probes[t]) - (eps + s * slope)
+        d = distance_to(bodies[h], probes[t]) - (eps + s * slope)
         bad = np.nonzero(d > 0)[0]
         if bad.size == 0:
             continue
         if far >= 0 and (mask is None or mask[far]):
-            d2 = _distance_to(bodies[far], probes[t][bad]) - (eps + 2 * s * slope)
+            d2 = distance_to(bodies[far], probes[t][bad]) - (eps + 2 * s * slope)
             bad = bad[d2 > 0]
         for j in bad:
             violations.append(

@@ -9,7 +9,8 @@ from convsel.errors import (
     InfeasibleBodyError,
     UnboundedBodyError,
 )
-from convsel.geometry import Ball, HPolytope, Interval, sample
+from convsel.geometry import Ball, HPolytope, Interval
+from reference.maps_pointwise import sample
 
 
 class TestInterval:

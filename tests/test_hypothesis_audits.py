@@ -5,18 +5,21 @@ remembers every per-edge distance row, where ``lsc_audit`` and each
 ``continuity_audit`` used to redo both.  Its reports must equal, field
 for field and bit for bit, those of the separate calls with the same
 seed, and an error must come at the same report; the counts pin the work
-it saves.
+it saves.  The probes, their samples and the distances come from the one
+body batch; they must equal, bit for bit, those drawn and projected body
+by body by the oracle in ``reference.maps_pointwise``.
 """
 
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from convsel import maps, selection
 from convsel.errors import AuditError, ConvselError, UncoveredPointError
 from convsel.fields import DEFAULT_SEED, Domain, Grid
-from convsel.geometry import PolytopeBatch
+from convsel.geometry import Ball, HPolytope, Interval, PolytopeBatch, StackedBatch
 from convsel.maps import (
     Region,
     SetValuedMap,
@@ -32,7 +35,7 @@ from convsel.specio.cli import main
 from convsel.specio.loader import load_spec, load_spec_dict
 
 from conftest import NONZERO, ORIGIN, SPECS, interval_rule
-from reference.maps_pointwise import load_pointwise
+from reference.maps_pointwise import distance_to, grid_probes, load_pointwise
 
 FIXTURES = sorted(p.stem for p in SPECS.glob("*.json"))
 LINE = Domain(1, boxes=(((-1.0,), (1.0,)),))
@@ -137,24 +140,11 @@ BOXED = {
 }
 
 
-def pointwise_probes(oracle, grid, count, seed) -> list:
-    """The probes of each grid point's body, built one point at a time by
-    the oracle, drawn from one seeded stream in grid order."""
-    rng = np.random.default_rng(seed)
-    return [maps.probe_points(oracle.evaluate(x), count, rng) for x in grid.points]
-
-
 @pytest.mark.parametrize("name", ["m_poly", "m_ball", "m_two_stratum", "m_vband"])
 def test_the_probes_from_one_batch_are_the_pointwise_ones(name):
     spec = load_spec(str(SPECS / f"{name}.json"))
     oracle, _ = load_pointwise(spec.raw)
-    grid = Grid(spec.domain, 9 if spec.ambient_dim == 2 else 33)
-    probed = maps._ProbedGrid(spec.map, grid, DEFAULT_SEED)
-    want = pointwise_probes(oracle, grid, probed.probe_count, DEFAULT_SEED)
-    assert bits(probed._drawn[1]) == bits(want)
-    pairs = maps.graph_sample(spec.map, grid, 5, seed=7)
-    want = pointwise_probes(oracle, grid, 5, 7)
-    assert bits([y for _, y in pairs]) == bits([y for ys in want for y in ys])
+    assert_drawn_as_the_oracle(spec.map, oracle, Grid(spec.domain, 9 if spec.ambient_dim == 2 else 33))
 
 
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 12345])
@@ -164,8 +154,7 @@ def test_a_declared_box_reaches_the_probes_as_pointwise(seed):
     spec = load_spec_dict(BOXED)
     oracle, strata = load_pointwise(BOXED)
     grid = Grid(spec.domain, 17)
-    probed = maps._ProbedGrid(spec.map, grid, seed)
-    assert bits(probed._drawn[1]) == bits(pointwise_probes(oracle, grid, probed.probe_count, seed))
+    assert_drawn_as_the_oracle(spec.map, oracle, grid, seed)
     library_strata = Stratification(tuple(r.region() for r in strata))
     assert collect(hypothesis_audits(spec.map, spec.stratification, grid, seed=seed)) == collect(
         hypothesis_audits(oracle.library(), library_strata, grid, seed=seed))
@@ -183,19 +172,289 @@ def test_a_polytope_batch_keeps_and_shifts_its_box():
     np.testing.assert_array_equal(moved.body(1).bounding_box, [[-3.0, -4.0], [3.0, 2.0]])
 
 
+def test_a_polytope_batch_body_takes_its_members_from_the_batch(monkeypatch):
+    # the batch's candidates for the origin serve every body it gives out:
+    # no body runs the kernel for the origin again
+    spec = load_spec(str(SPECS / "m_poly.json"))
+    oracle, _ = load_pointwise(spec.raw)
+    grid = Grid(spec.domain, 9)
+    parts = spec.map.evaluate_many(grid.points).parts
+    calls = Counter()
+    real = PolytopeBatch._candidates
+
+    def candidates(self, rows, Z):
+        calls[Z.shape[1:]] += 1
+        return real(self, rows, Z)
+
+    for rows, batch in parts:
+        assert isinstance(batch, PolytopeBatch) and batch._origin is not None
+        monkeypatch.setattr(PolytopeBatch, "_candidates", candidates)
+        own = [batch.body(i) for i in range(len(batch))]
+        got = [(b.least_norm(), *b.coord_extremes(), b._sets is None) for b in own]
+        assert calls == {}
+        monkeypatch.undo()
+        for g, x in zip(got, grid.points[rows]):
+            body = oracle.evaluate(x)
+            for got_part, want in zip(g[:5], [body.least_norm(), *body.coord_extremes()]):
+                assert bits(got_part) == bits(want)
+            assert g[5] == (body._sets is None)
+
+
+# --- probes, samples and distances from one batch, against the oracle ----------
+
+
+def swept_pairs(grid) -> tuple[np.ndarray, np.ndarray]:
+    """Every (tail, head) row that a sweep can project: each directed edge,
+    then each edge's tail with its far point."""
+    edges, _ = grid.directed_edges()
+    far = edges[:, 2] >= 0
+    return (np.concatenate([edges[:, 0], edges[far, 0]]),
+            np.concatenate([edges[:, 1], edges[far, 2]]))
+
+
+def assert_drawn_as_the_oracle(map_, oracle, grid, seed=DEFAULT_SEED):
+    """The sweep's probes, every distance row it can ask for and
+    ``graph_sample`` equal, bit for bit, those drawn and projected body by
+    body on the oracle's bodies at the grid points."""
+    bodies = [oracle.evaluate(x) for x in grid.points]
+    probed = maps._ProbedGrid(map_, grid, seed)
+    want = grid_probes(bodies, probed.probe_count, seed)
+    assert bits(probed._drawn[1]) == bits(want)
+    tails, heads = swept_pairs(grid)
+    assert bits(probed._distances(tails, heads)) == bits(
+        [distance_to(bodies[h], want[t]) for t, h in zip(tails, heads)])
+    pairs = maps.graph_sample(map_, grid, 5, seed=7)
+    assert bits([y for _, y in pairs]) == bits(grid_probes(bodies, 5, 7).reshape(-1, map_.output_dim))
+    assert bits([x for x, _ in pairs]) == bits(np.repeat(grid.points, 5, axis=0))
+
+
+def assert_spec_drawn_as_the_oracle(raw, per_axis, seed=DEFAULT_SEED):
+    oracle, _ = load_pointwise(raw)
+    spec = load_spec_dict(raw)
+    assert_drawn_as_the_oracle(spec.map, oracle, Grid(spec.domain, per_axis), seed)
+
+
+@pytest.mark.parametrize("fine", [False, True])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_probes_and_distances_match_the_oracle(name, fine):
+    spec = load_spec(str(SPECS / f"{name}.json"))
+    per_axis = (17 if fine else 9) if spec.ambient_dim == 2 else (65 if fine else 17)
+    assert_spec_drawn_as_the_oracle(spec.raw, per_axis)
+
+
+def one_piece(m: int, body: dict, **extra) -> dict:
+    """A problem on [-1, 1] whose one piece is ``body``."""
+    return {
+        "ambient_dim": 1, "output_dim": m,
+        "domain": {"boxes": [{"lo": [-1.0], "hi": [1.0]}]},
+        "strata": [[]], "pieces": [{"region": [], "body": body}], **extra,
+    }
+
+
+def test_infinite_interval_ends_pad_as_the_oracle():
+    # half-lines and the whole line cannot be sampled: the probes repeat the
+    # least-norm point, and only the bounded rows draw from the stream
+    raw = {
+        "ambient_dim": 1, "output_dim": 1,
+        "domain": {"boxes": [{"lo": [-1.0], "hi": [1.0]}]}, "strata": [[]],
+        "pieces": [
+            {"region": ["x1 < -0.5"], "body": {"interval": {"lo": "-inf", "hi": "x1"}}},
+            {"region": ["x1 < 0"], "body": {"interval": {"lo": "-inf", "hi": "inf"}}},
+            {"region": ["x1 < 0.5"], "body": {"interval": {"lo": "x1", "hi": "1 + x1"}}},
+            {"region": [], "body": {"interval": {"lo": "x1^2", "hi": "inf"}}},
+        ],
+    }
+    assert_spec_drawn_as_the_oracle(raw, 33)
+
+
+def test_an_unbounded_polytope_without_a_box_pads_as_the_oracle():
+    raw = one_piece(2, {"hpolytope": {"rows": [
+        {"normal": ["-1", "0"], "offset": "x1^2"},
+        {"normal": ["-1", "-1"], "offset": "1 + x1"}]}})
+    spec = load_spec_dict(raw)
+    bodies = spec.map.evaluate_many(Grid(spec.domain, 5).points)
+    assert isinstance(bodies, PolytopeBatch)
+    lo, hi = bodies.sample_bounds()
+    assert np.isinf(hi).all()
+    assert_spec_drawn_as_the_oracle(raw, 17)
+
+
+def count_dykstra(monkeypatch) -> Counter:
+    """Count the fallback's projections by the shape of each block."""
+    calls = Counter()
+    real = PolytopeBatch._dykstra
+
+    def dykstra(self, i, Z):
+        calls[Z.shape] += 1
+        return real(self, i, Z)
+
+    monkeypatch.setattr(PolytopeBatch, "_dykstra", dykstra)
+    return calls
+
+
+def strict_kernel(monkeypatch, batch):
+    """Make the kernel of ``batch`` miss every candidate within 1e-3 of
+    its body's boundary, as on an ill-conditioned body."""
+    real = batch.contains
+    monkeypatch.setattr(batch, "contains", lambda rows, Y, tol=None: real(rows, Y, tol=-1e-3))
+
+
+def test_a_polytope_past_the_kernel_projects_edge_by_edge(monkeypatch):
+    # 12 rows in R^3 have 299 candidate active sets: every row is on the
+    # fallback, and each distance row is one projection by Dykstra's scheme,
+    # whose stopping rule reads the whole block
+    rows = [{"normal": [str(v) for v in n], "offset": "1 + 0.25*x1"}
+            for n in np.vstack([np.eye(3), -np.eye(3)])]
+    rows += [{"normal": [str(v) for v in n], "offset": "1.5"}
+             for n in ([1, 1, 1], [1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, 1], [1, -1, -1])]
+    raw = one_piece(3, {"hpolytope": {"rows": rows}})
+    spec = load_spec_dict(raw)
+    grid = Grid(spec.domain, 5)
+    assert spec.map.evaluate_many(grid.points).body(0)._sets is None
+    assert_spec_drawn_as_the_oracle(raw, 5)
+
+    probed = maps._ProbedGrid(spec.map, grid, DEFAULT_SEED)
+    probed._drawn
+    calls = count_dykstra(monkeypatch)
+    tails, heads = swept_pairs(grid)
+    probed._distances(tails, heads)
+    probed._distances(tails, heads)  # remembered: nothing is projected again
+    assert calls == {(probed.probe_count, 3): len(tails)}
+
+
+def test_a_block_the_kernel_misses_goes_to_the_fallback_whole(monkeypatch):
+    # the missed points of each block go to Dykstra's scheme together, as
+    # their polytope's own project_many sends them
+    spec = load_spec(str(SPECS / "m_poly.json"))
+    oracle, _ = load_pointwise(spec.raw)
+    grid = Grid(spec.domain, 9)
+    probed = maps._ProbedGrid(spec.map, grid, DEFAULT_SEED)
+    bodies, probes = probed._drawn
+    calls = count_dykstra(monkeypatch)
+    for _, part in bodies.parts:
+        strict_kernel(monkeypatch, part)
+    tails, heads = swept_pairs(grid)
+    got = probed._distances(tails, heads)
+    assert 0 < sum(calls.values()) < len(tails)
+    own = [oracle.evaluate(x) for x in grid.points]
+    for t, h, row in zip(tails, heads, got):
+        strict_kernel(monkeypatch, own[h]._row)
+        assert bits(row) == bits(distance_to(own[h], probes[t]))
+
+
+def test_a_thin_body_restarts_the_stream_as_the_oracle(monkeypatch):
+    # strips |y1 - y2| <= w(x) in a box of area about 4: at w = 1e-6 forty
+    # rounds of 64 proposals fall short and the rest are projections, at
+    # w = 1/64 round 1 holds about one hit of the 3 wanted
+    raw = one_piece(2, {"hpolytope": {"rows": [
+        {"normal": ["1", "-1"], "offset": "0.000001 + x1^2/4"},
+        {"normal": ["-1", "1"], "offset": "0.000001 + x1^2/4"},
+        {"normal": ["1", "0"], "offset": "1"},
+        {"normal": ["-1", "0"], "offset": "1"}]}})
+    rounds, topped = Counter(), Counter()
+    real_round, real_project = maps._round, PolytopeBatch.project_rows
+
+    def counted_round(bodies, rows, *args):
+        rounds[len(rows) == 1] += 1
+        return real_round(bodies, rows, *args)
+
+    def project_rows(self, rows, Z):
+        topped[len(rows) == 1] += 1
+        return real_project(self, rows, Z)
+
+    monkeypatch.setattr(maps, "_round", counted_round)
+    monkeypatch.setattr(PolytopeBatch, "project_rows", project_rows)
+    spec = load_spec_dict(raw)
+    maps._ProbedGrid(spec.map, Grid(spec.domain, 9), DEFAULT_SEED)._drawn
+    assert rounds[False] > 1 and rounds[True] > 39, "round 1 fell short and a body went on alone"
+    assert topped[True] >= 1, "a body was topped up with projections"
+    monkeypatch.undo()
+    for seed in (DEFAULT_SEED, 12345):
+        assert_spec_drawn_as_the_oracle(raw, 9, seed)
+
+
+def test_a_stacked_batch_of_mixed_kinds_matches_the_oracle():
+    # balls, a polytope batch with a box, and polytopes whose normals vary
+    # (held one by one), interleaved along the grid
+    raw = {
+        "ambient_dim": 1, "output_dim": 2,
+        "domain": {"boxes": [{"lo": [-1.0], "hi": [1.0]}]}, "strata": [[]],
+        "pieces": [
+            {"region": ["x1^2 < 0.1"], "body": {"ball": {
+                "center": ["x1", "1 - x1"], "radius": "0.5 + x1^2"}}},
+            {"region": ["x1 < 0.5"], "body": {"hpolytope": {
+                "rows": [{"normal": ["1", "1"], "offset": "1"},
+                         {"normal": ["-1", "0"], "offset": "x1^2"}],
+                "bounding_box": {"lo": [-3.0, -3.0], "hi": [3.0, 3.0]}}}},
+            {"region": [], "body": {"hpolytope": {"rows": [
+                {"normal": ["1", "x1"], "offset": "1"},
+                {"normal": ["-1", "0"], "offset": "1"},
+                {"normal": ["0", "-1"], "offset": "1 + x1"}]}}},
+        ],
+    }
+    spec = load_spec_dict(raw)
+    bodies = spec.map.evaluate_many(Grid(spec.domain, 33).points)
+    assert isinstance(bodies, StackedBatch)
+    assert {type(batch).__name__ for _, batch in bodies.parts} == {
+        "BallBatch", "PolytopeBatch", "BodyRows"}
+    for seed in (DEFAULT_SEED, 12345):
+        assert_spec_drawn_as_the_oracle(raw, 33, seed)
+
+
+AFFINE = st.sampled_from(["0", "1", "-1", "0.5", "x1", "-x1", "x1^2", "2*x1 - 1"])
+SLACK = st.sampled_from(["0", "0.000001", "0.01", "0.5", "x1^2"])
+
+
+@st.composite
+def drawn_bodies(draw) -> dict:
+    """A ball, or a polytope around a moving point ``c(x)`` (so never
+    empty), maybe unbounded, maybe thin, maybe with a box."""
+    if draw(st.booleans()):
+        return {"ball": {"center": [draw(AFFINE), draw(AFFINE)],
+                         "radius": f"{draw(SLACK)} + {draw(SLACK)}"}}
+    c = (draw(AFFINE), draw(AFFINE))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        a = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+        rows.append({"normal": [str(v) for v in a],
+                     "offset": f"{a[0]}*({c[0]}) + {a[1]}*({c[1]}) + {draw(SLACK)}"})
+    body = {"rows": rows}
+    if draw(st.booleans()):
+        body["bounding_box"] = {"lo": [-4.0, -4.0], "hi": [4.0, 4.0]}
+    return {"hpolytope": body}
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pieces=st.lists(drawn_bodies(), min_size=1, max_size=3),
+       per_axis=st.sampled_from([5, 9]), seed=st.integers(0, 2**32 - 1))
+def test_drawn_maps_are_probed_as_the_oracle(pieces, per_axis, seed):
+    cuts = np.linspace(-1.0, 1.0, len(pieces) + 1)[1:-1]
+    raw = {
+        "ambient_dim": 1, "output_dim": 2,
+        "domain": {"boxes": [{"lo": [-1.0], "hi": [1.0]}]}, "strata": [[]],
+        "pieces": [{"region": [f"x1 < {cut}"] if i < len(cuts) else [], "body": body}
+                   for i, (cut, body) in enumerate(zip([*cuts, None], pieces))],
+    }
+    assert_spec_drawn_as_the_oracle(raw, per_axis, seed)
+
+
 # --- the work saved -------------------------------------------------------------
 
 
 @pytest.fixture
 def audit_work(monkeypatch):
-    """Count ``SetValuedMap.evaluate`` and ``evaluate_many`` calls and
-    per-edge projections made while a ``hypothesis_audits`` sweep (through
-    selection or the CLI) computes a report, and the kinds of the reports
-    it yields."""
-    counts = Counter(evaluate=0)  # one-point evaluations, kept in the totals when none
+    """Count what a ``hypothesis_audits`` sweep (through selection or the
+    CLI) does while it computes a report: ``SetValuedMap.evaluate`` and
+    ``evaluate_many`` calls, projected (edge, probe) rows of distances,
+    bodies built one at a time and their ``project_many`` calls; and the
+    kinds of the reports it yields.  Each (tail, head) row of distances
+    must be projected once per grid."""
+    # the one-body counts stay in the totals when they are 0
+    counts = Counter(evaluate=0, bodies_built=0, project_many=0)
     inside = [False]
-    real_evaluate, real_distance = SetValuedMap.evaluate, maps._distance_to
+    real_evaluate, real_project = SetValuedMap.evaluate, maps._ProbedGrid._project
     real_many = SetValuedMap.evaluate_many
+    projected = set()
 
     def evaluate(self, x):
         counts["evaluate"] += inside[0]
@@ -205,9 +464,20 @@ def audit_work(monkeypatch):
         counts["evaluate_many"] += inside[0]
         return real_many(self, X)
 
-    def distance_to(body, probes):
-        counts["project"] += 1
-        return real_distance(body, probes)
+    def project(self, tails, heads):
+        edges = set(zip(tails.tolist(), heads.tolist()))
+        assert len(edges) == len(tails) and not edges & projected, "a row projected twice"
+        projected.update(edges)
+        counts["projected_rows"] += len(tails) * self.probe_count
+        return real_project(self, tails, heads)
+
+    for cls in (Interval, Ball, HPolytope):
+        for name, key in (("__init__", "bodies_built"), ("project_many", "project_many")):
+            def counted(*args, _real=getattr(cls, name), _key=key, **kwargs):
+                counts[_key] += inside[0]
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
 
     def sweep(*args, **kwargs):
         reports = maps.hypothesis_audits(*args, **kwargs)
@@ -224,21 +494,23 @@ def audit_work(monkeypatch):
 
     monkeypatch.setattr(SetValuedMap, "evaluate", evaluate)
     monkeypatch.setattr(SetValuedMap, "evaluate_many", evaluate_many)
-    monkeypatch.setattr(maps, "_distance_to", distance_to)
+    monkeypatch.setattr(maps._ProbedGrid, "_project", project)
     for module in (selection, cli):
         monkeypatch.setattr(module, "hypothesis_audits", sweep)
     return counts
 
 
 M_POLY_WORK = {
-    "evaluate": 0, "evaluate_many": 1, "project": 288, "lsc": 1, "stratification": 1,
+    "evaluate": 0, "evaluate_many": 1, "projected_rows": 288 * 8, "bodies_built": 0,
+    "project_many": 0, "lsc": 1, "stratification": 1,
     "continuity[0 < x1^2 + x2^2]": 1, "continuity[x1^2 + x2^2 <= 0]": 1,
 }
 
 
 def test_michael_select_evaluates_and_projects_once_per_grid(audit_work):
-    # one batch of 81 bodies and 288 edges at resolution 9; the separate
-    # audits made 243 evaluations and 568 projections
+    # one batch of 81 bodies and 288 edges of 8 probes at resolution 9,
+    # probed and projected on the batch: no polytope is built; the separate
+    # audits made 243 evaluations and 568 per-edge projections
     spec = load_spec(str(SPECS / "m_poly.json"))
     selection.michael_select(spec.map, spec.stratification, resolution=9)
     assert audit_work == M_POLY_WORK
@@ -253,8 +525,10 @@ def test_a_failed_lsc_audit_is_the_only_sweep(audit_work):
     spec = load_spec(str(SPECS / "bad_lsc.json"))
     with pytest.raises(AuditError, match="lsc audit failed"):
         selection.michael_select(spec.map, spec.stratification)
-    # 129 grid points, 256 directed edges and 2 far-cell confirmations
-    assert audit_work == {"evaluate": 0, "evaluate_many": 1, "project": 258, "lsc": 1}
+    # 129 grid points, 256 directed edges and 2 far-cell confirmations, of
+    # 6 probes each
+    assert audit_work == {"evaluate": 0, "evaluate_many": 1, "projected_rows": 258 * 6,
+                          "bodies_built": 0, "project_many": 0, "lsc": 1}
 
 
 def count_masks(monkeypatch, strata) -> Counter:

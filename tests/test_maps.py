@@ -29,11 +29,13 @@ from convsel.maps import (
     envelopes,
     graph_sample,
     lsc_audit,
-    probe_points,
     region_or,
     shift,
     stratification_audit,
 )
+
+from reference import maps_pointwise
+from reference.maps_pointwise import probe_points
 
 LINE = Domain(1, boxes=(((-1.0,), (1.0,)),))
 
@@ -206,9 +208,19 @@ class TestProbes:
         def failing_sample(body, k, rng):
             raise ProjectionError("projection did not converge")
 
-        monkeypatch.setattr(maps, "sample", failing_sample)
+        monkeypatch.setattr(maps_pointwise, "sample", failing_sample)
         with pytest.raises(ProjectionError):
             probe_points(Interval(2.0, 5.0), 5, np.random.default_rng(0))
+
+    def test_a_failing_batch_sample_propagates(self, monkeypatch):
+        # the probes from one batch have no per-body error to catch either
+        def failing_contains(self, rows, Y):
+            raise ProjectionError("projection did not converge")
+
+        monkeypatch.setattr(IntervalBatch, "contains", failing_contains)
+        m = SetValuedMap(LINE, 1, ((EVERYWHERE, interval_rule(2.0, 5.0)),))
+        with pytest.raises(ProjectionError):
+            graph_sample(m, Grid(LINE, 3), per_point=5)
 
     def test_graph_sample_of_moving_interval(self):
         dom = Domain(1, boxes=(((0.0,), (1.0,)),))

@@ -18,7 +18,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from convsel import geometry
 from convsel.errors import InfeasibleBodyError, ProjectionError
 from convsel.geometry import HPolytope
-from convsel.maps import probe_points
+
+from reference import polytope_pointwise
+from reference.maps_pointwise import probe_points
 
 
 def build(A, b, kernel: bool) -> HPolytope:
@@ -194,3 +196,43 @@ def test_translate_shares_the_kernel():
     assert moved.least_norm() == pytest.approx([2.0, 0.0], abs=1e-12)
     lo, hi = moved.coord_bounds()
     assert lo == pytest.approx([2.0, 0.0]) and hi == pytest.approx([4.0, 2.0])
+
+
+@pytest.mark.parametrize("m,p", [(1, 2), (2, 3), (2, 5), (3, 4), (3, 6), (2, 9)])
+def test_the_kernel_matches_its_per_body_reference(m, p):
+    # an HPolytope is a PolytopeBatch of one row, and a batch stacks the
+    # kernel's products over its rows: both must give, bit for bit, what
+    # the kernel gives one body at a time
+    rng = np.random.default_rng(1000 * m + p)
+    for _ in range(8):
+        A = rng.integers(-3, 4, size=(p, m)).astype(float)
+        if rng.random() < 0.5:
+            A = rng.standard_normal((p, m))
+        A = A[np.linalg.norm(A, axis=1) > 0]
+        B = rng.standard_normal((12, m)) @ A.T + np.where(
+            rng.random((12, A.shape[0])) < 0.3, 0.0, rng.random((12, A.shape[0])))
+        sets = geometry.kernel_operators(A)
+        Z = rng.standard_normal((12, 9, m)) * 3
+        batch = geometry.PolytopeBatch(A, sets, B)
+        got_rows = batch.project_rows(np.arange(12), Z)
+        got_least, got_extremes = batch.least_norm(), batch.coord_extremes()
+        for i, b in enumerate(B):
+            body = HPolytope(A, b, _sets=sets)
+            want = polytope_pointwise.project(A, b, sets, Z[i])
+            if want is not None:
+                assert_same_bits(body.project_many(Z[i]), want)
+                assert_same_bits(got_rows[i], want)
+            want = polytope_pointwise.least_norm(A, b, sets)
+            if want is not None:
+                assert_same_bits(body.least_norm(), want)
+                assert_same_bits(got_least[i], want)
+                want = polytope_pointwise.coord_extremes(A, b, sets)
+                for got, own, part in zip(got_extremes, body.coord_extremes(), want):
+                    assert_same_bits(own, part)
+                    assert_same_bits(got[i], part)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
