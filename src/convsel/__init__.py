@@ -31,7 +31,6 @@ from convsel.geometry import (
     Ball,
     BallBatch,
     BodyBatch,
-    BodyRows,
     ConvexBody,
     HPolytope,
     Interval,
@@ -60,7 +59,6 @@ __all__ = [
     "Ball",
     "BallBatch",
     "BodyBatch",
-    "BodyRows",
     "ClosedSet",
     "ConvexBody",
     "ConvselError",

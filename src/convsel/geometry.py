@@ -2,7 +2,10 @@
 
 Three variants cover everything the selection pipelines need: intervals
 (m = 1, endpoints may be infinite), balls, and H-polytopes
-``{y : A y <= b}``.  Intervals and balls project in closed form.
+``{y : A y <= b}``.  Each kind has one batch class, a :class:`BodyBatch`
+of N bodies whose queries answer every row at once, on arrays, and holds
+the one implementation of that kind's queries: a body is a batch of one
+row.  Intervals and balls project in closed form.
 
 A polytope in small output dimension m with few rows is handled by one
 exact active-set kernel: the nearest point of a polytope is the
@@ -23,10 +26,6 @@ fallback first runs, so ``import convsel`` does not load it.  Either
 way, every constructed body has been checked nonempty, so downstream
 code can treat it as a value of a set-valued map with nonempty closed
 convex values.
-
-A map's bodies come as one :class:`BodyBatch`, whose queries answer every
-row at once; :class:`PolytopeBatch` holds the one implementation of the
-kernel and the fallback, and an :class:`HPolytope` is a batch of one row.
 """
 
 from __future__ import annotations
@@ -171,33 +170,25 @@ def _kernel_extremes(A, H, norms, Y, inside) -> tuple:
     return bounds[0], bounds[1], args[0], args[1]
 
 
+
 class ConvexBody(abc.ABC):
-    """A nonempty closed convex subset of R^m."""
+    """A nonempty closed convex subset of R^m, held as the one-row
+    :class:`BodyBatch` ``_row``, which answers every query: each query is
+    written once per body kind, on arrays.  A kind adds its constructor,
+    its attributes and :meth:`boundary_margin`."""
 
-    dim: int
+    _row: "BodyBatch"
 
-    @abc.abstractmethod
-    def project_many(self, Z: np.ndarray) -> np.ndarray:
-        """Euclidean projection of each row of ``Z`` (shape (N, m))."""
+    @classmethod
+    def _view(cls, row: "BodyBatch") -> "ConvexBody":
+        """The body of the one-row batch ``row``, already checked."""
+        body = cls.__new__(cls)
+        body._row = row
+        return body
 
-    @abc.abstractmethod
-    def contains_many(self, Y: np.ndarray, tol: float = CONTAINS_TOL) -> np.ndarray:
-        """Boolean membership mask for each row of ``Y``."""
-
-    @abc.abstractmethod
-    def translate(self, c) -> "ConvexBody":
-        """The body shifted by ``c`` (feasibility is preserved, no re-check)."""
-
-    @abc.abstractmethod
-    def coord_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Componentwise (inf, sup) over the body; +-inf where unbounded."""
-
-    @abc.abstractmethod
-    def coord_extremes(self) -> tuple:
-        """``(lo, hi, arg_lo, arg_hi)``: the coordinate bounds, +-inf where
-        unbounded, and in row j of the (m, m) arrays ``arg_lo``/``arg_hi`` a
-        member attaining ``lo[j]``/``hi[j]`` (NaN where that bound is
-        infinite)."""
+    @property
+    def dim(self) -> int:
+        return self._row.dim
 
     @abc.abstractmethod
     def boundary_margin(self, y) -> float:
@@ -207,10 +198,46 @@ class ConvexBody(abc.ABC):
     def _check_dim(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float).reshape(-1)
         if y.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"expected point of shape ({self.dim},), got {y.shape}"
-            )
+            raise DimensionMismatchError(f"expected point of shape ({self.dim},), got {y.shape}")
         return y
+
+    def project_many(self, Z) -> np.ndarray:
+        """Euclidean projection of each row of ``Z`` (shape (N, m))."""
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        return self._row.project_rows([0], Z[None])[0]
+
+    def contains_many(self, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
+        """Boolean membership mask for each row of ``Y``."""
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        return self._row.contains([0], Y[None], tol)[0]
+
+    def translate(self, c) -> "ConvexBody":
+        """The body shifted by ``c`` (feasibility is preserved, no re-check)."""
+        return self._view(self._row.translate(np.asarray(c, dtype=float).reshape(1, -1)))
+
+    def coord_extremes(self) -> tuple:
+        """``(lo, hi, arg_lo, arg_hi)``: the coordinate bounds, +-inf where
+        unbounded, and in row j of the (m, m) arrays ``arg_lo``/``arg_hi`` a
+        member attaining ``lo[j]``/``hi[j]`` (NaN where that bound is
+        infinite)."""
+        return tuple(a[0] for a in self._row.coord_extremes())
+
+    def coord_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Componentwise (inf, sup) over the body; +-inf where unbounded."""
+        lo, hi = self._row.coord_bounds()
+        return lo[0], hi[0]
+
+    def sample_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The box to sample the body in: its coordinate bounds, or where
+        they are infinite a polytope's declared box."""
+        lo, hi = (v[0] for v in self._row.sample_bounds())
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise UnboundedBodyError("sampling an unbounded body needs a declared bounding box")
+        return lo, hi
+
+    def least_norm(self) -> np.ndarray:
+        """The unique point of minimal Euclidean norm."""
+        return self._row.least_norm()[0]
 
     def contains(self, y, tol: float = CONTAINS_TOL) -> bool:
         y = self._check_dim(y)
@@ -220,53 +247,26 @@ class ConvexBody(abc.ABC):
         z = self._check_dim(z)
         return self.project_many(z.reshape(1, -1))[0]
 
-    def least_norm(self) -> np.ndarray:
-        """The unique point of minimal Euclidean norm."""
-        return self.project(np.zeros(self.dim))
-
     def distance(self, z) -> float:
         z = self._check_dim(z)
         return float(np.linalg.norm(self.project(z) - z))
 
-    def sample_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.coord_bounds()
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise UnboundedBodyError(
-                "sampling an unbounded body needs a declared bounding box"
-            )
-        return lo, hi
+
+# perfbench/tracer.py wraps ``__init__``, ``project_many`` and ``coord_bounds``
+# in each body class's own ``__dict__``, so each class below names the last
+# two again.
 
 
 class Interval(ConvexBody):
     """A closed interval of the extended line (m = 1)."""
 
     def __init__(self, lo: float, hi: float):
-        self.lo = float(lo)
-        self.hi = float(hi)
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise InfeasibleBodyError("interval endpoint is NaN")
-        if self.lo > self.hi:
-            raise InfeasibleBodyError(f"interval has lo={self.lo} > hi={self.hi}")
-        if self.lo == self.hi and math.isinf(self.lo):
-            raise InfeasibleBodyError(f"interval [{self.lo}, {self.hi}] has no real point")
-        self.dim = 1
+        self._row = IntervalBatch([lo], [hi])
 
-    def project_many(self, Z: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(Z, dtype=float), self.lo, self.hi)
-
-    def contains_many(self, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
-        Y = np.asarray(Y, dtype=float).reshape(-1, 1)
-        return ((Y[:, 0] >= self.lo - tol) & (Y[:, 0] <= self.hi + tol))
-
-    def translate(self, c) -> "Interval":
-        c = float(np.asarray(c).reshape(-1)[0])
-        return Interval(self.lo + c, self.hi + c)
-
-    def coord_bounds(self):
-        return np.array([self.lo]), np.array([self.hi])
-
-    def coord_extremes(self):
-        return tuple(a[0] for a in IntervalBatch([self.lo], [self.hi]).coord_extremes())
+    lo = property(lambda self: float(self._row.lo[0]))
+    hi = property(lambda self: float(self._row.hi[0]))
+    project_many = ConvexBody.project_many
+    coord_bounds = ConvexBody.coord_bounds
 
     def boundary_margin(self, y) -> float:
         y = float(self._check_dim(y)[0])
@@ -277,36 +277,15 @@ class Interval(ConvexBody):
 
 
 class Ball(ConvexBody):
+    """The closed ball of radius ``radius`` about ``center``."""
+
     def __init__(self, center, radius: float):
-        self.center = np.asarray(center, dtype=float).reshape(-1)
-        self.radius = float(radius)
-        if self.radius < 0:
-            raise InfeasibleBodyError(f"negative radius {self.radius}")
-        if not np.all(np.isfinite(self.center)) or not math.isfinite(self.radius):
-            raise InfeasibleBodyError("ball parameters must be finite")
-        self.dim = self.center.shape[0]
+        self._row = BallBatch(np.asarray(center, dtype=float).reshape(1, -1), [radius])
 
-    def project_many(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.asarray(Z, dtype=float)
-        D = Z - self.center
-        norms = np.linalg.norm(D, axis=1)
-        scale = np.ones_like(norms)
-        out = norms > self.radius
-        scale[out] = self.radius / norms[out]
-        return self.center + D * scale[:, None]
-
-    def contains_many(self, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        return np.linalg.norm(Y - self.center, axis=1) <= self.radius + tol
-
-    def translate(self, c) -> "Ball":
-        return Ball(self.center + np.asarray(c, dtype=float), self.radius)
-
-    def coord_bounds(self):
-        return self.center - self.radius, self.center + self.radius
-
-    def coord_extremes(self):
-        return tuple(a[0] for a in BallBatch(self.center[None], [self.radius]).coord_extremes())
+    center = property(lambda self: self._row.centers[0])
+    radius = property(lambda self: float(self._row.radii[0]))
+    project_many = ConvexBody.project_many
+    coord_bounds = ConvexBody.coord_bounds
 
     def boundary_margin(self, y) -> float:
         y = self._check_dim(y)
@@ -317,98 +296,46 @@ class Ball(ConvexBody):
 
 
 class HPolytope(ConvexBody):
-    """Intersection of halfspaces ``{y : A y <= b}``, checked nonempty.
-
-    A polytope is a :class:`PolytopeBatch` of one row, which projects
-    batches of points and finds the least-norm point and the coordinate
-    extremes: by the exact kernel of this module when ``A`` has fewer than
-    ``_MAX_ACTIVE_SETS`` candidate active sets, and otherwise by Dykstra's
-    cyclic scheme, batched over query points and raising
-    :class:`ProjectionError` if the sweep budget runs out while an iterate
-    still violates a constraint, with feasibility and the extremes from
-    linear programs.  Zero rows of ``A`` are resolved at construction: a
-    vacuous constraint (``0 <= b_i`` with ``b_i >= 0``) is dropped, an
-    impossible one raises.  ``bounding_box`` is optional and only consulted
-    by sampling oracles when a coordinate is unbounded.
+    """Intersection of halfspaces ``{y : A y <= b}``, checked nonempty: a
+    :class:`PolytopeBatch` of one row, which tells how it is solved.
+    ``bounding_box`` is optional and only consulted by sampling when a
+    coordinate is unbounded.
     """
 
-    def __init__(self, A, b, bounding_box=None, _validated: bool = False, _sets=None):
+    def __init__(self, A, b, bounding_box=None, _sets=None):
         A = np.atleast_2d(np.asarray(A, dtype=float))
         b = np.asarray(b, dtype=float).reshape(-1)
         if A.shape[0] != b.shape[0]:
-            raise DimensionMismatchError(
-                f"A has {A.shape[0]} rows but b has {b.shape[0]} entries"
-            )
-        # the kernel's operators depend on A alone, so translates share them
+            raise DimensionMismatchError(f"A has {A.shape[0]} rows but b has {b.shape[0]} entries")
         sets = kernel_operators(A) if _sets is None else _sets
-        self._row = PolytopeBatch(A, sets, b, _validated=_validated)
-        self.A, self.b, self.dim = self._row.A, self._row.B[0], self._row.dim
-        self.bounding_box = bounding_box
-        self._norms = self._row._norms
-        self._extremes = None
+        self._row = PolytopeBatch(A, sets, b, bounding_box)
+
+    A = property(lambda self: self._row.A)
+    b = property(lambda self: self._row.B[0])
+    project_many = ConvexBody.project_many
+    coord_bounds = ConvexBody.coord_bounds
+
+    @property
+    def bounding_box(self):
+        box = self._row.bounding_box
+        return None if box is None else (box[0][0], box[1][0])
 
     @property
     def _sets(self):
         """The kernel's operators, or None on the fallback path."""
-        row = self._row
-        if row._sets is None or (row._origin is not None and row._lost()[0]):
-            return None
-        return row._sets
-
-    def project_many(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        return self._row.project_rows([0], Z[None])[0]
-
-    def least_norm(self) -> np.ndarray:
-        return self._row.least_norm()[0]
-
-    def coord_extremes(self):
-        """:meth:`ConvexBody.coord_extremes`, computed once per body; the
-        arrays are read-only."""
-        if self._extremes is None:
-            self._extremes = tuple(a[0] for a in self._row.coord_extremes())
-            for a in self._extremes:
-                a.setflags(write=False)
-        return self._extremes
-
-    def contains_many(self, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
-        return self._row.contains([0], np.atleast_2d(np.asarray(Y, dtype=float))[None], tol)[0]
-
-    def translate(self, c) -> "HPolytope":
-        c = np.asarray(c, dtype=float)
-        box = self.bounding_box
-        if box is not None:
-            box = (box[0] + c, box[1] + c)
-        return HPolytope(
-            self.A, self.b + self.A @ c, bounding_box=box, _validated=True,
-            _sets=self._sets,
-        )
-
-    def coord_bounds(self):
-        lo, hi, _, _ = self.coord_extremes()
-        return lo.copy(), hi.copy()
+        lost = self._row._origin is not None and self._row._lost()[0]
+        return None if lost else self._row._sets
 
     def boundary_margin(self, y) -> float:
         y = self._check_dim(y)
         if self.A.shape[0] == 0:
             return math.inf
-        slack = (self.b - self.A @ y) / self._norms
+        slack = (self.b - self.A @ y) / self._row._norms
         worst = float(np.min(slack))
         if worst >= 0:
             # inside: nearest facet hyperplane realizes the boundary distance
             return worst
         return -self.distance(y)
-
-    def sample_bounds(self):
-        lo, hi = self.coord_bounds()
-        if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
-            return lo, hi
-        if self.bounding_box is not None:
-            blo, bhi = self.bounding_box
-            return np.asarray(blo, dtype=float), np.asarray(bhi, dtype=float)
-        raise UnboundedBodyError(
-            "sampling an unbounded polytope needs a declared bounding box"
-        )
 
     @staticmethod
     def from_box(lo, hi) -> "HPolytope":
@@ -444,60 +371,53 @@ def row_norms(V) -> np.ndarray:
 
 
 class BodyBatch(abc.ABC):
-    """N bodies in R^m, one per row.  Row i of every result equals, bit for
-    bit, what the i-th body's own method gives.
+    """N bodies in R^m, one per row, whose queries answer every row at
+    once, on arrays.
 
     A query of several points per body takes ``rows``, body indices, and
-    blocks of shape (R, k, m), block n going to body ``rows[n]``.  The
-    queries here run body by body through :meth:`body`; a batch kind with
-    arrays of its own answers them on its arrays.
+    blocks of shape (R, k, m), block n going to body ``rows[n]``.  A kind
+    of body has one batch class, which names the body class as ``kind`` and
+    slices its rows with ``take(rows)``; body i is the batch of row i.
     """
 
     dim: int
+    kind: type
 
     @abc.abstractmethod
     def __len__(self) -> int:
         """The number of bodies."""
 
     @abc.abstractmethod
-    def body(self, i: int) -> ConvexBody:
-        """Body i, as the map's rule builds it at that point."""
-
-    @abc.abstractmethod
     def translate(self, C) -> "BodyBatch":
         """Body i shifted by row i of ``C`` (shape (N, m))."""
 
+    @abc.abstractmethod
     def project_rows(self, rows, Z) -> np.ndarray:
-        """Block ``Z[n]`` projected onto body ``rows[n]``, as that body's
-        ``project_many`` projects it."""
-        Z = np.asarray(Z, dtype=float)
-        return np.array([self.body(i).project_many(z) for i, z in zip(rows, Z)]).reshape(Z.shape)
+        """Block ``Z[n]`` projected onto body ``rows[n]``."""
 
-    def contains(self, rows, Y) -> np.ndarray:
-        """Whether each point of block ``Y[n]`` lies in body ``rows[n]``,
-        shape (R, k), as that body's ``contains_many`` tells at its default
-        slack."""
-        Y = np.asarray(Y, dtype=float)
-        return np.array([self.body(i).contains_many(y) for i, y in zip(rows, Y)],
-                        dtype=bool).reshape(Y.shape[:2])
+    @abc.abstractmethod
+    def contains(self, rows, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
+        """Whether each point of block ``Y[n]`` lies in body ``rows[n]``
+        within the slack ``tol``, shape (R, k)."""
 
+    @abc.abstractmethod
     def coord_extremes(self) -> tuple:
         """``(lo, hi, arg_lo, arg_hi)``, shapes (N, m) and (N, m, m): each
         body's :meth:`ConvexBody.coord_extremes`."""
-        each = [self.body(i).coord_extremes() for i in range(len(self))]
-        m = self.dim
-        return tuple(np.array([e[k] for e in each], dtype=float).reshape((len(self),) + shape)
-                     for k, shape in enumerate(((m,), (m,), (m, m), (m, m))))
+
+    def body(self, i: int) -> ConvexBody:
+        """Body i, as the map's rule builds it at that point."""
+        return self.kind._view(self.take([i]))
 
     def coord_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """``(lo, hi)``, shape (N, m): each body's coordinate bounds."""
         lo, hi, _, _ = self.coord_extremes()
-        return lo, hi
+        return lo.copy(), hi.copy()
 
     def sample_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(lo, hi)``, shape (N, m): the box that each body's
-        ``sample_bounds`` gives, infinite on the rows of a body that cannot
-        be sampled (unbounded, with no box)."""
+        """``(lo, hi)``, shape (N, m): the box to sample each body in,
+        infinite on the rows of a body that cannot be sampled (unbounded,
+        with no box)."""
         return self.coord_bounds()
 
     def project(self, Z) -> np.ndarray:
@@ -516,7 +436,9 @@ class BodyBatch(abc.ABC):
 
 
 class IntervalBatch(BodyBatch):
-    """Intervals ``[lo_i, hi_i]``, checked as :class:`Interval` checks them."""
+    """Intervals ``[lo_i, hi_i]`` of the extended line (m = 1)."""
+
+    kind = Interval
 
     def __init__(self, lo, hi):
         lo = np.asarray(lo, dtype=float).reshape(-1)
@@ -524,32 +446,36 @@ class IntervalBatch(BodyBatch):
         # NaNs compare False, so ``lo <= hi`` rules them out too
         ok = (lo <= hi) & ((lo != hi) | np.isfinite(lo))
         if not ok.all():
-            i = int(np.argmin(ok))
-            Interval(lo[i], hi[i])  # raises Interval's error at the first bad row
+            a, b = float(lo[np.argmin(ok)]), float(hi[np.argmin(ok)])  # the first bad row
+            if math.isnan(a) or math.isnan(b):
+                raise InfeasibleBodyError("interval endpoint is NaN")
+            if a > b:
+                raise InfeasibleBodyError(f"interval has lo={a} > hi={b}")
+            raise InfeasibleBodyError(f"interval [{a}, {b}] has no real point")
         self.lo, self.hi, self.dim = lo, hi, 1
 
     def __len__(self) -> int:
         return self.lo.shape[0]
 
-    def body(self, i: int) -> Interval:
-        return Interval(self.lo[i], self.hi[i])
+    def take(self, rows) -> "IntervalBatch":
+        return IntervalBatch(self.lo[rows], self.hi[rows])
 
     def translate(self, C) -> "IntervalBatch":
         c = np.asarray(C, dtype=float)[:, 0]
         return IntervalBatch(self.lo + c, self.hi + c)
 
     def project_rows(self, rows, Z) -> np.ndarray:
-        # np.clip between scalar bounds keeps the point where it ties with a
-        # bound, between array bounds it takes the bound: the sign of a zero
-        # tells them apart, so the ties are kept here as the body keeps them
+        # np.clip between array bounds takes the bound where the point ties
+        # with it, and the sign of a zero tells them apart: the point is
+        # kept on a tie, as between scalar bounds
         Z = np.asarray(Z, dtype=float)
         lo, hi = self.lo[rows, None, None], self.hi[rows, None, None]
         Y = np.where(lo > Z, lo, Z)
         return np.where(hi < Y, hi, Y)
 
-    def contains(self, rows, Y) -> np.ndarray:
+    def contains(self, rows, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
         y = np.asarray(Y, dtype=float)[:, :, 0]
-        lo, hi = self.lo[rows] - CONTAINS_TOL, self.hi[rows] + CONTAINS_TOL
+        lo, hi = self.lo[rows] - tol, self.hi[rows] + tol
         return (y >= lo[:, None]) & (y <= hi[:, None])
 
     def coord_extremes(self):
@@ -559,23 +485,26 @@ class IntervalBatch(BodyBatch):
 
 
 class BallBatch(BodyBatch):
-    """Balls with centres the rows of ``centers``, checked as :class:`Ball`
-    checks them."""
+    """Balls with centres the rows of ``centers`` and radii ``radii``."""
+
+    kind = Ball
 
     def __init__(self, centers, radii):
         C = np.asarray(centers, dtype=float)
         r = np.asarray(radii, dtype=float).reshape(-1)
         ok = (r >= 0) & np.isfinite(r) & np.isfinite(C).all(axis=1)
         if not ok.all():
-            i = int(np.argmin(ok))
-            Ball(C[i], r[i])  # raises Ball's error at the first bad row
+            radius = float(r[np.argmin(ok)])  # the first bad row
+            if radius < 0:
+                raise InfeasibleBodyError(f"negative radius {radius}")
+            raise InfeasibleBodyError("ball parameters must be finite")
         self.centers, self.radii, self.dim = C, r, C.shape[1]
 
     def __len__(self) -> int:
         return self.radii.shape[0]
 
-    def body(self, i: int) -> Ball:
-        return Ball(self.centers[i], self.radii[i])
+    def take(self, rows) -> "BallBatch":
+        return BallBatch(self.centers[rows], self.radii[rows])
 
     def translate(self, C) -> "BallBatch":
         return BallBatch(self.centers + np.asarray(C, dtype=float), self.radii)
@@ -589,9 +518,9 @@ class BallBatch(BodyBatch):
         scale[out] = np.broadcast_to(self.radii[rows, None], out.shape)[out] / norms[out]
         return C + D * scale[:, :, None]
 
-    def contains(self, rows, Y) -> np.ndarray:
+    def contains(self, rows, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
         D = np.asarray(Y, dtype=float) - self.centers[rows, None, :]
-        return np.linalg.norm(D, axis=2) <= (self.radii[rows] + CONTAINS_TOL)[:, None]
+        return np.linalg.norm(D, axis=2) <= (self.radii[rows] + tol)[:, None]
 
     def coord_extremes(self):
         r = self.radii[:, None]
@@ -607,21 +536,25 @@ class PolytopeBatch(BodyBatch):
     past the kernel's limit), with ``b_i`` the rows of ``B``.
     ``bounding_box`` is None or a pair ``(lo, hi)`` that broadcasts to
     (N, m): row i is body i's box, which :meth:`translate` shifts with the
-    body as :meth:`HPolytope.translate` does.
+    body.
 
-    Zero rows of ``A`` are resolved and, unless ``_validated``, every row
-    is checked nonempty, as :class:`HPolytope` describes.  The kernel's
+    Zero rows of ``A`` are resolved at construction: a vacuous constraint
+    (``0 <= b_i`` with ``b_i >= 0``) is dropped, an impossible one raises;
+    unless ``_validated``, every row is checked nonempty.  The kernel's
     products are stacked over the rows, so that each row's are taken one
-    at a time by the same BLAS calls as for that row alone; an
-    :class:`HPolytope` is a batch of one row.  The candidates for the
-    origin give every row's least-norm point and coordinate extremes, and
-    are computed once.  A row where the kernel finds no member among them
-    (empty, or too ill-conditioned for the kernel to tell) is on the
-    fallback path once that is known, as is every row without ``sets``:
-    Dykstra's scheme projects its blocks of points, and linear programs
-    give its extremes and confirm it nonempty.  The points of a block that
-    the kernel cannot answer go to Dykstra's scheme together.
+    at a time by the same BLAS calls as for that row alone.  The
+    candidates for the origin give every row's least-norm point and
+    coordinate extremes, and are computed once, as are the extremes.  A
+    row where the kernel finds no member among them (empty, or too
+    ill-conditioned for the kernel to tell) is on the fallback path once
+    that is known, as is every row without ``sets``: Dykstra's scheme
+    projects its blocks of points, raising :class:`ProjectionError` if the
+    sweep budget runs out while an iterate still violates a row, and linear
+    programs give its extremes and confirm it nonempty.  The points of a
+    block that the kernel cannot answer go to Dykstra's scheme together.
     """
+
+    kind = HPolytope
 
     def __init__(self, A, sets, B, bounding_box=None, _validated: bool = False):
         A = np.asarray(A, dtype=float)
@@ -638,7 +571,7 @@ class PolytopeBatch(BodyBatch):
         self.bounding_box = bounding_box
         self._sets = sets
         self._norms = np.linalg.norm(A, axis=1)
-        self._origin = None
+        self._origin = self._extremes = None
         if not _validated:
             for i in np.flatnonzero(self._lost()):
                 self._lp_feasible(i)  # the LP confirms the row or raises
@@ -646,17 +579,16 @@ class PolytopeBatch(BodyBatch):
     def __len__(self) -> int:
         return self.B.shape[0]
 
-    def body(self, i: int) -> HPolytope:
-        """Row i as the :class:`HPolytope` the map builds, in the state the
-        batch's queries so far have left it: once the batch holds the
-        candidates for the origin, the body takes its own from them."""
+    def take(self, rows) -> "PolytopeBatch":
+        """The batch of ``rows``, with their candidates for the origin once
+        this batch holds them."""
         box = self.bounding_box
         if box is not None:
-            box = (box[0][i], box[1][i])
-        body = HPolytope(self.A, self.B[i], bounding_box=box, _validated=True, _sets=self._sets)
+            box = (box[0][rows], box[1][rows])
+        part = PolytopeBatch(self.A, self._sets, self.B[rows], box, _validated=True)
         if self._origin is not None:
-            body._row._origin = tuple(a[i : i + 1] for a in self._origin)
-        return body
+            part._origin = tuple(a[rows] for a in self._origin)
+        return part
 
     def _blocks(self, count: int, k: int):
         """``(block slice, point slice)`` chunks of ``count`` blocks of ``k``
@@ -734,16 +666,22 @@ class PolytopeBatch(BodyBatch):
         return out
 
     def coord_extremes(self):
-        lost = self._lost()
-        if self._sets is None:
+        """:meth:`BodyBatch.coord_extremes`, computed once; the arrays are
+        read-only."""
+        if self._extremes is None:
             N, m = len(self), self.dim
-            extremes = (np.empty((N, m)), np.empty((N, m)), np.empty((N, m, m)), np.empty((N, m, m)))
-        else:
-            extremes = _kernel_extremes(self.A, self._sets, self._norms, *self._origin)
-        for i in np.flatnonzero(lost):
-            for a, v in zip(extremes, self._lp_extremes(i)):
-                a[i] = v
-        return extremes
+            if self._sets is None:
+                extremes = tuple(np.empty((N,) + s) for s in ((m,), (m,), (m, m), (m, m)))
+            else:
+                extremes = _kernel_extremes(self.A, self._sets, self._norms,
+                                            *self._origin_candidates())
+            for i in np.flatnonzero(self._lost()):
+                for a, v in zip(extremes, self._lp_extremes(i)):
+                    a[i] = v
+            for a in extremes:
+                a.setflags(write=False)
+            self._extremes = extremes
+        return self._extremes
 
     def sample_bounds(self):
         lo, hi = self.coord_bounds()
@@ -842,36 +780,11 @@ class PolytopeBatch(BodyBatch):
         return bounds[0], bounds[1], args[0], args[1]
 
 
-class BodyRows(BodyBatch):
-    """Bodies held one by one, for bodies with no batch of their own
-    (polytopes whose normals vary): every query runs body by body."""
-
-    def __init__(self, bodies, dim: int):
-        self.bodies, self.dim = list(bodies), dim
-
-    def __len__(self) -> int:
-        return len(self.bodies)
-
-    def body(self, i: int) -> ConvexBody:
-        return self.bodies[i]
-
-    def translate(self, C) -> "BodyRows":
-        return BodyRows([b.translate(c) for b, c in zip(self.bodies, C)], self.dim)
-
-    def sample_bounds(self):
-        lo, hi = np.full((2, len(self), self.dim), math.inf)
-        for i, b in enumerate(self.bodies):
-            try:
-                lo[i], hi[i] = b.sample_bounds()
-            except UnboundedBodyError:
-                pass
-        return lo, hi
-
-
 class StackedBatch(BodyBatch):
     """N rows split among batches: ``parts`` holds ``(rows, batch)`` pairs,
     row ``rows[j]`` being body j of ``batch``, with ``rows`` ascending;
-    every row is in one part."""
+    every row is in one part.  A query of some rows calls each part that
+    they touch once."""
 
     def __init__(self, count: int, dim: int, parts):
         self.count, self.dim, self.parts = count, dim, list(parts)
@@ -880,6 +793,11 @@ class StackedBatch(BodyBatch):
         self._local = np.empty(count, dtype=np.intp)
         for p, (rows, _) in enumerate(self.parts):
             self._part[rows], self._local[rows] = p, np.arange(rows.shape[0])
+
+    @classmethod
+    def of_rows(cls, rows, dim: int) -> "StackedBatch":
+        """The one-row batches ``rows``, in order, as one batch."""
+        return cls(len(rows), dim, [(np.array([i]), row) for i, row in enumerate(rows)])
 
     def __len__(self) -> int:
         return self.count
@@ -896,15 +814,17 @@ class StackedBatch(BodyBatch):
                 whole[rows] = a
         return out
 
-    def _at(self, method: str, rows, Y, out: np.ndarray) -> np.ndarray:
-        """``method(rows, Y)`` of every part on the blocks of its rows,
-        written into ``out`` at those blocks."""
+    def _at(self, method: str, rows, Y, out: np.ndarray, *args) -> np.ndarray:
+        """``method(rows, Y, *args)`` of each part that ``rows`` touches, in
+        part order, on the blocks of its rows, written into ``out`` at those
+        blocks."""
         rows = np.asarray(rows)
         part = self._part[rows]
-        for p, (_, batch) in enumerate(self.parts):
-            at = np.flatnonzero(part == p)
-            if at.size:
-                out[at] = getattr(batch, method)(self._local[rows[at]], Y[at])
+        order = np.argsort(part, kind="stable")  # each part's blocks together, in order
+        cuts = np.flatnonzero(np.diff(part[order], prepend=-1))
+        for at in np.split(order, cuts)[1:]:
+            batch = self.parts[part[at[0]]][1]
+            out[at] = getattr(batch, method)(self._local[rows[at]], Y[at], *args)
         return out
 
     def translate(self, C) -> "StackedBatch":
@@ -916,9 +836,9 @@ class StackedBatch(BodyBatch):
         Z = np.asarray(Z, dtype=float)
         return self._at("project_rows", rows, Z, np.empty_like(Z))
 
-    def contains(self, rows, Y) -> np.ndarray:
+    def contains(self, rows, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
         Y = np.asarray(Y, dtype=float)
-        return self._at("contains", rows, Y, np.empty(Y.shape[:2], dtype=bool))
+        return self._at("contains", rows, Y, np.empty(Y.shape[:2], dtype=bool), tol)
 
     def coord_extremes(self):
         m = self.dim

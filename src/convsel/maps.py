@@ -17,7 +17,7 @@ hands its defect to the one kernel of that rule, ``fields.confirmed_edges``.
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass, field as dc_field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -43,7 +43,7 @@ from .fields import (
     confirmed_edges,
     default_eps,
 )
-from .geometry import BodyBatch, BodyRows, ConvexBody, StackedBatch
+from .geometry import BodyBatch, ConvexBody, StackedBatch
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,9 @@ class SetValuedMap:
         (:func:`fields._outermost_many`).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return _outermost_many(self._bodies, X, join=self._joined)
+        # a search row by row gives back one-row batches, in order
+        join = partial(StackedBatch.of_rows, dim=self.output_dim)
+        return _outermost_many(self._bodies, X, join=join)
 
     def _bodies(self, X: np.ndarray) -> BodyBatch:
         parts = []
@@ -160,11 +162,6 @@ class SetValuedMap:
             )
         return bodies
 
-    def _joined(self, batches: list) -> StackedBatch:
-        """One-row batches, in order, as one batch."""
-        parts = [(np.array([i]), b) for i, b in enumerate(batches)]
-        return StackedBatch(len(parts), self.output_dim, parts)
-
     def coord_bounds_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(lo, hi)``, shape (N, m): ``evaluate(x).coord_bounds()`` at
         every row of ``X``."""
@@ -175,7 +172,7 @@ def constant_map(domain: Domain, body: ConvexBody, name: str = "") -> SetValuedM
     return SetValuedMap(
         domain,
         body.dim,
-        ((EVERYWHERE, lambda X: BodyRows([body] * X.shape[0], body.dim)),),
+        ((EVERYWHERE, lambda X: StackedBatch.of_rows([body._row] * X.shape[0], body.dim)),),
         declared_lsc=True,
         declared_continuous=True,
         name=name,

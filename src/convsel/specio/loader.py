@@ -51,10 +51,10 @@ from convsel.errors import (
 from convsel.fields import EVAL_ERRORS, Domain, Grid
 from convsel.geometry import (
     BallBatch,
-    BodyRows,
     HPolytope,
     IntervalBatch,
     PolytopeBatch,
+    StackedBatch,
     kernel_operators,
 )
 from convsel.maps import EVERYWHERE, Region, SetValuedMap, Stratification
@@ -257,7 +257,8 @@ def _build_hpolytope(spec: dict, path: str, n: int, m: int):
 
     def rows(X):
         B = _columns(offsets, X)  # before the normals, as one point evaluates them
-        return BodyRows([HPolytope(a, b, bounding_box=box) for a, b in zip(normals_at(X), B)], m)
+        return StackedBatch.of_rows(
+            [HPolytope(a, b, bounding_box=box)._row for a, b in zip(normals_at(X), B)], m)
 
     if any(expr.max_var_index(c) != -1 for normal in normals for c in normal):
         return rows  # the normals vary: one polytope per point

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convsel.geometry import Ball, BodyRows, ConvexBody, HPolytope, Interval, IntervalBatch
+from convsel.geometry import Ball, ConvexBody, HPolytope, Interval, IntervalBatch, StackedBatch
 from convsel.maps import Region
 from convsel.specio import expr
 
@@ -34,7 +34,7 @@ ORIGIN = Region("x == 0", batch=lambda X: X[:, 0] == 0.0)
 
 def constant_rule(body: ConvexBody):
     """The piece rule whose body is ``body`` at every row."""
-    return lambda X: BodyRows([body] * X.shape[0], body.dim)
+    return lambda X: StackedBatch.of_rows([body._row] * X.shape[0], body.dim)
 
 
 def interval_rule(lo, hi):

@@ -32,7 +32,7 @@ from convsel.errors import (
     UncoveredPointError,
 )
 from convsel.fields import Domain
-from convsel.geometry import Ball, BodyRows, ConvexBody, HPolytope, Interval, kernel_operators
+from convsel.geometry import Ball, ConvexBody, HPolytope, Interval, StackedBatch, kernel_operators
 from convsel.maps import Region, SetValuedMap
 from convsel.specio.expr import Const, Pow, Unary, Var, _pow, max_var_index
 from convsel.specio.loader import _interval_bound, _parse, _parse_atom, build_domain
@@ -111,7 +111,7 @@ def region_not(r: PointwiseRegion) -> PointwiseRegion:
 
 def rows_rule(rule, dim: int):
     """The library body rule of a per-point ``rule``: one body per row."""
-    return lambda X: BodyRows([rule(x) for x in X], dim)
+    return lambda X: StackedBatch.of_rows([rule(x)._row for x in X], dim)
 
 
 @dataclass(frozen=True)

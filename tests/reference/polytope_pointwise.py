@@ -20,13 +20,12 @@ import numpy as np
 from convsel.geometry import _CANDIDATE_FLOATS, _CONE_TOL, CONTAINS_TOL
 
 
-def members(A, b, Y) -> np.ndarray:
-    """Which rows of ``Y`` lie in ``{y : A y <= b}`` at the default slack."""
+def members(A, b, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
+    """Which rows of ``Y`` lie in ``{y : A y <= b}`` at the slack ``tol``."""
     if A.shape[0] == 0:
         return np.ones(Y.shape[0], dtype=bool)
     slack = b[:, None] - A @ Y.T
-    return np.all(slack >= -CONTAINS_TOL * np.maximum(1.0, np.linalg.norm(A, axis=1))[:, None],
-                  axis=0)
+    return np.all(slack >= -tol * np.maximum(1.0, np.linalg.norm(A, axis=1))[:, None], axis=0)
 
 
 def candidates(A, b, sets, Z) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from convsel import maps, selection
 from convsel.errors import AuditError, ConvselError, UncoveredPointError
 from convsel.fields import DEFAULT_SEED, Domain, Grid
-from convsel.geometry import Ball, HPolytope, Interval, PolytopeBatch, StackedBatch
+from convsel.geometry import (
+    Ball,
+    HPolytope,
+    Interval,
+    PolytopeBatch,
+    StackedBatch,
+    kernel_operators,
+)
 from convsel.maps import (
     Region,
     SetValuedMap,
@@ -35,6 +42,7 @@ from convsel.specio.cli import main
 from convsel.specio.loader import load_spec, load_spec_dict
 
 from conftest import NONZERO, ORIGIN, SPECS, interval_rule
+from reference import polytope_pointwise
 from reference.maps_pointwise import distance_to, grid_probes, load_pointwise
 
 FIXTURES = sorted(p.stem for p in SPECS.glob("*.json"))
@@ -396,9 +404,80 @@ def test_a_stacked_batch_of_mixed_kinds_matches_the_oracle():
     bodies = spec.map.evaluate_many(Grid(spec.domain, 33).points)
     assert isinstance(bodies, StackedBatch)
     assert {type(batch).__name__ for _, batch in bodies.parts} == {
-        "BallBatch", "PolytopeBatch", "BodyRows"}
+        "BallBatch", "PolytopeBatch", "StackedBatch"}
     for seed in (DEFAULT_SEED, 12345):
         assert_spec_drawn_as_the_oracle(raw, 33, seed)
+
+
+# polytopes whose normals vary over the plane: one part per grid point,
+# bounded where x1 > 0 and sampled in the box elsewhere
+VARYING_PLANE = {
+    "ambient_dim": 2, "output_dim": 2,
+    "domain": {"boxes": [{"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}]}, "strata": [[]],
+    "pieces": [{"region": [], "body": {"hpolytope": {
+        "rows": [{"normal": ["1", "x1"], "offset": "1"},
+                 {"normal": ["-1", "x2/2"], "offset": "1"},
+                 {"normal": ["0", "-1"], "offset": "1 + x2^2"}],
+        "bounding_box": {"lo": [-4.0, -4.0], "hi": [4.0, 4.0]}}}}],
+}
+
+
+def test_a_stack_calls_each_part_it_touches_once(monkeypatch):
+    # 1,089 one-row parts: a query of some rows calls each part that they
+    # touch once, with all of that part's blocks, and the results are the
+    # pointwise oracle's bit for bit
+    spec = load_spec_dict(VARYING_PLANE)
+    oracle, _ = load_pointwise(VARYING_PLANE)
+    grid = Grid(spec.domain, 33)
+    bodies = spec.map.evaluate_many(grid.points)
+    N = len(grid)
+    assert isinstance(bodies, StackedBatch) and len(bodies.parts) == N > 1000
+    own = [oracle.evaluate(x) for x in grid.points]
+    index = {id(batch): rows[0] for rows, batch in bodies.parts}
+    calls = Counter()
+    for name in ("project_rows", "contains", "coord_extremes", "sample_bounds"):
+        def counted(self, *args, _real=getattr(PolytopeBatch, name), _name=name):
+            calls[_name, index.get(id(self))] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(PolytopeBatch, name, counted)
+
+    def dispatched(name) -> Counter:
+        got = Counter({part: n for (called, part), n in calls.items() if called == name})
+        calls.clear()
+        return got
+
+    rng = np.random.default_rng(9)
+    rows = rng.integers(0, N, size=1500)  # about 800 parts, many twice or more
+    touched = Counter({int(i): 1 for i in rows})
+    Z = rng.standard_normal((rows.size, 3, 2)) * 3
+    projected = bodies.project_rows(rows, Z)
+    assert dispatched("project_rows") == touched
+    inside = bodies.contains(rows, projected)
+    assert dispatched("contains") == touched
+    extremes = bodies.coord_extremes()
+    assert dispatched("coord_extremes") == Counter(range(N))
+    lo, hi = bodies.sample_bounds()
+    assert dispatched("sample_bounds") == Counter(range(N))
+    monkeypatch.undo()
+
+    for n, i in enumerate(rows):
+        A, b = own[i].A, own[i].b
+        sets = kernel_operators(A)
+        want = polytope_pointwise.project(A, b, sets, Z[n])
+        assert bits(projected[n]) == bits(own[i].project_many(Z[n]) if want is None else want)
+        assert inside[n].tolist() == polytope_pointwise.members(A, b, projected[n]).tolist()
+    boxed = 0
+    for i, body in enumerate(own):
+        want = polytope_pointwise.coord_extremes(body.A, body.b, kernel_operators(body.A))
+        want = body.coord_extremes() if want is None else want
+        for got, part in zip(extremes, want):
+            assert bits(got[i]) == bits(part)
+        # an unbounded body samples in its box
+        bounded = np.isfinite(want[0]).all() and np.isfinite(want[1]).all()
+        boxed += not bounded
+        assert bits([lo[i], hi[i]]) == bits(want[:2] if bounded else [[-4.0, -4.0], [4.0, 4.0]])
+    assert 0 < boxed < N
 
 
 AFFINE = st.sampled_from(["0", "1", "-1", "0.5", "x1", "-x1", "x1^2", "2*x1 - 1"])

@@ -19,12 +19,14 @@ from conftest import assert_same_bits, interval_rule
 from convsel.errors import EvalDomainError, InfeasibleBodyError, UncoveredPointError
 from convsel.fields import Domain, Grid, VectorField
 from convsel.geometry import (
+    CONTAINS_TOL,
     Ball,
     BallBatch,
     HPolytope,
     Interval,
     IntervalBatch,
     PolytopeBatch,
+    StackedBatch,
     kernel_operators,
     row_norms,
 )
@@ -34,10 +36,14 @@ from convsel.specio.cli import _membership_entry
 from convsel.specio.loader import load_spec, load_spec_dict
 from golden.capture import fixture_names
 from reference import maps_pointwise as pw
+from reference import polytope_pointwise
+from reference.bodies_pointwise import PointwiseBall, PointwiseInterval, pointwise
 from reference.michael_pointwise import lift_vector, membership_pointwise, pointwise_levels
 
 FIXTURES = fixture_names("select-michael")
 SIGNED = (0.0, -0.0)
+#: The membership slacks every body is checked at.
+TOLS = (0.0, CONTAINS_TOL, 1e-7)
 
 # three strata in R^1: an interval off {0, +-1/2}, a one-dimensional
 # polytope, smaller, at +-1/2 and a ball at 0
@@ -122,24 +128,45 @@ def test_row_norms_are_each_rows_norm(m):
 # --- body batches --------------------------------------------------------------
 
 
+def check_body(body, want, rng):
+    """Every query of one body against the same query of ``want``."""
+    Z = signed_rows(rng, 6, want.dim)
+    assert body.dim == want.dim
+    assert_same_bits(body.least_norm(), want.least_norm())
+    assert_same_bits(body.project_many(Z), want.project_many(Z))
+    assert_same_bits(body.project(Z[0]), want.project(Z[0]))
+    assert_same_bits(body.distance(Z[0]), want.distance(Z[0]))
+    assert_same_bits(body.coord_bounds(), want.coord_bounds())
+    for got, part in zip(body.coord_extremes(), want.coord_extremes(), strict=True):
+        assert_same_bits(got, part)
+    Y = np.vstack([Z, want.project_many(Z)])  # and points on the boundary
+    for tol in TOLS:
+        np.testing.assert_array_equal(body.contains_many(Y, tol), want.contains_many(Y, tol))
+
+
 def check_batch(batch, bodies, rng):
     """Every query of ``batch``, and of each body it gives out, against the
-    same query of each body."""
+    same query of each body, in closed form for an interval or a ball
+    (:func:`reference.bodies_pointwise.pointwise`)."""
+    bodies = [pointwise(b) for b in bodies]
     N, m = len(bodies), bodies[0].dim
     Z = signed_rows(rng, N, m)
     C = signed_rows(rng, N, m)
     assert len(batch) == N
     for i in (0, N // 2, N - 1):
-        own = batch.body(i)
-        assert_same_bits(own.least_norm(), bodies[i].least_norm())
-        assert_same_bits(own.project(Z[i]), bodies[i].project(Z[i]))
-        assert_same_bits(own.coord_bounds(), bodies[i].coord_bounds())
+        check_body(batch.body(i), bodies[i], rng)
     assert_same_bits(batch.least_norm(), [b.least_norm() for b in bodies])
     assert_same_bits(batch.project(Z), [b.project(z) for b, z in zip(bodies, Z)])
     assert_same_bits(batch.distance(Z), [b.distance(z) for b, z in zip(bodies, Z)])
     lo, hi = batch.coord_bounds()
     assert_same_bits(lo, [b.coord_bounds()[0] for b in bodies])
     assert_same_bits(hi, [b.coord_bounds()[1] for b in bodies])
+    for k, got in enumerate(batch.coord_extremes()):
+        assert_same_bits(got, [b.coord_extremes()[k] for b in bodies])
+    Y = np.stack([Z, batch.project(Z)], axis=1)
+    for tol in TOLS:
+        np.testing.assert_array_equal(batch.contains(np.arange(N), Y, tol),
+                                      [b.contains_many(y, tol) for b, y in zip(bodies, Y)])
     moved = batch.translate(-C)
     shifted = [b.translate(-c) for b, c in zip(bodies, C)]
     assert_same_bits(moved.least_norm(), [b.least_norm() for b in shifted])
@@ -153,11 +180,14 @@ def test_interval_batch_keeps_signed_zeros():
     lo, hi = np.array(pairs).T
     rng = np.random.default_rng(1)
     for _ in range(5):
-        check_batch(IntervalBatch(lo, hi), [Interval(a, b) for a, b in pairs], rng)
+        check_batch(IntervalBatch(lo, hi), [PointwiseInterval(a, b) for a, b in pairs], rng)
+    for a, b in pairs:
+        check_body(Interval(a, b), PointwiseInterval(a, b), rng)
     Z = np.array([[z] for z in SIGNED for _ in pairs])
     batch = IntervalBatch(np.tile(lo, 2), np.tile(hi, 2))
-    want = [Interval(a, b).project(z) for z, (a, b) in zip(Z, pairs * 2)]
+    want = [PointwiseInterval(a, b).project(z) for z, (a, b) in zip(Z, pairs * 2)]
     assert_same_bits(batch.project(Z), want)
+    assert_same_bits([Interval(a, b).project(z) for z, (a, b) in zip(Z, pairs * 2)], want)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -165,7 +195,49 @@ def test_ball_batch_matches_balls(m):
     rng = np.random.default_rng(10 + m)
     C = signed_rows(rng, 60, m)
     r = np.where(rng.random(60) < 0.3, 0.0, rng.random(60) * 2)
-    check_batch(BallBatch(C, r), [Ball(c, s) for c, s in zip(C, r)], rng)
+    check_batch(BallBatch(C, r), [PointwiseBall(c, s) for c, s in zip(C, r)], rng)
+    for c, s in zip(C, r):
+        check_body(Ball(c, s), PointwiseBall(c, s), rng)
+
+
+#: Distances past the boundary, on both sides of each slack in ``TOLS``.
+STEPS = np.array([0.0, 5e-10, 2e-9, 5e-8, 2e-7, 1e-6])
+
+
+def near_boundary(kind: str, rng):
+    """A body of ``kind``, its membership oracle ``(Y, tol) -> mask``, and
+    points at the distances ``STEPS`` outside it."""
+    if kind == "interval":
+        want = PointwiseInterval(-0.5, 1.5)
+        return Interval(-0.5, 1.5), want.contains_many, np.r_[1.5 + STEPS, -0.5 - STEPS][:, None]
+    if kind == "ball":
+        c, u = np.array([0.5, -1.0]), rng.standard_normal((4, 2))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        Y = c + (2.0 + STEPS[:, None, None]) * u
+        return Ball(c, 2.0), PointwiseBall(c, 2.0).contains_many, Y.reshape(-1, 2)
+    # a triangle; its facets' outer normals a_i / |a_i| step away from them
+    A, b = np.array([[1.0, 2.0], [-1.0, 0.0], [0.0, -1.0]]), np.array([2.0, 0.5, 0.5])
+    foot = np.array([[0.0, 1.0], [-0.5, 0.5], [1.0, -0.5]])  # a point inside facet i
+    out = A / np.linalg.norm(A, axis=1, keepdims=True)
+    Y = foot + STEPS[:, None, None] * out
+    return HPolytope(A, b), lambda Y, tol: polytope_pointwise.members(A, b, Y, tol), Y.reshape(-1, 2)
+
+
+@pytest.mark.parametrize("kind", ["interval", "ball", "polytope"])
+def test_membership_slack_matches_the_oracle(kind):
+    # each slack of TOLS takes a different set of the points: the slack
+    # reaches the body, its batch and a stack of its batches
+    body, want, Y = near_boundary(kind, np.random.default_rng(4))
+    masks = set()
+    for tol in TOLS:
+        mask = want(Y, tol)
+        masks.add(tuple(mask))
+        np.testing.assert_array_equal(body.contains_many(Y, tol), mask)
+        np.testing.assert_array_equal(body._row.contains([0], Y[None], tol), [mask])
+        stack = StackedBatch.of_rows([body._row] * 2, body.dim)
+        np.testing.assert_array_equal(stack.contains([1, 0], np.stack([Y, Y]), tol), [mask] * 2)
+    assert len(masks) == len(TOLS)
+    assert body.contains_many(Y).tolist() == list(want(Y, CONTAINS_TOL))
 
 
 @pytest.mark.parametrize("m,p", [(1, 2), (2, 3), (2, 5), (3, 4), (3, 6)])
