@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import KW_ONLY, dataclass, field as dc_field
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -438,14 +439,21 @@ def negate(a: ScalarField) -> ScalarField:
 def compress_field(f: ScalarField) -> ScalarField:
     """Compose with the squash map; strictly increasing, so the tag holds.
 
-    The batch rule squashes value by value: ``math.hypot`` and
-    ``np.hypot`` may differ in the last bit.
+    The batch rule is :func:`squash` on every value in one pass, with
+    ``math.hypot``: ``np.hypot`` may differ from it in the last bit.  No
+    NaN reaches it, since ``f.many`` raises on one.
     """
+
+    def batch(X):
+        v = f.many(X)
+        with np.errstate(invalid="ignore"):  # inf / inf, replaced below
+            w = v / np.fromiter(map(math.hypot, repeat(1.0), v.tolist()), float, v.size)
+        inf = np.isinf(v)
+        w[inf] = np.sign(v[inf])
+        return w
+
     return ScalarField(
-        f.domain,
-        batch=lambda X: np.array([squash(v) for v in f.many(X).tolist()]),
-        tag=f.tag,
-        name=f"squash({f.name})" if f.name else "",
+        f.domain, batch=batch, tag=f.tag, name=f"squash({f.name})" if f.name else ""
     )
 
 

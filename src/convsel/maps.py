@@ -172,7 +172,7 @@ def constant_map(domain: Domain, body: ConvexBody, name: str = "") -> SetValuedM
     return SetValuedMap(
         domain,
         body.dim,
-        ((EVERYWHERE, lambda X: StackedBatch.of_rows([body._row] * X.shape[0], body.dim)),),
+        ((EVERYWHERE, lambda X: body._row.take(np.zeros(X.shape[0], dtype=np.intp))),),
         declared_lsc=True,
         declared_continuous=True,
         name=name,

@@ -14,6 +14,25 @@ time -- important for pipelines that extend, subtract and extend again,
 since evaluation then never re-enters the extended function.  Over box
 components it is a nested coordinate search per box.  Every field here is
 a batch rule; the Tietze batch covers clouds and boxes alike.
+
+Over the cloud, the distance, the snap to the nearest point and the
+infimum come from one pass of an exact pruned kernel
+(``ClosedSet._scan``).  The cloud is sorted once on its widest axis.  A
+query x with sort key q has two sort-neighbours; each, a_j, gives
+g_j = |x - a_j| >= dist(x, cloud).  Only the points whose keys lie in a
+slab [q - r, q + r] are paired with x, with r = min_j g_j for the
+distance and r = min_j f~(a_j) g_j for the infimum: a point a can beat
+a_j's term only if 1 + |x - a|/d <= f~(a_j) + g_j/d, and d <= g_j then
+gives |x - a| <= f~(a_j) g_j.  The pruning is exact because a point off
+the slab has |x - a| >= |q - key(a)| > r by more than the rounding of
+either side: r is widened by a relative 2^-20, far above the few ulps of
+the distance expression, and by an absolute 2^-500, below which a square
+may underflow; rounding q - r and q + r is monotone, so it keeps every
+key of the exact slab.  So a pruned point is strictly farther than a_j,
+and its term strictly above a_j's.  Every pair that can attain a minimum, ties included, is
+computed by the one expression of a full scan (:func:`_gaps`, then the
+ratio and the sum), so the results are a full scan's bits, and a tie at
+the gap goes to the lowest cloud index, as ``argmin``'s does.
 """
 
 from __future__ import annotations
@@ -35,36 +54,31 @@ SEARCH_TOL = 1e-10
 #: What evaluating at a point within the snap of A but of no cloud point raises.
 _SNAP_MISS = "a snapped point has no cloud point within the snap"
 
-#: Element budget, in floats, of each (rows, cloud, n) temporary built by
-#: the batched distance and extension rules; small enough to stay in cache.
+#: Element budget, in floats, of each (pairs, n) temporary built by the
+#: batched distance and extension rules; small enough to stay in cache.
 _FLOAT_BUDGET = 8192
 
-
-def _row_blocks(N: int, cloud: np.ndarray):
-    """Row slices of an (N, n) query array, each small enough that its
-    differences against the (nonempty) ``cloud`` fit the element budget."""
-    step = max(1, _FLOAT_BUDGET // cloud.size)
-    for s in range(0, N, step):
-        yield slice(s, s + step)
+#: A slab's half-width is widened by this factor, past every rounding
+#: error of the distance expression, and by this absolute margin, past
+#: the squares that underflow.
+_WIDEN = 1.0 + 2.0**-20
+_SLAB_ABS = 2.0**-500
 
 
-def _snap_to_cloud(cloud: np.ndarray, baked: np.ndarray, P: np.ndarray, near, out) -> np.ndarray:
-    """Write into ``out`` the baked value of the nearest point of the
-    (nonempty) ``cloud`` to each row of ``P`` indexed by ``near``; return
-    the indices among ``near`` with no cloud point within the snap."""
-    hit = np.empty(near.size, dtype=bool)
-    for rows in _row_blocks(near.size, cloud):
-        idx = near[rows]
-        gaps = np.linalg.norm(cloud[None, :, :] - P[idx, None, :], axis=2)
-        k = np.argmin(gaps, axis=1)
-        hit[rows] = gaps[np.arange(idx.size), k] <= MEMBERSHIP_SNAP
-        out[idx] = baked[k]
-    return near[~hit]
+def _gaps(P: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """``|p - c|`` over the last axis, for each pair of rows of ``P`` and
+    ``C``: the one distance expression every rule here evaluates."""
+    return np.sqrt(np.add.reduce(np.square(P - C), -1))
 
 
 @dataclass(frozen=True)
 class ClosedSet:
-    """A finite union of closed boxes and points, possibly empty."""
+    """A finite union of closed boxes and points, possibly empty.
+
+    The points form the cloud, kept also sorted on the axis where it is
+    widest (``_order``, with the sorted cloud and its keys) for the slab
+    search of :meth:`_scan`.
+    """
 
     ambient_dim: int
     boxes: tuple = ()
@@ -91,10 +105,94 @@ class ClosedSet:
             if p.shape != (n,):
                 raise DimensionMismatchError("point must have shape (n,)")
             pts.append(p)
+        cloud = np.vstack(pts) if pts else np.empty((0, n))
+        if not np.isfinite(cloud).all():
+            raise ValueError("points must be finite")
         object.__setattr__(self, "boxes", tuple(boxes))
         object.__setattr__(self, "points", tuple(pts))
-        cloud = np.vstack(pts) if pts else np.empty((0, n))
-        object.__setattr__(self, "_cloud", cloud)
+        axis = int(np.argmax(np.ptp(cloud, axis=0))) if pts else 0
+        order = np.argsort(cloud[:, axis], kind="stable")
+        # the sorted positions of the two points about each insertion point
+        held = np.concatenate(([0], np.arange(len(pts)), [len(pts) - 1]))
+        for attr, value in (("_cloud", cloud), ("_axis", axis), ("_order", order),
+                            ("_sorted", cloud[order]), ("_keys", cloud[order, axis]),
+                            ("_neighbours", np.column_stack((held[:-1], held[1:])))):
+            object.__setattr__(self, attr, value)
+
+    def _scan(self, X, ranked=None) -> tuple[np.ndarray, ...]:
+        """One slab pass over the rows of ``X`` (shape (N, n)).
+
+        Returns ``(d, gap, k, least)``: the distance to the set, the gap
+        to the cloud (inf without one), the index of the first cloud point
+        at that gap wherever it is within the snap, and, given ``ranked``
+        (a value in [1, 2] for each point of the sorted cloud), the
+        infimum of ``ranked + |x - a|/d`` over the cloud wherever d is
+        beyond the snap (None without ``ranked``); k and the infimum mean
+        nothing on the other rows.  The pairs are taken in chunks of whole
+        rows, each within the element budget or of one row.
+        """
+        if self.is_empty:
+            raise EmptySetError("distance to the empty set")
+        X = np.asarray(X, dtype=float)
+        if X.ndim < 2:
+            X = X.reshape(1, -1)
+        if X.shape[1] != self.ambient_dim:
+            raise DimensionMismatchError(
+                f"point has dim {X.shape[1]}, set has dim {self.ambient_dim}"
+            )
+        N, keys, boxd = X.shape[0], self._keys, None
+        for lo, hi in self.boxes:
+            b = np.linalg.norm(np.clip(X, lo, hi) - X, axis=1)
+            boxd = b if boxd is None else np.minimum(boxd, b)
+        if not (keys.size and N):
+            gap = np.full(N, math.inf)
+            return gap if boxd is None else boxd, gap, np.zeros(N, dtype=np.intp), gap.copy()
+        # the sort-neighbours a_j bound the slab's half-width: by g_j, or with
+        # ``ranked`` by ranked_j * g_j (see the module docstring)
+        q = X[:, self._axis]
+        nb = self._neighbours.take(keys.searchsorted(q), 0)
+        g = _gaps(X[:, None, :], self._sorted.take(nb, 0))
+        if ranked is not None:
+            g *= ranked.take(nb)
+        r = np.minimum(g[:, 0], g[:, 1]) * _WIDEN + _SLAB_ABS
+        # rounding is monotone, so q - r and q + r keep every key of the exact
+        # slab; a NaN end takes the whole cloud (fmax sends it to -inf)
+        start = keys.searchsorted(np.fmax(q - r, -math.inf))
+        counts = keys.searchsorted(q + r, "right") - start
+        ends = counts.cumsum()
+        step = max(1, _FLOAT_BUDGET // X.shape[1])
+        cuts = [0, N]
+        if ends[-1] > step:
+            cuts = [0]
+            while cuts[-1] < N:
+                done = int(ends[cuts[-1] - 1]) if cuts[-1] else 0
+                cuts.append(max(cuts[-1] + 1, int(ends.searchsorted(done + step, "right"))))
+        parts = []
+        for r0, r1 in zip(cuts, cuts[1:]):
+            c = counts[r0:r1]
+            seg = ends[r0:r1] - c
+            a = int(seg[0])
+            if a:
+                seg -= a
+            row = np.arange(r1 - r0).repeat(c)
+            pos = np.arange(int(ends[r1 - 1]) - a) + (start[r0:r1] - seg).take(row)
+            g = _gaps(X[r0:r1].take(row, 0), self._sorted.take(pos, 0))
+            gap = np.minimum.reduceat(g, seg)
+            d = gap if boxd is None else np.minimum(boxd[r0:r1], gap)
+            k = np.zeros(r1 - r0, dtype=np.intp)
+            if np.fmin.reduce(gap) <= MEMBERSHIP_SNAP:  # the first point at the gap, as argmin
+                ties = self._order.take(pos)
+                ties[g != gap.take(row)] = keys.size
+                k = np.minimum.reduceat(ties, seg)
+            least = None if ranked is None else gap  # a stand-in, unless a row is off the snap
+            if least is not None and np.fmax.reduce(d) > MEMBERSHIP_SNAP:
+                # rows on the snap divide by the snap, which no finite gap overflows
+                div = np.maximum(d, MEMBERSHIP_SNAP).take(row)
+                least = np.minimum.reduceat(ranked.take(pos) + g / div, seg)
+            parts.append((d, gap, k, least))
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(None if a[0] is None else np.concatenate(a) for a in zip(*parts))
 
     @property
     def is_empty(self) -> bool:
@@ -112,24 +210,7 @@ class ClosedSet:
 
     def dist_many(self, X: np.ndarray) -> np.ndarray:
         """Exact Euclidean distance from each row of ``X`` (shape (N, n))."""
-        if self.is_empty:
-            raise EmptySetError("distance to the empty set")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.ambient_dim:
-            raise DimensionMismatchError(
-                f"point has dim {X.shape[1]}, set has dim {self.ambient_dim}"
-            )
-        best = np.full(X.shape[0], math.inf)
-        for lo, hi in self.boxes:
-            d = np.linalg.norm(np.clip(X, lo, hi) - X, axis=1)
-            np.minimum(best, d, out=best)
-        cloud = self._cloud
-        if cloud.shape[0]:
-            for rows in _row_blocks(X.shape[0], cloud):
-                blk = X[rows]
-                d2 = ((blk[:, None, :] - cloud[None, :, :]) ** 2).sum(axis=2)
-                np.minimum(best[rows], np.sqrt(d2.min(axis=1)), out=best[rows])
-        return best
+        return self._scan(X)[0]
 
 
 def dist_to_set(A: ClosedSet, x) -> float:
@@ -244,10 +325,11 @@ def tietze_extend(
     that snaps to the cloud without a cloud point within the snap then
     raises the batch rule's ``ValueError``.
 
-    The batch rule makes one distance query per batch and takes the
-    ratios to the cloud in blocks of the element budget; over box
-    components it adds each row's nested coordinate search, and a row
-    within the snap of a box but of no cloud point reads ``f``.
+    The batch rule makes one slab pass over the cloud per batch, which
+    gives the distance, the snap and the infimum over the cloud at once
+    (see the module docstring); over box components it adds each row's
+    nested coordinate search, and a row within the snap of a box but of
+    no cloud point reads ``f``.
     """
     if A.is_empty:
         raise EmptySetError("cannot extend from the empty set")
@@ -283,41 +365,37 @@ def tietze_extend(
 
         def signed(P):  # one value, but the cloud keeps the signs of its zeros
             out = np.full(P.shape[0], lo)
-            near = np.flatnonzero(A.dist_many(P) <= MEMBERSHIP_SNAP)
-            out[_snap_to_cloud(cloud, baked, P, near, out)] = lo
+            _, gap, k, _ = A._scan(P)
+            hit = gap <= MEMBERSHIP_SNAP
+            out[hit] = baked[k[hit]]
             return out
 
         return ScalarField(X, batch=signed, tag=TAG_CONTINUOUS, name=name or "tietze")
     span = hi - lo
     scaled = 1.0 + np.clip((baked - lo) / span, 0.0, 1.0) if baked.size else baked
+    ranked = scaled[A._order]  # in the order of the sorted cloud
     boxes = A.boxes
 
     def batch(P):
-        d = A.dist_many(P)
-        out = np.empty(P.shape[0])
-        near = np.flatnonzero(d <= MEMBERSHIP_SNAP)
-        far = np.flatnonzero(d > MEMBERSHIP_SNAP)
-        best = np.full(far.size, math.inf)  # the infimum of the formula
-        missed = near
-        if cloud.shape[0]:
-            missed = _snap_to_cloud(cloud, baked, P, near, out)
-            for rows in _row_blocks(far.size, cloud):
-                idx = far[rows]
-                ratios = np.linalg.norm(cloud[None, :, :] - P[idx, None, :], axis=2) / d[idx, None]
-                best[rows] = np.min(scaled + ratios, axis=1)
-        for i in missed:
-            if f is None:
-                raise ValueError(_SNAP_MISS)
-            out[i] = float(f(P[i]))
+        d, gap, k, best = A._scan(P, ranked)  # best: the infimum of the formula
+        hit = gap <= MEMBERSHIP_SNAP
+        # off the boxes d is the gap, and every row on the snap hits the cloud
+        missed = ((d <= MEMBERSHIP_SNAP) > hit).nonzero()[0] if boxes else ()
+        if len(missed) and f is None:
+            raise ValueError(_SNAP_MISS)
+        held = [float(f(P[i])) for i in missed]
         for blo, bhi in boxes:
-            for j, i in enumerate(far):
+            for i in (d > MEMBERSHIP_SNAP).nonzero()[0]:
                 x, di = P[i], float(d[i])
                 g = lambda a: 1.0 + min(max((float(f(a)) - lo) / span, 0.0), 1.0) + float(
                     np.linalg.norm(x - a)
                 ) / di
-                best[j] = min(best[j], _nested_min(g, blo, bhi))
-        F = np.minimum(np.maximum(best - 1.0, 1.0), 2.0)
-        out[far] = lo + (F - 1.0) * span
+                best[i] = min(best[i], _nested_min(g, blo, bhi))
+        out = lo + (np.minimum(np.maximum(best - 1.0, 1.0), 2.0) - 1.0) * span
+        if baked.size:
+            np.putmask(out, hit, baked.take(k))
+        if held:
+            out[missed] = held
         return out
 
     return ScalarField(X, batch=batch, tag=TAG_CONTINUOUS, name=name or "tietze")

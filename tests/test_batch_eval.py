@@ -11,8 +11,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_same_bits
+from convsel import urysohn
 from convsel.errors import DimensionMismatchError, IndeterminateSumError
 from convsel.fields import (
     TAG_CONTINUOUS,
@@ -26,6 +29,7 @@ from convsel.fields import (
     negate,
     pymax,
     pymin,
+    squash,
 )
 from convsel.urysohn import ClosedSet, dist_field, tietze_extend
 from reference.fields_pointwise import dist_pointwise, lift, tietze_pointwise
@@ -74,6 +78,17 @@ class TestScalarFieldMany:
             compress_field(constant_field(LINE, -math.inf)),
         ):
             assert_same_bits(field.many(POINTS), pointwise(field, POINTS))
+
+    def test_compress_field_squashes_like_squash(self):
+        rng = np.random.default_rng(2)
+        values = np.concatenate([
+            rng.uniform(-1.0, 1.0, 4000) * 10.0 ** rng.integers(-300, 301, 4000),
+            rng.integers(1, 10**6, 100) * 5e-324,
+            [0.0, -0.0, math.inf, -math.inf, 2.2250738585072014e-308, 1.7976931348623157e308],
+        ])
+        squashed = compress_field(ScalarField(LINE, batch=lambda X: values.copy()))
+        want = [squash(v) for v in values.tolist()]
+        assert_same_bits(squashed.many(np.zeros((values.size, 1))), want)
 
     def test_grid_values_uses_the_batch_rule(self):
         calls = []
@@ -246,3 +261,164 @@ class TestTietzeBatch:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+# --- the slab kernel against the full scans of the oracles ----------------
+
+
+def assert_matches_the_full_scan(A: ClosedSet, X, values, lo=None, hi=None):
+    """``dist_many`` and the extension of ``values`` from A's points,
+    batch and one row at a time, equal the pointwise oracles bit for bit."""
+    X = np.asarray(X, dtype=float)
+    assert_same_bits(A.dist_many(X), [dist_pointwise(A, x) for x in X])
+    F = tietze_extend(None, A, lo=lo, hi=hi, values=values)
+    want = pointwise(tietze_pointwise(None, A, lo, hi, values=values), X)
+    assert_same_bits(F.many(X), want)
+    assert_same_bits([F(x) for x in X], want)
+
+
+def count_pairs(monkeypatch) -> list:
+    """The number of (query, cloud point) pairs of each call of the pair
+    distance helper, from now on."""
+    sizes, gaps = [], urysohn._gaps
+
+    def counted(P, C):
+        out = gaps(P, C)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(urysohn, "_gaps", counted)
+    return sizes
+
+
+class TestSlabKernel:
+    def test_ties_go_to_the_first_cloud_index(self):
+        # duplicates, and points at equal gaps on both sides of the query,
+        # listed against their sorted order
+        A = ClosedSet.from_cloud([[0.5], [0.0], [0.5], [1e-13], [-1e-13], [0.0]])
+        values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        F = tietze_extend(None, A, values=values)
+        assert_same_bits(F.many(np.array([[0.5], [0.0], [0.5 + 1e-13]])), [1.0, 2.0, 1.0])
+        plane = ClosedSet.from_cloud([[0.0, 5e-13], [5e-13, 0.0], [0.0, -5e-13], [-5e-13, 0.0]])
+        G = tietze_extend(None, plane, values=[4.0, 3.0, 2.0, 1.0])
+        assert_same_bits(G.many(np.zeros((1, 2))), [4.0])
+        X = np.linspace(-0.25, 0.75, 41).reshape(-1, 1)
+        assert_matches_the_full_scan(A, np.vstack([X, A.points, [[5e-14]]]), values)
+        assert_matches_the_full_scan(plane, np.zeros((1, 2)), [4.0, 3.0, 2.0, 1.0])
+
+    def test_a_cloud_on_one_key_is_scanned_whole_in_chunks(self, monkeypatch):
+        # every point on one key: each query's slab is the whole cloud, more
+        # floats than the budget, so each row is a chunk of its own
+        rng = np.random.default_rng(5)
+        one_key = ClosedSet.from_cloud(np.tile([0.25, -0.5], (5000, 1)))
+        X = np.vstack([rng.uniform(-1, 1, size=(12, 2)), [[0.25, -0.5]]])
+        sizes = count_pairs(monkeypatch)
+        assert_matches_the_full_scan(one_key, X, rng.uniform(-1, 1, 5000))
+        assert max(sizes) == 5000 and sizes.count(5000) >= 2 * X.shape[0]
+        # a cross: half its points on the key 0 of the sorted axis, so that
+        # each slab near the centre holds them all, two rows fill a chunk
+        # and the chunks split between rows
+        t = np.linspace(-1.0, 1.0, 1501)
+        arms = [np.column_stack([0 * t, t]), np.column_stack([t, 0 * t])]
+        cross = ClosedSet.from_cloud(np.vstack(arms))
+        X = np.column_stack([rng.uniform(-0.001, 0.001, 9), np.zeros(9)])
+        sizes.clear()
+        assert_matches_the_full_scan(cross, X, np.cos(np.arange(3002.0)))
+        assert 1501 < max(sizes) <= 4096 < sum(sizes)
+
+    def test_gaps_of_one_ulp_a_million_out(self):
+        ulp = np.spacing(1e6)
+        steps = np.array([0.0, 1.0, 3.0, 4.0, 7.0, 8.0, 12.0, -2.0])
+        line = ClosedSet.from_cloud((1e6 + ulp * steps).reshape(-1, 1))
+        X = (1e6 + ulp * np.arange(-4.0, 15.0)).reshape(-1, 1)
+        values = np.sin(steps)
+        assert_matches_the_full_scan(line, X, values)
+        assert_matches_the_full_scan(line, -X, values, lo=-2.0, hi=2.0)
+        far = ClosedSet.from_cloud(-1e6 - ulp * steps.reshape(-1, 1))
+        assert_matches_the_full_scan(far, -X, values)
+        plane = ClosedSet.from_cloud(np.column_stack([1e6 + ulp * steps, -1e6 + ulp * steps[::-1]]))
+        Y = np.column_stack([X[:, 0], -X[::-1, 0]])
+        assert_matches_the_full_scan(plane, Y, values)
+
+    def test_gaps_whose_squares_underflow(self):
+        steps = np.array([3.0, 0.0, 5.0, 1.0, 2.0])
+        X = np.array([-1.0, 0.0, 0.5, 1.0, 2.5, 4.0, 6.0, 1e8, 1e10]).reshape(-1, 1)
+        values = [0.5, -1.0, 2.0, 0.25, -0.0]
+        for gap in (1e-170, 1e-160, 1e-155):
+            tiny = ClosedSet.from_cloud((gap * steps).reshape(-1, 1))
+            assert_matches_the_full_scan(tiny, gap * X, values)
+            with_one = ClosedSet.from_cloud(np.append(gap * steps, 1.0).reshape(-1, 1))
+            Y = np.vstack([gap * X, [[0.5], [2.0]]])
+            assert_matches_the_full_scan(with_one, Y, values + [3.0])
+        plane = ClosedSet.from_cloud(np.column_stack([1e-170 * steps, 0.5 + 1e-170 * steps]))
+        Y = np.column_stack([1e-170 * X[:, 0], 0.5 + 0 * X[:, 0]])
+        assert_matches_the_full_scan(plane, Y, values)
+
+    def test_one_point_clouds_and_signed_zeros(self):
+        X = np.array([[-1.0], [-0.0], [0.0], [1e-13], [2e-12], [2.0]])
+        for point in (0.0, -0.0, 0.75):
+            A = ClosedSet.from_cloud([[point]])
+            for value in (0.0, -0.0, 0.5):
+                assert_matches_the_full_scan(A, X, [value], lo=-1.0, hi=1.0)
+            assert_same_bits(tietze_extend(None, A, values=[-0.0]).many(X), np.full(6, -0.0))
+        # one value, -0.0 at the first of two points on one spot
+        A = ClosedSet.from_cloud([[0.5], [0.0], [0.0]])
+        F = tietze_extend(None, A, values=[0.0, -0.0, 0.0])
+        assert_same_bits(F.many(np.array([[0.0], [1e-13], [0.5], [0.25]])), [-0.0, -0.0, 0.0, 0.0])
+
+    def test_rows_off_the_reals_take_the_whole_cloud(self):
+        A = ClosedSet.from_cloud([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
+        X = np.array(
+            [[math.nan, 0.0], [0.0, math.nan], [math.inf, 0.0], [0.0, -math.inf], [1.0, 1.0]]
+        )
+        full = np.sqrt(((X[:, None, :] - A._cloud[None]) ** 2).sum(axis=2).min(axis=1))
+        with np.errstate(invalid="ignore"):  # the slab of an infinite row is inf - inf
+            assert_same_bits(A.dist_many(X), full)
+        # a NaN row among them leaves each snapped row its own point's zero
+        F = tietze_extend(None, A, values=[0.0, -0.0, 0.0])
+        values = F.many(np.array([[math.nan, 0.0], [2.0, -1.0], [0.5, 0.5]]))
+        assert values[0] == 0.0
+        assert_same_bits(values[1:], [-0.0, 0.0])
+
+    def test_points_off_the_reals_are_refused(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="points must be finite"):
+                ClosedSet.from_cloud([[0.0, 1.0], [bad, 0.0]])
+
+    def test_the_slabs_prune_the_pairs(self, monkeypatch):
+        # a 1,026-point cloud at 8,193 queries: a full scan takes 8.4M pairs
+        cloud = np.linspace(-1.0, 1.0, 2051)[::2].reshape(-1, 1)
+        A = ClosedSet.from_cloud(cloud)
+        F = tietze_extend(None, A, values=np.sin(7.0 * cloud[:, 0]))
+        X = np.linspace(-1.0, 1.0, 8193).reshape(-1, 1)
+        sizes = count_pairs(monkeypatch)
+        for batch in (A.dist_many, F.many):
+            sizes.clear()
+            batch(X)
+            assert 0 < sum(sizes) <= 0.05 * cloud.shape[0] * X.shape[0]
+
+
+COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 1e-13, -3e-13, 1e-170]),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_drawn_clouds_match_the_full_scan(data):
+    n = data.draw(st.integers(1, 3))
+    point = st.lists(COORDS, min_size=n, max_size=n)
+    pts = np.array(data.draw(st.lists(point, min_size=1, max_size=30)), dtype=float)
+    values = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=len(pts), max_size=len(pts)))
+    lo, hi = data.draw(st.sampled_from([(None, None), (-5.0, 5.0)]))
+    if lo is None and min(values) == max(values):
+        lo, hi = -5.0, 5.0
+    nudge = data.draw(st.sampled_from([0.0, 1e-13, -1e-12, 1e-6, 0.3]))
+    drawn = np.array(data.draw(st.lists(point, max_size=12)), dtype=float).reshape(-1, n)
+    X = np.vstack([drawn, pts, pts + nudge])
+    assert_matches_the_full_scan(ClosedSet.from_cloud(pts), X, values, lo, hi)
+    if data.draw(st.booleans()):
+        corner = np.array(data.draw(point))
+        A = ClosedSet(n, boxes=((corner, corner + 0.25),), points=tuple(pts))
+        assert_same_bits(A.dist_many(X), [dist_pointwise(A, x) for x in X])

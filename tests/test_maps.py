@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import NONZERO, ORIGIN, constant_rule, interval_rule
+from conftest import NONZERO, ORIGIN, assert_same_bits, constant_rule, interval_rule
 from convsel import maps
 from convsel.errors import (
     DimensionMismatchError,
@@ -18,7 +18,7 @@ from convsel.fields import (
     Grid,
     VectorField,
 )
-from convsel.geometry import Ball, Interval, IntervalBatch
+from convsel.geometry import Ball, HPolytope, Interval, IntervalBatch, StackedBatch
 from convsel.maps import (
     EVERYWHERE,
     Region,
@@ -96,6 +96,25 @@ class TestSetValuedMap:
         m = constant_map(LINE, Ball((0.0, 0.0), 1.0))
         assert m.declared_lsc and m.declared_continuous
         assert m.output_dim == 2
+
+    @pytest.mark.parametrize("body", [
+        Interval(-0.5, 2.0),
+        Ball((0.5, -1.0), 2.0),
+        HPolytope(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.array([1.0, 2.0, 0.5])),
+    ], ids=["interval", "ball", "polytope"])
+    def test_constant_map_is_its_row_repeated(self, body):
+        # one batch of the body's row, bit for bit with the body stacked
+        # once per point
+        X = np.linspace(-1.0, 1.0, 7).reshape(-1, 1)
+        got = constant_map(LINE, body).evaluate_many(X)
+        want = StackedBatch.of_rows([body._row] * 7, body.dim)
+        for a, b in zip(got.coord_extremes(), want.coord_extremes()):
+            assert_same_bits(a, b)
+        assert_same_bits(got.least_norm(), want.least_norm())
+        rows = np.arange(7).repeat(2)
+        Z = np.random.default_rng(1).uniform(-3.0, 3.0, size=(14, 2, body.dim))
+        assert_same_bits(got.project_rows(rows, Z), want.project_rows(rows, Z))
+        assert np.array_equal(got.contains(rows, Z), want.contains(rows, Z))
 
 
 class TestRegions:
