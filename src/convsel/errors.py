@@ -16,7 +16,8 @@ class InfeasibleBodyError(ConvselError, ValueError):
 
 
 class ProjectionError(ConvselError, RuntimeError):
-    """The projection iteration failed to converge within its cap."""
+    """A projection failed its certificate: the point found is not a member
+    of the body."""
 
 
 class UnboundedBodyError(ConvselError, ValueError):

@@ -58,7 +58,7 @@ def compress(v):
     precision is what keeps ``decompress(compress(v))`` faithful for large
     v, where double rounding of values near 1 would destroy the input.
     """
-    import mpmath  # only these two functions need it; see linprog in geometry
+    import mpmath  # only these two functions need it, so import convsel does not
 
     v = _as_extended(v)
     if math.isinf(float(v)):

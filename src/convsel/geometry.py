@@ -18,14 +18,15 @@ coordinate extremes together with points attaining them.  Whether a
 coordinate is bounded is decided from the rows alone (``-+e_j`` must lie
 in the cone they span).
 
-Polytopes with too many candidate sets fall back to Dykstra's
-alternating projections and to linear programming; so do the rare bodies
-the kernel cannot certify (no candidate member was found), which is also
-how an empty polytope is confirmed.  scipy is imported only when that
-fallback first runs, so ``import convsel`` does not load it.  Either
-way, every constructed body has been checked nonempty, so downstream
-code can treat it as a value of a set-valued map with nonempty closed
-convex values.
+Past the kernel's size limit, and on the rare bodies where the kernel
+finds no member among its candidates, one exact routine answers instead:
+Seidel's incremental recursion over the rows (:func:`_nearest`), a finite
+active-set decision and one linear solve, which gives the projection,
+the least-norm point, the coordinate extremes and the verdict that a
+body is empty.  Every point it returns is checked a member.  Either way,
+every constructed body has been checked nonempty, so downstream code can
+treat it as a value of a set-valued map with nonempty closed convex
+values.
 """
 
 from __future__ import annotations
@@ -44,16 +45,12 @@ from .errors import (
     UnboundedBodyError,
 )
 
-#: Dykstra iteration budget and movement tolerance.
-MAX_PROJECTION_SWEEPS = 10_000
-PROJECTION_TOL = 1e-10
-
 #: Default membership slack for ``contains``.
 CONTAINS_TOL = 1e-9
 
 #: The exact kernel handles a polytope when it has fewer candidate active
 #: sets (row subsets of size <= m) than this; its work per query point
-#: grows with the count, Dykstra's and the LP's do not.
+#: grows with the count, the recursion's (:func:`_nearest`) does not.
 _MAX_ACTIVE_SETS = 256
 
 #: Row subsets whose Gram determinant, on unit rows, is below this are
@@ -68,16 +65,9 @@ _CONE_TOL = 1e-9
 #: Chunk size, in floats, of the candidate arrays built per projection call.
 _CANDIDATE_FLOATS = 1 << 20
 
-
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first use.
-
-    Only the fallback path solves linear programs, so importing this
-    module does not pay for ``scipy.optimize``.
-    """
-    from scipy.optimize import linprog as scipy_linprog
-
-    return scipy_linprog(*args, **kwargs)
+#: Slack, on unit rows, past which :func:`_nearest` takes a row as violated:
+#: for a direction as is, for a point relative to its size.
+_SEIDEL_SLACK = 1e-12
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,6 +159,66 @@ def _kernel_extremes(A, H, norms, Y, inside) -> tuple:
             args[side][:, j] = Y[rows, i]
     return bounds[0], bounds[1], args[0], args[1]
 
+
+def _nearest(A, b, z, w) -> tuple | None:
+    """The point of ``{y : A y <= b}`` nearest to ``z + T w`` for every
+    large enough T, as ``(y, d)``, that point being ``y + T d``; None when
+    the body is empty.  ``d`` is zero unless the body is unbounded along
+    ``w``; where it is zero, ``y`` is checked a member at ``CONTAINS_TOL``,
+    and :class:`ProjectionError` raised if it is not.
+
+    With ``w = 0`` this is the projection of ``z``; with ``z = 0`` and
+    ``w = +-e_j`` it is the least-norm point of the face where ``y_j`` is
+    extreme.  Seidel's recursion (1991) over the rows, in move-to-front
+    order: the nearest point over the rows before row r either satisfies r
+    for all large T, or the nearest point over them and r lies on r's
+    hyperplane, and the rows before r decide it there.  So each call holds
+    a set S of rows taken as tight, and its point is the kernel's candidate
+    for S, the nearest point of ``{A_S y = b_S}``.  A violated row whose
+    normal lies in the span of S (by the kernel's dependence rule) leaves
+    the body empty.
+    """
+    norms = np.linalg.norm(A, axis=1)
+    order = list(range(A.shape[0]))
+
+    def solve(n, S):
+        Q, R = np.linalg.qr(A[S].T)  # Q spans the normals of S
+        y = z - Q @ np.linalg.solve(R.T, A[S] @ z - b[S])
+        d = w - Q @ (Q.T @ w)
+        i = 0
+        while i < n:
+            rows = order[i:n]
+            a_d, over = A[rows] @ d, A[rows] @ y - b[rows]
+            tol = _SEIDEL_SLACK * norms[rows]
+            bad = (a_d > tol) | ((a_d >= -tol) & (over > tol * (1.0 + np.abs(y).max())))
+            if not bad.any():
+                break
+            i += int(np.argmax(bad))
+            r = order[i]
+            v = A[r] - Q @ (Q.T @ A[r])  # the part of row r off the span of S
+            if v @ v <= _DEPENDENT_GRAM * norms[r] ** 2:
+                return None
+            found = solve(i, S + [r])
+            if found is None:
+                return None
+            y, d = found
+            order.insert(0, order.pop(i))  # after the call: r is not its own subproblem
+            i += 1
+        return y, d
+
+    found = solve(len(order), [])
+    if found is None:
+        return None
+    y, d = found
+    if np.abs(d).max(initial=0.0) <= _SEIDEL_SLACK:
+        d = np.zeros_like(d)
+        if not np.all(b - A @ y >= -CONTAINS_TOL * np.maximum(1.0, norms)):
+            raise ProjectionError("the exact polytope solver returned a point outside the body")
+    return y, d
+
+
+#: The name under which perfbench/tracer.py spans the fallback solver.
+linprog = _nearest
 
 
 class ConvexBody(abc.ABC):
@@ -547,11 +597,11 @@ class PolytopeBatch(BodyBatch):
     coordinate extremes, and are computed once, as are the extremes.  A
     row where the kernel finds no member among them (empty, or too
     ill-conditioned for the kernel to tell) is on the fallback path once
-    that is known, as is every row without ``sets``: Dykstra's scheme
-    projects its blocks of points, raising :class:`ProjectionError` if the
-    sweep budget runs out while an iterate still violates a row, and linear
-    programs give its extremes and confirm it nonempty.  The points of a
-    block that the kernel cannot answer go to Dykstra's scheme together.
+    that is known, as is every row without ``sets``: :func:`_nearest`
+    confirms it nonempty, gives its least-norm point, its extremes (two
+    calls per coordinate) and the projection of each of its points.  A point
+    that the kernel cannot answer goes to :func:`_nearest` alone, so a block
+    projects as its points one at a time.
     """
 
     kind = HPolytope
@@ -574,7 +624,7 @@ class PolytopeBatch(BodyBatch):
         self._origin = self._extremes = None
         if not _validated:
             for i in np.flatnonzero(self._lost()):
-                self._lp_feasible(i)  # the LP confirms the row or raises
+                self._solve(i, np.zeros(self.dim))  # confirms the row or raises
 
     def __len__(self) -> int:
         return self.B.shape[0]
@@ -649,9 +699,8 @@ class PolytopeBatch(BodyBatch):
                 found[r, s] = np.take_along_axis(inside, best, axis=1)[:, 0]
             if self._origin is not None:
                 found[self._lost()[rows]] = False  # rows on the fallback path
-        for n in np.flatnonzero(~found.all(axis=1)):
-            miss = ~found[n]
-            out[n, miss] = self._dykstra(rows[n], Z[n, miss])
+        for n, s in zip(*np.nonzero(~found)):
+            out[n, s] = self._solve(rows[n], Z[n, s])[0]
         return out
 
     def least_norm(self) -> np.ndarray:
@@ -662,7 +711,7 @@ class PolytopeBatch(BodyBatch):
             d2 = np.where(inside, np.sum(Y**2, axis=2), np.inf)
             out[:] = Y[np.arange(len(self)), np.argmin(d2, axis=1)]
         for i in np.flatnonzero(lost):
-            out[i] = self._dykstra(i, np.zeros((1, self.dim)))[0]
+            out[i] = self._solve(i, np.zeros(self.dim))[0]
         return out
 
     def coord_extremes(self):
@@ -675,9 +724,12 @@ class PolytopeBatch(BodyBatch):
             else:
                 extremes = _kernel_extremes(self.A, self._sets, self._norms,
                                             *self._origin_candidates())
-            for i in np.flatnonzero(self._lost()):
-                for a, v in zip(extremes, self._lp_extremes(i)):
-                    a[i] = v
+            for i, j, side in itertools.product(np.flatnonzero(self._lost()), range(m), (0, 1)):
+                w = np.zeros(m)
+                w[j] = 2 * side - 1  # towards lo, then hi
+                y, d = self._solve(i, np.zeros(m), w)
+                extremes[side][i, j] = w[j] * math.inf if d.any() else y[j]
+                extremes[side + 2][i, j] = math.nan if d.any() else y
             for a in extremes:
                 a.setflags(write=False)
             self._extremes = extremes
@@ -699,85 +751,12 @@ class PolytopeBatch(BodyBatch):
             box = (box[0] + C, box[1] + C)
         return PolytopeBatch(self.A, self._sets, B, box, _validated=True)
 
-    # -- fallback: Dykstra's projection and linear programs, row by row --------
-
-    def _dykstra(self, i: int, Z: np.ndarray) -> np.ndarray:
-        """Each row of ``Z`` projected onto body i by Dykstra's cyclic
-        scheme, batched over the rows; raises :class:`ProjectionError` if the
-        sweep budget runs out while an iterate still violates a row."""
-        A, b, norms2 = self.A, self.B[i], self._norms**2
-        if A.shape[0] == 0:
-            return Z.copy()
-        if np.all(A @ Z.T - b[:, None] <= 0):
-            return Z.copy()
-        Y = Z.copy()
-        corr = np.zeros((A.shape[0],) + Y.shape)
-        for _ in range(MAX_PROJECTION_SWEEPS):
-            start = Y.copy()
-            corr_start = corr.copy()
-            for j in range(A.shape[0]):
-                W = Y + corr[j]
-                t = (W @ A[j] - b[j]) / norms2[j]
-                np.maximum(t, 0.0, out=t)
-                Y = W - t[:, None] * A[j]
-                corr[j] = W - Y
-            # the iterate alone can revisit a point mid-convergence while
-            # the corrections still churn; both must settle before stopping
-            move = max(
-                float(np.max(np.abs(Y - start))),
-                float(np.max(np.abs(corr - corr_start))),
-            )
-            if move < PROJECTION_TOL:
-                break
-        worst = float(np.max((A @ Y.T - b[:, None]) / self._norms[:, None]))
-        if worst > 1e-7:
-            raise ProjectionError(
-                f"projection did not converge (residual {worst:.3e})"
-            )
-        return Y
-
-    def _lp_feasible(self, i: int) -> None:
-        """Raise :class:`InfeasibleBodyError` unless body i has a point, as
-        a linear program decides."""
-        m = self.dim
-        res = linprog(c=np.zeros(m), A_ub=self.A, b_ub=self.B[i], bounds=[(None, None)] * m,
-                      method="highs")
-        if res.status == 2:
+    def _solve(self, i: int, z, w=None) -> tuple:
+        """:func:`_nearest` on body i, which must not be empty."""
+        found = _nearest(self.A, self.B[i], z, np.zeros(self.dim) if w is None else w)
+        if found is None:
             raise InfeasibleBodyError("halfspace system has no solution")
-        if not res.success:
-            raise InfeasibleBodyError(f"feasibility check failed: {res.message}")
-
-    def _lp_extremes(self, i: int) -> tuple:
-        """Body i's ``coord_extremes``, from linear programs."""
-        m = self.dim
-        bounds = (np.empty(m), np.empty(m))
-        args = (np.full((m, m), math.nan), np.full((m, m), math.nan))
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = 1.0
-            for side, sign in enumerate((1.0, -1.0)):
-                lp = dict(c=sign * e, A_ub=self.A, b_ub=self.B[i], bounds=[(None, None)] * m,
-                          method="highs")
-                res = linprog(**lp)
-                if res.status == 2:
-                    # the body is nonempty: HiGHS's presolve reports some
-                    # unbounded LPs (a slab in R^3) as infeasible
-                    res = linprog(**lp, options={"presolve": False})
-                if res.status == 3:
-                    bounds[side][j] = -sign * math.inf
-                elif res.success:
-                    x = res.x
-                    if self.contains([i], x[None, None])[0, 0]:
-                        bounds[side][j] = sign * res.fun
-                    else:
-                        # HiGHS stops within its feasibility tolerance, which
-                        # can leave a thin body; the projection is a member
-                        x = self._dykstra(i, x[None])[0]
-                        bounds[side][j] = x[j]
-                    args[side][j] = x
-                else:
-                    raise ProjectionError(f"bounds LP failed: {res.message}")
-        return bounds[0], bounds[1], args[0], args[1]
+        return found
 
 
 class StackedBatch(BodyBatch):

@@ -110,8 +110,8 @@ def _write_csv(path: str, grid: Grid, values, labels):
     """One row per grid point: its coordinates, then its row of ``values``."""
     values = np.asarray(values, dtype=float).reshape(len(grid), len(labels))
     lines = [",".join([f"x{i + 1}" for i in range(grid.domain.ambient_dim)] + labels)]
-    for x, v in zip(grid.points, values):
-        lines.append(",".join("%.17g" % c for c in (*x, *v)))
+    for row in np.column_stack((grid.points, values)).tolist():
+        lines.append(",".join("%.17g" % c for c in row))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from convsel import maps, selection
+from convsel import geometry, maps, selection
 from convsel.errors import AuditError, ConvselError, UncoveredPointError
 from convsel.fields import DEFAULT_SEED, Domain, Grid
 from convsel.geometry import (
@@ -287,16 +287,16 @@ def test_an_unbounded_polytope_without_a_box_pads_as_the_oracle():
     assert_spec_drawn_as_the_oracle(raw, 17)
 
 
-def count_dykstra(monkeypatch) -> Counter:
-    """Count the fallback's projections by the shape of each block."""
+def count_fallback(monkeypatch) -> Counter:
+    """Count the fallback's solves by the shape of each query point."""
     calls = Counter()
-    real = PolytopeBatch._dykstra
+    real = geometry._nearest
 
-    def dykstra(self, i, Z):
-        calls[Z.shape] += 1
-        return real(self, i, Z)
+    def nearest(A, b, z, w):
+        calls[z.shape] += 1
+        return real(A, b, z, w)
 
-    monkeypatch.setattr(PolytopeBatch, "_dykstra", dykstra)
+    monkeypatch.setattr(geometry, "_nearest", nearest)
     return calls
 
 
@@ -309,8 +309,7 @@ def strict_kernel(monkeypatch, batch):
 
 def test_a_polytope_past_the_kernel_projects_edge_by_edge(monkeypatch):
     # 12 rows in R^3 have 299 candidate active sets: every row is on the
-    # fallback, and each distance row is one projection by Dykstra's scheme,
-    # whose stopping rule reads the whole block
+    # fallback, which projects each probe of a distance row alone
     rows = [{"normal": [str(v) for v in n], "offset": "1 + 0.25*x1"}
             for n in np.vstack([np.eye(3), -np.eye(3)])]
     rows += [{"normal": [str(v) for v in n], "offset": "1.5"}
@@ -323,27 +322,28 @@ def test_a_polytope_past_the_kernel_projects_edge_by_edge(monkeypatch):
 
     probed = maps._ProbedGrid(spec.map, grid, DEFAULT_SEED)
     probed._drawn
-    calls = count_dykstra(monkeypatch)
+    calls = count_fallback(monkeypatch)
     tails, heads = swept_pairs(grid)
     probed._distances(tails, heads)
     probed._distances(tails, heads)  # remembered: nothing is projected again
-    assert calls == {(probed.probe_count, 3): len(tails)}
+    assert calls == {(3,): len(tails) * probed.probe_count}
 
 
-def test_a_block_the_kernel_misses_goes_to_the_fallback_whole(monkeypatch):
-    # the missed points of each block go to Dykstra's scheme together, as
-    # their polytope's own project_many sends them
+def test_each_point_the_kernel_misses_goes_to_the_fallback_alone(monkeypatch):
+    # the missed points of a block go to the fallback one at a time, so a
+    # row projects as its polytope's own project_many projects it
     spec = load_spec(str(SPECS / "m_poly.json"))
     oracle, _ = load_pointwise(spec.raw)
     grid = Grid(spec.domain, 9)
     probed = maps._ProbedGrid(spec.map, grid, DEFAULT_SEED)
     bodies, probes = probed._drawn
-    calls = count_dykstra(monkeypatch)
+    calls = count_fallback(monkeypatch)
     for _, part in bodies.parts:
         strict_kernel(monkeypatch, part)
     tails, heads = swept_pairs(grid)
     got = probed._distances(tails, heads)
-    assert 0 < sum(calls.values()) < len(tails)
+    assert 0 < calls[(2,)] < len(tails) * probed.probe_count
+    assert set(calls) == {(2,)}
     own = [oracle.evaluate(x) for x in grid.points]
     for t, h, row in zip(tails, heads, got):
         strict_kernel(monkeypatch, own[h]._row)

@@ -1,8 +1,9 @@
 """Differential tests: the exact active-set kernel of ``HPolytope`` against
-the Dykstra / linear-programming fallback it replaces for small bodies.
+the exact recursion past it (``geometry._nearest``), and both against
+HiGHS where scipy is installed.
 
 The fallback is reached by building the reference body while the size
-limit of the kernel is patched to zero (and, for the one case above the
+limit of the kernel is patched to zero (and, for the cases above the
 limit, the kernel body while the limit is patched up).
 """
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from convsel import geometry
-from convsel.errors import InfeasibleBodyError, ProjectionError
+from convsel.errors import InfeasibleBodyError
 from convsel.geometry import HPolytope
 
 from reference import polytope_pointwise
@@ -31,9 +32,14 @@ def build(A, b, kernel: bool) -> HPolytope:
     return body
 
 
+def highs():
+    """scipy's ``linprog``, the independent oracle; skips without scipy."""
+    return pytest.importorskip("scipy.optimize").linprog
+
+
 def lp_margin(A: np.ndarray, b: np.ndarray) -> float:
     """max t <= 1 with A y + t |a_i| <= b: the depth of the deepest
-    point, negative when the system has no solution."""
+    point, negative when the system has no solution, by HiGHS."""
     norms = np.linalg.norm(A, axis=1)
     keep = norms > 0
     if not keep.any():
@@ -42,7 +48,7 @@ def lp_margin(A: np.ndarray, b: np.ndarray) -> float:
         return -1.0
     A, b, norms = A[keep], b[keep], norms[keep]
     m = A.shape[1]
-    res = geometry.linprog(
+    res = highs()(
         c=np.r_[np.zeros(m), -1.0],
         A_ub=np.column_stack([A, norms]),
         b_ub=b,
@@ -53,10 +59,10 @@ def lp_margin(A: np.ndarray, b: np.ndarray) -> float:
     return -res.fun
 
 
-# small integer normals: exact degeneracies (zero, parallel and repeated
-# rows) are common, and facet angles stay wide enough for Dykstra to be
-# accurate to 1e-7; at angles near 0.03 rad it stops ~1e-7 short
-coef = st.integers(-3, 3).map(float)
+# small integer normals make exact degeneracies (zero, parallel and
+# repeated rows) common; normals in steps of 0.01 make facets meet at small
+# angles
+coef = st.one_of(st.integers(-3, 3).map(float), st.integers(-300, 300).map(lambda k: k / 100))
 
 
 @st.composite
@@ -98,7 +104,7 @@ def assert_extremes_attained(body: HPolytope, lo, hi, tol: float):
 
 @settings(max_examples=150, deadline=None)
 @given(polytopes())
-# the body is {1}; HiGHS's optimum 1.0000001 for sup y lies 1e-7 outside it
+# the body is {1}, with a row 1e-7 looser than the tight one
 @example((np.array([[-1.0], [1.0], [1.0]]), np.array([-1.0, 1.0000001, 1.0]),
           np.array([[0.0]])))
 def test_kernel_matches_fallback(case):
@@ -120,11 +126,8 @@ def test_kernel_matches_fallback(case):
     assert fast.contains_many(Y).all()
     y0 = fast.least_norm()
     assert fast.contains(y0)
-    try:
-        ref_Y = slow.project_many(Z)
-        ref_y0 = slow.least_norm()
-    except ProjectionError:
-        assume(False)  # Dykstra ran out of sweeps; nothing to compare with
+    ref_Y = slow.project_many(Z)
+    ref_y0 = slow.least_norm()
     np.testing.assert_allclose(Y, ref_Y, rtol=0, atol=1e-7)
     np.testing.assert_allclose(y0, ref_y0, rtol=0, atol=1e-7)
     # the cached least-norm point is the kernel's projection of the origin
@@ -159,11 +162,11 @@ def test_fallback_above_the_size_limit(monkeypatch):
     assert geometry._active_set_count(*A.shape) >= geometry._MAX_ACTIVE_SETS
 
     calls = []
-    lp = geometry.linprog
-    monkeypatch.setattr(geometry, "linprog", lambda *a, **k: calls.append(1) or lp(*a, **k))
+    real = geometry._nearest
+    monkeypatch.setattr(geometry, "_nearest", lambda *a: calls.append(1) or real(*a))
     slow = HPolytope(A, b)
     assert slow._sets is None
-    assert calls, "the feasibility check above the limit solves an LP"
+    assert calls, "the feasibility check above the limit runs the recursion"
     with mock.patch.object(geometry, "_MAX_ACTIVE_SETS", 10**9):
         fast = HPolytope(A, b)
     assert fast._sets is not None
@@ -180,8 +183,8 @@ def test_fallback_above_the_size_limit(monkeypatch):
 
 
 def test_fallback_bounds_of_a_slab():
-    # HiGHS's presolve calls max y1 over this slab infeasible; the body is
-    # known nonempty, so the bound is unbounded, as on the kernel path
+    # every coordinate is unbounded both ways on this slab in R^3, which a
+    # presolving LP solver can call infeasible
     A = [[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0]]
     b = [0.0, 1.0]
     for kernel in (True, False):
@@ -236,3 +239,91 @@ def assert_same_bits(got, want):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     assert got.shape == want.shape
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+# -- the fallback on the bodies that broke its predecessor -------------------
+
+
+def test_the_fallback_is_exact_where_facets_meet_at_a_small_angle():
+    # facets at 0.036 rad: the old iteration stopped 1e-7 short of (0, -1)
+    body = build([[0.01, 0.28], [0.0, 0.01]], [-0.28, -0.01], kernel=False)
+    np.testing.assert_allclose(body.least_norm(), [0.0, -1.0], rtol=0, atol=1e-12)
+
+
+def test_the_fallback_is_exact_on_a_body_with_zero_rows():
+    # the old iteration stopped 1e-5 short (--hypothesis-seed=24)
+    A = [[0, 0, 0], [0, 0, 0], [1, 1, 0], [0, 1, 0], [-1, 0, 0]]
+    body = build(A, [0, 0, 0, 0, 1e-5], kernel=False)
+    np.testing.assert_allclose(body.project([0.0, 1.0, 0.0]), np.zeros(3), rtol=0, atol=1e-12)
+
+
+def test_the_fallback_finds_a_one_point_body_nonempty():
+    # the origin is the only member; the feasibility LP called the body
+    # empty (--hypothesis-seed=28)
+    A = [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 1], [-2, 0, 0]]
+    body = build(A, [1e-7, 0, 0, 0, 0], kernel=False)
+    np.testing.assert_allclose(body.least_norm(), np.zeros(3), rtol=0, atol=1e-12)
+    for part in body.coord_extremes():
+        np.testing.assert_allclose(part, np.zeros_like(part), rtol=0, atol=1e-12)
+
+
+# -- the fallback on bodies larger than the kernel takes ----------------------
+
+
+def large_body(p: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """p rows in R^m about the point (5, ..., 5), half of them in steps of
+    0.01 and the first 2m a box, so that the body is bounded and away from
+    the origin."""
+    rng = np.random.default_rng(seed)
+    A = np.vstack([np.eye(m), -np.eye(m), rng.normal(size=(p - 2 * m, m))])
+    A[2 * m :: 2] = np.round(A[2 * m :: 2], 2)
+    return A, A @ np.full(m, 5.0) + rng.uniform(0.5, 2.0, p)
+
+
+@pytest.mark.parametrize("p,m", [(20, 3), (30, 4)])
+def test_the_fallback_matches_the_exact_enumeration_on_large_bodies(p, m):
+    A, b = large_body(p, m, seed=p)
+    slow, fast = build(A, b, kernel=False), build(A, b, kernel=True)
+    Z = np.random.default_rng(m).normal(5.0, 4.0, size=(12, m))
+    np.testing.assert_allclose(slow.project_many(Z), fast.project_many(Z), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(slow.least_norm(), fast.least_norm(), rtol=0, atol=1e-12)
+    for got, want in zip(slow.coord_bounds(), fast.coord_bounds()):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    lo, hi = slow.coord_bounds()
+    assert_extremes_attained(slow, lo, hi, tol=1e-9)
+
+
+@pytest.mark.parametrize("p,m", [(20, 3), (30, 4)])
+def test_the_fallback_bounds_match_highs_on_large_bodies(p, m):
+    linprog = highs()
+    A, b = large_body(p, m, seed=p)
+    lo, hi = build(A, b, kernel=False).coord_bounds()
+    for j in range(m):
+        for bound, sign in ((lo[j], 1.0), (hi[j], -1.0)):
+            res = linprog(c=sign * np.eye(m)[j], A_ub=A, b_ub=b, bounds=[(None, None)] * m,
+                          method="highs")
+            assert res.status == 0
+            assert bound == pytest.approx(sign * res.fun, abs=1e-7)
+
+
+def test_a_batch_the_kernel_misses_goes_to_the_recursion_row_by_row(monkeypatch):
+    # with the membership slack at -1e-3 the kernel rejects every candidate
+    # on a body's boundary: no row of a batch away from the origin keeps a
+    # member among its candidates for the origin, so every row and every
+    # point goes to the recursion, which must give what the kernel gives
+    A, b = large_body(20, 3, seed=7)
+    B = b + np.arange(4)[:, None] * 0.25
+    with mock.patch.object(geometry, "_MAX_ACTIVE_SETS", 10**9):
+        sets = geometry.kernel_operators(A)
+    Z = np.random.default_rng(3).normal(5.0, 4.0, size=(4, 6, 3))
+    exact = geometry.PolytopeBatch(A, sets, B)
+    want = (exact.project_rows(np.arange(4), Z), exact.least_norm(), *exact.coord_extremes())
+
+    real = geometry.PolytopeBatch.contains
+    monkeypatch.setattr(geometry.PolytopeBatch, "contains",
+                        lambda self, rows, Y, tol=None: real(self, rows, Y, tol=-1e-3))
+    missed = geometry.PolytopeBatch(A, sets, B)
+    assert missed._lost().all()
+    got = (missed.project_rows(np.arange(4), Z), missed.least_norm(), *missed.coord_extremes())
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)

@@ -25,10 +25,27 @@ def loaded_by_import(module: str) -> bool:
     return out.stdout.strip() == "True"
 
 
-def test_import_does_not_load_scipy_optimize():
-    # scipy.optimize is only needed by the polytope fallback and is imported
-    # on first use; loading it up front costs most of the start-up time
-    assert not loaded_by_import("scipy.optimize")
+def library_imports() -> list[tuple[str, str]]:
+    """``(file, module)`` for every absolute import in the library's
+    source, by its syntax tree, so an import on a path no test runs counts
+    too."""
+    src = Path(convsel.__file__).resolve().parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(str(path.relative_to(src)), name) for name in names]
+    return found
+
+
+def test_the_library_imports_no_scipy():
+    # every polytope is solved by numpy alone; scipy is a test oracle only
+    assert [(f, name) for f, name in library_imports() if name.split(".")[0] == "scipy"] == []
 
 
 def test_import_does_not_load_mpmath():
@@ -38,23 +55,10 @@ def test_import_does_not_load_mpmath():
 
 def test_the_library_imports_nothing_from_the_tests():
     # the pointwise oracles in tests/reference stay out of the library
-    src = Path(convsel.__file__).resolve().parent
     tests = Path(__file__).resolve().parent
     local = {p.stem for p in tests.glob("*.py")} | {p.name for p in tests.iterdir() if p.is_dir()}
-    offenders = []
-    for path in sorted(src.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module or ""]
-            else:
-                continue
-            for name in names:
-                top = name.split(".")[0]
-                if top in local or top in ("reference", "tests"):
-                    offenders.append(f"{path.relative_to(src)}: {name}")
-    assert offenders == []
+    local |= {"reference", "tests"}
+    assert [(f, name) for f, name in library_imports() if name.split(".")[0] in local] == []
 
 
 def test_every_exported_name_resolves():
