@@ -66,8 +66,12 @@ _CONE_TOL = 1e-9
 _CANDIDATE_FLOATS = 1 << 20
 
 #: Slack, on unit rows, past which :func:`_nearest` takes a row as violated:
-#: for a direction as is, for a point relative to its size.
+#: along a unit direction as is, at a point relative to its size.
 _SEIDEL_SLACK = 1e-12
+
+#: A unit row (or direction) whose part off a span is shorter than this
+#: lies in it to rounding; a longer part, however short, is a small angle.
+_SPAN_TOL = 1e-13
 
 
 @functools.lru_cache(maxsize=None)
@@ -164,8 +168,8 @@ def _nearest(A, b, z, w) -> tuple | None:
     """The point of ``{y : A y <= b}`` nearest to ``z + T w`` for every
     large enough T, as ``(y, d)``, that point being ``y + T d``; None when
     the body is empty.  ``d`` is zero unless the body is unbounded along
-    ``w``; where it is zero, ``y`` is checked a member at ``CONTAINS_TOL``,
-    and :class:`ProjectionError` raised if it is not.
+    ``w``, however slowly; where it is zero, ``y`` is checked a member at
+    ``CONTAINS_TOL``, and :class:`ProjectionError` raised if it is not.
 
     With ``w = 0`` this is the projection of ``z``; with ``z = 0`` and
     ``w = +-e_j`` it is the least-norm point of the face where ``y_j`` is
@@ -174,46 +178,58 @@ def _nearest(A, b, z, w) -> tuple | None:
     for all large T, or the nearest point over them and r lies on r's
     hyperplane, and the rows before r decide it there.  So each call holds
     a set S of rows taken as tight, and its point is the kernel's candidate
-    for S, the nearest point of ``{A_S y = b_S}``.  A violated row whose
-    normal lies in the span of S (by the kernel's dependence rule) leaves
-    the body empty.
+    for S, the nearest point of ``{A_S y = b_S}``.  A violated row in the
+    span of S (``_SPAN_TOL``) leaves the body empty if the multipliers that
+    combine it from S certify so beyond their rounding (Farkas).
     """
     norms = np.linalg.norm(A, axis=1)
     order = list(range(A.shape[0]))
 
     def solve(n, S):
         Q, R = np.linalg.qr(A[S].T)  # Q spans the normals of S
-        y = z - Q @ np.linalg.solve(R.T, A[S] @ z - b[S])
+        # an ill-conditioned R scales b_S, not z, which a vertex ignores
+        y = Q @ np.linalg.solve(R.T, b[S])
+        if len(S) < len(z):
+            y += z - Q @ (Q.T @ z)
         d = w - Q @ (Q.T @ w)
+        if np.linalg.norm(d) <= _SPAN_TOL * np.linalg.norm(w):
+            d = np.zeros_like(d)  # w lies in the span of S
+        found = y, d, Q  # and the span that d is normal to
         i = 0
         while i < n:
+            y, d, P = found
             rows = order[i:n]
-            a_d, over = A[rows] @ d, A[rows] @ y - b[rows]
+            # slopes along unit d from the rows' parts off the span d is normal to
+            V = A[rows] - (A[rows] @ P) @ P.T
+            slope = V @ d / (np.linalg.norm(d) or 1.0)
+            over = A[rows] @ y - b[rows]
             tol = _SEIDEL_SLACK * norms[rows]
-            bad = (a_d > tol) | ((a_d >= -tol) & (over > tol * (1.0 + np.abs(y).max())))
+            bad = (slope > tol) | ((slope >= -tol) & (over > tol * (1.0 + np.abs(y).max())))
             if not bad.any():
                 break
             i += int(np.argmax(bad))
             r = order[i]
             v = A[r] - Q @ (Q.T @ A[r])  # the part of row r off the span of S
-            if v @ v <= _DEPENDENT_GRAM * norms[r] ** 2:
-                return None
-            found = solve(i, S + [r])
-            if found is None:
-                return None
-            y, d = found
-            order.insert(0, order.pop(i))  # after the call: r is not its own subproblem
+            if np.linalg.norm(v) > _SPAN_TOL * norms[r]:
+                found = solve(i, S + [r])
+                if found is None:
+                    return None
+                order.insert(0, order.pop(i))  # after the call: r is not its own subproblem
+            else:  # a_r = A_S^T lam, so a_r y = lam b_S on the flat of S: the
+                # body is empty if that exceeds b_r beyond its rounding
+                lam = np.linalg.solve(R, Q.T @ A[r])
+                gap = lam @ b[S] - b[r]
+                if gap > _SEIDEL_SLACK * (norms[r] + abs(b[r]) + np.abs(lam) @ np.abs(b[S])):
+                    return None
             i += 1
-        return y, d
+        return found
 
     found = solve(len(order), [])
     if found is None:
         return None
-    y, d = found
-    if np.abs(d).max(initial=0.0) <= _SEIDEL_SLACK:
-        d = np.zeros_like(d)
-        if not np.all(b - A @ y >= -CONTAINS_TOL * np.maximum(1.0, norms)):
-            raise ProjectionError("the exact polytope solver returned a point outside the body")
+    y, d, _ = found
+    if not d.any() and not np.all(b - A @ y >= -CONTAINS_TOL * np.maximum(1.0, norms)):
+        raise ProjectionError("the exact polytope solver returned a point outside the body")
     return y, d
 
 

@@ -9,12 +9,13 @@ limit, the kernel body while the limit is patched up).
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from convsel import geometry
 from convsel.errors import InfeasibleBodyError
@@ -30,6 +31,9 @@ def build(A, b, kernel: bool) -> HPolytope:
         body = HPolytope(A, b)
     assert (body._sets is not None) == kernel
     return body
+
+
+HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
 
 
 def highs():
@@ -138,17 +142,27 @@ def test_kernel_matches_fallback(case):
 @given(polytopes(slack=st.floats(-2.0, 2.0)))
 def test_emptiness_verdicts_agree(case):
     A, b, _ = case
-    margin = lp_margin(A, b)
-    assume(abs(margin) > 1e-6)  # stay clear of the tolerance boundary
+    norms = np.linalg.norm(A, axis=1)
 
-    def verdict(kernel: bool) -> bool:
+    def verdict(b, kernel: bool) -> bool:
         try:
             build(A, b, kernel)
         except InfeasibleBodyError:
             return False
         return True
 
-    assert verdict(True) == verdict(False) == (margin > 0)
+    nonempty = verdict(b, True)
+    if verdict(b, False) != nonempty:
+        # the kernel takes a candidate within 1e-9 of the rows, the recursion
+        # an excess past 1e-12 as a violation, so they may part only at the
+        # boundary: loosened by 1e-6 both find the body, tightened neither
+        loose, tight = b + 1e-6 * norms, b - 1e-6 * norms
+        assert verdict(loose, True) and verdict(loose, False)
+        assert not verdict(tight, True) and not verdict(tight, False)
+    if HAVE_SCIPY:
+        margin = lp_margin(A, b)
+        if abs(margin) > 1e-6:  # clear of the tolerance boundary
+            assert nonempty == (margin > 0)
 
 
 def test_fallback_above_the_size_limit(monkeypatch):
@@ -265,6 +279,65 @@ def test_the_fallback_finds_a_one_point_body_nonempty():
     np.testing.assert_allclose(body.least_norm(), np.zeros(3), rtol=0, atol=1e-12)
     for part in body.coord_extremes():
         np.testing.assert_allclose(part, np.zeros_like(part), rtol=0, atol=1e-12)
+
+
+def test_a_thin_wedge_past_the_kernel_is_nonempty():
+    # facets 1e-7 rad apart meet at (-1e6, 0): the kernel skips the pair as
+    # dependent and finds no member, and a row this far off the other's
+    # normal must not be taken for one in its span
+    body = HPolytope([[0.0, 1.0], [1e-7, -1.0]], [0.0, -0.1])
+    assert body._sets is None  # on the fallback path
+    # the apex is ill-conditioned by 1e7: it comes out within 1e-8 of its size
+    apex = [-1e6, 0.0]
+    np.testing.assert_allclose(body.least_norm(), apex, rtol=1e-8, atol=1e-12)
+    np.testing.assert_allclose(body.project([5e6, 3.0]), apex, rtol=1e-8, atol=1e-12)
+    lo, hi = body.coord_bounds()
+    # the wedge runs off to y_0 -> -inf, where y_1 >= 0.1 + 1e-7 y_0 falls
+    # without bound, however slowly
+    np.testing.assert_array_equal(lo, [-math.inf, -math.inf])
+    np.testing.assert_allclose(hi, apex, rtol=1e-8, atol=1e-12)
+
+
+def test_a_far_point_projects_onto_a_thin_wedge_past_the_kernel():
+    # the same wedge with its apex at the origin, a member: the body is on
+    # the kernel's path, but no kernel candidate for the first two points is
+    # a member
+    body = HPolytope([[0.0, 1.0], [1e-7, -1.0]], [0.0, 0.0])
+    assert body._sets is not None
+    np.testing.assert_array_equal(body.project_many([[5e6, 3.0], [10.0, 3.0]]), np.zeros((2, 2)))
+    np.testing.assert_array_equal(body.project([-5e6, 3.0]), [-5e6, 0.0])
+
+
+def test_a_row_in_the_span_does_not_slope_by_rounding():
+    # rows 2 and 3 are one normal: when the direction towards y_0 -> -inf
+    # is projected onto the flat of rows 3 and 1, row 2's slope along it
+    # is zero, not the rounding of a direction 2e-6 long
+    A = [[3.0, 0.0, 0.0], [-3.000002083992556, 3.895050898336762e-06, 6.59804612653508e-06],
+         [-1.0, 2.0, -2.0], [-1.0, 2.0, -2.0], [0.0, 2.0, 1.0], [1.0, 1.0, 1.0]]
+    b = [-3.6871695701971445, 4.3653421929187415, 1.5447739752866292, 1.2246011351128088,
+         2.5722423907290377, 0.024434222620365764]
+    lo, hi = build(A, b, kernel=False).coord_bounds()
+    np.testing.assert_array_equal(lo, [-math.inf, -math.inf, -math.inf])
+    np.testing.assert_allclose(hi[:2], [-1.2290565233990483, 0.6821449986059174],
+                               rtol=0, atol=1e-9)
+    assert hi[2] == math.inf
+
+
+def test_rounding_at_an_ill_conditioned_vertex_is_not_emptiness():
+    # rows 0 and 1 are 1e-6 rad from opposite: the vertex of rows 6, 1 and
+    # 0 misses row 2 by 5e-10 of rounding, within what the multipliers
+    # combining row 2 from them (about 1e6) leave uncertain
+    A = [[1.34, -1.55, 0.78], [-1.3399998120477836, 1.549999433277573, -0.7800017716076635],
+         [1.85, 2.02, 2.54], [1.36, 2.11, 0.25], [0.58, -0.04, 2.75], [1.75, 2.14, 2.09],
+         [-0.17, 0.0, 0.75]]
+    b = [0.20034882231376405, -0.20034480084367645, -2.5642226651845474, 3.275708705597549,
+         -3.802084817996085, -1.7421445266748055, -1.8519226495340955]
+    body = build(A, b, kernel=False)
+    point = body.least_norm()
+    lo, hi, arg_lo, arg_hi = body.coord_extremes()
+    for part in (lo, hi):
+        np.testing.assert_allclose(part, point, rtol=0, atol=1e-7)
+    assert body.contains_many(np.concatenate([arg_lo, arg_hi])).all()
 
 
 # -- the fallback on bodies larger than the kernel takes ----------------------
