@@ -10,23 +10,20 @@ row.  Intervals and balls project in closed form.
 A polytope in small output dimension m with few rows is handled by one
 exact active-set kernel: the nearest point of a polytope is the
 projection onto the affine span ``{A_S y = b_S}`` of some set S of at
-most m independent rows, so enumerating those sets and keeping the
-nearest candidate that satisfies ``A y <= b`` gives the projection, the
-least-norm point (which doubles as the feasibility witness checked at
-construction) and, from the same candidates for the origin, the
-coordinate extremes together with points attaining them.  Whether a
-coordinate is bounded is decided from the rows alone (``-+e_j`` must lie
-in the cone they span).
+most m independent rows, ``b_S H_S + z P_S`` from one QR factorization
+of ``A_S^T``.  The nearest candidate that passes the membership
+certificate (:func:`_certified`) is the projection; the candidates for
+the origin give the least-norm point (the feasibility witness checked at
+construction) and the coordinate extremes with points attaining them.
+The same factorizations tell which coordinates are bounded.
 
-Past the kernel's size limit, and on the rare bodies where the kernel
-finds no member among its candidates, one exact routine answers instead:
-Seidel's incremental recursion over the rows (:func:`_nearest`), a finite
-active-set decision and one linear solve, which gives the projection,
-the least-norm point, the coordinate extremes and the verdict that a
-body is empty.  Every point it returns is checked a member.  Either way,
-every constructed body has been checked nonempty, so downstream code can
-treat it as a value of a set-valued map with nonempty closed convex
-values.
+Past the kernel's size limit, and on the rare bodies where no candidate
+passes the certificate, Seidel's recursion over the rows answers instead
+(:func:`_nearest`), with the kernel's candidate formula and certificate:
+the projection, the least-norm point, the coordinate extremes and the
+verdict that a body is empty.  Either way, every constructed body has
+been checked nonempty, so downstream code can treat it as a value of a
+set-valued map with nonempty closed convex values.
 """
 
 from __future__ import annotations
@@ -35,6 +32,7 @@ import abc
 import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +43,8 @@ from .errors import (
     UnboundedBodyError,
 )
 
-#: Default membership slack for ``contains``.
+#: Default membership slack for ``contains``; also the membership
+#: certificate's slack (:func:`_certified`), relative to a point's size.
 CONTAINS_TOL = 1e-9
 
 #: The exact kernel handles a polytope when it has fewer candidate active
@@ -53,20 +52,12 @@ CONTAINS_TOL = 1e-9
 #: grows with the count, the recursion's (:func:`_nearest`) does not.
 _MAX_ACTIVE_SETS = 256
 
-#: Row subsets whose Gram determinant, on unit rows, is below this are
-#: treated as dependent and skipped: a subset that only just spans its
-#: rows would amplify rounding in its candidate by the inverse.
-_DEPENDENT_GRAM = 1e-12
-
-#: Slack, on unit rows, for deciding that ``+-e_j`` lies in the cone of
-#: the rows (the j-th coordinate is bounded on that side).
-_CONE_TOL = 1e-9
-
 #: Chunk size, in floats, of the candidate arrays built per projection call.
 _CANDIDATE_FLOATS = 1 << 20
 
-#: Slack, on unit rows, past which :func:`_nearest` takes a row as violated:
-#: along a unit direction as is, at a point relative to its size.
+#: Slack on unit rows: past it :func:`_nearest` takes a row as violated
+#: (along a unit direction as is, at a point relative to its size); within
+#: it a multiplier has either sign.
 _SEIDEL_SLACK = 1e-12
 
 #: A unit row (or direction) whose part off a span is shorter than this
@@ -88,88 +79,88 @@ def _active_set_count(p: int, m: int) -> int:
     return sum(math.comb(p, k) for k in range(min(p, m) + 1))
 
 
-def _active_set_operators(A: np.ndarray) -> np.ndarray:
-    """Stacked operators ``H`` of shape (K, p, m), one per independent row
-    subset S of size <= m (the empty set first).
-
-    ``H_S`` holds ``(A_S A_S^T)^-1 A_S`` on the rows of S and zeros on the
-    others, so the projection of z onto ``{A_S y = b_S}`` is
-    ``z - H_S^T (A z - b)`` and ``A^T H_S`` is the orthogonal projector
-    onto the span of the rows of S.
-    """
-    p, m = A.shape
-    norms2 = np.einsum("ij,ij->i", A, A)
-    blocks = [np.zeros((1, p, m))]
-    for k in range(1, min(p, m) + 1):
-        idx = _row_subsets(p, k)
-        AS = A[idx]
-        G = AS @ AS.transpose(0, 2, 1)
-        unit_det = np.linalg.det(G) / np.prod(norms2[idx], axis=1)
-        keep = unit_det > _DEPENDENT_GRAM
-        if not keep.any():
-            continue
-        idx = idx[keep]
-        H = np.zeros((idx.shape[0], p, m))
-        H[np.arange(idx.shape[0])[:, None], idx] = np.linalg.solve(G[keep], AS[keep])
-        blocks.append(H)
-    return np.concatenate(blocks)
+def _flat_operators(Q, R) -> tuple:
+    """``H = R^-1 Q^T`` and ``P = I - Q Q^T`` (zero at a vertex) from ``Q, R =
+    qr(A_S^T)``, stacked or not: the point of ``{A_S y = b_S}`` nearest to z
+    is ``b_S H + z P``, and an ill-conditioned R scales ``b_S``, not z."""
+    m, k = Q.shape[-2:]
+    Qt = np.swapaxes(Q, -1, -2)
+    P = np.zeros(Q.shape[:-1] + (m,)) if k == m else np.eye(m) - Q @ Qt
+    return np.linalg.solve(R, Qt), P
 
 
-def kernel_operators(A) -> np.ndarray | None:
+def _within(A, B, norms, Y, tol) -> np.ndarray:
+    """Whether each point y of block ``Y[n]``, (R, k, m), has ``b_i - a_i y
+    >= -tol max(1, |a_i|)`` on each row of ``A`` (norms ``norms``) and
+    ``B[n]``; ``tol`` is a number or one per point, (R, 1, k)."""
+    slack = B[:, :, None] - A @ Y.transpose(0, 2, 1)
+    return np.all(slack >= -tol * np.maximum(1.0, norms)[:, None], axis=1)
+
+
+def _certified(A, B, norms, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
+    """The membership certificate, :func:`_within` at ``tol max(1, |y|)``:
+    rounding in ``a_i y`` grows with ``|y|``, and at ``|y| <= 1`` this is
+    ``contains`` at ``tol``, bit for bit."""
+    size = np.sqrt(np.einsum("...i,...i->...", Y, Y))
+    return _within(A, B, norms, Y, (tol * np.maximum(1.0, size))[:, None, :])
+
+
+class KernelOperators(NamedTuple):
+    """The exact kernel's operators (:func:`kernel_operators`)."""
+
+    H: np.ndarray
+    P: np.ndarray
+    bounded: np.ndarray
+
+
+def kernel_operators(A) -> KernelOperators | None:
     """The exact kernel's operators for the normals ``A``, with zero rows
     dropped as :class:`HPolytope` drops them, or None when a polytope with
-    these normals takes the fallback path.
+    these normals takes the fallback path.  They depend on ``A`` alone, so
+    polytopes that share their normals share them, read-only, as ``_sets``.
 
-    The operators depend on ``A`` alone, so polytopes that share their
-    normals can share one read-only array, passed as ``_sets``.
+    The candidates for points z and offsets b are ``b H + z P``, m
+    columns per kept row subset S (by size, the empty set first): ``H``
+    (p, K m) holds S's ``R^-1 Q^T`` on its rows, ``P`` (m, K m) S's
+    projector.  S is kept when each row's part off the span of those
+    before it exceeds ``_SPAN_TOL`` of its norm, as in :func:`_nearest`.
+    ``bounded`` (2, m): ``y_j`` is bounded below (row 0) or above (row 1)
+    when a kept S has ``e_j`` in its span to ``_SPAN_TOL`` with unit-row
+    multipliers ``R^-1 Q^T e_j`` <= ``_SEIDEL_SLACK`` (>= ``-_SEIDEL_SLACK``).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    A = A[np.linalg.norm(A, axis=1) != 0.0]
-    if _active_set_count(*A.shape) >= _MAX_ACTIVE_SETS:
+    norms = np.linalg.norm(A, axis=1)
+    A, norms = A[norms != 0.0], norms[norms != 0.0]
+    p, m = A.shape
+    if _active_set_count(p, m) >= _MAX_ACTIVE_SETS:
         return None
-    sets = _active_set_operators(A)
-    sets.setflags(write=False)
+    H, P = [np.zeros((p, 1, m))], [np.eye(m)[:, None]]
+    for k in range(1, min(p, m) + 1):
+        idx = _row_subsets(p, k)
+        Q, R = np.linalg.qr(A[idx].transpose(0, 2, 1))
+        keep = np.all(np.abs(np.diagonal(R, axis1=1, axis2=2)) > _SPAN_TOL * norms[idx], axis=1)
+        idx, Q, R = idx[keep], Q[keep], R[keep]
+        HS, PS = _flat_operators(Q, R)
+        H.append(np.zeros((p, idx.shape[0], m)))
+        H[-1][idx, np.arange(idx.shape[0])[:, None]] = HS
+        P.append(PS.transpose(1, 0, 2))
+    H, P = np.concatenate(H, axis=1), np.concatenate(P, axis=1)  # (p, K, m), (m, K, m)
+    spans = np.linalg.norm(P, axis=0) <= _SPAN_TOL  # e_j in the span of S
+    lam = H * norms[:, None, None]  # zero off S
+    bounded = np.array([np.any(spans & np.all(lam <= _SEIDEL_SLACK, axis=0), axis=0),
+                        np.any(spans & np.all(lam >= -_SEIDEL_SLACK, axis=0), axis=0)])
+    sets = KernelOperators(H.reshape(p, H.shape[1] * m), P.reshape(m, H.shape[1] * m), bounded)
+    for a in sets:
+        a.setflags(write=False)
     return sets
-
-
-def _kernel_extremes(A, H, norms, Y, inside) -> tuple:
-    """``coord_extremes`` of N polytopes ``{y : A y <= b_i}`` with the
-    kernel's operators ``H`` and row norms ``norms``, from each one's
-    candidates for the origin, ``Y`` of shape (N, K, m), and which of them
-    lie in it, ``inside`` of shape (N, K); a row with no member gets
-    meaningless values.  Shapes (N, m), (N, m), (N, m, m), (N, m, m)."""
-    m = A.shape[1]
-    # e_j = A_S^T lam has lam = H_S e_j when e_j lies in the span of S;
-    # the coordinate is bounded above (below) when lam >= 0 (<= 0)
-    spans = np.linalg.norm(np.eye(m) - A.T @ H, axis=1) <= _CONE_TOL
-    lam = H * norms[:, None]
-    bounded = (
-        np.any(spans & np.all(lam <= _CONE_TOL, axis=1), axis=0),
-        np.any(spans & np.all(lam >= -_CONE_TOL, axis=1), axis=0),
-    )
-    # the least-norm point of each optimal face is one of the members
-    N = Y.shape[0]
-    norms2 = np.sum(Y**2, axis=2)
-    rows = np.arange(N)
-    bounds = (np.full((N, m), -math.inf), np.full((N, m), math.inf))
-    args = (np.full((N, m, m), math.nan), np.full((N, m, m), math.nan))
-    for side, sign in enumerate((1.0, -1.0)):
-        for j in np.flatnonzero(bounded[side]):
-            t = np.where(inside, sign * Y[:, :, j], math.inf)
-            best = np.min(t, axis=1, keepdims=True)
-            ties = inside & (t <= best + CONTAINS_TOL * np.maximum(1.0, np.abs(best)))
-            i = np.argmin(np.where(ties, norms2, math.inf), axis=1)
-            bounds[side][:, j] = Y[rows, i, j]
-            args[side][:, j] = Y[rows, i]
-    return bounds[0], bounds[1], args[0], args[1]
 
 
 def _nearest(A, b, z, w) -> tuple | None:
     """The point of ``{y : A y <= b}`` nearest to ``z + T w`` for every
     large enough T, as ``(y, d)``, that point being ``y + T d``; None when
     the body is empty.  ``d`` is zero unless the body is unbounded along
-    ``w``, however slowly; where it is zero, ``y`` is checked a member at
-    ``CONTAINS_TOL``, and :class:`ProjectionError` raised if it is not.
+    ``w``, however slowly; where it is zero, ``y`` must pass the membership
+    certificate, or :class:`ProjectionError` is raised.
 
     With ``w = 0`` this is the projection of ``z``; with ``z = 0`` and
     ``w = +-e_j`` it is the least-norm point of the face where ``y_j`` is
@@ -178,7 +169,7 @@ def _nearest(A, b, z, w) -> tuple | None:
     for all large T, or the nearest point over them and r lies on r's
     hyperplane, and the rows before r decide it there.  So each call holds
     a set S of rows taken as tight, and its point is the kernel's candidate
-    for S, the nearest point of ``{A_S y = b_S}``.  A violated row in the
+    for S, ``b_S H + z P`` (:func:`_flat_operators`).  A violated row in the
     span of S (``_SPAN_TOL``) leaves the body empty if the multipliers that
     combine it from S certify so beyond their rounding (Farkas).
     """
@@ -186,22 +177,18 @@ def _nearest(A, b, z, w) -> tuple | None:
     order = list(range(A.shape[0]))
 
     def solve(n, S):
-        Q, R = np.linalg.qr(A[S].T)  # Q spans the normals of S
-        # an ill-conditioned R scales b_S, not z, which a vertex ignores
-        y = Q @ np.linalg.solve(R.T, b[S])
-        if len(S) < len(z):
-            y += z - Q @ (Q.T @ z)
-        d = w - Q @ (Q.T @ w)
+        H, P = _flat_operators(*np.linalg.qr(A[S].T))
+        y = b[S] @ H + z @ P
+        d = w @ P
         if np.linalg.norm(d) <= _SPAN_TOL * np.linalg.norm(w):
             d = np.zeros_like(d)  # w lies in the span of S
-        found = y, d, Q  # and the span that d is normal to
+        found = y, d, P  # and the projector off the span of S, where d lies
         i = 0
         while i < n:
-            y, d, P = found
+            y, d, P_d = found
             rows = order[i:n]
             # slopes along unit d from the rows' parts off the span d is normal to
-            V = A[rows] - (A[rows] @ P) @ P.T
-            slope = V @ d / (np.linalg.norm(d) or 1.0)
+            slope = (A[rows] @ P_d) @ d / (np.linalg.norm(d) or 1.0)
             over = A[rows] @ y - b[rows]
             tol = _SEIDEL_SLACK * norms[rows]
             bad = (slope > tol) | ((slope >= -tol) & (over > tol * (1.0 + np.abs(y).max())))
@@ -209,15 +196,14 @@ def _nearest(A, b, z, w) -> tuple | None:
                 break
             i += int(np.argmax(bad))
             r = order[i]
-            v = A[r] - Q @ (Q.T @ A[r])  # the part of row r off the span of S
-            if np.linalg.norm(v) > _SPAN_TOL * norms[r]:
+            if np.linalg.norm(A[r] @ P) > _SPAN_TOL * norms[r]:  # r's part off the span of S
                 found = solve(i, S + [r])
                 if found is None:
                     return None
                 order.insert(0, order.pop(i))  # after the call: r is not its own subproblem
             else:  # a_r = A_S^T lam, so a_r y = lam b_S on the flat of S: the
                 # body is empty if that exceeds b_r beyond its rounding
-                lam = np.linalg.solve(R, Q.T @ A[r])
+                lam = H @ A[r]
                 gap = lam @ b[S] - b[r]
                 if gap > _SEIDEL_SLACK * (norms[r] + abs(b[r]) + np.abs(lam) @ np.abs(b[S])):
                     return None
@@ -228,7 +214,7 @@ def _nearest(A, b, z, w) -> tuple | None:
     if found is None:
         return None
     y, d, _ = found
-    if not d.any() and not np.all(b - A @ y >= -CONTAINS_TOL * np.maximum(1.0, norms)):
+    if not d.any() and not _certified(A, b[None], norms, y[None, None])[0, 0]:
         raise ProjectionError("the exact polytope solver returned a point outside the body")
     return y, d
 
@@ -609,15 +595,15 @@ class PolytopeBatch(BodyBatch):
     unless ``_validated``, every row is checked nonempty.  The kernel's
     products are stacked over the rows, so that each row's are taken one
     at a time by the same BLAS calls as for that row alone.  The
-    candidates for the origin give every row's least-norm point and
-    coordinate extremes, and are computed once, as are the extremes.  A
-    row where the kernel finds no member among them (empty, or too
-    ill-conditioned for the kernel to tell) is on the fallback path once
-    that is known, as is every row without ``sets``: :func:`_nearest`
-    confirms it nonempty, gives its least-norm point, its extremes (two
-    calls per coordinate) and the projection of each of its points.  A point
-    that the kernel cannot answer goes to :func:`_nearest` alone, so a block
-    projects as its points one at a time.
+    candidates for the origin that pass the certificate (:meth:`_certify`)
+    give every row's least-norm point and coordinate extremes, computed
+    once.  A row where none passes (empty, or too ill-conditioned for the
+    kernel to tell) is on the fallback path once that is known, as is
+    every row without ``sets``: :func:`_nearest` confirms it nonempty,
+    gives its least-norm point, its extremes (two calls per coordinate)
+    and the projection of each of its points.  A point that the kernel
+    cannot answer goes to :func:`_nearest` alone, so a block projects as
+    its points one at a time.
     """
 
     kind = HPolytope
@@ -633,7 +619,7 @@ class PolytopeBatch(BodyBatch):
             if np.any(B[:, zero] < 0):
                 raise InfeasibleBodyError("constraint 0 <= b with b < 0")
             A, B = A[~zero], B[:, ~zero]
-        self.A, self.B, self.dim = A, B, A.shape[1]
+        self.A, self.B, self.dim = A, np.ascontiguousarray(B), A.shape[1]  # strided B misses BLAS
         self.bounding_box = bounding_box
         self._sets = sets
         self._norms = np.linalg.norm(A, axis=1)
@@ -660,8 +646,8 @@ class PolytopeBatch(BodyBatch):
         """``(block slice, point slice)`` chunks of ``count`` blocks of ``k``
         points whose candidates fit in the chunk size: several whole blocks
         at a time, or one block in parts."""
-        K, p = self._sets.shape[:2]
-        per = max(1, _CANDIDATE_FLOATS // (K * (p + self.dim)))  # points per chunk
+        p, Km = self._sets.H.shape
+        per = max(1, _CANDIDATE_FLOATS // (Km // self.dim * (p + self.dim)))  # points per chunk
         step, part = max(1, per // max(k, 1)), max(1, min(k, per))
         for r in range(0, count, step):
             for s in range(0, k, part):
@@ -669,23 +655,29 @@ class PolytopeBatch(BodyBatch):
 
     def _candidates(self, rows, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every active-set candidate of body ``rows[n]`` for each point of
-        block ``Z[n]``, shape (R, K, k, m), and whether it lies in that
-        body, shape (R, K, k)."""
-        W = Z @ self.A.T - self.B[rows, None, :]
-        Y = Z[:, None] - W[:, None] @ self._sets
-        R, K, k, m = Y.shape
-        return Y, self.contains(rows, Y.reshape(R, K * k, m)).reshape(R, K, k)
+        block ``Z[n]``, shape (R, k, K, m), and whether it passes that
+        body's membership certificate, shape (R, k, K).  Both products are
+        stacked over the rows, one BLAS call per row whatever R is."""
+        R, k, m = Z.shape
+        Y = self.B[rows, None, :] @ self._sets.H + Z @ self._sets.P
+        Y = Y.reshape(R, k, -1, m)
+        return Y, self._certify(rows, Y.reshape(R, -1, m)).reshape(Y.shape[:3])
+
+    def _certify(self, rows, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
+        """:func:`_certified` of each point of block ``Y[n]`` in body
+        ``rows[n]``, shape (R, k)."""
+        return _certified(self.A, self.B[rows], self._norms, Y, tol)
 
     def _origin_candidates(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's candidates for the origin, shape (N, K, m), and which
         lie in its body, shape (N, K), computed once."""
         if self._origin is None:
-            N, K = len(self), self._sets.shape[0]
+            N, K = len(self), self._sets.H.shape[1] // self.dim
             Y, inside = np.empty((N, K, self.dim)), np.empty((N, K), dtype=bool)
             zero = np.zeros((N, 1, self.dim))
             for rows, _ in self._blocks(N, 1):
                 Yr, inside_r = self._candidates(rows, zero[rows])
-                Y[rows], inside[rows] = Yr[:, :, 0], inside_r[:, :, 0]
+                Y[rows], inside[rows] = Yr[:, 0], inside_r[:, 0]
             self._origin = (Y, inside)
         return self._origin
 
@@ -697,8 +689,7 @@ class PolytopeBatch(BodyBatch):
         return ~self._origin_candidates()[1].any(axis=1)
 
     def contains(self, rows, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
-        slack = self.B[rows, :, None] - self.A @ np.asarray(Y, dtype=float).transpose(0, 2, 1)
-        return np.all(slack >= -tol * np.maximum(1.0, self._norms)[:, None], axis=1)
+        return _within(self.A, self.B[rows], self._norms, np.asarray(Y, dtype=float), tol)
 
     def project_rows(self, rows, Z) -> np.ndarray:
         rows = np.asarray(rows)
@@ -709,10 +700,10 @@ class PolytopeBatch(BodyBatch):
             for r, s in self._blocks(len(rows), Z.shape[1]):
                 Zc = Z[r, s]
                 Y, inside = self._candidates(rows[r], Zc)
-                d2 = np.where(inside, np.sum((Y - Zc[:, None]) ** 2, axis=3), np.inf)
-                best = np.argmin(d2, axis=1)[:, None]
-                out[r, s] = np.take_along_axis(Y, best[..., None], axis=1)[:, 0]
-                found[r, s] = np.take_along_axis(inside, best, axis=1)[:, 0]
+                d2 = np.where(inside, np.sum((Y - Zc[:, :, None]) ** 2, axis=3), np.inf)
+                best = np.argmin(d2, axis=2)[..., None]
+                out[r, s] = np.take_along_axis(Y, best[..., None], axis=2)[:, :, 0]
+                found[r, s] = np.take_along_axis(inside, best, axis=2)[:, :, 0]
             if self._origin is not None:
                 found[self._lost()[rows]] = False  # rows on the fallback path
         for n, s in zip(*np.nonzero(~found)):
@@ -735,11 +726,20 @@ class PolytopeBatch(BodyBatch):
         read-only."""
         if self._extremes is None:
             N, m = len(self), self.dim
-            if self._sets is None:
-                extremes = tuple(np.empty((N,) + s) for s in ((m,), (m,), (m, m), (m, m)))
-            else:
-                extremes = _kernel_extremes(self.A, self._sets, self._norms,
-                                            *self._origin_candidates())
+            extremes = (np.full((N, m), -math.inf), np.full((N, m), math.inf),
+                        np.full((N, m, m), math.nan), np.full((N, m, m), math.nan))
+            if self._sets is not None:
+                # the least-norm point of each optimal face is among the members
+                Y, inside = self._origin_candidates()
+                norms2 = np.sum(Y**2, axis=2)
+                for side, sign in enumerate((1.0, -1.0)):
+                    for j in np.flatnonzero(self._sets.bounded[side]):
+                        t = np.where(inside, sign * Y[:, :, j], math.inf)
+                        best = np.min(t, axis=1, keepdims=True)
+                        ties = inside & (t <= best + CONTAINS_TOL * np.maximum(1.0, np.abs(best)))
+                        i = np.argmin(np.where(ties, norms2, math.inf), axis=1)
+                        extremes[side][:, j] = Y[np.arange(N), i, j]
+                        extremes[side + 2][:, j] = Y[np.arange(N), i]
             for i, j, side in itertools.product(np.flatnonzero(self._lost()), range(m), (0, 1)):
                 w = np.zeros(m)
                 w[j] = 2 * side - 1  # towards lo, then hi

@@ -1,6 +1,7 @@
 """Differential tests: the exact active-set kernel of ``HPolytope`` against
-the exact recursion past it (``geometry._nearest``), and both against
-HiGHS where scipy is installed.
+the exact recursion past it (``geometry._nearest``), both against rational
+arithmetic (``reference.polytope_exact``), and both against HiGHS where
+scipy is installed.
 
 The fallback is reached by building the reference body while the size
 limit of the kernel is patched to zero (and, for the cases above the
@@ -22,6 +23,7 @@ from convsel.errors import InfeasibleBodyError
 from convsel.geometry import HPolytope
 
 from reference import polytope_pointwise
+from reference.polytope_exact import ExactPolytope
 from reference.maps_pointwise import probe_points
 
 
@@ -93,14 +95,22 @@ def polytopes(draw, slack=st.floats(0.0, 2.0)):
     return A, b, Z
 
 
-def assert_extremes_attained(body: HPolytope, lo, hi, tol: float):
+def certified(body: HPolytope, y, tol: float = geometry.CONTAINS_TOL) -> bool:
+    """Whether ``y`` is a member at the slack of the membership certificate,
+    ``tol`` relative to its size (``tol`` itself at ``|y| <= 1``)."""
+    return body.contains(y, tol=tol * max(1.0, np.linalg.norm(y)))
+
+
+def assert_extremes_attained(body: HPolytope, lo, hi, tol: float, relative: bool = False):
+    """Each finite bound is attained by its point, a member at the slack
+    ``tol``, or at the certificate's slack for ``tol`` when ``relative``."""
     lo_x, hi_x, arg_lo, arg_hi = body.coord_extremes()
     np.testing.assert_array_equal(lo_x, lo)
     np.testing.assert_array_equal(hi_x, hi)
     for j in range(body.dim):
         for bound, arg in ((lo[j], arg_lo[j]), (hi[j], arg_hi[j])):
             if math.isfinite(bound):
-                assert body.contains(arg, tol=tol)
+                assert certified(body, arg, tol) if relative else body.contains(arg, tol=tol)
                 assert arg[j] == pytest.approx(bound, abs=tol)
             else:
                 assert np.isnan(arg).all()
@@ -123,13 +133,14 @@ def test_kernel_matches_fallback(case):
         np.testing.assert_array_equal(np.isfinite(got), finite)
         np.testing.assert_array_equal(got[~finite], want[~finite])
         np.testing.assert_allclose(got[finite], want[finite], rtol=0, atol=1e-7)
-    assert_extremes_attained(fast, lo, hi, tol=1e-9)
+    # the kernel's points pass the membership certificate, at a slack relative to their size
+    assert_extremes_attained(fast, lo, hi, tol=1e-9, relative=True)
     assert_extremes_attained(slow, ref_lo, ref_hi, tol=1e-7)
 
     Y = fast.project_many(Z)
-    assert fast.contains_many(Y).all()
+    assert all(certified(fast, y) for y in Y)
     y0 = fast.least_norm()
-    assert fast.contains(y0)
+    assert certified(fast, y0)
     ref_Y = slow.project_many(Z)
     ref_y0 = slow.least_norm()
     np.testing.assert_allclose(Y, ref_Y, rtol=0, atol=1e-7)
@@ -153,8 +164,8 @@ def test_emptiness_verdicts_agree(case):
 
     nonempty = verdict(b, True)
     if verdict(b, False) != nonempty:
-        # the kernel takes a candidate within 1e-9 of the rows, the recursion
-        # an excess past 1e-12 as a violation, so they may part only at the
+        # the kernel takes a candidate within 1e-9 max(1, |y|) of the rows, the
+        # recursion an excess past 1e-12 as a violation, so they may part only at the
         # boundary: loosened by 1e-6 both find the body, tightened neither
         loose, tight = b + 1e-6 * norms, b - 1e-6 * norms
         assert verdict(loose, True) and verdict(loose, False)
@@ -282,30 +293,31 @@ def test_the_fallback_finds_a_one_point_body_nonempty():
 
 
 def test_a_thin_wedge_past_the_kernel_is_nonempty():
-    # facets 1e-7 rad apart meet at (-1e6, 0): the kernel skips the pair as
-    # dependent and finds no member, and a row this far off the other's
-    # normal must not be taken for one in its span
-    body = HPolytope([[0.0, 1.0], [1e-7, -1.0]], [0.0, -0.1])
-    assert body._sets is None  # on the fallback path
-    # the apex is ill-conditioned by 1e7: it comes out within 1e-8 of its size
-    apex = [-1e6, 0.0]
-    np.testing.assert_allclose(body.least_norm(), apex, rtol=1e-8, atol=1e-12)
-    np.testing.assert_allclose(body.project([5e6, 3.0]), apex, rtol=1e-8, atol=1e-12)
-    lo, hi = body.coord_bounds()
-    # the wedge runs off to y_0 -> -inf, where y_1 >= 0.1 + 1e-7 y_0 falls
-    # without bound, however slowly
-    np.testing.assert_array_equal(lo, [-math.inf, -math.inf])
-    np.testing.assert_allclose(hi, apex, rtol=1e-8, atol=1e-12)
+    # facets 1e-7 rad apart meet at (-1e6, 0): a row this far off the
+    # other's normal must not be taken for one in its span, by the kernel
+    # (which keeps the pair) or by the recursion
+    A, b = [[0.0, 1.0], [1e-7, -1.0]], [0.0, -0.1]
+    for kernel in (True, False):
+        body = build(A, b, kernel)
+        # the apex is ill-conditioned by 1e7: it comes out within 1e-8 of its size
+        apex = [-1e6, 0.0]
+        np.testing.assert_allclose(body.least_norm(), apex, rtol=1e-8, atol=1e-12)
+        np.testing.assert_allclose(body.project([5e6, 3.0]), apex, rtol=1e-8, atol=1e-12)
+        lo, hi = body.coord_bounds()
+        # the wedge runs off to y_0 -> -inf, where y_1 >= 0.1 + 1e-7 y_0 falls
+        # without bound, however slowly
+        np.testing.assert_array_equal(lo, [-math.inf, -math.inf])
+        np.testing.assert_allclose(hi, apex, rtol=1e-8, atol=1e-12)
 
 
 def test_a_far_point_projects_onto_a_thin_wedge_past_the_kernel():
-    # the same wedge with its apex at the origin, a member: the body is on
-    # the kernel's path, but no kernel candidate for the first two points is
-    # a member
-    body = HPolytope([[0.0, 1.0], [1e-7, -1.0]], [0.0, 0.0])
-    assert body._sets is not None
-    np.testing.assert_array_equal(body.project_many([[5e6, 3.0], [10.0, 3.0]]), np.zeros((2, 2)))
-    np.testing.assert_array_equal(body.project([-5e6, 3.0]), [-5e6, 0.0])
+    # the same wedge with its apex at the origin, a member: the first two
+    # points project onto the apex, the third onto the facet y_1 = 0
+    for kernel in (True, False):
+        body = build([[0.0, 1.0], [1e-7, -1.0]], [0.0, 0.0], kernel)
+        np.testing.assert_array_equal(body.project_many([[5e6, 3.0], [10.0, 3.0]]),
+                                      np.zeros((2, 2)))
+        np.testing.assert_array_equal(body.project([-5e6, 3.0]), [-5e6, 0.0])
 
 
 def test_a_row_in_the_span_does_not_slope_by_rounding():
@@ -380,7 +392,7 @@ def test_the_fallback_bounds_match_highs_on_large_bodies(p, m):
 
 
 def test_a_batch_the_kernel_misses_goes_to_the_recursion_row_by_row(monkeypatch):
-    # with the membership slack at -1e-3 the kernel rejects every candidate
+    # with the certificate's slack at -1e-3 the kernel rejects every candidate
     # on a body's boundary: no row of a batch away from the origin keeps a
     # member among its candidates for the origin, so every row and every
     # point goes to the recursion, which must give what the kernel gives
@@ -392,11 +404,146 @@ def test_a_batch_the_kernel_misses_goes_to_the_recursion_row_by_row(monkeypatch)
     exact = geometry.PolytopeBatch(A, sets, B)
     want = (exact.project_rows(np.arange(4), Z), exact.least_norm(), *exact.coord_extremes())
 
-    real = geometry.PolytopeBatch.contains
-    monkeypatch.setattr(geometry.PolytopeBatch, "contains",
+    real = geometry.PolytopeBatch._certify
+    monkeypatch.setattr(geometry.PolytopeBatch, "_certify",
                         lambda self, rows, Y, tol=None: real(self, rows, Y, tol=-1e-3))
     missed = geometry.PolytopeBatch(A, sets, B)
     assert missed._lost().all()
     got = (missed.project_rows(np.arange(4), Z), missed.least_norm(), *missed.coord_extremes())
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+# -- both solvers against exact rational arithmetic ----------------------------
+
+
+def tilted_body(rng) -> tuple[np.ndarray, np.ndarray, float]:
+    """(A, b, tilt): m + 1 to 7 rows in R^m, m <= 3, with normals on the 0.01
+    lattice, about a drawn member.  In half of the bodies in R^2 and R^3 one
+    row is the opposite of another tilted by ``tilt``, from 1e-9 to 1e-3
+    rad, so that two facets meet at a small angle far from the origin;
+    ``tilt`` is 0 in the others."""
+    m = int(rng.integers(1, 4))
+    p = int(rng.integers(m + 1, 8))
+    A = rng.integers(-300, 301, size=(p, m)) / 100
+    tilt = 0.0
+    if m > 1 and rng.random() < 0.5:
+        tilt = 10.0 ** rng.uniform(-9, -3)
+        i, j = rng.choice(p, 2, replace=False)
+        A[i] += 0.01 * (A[i] == 0).all()  # a zero row has no opposite
+        u = rng.standard_normal(m)
+        u -= (u @ A[i]) / (A[i] @ A[i]) * A[i]
+        u *= np.linalg.norm(A[i]) / np.linalg.norm(u)
+        A[j] = math.sin(tilt) * u - math.cos(tilt) * A[i]
+    A = A[np.linalg.norm(A, axis=1) > 0]
+    return A, A @ rng.uniform(-3, 3, m) + rng.uniform(0, 2, A.shape[0]), tilt
+
+
+def bound_rtol(tilt: float) -> float | None:
+    """The relative accuracy of a bound at ``tilt``, on the scale of the
+    point attaining it; None below 1e-7, where vertices reach 1e8 and more
+    and a bound is as ill-conditioned as its tilt is small."""
+    if tilt == 0.0:
+        return 1e-12
+    return 1e-10 if tilt >= 1e-5 else 1e-8 if tilt >= 1e-7 else None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_both_solvers_match_exact_arithmetic(seed):
+    # finiteness must be exact on every draw, up to the band the solvers'
+    # slack cannot resolve: a wrong infinity is the failure the old
+    # normal-equation kernel made on tilted bodies
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        A, b, tilt = tilted_body(rng)
+        exact = ExactPolytope(A, b)
+        want = exact.coord_extremes()
+        rtol = bound_rtol(tilt)
+        for kernel in (True, False):
+            body = build(A, b, kernel)
+            got = body.coord_extremes()
+            assert_extremes_attained(body, got[0], got[1], geometry.CONTAINS_TOL, relative=True)
+            for side in (0, 1):
+                finite = np.isfinite(got[side])
+                assert not np.any(exact.bounded[side] & ~finite)
+                assert not np.any(finite & ~exact.nearly_bounded[side])
+                for j in np.flatnonzero(finite & exact.bounded[side]):
+                    if rtol is not None:
+                        scale = max(1.0, np.linalg.norm(want[side + 2][j]))
+                        assert abs(got[side][j] - want[side][j]) <= rtol * scale
+
+
+def test_a_vertex_where_facets_meet_at_a_small_angle_is_accurate():
+    # rows 2 and 3 meet at 5.6e-4 rad: the normal equations square that
+    # conditioning, and put lo[1] 8.3e-10 of its size off the exact vertex
+    A = [[-2.14, 2.02], [-1.17, 0.95], [-1.9, -1.85], [2.19, 2.13]]
+    b = [1.2624315651131732, 1.4081775850834541, -5.948909634089754, 7.886880077261555]
+    for kernel in (True, False):
+        lo, _ = build(A, b, kernel).coord_bounds()
+        assert lo[1] == pytest.approx(-434.8800106978182, rel=1e-12, abs=0)
+
+
+def test_a_wedge_bounded_by_a_nearly_dependent_pair():
+    # y_0 <= 1e7 y_1 <= 0: e_0 lies in the cone of the two rows only with
+    # multipliers of 1e7, which the kernel's dependence rule once dropped
+    for kernel in (True, False):
+        lo, hi = build([[0.0, 1.0], [1e-7, -1.0]], [0.0, 0.0], kernel).coord_bounds()
+        np.testing.assert_array_equal(hi, [0.0, 0.0])
+        np.testing.assert_array_equal(lo, [-math.inf, -math.inf])
+
+
+@pytest.mark.parametrize("A,b,lo,hi", [
+    # untilted: the kernel called hi[1] infinite
+    ([[0.92, 0.2, -1.07], [1.97, -1.77, 1.48], [0.66, -1.65, 1.44], [-0.71, -1.41, 0.99],
+      [-0.85, 0.66, -0.46]],
+     [-0.9458041196932437, 7.997826174415306, -5.52410559212771, 6.128528179171476,
+      -1.9081920307053553],
+     None, [None, 2742.780757070938, None]),
+    # rows 0 and 1 1.5e-6 rad from opposite: the kernel called four bounds
+    # infinite and the recursion's membership check failed by rounding
+    ([[0.88, -0.29, -0.04], [-0.8799995615613049, 0.2900012973709251, 0.04000023971208458],
+      [1.56, 1.7, -1.25], [1.47, 2.13, 0.1], [1.45, -2.05, -1.73], [-0.72, -1.9, -1.74],
+      [-1.74, -1.71, -0.31]],
+     [1.395557958252477, 0.5900370795519541, 1.8335104422804218, 1.13446611810463,
+      0.5443189767267271, 2.320287351512617, 0.988223328587357],
+     [-1522955.1461503312, -24253964.42492593, -1.423713601995471],
+     [289326.8506506802, 0.8633059342371304, 142336193.97645673]),
+])
+def test_bounds_of_bodies_the_old_kernel_called_unbounded(A, b, lo, hi):
+    exact = ExactPolytope(A, b)
+    want = exact.coord_extremes()
+    for given, bound in zip((lo, hi), want[:2]):
+        for j, v in enumerate(given or ()):
+            if v is not None:
+                assert bound[j] == v  # the exact bound, rounded
+    rtol = 1e-12 if lo is None else bound_rtol(1.5e-6)
+    for kernel in (True, False):
+        for got, bound in zip(build(A, b, kernel).coord_bounds(), want[:2]):
+            assert np.isfinite(got).all()
+            np.testing.assert_allclose(got, bound, rtol=rtol, atol=0)
+
+
+def test_a_far_point_projects_onto_the_facet_it_faces():
+    # z is 9.9e6 from the body; the candidate for the facet of row 2 was
+    # cancelled against z itself and lost to the vertex (6.89, 2.26)
+    A = [[-1.84, -2.01], [-0.1, -1.58], [1.44, -1.18]]
+    b = [-3.9277958064681755, -4.267763594816672, 7.254653824978146]
+    z = np.array([14753573.844056288, 2327360.2471020683])
+    for kernel in (True, False):
+        y = build(A, b, kernel).project(z)
+        np.testing.assert_allclose(y, [7067956.49135641, 8625296.688897802], rtol=1e-12, atol=0)
+        assert np.linalg.norm(y - z) == pytest.approx(9936433.843035446, rel=1e-12)
+
+
+def test_a_coordinate_unbounded_only_past_rounding_counts_as_bounded():
+    # e_1 = 0.723 a_1 + 0.190 a_3 on the decimal lattice, but the rows in
+    # binary need a_0 with a multiplier of -1e-19 as well: y_1 is unbounded
+    # exactly, along a direction no float solve can see, and within the
+    # solvers' slack it is bounded
+    A = [[-1.59, -1.91, 2.81], [0.45, 1.77, 0.5], [0.01, 2.32, 1.95], [-1.71, -1.47, -1.9]]
+    b = [1.1190328698807304, -1.7129588797348485, -5.4951498828979535, 9.950188040658855]
+    exact = ExactPolytope(A, b)
+    assert not exact.bounded[1, 1] and exact.nearly_bounded[1, 1]
+    for kernel in (True, False):
+        _, hi = build(A, b, kernel).coord_bounds()
+        assert math.isfinite(hi[1])
