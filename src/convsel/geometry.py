@@ -44,7 +44,7 @@ from .errors import (
 )
 
 #: Default membership slack for ``contains``; also the membership
-#: certificate's slack (:func:`_certified`), relative to a point's size.
+#: certificate's slack (:func:`_certified`) at points of size below 1e3.
 CONTAINS_TOL = 1e-9
 
 #: The exact kernel handles a polytope when it has fewer candidate active
@@ -98,11 +98,11 @@ def _within(A, B, norms, Y, tol) -> np.ndarray:
 
 
 def _certified(A, B, norms, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
-    """The membership certificate, :func:`_within` at ``tol max(1, |y|)``:
-    rounding in ``a_i y`` grows with ``|y|``, and at ``|y| <= 1`` this is
-    ``contains`` at ``tol``, bit for bit."""
+    """The membership certificate, :func:`_within` at ``max(tol, _SEIDEL_SLACK
+    (1 + |y|))``, :func:`_nearest`'s row slack where rounding in ``a_i y``
+    outgrows ``tol``; below ``|y| = 999``, ``contains`` at ``tol`` bit for bit."""
     size = np.sqrt(np.einsum("...i,...i->...", Y, Y))
-    return _within(A, B, norms, Y, (tol * np.maximum(1.0, size))[:, None, :])
+    return _within(A, B, norms, Y, np.maximum(tol, _SEIDEL_SLACK * (1.0 + size))[:, None, :])
 
 
 class KernelOperators(NamedTuple):

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from convsel.geometry import _CANDIDATE_FLOATS, CONTAINS_TOL
+from convsel.geometry import _CANDIDATE_FLOATS, _SEIDEL_SLACK, CONTAINS_TOL
 
 
 def members(A, b, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
@@ -32,9 +32,9 @@ def members(A, b, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
 
 def certified(A, b, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
     """The kernel's membership certificate of each row y of ``Y``: membership
-    at the slack ``tol max(1, |y|)``."""
+    at the slack ``max(tol, _SEIDEL_SLACK (1 + |y|))``."""
     size = np.sqrt(np.einsum("...i,...i->...", Y, Y))
-    return members(A, b, Y, tol * np.maximum(1.0, size))
+    return members(A, b, Y, np.maximum(tol, _SEIDEL_SLACK * (1.0 + size)))
 
 
 def candidates(A, b, sets, Z) -> tuple[np.ndarray, np.ndarray]:

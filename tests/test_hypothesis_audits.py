@@ -303,8 +303,8 @@ def count_fallback(monkeypatch) -> Counter:
 def strict_kernel(monkeypatch, batch):
     """Make the kernel of ``batch`` miss every candidate within 1e-3 of
     its body's boundary, as on an ill-conditioned body."""
-    real = batch._certify
-    monkeypatch.setattr(batch, "_certify", lambda rows, Y, tol=None: real(rows, Y, tol=-1e-3))
+    monkeypatch.setattr(batch, "_certify", lambda rows, Y, tol=None: geometry._within(
+        batch.A, batch.B[rows], batch._norms, Y, -1e-3))
 
 
 def test_a_polytope_past_the_kernel_projects_edge_by_edge(monkeypatch):

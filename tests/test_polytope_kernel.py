@@ -95,22 +95,14 @@ def polytopes(draw, slack=st.floats(0.0, 2.0)):
     return A, b, Z
 
 
-def certified(body: HPolytope, y, tol: float = geometry.CONTAINS_TOL) -> bool:
-    """Whether ``y`` is a member at the slack of the membership certificate,
-    ``tol`` relative to its size (``tol`` itself at ``|y| <= 1``)."""
-    return body.contains(y, tol=tol * max(1.0, np.linalg.norm(y)))
-
-
-def assert_extremes_attained(body: HPolytope, lo, hi, tol: float, relative: bool = False):
-    """Each finite bound is attained by its point, a member at the slack
-    ``tol``, or at the certificate's slack for ``tol`` when ``relative``."""
+def assert_extremes_attained(body: HPolytope, lo, hi, tol: float):
     lo_x, hi_x, arg_lo, arg_hi = body.coord_extremes()
     np.testing.assert_array_equal(lo_x, lo)
     np.testing.assert_array_equal(hi_x, hi)
     for j in range(body.dim):
         for bound, arg in ((lo[j], arg_lo[j]), (hi[j], arg_hi[j])):
             if math.isfinite(bound):
-                assert certified(body, arg, tol) if relative else body.contains(arg, tol=tol)
+                assert body.contains(arg, tol=tol)
                 assert arg[j] == pytest.approx(bound, abs=tol)
             else:
                 assert np.isnan(arg).all()
@@ -133,14 +125,13 @@ def test_kernel_matches_fallback(case):
         np.testing.assert_array_equal(np.isfinite(got), finite)
         np.testing.assert_array_equal(got[~finite], want[~finite])
         np.testing.assert_allclose(got[finite], want[finite], rtol=0, atol=1e-7)
-    # the kernel's points pass the membership certificate, at a slack relative to their size
-    assert_extremes_attained(fast, lo, hi, tol=1e-9, relative=True)
+    assert_extremes_attained(fast, lo, hi, tol=1e-9)
     assert_extremes_attained(slow, ref_lo, ref_hi, tol=1e-7)
 
     Y = fast.project_many(Z)
-    assert all(certified(fast, y) for y in Y)
+    assert fast.contains_many(Y).all()
     y0 = fast.least_norm()
-    assert certified(fast, y0)
+    assert fast.contains(y0)
     ref_Y = slow.project_many(Z)
     ref_y0 = slow.least_norm()
     np.testing.assert_allclose(Y, ref_Y, rtol=0, atol=1e-7)
@@ -164,7 +155,7 @@ def test_emptiness_verdicts_agree(case):
 
     nonempty = verdict(b, True)
     if verdict(b, False) != nonempty:
-        # the kernel takes a candidate within 1e-9 max(1, |y|) of the rows, the
+        # the kernel takes a candidate within 1e-9 of the rows (near the origin), the
         # recursion an excess past 1e-12 as a violation, so they may part only at the
         # boundary: loosened by 1e-6 both find the body, tightened neither
         loose, tight = b + 1e-6 * norms, b - 1e-6 * norms
@@ -404,9 +395,8 @@ def test_a_batch_the_kernel_misses_goes_to_the_recursion_row_by_row(monkeypatch)
     exact = geometry.PolytopeBatch(A, sets, B)
     want = (exact.project_rows(np.arange(4), Z), exact.least_norm(), *exact.coord_extremes())
 
-    real = geometry.PolytopeBatch._certify
-    monkeypatch.setattr(geometry.PolytopeBatch, "_certify",
-                        lambda self, rows, Y, tol=None: real(self, rows, Y, tol=-1e-3))
+    monkeypatch.setattr(geometry.PolytopeBatch, "_certify", lambda self, rows, Y, tol=None:
+                        geometry._within(self.A, self.B[rows], self._norms, Y, -1e-3))
     missed = geometry.PolytopeBatch(A, sets, B)
     assert missed._lost().all()
     got = (missed.project_rows(np.arange(4), Z), missed.least_norm(), *missed.coord_extremes())
@@ -462,8 +452,14 @@ def test_both_solvers_match_exact_arithmetic(seed):
         for kernel in (True, False):
             body = build(A, b, kernel)
             got = body.coord_extremes()
-            assert_extremes_attained(body, got[0], got[1], geometry.CONTAINS_TOL, relative=True)
             for side in (0, 1):
+                # each finite bound is attained by a point that passes the certificate
+                bound, arg = got[side], got[side + 2]
+                assert np.isnan(arg[~np.isfinite(bound)]).all()
+                np.testing.assert_array_equal(np.diagonal(arg)[np.isfinite(bound)],
+                                              bound[np.isfinite(bound)])
+                assert polytope_pointwise.certified(body.A, body.b,
+                                                    arg[np.isfinite(bound)]).all()
                 finite = np.isfinite(got[side])
                 assert not np.any(exact.bounded[side] & ~finite)
                 assert not np.any(finite & ~exact.nearly_bounded[side])
@@ -547,3 +543,14 @@ def test_a_coordinate_unbounded_only_past_rounding_counts_as_bounded():
     for kernel in (True, False):
         _, hi = build(A, b, kernel).coord_bounds()
         assert math.isfinite(hi[1])
+
+
+def test_far_from_the_origin_the_certificate_admits_rounding_only():
+    # y_0 <= 1 twice, the second copy 5e-4 looser, and a facet of slope 100
+    # through the vertex (1, 1e6): the vertex of the looser copy misses the
+    # tight one by 5e-4 and must not be certified, or hi moves by 100 times that
+    A = [[1.0, 0.0], [-1.0, 0.01], [1.0, 0.0]]
+    b = [1.0, 9999.0, 1.0005]
+    for kernel in (True, False):
+        _, hi = build(A, b, kernel).coord_bounds()
+        np.testing.assert_allclose(hi, [1.0, 1e6], rtol=1e-12, atol=0)
