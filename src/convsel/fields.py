@@ -110,6 +110,34 @@ def unsquash(w: float) -> float:
 # domains and grids
 
 
+def _boxes_and_points(n: int, boxes, points) -> tuple[tuple, tuple, np.ndarray]:
+    """``(boxes, points, cloud)``: closed boxes ``(lo, hi)`` and points in
+    R^n as float arrays, and the points stacked, shape (k, n).  Raises
+    unless every bound and point has shape (n,) and is finite, with
+    ``lo <= hi``; the points' finiteness is tested once, on the stack."""
+    if n < 1:
+        raise DimensionMismatchError("ambient_dim must be >= 1")
+    out = []
+    for lo, hi in boxes:
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        if lo.shape != (n,) or hi.shape != (n,):
+            raise DimensionMismatchError("box bounds must have shape (n,)")
+        if np.any(lo > hi) or not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("box bounds must be finite with lo <= hi")
+        out.append((lo, hi))
+    pts = []
+    for p in points:
+        p = np.asarray(p, dtype=float)
+        if p.shape != (n,):
+            raise DimensionMismatchError("point must have shape (n,)")
+        pts.append(p)
+    cloud = np.vstack(pts) if pts else np.empty((0, n))
+    if not np.isfinite(cloud).all():
+        raise ValueError("points must be finite")
+    return tuple(out), tuple(pts), cloud
+
+
 @dataclass(frozen=True)
 class Domain:
     """A finite union of closed axis-aligned boxes and isolated points."""
@@ -119,32 +147,11 @@ class Domain:
     points: tuple = ()
 
     def __post_init__(self):
-        n = self.ambient_dim
-        if n < 1:
-            raise DimensionMismatchError("ambient_dim must be >= 1")
-        boxes = []
-        for lo, hi in self.boxes:
-            lo = np.asarray(lo, dtype=float)
-            hi = np.asarray(hi, dtype=float)
-            if lo.shape != (n,) or hi.shape != (n,):
-                raise DimensionMismatchError("box bounds must have shape (n,)")
-            if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
-                raise ValueError("domain boxes must be bounded")
-            if np.any(lo > hi):
-                raise ValueError("box has lo > hi")
-            boxes.append((lo, hi))
-        pts = []
-        for p in self.points:
-            p = np.asarray(p, dtype=float)
-            if p.shape != (n,):
-                raise DimensionMismatchError("point must have shape (n,)")
-            if not np.all(np.isfinite(p)):
-                raise ValueError("domain points must be finite")
-            pts.append(p)
-        if not boxes and not pts:
+        boxes, points, _ = _boxes_and_points(self.ambient_dim, self.boxes, self.points)
+        if not boxes and not points:
             raise ValueError("domain must be nonempty")
-        object.__setattr__(self, "boxes", tuple(boxes))
-        object.__setattr__(self, "points", tuple(pts))
+        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "points", points)
 
     def contains(self, x, tol: float = 1e-12) -> bool:
         x = np.asarray(x, dtype=float)
@@ -319,10 +326,7 @@ class ScalarField:
             raise TagError(f"unknown tag {self.tag!r}")
 
     def __call__(self, x) -> float:
-        v = float(self.batch(np.asarray(x, dtype=float)[None])[0])
-        if math.isnan(v):
-            raise ValueError(f"field {self.name or '<anon>'} returned NaN")
-        return v
+        return float(self._values(np.asarray(x, dtype=float)[None])[0])
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         out = np.asarray(self.batch(X), dtype=float)

@@ -105,6 +105,11 @@ def _certified(A, B, norms, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
     return _within(A, B, norms, Y, np.maximum(tol, _SEIDEL_SLACK * (1.0 + size))[:, None, :])
 
 
+def _check_finite(*data):
+    if not all(np.isfinite(a).all() for a in data):
+        raise InfeasibleBodyError("polytope data must be finite")
+
+
 class KernelOperators(NamedTuple):
     """The exact kernel's operators (:func:`kernel_operators`)."""
 
@@ -129,6 +134,7 @@ def kernel_operators(A) -> KernelOperators | None:
     multipliers ``R^-1 Q^T e_j`` <= ``_SEIDEL_SLACK`` (>= ``-_SEIDEL_SLACK``).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
+    _check_finite(A)
     norms = np.linalg.norm(A, axis=1)
     A, norms = A[norms != 0.0], norms[norms != 0.0]
     p, m = A.shape
@@ -177,6 +183,7 @@ def _nearest(A, b, z, w) -> tuple | None:
     order = list(range(A.shape[0]))
 
     def solve(n, S):
+        S = sorted(S)  # factored in index order, as the kernel factors S
         H, P = _flat_operators(*np.linalg.qr(A[S].T))
         y = b[S] @ H + z @ P
         d = w @ P
@@ -590,20 +597,21 @@ class PolytopeBatch(BodyBatch):
     (N, m): row i is body i's box, which :meth:`translate` shifts with the
     body.
 
-    Zero rows of ``A`` are resolved at construction: a vacuous constraint
-    (``0 <= b_i`` with ``b_i >= 0``) is dropped, an impossible one raises;
-    unless ``_validated``, every row is checked nonempty.  The kernel's
-    products are stacked over the rows, so that each row's are taken one
-    at a time by the same BLAS calls as for that row alone.  The
-    candidates for the origin that pass the certificate (:meth:`_certify`)
-    give every row's least-norm point and coordinate extremes, computed
-    once.  A row where none passes (empty, or too ill-conditioned for the
-    kernel to tell) is on the fallback path once that is known, as is
-    every row without ``sets``: :func:`_nearest` confirms it nonempty,
-    gives its least-norm point, its extremes (two calls per coordinate)
-    and the projection of each of its points.  A point that the kernel
-    cannot answer goes to :func:`_nearest` alone, so a block projects as
-    its points one at a time.
+    Non-finite data raises, and zero rows of ``A`` are resolved at
+    construction: a vacuous constraint (``0 <= b_i`` with ``b_i >= 0``) is
+    dropped, an impossible one raises; unless ``_validated``, every row is
+    checked nonempty.  The kernel's products are stacked over the rows, so
+    that each row's are taken one at a time by the same BLAS calls as for
+    that row alone.  The candidates for the origin that pass the
+    certificate (:meth:`_certify`) give every row's least-norm point and
+    coordinate extremes, computed once.  A row where none passes (empty,
+    or too ill-conditioned for the kernel to tell) is on the fallback
+    path once that is known, as is every row without ``sets``:
+    :func:`_nearest` confirms it nonempty, gives its least-norm point, its
+    extremes (two calls per coordinate) and the projection of each of its
+    points.  A point that the kernel cannot answer goes to
+    :func:`_nearest` alone, so a block projects as its points one at a
+    time.
     """
 
     kind = HPolytope
@@ -614,6 +622,7 @@ class PolytopeBatch(BodyBatch):
         if bounding_box is not None:
             bounding_box = tuple(np.broadcast_to(v, (B.shape[0], A.shape[1]))
                                  for v in bounding_box)
+        _check_finite(A, B)
         zero = np.linalg.norm(A, axis=1) == 0.0
         if zero.any():
             if np.any(B[:, zero] < 0):

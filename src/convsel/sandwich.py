@@ -46,7 +46,6 @@ from .errors import (
     StratificationError,
 )
 from .fields import (
-    EVAL_ERRORS,
     AuditReport,
     Domain,
     Grid,
@@ -54,6 +53,7 @@ from .fields import (
     ScalarField,
     TAG_CONTINUOUS,
     Violation,
+    _outermost_many,
     compress_field,
     constant_field,
     default_per_axis,
@@ -73,27 +73,16 @@ EQUALITY_TOL = 1e-12
 STRICT_GAP = 1e-9
 
 
-def _check_glue_point(x, vf: float, vg: float):
-    if vf > STRICT_GAP or vg < -STRICT_GAP:
-        raise PostconditionError(
-            f"glue precondition f-h <= 0 <= g-h fails at {x.tolist()}: "
-            f"[{vf:.3e}, {vg:.3e}]"
-        )
-    if vg - vf > STRICT_GAP and not (vf < 0.0 < vg):
-        raise PostconditionError(
-            f"glue strictness fails at {x.tolist()}: [{vf:.3e}, {vg:.3e}]"
-        )
-
-
 def _check_glue(P: np.ndarray, vf: np.ndarray, vg: np.ndarray):
     """The glue preconditions at every row of P (the points off U):
     f1 <= 0 <= g1, strictly where the gap is positive.  Raises at the
     first row that fails."""
-    bad = (vf > STRICT_GAP) | (vg < -STRICT_GAP)
-    bad |= (vg - vf > STRICT_GAP) & ~((vf < 0.0) & (0.0 < vg))
+    outside = (vf > STRICT_GAP) | (vg < -STRICT_GAP)
+    bad = outside | ((vg - vf > STRICT_GAP) & ~((vf < 0.0) & (0.0 < vg)))
     if bad.any():
         i = int(np.argmax(bad))
-        _check_glue_point(P[i], float(vf[i]), float(vg[i]))
+        what = "glue precondition f-h <= 0 <= g-h fails" if outside[i] else "glue strictness fails"
+        raise PostconditionError(f"{what} at {P[i].tolist()}: [{vf[i]:.3e}, {vg[i]:.3e}]")
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +299,6 @@ def _build_levels(
     return levels
 
 
-def _check_not_crossed(x, vf: float, vg: float):
-    if vf > vg + EQUALITY_TOL:
-        raise InfeasibleBodyError(f"empty interval: f(x) > g(x) at x={x.tolist()}")
-
-
 def sandwich_select(
     f: ScalarField,
     g: ScalarField,
@@ -326,9 +310,11 @@ def sandwich_select(
     ``resolution`` is the construction grid density (points per axis)
     used to realize the pipeline's closed sets as clouds; audits of the
     result happen on whatever grid the caller chooses afterwards.
-    Raises if f > g at a construction point, or when the stratification
-    fails its audits (partition, relative openness, per-stratum
-    continuity of the envelopes).  The returned h evaluates batches with
+    Raises at the first construction point, in grid order, where f > g
+    or an envelope fails to evaluate (the check is one batch, searched
+    point by point only when it fails), or when the stratification fails
+    its audits (partition, relative openness, per-stratum continuity of
+    the envelopes).  The returned h evaluates batches with
     ``h.many``: the envelopes once, then the outer level's array pass.
     """
     E = f.domain or g.domain
@@ -341,16 +327,17 @@ def sandwich_select(
 
     f_c, g_c = compress_field(f), compress_field(g)
 
-    try:
-        fP, gP = f_c.many(P), g_c.many(P)
-    except EVAL_ERRORS:
-        # the pointwise order decides whether a crossing comes first
-        for x in P:
-            _check_not_crossed(x, f_c(x), g_c(x))
-        raise
-    crossed = np.flatnonzero(fP > gP + EQUALITY_TOL)
-    if crossed.size:
-        _check_not_crossed(P[crossed[0]], fP[crossed[0]], gP[crossed[0]])
+    def envelopes_at(X):  # raises at the first crossed row
+        fX, gX = f_c.many(X), g_c.many(X)
+        crossed = fX > gX + EQUALITY_TOL
+        if crossed.any():
+            x = X[np.argmax(crossed)].tolist()
+            raise InfeasibleBodyError(f"empty interval: f(x) > g(x) at x={x}")
+        return fX, gX
+
+    fP, gP = _outermost_many(
+        envelopes_at, P, join=lambda rows: [np.concatenate(c) for c in zip(*rows)]
+    )
 
     masks = strat.masks(P)
     report = stratification_audit_masks(masks, grid)

@@ -101,8 +101,6 @@ def _eval_grid(spec: ProblemSpec, args) -> Grid:
     per_axis = args.grid
     if per_axis is None:
         per_axis = default_per_axis(spec.ambient_dim)
-    if per_axis < 2:
-        raise SpecValidationError("--grid must be at least 2")
     return Grid(spec.domain, per_axis)
 
 

@@ -30,8 +30,8 @@ array of points.
 
 Validation failures raise :class:`SpecValidationError` whose message
 starts with the JSON path of the offending field.  Coverage of the
-domain by pieces and by strata is checked on a coarse grid; a gap is
-reported with a witness point.
+domain by pieces and by strata is checked on a coarse grid, as one
+batch; a gap is reported with the first failing grid point as witness.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from convsel.errors import (
     SpecValidationError,
     UncoveredPointError,
 )
-from convsel.fields import EVAL_ERRORS, Domain, Grid
+from convsel.fields import Domain, Grid, _outermost_many
 from convsel.geometry import (
     BallBatch,
     HPolytope,
@@ -388,33 +388,31 @@ def _check_coverage(domain: Domain, map_: SetValuedMap, strat: Stratification):
     """Probe a coarse grid: every point needs a piece and exactly one stratum.
 
     This catches holes at load time with a concrete witness; the finer
-    audits downstream still re-check on the caller's grid.  The grid is
-    checked at once; when that fails, point by point, so the first failing
-    point raises, its piece checked before its strata.
+    audits downstream still re-check on the caller's grid.  The check is
+    a batch rule that raises at its first bad row, run on the whole grid
+    by :func:`fields._outermost_many`: when the batch fails, the grid is
+    searched point by point, so the first failing point raises, its piece
+    checked before its strata.
     """
     per_axis = _VALIDATION_PER_AXIS.get(domain.ambient_dim, 5)
-    points = Grid(domain, per_axis).points
-    try:
-        map_.evaluate_many(points)
-        if np.all(strat.masks(points).sum(axis=0) == 1):
-            return
-    except EVAL_ERRORS:
-        pass
-    for x in points:
-        _check_point(x, map_, strat)
 
+    def covered(X):
+        try:
+            map_.evaluate_many(X)
+        except UncoveredPointError:
+            if X.shape[0] > 1:
+                raise  # the search names the first point no piece covers
+            raise _fail("$.pieces", f"no piece covers the domain point {X[0].tolist()}") from None
+        matches = strat.masks(X).sum(axis=0)
+        if np.any(matches != 1):
+            i = int(np.argmax(matches != 1))
+            x = X[i].tolist()
+            if matches[i] == 0:
+                raise _fail("$.strata", f"no stratum covers the domain point {x}")
+            raise _fail("$.strata", f"{matches[i]} strata overlap at the domain point {x}")
+        return matches
 
-def _check_point(x: np.ndarray, map_: SetValuedMap, strat: Stratification):
-    """Raise unless a piece and exactly one stratum hold the point ``x``."""
-    try:
-        map_.evaluate_many(x[None])
-    except UncoveredPointError:
-        raise _fail("$.pieces", f"no piece covers the domain point {x.tolist()}") from None
-    matches = int(strat.masks(x[None]).sum())
-    if matches == 0:
-        raise _fail("$.strata", f"no stratum covers the domain point {x.tolist()}")
-    if matches > 1:
-        raise _fail("$.strata", f"{matches} strata overlap at the domain point {x.tolist()}")
+    _outermost_many(covered, Grid(domain, per_axis).points)
 
 
 def load_spec(path: str) -> ProblemSpec:

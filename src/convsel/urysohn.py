@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptySetError, OverlapError
-from .fields import Domain, ScalarField, TAG_CONTINUOUS, constant_field
+from .fields import Domain, ScalarField, TAG_CONTINUOUS, _boxes_and_points, constant_field
 
 #: Distances at or below this snap to zero count as membership.
 MEMBERSHIP_SNAP = 1e-12
@@ -85,31 +85,9 @@ class ClosedSet:
     points: tuple = ()
 
     def __post_init__(self):
-        n = self.ambient_dim
-        if n < 1:
-            raise DimensionMismatchError("ambient_dim must be >= 1")
-        boxes = []
-        for lo, hi in self.boxes:
-            lo = np.asarray(lo, dtype=float)
-            hi = np.asarray(hi, dtype=float)
-            if lo.shape != (n,) or hi.shape != (n,):
-                raise DimensionMismatchError("box bounds must have shape (n,)")
-            if np.any(lo > hi) or not (
-                np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
-            ):
-                raise ValueError("box bounds must be finite with lo <= hi")
-            boxes.append((lo, hi))
-        pts = []
-        for p in self.points:
-            p = np.asarray(p, dtype=float)
-            if p.shape != (n,):
-                raise DimensionMismatchError("point must have shape (n,)")
-            pts.append(p)
-        cloud = np.vstack(pts) if pts else np.empty((0, n))
-        if not np.isfinite(cloud).all():
-            raise ValueError("points must be finite")
-        object.__setattr__(self, "boxes", tuple(boxes))
-        object.__setattr__(self, "points", tuple(pts))
+        boxes, pts, cloud = _boxes_and_points(self.ambient_dim, self.boxes, self.points)
+        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "points", pts)
         axis = int(np.argmax(np.ptp(cloud, axis=0))) if pts else 0
         order = np.argsort(cloud[:, axis], kind="stable")
         # the sorted positions of the two points about each insertion point

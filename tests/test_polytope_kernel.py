@@ -479,6 +479,25 @@ def test_a_vertex_where_facets_meet_at_a_small_angle_is_accurate():
         assert lo[1] == pytest.approx(-434.8800106978182, rel=1e-12, abs=0)
 
 
+def test_the_recursion_factors_its_tight_rows_as_the_kernel_does():
+    # rows 2 and 3 are 1e-5 rad from opposite, and hi[1] is attained at a
+    # vertex 1.8e7 out; factored in move-to-front order, the recursion's
+    # tight rows put hi[1] 4.1e-10 of that vertex's size off the exact
+    # value, ten times the kernel's error
+    A = [[2.13, -2.66, 0.57], [2.44, -1.27, -0.76], [-2.25, -0.58, 0.7],
+         [2.2499802513893874, 0.5800321377680047, -0.7000368472545059],
+         [0.75, -1.75, 2.02], [1.09, -2.96, 0.96]]
+    b = [-5.089133868040751, -3.416542433326363, 2.574145212500569,
+         0.12265595382419447, -0.02708150943784937, -3.997871931928066]
+    kernel, recursion = build(A, b, kernel=True), build(A, b, kernel=False)
+    for got, want in zip(recursion.coord_extremes(), kernel.coord_extremes(), strict=True):
+        assert_same_bits(got, want)
+    assert_same_bits(recursion.least_norm(), kernel.least_norm())
+    exact = ExactPolytope(A, b).coord_extremes()
+    error = abs(recursion.coord_bounds()[1][1] - exact[1][1])
+    assert error <= 1e-10 * np.linalg.norm(exact[3][1])
+
+
 def test_a_wedge_bounded_by_a_nearly_dependent_pair():
     # y_0 <= 1e7 y_1 <= 0: e_0 lies in the cone of the two rows only with
     # multipliers of 1e7, which the kernel's dependence rule once dropped

@@ -304,6 +304,26 @@ class TestSandwichSelect:
         with pytest.raises(InfeasibleBodyError, match="empty interval"):
             sandwich_select(f, g, TRIVIAL, resolution=9)
 
+    @pytest.mark.parametrize("failing", ["floor", "ceiling"])
+    @pytest.mark.parametrize("cross,fail", [(-0.5, 0.5), (0.5, -0.5)])
+    def test_the_first_bad_construction_point_raises(self, failing, cross, fail):
+        # the envelopes cross at one construction point and one of them
+        # fails to evaluate at another: the first in grid order raises
+        def value(x, v, name):
+            if name == failing and x[0] == fail:
+                raise EvalDomainError(f"{name} undefined at {fail}")
+            return v
+
+        f = field(LINE, lambda x: value(x, 1.0 if x[0] == cross else 0.0, "floor"))
+        g = field(LINE, lambda x: value(x, 0.5, "ceiling"))
+        if cross < fail:
+            want = InfeasibleBodyError, f"empty interval: f(x) > g(x) at x=[{cross}]"
+        else:
+            want = EvalDomainError, f"{failing} undefined at {fail}"
+        with pytest.raises(want[0]) as info:
+            sandwich_select(f, g, TRIVIAL, resolution=9)
+        assert str(info.value) == want[1]
+
     def test_spike_needs_the_right_stratification(self):
         # with a single stratum the floor must be continuous on it; the
         # spike is not, and the pre-audit reports that instead of running

@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -357,6 +358,26 @@ class TestCli:
         if out.exists():
             rows = out.read_text(encoding="utf-8").splitlines()[1:]
             assert all(np.isfinite([float(v) for v in r.split(",")]).all() for r in rows)
+
+    @pytest.mark.parametrize("command", [
+        "select-michael", "select-sandwich", "lns", "envelopes", "verify"])
+    @pytest.mark.parametrize("row", [
+        {"normal": ["1e308*10", "0"], "offset": "1"},  # once h = (-1, 0) everywhere
+        {"normal": ["1", "0"], "offset": "1e308*10 - 1e308*10"},  # NaN: a failed certificate
+        {"normal": ["1", "0"], "offset": "1e308*10"},  # once exit 0 or 2 by command
+    ])
+    def test_non_finite_polytope_data_is_an_input_error(self, command, row, tmp_path, capsys):
+        # the box |y_i| <= 1 with its first row changed
+        rows = [row] + [{"normal": a, "offset": "1"}
+                        for a in (["-1", "0"], ["0", "1"], ["0", "-1"])]
+        spec = tmp_path / "spec.json"
+        raw = variant(output_dim=2, pieces=[{"region": [], "body": {"hpolytope": {"rows": rows}}}])
+        spec.write_text(json.dumps(raw), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning either
+            rc = run_cli(command, "--spec", str(spec), "--grid", "3")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: polytope data must be finite\n"
 
     def test_usage_errors_exit_one(self):
         assert run_cli("select-michael") == 1        # missing --spec

@@ -90,12 +90,10 @@ def test_every_name_the_tracer_wraps_resolves():
     assert missing == []
 
 
-def test_a_traced_run_writes_the_same_bytes_and_evaluates_no_point_alone(tmp_path):
-    # perfbench/child.py with and without the tracer, as ``perfbench/run.py
-    # --trace 1`` starts it: the CSV is the same, and the counters of
-    # one-point map, region and expression calls read 0, as do those of
-    # polytopes built and projected one at a time, while the counters of
-    # the layers that still run through the wrapped names do count
+def traced_layers(tmp_path, *cli_args) -> dict:
+    """perfbench/child.py with and without the tracer, as ``perfbench/run.py
+    --trace 1`` starts it, on ``cli_args`` with ``--out``: checks that both
+    runs exit 0 with the same CSV and returns the traced run's layers."""
     root = Path(__file__).resolve().parents[1]
     src = root / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -104,16 +102,29 @@ def test_a_traced_run_writes_the_same_bytes_and_evaluates_no_point_alone(tmp_pat
         result, csv = tmp_path / f"{mode}.json", tmp_path / f"{mode}.csv"
         subprocess.run(
             [sys.executable, str(root / "perfbench" / "child.py"), str(result), str(src), mode,
-             "--", "select-michael", "--spec", str(root / "tests" / "specs" / "m_poly.json"),
-             "--grid", "5", "--out", str(csv)],
+             "--", *cli_args, "--out", str(csv)],
             env=env, capture_output=True, check=True, timeout=120,
         )
         stamps = json.loads(result.read_text(encoding="utf-8"))
         assert stamps["rc"] == 0
         out[mode] = csv.read_bytes()
     assert out["trace"] == out["solve"]
-    layers = stamps["layers"]
-    assert [layers[k] for k in ("maps.map_evals", "maps.region_tests", "specio.expr_nodes")] == [
-        0, 0, 0]
+    return stamps["layers"]
+
+
+def test_a_traced_run_writes_the_same_bytes_and_evaluates_no_point_alone(tmp_path):
+    # the counters of one-point map, region, expression and field calls read
+    # 0, as do those of polytopes built and projected one at a time, while
+    # the counters of the layers that still run through the wrapped names
+    # do count
+    specs = Path(__file__).resolve().parent / "specs"
+    alone = ("maps.map_evals", "maps.region_tests", "specio.expr_nodes", "fields.field_calls")
+    layers = traced_layers(tmp_path, "select-michael", "--spec", str(specs / "m_poly.json"),
+                           "--grid", "5")
+    assert [layers[k] for k in alone] == [0, 0, 0, 0]
     assert [layers[k] for k in ("geometry.polytopes_built", "geometry.project_calls")] == [0, 0]
     assert layers["fields.modulus_points"] > 0 and layers["urysohn.tietze_builds"] > 0
+    layers = traced_layers(tmp_path, "select-sandwich", "--spec", str(specs / "s_mixed.json"),
+                           "--grid", "65")
+    assert [layers[k] for k in alone] == [0, 0, 0, 0]
+    assert layers["urysohn.tietze_builds"] > 0
