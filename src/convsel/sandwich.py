@@ -48,6 +48,7 @@ from .errors import (
 from .fields import (
     AuditReport,
     Domain,
+    FirstBadRow,
     Grid,
     STRICTNESS_MARGIN,
     ScalarField,
@@ -312,10 +313,11 @@ def sandwich_select(
     result happen on whatever grid the caller chooses afterwards.
     Raises at the first construction point, in grid order, where f > g
     or an envelope fails to evaluate (the check is one batch, searched
-    point by point only when it fails), or when the stratification fails
-    its audits (partition, relative openness, per-stratum continuity of
-    the envelopes).  The returned h evaluates batches with
-    ``h.many``: the envelopes once, then the outer level's array pass.
+    point by point only when an envelope fails), or when the
+    stratification fails its audits (partition, relative openness,
+    per-stratum continuity of the envelopes).  The returned h evaluates
+    batches with ``h.many``: the envelopes once, then the outer level's
+    array pass.
     """
     E = f.domain or g.domain
     if E is None:
@@ -332,7 +334,7 @@ def sandwich_select(
         crossed = fX > gX + EQUALITY_TOL
         if crossed.any():
             x = X[np.argmax(crossed)].tolist()
-            raise InfeasibleBodyError(f"empty interval: f(x) > g(x) at x={x}")
+            raise FirstBadRow(InfeasibleBodyError(f"empty interval: f(x) > g(x) at x={x}"))
         return fX, gX
 
     fP, gP = _outermost_many(

@@ -197,6 +197,27 @@ def michael_select(
     return levels[-1].total, trace
 
 
+def _quantiles(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(a, q)`` (method "linear") bit for bit, for a finite
+    1-D ``a`` and ``q`` in [0, 1]; cloud distances are finite.
+
+    It takes numpy's steps: the virtual index ``(n - 1) q``, the same
+    partition of ``a`` (so a tie between -0.0 and 0.0 picks the same
+    zero), and ``_lerp``'s rule.  ``np.quantile`` itself reaches
+    ``np.unique``, which imports all of ``numpy.ma``.
+    """
+    n = a.shape[0]
+    v = (n - 1) * q
+    top = v >= n - 1
+    i = np.where(top, -1, np.floor(v)).astype(np.intp)
+    j = np.where(top, -1, i + 1)
+    s = np.partition(a, sorted({0, -1, *i.tolist(), *j.tolist()}))
+    t = v - i
+    lo, hi = s[i], s[j]
+    d = hi - lo
+    return np.where(t >= 0.5, hi - d * (1 - t), lo + d * t)
+
+
 def boundary_decay_audit(
     trace: MichaelTrace, grid: Grid, bands: int = 4
 ) -> AuditReport:
@@ -231,7 +252,7 @@ def boundary_decay_audit(
         mags = row_norms(lv.glued.many(pts))
         vmax = float(mags.max(initial=0.0))
         slack = 1e-9 + 0.05 * vmax
-        edges_q = np.quantile(dists, np.linspace(0, 1, bands + 1))
+        edges_q = _quantiles(dists, np.linspace(0, 1, bands + 1))
         band_max = []
         for b in range(bands):
             sel = (dists >= edges_q[b]) & (

@@ -48,7 +48,7 @@ from convsel.errors import (
     SpecValidationError,
     UncoveredPointError,
 )
-from convsel.fields import Domain, Grid, _outermost_many
+from convsel.fields import Domain, FirstBadRow, Grid, _outermost_many
 from convsel.geometry import (
     BallBatch,
     HPolytope,
@@ -390,9 +390,11 @@ def _check_coverage(domain: Domain, map_: SetValuedMap, strat: Stratification):
     This catches holes at load time with a concrete witness; the finer
     audits downstream still re-check on the caller's grid.  The check is
     a batch rule that raises at its first bad row, run on the whole grid
-    by :func:`fields._outermost_many`: when the batch fails, the grid is
-    searched point by point, so the first failing point raises, its piece
-    checked before its strata.
+    by :func:`fields._outermost_many`.  When a piece fails to evaluate or
+    to cover, or a stratum to evaluate, the grid is searched point by
+    point, so the first failing point raises, its piece checked before
+    its strata.  When every evaluation succeeds, the first point that no
+    stratum or more than one covers is that point, and it raises at once.
     """
     per_axis = _VALIDATION_PER_AXIS.get(domain.ambient_dim, 5)
 
@@ -408,8 +410,10 @@ def _check_coverage(domain: Domain, map_: SetValuedMap, strat: Stratification):
             i = int(np.argmax(matches != 1))
             x = X[i].tolist()
             if matches[i] == 0:
-                raise _fail("$.strata", f"no stratum covers the domain point {x}")
-            raise _fail("$.strata", f"{matches[i]} strata overlap at the domain point {x}")
+                raise FirstBadRow(_fail("$.strata", f"no stratum covers the domain point {x}"))
+            raise FirstBadRow(
+                _fail("$.strata", f"{matches[i]} strata overlap at the domain point {x}")
+            )
         return matches
 
     _outermost_many(covered, Grid(domain, per_axis).points)

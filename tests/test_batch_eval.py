@@ -20,6 +20,7 @@ from convsel.errors import DimensionMismatchError, IndeterminateSumError
 from convsel.fields import (
     TAG_CONTINUOUS,
     Domain,
+    FirstBadRow,
     Grid,
     ScalarField,
     add,
@@ -134,6 +135,33 @@ class TestScalarFieldMany:
         with pytest.raises(ZeroDivisionError, match="row"):
             f.many(np.array([[0.0], [0.5], [1.0]]))
         assert_same_bits(f.many(np.array([[0.0], [1.0]])), [0.0, 1.0])
+
+    def test_a_rule_that_names_its_first_bad_row_is_not_searched(self):
+        batches = []
+
+        def named(X):
+            batches.append(X.shape[0])
+            bad = X[:, 0] > 0.5
+            if bad.any():
+                raise FirstBadRow(ValueError(f"bad at {X[np.argmax(bad), 0]}"))
+            return X[:, 0]
+
+        inner = ScalarField(LINE, batch=named)
+        X = np.linspace(-1.0, 1.0, 9)[:, None]
+        with pytest.raises(ValueError, match="bad at 0.75"):
+            inner.many(X)
+        assert batches == [9]
+
+        # inside another batch it is that batch's error: the outer search
+        # still names an earlier row that fails in a later step
+        def outer_rule(X):
+            values = inner.many(X)
+            if (X[:, 0] < -0.5).any():
+                raise ValueError("outer")
+            return values
+
+        with pytest.raises(ValueError, match="outer"):
+            ScalarField(LINE, batch=outer_rule).many(X)
 
     def test_nan_from_a_batch_raises_like_call(self):
         f = ScalarField(LINE, batch=lambda X: np.full(len(X), math.nan))

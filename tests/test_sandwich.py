@@ -16,6 +16,7 @@ from convsel.fields import (
     TAG_UPPER,
     Domain,
     Grid,
+    ScalarField,
     constant_field,
     squash,
     unsquash,
@@ -323,6 +324,23 @@ class TestSandwichSelect:
         with pytest.raises(want[0]) as info:
             sandwich_select(f, g, TRIVIAL, resolution=9)
         assert str(info.value) == want[1]
+
+    def test_a_crossing_seen_on_the_batch_raises_without_a_search(self):
+        # every envelope evaluates and the floor rises above the ceiling at
+        # the last construction point only: the batch names that point, and
+        # no row is evaluated again alone
+        batches = []
+
+        def floor(X):
+            batches.append(X.shape[0])
+            return np.where(X[:, 0] == 1.0, 1.0, 0.0)
+
+        f = ScalarField(LINE, batch=floor, tag=TAG_CONTINUOUS)
+        g = constant_field(LINE, 0.5)
+        with pytest.raises(InfeasibleBodyError) as info:
+            sandwich_select(f, g, TRIVIAL, resolution=65)
+        assert str(info.value) == "empty interval: f(x) > g(x) at x=[1.0]"
+        assert batches == [65]
 
     def test_spike_needs_the_right_stratification(self):
         # with a single stratum the floor must be continuous on it; the

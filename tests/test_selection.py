@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import NONZERO, ORIGIN, interval_rule, random_body, sampled_min_norm
 from convsel.errors import AuditError, StratificationError
@@ -328,3 +330,56 @@ def test_cli_seed_reaches_the_selection_audits(specs_dir, monkeypatch):
         assert rc == 0
     kinds = ["lsc", "stratification", "continuity[0 < abs(x1)]", "continuity[abs(x1) <= 0]"]
     assert calls == [(77, kinds)] * 2
+
+
+# --- the decay audit's band edges -------------------------------------------
+
+QUARTILES = np.linspace(0, 1, 5)
+
+
+def assert_quartiles_match_numpy(a):
+    a = np.asarray(a, dtype=float)
+    got = selection._quantiles(a, QUARTILES)
+    assert got.view(np.int64).tolist() == np.quantile(a, QUARTILES).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("a", [
+    [0.3],  # one point
+    [-0.0],
+    [0.25, 0.1],  # two points
+    [0.0, -0.0],
+    [0.7] * 9,  # all equal
+    [0.0, -0.0, 0.0, -0.0, -0.0],
+    [3.0, 1.0, 1.0, 2.0, 0.0],  # a tie on a band edge, (n - 1) q = 1
+    [1.0, 1.0, 0.5, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0],
+    [2.0, 1.0, 1.0, 0.0],  # ties across interpolated edges
+    [1e300, 5e-324, 1e-310, 1e300, 0.0],
+])
+def test_band_edges_are_numpys_quantiles(a):
+    assert_quartiles_match_numpy(a)
+
+
+MAGNITUDES = st.sampled_from([5e-324, 1e-310, 1e-300, 1e-17, 1.0, 3e8, 1e150, 1e300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_drawn_band_edges_are_numpys_quantiles(data):
+    # cloud distances: finite, often tied, often round, of any magnitude
+    n = data.draw(st.integers(1, 5000))
+    palette = data.draw(st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5, 2.0]),
+            st.floats(0.0, 1.0).map(lambda v: round(v, 2)),
+            st.floats(-1.0, 1.0),
+        ),
+        min_size=1, max_size=12,
+    ))
+    scale = data.draw(MAGNITUDES)
+    picks = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a = np.asarray(palette)[picks.integers(len(palette), size=n)] * scale
+    if data.draw(st.booleans()):  # spread some values between the ties
+        some = picks.random(n) < 0.3
+        a[some] = np.round(picks.random(int(some.sum())), 3) * data.draw(MAGNITUDES)
+    assert np.isfinite(a).all()
+    assert_quartiles_match_numpy(a)

@@ -7,6 +7,7 @@ import pytest
 
 from convsel.errors import EvalDomainError, InfeasibleBodyError, SpecValidationError
 from convsel.geometry import Ball, HPolytope, Interval
+from convsel.maps import SetValuedMap
 from convsel.specio.cli import main
 from convsel.specio.loader import load_spec, load_spec_dict
 from golden.capture import HOLE_AT_ONE_32ND, fixture_names, golden_runs
@@ -166,6 +167,22 @@ class TestLoader:
         with pytest.raises(SpecValidationError) as info:
             load_spec_dict(raw)
         assert str(info.value) == want
+
+    def test_a_strata_failure_seen_on_the_batch_raises_without_a_search(self, monkeypatch):
+        # every piece covers and no stratum covers the last grid point
+        # only: the batch names that point, and no point is evaluated alone
+        batches = []
+        real = SetValuedMap.evaluate_many
+
+        def counted(self, X):
+            batches.append(X.shape[0])
+            return real(self, X)
+
+        monkeypatch.setattr(SetValuedMap, "evaluate_many", counted)
+        with pytest.raises(SpecValidationError) as info:
+            load_spec_dict(variant(strata=[["x1 < 1"]]))
+        assert str(info.value) == "$.strata: no stratum covers the domain point [1.0]"
+        assert batches == [33]
 
     def test_atom_without_comparison(self):
         raw = variant(

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import convsel
 
 
@@ -51,6 +53,29 @@ def test_the_library_imports_no_scipy():
 def test_import_does_not_load_mpmath():
     # only fields.compress / decompress need mpmath, and no CLI path calls them
     assert not loaded_by_import("mpmath")
+
+
+@pytest.mark.parametrize("command,spec", [
+    ("select-michael", "m_two_stratum"),
+    ("verify", "s_mixed"),
+    ("select-sandwich", "s_mixed"),
+])
+def test_a_cli_run_does_not_load_numpy_ma(command, spec, tmp_path):
+    # np.quantile reaches np.unique, which imports all of numpy.ma (10-15 ms
+    # of a fresh process); the decay audit's band edges avoid it
+    src = Path(convsel.__file__).resolve().parents[1]
+    specs = Path(__file__).resolve().parent / "specs"
+    code = (
+        "import sys; from convsel.specio.cli import main; rc = main(sys.argv[1:]); "
+        "print(rc, 'numpy.ma' in sys.modules)"
+    )
+    argv = [command, "--spec", str(specs / f"{spec}.json"), "--grid", "33",
+            "--out", str(tmp_path / "h.csv"), "--report", str(tmp_path / "report.json")]
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.splitlines()[-1] == "0 False"
 
 
 def test_the_library_imports_nothing_from_the_tests():
