@@ -90,20 +90,31 @@ def _as_extended(v) -> float:
     return out
 
 
-def squash(v: float) -> float:
-    """Double-precision fast path of :func:`compress`, for inner loops."""
-    v = _as_extended(v)
-    if math.isinf(v):
-        return 1.0 if v > 0 else -1.0
-    return v / math.hypot(1.0, v)
+def squash(v):
+    """Double-precision fast path of :func:`compress`, for a float or an
+    array: a scalar gives a float, an array an array of its shape.  The
+    denominator is ``math.hypot`` per value: ``np.hypot`` may differ from it
+    in the last bit."""
+    a = np.asarray(v, dtype=float)
+    if np.isnan(a).any():
+        raise ValueError("NaN is not an extended real")
+    flat = a.reshape(-1)
+    with np.errstate(invalid="ignore"):  # inf / inf, replaced below
+        w = flat / np.fromiter(map(math.hypot, repeat(1.0), flat.tolist()), float, flat.size)
+    inf = np.isinf(flat)
+    w[inf] = np.sign(flat[inf])
+    return float(w[0]) if a.ndim == 0 else w.reshape(a.shape)
 
 
-def unsquash(w: float) -> float:
-    """Double-precision fast path of :func:`decompress`."""
-    w = float(w)
-    if abs(w) >= 1.0:
-        raise ValueError(f"unsquash needs |w| < 1, got {w!r}")
-    return w / math.sqrt((1.0 - w) * (1.0 + w))
+def unsquash(w):
+    """Double-precision fast path of :func:`decompress`, for a float or an
+    array, as :func:`squash`."""
+    a = np.asarray(w, dtype=float)
+    bad = (a >= 1.0) | (a <= -1.0)
+    if bad.any():
+        raise ValueError(f"unsquash needs |w| < 1, got {float(a[bad].flat[0])!r}")
+    out = a / np.sqrt((1.0 - a) * (1.0 + a))
+    return float(out) if a.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -455,23 +466,10 @@ def negate(a: ScalarField) -> ScalarField:
 
 
 def compress_field(f: ScalarField) -> ScalarField:
-    """Compose with the squash map; strictly increasing, so the tag holds.
-
-    The batch rule is :func:`squash` on every value in one pass, with
-    ``math.hypot``: ``np.hypot`` may differ from it in the last bit.  No
-    NaN reaches it, since ``f.many`` raises on one.
-    """
-
-    def batch(X):
-        v = f.many(X)
-        with np.errstate(invalid="ignore"):  # inf / inf, replaced below
-            w = v / np.fromiter(map(math.hypot, repeat(1.0), v.tolist()), float, v.size)
-        inf = np.isinf(v)
-        w[inf] = np.sign(v[inf])
-        return w
-
+    """Compose with the squash map; strictly increasing, so the tag holds."""
     return ScalarField(
-        f.domain, batch=batch, tag=f.tag, name=f"squash({f.name})" if f.name else ""
+        f.domain, batch=lambda X: squash(f.many(X)), tag=f.tag,
+        name=f"squash({f.name})" if f.name else "",
     )
 
 

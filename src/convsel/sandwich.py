@@ -62,6 +62,7 @@ from .fields import (
     pymin,
     semicontinuity_audit_values,
     sum_values,
+    unsquash,
 )
 from .maps import Region, Stratification, boundary_mask, stratification_audit_masks
 from .urysohn import ClosedSet, dist_field, tietze_extend
@@ -373,9 +374,7 @@ def sandwich_select(
     hi = 1.0 - STRICTNESS_MARGIN
 
     def h_batch(X):
-        w = np.minimum(np.maximum(h_c.many(X), lo), hi)
-        # unsquash: np.sqrt rounds as math.sqrt does
-        return w / np.sqrt((1.0 - w) * (1.0 + w))
+        return unsquash(np.minimum(np.maximum(h_c.many(X), lo), hi))
 
     trace = SandwichTrace(
         strata=tuple(r.label for r in strat.strata),

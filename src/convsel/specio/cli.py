@@ -18,15 +18,20 @@ CSV output is byte-deterministic: header ``x1,...,xn,h1,...,hm``
 (``f,g`` for envelopes), one row per grid point in grid order, every
 number rendered with ``%.17g``, ``\\n`` line endings.
 
+Reports are strict JSON (RFC 8259) with sorted keys; a number with no
+JSON form is written as the string ``inf``, ``-inf`` or ``nan``.
+
 Exit status: 0 when every invariant checked out, 2 when a selection was
 attempted but an audit or postcondition failed, 1 for input problems
-(unreadable file, schema violation, bad flags).
+(unreadable file, schema violation, bad flags, an ``--out`` or
+``--report`` path that cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -35,6 +40,7 @@ from convsel.errors import ConvselError, SpecValidationError
 from convsel.fields import (
     DEFAULT_SEED,
     Grid,
+    Violation,
     default_per_axis,
     grid_values,
     modulus_ratios,
@@ -97,11 +103,16 @@ def build_parser() -> _Parser:
 # --- shared plumbing --------------------------------------------------------
 
 
-def _eval_grid(spec: ProblemSpec, args) -> Grid:
-    per_axis = args.grid
-    if per_axis is None:
-        per_axis = default_per_axis(spec.ambient_dim)
-    return Grid(spec.domain, per_axis)
+class _Unwritable(Exception):
+    """An ``--out`` or ``--report`` path that cannot be written; exit 1."""
+
+
+def _write(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _write_csv(path: str, grid: Grid, values, labels):
@@ -110,15 +121,32 @@ def _write_csv(path: str, grid: Grid, values, labels):
     lines = [",".join([f"x{i + 1}" for i in range(grid.domain.ambient_dim)] + labels)]
     for row in np.column_stack((grid.points, values)).tolist():
         lines.append(",".join("%.17g" % c for c in row))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
+
+
+def _strict(obj):
+    """``obj`` with each non-finite float as the string ``inf``, ``-inf`` or
+    ``nan``, which strict JSON (RFC 8259) has no number for."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(float(obj))
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_strict(v) for v in obj]
+    return obj
+
+
+def _write_report(args, payload: dict):
+    if args.report:
+        text = json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False)
+        _write(args.report, text + "\n")
 
 
 def _labels(width: int) -> list[str]:
     return [f"h{i + 1}" for i in range(width)]
 
 
-def _violation_dict(v) -> dict:
+def _violation_dict(v: Violation) -> dict:
     out = {"x": list(v.x), "deficit": v.deficit, "message": v.message}
     if v.neighbor is not None:
         out["neighbor"] = list(v.neighbor)
@@ -127,61 +155,46 @@ def _violation_dict(v) -> dict:
     return out
 
 
-def _report_entry(report) -> dict:
+def _entry(name: str, passed: bool, violations=(), notes=(), **measured) -> dict:
+    """One invariant of the report: its first ten violations, its notes and
+    what it measured (``checked``, ``eps``, ``ratios``, ...)."""
     return {
-        "name": report.kind,
-        "passed": report.passed,
-        "checked": report.checked,
-        "eps": report.eps,
-        "violations": [_violation_dict(v) for v in report.violations[:10]],
-        "notes": list(report.notes),
+        "name": name,
+        "passed": passed,
+        **measured,
+        "violations": [_violation_dict(v) for v in violations[:10]],
+        "notes": list(notes),
     }
+
+
+def _report_entry(report, name: str | None = None) -> dict:
+    return _entry(
+        name or report.kind, report.passed, report.violations, report.notes,
+        checked=report.checked, eps=report.eps,
+    )
 
 
 def _ratio_entry(ratios: list) -> dict:
     worst = max((r for r in ratios if r is not None), default=None)
-    passed = worst is None or worst <= MODULUS_RATIO_BOUND
-    return {
-        "name": "modulus-ratio",
-        "passed": passed,
-        "ratios": ratios,
-        "bound": MODULUS_RATIO_BOUND,
-        "violations": [],
-        "notes": [
-            "ratio of largest grid jump across successive halvings; "
-            "null marks an already-flat field"
-        ],
-    }
+    return _entry(
+        "modulus-ratio", worst is None or worst <= MODULUS_RATIO_BOUND,
+        notes=["ratio of largest grid jump across successive halvings; "
+               "null marks an already-flat field"],
+        ratios=ratios, bound=MODULUS_RATIO_BOUND,
+    )
 
 
 def _membership_entry(map_, values, grid: Grid, tol: float) -> dict:
     """Distance from each grid point's value of h (a row of ``values``) to T(x)."""
-    worst = 0.0
-    witness = None
     values = np.asarray(values, dtype=float).reshape(len(grid), -1)
     dists = map_.evaluate_many(grid.points).distance(values)
-    for x, d in zip(grid.points, dists.tolist()):
-        if d > worst:
-            worst, witness = d, x
+    i = int(np.argmax(dists))  # the first point of the largest distance
+    worst = float(dists[i])
     passed = worst <= tol
-    out = {
-        "name": "membership",
-        "passed": passed,
-        "checked": len(grid),
-        "worst_distance": worst,
-        "tol": tol,
-        "violations": [],
-        "notes": [],
-    }
-    if not passed and witness is not None:
-        out["violations"] = [
-            {
-                "x": list(witness),
-                "deficit": worst - tol,
-                "message": "h(x) sits outside T(x)",
-            }
-        ]
-    return out
+    witness = [] if passed else [Violation(grid.points[i], worst - tol,
+                                           message="h(x) sits outside T(x)")]
+    return _entry("membership", passed, witness, checked=len(grid),
+                  worst_distance=worst, tol=tol)
 
 
 def _envelope_entries(grid: Grid, vf, vg, vh) -> list[dict]:
@@ -190,55 +203,30 @@ def _envelope_entries(grid: Grid, vf, vg, vh) -> list[dict]:
     slack = 1e-9
     strict_gap = 1e-3
     err = pymax(vf - slack - vh, vh - vg - slack)
-    worst_bound = 0.0
-    bound_witness = None
-    if err.max() > 0.0:
-        i = int(np.argmax(err))  # the first point of the worst excess
-        worst_bound, bound_witness = float(err[i]), grid.points[i]
-    worst_strict = -np.inf  # stays -inf when no point has a real gap
-    strict_witness = None
+    i = int(np.argmax(err))  # the first point of the worst excess
+    bound_witness = []
+    if err[i] > 0.0:
+        bound_witness = [Violation(grid.points[i], float(err[i]),
+                                   message="h leaves [f - 1e-9, g + 1e-9]")]
+    strict_witness = []
     gapped = np.flatnonzero(vg - vf > strict_gap)
     if gapped.size:
-        err = pymax(vf - vh, vh - vg)[gapped]  # must be strictly negative
-        worst_strict = float(err.max())
-        # the last point of the worst, as a sweep keeping ties would pick
-        strict_witness = grid.points[gapped[np.flatnonzero(err == worst_strict)[-1]]]
-    bounds_entry = {
-        "name": "between-envelopes",
-        "passed": worst_bound <= 0.0,
-        "checked": len(grid),
-        "violations": []
-        if worst_bound <= 0.0
-        else [
-            {
-                "x": list(bound_witness),
-                "deficit": worst_bound,
-                "message": "h leaves [f - 1e-9, g + 1e-9]",
-            }
-        ],
-        "notes": [],
-    }
-    strict_entry = {
-        "name": "strictly-between",
-        "passed": worst_strict < 0.0,
-        "checked": len(grid),
-        "violations": []
-        if worst_strict < 0.0
-        else [
-            {
-                "x": list(strict_witness) if strict_witness is not None else [],
-                "deficit": worst_strict,
-                "message": f"h touches an envelope where g - f > {strict_gap}",
-            }
-        ],
-        "notes": [],
-    }
-    return [bounds_entry, strict_entry]
+        err = pymax(vf - vh, vh - vg)[gapped][::-1]  # must be strictly negative
+        j = int(np.argmax(err))  # the last of the worst, as a sweep keeping ties would pick
+        if err[j] >= 0.0:
+            strict_witness = [Violation(
+                grid.points[gapped[-1 - j]], float(err[j]),
+                message=f"h touches an envelope where g - f > {strict_gap}",
+            )]
+    return [
+        _entry("between-envelopes", not bound_witness, bound_witness, checked=len(grid)),
+        _entry("strictly-between", not strict_witness, strict_witness, checked=len(grid)),
+    ]
 
 
-def _finish(args, spec: ProblemSpec, entries: list[dict], extra=None) -> int:
+def _finish(args, spec: ProblemSpec, entries: list[dict]) -> int:
     passed = all(e["passed"] for e in entries)
-    payload = {
+    _write_report(args, {
         "command": args.command,
         "spec": spec.path or None,
         "grid": args.grid,
@@ -246,13 +234,7 @@ def _finish(args, spec: ProblemSpec, entries: list[dict], extra=None) -> int:
         "tol": args.tol,
         "invariants": entries,
         "passed": passed,
-    }
-    if extra:
-        payload.update(extra)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    })
     for e in entries:
         status = "pass" if e["passed"] else "FAIL"
         print(f"[{status}] {e['name']}")
@@ -262,24 +244,19 @@ def _finish(args, spec: ProblemSpec, entries: list[dict], extra=None) -> int:
 
 def _abort(args, spec: ProblemSpec, stage: str, exc: Exception) -> int:
     print(f"{stage}: {exc}", file=sys.stderr)
-    if args.report:
-        payload = {
-            "command": args.command,
-            "spec": spec.path or None,
-            "passed": False,
-            "error": {"stage": stage, "type": type(exc).__name__, "message": str(exc)},
-        }
-        with open(args.report, "w", encoding="utf-8", newline="") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_report(args, {
+        "command": args.command,
+        "spec": spec.path or None,
+        "passed": False,
+        "error": {"stage": stage, "type": type(exc).__name__, "message": str(exc)},
+    })
     return 2
 
 
 # --- subcommands ------------------------------------------------------------
 
 
-def _cmd_michael(spec: ProblemSpec, args) -> int:
-    grid = _eval_grid(spec, args)
+def _cmd_michael(spec: ProblemSpec, grid: Grid, args) -> int:
     try:
         h, trace = michael_select(
             spec.map, spec.stratification, resolution=grid.per_axis, seed=args.seed
@@ -302,8 +279,7 @@ def _cmd_michael(spec: ProblemSpec, args) -> int:
     return _finish(args, spec, entries)
 
 
-def _cmd_sandwich(spec: ProblemSpec, args) -> int:
-    grid = _eval_grid(spec, args)
+def _cmd_sandwich(spec: ProblemSpec, grid: Grid, args) -> int:
     try:
         f, g = envelopes(spec.map)
         h, trace = sandwich_select(
@@ -328,8 +304,7 @@ def _cmd_sandwich(spec: ProblemSpec, args) -> int:
     return _finish(args, spec, entries)
 
 
-def _cmd_lns(spec: ProblemSpec, args) -> int:
-    grid = _eval_grid(spec, args)
+def _cmd_lns(spec: ProblemSpec, grid: Grid, args) -> int:
     h = lns_field(spec.map)
     try:
         values = grid_values(h, grid)
@@ -341,41 +316,29 @@ def _cmd_lns(spec: ProblemSpec, args) -> int:
     return _finish(args, spec, entries)
 
 
-def _cmd_envelopes(spec: ProblemSpec, args) -> int:
-    if spec.output_dim != 1:
-        print("error: envelopes need output_dim 1", file=sys.stderr)
-        return 1
-    grid = _eval_grid(spec, args)
+def _cmd_envelopes(spec: ProblemSpec, grid: Grid, args) -> int:
     f, g = envelopes(spec.map)
     try:
         if args.out:
             values = np.column_stack([f.many(grid.points), g.many(grid.points)])
             _write_csv(args.out, grid, values, ["f", "g"])
         entries = [
-            _report_entry(semicontinuity_audit(f, grid)),
-            _report_entry(semicontinuity_audit(g, grid)),
+            _report_entry(semicontinuity_audit(f, grid), f"floor-{f.tag}-semicontinuity"),
+            _report_entry(semicontinuity_audit(g, grid), f"ceiling-{g.tag}-semicontinuity"),
         ]
-        entries[0]["name"] = f"floor-{f.tag}-semicontinuity"
-        entries[1]["name"] = f"ceiling-{g.tag}-semicontinuity"
     except ConvselError as exc:
         return _abort(args, spec, "evaluation", exc)
     return _finish(args, spec, entries)
 
 
-def _cmd_verify(spec: ProblemSpec, args) -> int:
-    grid = _eval_grid(spec, args)
+def _cmd_verify(spec: ProblemSpec, grid: Grid, args) -> int:
     entries = []
     try:
         if not spec.map.declared_lsc:
-            entries.append(
-                {
-                    "name": "lsc",
-                    "passed": True,
-                    "checked": 0,
-                    "violations": [],
-                    "notes": ["map not declared lower semicontinuous; skipped"],
-                }
-            )
+            entries.append(_entry(
+                "lsc", True, notes=["map not declared lower semicontinuous; skipped"],
+                checked=0,
+            ))
         entries.extend(
             _report_entry(rep)
             for rep in hypothesis_audits(spec.map, spec.stratification, grid, seed=args.seed)
@@ -383,10 +346,9 @@ def _cmd_verify(spec: ProblemSpec, args) -> int:
         if spec.output_dim == 1:
             f, g = envelopes(spec.map)
             for fld, label in ((f, "floor"), (g, "ceiling")):
-                rep = semicontinuity_audit(fld, grid)
-                entry = _report_entry(rep)
-                entry["name"] = f"{label}-{fld.tag}-semicontinuity"
-                entries.append(entry)
+                entries.append(_report_entry(
+                    semicontinuity_audit(fld, grid), f"{label}-{fld.tag}-semicontinuity"
+                ))
     except ConvselError as exc:
         return _abort(args, spec, "audit", exc)
     return _finish(args, spec, entries)
@@ -403,12 +365,25 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         spec = load_spec(args.spec)
-        if args.grid is not None and args.grid < 2:
-            raise SpecValidationError("--grid must be at least 2")
+        for bad, message in (
+            (args.grid is not None and args.grid < 2, "--grid must be at least 2"),
+            (args.refine < 0, "--refine must be non-negative"),
+            (args.seed < 0, "--seed must be non-negative"),
+            (not 0.0 <= args.tol < math.inf, "--tol must be finite and non-negative"),
+            (args.command == "envelopes" and spec.output_dim != 1,
+             "envelopes need output_dim 1"),
+        ):
+            if bad:
+                raise SpecValidationError(message)
     except ConvselError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return args.func(spec, args)
+    grid = Grid(spec.domain, args.grid or default_per_axis(spec.ambient_dim))
+    try:
+        return args.func(spec, grid, args)
+    except _Unwritable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

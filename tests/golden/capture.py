@@ -69,11 +69,22 @@ def fixture_names(command: str) -> list[str]:
     return names
 
 
+def strict_json(text: str):
+    """``text`` parsed as strict JSON (RFC 8259), which has no NaN or
+    Infinity; raises ValueError on either."""
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def golden_runs(command: str, names, grids) -> dict:
     """Exit code, CSV and report sha256, stdout and stderr of ``command`` on
     each fixture in ``names`` at each of ``grids``, and on each of
     :data:`HOLES` at 17.  Each run starts in the fixture's directory, with
-    stdout and stderr redirected and warnings recorded, not printed."""
+    stdout and stderr redirected and warnings recorded, not printed.  Every
+    report must parse as :func:`strict_json`."""
     seen = {}
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -98,6 +109,8 @@ def golden_runs(command: str, names, grids) -> dict:
                 ), warnings.catch_warnings(record=True):
                     rc = main([command, "--spec", f"{name}.json", "--grid", str(grid),
                                "--out", str(out), "--report", str(report)])
+                if report.exists():
+                    strict_json(report.read_text(encoding="utf-8"))
                 seen[f"{name} --grid {grid}"] = {
                     "exit": rc, "csv_sha256": sha(out), "report_sha256": sha(report),
                     "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),

@@ -31,6 +31,7 @@ from convsel.fields import (
     pymax,
     pymin,
     squash,
+    unsquash,
 )
 from convsel.urysohn import ClosedSet, dist_field, tietze_extend
 from reference.fields_pointwise import dist_pointwise, lift, tietze_pointwise
@@ -450,3 +451,30 @@ def test_drawn_clouds_match_the_full_scan(data):
         corner = np.array(data.draw(point))
         A = ClosedSet(n, boxes=((corner, corner + 0.25),), points=tuple(pts))
         assert_same_bits(A.dist_many(X), [dist_pointwise(A, x) for x in X])
+
+
+def test_squash_and_unsquash_take_arrays_with_the_scalar_bits():
+    # the scalar rules as they read one value at a time
+    def squash_one(v):
+        return math.copysign(1.0, v) if math.isinf(v) else v / math.hypot(1.0, v)
+
+    def unsquash_one(w):
+        return w / math.sqrt((1.0 - w) * (1.0 + w))
+
+    values = np.array([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                       2.2250738585072014e-308, 1e300, -1e300, 0.7, -3.0])
+    squashed = squash(values)
+    assert_same_bits(squashed, [squash_one(v) for v in values.tolist()])
+    assert_same_bits(squash(values.reshape(-1, 1)), squashed.reshape(-1, 1))
+    for v in values.tolist():
+        assert type(squash(v)) is float
+        assert_same_bits(squash(v), squash_one(v))
+    inside = np.concatenate([squashed[np.abs(squashed) < 1.0], [0.5 - 2**-54, -(1.0 - 2**-53)]])
+    assert_same_bits(unsquash(inside), [unsquash_one(w) for w in inside.tolist()])
+    for w in inside.tolist():
+        assert type(unsquash(w)) is float
+        assert_same_bits(unsquash(w), unsquash_one(w))
+    with pytest.raises(ValueError, match="NaN"):
+        squash(np.array([0.0, math.nan]))
+    with pytest.raises(ValueError, match=r"got -1\.0"):
+        unsquash(np.array([0.5, -1.0, 2.0]))

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from convsel.errors import EvalDomainError, InfeasibleBodyError, SpecValidationError
+from convsel.fields import Grid
 from convsel.geometry import Ball, HPolytope, Interval
 from convsel.maps import SetValuedMap
-from convsel.specio.cli import main
+from convsel.specio.cli import _envelope_entries, _membership_entry, _ratio_entry, main
 from convsel.specio.loader import load_spec, load_spec_dict
-from golden.capture import HOLE_AT_ONE_32ND, fixture_names, golden_runs
+from golden.capture import HOLE_AT_ONE_32ND, fixture_names, golden_runs, strict_json
 
 MINIMAL = {
     "ambient_dim": 1,
@@ -570,3 +571,179 @@ def test_envelope_commands_match_the_golden_bytes(command, specs_dir):
     assert len(names) == 11
     seen = golden_runs(command, names, (9, 65))
     assert seen == read_golden(specs_dir, f"{command}.json")
+
+
+# --- the rules of the CLI's own entries, on crafted arrays ------------------
+#
+# No golden reaches the failing branches of these entries, so each is pinned
+# here as a whole dict.
+
+LINE5 = Grid(load_spec_dict(MINIMAL).domain, 5)  # -1, -0.5, 0, 0.5, 1
+
+
+def test_membership_entry_names_the_first_point_of_the_largest_distance():
+    map_ = load_spec_dict(MINIMAL).map  # T(x) = [0, 2]
+    values = np.array([1.0, 3.0, 4.0, 4.0, 1.0])  # distances 0, 1, 2, 2, 0
+    assert _membership_entry(map_, values, LINE5, 1e-7) == {
+        "name": "membership", "passed": False, "checked": 5,
+        "worst_distance": 2.0, "tol": 1e-7,
+        "violations": [{"x": [0.0], "deficit": 2.0 - 1e-7, "message": "h(x) sits outside T(x)"}],
+        "notes": [],
+    }
+    assert _membership_entry(map_, np.ones(5), LINE5, 1e-7) == {
+        "name": "membership", "passed": True, "checked": 5,
+        "worst_distance": 0.0, "tol": 1e-7, "violations": [], "notes": [],
+    }
+
+
+def test_between_envelopes_names_the_first_point_of_the_worst_excess():
+    vf, vg = np.zeros(5), np.ones(5)
+    vh = np.array([0.5, 2.0, -1.0, 2.0, 0.5])  # excess 1 - 1e-9 at -0.5, 0 and 0.5
+    bounds, _ = _envelope_entries(LINE5, vf, vg, vh)
+    assert bounds == {
+        "name": "between-envelopes", "passed": False, "checked": 5,
+        "violations": [{"x": [-0.5], "deficit": 2.0 - 1.0 - 1e-9,
+                        "message": "h leaves [f - 1e-9, g + 1e-9]"}],
+        "notes": [],
+    }
+    bounds, _ = _envelope_entries(LINE5, vf, vg, np.full(5, 1.0 + 1e-10))
+    assert bounds == {
+        "name": "between-envelopes", "passed": True, "checked": 5,
+        "violations": [], "notes": [],
+    }
+
+
+def test_strictly_between_names_the_last_of_the_tied_worst_points():
+    vf = np.zeros(5)
+    vg = np.array([1.0, 1.0, 1.0, 1.0, 0.0])  # no gap at the last point
+    vh = np.array([0.5, 1.0, 0.0, 0.3, 0.0])  # touches at -0.5 and 0
+    _, strict = _envelope_entries(LINE5, vf, vg, vh)
+    assert strict == {
+        "name": "strictly-between", "passed": False, "checked": 5,
+        "violations": [{"x": [0.0], "deficit": 0.0,
+                        "message": "h touches an envelope where g - f > 0.001"}],
+        "notes": [],
+    }
+    # a gap of at most 1e-3 is not checked; no gap at all passes
+    vg = np.array([1.0, 1.0, 1.0, 1.0, 1e-3])
+    vh = np.array([0.5, 0.5, 0.5, 0.5, 0.0])
+    assert _envelope_entries(LINE5, vf, vg, vh)[1]["passed"] is True
+    _, strict = _envelope_entries(LINE5, vf, vf, vf)
+    assert strict == {
+        "name": "strictly-between", "passed": True, "checked": 5,
+        "violations": [], "notes": [],
+    }
+
+
+@pytest.mark.parametrize("ratios, passed", [
+    ([0.5, 0.8], False),
+    ([0.75, None], True),
+    ([None, None], True),
+])
+def test_modulus_ratio_entry_fails_above_the_bound(ratios, passed):
+    assert _ratio_entry(ratios) == {
+        "name": "modulus-ratio", "passed": passed, "ratios": ratios, "bound": 0.75,
+        "violations": [],
+        "notes": ["ratio of largest grid jump across successive halvings; "
+                  "null marks an already-flat field"],
+    }
+
+
+def test_verify_report_of_an_undeclared_map(tmp_path, monkeypatch):
+    # the skipped lsc entry has no eps; the envelopes carry no claim
+    (tmp_path / "spec.json").write_text(
+        json.dumps(variant(tags={"declared_lsc": False})), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("verify", "--spec", "spec.json", "--grid", "5",
+                   "--report", "report.json") == 0
+
+    def audited(name, notes=()):
+        return {"name": name, "passed": True, "checked": 5, "eps": 5.0,
+                "violations": [], "notes": list(notes)}
+
+    unclaimed = ["no semicontinuity claim to audit"]
+    assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8")) == {
+        "command": "verify", "spec": "spec.json", "grid": 5, "seed": 6168263,
+        "tol": 1e-7, "passed": True,
+        "invariants": [
+            {"name": "lsc", "passed": True, "checked": 0, "violations": [],
+             "notes": ["map not declared lower semicontinuous; skipped"]},
+            {**audited("stratification"), "eps": 0.0},
+            audited("continuity[everywhere]"),
+            audited("floor-unknown-semicontinuity", unclaimed),
+            audited("ceiling-unknown-semicontinuity", unclaimed),
+        ],
+    }
+
+
+# --- flags, paths and report encoding ----------------------------------------
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("select-michael", "--seed", "-1"),  # once numpy's ValueError
+    ("verify", "--seed", "-1"),
+    ("lns", "--tol", "nan"),  # once a failed membership entry
+    ("lns", "--tol", "-1"),
+    ("lns", "--tol", "inf"),  # once passed everything
+    ("select-michael", "--refine", "-3"),  # once "ratios": []
+])
+def test_bad_flags_are_input_errors(command, flag, value, specs_dir, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    rc = run_cli(command, "--spec", str(specs_dir / "m_two_stratum.json"), "--grid", "9",
+                 flag, value, "--report", str(report))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {flag} ") and "Traceback" not in err
+    assert not report.exists()
+
+
+COMMANDS = ["select-michael", "select-sandwich", "lns", "envelopes", "verify"]
+
+
+@pytest.mark.parametrize("command, flag", [(c, "--report") for c in COMMANDS]
+                         + [(c, "--out") for c in COMMANDS if c != "verify"])
+def test_unwritable_paths_are_input_errors(command, flag, specs_dir, tmp_path, capsys):
+    path = tmp_path / "missing" / "file"
+    rc = run_cli(command, "--spec", str(specs_dir / "m_two_stratum.json"), "--grid", "9",
+                 flag, str(path))
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_an_unwritable_report_on_the_abort_path_is_an_input_error(specs_dir, tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    rc = run_cli("select-michael", "--spec", str(specs_dir / "bad_lsc.json"), "--report", str(path))
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "selection: lsc audit failed at (0.0,) (probe (1.0,), deficit 8.281e-01)\n"
+        f"error: cannot write {path}: No such file or directory\n"
+    )
+
+
+# a ceiling of +inf left of 0, under a declared lsc map: its audit's deficit is inf
+INF_CEILING = variant(
+    pieces=[{"region": ["x1 < 0"], "body": {"interval": {"lo": "0", "hi": "inf"}}},
+            {"region": [], "body": {"interval": {"lo": "0", "hi": "1"}}}],
+    tags={"declared_lsc": True},
+)
+
+# flat on the --grid 5 lattice, steep between: the first modulus ratio is inf
+WIGGLE = "1000*(x1^2 - 1)*(x1^2 - 0.25)*x1"
+STEEP_BETWEEN = variant(
+    pieces=[{"region": [], "body": {"interval": {"lo": WIGGLE, "hi": f"{WIGGLE} + 1"}}}],
+    tags={"declared_lsc": True, "declared_continuous": True},
+)
+
+
+@pytest.mark.parametrize("command, raw, grid, path, value", [
+    ("verify", INF_CEILING, "9", ("invariants", 4, "violations", 0, "deficit"), "inf"),
+    ("select-michael", STEEP_BETWEEN, "5", ("invariants", 2, "ratios"), ["inf", 1.03125]),
+])
+def test_reports_encode_non_finite_numbers_as_strings(command, raw, grid, path, value, tmp_path):
+    spec, report = tmp_path / "spec.json", tmp_path / "report.json"
+    spec.write_text(json.dumps(raw), encoding="utf-8")
+    assert run_cli(command, "--spec", str(spec), "--grid", grid, "--report", str(report)) == 2
+    got = strict_json(report.read_text(encoding="utf-8"))
+    for key in path:
+        got = got[key]
+    assert got == value
