@@ -180,6 +180,16 @@ def default_per_axis(ambient_dim: int) -> int:
     return 129 if ambient_dim == 1 else 17
 
 
+def grid_size(domain: Domain, per_axis: int, halvings: int) -> int:
+    """Points of ``Grid(domain, per_axis)`` after ``halvings`` refinements,
+    counted in Python ints without building it: per box, the product of
+    ``(per_axis - 1) * 2^halvings + 1`` over its axes of nonzero width;
+    then the isolated points."""
+    side = (per_axis - 1) * 2**halvings + 1
+    boxes = sum(side ** int(np.count_nonzero(hi > lo)) for lo, hi in domain.boxes)
+    return boxes + len(domain.points)
+
+
 class Grid:
     """Sample points of a domain with an axis-neighbour relation.
 
@@ -273,6 +283,21 @@ class Grid:
         if self.per_axis < 2:
             return Grid(self.domain, self.per_axis)
         return Grid(self.domain, 2 * (self.per_axis - 1) + 1)
+
+    def refined_rows(self) -> np.ndarray:
+        """Each point's row in :meth:`refined`: in a box, multi-index ``i``
+        goes to ``2i`` (a zero-width axis keeps its one index 0), and an
+        isolated point goes to itself."""
+        rows = []
+        start = 0
+        for _, shape, _ in self._blocks:
+            fine = np.array([2 * w - 1 for w in shape])
+            strides = np.cumprod(np.append(1, fine[:0:-1]))[::-1]
+            coords = np.indices(shape).reshape(len(shape), -1)
+            rows.append(start + (2 * strides) @ coords)
+            start += int(np.prod(fine))
+        rows.append(start + np.arange(len(self.domain.points)))
+        return np.concatenate(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -635,14 +660,9 @@ def grid_values(f, grid: Grid) -> np.ndarray:
 
 
 def continuity_modulus(f, grid: Grid) -> float:
-    """Largest jump of ``f`` across any adjacent grid pair."""
-    return continuity_modulus_values(grid_values(f, grid), grid)
-
-
-def continuity_modulus_values(vals: np.ndarray, grid: Grid) -> float:
-    """:func:`continuity_modulus` for a field given by its values at the
-    grid points, shape (N,) or (N, m)."""
-    vals = np.asarray(vals, dtype=float)
+    """Largest jump across any adjacent grid pair of ``f``: a scalar or
+    vector field, or its values at the grid points, shape (N,) or (N, m)."""
+    vals = np.asarray(f, dtype=float) if isinstance(f, np.ndarray) else grid_values(f, grid)
     edges, _ = grid.directed_edges()
     if edges.shape[0] == 0:
         return 0.0
@@ -650,6 +670,22 @@ def continuity_modulus_values(vals: np.ndarray, grid: Grid) -> float:
     if diff.ndim == 1:
         return float(np.max(np.abs(diff)))
     return float(np.max(np.linalg.norm(diff, axis=1)))
+
+
+def _refined_values(f, grid: Grid, fine: Grid, vals: np.ndarray) -> np.ndarray:
+    """``f`` at the points of ``fine = grid.refined()``, given its values
+    ``vals`` at the points of ``grid``: a coarse point's row takes its value
+    where its coordinates are bit for bit the coarse point's, and ``f`` is
+    evaluated once, in grid order, on every other row."""
+    rows = grid.refined_rows()
+    same = (fine.points[rows].view(np.int64) == grid.points.view(np.int64)).all(axis=1)
+    known = np.zeros(len(fine), dtype=bool)
+    known[rows[same]] = True
+    out = np.empty((len(fine),) + vals.shape[1:])
+    out[rows[same]] = vals[same]
+    if not known.all():
+        out[~known] = f.many(fine.points[~known])
+    return out
 
 
 def modulus_ratios(
@@ -660,17 +696,18 @@ def modulus_ratios(
     ``None`` marks a step where both moduli sit below the noise floor
     (1e-12): a locally constant field has nothing left to shrink.
     ``values`` are the values of ``f`` at ``Grid(domain, per_axis)``,
-    when the caller already holds them; ``f`` is then evaluated only on
-    the refined grids.
+    when the caller already holds them.  Each refined grid takes the
+    values of the grid before it at the points the two share, so ``f`` is
+    evaluated only at the points each halving adds.
     """
     grid = Grid(domain, per_axis)
-    if values is None:
-        mods = [continuity_modulus(f, grid)]
-    else:
-        mods = [continuity_modulus_values(values, grid)]
+    vals = grid_values(f, grid) if values is None else np.asarray(values, dtype=float)
+    mods = [continuity_modulus(vals, grid)]
     for _ in range(halvings):
-        grid = grid.refined()
-        mods.append(continuity_modulus(f, grid))
+        fine = grid.refined()
+        vals = _refined_values(f, grid, fine, vals)
+        grid = fine
+        mods.append(continuity_modulus(vals, grid))
     out: list[float | None] = []
     for coarse, fine in zip(mods, mods[1:]):
         if coarse <= 1e-12 and fine <= 1e-12:

@@ -34,7 +34,7 @@ values from the passes on the construction grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -109,6 +109,8 @@ class SandwichTrace:
     h_compressed: ScalarField
     f_compressed: ScalarField
     g_compressed: ScalarField
+    #: h at the construction grid's points, from the construction's outer pass
+    h_values: np.ndarray = field(compare=False, repr=False)
 
     @property
     def outer(self) -> SandwichLevel:
@@ -276,11 +278,12 @@ def _build_levels(
     grid: Grid,
     fP: np.ndarray,
     gP: np.ndarray,
-) -> list[SandwichLevel]:
+) -> tuple[list[SandwichLevel], np.ndarray]:
     """The levels innermost first: the midpoint on the last stratum, then a
     glue level for each earlier stratum, baked from the arrays of the level
     inside it (f_c and g_c are the compressed envelopes, fP and gP their
-    values on the construction grid, masks the strata's there)."""
+    values on the construction grid, masks the strata's there); and the
+    outer level's total on the construction grid."""
 
     def level(label, kind, arrays):
         def batch(X):
@@ -298,7 +301,7 @@ def _build_levels(
         lvl = _GluePass(U)
         a = _bake(lvl, grid, {"f": fP, "g": gP, "U": masks[j]}, a["total"])
         levels.append(level(U.label, "glue", lvl))
-    return levels
+    return levels, a["total"]
 
 
 def sandwich_select(
@@ -318,7 +321,8 @@ def sandwich_select(
     stratification fails its audits (partition, relative openness,
     per-stratum continuity of the envelopes).  The returned h evaluates
     batches with ``h.many``: the envelopes once, then the outer level's
-    array pass.
+    array pass.  The trace's ``h_values`` are h at the construction grid's
+    points, taken from the outer level's pass there.
     """
     E = f.domain or g.domain
     if E is None:
@@ -368,13 +372,16 @@ def sandwich_select(
                 f"deficit {v.deficit:.3e} at {v.x}"
             )
 
-    levels = _build_levels(f_c, g_c, strat, masks, grid, fP, gP)
+    levels, total = _build_levels(f_c, g_c, strat, masks, grid, fP, gP)
     h_c = levels[-1].total
     lo = -1.0 + STRICTNESS_MARGIN
     hi = 1.0 - STRICTNESS_MARGIN
 
+    def h_of(w):
+        return unsquash(np.minimum(np.maximum(w, lo), hi))
+
     def h_batch(X):
-        return unsquash(np.minimum(np.maximum(h_c.many(X), lo), hi))
+        return h_of(h_c.many(X))
 
     trace = SandwichTrace(
         strata=tuple(r.label for r in strat.strata),
@@ -383,6 +390,7 @@ def sandwich_select(
         h_compressed=h_c,
         f_compressed=f_c,
         g_compressed=g_c,
+        h_values=h_of(total),
     )
     return ScalarField(E, batch=h_batch, tag=TAG_CONTINUOUS, name="sandwich"), trace
 

@@ -42,6 +42,7 @@ from convsel.fields import (
     Grid,
     Violation,
     default_per_axis,
+    grid_size,
     grid_values,
     modulus_ratios,
     pymax,
@@ -53,6 +54,10 @@ from convsel.selection import boundary_decay_audit, lns_field, michael_select
 from convsel.specio.loader import ProblemSpec, load_spec
 
 MODULUS_RATIO_BOUND = 0.75
+
+#: The most points a run may ask of its largest grid: the ``--grid`` grid,
+#: or its ``--refine``-th refinement for the two selections.
+MAX_GRID_POINTS = 2**22
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,10 +123,10 @@ def _write(path: str, text: str):
 def _write_csv(path: str, grid: Grid, values, labels):
     """One row per grid point: its coordinates, then its row of ``values``."""
     values = np.asarray(values, dtype=float).reshape(len(grid), len(labels))
-    lines = [",".join([f"x{i + 1}" for i in range(grid.domain.ambient_dim)] + labels)]
-    for row in np.column_stack((grid.points, values)).tolist():
-        lines.append(",".join("%.17g" % c for c in row))
-    _write(path, "\n".join(lines) + "\n")
+    table = np.column_stack((grid.points, values))
+    header = ",".join([f"x{i + 1}" for i in range(grid.domain.ambient_dim)] + labels)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    _write(path, header + "\n" + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _strict(obj):
@@ -288,7 +293,7 @@ def _cmd_sandwich(spec: ProblemSpec, grid: Grid, args) -> int:
     except ConvselError as exc:
         return _abort(args, spec, "selection", exc)
     try:
-        vh = h.many(grid.points)
+        vh = trace.h_values  # the construction grid is the output grid
         if args.out:
             _write_csv(args.out, grid, vh, _labels(1))
         vf, vg = f.many(grid.points), g.many(grid.points)
@@ -375,10 +380,20 @@ def main(argv=None) -> int:
         ):
             if bad:
                 raise SpecValidationError(message)
+        per_axis = args.grid or default_per_axis(spec.ambient_dim)
+        halvings = args.refine if args.command in ("select-michael", "select-sandwich") else 0
+        size = grid_size(spec.domain, per_axis, min(halvings, 64))
+        if size > MAX_GRID_POINTS:
+            # past 64 halvings a box of nonzero width has more than 2^64 points
+            shown = size if size <= 2**64 else "more than 2^64"
+            raise SpecValidationError(
+                f"--grid and --refine ask for a grid of {shown} points, "
+                f"more than {MAX_GRID_POINTS}"
+            )
     except ConvselError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    grid = Grid(spec.domain, args.grid or default_per_axis(spec.ambient_dim))
+    grid = Grid(spec.domain, per_axis)
     try:
         return args.func(spec, grid, args)
     except _Unwritable as exc:

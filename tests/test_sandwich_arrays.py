@@ -176,6 +176,17 @@ def test_fixtures_match_pointwise(name, specs_dir):
         check_selection(h, trace, Grid(spec.domain, per_axis))
 
 
+@pytest.mark.parametrize("per_axis", [17, 65])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_the_traced_values_of_h_are_its_values_on_the_construction_grid(
+    name, per_axis, specs_dir
+):
+    spec = load_spec(str(specs_dir / f"{name}.json"))
+    f, g = envelopes(spec.map)
+    h, trace = sandwich_select(f, g, spec.stratification, resolution=per_axis)
+    assert_same_bits(trace.h_values, h.many(trace.construction_grid.points))
+
+
 def test_region_audit_reports_violations_like_the_sweep(specs_dir):
     # a forged trace: V loses the points right of 1/2 and both V and X
     # gain the origin, where U does not hold, so one point fails several

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import warnings
 
@@ -6,10 +7,17 @@ import numpy as np
 import pytest
 
 from convsel.errors import EvalDomainError, InfeasibleBodyError, SpecValidationError
-from convsel.fields import Grid
+from convsel.fields import Domain, Grid
 from convsel.geometry import Ball, HPolytope, Interval
 from convsel.maps import SetValuedMap
-from convsel.specio.cli import _envelope_entries, _membership_entry, _ratio_entry, main
+from convsel.specio import cli
+from convsel.specio.cli import (
+    _envelope_entries,
+    _membership_entry,
+    _ratio_entry,
+    _write_csv,
+    main,
+)
 from convsel.specio.loader import load_spec, load_spec_dict
 from golden.capture import HOLE_AT_ONE_32ND, fixture_names, golden_runs, strict_json
 
@@ -747,3 +755,69 @@ def test_reports_encode_non_finite_numbers_as_strings(command, raw, grid, path, 
     for key in path:
         got = got[key]
     assert got == value
+
+
+def test_the_csv_is_the_per_value_rendering(tmp_path):
+    # one %-format for the whole table writes what "%.17g" writes per value
+    special = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e300, -1e300,
+               3.0, -7.0, 2.0**53, 0.1, 1 / 3]
+    domain = Domain(1, points=[(c,) for c in special])
+    grid = Grid(domain, 2)
+    values = np.column_stack([special[::-1], np.arange(len(special), dtype=float) - 4.0])
+    out = tmp_path / "h.csv"
+    _write_csv(str(out), grid, values, ["h1", "h2"])
+    rows = np.column_stack((grid.points, values)).tolist()
+    want = "x1,h1,h2\n" + "".join(",".join("%.17g" % c for c in row) + "\n" for row in rows)
+    assert out.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("command,name,flags,size", [
+    ("select-sandwich", "s_mixed", ["--grid", "9", "--refine", "60"], "9223372036854775809"),
+    ("select-sandwich", "s_mixed", ["--grid", "2049", "--refine", "11"], "4194305"),
+    ("select-michael", "m_poly", ["--grid", "1025", "--refine", "1"], "4198401"),
+    ("select-michael", "m_poly", ["--grid", "9", "--refine", "100"], "more than 2^64"),
+    ("lns", "m_ball", ["--grid", "3000"], "9000000"),
+    ("envelopes", "s_mixed", ["--grid", "4194305"], "4194305"),
+    ("verify", "m_ball", ["--grid", "10" + "0" * 40, "--refine", "0"], "more than 2^64"),
+])
+def test_a_grid_past_the_limit_exits_one_before_any_grid_is_built(
+    command, name, flags, size, specs_dir, tmp_path, monkeypatch, capsys
+):
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli, "Grid", no_grid)
+    report = tmp_path / "report.json"
+    rc = run_cli(command, "--spec", str(specs_dir / f"{name}.json"), *flags,
+                 "--report", str(report))
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: --grid and --refine ask for a grid of {size} points, more than 4194304\n"
+    )
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["lns", "envelopes", "verify"])
+def test_refine_does_not_count_where_nothing_is_refined(command, specs_dir):
+    assert run_cli(command, "--spec", str(specs_dir / "s_mixed.json"),
+                   "--grid", "9", "--refine", "60") == 0
+
+
+def test_sandwich_evaluates_h_only_at_the_points_each_halving_adds(
+    specs_dir, tmp_path, monkeypatch
+):
+    # h on the output grid comes from the construction, and the refined
+    # grids of the modulus report evaluate 64 + 128 new points (the full
+    # grids would be 65 + 129 + 257 = 451 rows)
+    rows = []
+    select = cli.sandwich_select
+
+    def counted(*args, **kwargs):
+        h, trace = select(*args, **kwargs)
+        batch = h.batch
+        return dataclasses.replace(h, batch=lambda X: (rows.append(len(X)), batch(X))[1]), trace
+
+    monkeypatch.setattr(cli, "sandwich_select", counted)
+    assert run_cli("select-sandwich", "--spec", str(specs_dir / "s_mixed.json"),
+                   "--grid", "65", "--out", str(tmp_path / "h.csv")) == 0
+    assert rows == [64, 128]
