@@ -698,12 +698,17 @@ def modulus_ratios(
     ``values`` are the values of ``f`` at ``Grid(domain, per_axis)``,
     when the caller already holds them.  Each refined grid takes the
     values of the grid before it at the points the two share, so ``f`` is
-    evaluated only at the points each halving adds.
+    evaluated only at the points each halving adds.  Refining stops at the
+    first halving that adds no point (on isolated points and zero-width
+    boxes), since every later grid would be the same: the list then has
+    fewer than ``halvings`` ratios.
     """
     grid = Grid(domain, per_axis)
     vals = grid_values(f, grid) if values is None else np.asarray(values, dtype=float)
     mods = [continuity_modulus(vals, grid)]
     for _ in range(halvings):
+        if grid_size(domain, grid.per_axis, 1) == len(grid):
+            break
         fine = grid.refined()
         vals = _refined_values(f, grid, fine, vals)
         grid = fine

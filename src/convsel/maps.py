@@ -16,6 +16,7 @@ hands its defect to the one kernel of that rule, ``fields.confirmed_edges``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import KW_ONLY, dataclass, field as dc_field, replace
 from functools import cached_property, partial
 from typing import Callable, Iterator
@@ -223,10 +224,26 @@ def envelopes(map_: SetValuedMap) -> tuple[ScalarField, ScalarField]:
     if map_.output_dim != 1:
         raise DimensionMismatchError("envelopes need a map into R^1")
 
+    # callers read f and g on the same points one after the other: the map
+    # is evaluated once for both, at the points of the last call
+    last = [(np.empty((0, 0)), None)]
+
+    def bound(side: int):
+        def batch(X):
+            X = np.asarray(X, dtype=float)
+            seen, lo_hi = last[0]
+            if seen.shape != X.shape or not np.array_equal(
+                    seen.view(np.uint64), X.view(np.uint64)):
+                lo_hi = map_.coord_bounds_many(X)
+                last[0] = (X.copy(), lo_hi)
+            return lo_hi[side][:, 0].copy()
+
+        return batch
+
     lsc = map_.declared_lsc
-    f = ScalarField(map_.domain, batch=lambda X: map_.coord_bounds_many(X)[0][:, 0],
+    f = ScalarField(map_.domain, batch=bound(0),
                     tag=TAG_UPPER if lsc else TAG_UNKNOWN, name=f"inf({map_.name})")
-    g = ScalarField(map_.domain, batch=lambda X: map_.coord_bounds_many(X)[1][:, 0],
+    g = ScalarField(map_.domain, batch=bound(1),
                     tag=TAG_LOWER if lsc else TAG_UNKNOWN, name=f"sup({map_.name})")
     return f, g
 
@@ -234,8 +251,60 @@ def envelopes(map_: SetValuedMap) -> tuple[ScalarField, ScalarField]:
 # ---------------------------------------------------------------------------
 # probing
 
+#: SplitMix64's increment (the odd integer nearest 2^64 / golden ratio)
+_GAMMA = 0x9E3779B97F4A7C15
 
-def _probes(bodies: BodyBatch, count: int, rng: np.random.Generator) -> np.ndarray:
+#: Rounds of rejection sampling per body; a body still short after them is
+#: topped up with projections of the first proposals of round ``_ROUNDS``.
+_ROUNDS = 40
+
+
+def _mix(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64's output function on a uint64 array, in place, with
+    ``scratch`` (an array of z's shape and itemsize) for the shifts."""
+    t = np.empty_like(z) if scratch is None else scratch.view(np.uint64)
+    np.right_shift(z, 30, out=t)
+    z ^= t
+    z *= 0xBF58476D1CE4E5B9
+    np.right_shift(z, 27, out=t)
+    z ^= t
+    z *= 0x94D049BB133111EB
+    np.right_shift(z, 31, out=t)
+    z ^= t
+    return z
+
+
+def _uniforms(seed: int, rows: np.ndarray, round_: int, count: int) -> np.ndarray:
+    """The first ``count`` doubles of each body's stream in a round, shape
+    (len(rows), count), uniform in [0, 1).
+
+    The stream of body ``row`` in round ``round_`` is SplitMix64 (Steele,
+    Lea & Flood, 2014) from the state ``key``: its j-th double is
+    ``(mix(key + (j + 1) * GAMMA) >> 11) * 2^-53``.  The key folds the
+    seed's 64-bit words (least significant first), then the row, then the
+    round into ``GAMMA``, one ``key = mix(key ^ word)`` each.  So a body's
+    proposals depend on nothing but the seed, its row and the round.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"the probe seed must be non-negative, got {seed}")
+    key = np.array([_GAMMA], dtype=np.uint64)
+    while True:
+        key = _mix(key ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+        seed >>= 64
+        if not seed:
+            break
+    key = _mix(_mix(key ^ np.asarray(rows, dtype=np.uint64)) ^ np.uint64(round_))
+    z = key[:, None] + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    u = np.empty(z.shape)  # the shifts' scratch space, then the doubles
+    _mix(z, u)
+    z >>= 11
+    np.copyto(u, z.view(np.int64), casting="unsafe")  # below 2^53: exact
+    u *= 2.0**-53
+    return u
+
+
+def _probes(bodies: BodyBatch, count: int, seed: int) -> np.ndarray:
     """Deterministic probes of every body, shape (N, count, m): the points
     attaining its finite coordinate bounds (lower then upper, coordinate by
     coordinate), then its least-norm point, then seeded members
@@ -246,7 +315,7 @@ def _probes(bodies: BodyBatch, count: int, rng: np.random.Generator) -> np.ndarr
     anchors = np.stack([arg_lo, arg_hi], axis=2).reshape(N, 2 * m, m)
     finite = np.isfinite(np.stack([lo, hi], axis=2)).reshape(N, 2 * m)
     least = bodies.least_norm()
-    samples, drawn = _sample(bodies, np.maximum(count - 1 - finite.sum(axis=1), 0), rng)
+    samples, drawn = _sample(bodies, np.maximum(count - 1 - finite.sum(axis=1), 0), seed)
     points = np.concatenate([anchors, least[:, None], samples], axis=1)
     valid = np.concatenate([finite, np.ones((N, 1), dtype=bool), drawn], axis=1)
     order = np.argsort(~valid, axis=1, kind="stable")  # each body's probes first, in order
@@ -255,18 +324,16 @@ def _probes(bodies: BodyBatch, count: int, rng: np.random.Generator) -> np.ndarr
     return points[at, order[at, np.minimum(np.arange(count), last)]]
 
 
-def _sample(bodies: BodyBatch, k: np.ndarray, rng: np.random.Generator):
+def _sample(bodies: BodyBatch, k: np.ndarray, seed: int):
     """``k[i]`` members of each body i that can be sampled, shape
     (N, max k, m), and which entries hold one, shape (N, max k).
 
     Body i draws rounds of ``max(4 k_i, 64)`` proposals, uniform in its
-    ``sample_bounds`` box, and keeps those inside it, in order; after 40
-    rounds it tops up with projections of further proposals.  The bodies
-    draw from ``rng`` one after another, in row order.  Round 1 nearly
-    always suffices, so every body's round 1 comes from one draw; from the
-    first body whose round 1 falls short, the generator is set back, the
-    rounds up to that body's are drawn again, and that body goes on alone
-    before the draw resumes at the next body: the stream is the same.
+    ``sample_bounds`` box, from its own stream (:func:`_uniforms`), and
+    keeps those inside it, in order; after 40 rounds it tops up with
+    projections of the first proposals of the next round.  The bodies
+    still short go on together, a round at a time; the top-up projects
+    each body alone.
     """
     lo, hi = bodies.sample_bounds()
     m = lo.shape[1]
@@ -274,46 +341,36 @@ def _sample(bodies: BodyBatch, k: np.ndarray, rng: np.random.Generator):
     size = np.maximum(4 * k, 64)
     can = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1) & (k > 0)
     out = np.zeros((len(k), int(k.max(initial=0)), m))
+    got = np.zeros(len(k), dtype=np.intp)
     todo = np.flatnonzero(can)
-    while todo.size:
-        # the bodies up to the next change of round size draw round 1 together
-        run = todo[: np.argmax(np.append(size[todo] != size[todo[0]], True))]
-        state = rng.bit_generator.state
-        Z, inside = _round(bodies, run, lo, span, size[run[0]], rng)
-        rank = np.cumsum(inside, axis=1) - inside  # the hits before, in its body's round
-        hits = rank[:, -1] + inside[:, -1]
-        short = np.flatnonzero(hits < k[run])
-        done = run.size if not short.size else short[0] + 1
-        b, j = np.nonzero(inside[:done] & (rank[:done] < k[run[:done], None]))
-        out[run[b], rank[b, j]] = Z[b, j]
-        todo = todo[done:]
-        if not short.size:
-            continue
-        i, got = run[short[0]], hits[short[0]]
-        rng.bit_generator.state = state
-        rng.random((done * size[i], m))  # the rounds used, up to body i's
-        for _ in range(39):
-            Zi, inside = _round(bodies, run[short[:1]], lo, span, size[i], rng)
-            Zi = Zi[inside][: k[i] - got]
-            out[i, got : got + len(Zi)] = Zi
-            got += len(Zi)
-            if got == k[i]:
-                break
-        else:
-            Zi = lo[i] + span[i] * rng.random((k[i] - got, m))
-            out[i, got : k[i]] = bodies.project_rows([i], Zi[None])[0]
+    for round_ in range(_ROUNDS):
+        if not todo.size:
+            break
+        for s in sorted(set(size[todo].tolist())):  # np.unique would import numpy.ma
+            rows = todo[size[todo] == s]
+            Z, inside = _round(bodies, rows, lo, span, s, seed, round_)
+            # each proposal's slot: the body's hits before it, this round included
+            rank = got[rows, None] + np.cumsum(inside, axis=1) - inside
+            b, j = np.nonzero(inside & (rank < k[rows, None]))
+            out[rows[b], rank[b, j]] = Z[b, j]
+            got[rows] = np.minimum(rank[:, -1] + inside[:, -1], k[rows])
+        todo = todo[got[todo] < k[todo]]
+    for i in todo:
+        # one body per call, as the body alone projects: the polytope
+        # kernel's products can round differently with the block's shape
+        u = _uniforms(seed, [i], _ROUNDS, (k[i] - got[i]) * m).reshape(1, -1, m)
+        out[i, got[i] : k[i]] = bodies.project_rows([i], lo[i] + span[i] * u)[0]
     return out, np.arange(out.shape[1]) < np.where(can, k, 0)[:, None]
 
 
-def _round(bodies: BodyBatch, rows: np.ndarray, lo, span, size: int, rng):
-    """One round of ``size`` proposals for each body of ``rows`` in turn,
-    from one draw, shape (R, size, m), and whether each lies in its body,
-    shape (R, size)."""
-    shape = (rows.size, size, lo.shape[1])
-    # each body's box repeated over its round: faster than a broadcast whose
-    # last axis is short
-    box = [np.repeat(v[rows], size, axis=0).reshape(shape) for v in (lo, span)]
-    Z = box[0] + box[1] * rng.random(shape)
+def _round(bodies: BodyBatch, rows: np.ndarray, lo, span, size: int, seed: int,
+           round_: int):
+    """Round ``round_``'s ``size`` proposals for each body of ``rows``,
+    shape (R, size, m), and whether each lies in its body, shape (R, size)."""
+    m = lo.shape[1]
+    Z = _uniforms(seed, rows, round_, size * m).reshape(rows.size, size, m)
+    Z *= span[rows, None]
+    Z += lo[rows, None]  # lo + span * u, in place
     return Z, bodies.contains(rows, Z)
 
 
@@ -323,7 +380,7 @@ def graph_sample(
     """``per_point`` members of T(x) for every grid x, deterministically."""
     if per_point < 1:
         raise ValueError("per_point must be >= 1")
-    probes = _probes(map_.evaluate_many(grid.points), per_point, np.random.default_rng(seed))
+    probes = _probes(map_.evaluate_many(grid.points), per_point, seed)
     return [(x.copy(), y) for x, ys in zip(grid.points, probes) for y in ys]
 
 
@@ -336,8 +393,9 @@ class _ProbedGrid:
     continuity audits on that grid.
 
     At the first audit T is evaluated as one batch and every body's probes
-    are drawn from it (:func:`_probes`), from one seeded stream in grid
-    order, so each audit reads exactly the probes a fresh audit would draw.
+    are drawn from it (:func:`_probes`), each body from the stream keyed by
+    the seed and its grid index, so each audit reads exactly the probes a
+    fresh audit would draw.
     Each (tail, head) row of distances, from the tail's probes to the
     head's body, is projected once and remembered; the rows that a sweep
     asks for are projected together, in one call per batch of heads.
@@ -354,7 +412,7 @@ class _ProbedGrid:
     @cached_property
     def _drawn(self) -> tuple[BodyBatch, np.ndarray]:
         bodies = self.map.evaluate_many(self.grid.points)
-        return bodies, _probes(bodies, self.probe_count, np.random.default_rng(self.seed))
+        return bodies, _probes(bodies, self.probe_count, self.seed)
 
     def _project(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
         """Distances from each probe of ``tails[e]`` to the body at

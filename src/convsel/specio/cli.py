@@ -179,13 +179,16 @@ def _report_entry(report, name: str | None = None) -> dict:
     )
 
 
-def _ratio_entry(ratios: list) -> dict:
+def _ratio_entry(ratios: list, halvings: int) -> dict:
     worst = max((r for r in ratios if r is not None), default=None)
+    notes = ["ratio of largest grid jump across successive halvings; "
+             "null marks an already-flat field"]
+    if len(ratios) < halvings:
+        notes.append(f"refinement stopped after {len(ratios)} of {halvings} halvings: "
+                     "the next halving adds no grid point")
     return _entry(
         "modulus-ratio", worst is None or worst <= MODULUS_RATIO_BOUND,
-        notes=["ratio of largest grid jump across successive halvings; "
-               "null marks an already-flat field"],
-        ratios=ratios, bound=MODULUS_RATIO_BOUND,
+        notes=notes, ratios=ratios, bound=MODULUS_RATIO_BOUND,
     )
 
 
@@ -277,7 +280,7 @@ def _cmd_michael(spec: ProblemSpec, grid: Grid, args) -> int:
             _report_entry(boundary_decay_audit(trace, grid)),
             _ratio_entry(modulus_ratios(
                 h, spec.domain, grid.per_axis, halvings=args.refine, values=values
-            )),
+            ), args.refine),
         ]
     except ConvselError as exc:
         return _abort(args, spec, "evaluation", exc)
@@ -302,7 +305,7 @@ def _cmd_sandwich(spec: ProblemSpec, grid: Grid, args) -> int:
             _report_entry(region_audit(trace, grid)),
             _ratio_entry(modulus_ratios(
                 h, spec.domain, grid.per_axis, halvings=args.refine, values=vh
-            )),
+            ), args.refine),
         ]
     except ConvselError as exc:
         return _abort(args, spec, "evaluation", exc)

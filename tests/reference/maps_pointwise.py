@@ -14,7 +14,9 @@ tests that write a map as per-point rules.
 
 The probes of the grid audits are here body by body too
 (:func:`probe_points`, :func:`sample`, :func:`distance_to`): the library
-draws them from one body batch, and must give the same bits.
+draws them from one body batch, and must give the same bits.  Their
+random stream is SplitMix64 in Python ints (:func:`uniforms`), written
+apart from the library's uint64 arrays.
 """
 
 from __future__ import annotations
@@ -225,22 +227,68 @@ def load_pointwise(raw: dict) -> tuple[PointwiseMap, tuple[PointwiseRegion, ...]
 
 # --- probes, body by body ---------------------------------------------------------
 
+MASK64 = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
 
-def sample(body: ConvexBody, k: int, rng: np.random.Generator) -> np.ndarray:
-    """``k`` feasible points: rejection inside the body's bounding box,
-    topped up with projections of leftover proposals when the body is thin
-    relative to its box."""
+
+def mix64(z: int) -> int:
+    """SplitMix64's output function on a Python int below 2^64."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix64(state: int, count: int) -> list[int]:
+    """The first ``count`` outputs of SplitMix64 from ``state``: the state
+    steps by ``GAMMA`` before each output."""
+    out = []
+    for _ in range(count):
+        state = (state + GAMMA) & MASK64
+        out.append(mix64(state))
+    return out
+
+
+def stream_key(seed: int, row: int, round_: int) -> int:
+    """The state of body ``row``'s stream in round ``round_``: ``GAMMA``
+    with the seed's 64-bit words, least significant first, then the row,
+    then the round folded in by ``key = mix64(key ^ word)``."""
+    key = GAMMA
+    while True:
+        key = mix64(key ^ (seed & MASK64))
+        seed >>= 64
+        if not seed:
+            break
+    return mix64(mix64(key ^ row) ^ round_)
+
+
+def uniforms(seed: int, row: int, round_: int, count: int) -> list[float]:
+    """The first ``count`` doubles in [0, 1) of body ``row``'s stream in
+    round ``round_``: the top 53 bits of each output."""
+    return [(z >> 11) * 2.0**-53 for z in splitmix64(stream_key(seed, row, round_), count)]
+
+
+def proposals(body: ConvexBody, seed: int, row: int, round_: int, count: int) -> np.ndarray:
+    """``count`` points uniform in the body's sample box, from its stream."""
     lo, hi = body.sample_bounds()
     span = np.maximum(hi - lo, 0.0)
+    u = np.array(uniforms(seed, row, round_, count * body.dim)).reshape(count, body.dim)
+    return lo + span * u
+
+
+def sample(body: ConvexBody, k: int, seed: int, row: int) -> np.ndarray:
+    """``k`` feasible points of the body at ``row``: rejection inside the
+    body's bounding box, a round of proposals at a time, topped up after
+    40 rounds with projections of the next round's first proposals when
+    the body is thin relative to its box."""
     batch = max(4 * k, 64)
     hits = np.empty((0, body.dim))
-    for _ in range(40):
-        Z = lo + span * rng.random((batch, body.dim))
+    for round_ in range(40):
+        Z = proposals(body, seed, row, round_, batch)
         inside = body.contains_many(Z)
         hits = np.vstack([hits, Z[inside]])
         if hits.shape[0] >= k:
             return hits[:k]
-    Z = lo + span * rng.random((k - hits.shape[0], body.dim))
+    Z = proposals(body, seed, row, 40, k - hits.shape[0])
     return np.vstack([hits, body.project_many(Z)])[:k]
 
 
@@ -267,15 +315,15 @@ def extreme_points(body: ConvexBody) -> list[np.ndarray]:
     return out
 
 
-def probe_points(body: ConvexBody, count: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Deterministic probes of a body: coordinate extremes, then the
-    least-norm point, then seeded interior samples; padded by repetition
-    when the body cannot be sampled (unbounded without a box)."""
+def probe_points(body: ConvexBody, count: int, seed: int, row: int = 0) -> list[np.ndarray]:
+    """Deterministic probes of the body at ``row``: coordinate extremes,
+    then the least-norm point, then seeded interior samples; padded by
+    repetition when the body cannot be sampled (unbounded without a box)."""
     pts = extreme_points(body)
     pts.append(body.least_norm())
     if len(pts) < count:
         try:
-            extra = sample(body, count - len(pts), rng)
+            extra = sample(body, count - len(pts), seed, row)
             pts.extend(np.asarray(extra))
         except UnboundedBodyError:
             pass
@@ -285,10 +333,11 @@ def probe_points(body: ConvexBody, count: int, rng: np.random.Generator) -> list
 
 
 def grid_probes(bodies, count: int, seed: int) -> np.ndarray:
-    """The probes of each body in turn, drawn from one seeded stream,
+    """The probes of each body in turn, each from its own row's stream,
     shape (N, count, m)."""
-    rng = np.random.default_rng(seed)
-    return np.array([probe_points(b, count, rng) for b in bodies], dtype=float)
+    return np.array(
+        [probe_points(b, count, seed, row) for row, b in enumerate(bodies)], dtype=float
+    )
 
 
 def distance_to(body: ConvexBody, probes: np.ndarray) -> np.ndarray:

@@ -113,10 +113,10 @@ def ref_lsc(map_, grid, eps=None, slope=1.0, interior_probes=3, mask=None):
         eps = default_eps(grid)
     pts = grid.points
     bodies = [map_.evaluate(x) for x in pts]
-    rng = np.random.default_rng(0x5E1EC7)
     probe_count = 2 * map_.output_dim + 1 + interior_probes
     probes = [
-        np.asarray(probe_points(b, probe_count, rng), dtype=float) for b in bodies
+        np.asarray(probe_points(b, probe_count, 0x5E1EC7, row), dtype=float)
+        for row, b in enumerate(bodies)
     ]
     edges, spacing = grid.directed_edges()
     violations = []

@@ -192,9 +192,8 @@ class TestFunctional:
         assert Ball([3.0, 4.0], 1.0).distance([0.0, 0.0]) == pytest.approx(4.0)
 
     def test_sample_members(self):
-        rng = np.random.default_rng(3)
-        for body in (Interval(-1.0, 2.0), Ball([1.0, 1.0], 0.5), TRIANGLE):
-            pts = sample(body, 50, rng)
+        for row, body in enumerate((Interval(-1.0, 2.0), Ball([1.0, 1.0], 0.5), TRIANGLE)):
+            pts = sample(body, 50, 3, row)
             assert pts.shape == (50, body.dim)
             assert body.contains_many(pts, tol=1e-7).all()
 

@@ -213,23 +213,23 @@ class TestEnvelopes:
 
 class TestProbes:
     def test_interval_probes_endpoints_first(self):
-        pts = probe_points(Interval(2.0, 5.0), 3, np.random.default_rng(0))
+        pts = probe_points(Interval(2.0, 5.0), 3, 0)
         assert pts[0][0] == 2.0
         assert pts[1][0] == 5.0
         assert pts[2][0] == 2.0  # least-norm point of [2, 5]
 
     def test_unbounded_interval_pads_by_repetition(self):
-        pts = probe_points(Interval(float("-inf"), float("inf")), 3, np.random.default_rng(0))
+        pts = probe_points(Interval(float("-inf"), float("inf")), 3, 0)
         assert all(p[0] == 0.0 for p in pts)
 
     def test_sampling_failure_propagates(self, monkeypatch):
         # only an unbounded body (nothing to sample) is padded by repetition
-        def failing_sample(body, k, rng):
+        def failing_sample(body, k, seed, row):
             raise ProjectionError("projection did not converge")
 
         monkeypatch.setattr(maps_pointwise, "sample", failing_sample)
         with pytest.raises(ProjectionError):
-            probe_points(Interval(2.0, 5.0), 5, np.random.default_rng(0))
+            probe_points(Interval(2.0, 5.0), 5, 0)
 
     def test_a_failing_batch_sample_propagates(self, monkeypatch):
         # the probes from one batch have no per-body error to catch either

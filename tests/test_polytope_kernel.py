@@ -194,7 +194,7 @@ def test_fallback_above_the_size_limit(monkeypatch):
         np.testing.assert_allclose(got, want, atol=1e-7)
     lo, hi = slow.coord_bounds()
     assert_extremes_attained(slow, lo, hi, tol=1e-7)
-    probes = probe_points(slow, 8, np.random.default_rng(0))
+    probes = probe_points(slow, 8, 0)
     assert slow.contains_many(np.array(probes), tol=1e-7).all()
 
 

@@ -34,10 +34,15 @@ FIXTURES = sorted(path.stem for path in SPECS.glob("*.json"))
 
 
 def full_ratios(f, domain, per_axis, halvings):
-    """The ratios from every grid evaluated whole, as the oracle."""
-    mods = []
-    for k in range(halvings + 1):
-        mods.append(continuity_modulus(f, Grid(domain, (per_axis - 1) * 2**k + 1)))
+    """The ratios from every grid evaluated whole, as the oracle, up to the
+    first halving that adds no point."""
+    grids = [Grid(domain, per_axis)]
+    for k in range(1, halvings + 1):
+        fine = Grid(domain, (per_axis - 1) * 2**k + 1)
+        if len(fine) == len(grids[-1]):
+            break
+        grids.append(fine)
+    mods = [continuity_modulus(f, grid) for grid in grids]
     return [
         None if coarse <= 1e-12 and fine <= 1e-12 else (fine / coarse if coarse > 0 else math.inf)
         for coarse, fine in zip(mods, mods[1:])
@@ -106,6 +111,43 @@ def test_the_counted_grid_size_is_the_built_one(name, per_axis):
     for halvings in range(4):
         assert grid_size(domain, per_axis, halvings) == len(grid)
         grid = grid.refined()
+
+
+#: domains whose grid no halving grows: isolated points, and boxes whose
+#: every axis has zero width
+FIXED_GRIDS = {
+    "2d-points-only": DOMAINS["2d-points-only"],
+    "2d-degenerate-boxes-and-points": Domain(
+        2, boxes=(((3.0, 3.0), (3.0, 3.0)), ((1.5, 0.1), (1.5, 0.1))), points=((4.0, 4.0),)
+    ),
+}
+
+
+@pytest.mark.parametrize("halvings", [1, 3, 60])
+@pytest.mark.parametrize("name", FIXED_GRIDS)
+def test_refining_stops_at_a_halving_that_adds_no_point(name, halvings):
+    domain = FIXED_GRIDS[name]
+    seen = []
+    inner = wave(domain)
+    f = ScalarField(domain, batch=lambda X: (seen.append(len(X)), inner.batch(X))[1])
+    built = []
+    real = Grid.refined
+
+    def refined(self):
+        built.append(self.per_axis)
+        return real(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Grid, "refined", refined)
+        assert modulus_ratios(f, domain, 5, halvings=halvings) == []
+    assert seen == [len(Grid(domain, 5))]  # the first grid only, once
+    assert built == []
+    assert full_ratios(f, domain, 5, halvings) == []
+
+
+def test_refining_goes_on_while_a_zero_width_axis_sits_beside_a_wide_one():
+    domain = DOMAINS["3d-flat-box"]
+    assert len(modulus_ratios(wave(domain), domain, 5, halvings=3)) == 3
 
 
 def test_only_the_new_points_are_evaluated():

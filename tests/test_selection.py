@@ -311,7 +311,7 @@ def spy_on_hypothesis_audits(monkeypatch, *modules) -> list:
 @pytest.mark.parametrize("seed", [None, 12345])
 def test_seed_reaches_the_selection_audits(seed, monkeypatch):
     # every randomized audit (lsc and each stratum's continuity) draws its
-    # probes from the one seeded stream of this call
+    # probes from the streams keyed by this call's seed
     calls = spy_on_hypothesis_audits(monkeypatch, selection)
     kwargs = {} if seed is None else {"seed": seed}
     michael_select(vband_map(), PUNCTURED, resolution=17, **kwargs)

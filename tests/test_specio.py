@@ -649,12 +649,19 @@ def test_strictly_between_names_the_last_of_the_tied_worst_points():
     ([None, None], True),
 ])
 def test_modulus_ratio_entry_fails_above_the_bound(ratios, passed):
-    assert _ratio_entry(ratios) == {
+    assert _ratio_entry(ratios, len(ratios)) == {
         "name": "modulus-ratio", "passed": passed, "ratios": ratios, "bound": 0.75,
         "violations": [],
         "notes": ["ratio of largest grid jump across successive halvings; "
                   "null marks an already-flat field"],
     }
+
+
+def test_modulus_ratio_entry_notes_where_refining_stopped():
+    assert _ratio_entry([None], 3)["notes"] == [
+        "ratio of largest grid jump across successive halvings; null marks an already-flat field",
+        "refinement stopped after 1 of 3 halvings: the next halving adds no grid point",
+    ]
 
 
 def test_verify_report_of_an_undeclared_map(tmp_path, monkeypatch):
@@ -821,3 +828,56 @@ def test_sandwich_evaluates_h_only_at_the_points_each_halving_adds(
     assert run_cli("select-sandwich", "--spec", str(specs_dir / "s_mixed.json"),
                    "--grid", "65", "--out", str(tmp_path / "h.csv")) == 0
     assert rows == [64, 128]
+
+
+def test_sandwich_evaluates_the_map_once_for_both_envelopes(specs_dir, tmp_path, monkeypatch):
+    # the construction, the CLI's envelope checks and the region audit read
+    # both envelopes on the output grid, and h on each refined grid reads
+    # them on its new points: one coord_bounds_many call for each point set
+    # (at the parent, one for each envelope and each reader: 10 calls)
+    rows = []
+    bounds = SetValuedMap.coord_bounds_many
+
+    def counted(self, X):
+        rows.append(len(X))
+        return bounds(self, X)
+
+    monkeypatch.setattr(SetValuedMap, "coord_bounds_many", counted)
+    assert run_cli("select-sandwich", "--spec", str(specs_dir / "s_mixed.json"),
+                   "--grid", "65", "--out", str(tmp_path / "h.csv")) == 0
+    assert rows == [65, 64, 128]
+
+
+@pytest.mark.parametrize("command", ["select-michael", "select-sandwich"])
+def test_refining_isolated_points_stops_at_once_and_says_so(command, tmp_path, monkeypatch):
+    # no halving adds a point to a domain of isolated points, so no refined
+    # grid is built, however many halvings --refine asks for
+    raw = variant(domain={"points": [[0.0], [0.5], [2.0]]},
+                  tags={"declared_lsc": True, "declared_continuous": True})
+    (tmp_path / "spec.json").write_text(json.dumps(raw), encoding="utf-8")
+
+    def refined(self):
+        raise AssertionError("a refined grid was built")
+
+    monkeypatch.setattr(Grid, "refined", refined)
+    report = tmp_path / "report.json"
+    assert run_cli(command, "--spec", str(tmp_path / "spec.json"), "--grid", "9",
+                   "--refine", "40", "--report", str(report)) == 0
+    entry = json.loads(report.read_text(encoding="utf-8"))["invariants"][-1]
+    assert entry["name"] == "modulus-ratio" and entry["passed"]
+    assert entry["ratios"] == []
+    assert entry["notes"][1:] == [
+        "refinement stopped after 0 of 40 halvings: the next halving adds no grid point"]
+
+
+def test_any_non_negative_seed_runs_and_repeats(specs_dir, tmp_path):
+    # a seed past 2^64 has more than one 64-bit word; every word keys the
+    # probe stream (it once raised OverflowError in a uint64 conversion)
+    reports = []
+    for run in range(2):
+        report = tmp_path / f"report{run}.json"
+        assert run_cli("verify", "--spec", str(specs_dir / "m_poly.json"),
+                       "--seed", str(2**70), "--report", str(report)) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["seed"] == 2**70

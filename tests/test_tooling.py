@@ -57,17 +57,21 @@ def test_import_does_not_load_mpmath():
 
 @pytest.mark.parametrize("command,spec", [
     ("select-michael", "m_two_stratum"),
+    ("select-michael", "m_poly"),
+    ("verify", "m_poly"),
     ("verify", "s_mixed"),
     ("select-sandwich", "s_mixed"),
 ])
 def test_a_cli_run_does_not_load_numpy_ma(command, spec, tmp_path):
     # np.quantile reaches np.unique, which imports all of numpy.ma (10-15 ms
-    # of a fresh process); the decay audit's band edges avoid it
+    # of a fresh process); the decay audit's band edges avoid it.  The
+    # probes come from maps._uniforms, so numpy.random, and the secrets and
+    # hashlib it imports, stay unloaded too (about 13 ms)
     src = Path(convsel.__file__).resolve().parents[1]
     specs = Path(__file__).resolve().parent / "specs"
     code = (
         "import sys; from convsel.specio.cli import main; rc = main(sys.argv[1:]); "
-        "print(rc, 'numpy.ma' in sys.modules)"
+        "print(rc, [m for m in ('numpy.ma', 'numpy.random', 'secrets') if m in sys.modules])"
     )
     argv = [command, "--spec", str(specs / f"{spec}.json"), "--grid", "33",
             "--out", str(tmp_path / "h.csv"), "--report", str(tmp_path / "report.json")]
@@ -75,7 +79,17 @@ def test_a_cli_run_does_not_load_numpy_ma(command, spec, tmp_path):
         [sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert out.stdout.splitlines()[-1] == "0 False"
+    assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def test_no_library_file_names_numpy_random():
+    # the probe stream is the library's own; numpy.random would be imported
+    # again by the first call that names it
+    src = Path(convsel.__file__).resolve().parent
+    named = [str(path.relative_to(src)) for path in sorted(src.rglob("*.py"))
+             if "np.random" in path.read_text(encoding="utf-8")
+             or "numpy.random" in path.read_text(encoding="utf-8")]
+    assert named == []
 
 
 def test_the_library_imports_nothing_from_the_tests():
