@@ -15,7 +15,9 @@ of ``A_S^T``.  The nearest candidate that passes the membership
 certificate (:func:`_certified`) is the projection; the candidates for
 the origin give the least-norm point (the feasibility witness checked at
 construction) and the coordinate extremes with points attaining them.
-The same factorizations tell which coordinates are bounded.
+The same factorizations tell which coordinates are bounded.  A polytope
+batch has one normal matrix that its rows share or one per row; the
+kernel factors a stack of them at once, and shared operators broadcast.
 
 Past the kernel's size limit, and on the rare bodies where no candidate
 passes the certificate, Seidel's recursion over the rows answers instead
@@ -91,10 +93,10 @@ def _flat_operators(Q, R) -> tuple:
 
 def _within(A, B, norms, Y, tol) -> np.ndarray:
     """Whether each point y of block ``Y[n]``, (R, k, m), has ``b_i - a_i y
-    >= -tol max(1, |a_i|)`` on each row of ``A`` (norms ``norms``) and
+    >= -tol max(1, |a_i|)`` on each row of ``A[n]`` (norms ``norms[n]``) and
     ``B[n]``; ``tol`` is a number or one per point, (R, 1, k)."""
     slack = B[:, :, None] - A @ Y.transpose(0, 2, 1)
-    return np.all(slack >= -tol * np.maximum(1.0, norms)[:, None], axis=1)
+    return np.all(slack >= -tol * np.maximum(1.0, norms)[..., None], axis=1)
 
 
 def _certified(A, B, norms, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
@@ -116,46 +118,58 @@ class KernelOperators(NamedTuple):
     H: np.ndarray
     P: np.ndarray
     bounded: np.ndarray
+    keep: np.ndarray
 
 
 def kernel_operators(A) -> KernelOperators | None:
-    """The exact kernel's operators for the normals ``A``, with zero rows
-    dropped as :class:`HPolytope` drops them, or None when a polytope with
-    these normals takes the fallback path.  They depend on ``A`` alone, so
-    polytopes that share their normals share them, read-only, as ``_sets``.
+    """The exact kernel's operators for the normals ``A``, one matrix (p, m)
+    or a stack (..., p, m) with operators per matrix, or None when
+    polytopes with these normals take the fallback path.  They depend on
+    ``A`` alone, so polytopes that share their normals share them,
+    read-only, as ``_sets``.  Rows zero in every matrix are dropped, as
+    :class:`PolytopeBatch` drops them.
 
-    The candidates for points z and offsets b are ``b H + z P``, m
-    columns per kept row subset S (by size, the empty set first): ``H``
-    (p, K m) holds S's ``R^-1 Q^T`` on its rows, ``P`` (m, K m) S's
-    projector.  S is kept when each row's part off the span of those
-    before it exceeds ``_SPAN_TOL`` of its norm, as in :func:`_nearest`.
-    ``bounded`` (2, m): ``y_j`` is bounded below (row 0) or above (row 1)
-    when a kept S has ``e_j`` in its span to ``_SPAN_TOL`` with unit-row
-    multipliers ``R^-1 Q^T e_j`` <= ``_SEIDEL_SLACK`` (>= ``-_SEIDEL_SLACK``).
+    The candidates for points z and offsets b are ``b H + z P``, m columns
+    per row subset S (by size, the empty set first): ``H`` (..., p, K m)
+    holds S's ``R^-1 Q^T`` on its rows, ``P`` (..., m, K m) S's projector,
+    with one QR call per subset size.  A matrix keeps S (``keep``, (...,
+    K)) when each row's part off the span of those before it exceeds
+    ``_SPAN_TOL`` of its norm, as in :func:`_nearest`; S is left out when
+    no matrix keeps it, and its ``R`` is the identity where it is masked,
+    so that the solve cannot fail.  ``bounded`` (..., 2, m): ``y_j`` is
+    bounded below (row 0) or above (row 1) when a kept S has ``e_j`` in
+    its span to ``_SPAN_TOL`` with unit-row multipliers ``R^-1 Q^T e_j``
+    <= ``_SEIDEL_SLACK`` (>= ``-_SEIDEL_SLACK``).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     _check_finite(A)
-    norms = np.linalg.norm(A, axis=1)
-    A, norms = A[norms != 0.0], norms[norms != 0.0]
-    p, m = A.shape
+    norms = np.linalg.norm(A, axis=-1)
+    live = ~np.all(norms.reshape(-1, A.shape[-2]) == 0.0, axis=0)
+    A, norms = A[..., live, :], norms[..., live]
+    lead, (p, m) = A.shape[:-2], A.shape[-2:]
     if _active_set_count(p, m) >= _MAX_ACTIVE_SETS:
         return None
-    H, P = [np.zeros((p, 1, m))], [np.eye(m)[:, None]]
+    H, P = [np.zeros(lead + (p, 1, m))], [np.broadcast_to(np.eye(m)[:, None], lead + (m, 1, m))]
+    keep = [np.ones(lead + (1,), dtype=bool)]
     for k in range(1, min(p, m) + 1):
         idx = _row_subsets(p, k)
-        Q, R = np.linalg.qr(A[idx].transpose(0, 2, 1))
-        keep = np.all(np.abs(np.diagonal(R, axis1=1, axis2=2)) > _SPAN_TOL * norms[idx], axis=1)
-        idx, Q, R = idx[keep], Q[keep], R[keep]
-        HS, PS = _flat_operators(Q, R)
-        H.append(np.zeros((p, idx.shape[0], m)))
-        H[-1][idx, np.arange(idx.shape[0])[:, None]] = HS
-        P.append(PS.transpose(1, 0, 2))
-    H, P = np.concatenate(H, axis=1), np.concatenate(P, axis=1)  # (p, K, m), (m, K, m)
-    spans = np.linalg.norm(P, axis=0) <= _SPAN_TOL  # e_j in the span of S
-    lam = H * norms[:, None, None]  # zero off S
-    bounded = np.array([np.any(spans & np.all(lam <= _SEIDEL_SLACK, axis=0), axis=0),
-                        np.any(spans & np.all(lam >= -_SEIDEL_SLACK, axis=0), axis=0)])
-    sets = KernelOperators(H.reshape(p, H.shape[1] * m), P.reshape(m, H.shape[1] * m), bounded)
+        Q, R = np.linalg.qr(np.swapaxes(A[..., idx, :], -1, -2))
+        kept = np.all(np.abs(np.diagonal(R, axis1=-2, axis2=-1)) > _SPAN_TOL * norms[..., idx],
+                      axis=-1)
+        HS, PS = _flat_operators(Q, np.where(kept[..., None, None], R, np.eye(k)))
+        H.append(np.zeros(lead + (p, idx.shape[0], m)))
+        H[-1][..., idx, np.arange(idx.shape[0])[:, None], :] = HS
+        P.append(np.swapaxes(PS, -3, -2))
+        keep.append(kept)
+    H, P, keep = (np.concatenate(a, axis=axis) for a, axis in ((H, -2), (P, -2), (keep, -1)))
+    some = np.any(keep.reshape(-1, keep.shape[-1]), axis=0)  # kept by some matrix
+    H, P, keep = H[..., some, :], P[..., some, :], keep[..., some]  # K subsets left
+    spans = keep[..., None] & (np.linalg.norm(P, axis=-3) <= _SPAN_TOL)  # e_j in the span of S
+    lam = H * norms[..., None, None]  # zero off S
+    bounded = np.stack([np.any(spans & np.all(lam <= _SEIDEL_SLACK, axis=-3), axis=-2),
+                        np.any(spans & np.all(lam >= -_SEIDEL_SLACK, axis=-3), axis=-2)], axis=-2)
+    K = keep.shape[-1]
+    sets = KernelOperators(H.reshape(lead + (p, K * m)), P.reshape(lead + (m, K * m)), bounded, keep)
     for a in sets:
         a.setflags(write=False)
     return sets
@@ -369,7 +383,7 @@ class HPolytope(ConvexBody):
         sets = kernel_operators(A) if _sets is None else _sets
         self._row = PolytopeBatch(A, sets, b, bounding_box)
 
-    A = property(lambda self: self._row.A)
+    A = property(lambda self: self._row.A.reshape(self._row.A.shape[-2:]))
     b = property(lambda self: self._row.B[0])
     project_many = ConvexBody.project_many
     coord_bounds = ConvexBody.coord_bounds
@@ -387,10 +401,10 @@ class HPolytope(ConvexBody):
 
     def boundary_margin(self, y) -> float:
         y = self._check_dim(y)
-        if self.A.shape[0] == 0:
-            return math.inf
-        slack = (self.b - self.A @ y) / self._row._norms
-        worst = float(np.min(slack))
+        norms = self._row._norms.reshape(-1)  # a normal that vanishes here is vacuous
+        slack = np.divide(self.b - self.A @ y, norms, out=np.full(norms.shape, math.inf),
+                          where=norms != 0.0)
+        worst = float(np.min(slack, initial=math.inf))
         if worst >= 0:
             # inside: nearest facet hyperplane realizes the boundary distance
             return worst
@@ -590,24 +604,25 @@ class BallBatch(BodyBatch):
 
 
 class PolytopeBatch(BodyBatch):
-    """Polytopes ``{y : A y <= b_i}`` that share their normals ``A`` and
-    the exact kernel's operators ``sets`` (``kernel_operators(A)``; None
-    past the kernel's limit), with ``b_i`` the rows of ``B``.
-    ``bounding_box`` is None or a pair ``(lo, hi)`` that broadcasts to
-    (N, m): row i is body i's box, which :meth:`translate` shifts with the
-    body.
+    """Polytopes ``{y : A_i y <= b_i}``, ``b_i`` the rows of ``B``, with the
+    exact kernel's operators ``sets = kernel_operators(A)`` (None past the
+    kernel's limit).  ``A`` is one normal matrix (p, m) that the rows
+    share, or one per row (N, p, m), and ``sets`` has its leading axes:
+    shared operators broadcast over the rows, so one query code serves
+    both.  ``bounding_box`` is None or a pair ``(lo, hi)`` that broadcasts
+    to (N, m): row i is body i's box, which :meth:`translate` shifts.
 
-    Non-finite data raises, and zero rows of ``A`` are resolved at
-    construction: a vacuous constraint (``0 <= b_i`` with ``b_i >= 0``) is
-    dropped, an impossible one raises; unless ``_validated``, every row is
-    checked nonempty.  The kernel's products are stacked over the rows, so
-    that each row's are taken one at a time by the same BLAS calls as for
-    that row alone.  The candidates for the origin that pass the
-    certificate (:meth:`_certify`) give every row's least-norm point and
-    coordinate extremes, computed once.  A row where none passes (empty,
-    or too ill-conditioned for the kernel to tell) is on the fallback
-    path once that is known, as is every row without ``sets``:
-    :func:`_nearest` confirms it nonempty, gives its least-norm point, its
+    Non-finite data raises, and zero normals are resolved at construction:
+    a vacuous constraint (``0 <= b_i`` with ``b_i >= 0``) is kept, or
+    dropped where every row's normal is zero, an impossible one raises;
+    unless ``_validated``, every row is checked nonempty.  The kernel's
+    products are stacked over the rows (:meth:`_candidates`).  The
+    candidates for the origin that pass the certificate (:meth:`_certify`)
+    give every row's least-norm point and coordinate extremes, computed
+    once.  A row where none passes (empty, or too ill-conditioned for the
+    kernel to tell) is on the fallback path once that is known, as is
+    every row without ``sets``: :func:`_nearest`, on the row's own
+    normals, confirms it nonempty, gives its least-norm point, its
     extremes (two calls per coordinate) and the projection of each of its
     points.  A point that the kernel cannot answer goes to
     :func:`_nearest` alone, so a block projects as its points one at a
@@ -618,20 +633,21 @@ class PolytopeBatch(BodyBatch):
 
     def __init__(self, A, sets, B, bounding_box=None, _validated: bool = False):
         A = np.asarray(A, dtype=float)
-        B = np.asarray(B, dtype=float).reshape(-1, A.shape[0])
+        p, m = A.shape[-2:]
+        B = np.asarray(B, dtype=float).reshape(-1, p)
         if bounding_box is not None:
-            bounding_box = tuple(np.broadcast_to(v, (B.shape[0], A.shape[1]))
-                                 for v in bounding_box)
+            bounding_box = tuple(np.broadcast_to(v, (B.shape[0], m)) for v in bounding_box)
         _check_finite(A, B)
-        zero = np.linalg.norm(A, axis=1) == 0.0
-        if zero.any():
-            if np.any(B[:, zero] < 0):
+        if not _validated:
+            zero = np.linalg.norm(A, axis=-1) == 0.0
+            if np.any(zero & (B < 0)):
                 raise InfeasibleBodyError("constraint 0 <= b with b < 0")
-            A, B = A[~zero], B[:, ~zero]
-        self.A, self.B, self.dim = A, np.ascontiguousarray(B), A.shape[1]  # strided B misses BLAS
+            live = ~np.all(zero.reshape(-1, p), axis=0)  # as kernel_operators keeps them
+            A, B = A[..., live, :], B[:, live]
+        self.A, self.B, self.dim = A, np.ascontiguousarray(B), m  # strided B misses BLAS
         self.bounding_box = bounding_box
         self._sets = sets
-        self._norms = np.linalg.norm(A, axis=1)
+        self._norms = np.linalg.norm(A, axis=-1)
         self._origin = self._extremes = None
         if not _validated:
             for i in np.flatnonzero(self._lost()):
@@ -640,13 +656,22 @@ class PolytopeBatch(BodyBatch):
     def __len__(self) -> int:
         return self.B.shape[0]
 
+    def _of(self, a, rows) -> np.ndarray:
+        """``a`` (``A``, its norms or an array of ``sets``) for the bodies
+        ``rows``, with a leading axis: each body's own, or the one that
+        shared normals broadcast over them."""
+        return a[rows] if self.A.ndim == 3 else a[None]
+
     def take(self, rows) -> "PolytopeBatch":
         """The batch of ``rows``, with their candidates for the origin once
         this batch holds them."""
-        box = self.bounding_box
+        box, A, sets = self.bounding_box, self.A, self._sets
         if box is not None:
             box = (box[0][rows], box[1][rows])
-        part = PolytopeBatch(self.A, self._sets, self.B[rows], box, _validated=True)
+        if A.ndim == 3:
+            A = A[rows]
+            sets = None if sets is None else KernelOperators(*(a[rows] for a in sets))
+        part = PolytopeBatch(A, sets, self.B[rows], box, _validated=True)
         if self._origin is not None:
             part._origin = tuple(a[rows] for a in self._origin)
         return part
@@ -655,7 +680,7 @@ class PolytopeBatch(BodyBatch):
         """``(block slice, point slice)`` chunks of ``count`` blocks of ``k``
         points whose candidates fit in the chunk size: several whole blocks
         at a time, or one block in parts."""
-        p, Km = self._sets.H.shape
+        p, Km = self._sets.H.shape[-2:]
         per = max(1, _CANDIDATE_FLOATS // (Km // self.dim * (p + self.dim)))  # points per chunk
         step, part = max(1, per // max(k, 1)), max(1, min(k, per))
         for r in range(0, count, step):
@@ -664,24 +689,28 @@ class PolytopeBatch(BodyBatch):
 
     def _candidates(self, rows, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every active-set candidate of body ``rows[n]`` for each point of
-        block ``Z[n]``, shape (R, k, K, m), and whether it passes that
-        body's membership certificate, shape (R, k, K).  Both products are
-        stacked over the rows, one BLAS call per row whatever R is."""
+        block ``Z[n]``, shape (R, k, K, m), and whether it is one of that
+        body's kept subsets and passes its membership certificate, shape (R,
+        k, K).  The products are stacked over the rows, and numpy's matmul
+        takes each row's by its own BLAS call, so for a C-contiguous ``Z``
+        row n is bit for bit what body ``rows[n]`` gives alone for the block
+        ``Z[n]``, whatever R and the other rows are."""
         R, k, m = Z.shape
-        Y = self.B[rows, None, :] @ self._sets.H + Z @ self._sets.P
-        Y = Y.reshape(R, k, -1, m)
-        return Y, self._certify(rows, Y.reshape(R, -1, m)).reshape(Y.shape[:3])
+        H, P, _, keep = (self._of(a, rows) for a in self._sets)
+        Y = (self.B[rows, None, :] @ H + Z @ P).reshape(R, k, -1, m)
+        inside = self._certify(rows, Y.reshape(R, -1, m)).reshape(Y.shape[:3])
+        return Y, inside & keep[:, None, :]
 
     def _certify(self, rows, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
         """:func:`_certified` of each point of block ``Y[n]`` in body
         ``rows[n]``, shape (R, k)."""
-        return _certified(self.A, self.B[rows], self._norms, Y, tol)
+        return _certified(self._of(self.A, rows), self.B[rows], self._of(self._norms, rows), Y, tol)
 
     def _origin_candidates(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's candidates for the origin, shape (N, K, m), and which
         lie in its body, shape (N, K), computed once."""
         if self._origin is None:
-            N, K = len(self), self._sets.H.shape[1] // self.dim
+            N, K = len(self), self._sets.H.shape[-1] // self.dim
             Y, inside = np.empty((N, K, self.dim)), np.empty((N, K), dtype=bool)
             zero = np.zeros((N, 1, self.dim))
             for rows, _ in self._blocks(N, 1):
@@ -698,11 +727,12 @@ class PolytopeBatch(BodyBatch):
         return ~self._origin_candidates()[1].any(axis=1)
 
     def contains(self, rows, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
-        return _within(self.A, self.B[rows], self._norms, np.asarray(Y, dtype=float), tol)
+        Y = np.asarray(Y, dtype=float)
+        return _within(self._of(self.A, rows), self.B[rows], self._of(self._norms, rows), Y, tol)
 
     def project_rows(self, rows, Z) -> np.ndarray:
         rows = np.asarray(rows)
-        Z = np.asarray(Z, dtype=float)
+        Z = np.ascontiguousarray(Z, dtype=float)
         out = np.empty_like(Z)
         found = np.zeros(Z.shape[:2], dtype=bool)
         if self._sets is not None:
@@ -741,14 +771,16 @@ class PolytopeBatch(BodyBatch):
                 # the least-norm point of each optimal face is among the members
                 Y, inside = self._origin_candidates()
                 norms2 = np.sum(Y**2, axis=2)
+                bounded = np.broadcast_to(self._sets.bounded, (N, 2, m))
                 for side, sign in enumerate((1.0, -1.0)):
-                    for j in np.flatnonzero(self._sets.bounded[side]):
+                    for j in np.flatnonzero(bounded[:, side].any(axis=0)):
                         t = np.where(inside, sign * Y[:, :, j], math.inf)
                         best = np.min(t, axis=1, keepdims=True)
                         ties = inside & (t <= best + CONTAINS_TOL * np.maximum(1.0, np.abs(best)))
                         i = np.argmin(np.where(ties, norms2, math.inf), axis=1)
-                        extremes[side][:, j] = Y[np.arange(N), i, j]
-                        extremes[side + 2][:, j] = Y[np.arange(N), i]
+                        at = np.flatnonzero(bounded[:, side, j])
+                        extremes[side][at, j] = Y[at, i[at], j]
+                        extremes[side + 2][at, j] = Y[at, i[at]]
             for i, j, side in itertools.product(np.flatnonzero(self._lost()), range(m), (0, 1)):
                 w = np.zeros(m)
                 w[j] = 2 * side - 1  # towards lo, then hi
@@ -777,8 +809,9 @@ class PolytopeBatch(BodyBatch):
         return PolytopeBatch(self.A, self._sets, B, box, _validated=True)
 
     def _solve(self, i: int, z, w=None) -> tuple:
-        """:func:`_nearest` on body i, which must not be empty."""
-        found = _nearest(self.A, self.B[i], z, np.zeros(self.dim) if w is None else w)
+        """:func:`_nearest` on body i (its own normals), which must not be empty."""
+        A = self._of(self.A, [i])[0]
+        found = _nearest(A, self.B[i], z, np.zeros(self.dim) if w is None else w)
         if found is None:
             raise InfeasibleBodyError("halfspace system has no solution")
         return found

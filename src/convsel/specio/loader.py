@@ -49,14 +49,7 @@ from convsel.errors import (
     UncoveredPointError,
 )
 from convsel.fields import Domain, FirstBadRow, Grid, _outermost_many
-from convsel.geometry import (
-    BallBatch,
-    HPolytope,
-    IntervalBatch,
-    PolytopeBatch,
-    StackedBatch,
-    kernel_operators,
-)
+from convsel.geometry import BallBatch, IntervalBatch, PolytopeBatch, kernel_operators
 from convsel.maps import EVERYWHERE, Region, SetValuedMap, Stratification
 from convsel.specio import expr
 
@@ -255,17 +248,17 @@ def _build_hpolytope(spec: dict, path: str, n: int, m: int):
     def normals_at(X):
         return np.stack([_columns(normal, X) for normal in normals], axis=1)
 
-    def rows(X):
+    def per_row(X):
         B = _columns(offsets, X)  # before the normals, as one point evaluates them
-        return StackedBatch.of_rows(
-            [HPolytope(a, b, bounding_box=box)._row for a, b in zip(normals_at(X), B)], m)
+        A = normals_at(X)
+        return PolytopeBatch(A, kernel_operators(A), B, box)
 
     if any(expr.max_var_index(c) != -1 for normal in normals for c in normal):
-        return rows  # the normals vary: one polytope per point
+        return per_row  # the normals vary: a normal matrix per row
     try:
         A = normals_at(np.zeros((1, n)))[0]
     except EvalDomainError:
-        return rows  # every evaluation raises
+        return per_row  # every row raises, each where it is evaluated
     A.setflags(write=False)
     sets = kernel_operators(A)  # None past the kernel's limit: every row on the fallback
     # constant normals: every body shares A and the kernel's operators

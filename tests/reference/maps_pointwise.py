@@ -190,6 +190,8 @@ def _rule(spec: dict, n: int):
         return np.array([[evaluate(c, x) for c in normal] for normal, _ in rows])
 
     def rule(x):
+        # one body per point, its operators from its own normals: the oracle
+        # of the loader's one batch with a normal matrix per row
         b = np.array([evaluate(offset, x) for _, offset in rows])
         return HPolytope(normals(x), b, bounding_box=box)
 

@@ -408,7 +408,7 @@ def test_bodies_topped_up_in_one_sample_project_as_the_oracle():
 
 def test_a_stacked_batch_of_mixed_kinds_matches_the_oracle():
     # balls, a polytope batch with a box, and polytopes whose normals vary
-    # (held one by one), interleaved along the grid
+    # (a normal matrix per row), interleaved along the grid
     raw = {
         "ambient_dim": 1, "output_dim": 2,
         "domain": {"boxes": [{"lo": [-1.0], "hi": [1.0]}]}, "strata": [[]],
@@ -428,41 +428,59 @@ def test_a_stacked_batch_of_mixed_kinds_matches_the_oracle():
     spec = load_spec_dict(raw)
     bodies = spec.map.evaluate_many(Grid(spec.domain, 33).points)
     assert isinstance(bodies, StackedBatch)
-    assert {type(batch).__name__ for _, batch in bodies.parts} == {
-        "BallBatch", "PolytopeBatch", "StackedBatch"}
+    kinds = {(type(batch).__name__, getattr(batch, "A", np.empty(0)).ndim)
+             for _, batch in bodies.parts}
+    assert kinds == {("BallBatch", 1), ("PolytopeBatch", 2), ("PolytopeBatch", 3)}
     for seed in (DEFAULT_SEED, 12345):
         assert_spec_drawn_as_the_oracle(raw, 33, seed)
 
 
-# polytopes whose normals vary over the plane: one part per grid point,
-# bounded where x1 > 0 and sampled in the box elsewhere
-VARYING_PLANE = {
+# polytopes in bands of x1, one part each: normals that vary, unbounded and
+# sampled in the box; shared normals with a box; normals that vary, bounded
+# (never parallel on the domain, so each row keeps every row subset); shared
+# normals, bounded
+BANDED_PLANE = {
     "ambient_dim": 2, "output_dim": 2,
     "domain": {"boxes": [{"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}]}, "strata": [[]],
-    "pieces": [{"region": [], "body": {"hpolytope": {
-        "rows": [{"normal": ["1", "x1"], "offset": "1"},
-                 {"normal": ["-1", "x2/2"], "offset": "1"},
-                 {"normal": ["0", "-1"], "offset": "1 + x2^2"}],
-        "bounding_box": {"lo": [-4.0, -4.0], "hi": [4.0, 4.0]}}}}],
+    "pieces": [
+        {"region": ["x1 < -0.5"], "body": {"hpolytope": {
+            "rows": [{"normal": ["1", "x1"], "offset": "1"},
+                     {"normal": ["-1", "x2/2"], "offset": "1"},
+                     {"normal": ["0", "-1"], "offset": "1 + x2^2"}],
+            "bounding_box": {"lo": [-4.0, -4.0], "hi": [4.0, 4.0]}}}},
+        {"region": ["x1 < 0"], "body": {"hpolytope": {
+            "rows": [{"normal": ["1", "1"], "offset": "1 + x2"},
+                     {"normal": ["-1", "0"], "offset": "x1^2"}],
+            "bounding_box": {"lo": [-3.0, -3.0], "hi": [3.0, 3.0]}}}},
+        {"region": ["x1 < 0.5"], "body": {"hpolytope": {
+            "rows": [{"normal": ["1", "1 + x1/2"], "offset": "-0.5 + x2^2"},
+                     {"normal": ["-1", "1 + x2/2"], "offset": "1"},
+                     {"normal": ["0", "-1"], "offset": "1 + x1^2"}]}}},
+        {"region": [], "body": {"hpolytope": {
+            "rows": [{"normal": ["-1", "0"], "offset": "x1 - 1"},
+                     {"normal": ["0", "-1"], "offset": "x2^2 - 1"},
+                     {"normal": ["1", "1"], "offset": "4 + x1*x2"}]}}},
+    ],
 }
 
 
 def test_a_stack_calls_each_part_it_touches_once(monkeypatch):
-    # 1,089 one-row parts: a query of some rows calls each part that they
-    # touch once, with all of that part's blocks, and the results are the
-    # pointwise oracle's bit for bit
-    spec = load_spec_dict(VARYING_PLANE)
-    oracle, _ = load_pointwise(VARYING_PLANE)
+    # four parts, one per piece, each a PolytopeBatch: a query of some rows
+    # calls each part that they touch once, with all of that part's blocks,
+    # and the results are the pointwise oracle's bit for bit
+    spec = load_spec_dict(BANDED_PLANE)
+    oracle, _ = load_pointwise(BANDED_PLANE)
     grid = Grid(spec.domain, 33)
     bodies = spec.map.evaluate_many(grid.points)
     N = len(grid)
-    assert isinstance(bodies, StackedBatch) and len(bodies.parts) == N > 1000
+    assert isinstance(bodies, StackedBatch)
+    assert [batch.A.ndim for _, batch in bodies.parts] == [3, 2, 3, 2]
     own = [oracle.evaluate(x) for x in grid.points]
-    index = {id(batch): rows[0] for rows, batch in bodies.parts}
+    part_of = {id(batch): p for p, (_, batch) in enumerate(bodies.parts)}
     calls = Counter()
     for name in ("project_rows", "contains", "coord_extremes", "sample_bounds"):
         def counted(self, *args, _real=getattr(PolytopeBatch, name), _name=name):
-            calls[_name, index.get(id(self))] += 1
+            calls[_name, part_of.get(id(self))] += 1
             return _real(self, *args)
 
         monkeypatch.setattr(PolytopeBatch, name, counted)
@@ -473,17 +491,22 @@ def test_a_stack_calls_each_part_it_touches_once(monkeypatch):
         return got
 
     rng = np.random.default_rng(9)
-    rows = rng.integers(0, N, size=1500)  # about 800 parts, many twice or more
-    touched = Counter({int(i): 1 for i in rows})
+    rows = rng.integers(0, N, size=1500)
     Z = rng.standard_normal((rows.size, 3, 2)) * 3
+    for some in (rows, rows[grid.points[rows, 0] >= 0]):  # every part, then the last two
+        touched = Counter({int(bodies._part[i]): 1 for i in some})
+        assert len(touched) == (4 if some is rows else 2)
+        bodies.project_rows(some, Z[: some.size])
+        assert dispatched("project_rows") == touched
+        bodies.contains(some, Z[: some.size])
+        assert dispatched("contains") == touched
     projected = bodies.project_rows(rows, Z)
-    assert dispatched("project_rows") == touched
     inside = bodies.contains(rows, projected)
-    assert dispatched("contains") == touched
+    calls.clear()
     extremes = bodies.coord_extremes()
-    assert dispatched("coord_extremes") == Counter(range(N))
+    assert dispatched("coord_extremes") == Counter(range(4))
     lo, hi = bodies.sample_bounds()
-    assert dispatched("sample_bounds") == Counter(range(N))
+    assert dispatched("sample_bounds") == Counter(range(4))
     monkeypatch.undo()
 
     for n, i in enumerate(rows):
@@ -501,7 +524,8 @@ def test_a_stack_calls_each_part_it_touches_once(monkeypatch):
         # an unbounded body samples in its box
         bounded = np.isfinite(want[0]).all() and np.isfinite(want[1]).all()
         boxed += not bounded
-        assert bits([lo[i], hi[i]]) == bits(want[:2] if bounded else [[-4.0, -4.0], [4.0, 4.0]])
+        box = body.bounding_box
+        assert bits([lo[i], hi[i]]) == bits(want[:2] if bounded else box)
     assert 0 < boxed < N
 
 

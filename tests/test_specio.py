@@ -8,7 +8,7 @@ import pytest
 
 from convsel.errors import EvalDomainError, InfeasibleBodyError, SpecValidationError
 from convsel.fields import Domain, Grid
-from convsel.geometry import Ball, HPolytope, Interval
+from convsel.geometry import Ball, HPolytope, Interval, PolytopeBatch, kernel_operators
 from convsel.maps import SetValuedMap
 from convsel.specio import cli
 from convsel.specio.cli import (
@@ -485,10 +485,21 @@ class TestConstantNormals:
         Z = np.random.default_rng(3).uniform(-6, 6, size=(40, 2))
         np.testing.assert_array_equal(body.project_many(Z), plain.project_many(Z))
 
-    def test_varying_normals_are_built_per_point(self):
+    def test_varying_normals_give_one_batch_with_a_matrix_per_row(self):
+        # one PolytopeBatch for both points: a normal matrix and operators
+        # per row, the zero row dropped as it is zero at every row, and each
+        # row's operators those of its own normals
         rows = [dict(self.ROWS[0], normal=["-1", "x1"])] + self.ROWS[1:]
-        rule, first = self.build(rows, [0.0, 0.0])
-        assert rule(np.array([[0.5, 0.0]])).body(0)._sets is not first._sets
+        rule, _ = self.build(rows, [0.0, 0.0])
+        bodies = rule(np.array([[0.0, 0.0], [0.5, 0.0]]))
+        assert isinstance(bodies, PolytopeBatch)
+        assert bodies.A.shape == (2, 3, 2) and bodies._sets.H.shape[0] == 2
+        for i, a1 in enumerate([0.0, 0.5]):
+            A = np.array([[-1.0, a1], [0.0, -1.0], [1.0, 0.5]])
+            np.testing.assert_array_equal(bodies.body(i).A, A)
+            own = kernel_operators(A)
+            for got, want in zip(bodies._sets, own, strict=True):
+                np.testing.assert_array_equal(got[i], want)
 
     def test_a_failing_constant_normal_fails_where_it_is_evaluated(self):
         rows = [dict(self.ROWS[0], normal=["-1", "1/0"])] + self.ROWS[1:]
