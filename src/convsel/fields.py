@@ -121,11 +121,13 @@ def unsquash(w):
 # domains and grids
 
 
-def _boxes_and_points(n: int, boxes, points) -> tuple[tuple, tuple, np.ndarray]:
-    """``(boxes, points, cloud)``: closed boxes ``(lo, hi)`` and points in
-    R^n as float arrays, and the points stacked, shape (k, n).  Raises
-    unless every bound and point has shape (n,) and is finite, with
-    ``lo <= hi``; the points' finiteness is tested once, on the stack."""
+def _boxes_and_points(n: int, boxes, points) -> tuple[tuple, np.ndarray]:
+    """``(boxes, points)``: closed boxes ``(lo, hi)`` in R^n as float
+    arrays, and the points stacked, shape (k, n).  Raises unless every
+    bound and point has shape (n,) and is finite, with ``lo <= hi``.  The
+    points are stacked by one call and checked on the stack; only a stack
+    of another shape is searched, point by point, for the first point at
+    fault."""
     if n < 1:
         raise DimensionMismatchError("ambient_dim must be >= 1")
     out = []
@@ -137,29 +139,35 @@ def _boxes_and_points(n: int, boxes, points) -> tuple[tuple, tuple, np.ndarray]:
         if np.any(lo > hi) or not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValueError("box bounds must be finite with lo <= hi")
         out.append((lo, hi))
-    pts = []
-    for p in points:
-        p = np.asarray(p, dtype=float)
-        if p.shape != (n,):
-            raise DimensionMismatchError("point must have shape (n,)")
-        pts.append(p)
-    cloud = np.vstack(pts) if pts else np.empty((0, n))
+    try:
+        cloud = np.array(points, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers: searched below
+        cloud = None
+    if cloud is None or cloud.ndim != 2 or cloud.shape[1] != n:
+        pts = []
+        for p in points:
+            p = np.asarray(p, dtype=float)
+            if p.shape != (n,):
+                raise DimensionMismatchError("point must have shape (n,)")
+            pts.append(p)
+        cloud = np.vstack(pts) if pts else np.empty((0, n))
     if not np.isfinite(cloud).all():
         raise ValueError("points must be finite")
-    return tuple(out), tuple(pts), cloud
+    return tuple(out), cloud
 
 
 @dataclass(frozen=True)
 class Domain:
-    """A finite union of closed axis-aligned boxes and isolated points."""
+    """A finite union of closed axis-aligned boxes and isolated points;
+    the points are kept as one array, shape (k, n)."""
 
     ambient_dim: int
     boxes: tuple = ()
     points: tuple = ()
 
     def __post_init__(self):
-        boxes, points, _ = _boxes_and_points(self.ambient_dim, self.boxes, self.points)
-        if not boxes and not points:
+        boxes, points = _boxes_and_points(self.ambient_dim, self.boxes, self.points)
+        if not boxes and not len(points):
             raise ValueError("domain must be nonempty")
         object.__setattr__(self, "boxes", boxes)
         object.__setattr__(self, "points", points)
@@ -197,7 +205,9 @@ class Grid:
     nonzero width); isolated points contribute themselves, with no
     neighbours.  ``directed_edges`` lists every ordered adjacent pair
     together with the index of the next point in the same direction, which
-    :func:`confirmed_edges` uses for the two-cell confirmation rule.
+    :func:`confirmed_edges` uses for the two-cell confirmation rule; the
+    list is built at its first call, so a grid that is only evaluated on
+    never builds it.
     """
 
     def __init__(self, domain: Domain, per_axis: int):
@@ -225,17 +235,15 @@ class Grid:
             blocks.append((start, shape, spacing))
             pts.append(block)
             start += block.shape[0]
-        for p in domain.points:
-            pts.append(p.reshape(1, n))
-            start += 1
-        self.points = np.vstack(pts) if pts else np.empty((0, n))
+        pts.append(domain.points)
+        self.points = np.vstack(pts)
         self._blocks = blocks
-        self._edges = self._build_edges()
+        self._edges = None
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def _build_edges(self) -> np.ndarray:
+    def _build_edges(self) -> tuple[np.ndarray, np.ndarray]:
         # columns: tail, head, far (next point past head; -1 if none)
         rows = []
         spacings = []
@@ -262,14 +270,15 @@ class Grid:
                         np.column_stack([tails, heads, far]) + start
                     )
                     spacings.append(np.full(len(tails), spacing[a]))
-        self._edge_spacing = np.concatenate(spacings) if spacings else np.empty(0)
-        if rows:
-            return np.vstack(rows)
-        return np.empty((0, 3), dtype=int)
+        if not rows:
+            return np.empty((0, 3), dtype=int), np.empty(0)
+        return np.vstack(rows), np.concatenate(spacings)
 
     def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """(edges, spacing): edges has columns (tail, head, far)."""
-        return self._edges, self._edge_spacing
+        if self._edges is None:
+            self._edges = self._build_edges()
+        return self._edges
 
     def max_spacing(self) -> float:
         out = 0.0
@@ -661,15 +670,21 @@ def grid_values(f, grid: Grid) -> np.ndarray:
 
 def continuity_modulus(f, grid: Grid) -> float:
     """Largest jump across any adjacent grid pair of ``f``: a scalar or
-    vector field, or its values at the grid points, shape (N,) or (N, m)."""
+    vector field, or its values at the grid points, shape (N,) or (N, m).
+
+    The pairs are the neighbours along each axis of each box's lattice,
+    taken by ``np.diff`` on the box's block of values; a vector jump is
+    the norm over the last axis.  A NaN jump anywhere gives NaN."""
     vals = np.asarray(f, dtype=float) if isinstance(f, np.ndarray) else grid_values(f, grid)
-    edges, _ = grid.directed_edges()
-    if edges.shape[0] == 0:
-        return 0.0
-    diff = vals[edges[:, 0]] - vals[edges[:, 1]]
-    if diff.ndim == 1:
-        return float(np.max(np.abs(diff)))
-    return float(np.max(np.linalg.norm(diff, axis=1)))
+    tail = vals.shape[1:]
+    jumps = []
+    for start, shape, _ in grid._blocks:
+        block = vals[start : start + math.prod(shape)].reshape(shape + tail)
+        for axis, width in enumerate(shape):
+            if width > 1:
+                d = np.diff(block, axis=axis)
+                jumps.append(np.linalg.norm(d.reshape(-1, *tail), axis=1) if tail else np.abs(d))
+    return float(np.max([np.max(j) for j in jumps])) if jumps else 0.0
 
 
 def _refined_values(f, grid: Grid, fine: Grid, vals: np.ndarray) -> np.ndarray:

@@ -332,8 +332,8 @@ def _sample(bodies: BodyBatch, k: np.ndarray, seed: int):
     ``sample_bounds`` box, from its own stream (:func:`_uniforms`), and
     keeps those inside it, in order; after 40 rounds it tops up with
     projections of the first proposals of the next round.  The bodies
-    still short go on together, a round at a time; the top-up projects
-    each body alone.
+    still short go on together, a round at a time, and the top-up
+    projects the bodies short by the same count in one call.
     """
     lo, hi = bodies.sample_bounds()
     m = lo.shape[1]
@@ -355,11 +355,13 @@ def _sample(bodies: BodyBatch, k: np.ndarray, seed: int):
             out[rows[b], rank[b, j]] = Z[b, j]
             got[rows] = np.minimum(rank[:, -1] + inside[:, -1], k[rows])
         todo = todo[got[todo] < k[todo]]
-    for i in todo:
-        # one body per call, as the body alone projects: the polytope
-        # kernel's products can round differently with the block's shape
-        u = _uniforms(seed, [i], _ROUNDS, (k[i] - got[i]) * m).reshape(1, -1, m)
-        out[i, got[i] : k[i]] = bodies.project_rows([i], lo[i] + span[i] * u)[0]
+    short = k[todo] - got[todo]
+    for c in sorted(set(short.tolist())):
+        rows = todo[short == c]
+        Z = _uniforms(seed, rows, _ROUNDS, c * m).reshape(rows.size, c, m)
+        Z *= span[rows, None]
+        Z += lo[rows, None]
+        out[rows[:, None], got[rows, None] + np.arange(c)] = bodies.project_rows(rows, Z)
     return out, np.arange(out.shape[1]) < np.where(can, k, 0)[:, None]
 
 

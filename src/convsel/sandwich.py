@@ -27,9 +27,11 @@ envelopes f2/g2, the regions U, X, V, Z1, Z2, S, W, then h4, h5, delta
 and its total, each once for the whole batch.  A pass reads only its own
 level's baked extensions, so levels never re-enter each other.  The pass
 is the one evaluator of a level: a level's total and the selection
-evaluate a single point as a batch of one row.  :func:`region_audit`
-reads the passes' arrays, and the construction takes its clouds and baked
-values from the passes on the construction grid.
+evaluate a single point as a batch of one row.  The construction takes
+its clouds and baked values from the passes on the construction grid,
+and each glue level keeps the arrays of its pass there that
+:func:`region_audit` reads, so auditing the construction grid runs no
+pass again.
 """
 
 from __future__ import annotations
@@ -74,6 +76,9 @@ EQUALITY_TOL = 1e-12
 #: Gap above which the strictness preconditions/postconditions are enforced.
 STRICT_GAP = 1e-9
 
+#: The arrays of a glue pass that :func:`region_audit` reads.
+_AUDITED = ("U", "X", "V", "Z1", "Z2", "S", "W", "f2", "g2", "h4", "delta")
+
 
 def _check_glue(P: np.ndarray, vf: np.ndarray, vg: np.ndarray):
     """The glue preconditions at every row of P (the points off U):
@@ -99,6 +104,9 @@ class SandwichLevel:
     arrays: Callable
     #: the pass's "total" as a field of x
     total: ScalarField
+    #: a glue level's ``_AUDITED`` arrays of its pass on the construction
+    #: grid, from the construction (None on the base level)
+    on_grid: dict | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -285,14 +293,14 @@ def _build_levels(
     values on the construction grid, masks the strata's there); and the
     outer level's total on the construction grid."""
 
-    def level(label, kind, arrays):
+    def level(label, kind, arrays, on_grid=None):
         def batch(X):
             return arrays(X, f_c.many(X), g_c.many(X))["total"]
 
         total = ScalarField(
             grid.domain, batch=batch, tag=TAG_CONTINUOUS, name=f"total[{label}]"
         )
-        return SandwichLevel(label, kind, arrays, total)
+        return SandwichLevel(label, kind, arrays, total, on_grid)
 
     levels = [level(strat.strata[-1].label, "base", _midpoint_pass)]
     a = _midpoint_pass(grid.points, fP, gP)
@@ -300,7 +308,7 @@ def _build_levels(
         U = strat.strata[j]
         lvl = _GluePass(U)
         a = _bake(lvl, grid, {"f": fP, "g": gP, "U": masks[j]}, a["total"])
-        levels.append(level(U.label, "glue", lvl))
+        levels.append(level(U.label, "glue", lvl, {k: a[k] for k in _AUDITED}))
     return levels, a["total"]
 
 
@@ -401,17 +409,21 @@ def region_audit(trace: SandwichTrace, grid: Grid) -> AuditReport:
     delta lands in [0,1] with the right values on W and V∩(Z1∪Z2), W
     stays clear of V∩(Z1∪Z2), and h4 carries the advertised signs.
 
-    Each glue level is checked on the arrays of its pass over the grid;
-    violations come in the order of a sweep over levels, then points,
-    then the checks as listed."""
+    Each glue level is checked on the arrays of its pass over the grid:
+    those the construction kept (``on_grid``) when the grid's points are
+    the construction grid's bit for bit, and a pass run now on any other
+    grid.  Violations come in the order of a sweep over levels, then
+    points, then the checks as listed."""
     violations = []
     checked = 0
     P = grid.points
     glue = [level for level in trace.levels if level.kind == "glue"]
-    if glue:
+    G = trace.construction_grid.points
+    kept = P.shape == G.shape and np.array_equal(P.view(np.int64), G.view(np.int64))
+    if glue and not kept:
         fP, gP = trace.f_compressed.many(P), trace.g_compressed.many(P)
     for level in glue:
-        a = level.arrays(P, fP, gP)
+        a = level.on_grid if kept else level.arrays(P, fP, gP)
         checked += P.shape[0]
         U, X, V, Z1, Z2, S, W = (a[k] for k in ("U", "X", "V", "Z1", "Z2", "S", "W"))
         f2, g2, h4, d = a["f2"], a["g2"], a["h4"], a["delta"]

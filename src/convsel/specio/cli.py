@@ -180,14 +180,16 @@ def _report_entry(report, name: str | None = None) -> dict:
 
 
 def _ratio_entry(ratios: list, halvings: int) -> dict:
-    worst = max((r for r in ratios if r is not None), default=None)
+    """The modulus-ratio invariant: it passes when every ratio is null or
+    at most the bound, so a NaN ratio fails it wherever it sits."""
+    passed = all(r is None or r <= MODULUS_RATIO_BOUND for r in ratios)
     notes = ["ratio of largest grid jump across successive halvings; "
              "null marks an already-flat field"]
     if len(ratios) < halvings:
         notes.append(f"refinement stopped after {len(ratios)} of {halvings} halvings: "
                      "the next halving adds no grid point")
     return _entry(
-        "modulus-ratio", worst is None or worst <= MODULUS_RATIO_BOUND,
+        "modulus-ratio", passed,
         notes=notes, ratios=ratios, bound=MODULUS_RATIO_BOUND,
     )
 

@@ -75,9 +75,9 @@ def _gaps(P: np.ndarray, C: np.ndarray) -> np.ndarray:
 class ClosedSet:
     """A finite union of closed boxes and points, possibly empty.
 
-    The points form the cloud, kept also sorted on the axis where it is
-    widest (``_order``, with the sorted cloud and its keys) for the slab
-    search of :meth:`_scan`.
+    The points form the cloud, one array of shape (k, n), kept also sorted
+    on the axis where it is widest (``_order``, with the sorted cloud and
+    its keys) for the slab search of :meth:`_scan`.
     """
 
     ambient_dim: int
@@ -85,13 +85,14 @@ class ClosedSet:
     points: tuple = ()
 
     def __post_init__(self):
-        boxes, pts, cloud = _boxes_and_points(self.ambient_dim, self.boxes, self.points)
+        boxes, cloud = _boxes_and_points(self.ambient_dim, self.boxes, self.points)
         object.__setattr__(self, "boxes", boxes)
-        object.__setattr__(self, "points", pts)
-        axis = int(np.argmax(np.ptp(cloud, axis=0))) if pts else 0
+        object.__setattr__(self, "points", cloud)
+        k = len(cloud)
+        axis = int(np.argmax(np.ptp(cloud, axis=0))) if k else 0
         order = np.argsort(cloud[:, axis], kind="stable")
         # the sorted positions of the two points about each insertion point
-        held = np.concatenate(([0], np.arange(len(pts)), [len(pts) - 1]))
+        held = np.concatenate(([0], np.arange(k), [k - 1]))
         for attr, value in (("_cloud", cloud), ("_axis", axis), ("_order", order),
                             ("_sorted", cloud[order]), ("_keys", cloud[order, axis]),
                             ("_neighbours", np.column_stack((held[:-1], held[1:])))):
@@ -174,12 +175,12 @@ class ClosedSet:
 
     @property
     def is_empty(self) -> bool:
-        return not self.boxes and not self.points
+        return not self.boxes and not len(self.points)
 
     @staticmethod
     def from_cloud(pts) -> "ClosedSet":
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return ClosedSet(pts.shape[1], points=tuple(pts))
+        return ClosedSet(pts.shape[1], points=pts)
 
     def contains(self, x, tol: float = MEMBERSHIP_SNAP) -> bool:
         if self.is_empty:

@@ -86,7 +86,7 @@ def dist_pointwise(A: ClosedSet, x) -> float:
     best = math.inf
     for lo, hi in A.boxes:
         best = min(best, math.sqrt(float(np.sum((np.clip(x, lo, hi) - x) ** 2))))
-    if A.points:
+    if len(A.points):
         cloud = np.asarray(A.points, dtype=float)
         best = min(best, math.sqrt(float(np.min(np.sum((x - cloud) ** 2, axis=1)))))
     return best
@@ -142,3 +142,17 @@ def envelopes_pointwise(map_) -> tuple[ScalarField, ScalarField]:
     g = lift(map_.domain, lambda x: map_.evaluate(x).coord_bounds()[1][0],
              tag=TAG_LOWER if lsc else TAG_UNKNOWN, name=f"sup({map_.name})")
     return f, g
+
+
+def continuity_modulus_edges(vals, grid) -> float:
+    """The largest jump of ``vals`` (shape (N,) or (N, m)) over every
+    directed edge of ``grid``, the norm of the difference for vectors:
+    the edge-list form of ``fields.continuity_modulus``, its oracle."""
+    vals = np.asarray(vals, dtype=float)
+    edges, _ = grid.directed_edges()
+    if edges.shape[0] == 0:
+        return 0.0
+    diff = vals[edges[:, 0]] - vals[edges[:, 1]]
+    if diff.ndim == 1:
+        return float(np.max(np.abs(diff)))
+    return float(np.max(np.linalg.norm(diff, axis=1)))

@@ -29,6 +29,7 @@ from convsel.fields import (
     squash,
     unsquash,
 )
+from convsel.urysohn import ClosedSet
 from reference.fields_pointwise import lift
 
 LINE = Domain(1, boxes=(((-1.0,), (1.0,)),))
@@ -96,6 +97,32 @@ class TestDomainAndGrid:
             Domain(2, points=((1.0,),))
         with pytest.raises(ValueError):
             Domain(1, boxes=(((0.0,), (math.inf,)),))
+
+    @pytest.mark.parametrize("points, error, message", [
+        ([[0.0, 1.0], [2.0]], DimensionMismatchError, "point must have shape"),
+        ([[0.0, 1.0], [2.0, 3.0, 4.0]], DimensionMismatchError, "point must have shape"),
+        ([[0.0, 1.0, 2.0]], DimensionMismatchError, "point must have shape"),
+        ([np.array([[0.0, 1.0]])], DimensionMismatchError, "point must have shape"),
+        ([1.0, 2.0], DimensionMismatchError, "point must have shape"),
+        ([[0.0, 1.0], ["a", 2.0]], ValueError, "could not convert string"),
+        ([[0.0, 1.0], [2.0, math.inf]], ValueError, "points must be finite"),
+        ([[0.0, math.nan]], ValueError, "points must be finite"),
+    ])
+    def test_points_are_checked_as_one_array(self, points, error, message):
+        # the first point at fault names the error, for domains and sets alike
+        for build in (lambda: Domain(2, points=points),
+                      lambda: ClosedSet(2, points=points)):
+            with pytest.raises(error, match=message):
+                build()
+
+    def test_points_are_kept_as_one_array(self):
+        cloud = np.array([[0.0, 1.0], [2.0, 3.0]])
+        for points in (cloud, tuple(cloud), [[0, 1], [2, 3]]):
+            for held in (Domain(2, points=points).points, ClosedSet(2, points=points).points):
+                assert held.shape == (2, 2) and held.dtype == float
+                np.testing.assert_array_equal(held, cloud)
+        assert ClosedSet(2).points.shape == (0, 2) and ClosedSet(2).is_empty
+        assert ClosedSet.from_cloud(cloud).points is not cloud  # a copy: the set owns it
 
     def test_grid_points_1d(self):
         g = Grid(Domain(1, boxes=(((-2.0,), (2.0,)),)), 5)

@@ -5,6 +5,10 @@ shares with the coarser grid from that grid, and evaluates the field only
 at the points each halving adds.  These tests hold it to the full
 evaluation (``continuity_modulus`` on every grid, each evaluated whole),
 bit for bit, and hold ``Grid.refined_rows`` to the coordinates.
+``continuity_modulus`` takes the jumps along each axis of each box's
+lattice; it is held to the jumps over every directed edge
+(``reference.fields_pointwise.continuity_modulus_edges``), and neither the
+loader nor the modulus ratios build a grid's edges.
 """
 
 import math
@@ -28,7 +32,9 @@ from convsel.fields import (
 from convsel.maps import envelopes
 from convsel.sandwich import sandwich_select
 from convsel.selection import michael_select
+from convsel.specio.cli import main
 from convsel.specio.loader import load_spec
+from reference.fields_pointwise import continuity_modulus_edges
 
 FIXTURES = sorted(path.stem for path in SPECS.glob("*.json"))
 
@@ -228,3 +234,74 @@ def test_drawn_refined_rows_hold_the_coarse_points_bit_for_bit(domain, per_axis)
     rows = grid.refined_rows()
     assert np.unique(rows).size == len(grid)
     assert_same_bits(fine.points[rows], grid.points)
+
+
+def assert_same_modulus(vals, grid):
+    """The lattice modulus is the edge modulus: the same bits, and NaN
+    exactly where the edge form gives NaN."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        want = continuity_modulus_edges(vals, grid)
+        got = continuity_modulus(vals, grid)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert_same_bits([got], [want])
+
+
+def spiked(rng, shape, count):
+    """Normal values of ``shape`` with ``count`` entries set to +inf, -inf
+    or NaN, drawn at random: adjacent infinities of one sign make a NaN
+    jump, of opposite signs an infinite one."""
+    vals = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+    flat = vals.reshape(-1)
+    if flat.size and count:
+        flat[rng.integers(0, flat.size, count)] = rng.choice([math.inf, -math.inf, math.nan], count)
+    return vals
+
+
+@pytest.mark.parametrize("width", [None, 1, 2, 3, 9])
+@pytest.mark.parametrize("per_axis", [1, 2, 5, 8])
+@pytest.mark.parametrize("name", [*DOMAINS, *FIXED_GRIDS])
+def test_the_lattice_modulus_is_the_edge_modulus(name, per_axis, width):
+    grid = Grid({**DOMAINS, **FIXED_GRIDS}[name], per_axis)
+    shape = (len(grid),) if width is None else (len(grid), width)
+    rng = np.random.default_rng([per_axis, width or 0, len(name)])
+    for count in (0, 0, 1, 1, 2, 3, 5, 8):
+        assert_same_modulus(spiked(rng, shape, count), grid)
+    n = len(grid)
+    for i in range(n):  # one infinity or NaN at each point: a box's or an isolated one
+        for bad in (math.inf, -math.inf, math.nan):
+            vals = spiked(rng, shape, 0)
+            vals[i] = bad
+            assert_same_modulus(vals, grid)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(domains(), st.integers(1, 12), st.sampled_from([None, 1, 2, 3]),
+       st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_drawn_lattice_moduli_are_the_edge_moduli(domain, per_axis, width, count, seed):
+    grid = Grid(domain, per_axis)
+    shape = (len(grid),) if width is None else (len(grid), width)
+    assert_same_modulus(spiked(np.random.default_rng(seed), shape, count), grid)
+
+
+@pytest.mark.parametrize("command, name, per_axis", [
+    ("select-sandwich", "s_mixed", 65),
+    ("select-michael", "m_poly", 9),
+])
+def test_only_the_audited_grids_build_edges(command, name, per_axis, monkeypatch, capsys):
+    # the loader's coverage grid and the refined grids of the modulus
+    # ratios are only evaluated on, so they never build their edges
+    built = []
+    real = Grid._build_edges
+
+    def counted(self):
+        built.append(self.per_axis)
+        return real(self)
+
+    monkeypatch.setattr(Grid, "_build_edges", counted)
+    path = str(SPECS / f"{name}.json")
+    load_spec(path)
+    assert built == []
+    assert main([command, "--spec", path, "--grid", str(per_axis)]) == 0
+    assert built and set(built) == {per_axis}

@@ -26,6 +26,7 @@ from convsel.fields import AuditReport, Grid, Violation, constant_field
 from convsel.maps import SetValuedMap, envelopes
 from convsel.sandwich import region_audit, sandwich_select
 from convsel.specio.loader import load_spec, load_spec_dict
+from convsel.urysohn import ClosedSet
 from golden.capture import HOLE_AT_ONE_32ND
 from reference.fields_pointwise import compress_field, envelopes_pointwise, lift_once
 from reference.maps_pointwise import PointwiseRegion, load_pointwise
@@ -187,21 +188,27 @@ def test_the_traced_values_of_h_are_its_values_on_the_construction_grid(
     assert_same_bits(trace.h_values, h.many(trace.construction_grid.points))
 
 
-def test_region_audit_reports_violations_like_the_sweep(specs_dir):
-    # a forged trace: V loses the points right of 1/2 and both V and X
-    # gain the origin, where U does not hold, so one point fails several
-    # checks and their order shows
+def forge_regions(a: dict, P: np.ndarray) -> dict:
+    """A glue pass's arrays at the points ``P``, forged: V loses the points
+    right of 1/2, and both V and X gain the origin, where U does not hold."""
+    a = dict(a)
+    origin = P[:, 0] == 0.0
+    a["V"] = (a["V"] & (P[:, 0] < 0.5)) | origin
+    a["X"] = a["X"] | origin
+    return a
+
+
+def forged_trace(specs_dir):
+    """The s_mixed trace at 17 with its outer level's regions forged, both
+    in its pass and in the arrays the construction kept, and the pointwise
+    levels forged alike."""
     spec = load_spec(str(specs_dir / "s_mixed.json"))
     h, trace = select(spec, 17)
     level = trace.outer
     real = level.arrays
 
     def forged(P, fP, gP):
-        a = real(P, fP, gP)
-        origin = P[:, 0] == 0.0
-        a["V"] = (a["V"] & (P[:, 0] < 0.5)) | origin
-        a["X"] = a["X"] | origin
-        return a
+        return forge_regions(real(P, fP, gP), P)
 
     levels = pointwise_levels(trace)
     real_regions = levels[-1].regions
@@ -210,16 +217,67 @@ def test_region_audit_reports_violations_like_the_sweep(specs_dir):
         lambda x: (real_regions["V"](x) and x[0] < 0.5) or x[0] == 0.0, "forged V"
     )
     regions["X"] = PointwiseRegion(lambda x: real_regions["X"](x) or x[0] == 0.0, "forged X")
+    kept = forge_regions(level.on_grid, trace.construction_grid.points)
     bad = dataclasses.replace(
         trace,
-        levels=(*trace.levels[:-1], dataclasses.replace(level, arrays=forged)),
+        levels=(*trace.levels[:-1],
+                dataclasses.replace(level, arrays=forged, on_grid=kept)),
     )
     bad_levels = [*levels[:-1], dataclasses.replace(levels[-1], regions=regions)]
-    grid = Grid(spec.domain, 17)
+    return spec, bad, bad_levels
+
+
+def check_forged_report(specs_dir, per_axis: int):
+    # a forged trace, so one point fails several checks and their order shows
+    spec, bad, bad_levels = forged_trace(specs_dir)
+    grid = Grid(spec.domain, per_axis)
     report = region_audit(bad, grid)
     at_origin = [v.message for v in report.violations if v.x == (0.0,)]
     assert at_origin[:2] == ["X escapes U", "V is not U∖X"]
     assert report == pointwise_region_audit(bad_levels, grid)
+
+
+def test_region_audit_reports_violations_like_the_sweep(specs_dir):
+    # the construction grid: the audit reads the forged arrays it kept
+    check_forged_report(specs_dir, 17)
+
+
+def test_region_audit_on_a_finer_grid_runs_the_forged_pass(specs_dir):
+    check_forged_report(specs_dir, 33)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_region_audit_on_the_construction_grid_reads_the_kept_arrays(
+    name, specs_dir, monkeypatch
+):
+    spec = load_spec(str(specs_dir / f"{name}.json"))
+    f, g = envelopes(spec.map)
+    h, trace = sandwich_select(f, g, spec.stratification, resolution=33)
+    grid = Grid(spec.domain, 33)  # its points are the construction grid's
+    P = grid.points
+    fP, gP = trace.f_compressed.many(P), trace.g_compressed.many(P)
+    glue = [level for level in trace.levels if level.kind == "glue"]
+    for level in glue:
+        a = level.arrays(P, fP, gP)
+        assert sorted(level.on_grid) == sorted(sandwich._AUDITED)
+        for key, kept in level.on_grid.items():
+            assert_same_bits(kept, a[key])
+    # with another construction grid on record, the audit runs the passes
+    elsewhere = dataclasses.replace(trace, construction_grid=Grid(spec.domain, 5))
+    scans = []
+    real = ClosedSet._scan
+
+    def counted(self, X, ranked=None):
+        scans.append(len(X))
+        return real(self, X, ranked)
+
+    monkeypatch.setattr(ClosedSet, "_scan", counted)
+    rerun = region_audit(elsewhere, grid)
+    if name == "s_mixed":
+        assert scans  # its pass extends from clouds (s_spike's bakes are constant)
+    scans.clear()
+    assert region_audit(trace, grid) == rerun
+    assert scans == []
 
 
 def two_stratum_problem(n, slope, beta, width, lo_frac, hi_frac, touch):

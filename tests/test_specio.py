@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -666,6 +667,16 @@ def test_modulus_ratio_entry_fails_above_the_bound(ratios, passed):
         "notes": ["ratio of largest grid jump across successive halvings; "
                   "null marks an already-flat field"],
     }
+
+
+@pytest.mark.parametrize("ratios", [
+    [0.5, math.nan],
+    [math.nan, 0.5],
+    [None, math.nan],
+    [math.nan, None],
+])
+def test_modulus_ratio_entry_fails_on_a_nan_ratio_wherever_it_sits(ratios):
+    assert _ratio_entry(ratios, len(ratios))["passed"] is False
 
 
 def test_modulus_ratio_entry_notes_where_refining_stopped():
