@@ -174,13 +174,9 @@ class Domain:
 
     def contains(self, x, tol: float = 1e-12) -> bool:
         x = np.asarray(x, dtype=float)
-        for lo, hi in self.boxes:
-            if np.all(x >= lo - tol) and np.all(x <= hi + tol):
-                return True
-        for p in self.points:
-            if np.max(np.abs(x - p), initial=0.0) <= tol:
-                return True
-        return False
+        if any(np.all((x >= lo - tol) & (x <= hi + tol)) for lo, hi in self.boxes):
+            return True
+        return bool(np.any(np.max(np.abs(x - self.points), axis=1, initial=0.0) <= tol))
 
 
 def default_per_axis(ambient_dim: int) -> int:
@@ -281,11 +277,7 @@ class Grid:
         return self._edges
 
     def max_spacing(self) -> float:
-        out = 0.0
-        for _, _, spacing in self._blocks:
-            if spacing.size:
-                out = max(out, float(np.max(spacing)))
-        return out
+        return max((float(np.max(s)) for _, _, s in self._blocks if s.size), default=0.0)
 
     def refined(self) -> "Grid":
         """Grid over the same domain with halved box spacing."""
@@ -366,8 +358,30 @@ def _outermost_many(values: Callable, X, join: Callable = np.concatenate):
         _nesting.active = not outermost
 
 
+class _Field:
+    """What both kinds of field share: ``_values``, a batch's values, of
+    shape (N,) + ``_tail`` for N points and with no NaN, or it raises."""
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        out = np.asarray(self.batch(X), dtype=float)
+        if out.shape != (X.shape[0], *self._tail):
+            raise DimensionMismatchError(
+                f"{self._kind} {self.name or '<anon>'} returned shape {out.shape[1:]} per"
+                f" row, {out.shape} in all, for {X.shape[0]} points"
+            )
+        if np.isnan(out).any():
+            raise ValueError(f"{self._kind} {self.name or '<anon>'} returned NaN")
+        return out
+
+    def many(self, X) -> np.ndarray:
+        """Values at every row of ``X`` (shape (N, n)), shape (N,) or (N, m),
+        equal to ``[self(x) for x in X]`` bit for bit; a failing batch
+        raises the first failing row's error (:func:`_outermost_many`)."""
+        return _outermost_many(self._values, X)
+
+
 @dataclass(frozen=True)
-class ScalarField:
+class ScalarField(_Field):
     """A rule from domain points to extended reals, plus a claimed tag.
 
     ``batch`` maps an array of points, shape (N, n), to the (N,) array of
@@ -379,6 +393,7 @@ class ScalarField:
     batch: Callable[[np.ndarray], np.ndarray] = dc_field(repr=False, compare=False)
     tag: str = TAG_UNKNOWN
     name: str = ""
+    _kind, _tail = "field", ()
 
     def __post_init__(self):
         if self.tag not in _TAGS:
@@ -386,18 +401,6 @@ class ScalarField:
 
     def __call__(self, x) -> float:
         return float(self._values(np.asarray(x, dtype=float)[None])[0])
-
-    def _values(self, X: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.batch(X), dtype=float)
-        if np.isnan(out).any():
-            raise ValueError(f"field {self.name or '<anon>'} returned NaN")
-        return out
-
-    def many(self, X) -> np.ndarray:
-        """Values at every row of ``X`` (shape (N, n)) as an (N,) array,
-        equal to ``[self(x) for x in X]`` bit for bit; a failing batch
-        raises the first failing row's error (:func:`_outermost_many`)."""
-        return _outermost_many(self._values, X)
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         return add(self, other)
@@ -410,7 +413,7 @@ class ScalarField:
 
 
 @dataclass(frozen=True)
-class VectorField:
+class VectorField(_Field):
     """An R^m-valued rule; components share one semicontinuity tag.
 
     ``batch`` maps an array of points, shape (N, n), to the (N, m) array
@@ -423,23 +426,11 @@ class VectorField:
     batch: Callable[[np.ndarray], np.ndarray] = dc_field(repr=False, compare=False)
     tag: str = TAG_UNKNOWN
     name: str = ""
+    _kind = "vector field"
+    _tail = property(lambda self: (self.dim,))
 
     def __call__(self, x) -> np.ndarray:
         return self._values(np.asarray(x, dtype=float)[None])[0]
-
-    def _values(self, X: np.ndarray) -> np.ndarray:
-        Y = np.asarray(self.batch(X), dtype=float)
-        if Y.shape != (X.shape[0], self.dim):
-            raise DimensionMismatchError(
-                f"vector field {self.name or '<anon>'} returned shape {Y.shape[1:]}"
-            )
-        return Y
-
-    def many(self, X) -> np.ndarray:
-        """Values at every row of ``X`` (shape (N, n)) as an (N, m) array,
-        equal to ``[self(x) for x in X]`` bit for bit; a failing batch
-        raises the first failing row's error (:func:`_outermost_many`)."""
-        return _outermost_many(self._values, X)
 
 
 def constant_field(domain: Domain | None, value: float, name: str = "") -> ScalarField:
@@ -542,9 +533,9 @@ class AuditReport:
         return self.passed
 
 
-def default_eps(grid: Grid, slope: float = 1.0) -> float:
-    """Audit tolerance: ten grid cells of travel at the given slope bound."""
-    return 10.0 * grid.max_spacing() * slope
+def default_eps(grid: Grid) -> float:
+    """Audit tolerance: ten grid cells of travel at slope 1."""
+    return 10.0 * grid.max_spacing()
 
 
 def confirmed_edges(
@@ -728,10 +719,6 @@ def modulus_ratios(
         vals = _refined_values(f, grid, fine, vals)
         grid = fine
         mods.append(continuity_modulus(vals, grid))
-    out: list[float | None] = []
-    for coarse, fine in zip(mods, mods[1:]):
-        if coarse <= 1e-12 and fine <= 1e-12:
-            out.append(None)
-        else:
-            out.append(fine / coarse if coarse > 0 else math.inf)
-    return out
+    return [None if coarse <= 1e-12 and fine <= 1e-12
+            else fine / coarse if coarse > 0 else math.inf
+            for coarse, fine in zip(mods, mods[1:])]

@@ -44,6 +44,7 @@ from .errors import (
     ProjectionError,
     UnboundedBodyError,
 )
+from .fields import pymin
 
 #: Default membership slack for ``contains``; also the membership
 #: certificate's slack (:func:`_certified`) at points of size below 1e3.
@@ -91,12 +92,17 @@ def _flat_operators(Q, R) -> tuple:
     return np.linalg.solve(R, Qt), P
 
 
+def _slack(A, B, Y) -> np.ndarray:
+    """``b_i - a_i y`` for each point y of block ``Y[n]``, (R, k, m), on each
+    row of ``A[n]`` and ``B[n]``, shape (R, p, k)."""
+    return B[:, :, None] - A @ Y.transpose(0, 2, 1)
+
+
 def _within(A, B, norms, Y, tol) -> np.ndarray:
     """Whether each point y of block ``Y[n]``, (R, k, m), has ``b_i - a_i y
     >= -tol max(1, |a_i|)`` on each row of ``A[n]`` (norms ``norms[n]``) and
     ``B[n]``; ``tol`` is a number or one per point, (R, 1, k)."""
-    slack = B[:, :, None] - A @ Y.transpose(0, 2, 1)
-    return np.all(slack >= -tol * np.maximum(1.0, norms)[..., None], axis=1)
+    return np.all(_slack(A, B, Y) >= -tol * np.maximum(1.0, norms)[..., None], axis=1)
 
 
 def _certified(A, B, norms, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
@@ -244,11 +250,11 @@ def _nearest(A, b, z, w) -> tuple | None:
 linprog = _nearest
 
 
-class ConvexBody(abc.ABC):
+class ConvexBody:
     """A nonempty closed convex subset of R^m, held as the one-row
     :class:`BodyBatch` ``_row``, which answers every query: each query is
-    written once per body kind, on arrays.  A kind adds its constructor,
-    its attributes and :meth:`boundary_margin`."""
+    written once per body kind, on arrays.  A kind adds its constructor and
+    its attributes."""
 
     _row: "BodyBatch"
 
@@ -263,10 +269,10 @@ class ConvexBody(abc.ABC):
     def dim(self) -> int:
         return self._row.dim
 
-    @abc.abstractmethod
     def boundary_margin(self, y) -> float:
         """Signed distance from ``y`` to the boundary: > 0 strictly inside,
         < 0 outside, 0 on the boundary (and everywhere on flat bodies)."""
+        return float(self._row.boundary_margin([0], self._check_dim(y)[None, None])[0, 0])
 
     def _check_dim(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float).reshape(-1)
@@ -313,12 +319,10 @@ class ConvexBody(abc.ABC):
         return self._row.least_norm()[0]
 
     def contains(self, y, tol: float = CONTAINS_TOL) -> bool:
-        y = self._check_dim(y)
-        return bool(self.contains_many(y.reshape(1, -1), tol)[0])
+        return bool(self.contains_many(self._check_dim(y)[None], tol)[0])
 
     def project(self, z) -> np.ndarray:
-        z = self._check_dim(z)
-        return self.project_many(z.reshape(1, -1))[0]
+        return self.project_many(self._check_dim(z)[None])[0]
 
     def distance(self, z) -> float:
         z = self._check_dim(z)
@@ -341,10 +345,6 @@ class Interval(ConvexBody):
     project_many = ConvexBody.project_many
     coord_bounds = ConvexBody.coord_bounds
 
-    def boundary_margin(self, y) -> float:
-        y = float(self._check_dim(y)[0])
-        return min(y - self.lo, self.hi - y)
-
     def __repr__(self):
         return f"Interval({self.lo}, {self.hi})"
 
@@ -359,10 +359,6 @@ class Ball(ConvexBody):
     radius = property(lambda self: float(self._row.radii[0]))
     project_many = ConvexBody.project_many
     coord_bounds = ConvexBody.coord_bounds
-
-    def boundary_margin(self, y) -> float:
-        y = self._check_dim(y)
-        return self.radius - float(np.linalg.norm(y - self.center))
 
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
@@ -398,17 +394,6 @@ class HPolytope(ConvexBody):
         """The kernel's operators, or None on the fallback path."""
         lost = self._row._origin is not None and self._row._lost()[0]
         return None if lost else self._row._sets
-
-    def boundary_margin(self, y) -> float:
-        y = self._check_dim(y)
-        norms = self._row._norms.reshape(-1)  # a normal that vanishes here is vacuous
-        slack = np.divide(self.b - self.A @ y, norms, out=np.full(norms.shape, math.inf),
-                          where=norms != 0.0)
-        worst = float(np.min(slack, initial=math.inf))
-        if worst >= 0:
-            # inside: nearest facet hyperplane realizes the boundary distance
-            return worst
-        return -self.distance(y)
 
     @staticmethod
     def from_box(lo, hi) -> "HPolytope":
@@ -472,6 +457,11 @@ class BodyBatch(abc.ABC):
     def contains(self, rows, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
         """Whether each point of block ``Y[n]`` lies in body ``rows[n]``
         within the slack ``tol``, shape (R, k)."""
+
+    @abc.abstractmethod
+    def boundary_margin(self, rows, Y) -> np.ndarray:
+        """:meth:`ConvexBody.boundary_margin` of body ``rows[n]`` at each point
+        of block ``Y[n]``, shape (R, k)."""
 
     @abc.abstractmethod
     def coord_extremes(self) -> tuple:
@@ -551,6 +541,10 @@ class IntervalBatch(BodyBatch):
         lo, hi = self.lo[rows] - tol, self.hi[rows] + tol
         return (y >= lo[:, None]) & (y <= hi[:, None])
 
+    def boundary_margin(self, rows, Y) -> np.ndarray:
+        y = np.asarray(Y, dtype=float)[:, :, 0]
+        return pymin(y - self.lo[rows, None], self.hi[rows, None] - y)
+
     def coord_extremes(self):
         lo, hi = self.lo[:, None].copy(), self.hi[:, None].copy()
         # a finite end is its own extreme point
@@ -594,6 +588,10 @@ class BallBatch(BodyBatch):
     def contains(self, rows, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
         D = np.asarray(Y, dtype=float) - self.centers[rows, None, :]
         return np.linalg.norm(D, axis=2) <= (self.radii[rows] + tol)[:, None]
+
+    def boundary_margin(self, rows, Y) -> np.ndarray:
+        D = np.asarray(Y, dtype=float) - self.centers[rows, None, :]
+        return self.radii[rows, None] - row_norms(D.reshape(-1, self.dim)).reshape(D.shape[:2])
 
     def coord_extremes(self):
         r = self.radii[:, None]
@@ -729,6 +727,18 @@ class PolytopeBatch(BodyBatch):
     def contains(self, rows, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
         Y = np.asarray(Y, dtype=float)
         return _within(self._of(self.A, rows), self.B[rows], self._of(self._norms, rows), Y, tol)
+
+    def boundary_margin(self, rows, Y) -> np.ndarray:
+        # inside, the nearest facet's hyperplane is at the boundary distance;
+        # a normal that vanishes at a row is vacuous there
+        Y, norms = np.ascontiguousarray(Y, dtype=float), self._of(self._norms, rows)[..., None]
+        slack = _slack(self._of(self.A, rows), self.B[rows], Y)
+        slack = np.divide(slack, norms, out=np.full(slack.shape, math.inf), where=norms != 0.0)
+        worst = np.min(slack, axis=1, initial=math.inf)
+        outside = ~(worst >= 0)
+        if outside.any():
+            worst[outside] = -row_norms((self.project_rows(rows, Y) - Y)[outside])
+        return worst
 
     def project_rows(self, rows, Z) -> np.ndarray:
         rows = np.asarray(rows)
@@ -876,6 +886,10 @@ class StackedBatch(BodyBatch):
     def contains(self, rows, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
         Y = np.asarray(Y, dtype=float)
         return self._at("contains", rows, Y, np.empty(Y.shape[:2], dtype=bool), tol)
+
+    def boundary_margin(self, rows, Y) -> np.ndarray:
+        Y = np.asarray(Y, dtype=float)
+        return self._at("boundary_margin", rows, Y, np.empty(Y.shape[:2]))
 
     def coord_extremes(self):
         m = self.dim

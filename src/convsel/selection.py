@@ -84,7 +84,6 @@ class MichaelLevel:
     kind: str  # "base" or "glue"
     total: VectorField
     C1: Region | None = None
-    D: Region | None = None
     extension: VectorField | None = None
     glued: VectorField | None = None  # lns of T - extension on C1, 0 on D
 
@@ -100,7 +99,7 @@ class MichaelTrace:
         return self.levels[-1]
 
 
-def _glue_level(map_: SetValuedMap, C1: Region, D: Region, extension) -> MichaelLevel:
+def _glue_level(map_: SetValuedMap, C1: Region, extension) -> MichaelLevel:
     """The level of C1 over D, whose array pass reads T and the extension
     once each: with e = extension(x), the least-norm point of T(x) - e on
     C1 and 0 elsewhere is ``glued``, and ``glued + e`` the total."""
@@ -122,7 +121,7 @@ def _glue_level(map_: SetValuedMap, C1: Region, D: Region, extension) -> Michael
         return glued + e
 
     return MichaelLevel(
-        C1.label, "glue", field(total, "selection"), C1, D, extension,
+        C1.label, "glue", field(total, "selection"), C1, extension,
         field(lambda X: glue(X)[0], "glued"),
     )
 
@@ -142,7 +141,7 @@ def _build_levels(map_: SetValuedMap, strata: tuple, grid: Grid) -> list[Michael
         extension = extend_componentwise(
             levels[-1].total, pts, map_.domain, name="partial-extension"
         )
-        levels.append(_glue_level(map_, strata[j], D, extension))
+        levels.append(_glue_level(map_, strata[j], extension))
     return levels
 
 
@@ -218,9 +217,10 @@ def _quantiles(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(t >= 0.5, hi - d * (1 - t), lo + d * t)
 
 
-def boundary_decay_audit(
-    trace: MichaelTrace, grid: Grid, bands: int = 4
-) -> AuditReport:
+DECAY_BANDS = 4  # quantile bands of the distance to a stratum's boundary
+
+
+def boundary_decay_audit(trace: MichaelTrace, grid: Grid) -> AuditReport:
     """Check the glue's continuity mechanism on a grid.
 
     For each glue level, grid points of the top stratum are banded by
@@ -252,18 +252,18 @@ def boundary_decay_audit(
         mags = row_norms(lv.glued.many(pts))
         vmax = float(mags.max(initial=0.0))
         slack = 1e-9 + 0.05 * vmax
-        edges_q = _quantiles(dists, np.linspace(0, 1, bands + 1))
+        edges_q = _quantiles(dists, np.linspace(0, 1, DECAY_BANDS + 1))
         band_max = []
-        for b in range(bands):
+        for b in range(DECAY_BANDS):
             sel = (dists >= edges_q[b]) & (
-                dists <= edges_q[b + 1] if b == bands - 1 else dists < edges_q[b + 1]
+                dists <= edges_q[b + 1] if b == DECAY_BANDS - 1 else dists < edges_q[b + 1]
             )
             band_max.append(float(mags[sel].max(initial=0.0)) if sel.any() else 0.0)
         notes.append(
             f"{lv.stratum}: band maxima (near -> far) "
             + ", ".join(f"{m:.3e}" for m in band_max)
         )
-        for b in range(bands - 1):
+        for b in range(DECAY_BANDS - 1):
             if band_max[b] > band_max[b + 1] + slack:
                 sel = (dists >= edges_q[b]) & (dists < edges_q[b + 1])
                 worst = int(np.argmax(np.where(sel, mags, -np.inf)))

@@ -291,7 +291,8 @@ def build_domain(spec, path: str, n: int) -> Domain:
     _require(spec, path, dict, "an object")
     _reject_unknown(spec, path, ("boxes", "points"))
     boxes = []
-    for i, box in enumerate(spec.get("boxes", ())):
+    boxes_spec = _require(spec.get("boxes", []), f"{path}.boxes", list, "a list of boxes")
+    for i, box in enumerate(boxes_spec):
         bpath = f"{path}.boxes[{i}]"
         _require(box, bpath, dict, "an object")
         _reject_unknown(box, bpath, ("lo", "hi"))
@@ -300,10 +301,8 @@ def build_domain(spec, path: str, n: int) -> Domain:
         if any(a > b for a, b in zip(lo, hi)):
             raise _fail(bpath, "box has lo > hi")
         boxes.append((lo, hi))
-    points = [
-        _number_list(p, f"{path}.points[{i}]", n)
-        for i, p in enumerate(spec.get("points", ()))
-    ]
+    points_spec = _require(spec.get("points", []), f"{path}.points", list, "a list of points")
+    points = [_number_list(p, f"{path}.points[{i}]", n) for i, p in enumerate(points_spec)]
     if not boxes and not points:
         raise _fail(path, "domain needs at least one box or point")
     return Domain(n, tuple(boxes), tuple(points))

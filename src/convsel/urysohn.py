@@ -11,9 +11,10 @@ f~(a*) + 1, so F lands in [1, 2] and the extension respects the original
 bounds no matter how crude they are.  Over point components the infimum
 is an exact finite minimum with the data values baked at construction
 time -- important for pipelines that extend, subtract and extend again,
-since evaluation then never re-enters the extended function.  Over box
-components it is a nested coordinate search per box.  Every field here is
-a batch rule; the Tietze batch covers clouds and boxes alike.
+since evaluation then never re-enters the extended function.  Over each
+box it is a nested coordinate search, for every row at once.  Every
+field here is a batch rule; the Tietze batch covers clouds and boxes
+alike.
 
 Over the cloud, the distance, the snap to the nearest point and the
 infimum come from one pass of an exact pruned kernel
@@ -44,15 +45,14 @@ import numpy as np
 
 from .errors import DimensionMismatchError, EmptySetError, OverlapError
 from .fields import Domain, ScalarField, TAG_CONTINUOUS, _boxes_and_points, constant_field
+from .fields import pymax, pymin
+from .geometry import row_norms
 
 #: Distances at or below this snap to zero count as membership.
 MEMBERSHIP_SNAP = 1e-12
 
 #: Nested coordinate search stops when every cell side is below this.
 SEARCH_TOL = 1e-10
-
-#: What evaluating at a point within the snap of A but of no cloud point raises.
-_SNAP_MISS = "a snapped point has no cloud point within the snap"
 
 #: Element budget, in floats, of each (pairs, n) temporary built by the
 #: batched distance and extension rules; small enough to stay in cache.
@@ -183,9 +183,7 @@ class ClosedSet:
         return ClosedSet(pts.shape[1], points=pts)
 
     def contains(self, x, tol: float = MEMBERSHIP_SNAP) -> bool:
-        if self.is_empty:
-            return False
-        return dist_to_set(self, x) <= tol
+        return not self.is_empty and dist_to_set(self, x) <= tol
 
     def dist_many(self, X: np.ndarray) -> np.ndarray:
         """Exact Euclidean distance from each row of ``X`` (shape (N, n))."""
@@ -242,43 +240,41 @@ def separator(
     return ScalarField(domain, batch=batch, tag=TAG_CONTINUOUS, name="separator")
 
 
-def _nested_min(fun, lo: np.ndarray, hi: np.ndarray, tol: float = SEARCH_TOL) -> float:
-    """Minimize ``fun`` over a box by repeated lattice refinement."""
+def _nested_min(F, lo: np.ndarray, hi: np.ndarray, rows: int) -> np.ndarray:
+    """The least value over the box [lo, hi] of each of ``rows`` functions,
+    by lattice refinement about the first least point until every cell side
+    is below ``SEARCH_TOL``, all at once: ``F(live, P)`` gives the values (R,
+    L) of the functions ``live`` on their lattices ``P`` (R, L, n).  The axes
+    are ``np.linspace`` rows, bit for bit the scalar calls; a flat cell axis
+    takes its one point, repeated where another cell spans that axis, which
+    moves neither the least value nor the first point at it."""
     n = lo.size
-    first = 33 if n == 1 else 11 if n == 2 else 5
-    later = 9 if n <= 2 else 5
-    box_lo, box_hi = lo.astype(float).copy(), hi.astype(float).copy()
-    cur_lo, cur_hi = box_lo.copy(), box_hi.copy()
-    best = math.inf
-    width = cur_hi - cur_lo
-    pts_per_axis = first
+    pts, later = (33 if n == 1 else 11 if n == 2 else 5), (9 if n <= 2 else 5)
+    cur_lo, cur_hi = np.tile(lo, (rows, 1)), np.tile(hi, (rows, 1))
+    best, live = np.full(rows, math.inf), np.arange(rows)
     for _ in range(200):
-        axes = [
-            np.linspace(cur_lo[a], cur_hi[a], pts_per_axis)
-            if cur_hi[a] > cur_lo[a]
-            else np.array([cur_lo[a]])
-            for a in range(n)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        lattice = np.column_stack([m.reshape(-1) for m in mesh])
-        vals = np.array([fun(a) for a in lattice])
-        k = int(np.argmin(vals))
-        best = min(best, float(vals[k]))
-        if float(np.max(width, initial=0.0)) < tol:
+        if not live.size:
             break
-        cell = width / max(pts_per_axis - 1, 1)
-        center = lattice[k]
-        cur_lo = np.maximum(box_lo, center - cell)
-        cur_hi = np.minimum(box_hi, center + cell)
-        width = cur_hi - cur_lo
-        pts_per_axis = later
+        R, width, wide = live.size, cur_hi - cur_lo, cur_hi > cur_lo
+        # a zero step anywhere would change every row's linspace
+        axes = np.linspace(np.where(wide, cur_lo, 0.0), np.where(wide, cur_hi, 1.0), pts)
+        axes = np.where(wide, axes, cur_lo)  # (pts, R, n)
+        at = np.indices(np.where(wide.any(axis=0), pts, 1)).reshape(n, -1).T
+        lattice = axes[at, np.arange(R)[:, None, None], np.arange(n)]  # in meshgrid's order
+        vals = F(live, lattice)
+        k = np.argmin(vals, axis=1)
+        best[live] = pymin(best[live], vals[np.arange(R), k])
+        cell, center = width / max(pts - 1, 1), lattice[np.arange(R), k]
+        going = ~(np.max(width, axis=1) < SEARCH_TOL)
+        live, cur_lo, cur_hi = (live[going], np.maximum(lo, center - cell)[going],
+                                np.minimum(hi, center + cell)[going])
+        pts = later
     return best
 
 
-def _box_extremes(f, lo, hi) -> tuple[float, float]:
-    mn = _nested_min(lambda a: float(f(a)), lo, hi)
-    mx = -_nested_min(lambda a: -float(f(a)), lo, hi)
-    return mn, mx
+def _read(f: ScalarField, L: np.ndarray) -> np.ndarray:
+    """``f`` on a stack of lattices L (R, L, n), as (R, L), in one batch."""
+    return f.many(L.reshape(-1, L.shape[2])).reshape(L.shape[:2])
 
 
 def tietze_extend(
@@ -290,25 +286,25 @@ def tietze_extend(
     name: str = "",
     values=None,
 ) -> ScalarField:
-    """Continuous extension of ``f`` from A to everything, range [lo, hi].
+    """Continuous extension of the :class:`ScalarField` ``f`` from A to
+    everything, range [lo, hi].
 
     ``f`` must be continuous and bounded on A.  Bounds are taken from the
     data when not supplied: exact over point components, lattice-searched
     over boxes (prefer passing explicit bounds when A has boxes and ``f``
     peaks off-lattice; the formula's range stays inside [lo, hi] either
     way, only tightness is at stake).  Values at A's points are baked
-    here, so evaluating the extension never calls ``f`` on point
+    here, so evaluating the extension never reads ``f`` on point
     components again; a caller that already holds them passes them, in
     the order of A's points, as ``values``.  Over a finite cloud with
-    ``values`` given, ``f`` is not read at all and may be None; a point
-    that snaps to the cloud without a cloud point within the snap then
-    raises the batch rule's ``ValueError``.
+    ``values`` given, ``f`` is not read at all and may be None.
 
     The batch rule makes one slab pass over the cloud per batch, which
     gives the distance, the snap and the infimum over the cloud at once
-    (see the module docstring); over box components it adds each row's
-    nested coordinate search, and a row within the snap of a box but of
-    no cloud point reads ``f``.
+    (see the module docstring).  Over each box it runs the nested
+    coordinate search of every row off the snap at once, one ``f.many``
+    per step (:func:`_nested_min`), and reads ``f`` at the rows within the
+    snap of a box but of no cloud point in one ``f.many``.
     """
     if A.is_empty:
         raise EmptySetError("cannot extend from the empty set")
@@ -322,18 +318,19 @@ def tietze_extend(
                 f"{baked.shape[0]} values for {cloud.shape[0]} cloud points"
             )
     elif cloud.shape[0]:
-        baked = np.array([float(f(p)) for p in cloud])
+        baked = f.many(cloud)
     else:
         baked = np.empty(0)
     if baked.size and not np.all(np.isfinite(baked)):
         raise ValueError("tietze_extend needs finite values; compress first")
     data_lo = float(baked.min()) if baked.size else math.inf
     data_hi = float(baked.max()) if baked.size else -math.inf
+    sign = np.array([1.0, -1.0])  # the least of f, then of -f
     for blo, bhi in A.boxes:
-        mn, mx = _box_extremes(f, blo, bhi)
-        if not (math.isfinite(mn) and math.isfinite(mx)):
+        mn, neg = _nested_min(lambda live, L: sign[live, None] * _read(f, L), blo, bhi, 2)
+        if not (math.isfinite(mn) and math.isfinite(neg)):
             raise ValueError("tietze_extend needs finite values; compress first")
-        data_lo, data_hi = min(data_lo, mn), max(data_hi, mx)
+        data_lo, data_hi = min(data_lo, float(mn)), max(data_hi, -float(neg))
     lo = data_lo if lo is None else float(lo)
     hi = data_hi if hi is None else float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
@@ -360,20 +357,22 @@ def tietze_extend(
         hit = gap <= MEMBERSHIP_SNAP
         # off the boxes d is the gap, and every row on the snap hits the cloud
         missed = ((d <= MEMBERSHIP_SNAP) > hit).nonzero()[0] if boxes else ()
-        if len(missed) and f is None:
-            raise ValueError(_SNAP_MISS)
-        held = [float(f(P[i])) for i in missed]
-        for blo, bhi in boxes:
-            for i in (d > MEMBERSHIP_SNAP).nonzero()[0]:
-                x, di = P[i], float(d[i])
-                g = lambda a: 1.0 + min(max((float(f(a)) - lo) / span, 0.0), 1.0) + float(
-                    np.linalg.norm(x - a)
-                ) / di
-                best[i] = min(best[i], _nested_min(g, blo, bhi))
+        held = f.many(P[missed]) if len(missed) else None
+        off = (d > MEMBERSHIP_SNAP).nonzero()[0] if boxes else ()
+        if len(off):
+            x, dx = P[off], d[off, None]
+
+            def term(live, L):  # Hausdorff's term at the box points L of rows x
+                t = pymin(pymax((_read(f, L) - lo) / span, 0.0), 1.0)
+                gaps = row_norms((x[live, None] - L).reshape(-1, L.shape[2]))
+                return 1.0 + t + gaps.reshape(L.shape[:2]) / dx[live]
+
+            for blo, bhi in boxes:
+                best[off] = pymin(best[off], _nested_min(term, blo, bhi, len(off)))
         out = lo + (np.minimum(np.maximum(best - 1.0, 1.0), 2.0) - 1.0) * span
         if baked.size:
             np.putmask(out, hit, baked.take(k))
-        if held:
+        if held is not None:
             out[missed] = held
         return out
 

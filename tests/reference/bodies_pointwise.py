@@ -5,8 +5,9 @@ zeros included.
 
 An interval projects by ``np.clip`` between scalar bounds, which keeps the
 point where it ties with a bound; a ball scales the offset from its centre
-down to the radius.  Polytopes have their own oracle,
-``reference.polytope_pointwise``.
+down to the radius.  The signed distance to the boundary is
+``min(y - lo, hi - y)`` on an interval and ``r - |y - c|`` on a ball.
+Polytopes have their own oracle, ``reference.polytope_pointwise``.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ class PointwiseInterval(PointwiseBody):
     def coord_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array([self.lo]), np.array([self.hi])
 
+    def boundary_margin(self, y) -> float:
+        y = float(np.asarray(y, dtype=float).reshape(-1)[0])
+        return min(y - self.lo, self.hi - y)
+
     def coord_extremes(self) -> tuple:
         # a finite end is its own extreme point
         args = (np.array([[v if math.isfinite(v) else math.nan]]) for v in (self.lo, self.hi))
@@ -83,6 +88,10 @@ class PointwiseBall(PointwiseBody):
 
     def coord_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self.center - self.radius, self.center + self.radius
+
+    def boundary_margin(self, y) -> float:
+        y = np.asarray(y, dtype=float).reshape(-1)
+        return self.radius - float(np.linalg.norm(y - self.center))
 
     def coord_extremes(self) -> tuple:
         # the ends of the diameter along each axis

@@ -20,7 +20,7 @@ from convsel.fields import (
     _sum_tag,
     squash,
 )
-from convsel.urysohn import MEMBERSHIP_SNAP, ClosedSet, _box_extremes, _nested_min
+from convsel.urysohn import MEMBERSHIP_SNAP, SEARCH_TOL, ClosedSet
 
 
 def lift(domain, rule, tag: str = TAG_UNKNOWN, name: str = "") -> ScalarField:
@@ -92,6 +92,50 @@ def dist_pointwise(A: ClosedSet, x) -> float:
     return best
 
 
+def nested_min(fun, lo: np.ndarray, hi: np.ndarray, tol: float = SEARCH_TOL) -> float:
+    """Minimize ``fun`` over a box by repeated lattice refinement, one
+    search and one point at a time: each step reads ``fun`` at every point
+    of a lattice over the current cell, then shrinks the cell to the
+    lattice cells about the least point."""
+    n = lo.size
+    first = 33 if n == 1 else 11 if n == 2 else 5
+    later = 9 if n <= 2 else 5
+    box_lo, box_hi = lo.astype(float).copy(), hi.astype(float).copy()
+    cur_lo, cur_hi = box_lo.copy(), box_hi.copy()
+    best = math.inf
+    width = cur_hi - cur_lo
+    pts_per_axis = first
+    for _ in range(200):
+        axes = [
+            np.linspace(cur_lo[a], cur_hi[a], pts_per_axis)
+            if cur_hi[a] > cur_lo[a]
+            else np.array([cur_lo[a]])
+            for a in range(n)
+        ]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        lattice = np.column_stack([m.reshape(-1) for m in mesh])
+        vals = np.array([fun(a) for a in lattice])
+        k = int(np.argmin(vals))
+        best = min(best, float(vals[k]))
+        if float(np.max(width, initial=0.0)) < tol:
+            break
+        cell = width / max(pts_per_axis - 1, 1)
+        center = lattice[k]
+        cur_lo = np.maximum(box_lo, center - cell)
+        cur_hi = np.minimum(box_hi, center + cell)
+        width = cur_hi - cur_lo
+        pts_per_axis = later
+    return best
+
+
+def box_extremes(f, lo, hi) -> tuple[float, float]:
+    """The least and the greatest value of ``f`` over a box, each by its own
+    :func:`nested_min`."""
+    mn = nested_min(lambda a: float(f(a)), lo, hi)
+    mx = -nested_min(lambda a: -float(f(a)), lo, hi)
+    return mn, mx
+
+
 def tietze_pointwise(f, A: ClosedSet, lo=None, hi=None, values=None) -> ScalarField:
     """Hausdorff's formula for the extension of ``f`` from A, evaluated
     at one point: the values at A's points baked (or ``values``), the
@@ -101,7 +145,7 @@ def tietze_pointwise(f, A: ClosedSet, lo=None, hi=None, values=None) -> ScalarFi
     if values is None:
         values = [float(f(p)) for p in cloud]
     baked = np.array(values, dtype=float).reshape(-1)
-    data = [*baked.tolist(), *(v for blo, bhi in A.boxes for v in _box_extremes(f, blo, bhi))]
+    data = [*baked.tolist(), *(v for blo, bhi in A.boxes for v in box_extremes(f, blo, bhi))]
     lo = min(data) if lo is None else float(lo)
     hi = max(data) if hi is None else float(hi)
     span = hi - lo
@@ -126,7 +170,7 @@ def tietze_pointwise(f, A: ClosedSet, lo=None, hi=None, values=None) -> ScalarFi
             g = lambda a: 1.0 + min(max((float(f(a)) - lo) / span, 0.0), 1.0) + float(
                 np.linalg.norm(x - a)
             ) / d
-            best = min(best, _nested_min(g, blo, bhi))
+            best = min(best, nested_min(g, blo, bhi))
         F = min(max(best - 1.0, 1.0), 2.0)
         return lo + (F - 1.0) * span
 

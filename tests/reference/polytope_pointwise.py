@@ -9,7 +9,8 @@ nearest of them that passes the membership certificate, and the coordinate
 extremes from the certified candidates for the origin, on the coordinates
 ``sets.bounded`` calls bounded, with their tie rule in Python floats.  None
 is returned where the kernel cannot answer (no member found), which the
-library hands to its fallback.
+library hands to its fallback.  :func:`boundary_margin` is a body's signed
+distance to its boundary, one point at a time.
 """
 
 from __future__ import annotations
@@ -97,3 +98,18 @@ def coord_extremes(A, b, sets) -> tuple | None:
             bounds[side][j] = found[i, j]
             args[side][j] = found[i]
     return bounds[0], bounds[1], args[0], args[1]
+
+
+def boundary_margin(body, y) -> float:
+    """The signed distance from ``y`` to the boundary of the ``HPolytope``
+    ``body``: inside, the least slack ``(b_i - a_i y) / |a_i|`` (the nearest
+    facet's hyperplane) over the rows whose normal does not vanish; outside,
+    minus the distance to the body."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    norms = np.linalg.norm(body.A, axis=1)  # a normal that vanishes here is vacuous
+    slack = np.divide(body.b - body.A @ y, norms, out=np.full(norms.shape, math.inf),
+                      where=norms != 0.0)
+    worst = float(np.min(slack, initial=math.inf))
+    if worst >= 0:
+        return worst
+    return -body.distance(y)

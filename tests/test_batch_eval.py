@@ -23,6 +23,7 @@ from convsel.fields import (
     FirstBadRow,
     Grid,
     ScalarField,
+    VectorField,
     add,
     compress_field,
     constant_field,
@@ -34,7 +35,7 @@ from convsel.fields import (
     unsquash,
 )
 from convsel.urysohn import ClosedSet, dist_field, tietze_extend
-from reference.fields_pointwise import dist_pointwise, lift, tietze_pointwise
+from reference.fields_pointwise import dist_pointwise, lift, nested_min, tietze_pointwise
 
 LINE = Domain(1, boxes=(((-1.0,), (1.0,)),))
 SQUARE = Domain(2, boxes=(((-1.0, -1.0), (1.0, 1.0)),))
@@ -170,6 +171,47 @@ class TestScalarFieldMany:
             f.many(POINTS)
 
 
+def wrong_batches(kind):
+    """Fields of ``kind`` ("scalar" or "vector", m = 2) whose batch has a
+    wrong shape, one row too many, or NaN at the row x = 0.5, with the
+    error each must raise."""
+    tail = () if kind == "scalar" else (2,)
+
+    def field(batch):
+        if kind == "scalar":
+            return ScalarField(LINE, batch=batch, name="bad")
+        return VectorField(LINE, 2, batch=batch, name="bad")
+
+    def nan_at_half(X):
+        out = np.zeros((X.shape[0], *tail))
+        out[X[:, 0] == 0.5] = math.nan
+        return out
+
+    return [
+        (field(lambda X: np.zeros((X.shape[0], 3))), DimensionMismatchError),
+        (field(lambda X: np.zeros((X.shape[0] + 1, *tail))), DimensionMismatchError),
+        (field(nan_at_half), ValueError),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vector"])
+def test_both_kinds_refuse_a_wrong_shape_and_nan(kind):
+    X = np.array([[0.0], [0.5], [1.0]])
+    for bad, error in wrong_batches(kind):
+        with pytest.raises(error, match="bad"):
+            bad([0.5])
+        with pytest.raises(error, match="bad"):
+            bad.many(X)
+        # inside another field's batch, the outer search finds the same error
+        outer = ScalarField(LINE, batch=lambda X: np.sum(bad.many(X).reshape(X.shape[0], -1), 1))
+        with pytest.raises(error, match="bad"):
+            outer.many(X)
+        with pytest.raises(error, match="bad"):
+            outer([0.5])
+    good = VectorField(LINE, 2, batch=lambda X: np.column_stack([X[:, 0], -X[:, 0]]))
+    assert_same_bits(good.many(X), [good(x) for x in X])
+
+
 def test_pymin_pymax_pick_like_python():
     values = [-0.0, 0.0, -1.5, 2.0, -math.inf, math.inf]
     a, b = (np.array(v) for v in zip(*[(x, y) for x in values for y in values]))
@@ -222,13 +264,13 @@ class TestTietzeBatch:
     def test_cloud_extension_matches_pointwise(self, cloud):
         X = queries(cloud)
         data = lambda p: float(np.cos(4.0 * p[0]) + p[-1] ** 2)
-        F = tietze_extend(data, cloud)
+        F = tietze_extend(lift(None, data), cloud)
         assert_same_bits(F.many(X), pointwise(tietze_pointwise(data, cloud), X))
 
     def test_snapped_points_return_the_baked_values(self):
         pts = np.linspace(-1.0, 1.0, 17).reshape(-1, 1)
         A = ClosedSet.from_cloud(pts)
-        F = tietze_extend(lambda p: float(p[0] ** 2), A)
+        F = tietze_extend(lift(None, lambda p: float(p[0] ** 2)), A)
         near = pts + 1e-13  # within the membership snap of the cloud
         assert_same_bits(F.many(pts), pts[:, 0] ** 2)
         ref = tietze_pointwise(lambda p: float(p[0] ** 2), A)
@@ -237,8 +279,8 @@ class TestTietzeBatch:
     def test_values_are_baked_in_place_of_calls(self):
         A = ClosedSet.from_cloud(np.array([[0.0], [0.5], [1.0]]))
         values = np.array([0.25, -1.0, 2.0])
-        F = tietze_extend(lambda p: pytest.fail("f was called"), A, values=values)
-        G = tietze_extend(lambda p: float(values[int(round(2 * p[0]))]), A)
+        F = tietze_extend(lift(None, lambda p: pytest.fail("f was called")), A, values=values)
+        G = tietze_extend(lift(None, lambda p: float(values[int(round(2 * p[0]))])), A)
         X = np.linspace(-1.0, 2.0, 31).reshape(-1, 1)
         assert_same_bits(F.many(X), G.many(X))
         assert_same_bits(F.many(X), pointwise(tietze_pointwise(None, A, values=values), X))
@@ -256,7 +298,7 @@ class TestTietzeBatch:
         data = lambda p: float(np.sin(5.0 * p[0]))
         X = np.vstack([np.linspace(-1.0, 1.0, 9).reshape(-1, 1), [[0.9], [0.9 + 1e-13]]])
         for lo, hi in ((-1.0, 1.0), (None, None)):
-            F = tietze_extend(data, A, lo=lo, hi=hi)
+            F = tietze_extend(lift(None, data), A, lo=lo, hi=hi)
             assert_same_bits(F.many(X), pointwise(tietze_pointwise(data, A, lo, hi), X))
             assert_same_bits([F(x) for x in X], F.many(X))
 
@@ -267,7 +309,7 @@ class TestTietzeBatch:
 
     def test_constant_data_gives_a_constant_batch(self):
         A = ClosedSet.from_cloud(np.array([[0.0], [0.5]]))
-        F = tietze_extend(lambda p: 0.75, A)
+        F = tietze_extend(lift(None, lambda p: 0.75), A)
         assert_same_bits(F.many(POINTS), np.full(POINTS.shape[0], 0.75))
 
     def test_constant_data_keeps_the_signs_of_its_zeros_on_the_cloud(self):
@@ -281,7 +323,7 @@ class TestTietzeBatch:
 
     def test_memory_stays_within_the_element_budget(self):
         cloud = ClosedSet.from_cloud(np.linspace(-1.0, 1.0, 2049).reshape(-1, 1))
-        F = tietze_extend(lambda p: float(p[0] ** 3), cloud)
+        F = tietze_extend(lift(None, lambda p: float(p[0] ** 3)), cloud)
         X = np.linspace(-1.0, 1.0, 8193).reshape(-1, 1) + 1e-6
         tracemalloc.start()
         try:
@@ -290,6 +332,93 @@ class TestTietzeBatch:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+# --- the box search, every row at once, against the per-point search ------
+
+
+def box_data(X):
+    """Data whose least value over a box lies on an edge of some boxes and
+    inside others (at x1 = 0.675 on the flat boxes)."""
+    return (X[:, 0] - 0.8) ** 2 - 0.5 * X[:, 0] * X[:, -1] + 0.3 * X[:, -1]
+
+
+#: Two boxes and isolated points in R^1, R^2 and R^3; in R^2 and R^3 one
+#: box is flat along an axis.
+BOX_SETS = [
+    ClosedSet(1, boxes=(((0.0,), (0.5,)), ((0.75,), (1.0,))), points=((1.5,), (-0.5,))),
+    ClosedSet(2, boxes=(((0.0, 0.0), (0.5, 0.25)), ((0.6, -0.5), (1.0, -0.5))),
+              points=((-0.5, 0.5), (1.2, 1.0))),
+    ClosedSet(3, boxes=(((0.0, 0.0, 0.0), (0.5, 0.25, 0.5)), ((0.6, -0.5, 0.2), (1.0, -0.1, 0.2))),
+              points=((-0.5, 0.5, 0.1),)),
+]
+
+
+def box_queries(A: ClosedSet, count: int) -> np.ndarray:
+    """Drawn points about A, points of its boxes (read from the data), its
+    isolated points, and points within the snap of them."""
+    n = A.ambient_dim
+    rng = np.random.default_rng(count + n)
+    drawn = rng.uniform(-1.0, 1.5, size=(count, n))
+    on = np.array([0.5 * (lo + hi) for lo, hi in A.boxes] + [A.boxes[0][1]])
+    return np.vstack([drawn, on, A.points, A.points + 1e-13])
+
+
+class TestBoxSearch:
+    @pytest.mark.parametrize("A, count", zip(BOX_SETS, (24, 14, 6)), ids=["1D", "2D", "3D"])
+    def test_box_extensions_match_the_per_point_search(self, A, count):
+        data = ScalarField(None, batch=box_data)
+        X = box_queries(A, count)
+        for lo, hi in ((None, None), (-2.0, 1.5)):
+            F = tietze_extend(data, A, lo=lo, hi=hi)
+            want = pointwise(tietze_pointwise(data, A, lo, hi), X)
+            assert_same_bits(F.many(X), want)
+            assert_same_bits(F.many(X[::-1]), want[::-1])
+
+    @pytest.mark.parametrize("lo, hi", [
+        ((0.6, -0.5), (1.0, -0.5)),  # flat along x2: a zero step there
+        ((0.0, 0.0), (0.5, 0.25)),
+        ((0.6, -0.5, 0.2), (1.0, -0.1, 0.2)),
+        ((2.0**20 - 1.4e-8,), (2.0**20 + 3.3e-8,)),  # some cells flat by rounding alone
+    ])
+    def test_each_search_is_the_per_point_search_bit_for_bit(self, lo, hi):
+        # squared distances to targets outside the box (the search clipped at
+        # an edge), inside it, and at a point of the first lattice that a
+        # zero step elsewhere would move by an ulp (x1 = 0.88)
+        lo, hi = np.array(lo), np.array(hi)
+        rng = np.random.default_rng(lo.size)
+        targets = np.vstack([lo - 0.3, hi + 0.1, 0.5 * (lo + hi), rng.uniform(lo, hi, (5, lo.size)),
+                             np.where(lo == hi, lo, 0.88)])
+        got = urysohn._nested_min(
+            lambda live, L: np.sum((L - targets[live, None]) ** 2, axis=2), lo, hi, len(targets))
+        want = [nested_min(lambda a: float(np.sum((a - t) ** 2)), lo, hi) for t in targets]
+        assert_same_bits(got, want)
+
+    def test_the_search_reads_the_data_once_per_step_of_each_box(self, monkeypatch):
+        A = BOX_SETS[1]
+        reads = []
+        data = ScalarField(None, batch=lambda X: reads.append(X.shape[0]) or box_data(X))
+        monkeypatch.setattr(ScalarField, "__call__", lambda self, x: pytest.fail("one point read"))
+        steps, read = [], urysohn._read
+        monkeypatch.setattr(urysohn, "_read", lambda f, L: steps.append(L.shape[0]) or read(f, L))
+        F = tietze_extend(data, A)
+        # the cloud in one read, then each box's bounds: two searches at once
+        assert reads[0] == len(A.points) and steps[:2] == [2, 2]
+        assert len(reads) == 1 + len(steps)
+        X = box_queries(A, 40)
+        reads.clear(), steps.clear()
+        values = F.many(X)
+        off = int(np.sum(A.dist_many(X) > urysohn.MEMBERSHIP_SNAP))
+        missed = len(A.boxes) + 1  # the points of the boxes
+        assert reads[0] == missed and len(reads) == 1 + len(steps)
+        # each box's steps: every row off the snap, then those still searching,
+        # fewer where a search has ended
+        starts = [i for i in range(1, len(steps)) if steps[i] > steps[i - 1]]
+        assert len(starts) == len(A.boxes) - 1
+        for run in np.split(np.array(steps), starts):
+            assert run[0] == off and np.all(np.diff(run) <= 0) and 0 < run[-1] < off
+        monkeypatch.undo()  # the oracle reads one point at a time
+        assert_same_bits(values, pointwise(tietze_pointwise(data, A), X))
 
 
 # --- the slab kernel against the full scans of the oracles ----------------

@@ -294,4 +294,3 @@ class TestModulus:
 
     def test_default_eps_scales_with_spacing(self):
         assert default_eps(Grid(LINE, 33)) == pytest.approx(10 * 2 / 32)
-        assert default_eps(Grid(LINE, 33), slope=2.0) == pytest.approx(40 / 32)

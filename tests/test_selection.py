@@ -205,7 +205,7 @@ class TestMichaelSelect:
         assert trace.strata == ("x != 0", "x == 0")
         assert [lv.kind for lv in trace.levels] == ["base", "glue"]
         outer = trace.outer
-        assert outer.C1 is not None and outer.D is not None
+        assert outer.C1 is not None
         assert outer.extension is not None
 
 

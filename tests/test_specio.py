@@ -406,6 +406,19 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == "error: polytope data must be finite\n"
 
+    @pytest.mark.parametrize("key", ["boxes", "points"])
+    @pytest.mark.parametrize("value", [5, None, {}, "ab"], ids=["int", "null", "object", "string"])
+    def test_a_domain_list_of_another_type_is_an_input_error(self, key, value, tmp_path, capsys):
+        # once a TypeError traceback (int, null), "no boxes" (object) or a
+        # message about the string's first character
+        domain = {"boxes": [{"lo": [-1.0], "hi": [1.0]}], "points": [[2.0]], key: value}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(variant(domain=domain)), encoding="utf-8")
+        assert run_cli("verify", "--spec", str(spec), "--grid", "5") == 1
+        kind = {int: "int", type(None): "NoneType", dict: "dict", str: "str"}[type(value)]
+        assert capsys.readouterr().err == (
+            f"error: $.domain.{key}: expected a list of {key}, got {kind}\n")
+
     def test_usage_errors_exit_one(self):
         assert run_cli("select-michael") == 1        # missing --spec
         assert run_cli("no-such-command") == 1
