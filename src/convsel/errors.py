@@ -25,7 +25,11 @@ class UnboundedBodyError(ConvselError, ValueError):
 
 
 class UncoveredPointError(ConvselError, ValueError):
-    """A set-valued map was evaluated at a point no piece covers."""
+    """A set-valued map was evaluated at a point ``x`` no piece covers."""
+
+    def __init__(self, message: str, x=None):
+        super().__init__(message)
+        self.x = x
 
 
 class TagError(ConvselError, ValueError):

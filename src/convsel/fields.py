@@ -318,44 +318,33 @@ class _Nesting(threading.local):
 _nesting = _Nesting()
 
 
-class FirstBadRow(Exception):
-    """Raised by a batch rule around ``error`` when the rule names its own
-    first bad row after every evaluation in the batch has succeeded: each
-    earlier row then passes alone too, so :func:`_outermost_many` raises
-    ``error`` at once instead of searching the rows."""
-
-    def __init__(self, error: Exception):
-        super().__init__(error)
-        self.error = error
-
-
 def _outermost_many(values: Callable, X, join: Callable = np.concatenate):
     """``values(X)`` for the points ``X``, shape (N, n), equal to the rows
     of ``values`` one at a time, bit for bit.
 
-    When ``values`` raises, the outermost ``many`` on the stack evaluates
-    the rows one by one, so the first row that fails raises what it raises
-    alone, and ``join`` puts the rows back together if none does; a
-    ``many`` called inside another batch (a field's, a region's or a
-    map's) raises at once and leaves the search to it.  A
-    :class:`FirstBadRow` needs no search: its error is raised as it is.
+    When ``values`` raises on more than one row, the outermost ``many`` on
+    the stack searches the left half and then the right half the same way,
+    and ``join`` puts the halves together: so the first row that fails
+    alone raises what it raises alone, in at most 2⌈log₂ N⌉ + 1 calls when
+    a batch fails just where it holds such a row.  A ``many`` called inside
+    another batch (a field's, a region's or a map's) raises at once and
+    leaves the search to it.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatchError(f"many needs points of shape (N, n), got {X.shape}")
-    outermost = not _nesting.active
+    if _nesting.active:
+        return values(X)
     _nesting.active = True
     try:
-        try:
-            return values(X)
-        except EVAL_ERRORS:
-            if not (outermost and X.shape[0]):
-                raise
-        return join([values(X[i : i + 1]) for i in range(X.shape[0])])
-    except FirstBadRow as found:
-        raise found.error from None
+        return values(X)
+    except EVAL_ERRORS:
+        if X.shape[0] < 2:
+            raise
     finally:
-        _nesting.active = not outermost
+        _nesting.active = False
+    half = (X.shape[0] + 1) // 2
+    return join([_outermost_many(values, X[:half], join), _outermost_many(values, X[half:], join)])
 
 
 class _Field:

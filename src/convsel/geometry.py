@@ -842,9 +842,10 @@ class StackedBatch(BodyBatch):
             self._part[rows], self._local[rows] = p, np.arange(rows.shape[0])
 
     @classmethod
-    def of_rows(cls, rows, dim: int) -> "StackedBatch":
-        """The one-row batches ``rows``, in order, as one batch."""
-        return cls(len(rows), dim, [(np.array([i]), row) for i, row in enumerate(rows)])
+    def of_rows(cls, batches, dim: int) -> "StackedBatch":
+        """The batches ``batches``, their rows in order, as one batch."""
+        ends = np.cumsum([0, *map(len, batches)])
+        return cls(int(ends[-1]), dim, zip(map(np.arange, ends[:-1], ends[1:]), batches))
 
     def __len__(self) -> int:
         return self.count

@@ -130,8 +130,7 @@ class SetValuedMap:
         (:func:`fields._outermost_many`).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        # a search row by row gives back one-row batches, in order
-        join = partial(StackedBatch.of_rows, dim=self.output_dim)
+        join = partial(StackedBatch.of_rows, dim=self.output_dim)  # joins a search's halves
         return _outermost_many(self._bodies, X, join=join)
 
     def _bodies(self, X: np.ndarray) -> BodyBatch:
@@ -145,7 +144,8 @@ class SetValuedMap:
             if rows.size:
                 parts.append((rows, self._checked(rule(X[rows]), rows.size)))
         if todo.size:
-            raise UncoveredPointError(f"no piece covers {X[todo[0]].tolist()}")
+            x = X[todo[0]].tolist()
+            raise UncoveredPointError(f"no piece covers {x}", x)
         if len(parts) == 1:
             return parts[0][1]  # one piece holds every row, in order
         return StackedBatch(X.shape[0], self.output_dim, parts)
@@ -155,7 +155,7 @@ class SetValuedMap:
             raise TypeError(
                 f"a piece rule must return a BodyBatch, got {type(bodies).__name__}"
             )
-        if len(bodies) != count:  # not searched row by row: no row is to blame
+        if len(bodies) != count:  # not searched: no row is to blame
             raise TypeError(f"a piece rule returned {len(bodies)} bodies for {count} points")
         if bodies.dim != self.output_dim:
             raise DimensionMismatchError(

@@ -50,7 +50,6 @@ from .errors import (
 from .fields import (
     AuditReport,
     Domain,
-    FirstBadRow,
     Grid,
     STRICTNESS_MARGIN,
     ScalarField,
@@ -324,8 +323,8 @@ def sandwich_select(
     used to realize the pipeline's closed sets as clouds; audits of the
     result happen on whatever grid the caller chooses afterwards.
     Raises at the first construction point, in grid order, where f > g
-    or an envelope fails to evaluate (the check is one batch, searched
-    point by point only when an envelope fails), or when the
+    or an envelope fails to evaluate (the check is one batch, searched by
+    halves only when it fails), or when the
     stratification fails its audits (partition, relative openness,
     per-stratum continuity of the envelopes).  The returned h evaluates
     batches with ``h.many``: the envelopes once, then the outer level's
@@ -347,11 +346,11 @@ def sandwich_select(
         crossed = fX > gX + EQUALITY_TOL
         if crossed.any():
             x = X[np.argmax(crossed)].tolist()
-            raise FirstBadRow(InfeasibleBodyError(f"empty interval: f(x) > g(x) at x={x}"))
+            raise InfeasibleBodyError(f"empty interval: f(x) > g(x) at x={x}")
         return fX, gX
 
     fP, gP = _outermost_many(
-        envelopes_at, P, join=lambda rows: [np.concatenate(c) for c in zip(*rows)]
+        envelopes_at, P, join=lambda halves: [np.concatenate(c) for c in zip(*halves)]
     )
 
     masks = strat.masks(P)

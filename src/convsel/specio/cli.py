@@ -23,8 +23,8 @@ JSON form is written as the string ``inf``, ``-inf`` or ``nan``.
 
 Exit status: 0 when every invariant checked out, 2 when a selection was
 attempted but an audit or postcondition failed, 1 for input problems
-(unreadable file, schema violation, bad flags, an ``--out`` or
-``--report`` path that cannot be written).
+(unreadable file, schema violation, bad flags, a domain point that no
+piece covers, an ``--out`` or ``--report`` path that cannot be written).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import sys
 
 import numpy as np
 
-from convsel.errors import ConvselError, SpecValidationError
+from convsel.errors import ConvselError, SpecValidationError, UncoveredPointError
 from convsel.fields import (
     DEFAULT_SEED,
     Grid,
@@ -51,7 +51,7 @@ from convsel.fields import (
 from convsel.maps import envelopes, hypothesis_audits
 from convsel.sandwich import region_audit, sandwich_select
 from convsel.selection import boundary_decay_audit, lns_field, michael_select
-from convsel.specio.loader import ProblemSpec, load_spec
+from convsel.specio.loader import ProblemSpec, load_spec, uncovered
 
 MODULUS_RATIO_BOUND = 0.75
 
@@ -253,6 +253,9 @@ def _finish(args, spec: ProblemSpec, entries: list[dict]) -> int:
 
 
 def _abort(args, spec: ProblemSpec, stage: str, exc: Exception) -> int:
+    if isinstance(exc, UncoveredPointError):  # an input problem, as at load
+        print(f"error: {uncovered(exc.x)}", file=sys.stderr)
+        return 1
     print(f"{stage}: {exc}", file=sys.stderr)
     _write_report(args, {
         "command": args.command,

@@ -28,7 +28,8 @@ arithmetic at that row, bit for bit: the arithmetic, ``abs``, ``neg`` and
 floats of an object array, which gives Python's bits and exceptions.
 Where some row leaves the numeric domain, it raises
 :class:`EvalDomainError` with the message of one such row; callers that
-need the first failing row's error search row by row.
+need the first failing row's error search the batch by halves
+(``fields._outermost_many``).
 :func:`evaluate` is a batch of one row.
 """
 

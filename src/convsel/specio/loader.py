@@ -48,7 +48,7 @@ from convsel.errors import (
     SpecValidationError,
     UncoveredPointError,
 )
-from convsel.fields import Domain, FirstBadRow, Grid, _outermost_many
+from convsel.fields import Domain, Grid, _outermost_many
 from convsel.geometry import BallBatch, IntervalBatch, PolytopeBatch, kernel_operators
 from convsel.maps import EVERYWHERE, Region, SetValuedMap, Stratification
 from convsel.specio import expr
@@ -75,6 +75,11 @@ class ProblemSpec:
 
 def _fail(path: str, message: str) -> SpecValidationError:
     return SpecValidationError(f"{path}: {message}")
+
+
+def uncovered(x: list) -> SpecValidationError:
+    """The input error of a domain point ``x`` that no piece covers."""
+    return _fail("$.pieces", f"no piece covers the domain point {x}")
 
 
 def _require(obj, path: str, typ, what: str):
@@ -381,34 +386,26 @@ def _check_coverage(domain: Domain, map_: SetValuedMap, strat: Stratification):
 
     This catches holes at load time with a concrete witness; the finer
     audits downstream still re-check on the caller's grid.  The check is
-    a batch rule that raises at its first bad row, run on the whole grid
-    by :func:`fields._outermost_many`.  When a piece fails to evaluate or
-    to cover, or a stratum to evaluate, the grid is searched point by
-    point, so the first failing point raises, its piece checked before
-    its strata.  When every evaluation succeeds, the first point that no
-    stratum or more than one covers is that point, and it raises at once.
+    one batch, searched by halves when it fails (``_outermost_many``), so
+    the first failing point raises, its piece checked before its strata.
     """
     per_axis = _VALIDATION_PER_AXIS.get(domain.ambient_dim, 5)
 
     def covered(X):
-        try:
-            map_.evaluate_many(X)
-        except UncoveredPointError:
-            if X.shape[0] > 1:
-                raise  # the search names the first point no piece covers
-            raise _fail("$.pieces", f"no piece covers the domain point {X[0].tolist()}") from None
+        map_.evaluate_many(X)
         matches = strat.masks(X).sum(axis=0)
         if np.any(matches != 1):
             i = int(np.argmax(matches != 1))
             x = X[i].tolist()
             if matches[i] == 0:
-                raise FirstBadRow(_fail("$.strata", f"no stratum covers the domain point {x}"))
-            raise FirstBadRow(
-                _fail("$.strata", f"{matches[i]} strata overlap at the domain point {x}")
-            )
+                raise _fail("$.strata", f"no stratum covers the domain point {x}")
+            raise _fail("$.strata", f"{matches[i]} strata overlap at the domain point {x}")
         return matches
 
-    _outermost_many(covered, Grid(domain, per_axis).points)
+    try:
+        _outermost_many(covered, Grid(domain, per_axis).points)
+    except UncoveredPointError as exc:  # at the first failing point
+        raise uncovered(exc.x) from None
 
 
 def load_spec(path: str) -> ProblemSpec:

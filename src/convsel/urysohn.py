@@ -54,8 +54,8 @@ MEMBERSHIP_SNAP = 1e-12
 #: Nested coordinate search stops when every cell side is below this.
 SEARCH_TOL = 1e-10
 
-#: Element budget, in floats, of each (pairs, n) temporary built by the
-#: batched distance and extension rules; small enough to stay in cache.
+#: Element budget of the batched distance and extension rules: the floats
+#: of each (pairs, n) temporary, and the values of each box search step.
 _FLOAT_BUDGET = 8192
 
 #: A slab's half-width is widened by this factor, past every rounding
@@ -243,13 +243,18 @@ def separator(
 def _nested_min(F, lo: np.ndarray, hi: np.ndarray, rows: int) -> np.ndarray:
     """The least value over the box [lo, hi] of each of ``rows`` functions,
     by lattice refinement about the first least point until every cell side
-    is below ``SEARCH_TOL``, all at once: ``F(live, P)`` gives the values (R,
-    L) of the functions ``live`` on their lattices ``P`` (R, L, n).  The axes
-    are ``np.linspace`` rows, bit for bit the scalar calls; a flat cell axis
-    takes its one point, repeated where another cell spans that axis, which
-    moves neither the least value nor the first point at it."""
+    is below ``SEARCH_TOL``, a block of rows within the element budget at
+    once: ``F(live, P)`` gives the values (R, L) of the functions ``live``
+    on their lattices ``P`` (R, L, n).  The axes are ``np.linspace`` rows,
+    bit for bit the scalar calls; a flat cell axis takes its one point,
+    repeated where another cell spans that axis, which moves neither the
+    least value nor the first point at it."""
     n = lo.size
     pts, later = (33 if n == 1 else 11 if n == 2 else 5), (9 if n <= 2 else 5)
+    block = max(1, _FLOAT_BUDGET // pts**n)
+    if rows > block:
+        return np.concatenate([_nested_min(lambda live, P, s=s: F(s + live, P), lo, hi,
+                                           min(block, rows - s)) for s in range(0, rows, block)])
     cur_lo, cur_hi = np.tile(lo, (rows, 1)), np.tile(hi, (rows, 1))
     best, live = np.full(rows, math.inf), np.arange(rows)
     for _ in range(200):

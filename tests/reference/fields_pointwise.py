@@ -1,7 +1,8 @@
 """Scalar fields one point at a time: a field lifted from a per-point rule,
-the field operators, and the per-point formulas of the distance, Tietze
-and envelope fields, the oracles that ``convsel``'s batch rules must
-reproduce bit for bit."""
+the field operators, the per-point formulas of the distance, Tietze
+and envelope fields, and the search of a failing batch one row at a
+time: the oracles that ``convsel``'s batch rules must reproduce bit for
+bit."""
 
 from __future__ import annotations
 
@@ -9,14 +10,16 @@ import math
 
 import numpy as np
 
-from convsel.errors import IndeterminateSumError
+from convsel.errors import DimensionMismatchError, IndeterminateSumError
 from convsel.fields import (
+    EVAL_ERRORS,
     TAG_CONTINUOUS,
     TAG_LOWER,
     TAG_UNKNOWN,
     TAG_UPPER,
     ScalarField,
     _as_extended,
+    _nesting,
     _sum_tag,
     squash,
 )
@@ -31,6 +34,27 @@ def lift(domain, rule, tag: str = TAG_UNKNOWN, name: str = "") -> ScalarField:
         return np.fromiter((float(rule(x)) for x in X), dtype=float, count=X.shape[0])
 
     return ScalarField(domain, batch=batch, tag=tag, name=name)
+
+
+def outermost_many_by_rows(values, X, join=np.concatenate):
+    """``fields._outermost_many`` one row at a time: ``values(X)``, or when
+    that raises in the outermost ``many`` on the stack, ``values`` of each
+    row alone, so the first row that fails raises what it raises alone,
+    and ``join`` puts the rows back together if none does."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatchError(f"many needs points of shape (N, n), got {X.shape}")
+    outermost = not _nesting.active
+    _nesting.active = True
+    try:
+        try:
+            return values(X)
+        except EVAL_ERRORS:
+            if not (outermost and X.shape[0]):
+                raise
+        return join([values(X[i : i + 1]) for i in range(X.shape[0])])
+    finally:
+        _nesting.active = not outermost
 
 
 def once_per_point(rule):

@@ -20,7 +20,6 @@ from convsel.errors import DimensionMismatchError, IndeterminateSumError
 from convsel.fields import (
     TAG_CONTINUOUS,
     Domain,
-    FirstBadRow,
     Grid,
     ScalarField,
     VectorField,
@@ -138,21 +137,15 @@ class TestScalarFieldMany:
             f.many(np.array([[0.0], [0.5], [1.0]]))
         assert_same_bits(f.many(np.array([[0.0], [1.0]])), [0.0, 1.0])
 
-    def test_a_rule_that_names_its_first_bad_row_is_not_searched(self):
-        batches = []
-
+    def test_an_inner_many_leaves_the_search_to_the_outer_batch(self):
         def named(X):
-            batches.append(X.shape[0])
             bad = X[:, 0] > 0.5
             if bad.any():
-                raise FirstBadRow(ValueError(f"bad at {X[np.argmax(bad), 0]}"))
+                raise ValueError(f"bad at {X[np.argmax(bad), 0]}")
             return X[:, 0]
 
         inner = ScalarField(LINE, batch=named)
         X = np.linspace(-1.0, 1.0, 9)[:, None]
-        with pytest.raises(ValueError, match="bad at 0.75"):
-            inner.many(X)
-        assert batches == [9]
 
         # inside another batch it is that batch's error: the outer search
         # still names an earlier row that fails in a later step
@@ -419,6 +412,22 @@ class TestBoxSearch:
             assert run[0] == off and np.all(np.diff(run) <= 0) and 0 < run[-1] < off
         monkeypatch.undo()  # the oracle reads one point at a time
         assert_same_bits(values, pointwise(tietze_pointwise(data, A), X))
+
+    def test_the_search_holds_one_block_of_rows_at_a_time(self):
+        # the lattices of a block of rows, not of every row: 4x the rows
+        # adds only the arrays of one value per row to the peak
+        A = ClosedSet(3, boxes=(((0.0, 0.0, 0.0), (0.5, 0.25, 0.5)),))
+        F = tietze_extend(ScalarField(None, batch=box_data), A)
+        peaks = []
+        for rows in (130, 520):
+            X = np.random.default_rng(rows).uniform(0.6, 1.5, size=(rows, 3))
+            tracemalloc.start()
+            try:
+                F.many(X)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0]
 
 
 # --- the slab kernel against the full scans of the oracles ----------------

@@ -361,9 +361,9 @@ def test_an_evaluation_error_is_the_pointwise_one():
 
 
 def test_a_failing_batch_is_searched_once_at_the_outermost_many(monkeypatch):
-    # one failing batch, then a one-row pass per row up to the first
-    # failing one (row 33 of 65, x = 1/32), each reading the map's bounds
-    # once for the floor and once for the ceiling: 1 + 2 * 33 + 1 calls
+    # one failing batch, then the halves down to the first failing row
+    # (row 33 of 65, x = 1/32): at most 2⌈log₂ 65⌉ + 1 batches, each
+    # reading the map's bounds once for both envelopes
     spec = load_spec_dict(json.loads(json.dumps(HOLE_AT_ONE_32ND)))
     h, _ = select(spec, 17)
     calls = dict.fromkeys(("evaluate", "coord_bounds_many"), 0)
@@ -376,7 +376,7 @@ def test_a_failing_batch_is_searched_once_at_the_outermost_many(monkeypatch):
     with pytest.raises(EvalDomainError, match="division by zero"):
         h.many(Grid(spec.domain, 65).points)
     assert calls["evaluate"] == 0
-    assert calls["coord_bounds_many"] <= 68
+    assert calls["coord_bounds_many"] <= 2 * 7 + 1
 
 
 def test_an_undefined_delta_raises_the_pointwise_message(specs_dir):

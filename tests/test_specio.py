@@ -178,9 +178,10 @@ class TestLoader:
             load_spec_dict(raw)
         assert str(info.value) == want
 
-    def test_a_strata_failure_seen_on_the_batch_raises_without_a_search(self, monkeypatch):
+    def test_a_strata_failure_seen_on_the_batch_is_found_by_halves(self, monkeypatch):
         # every piece covers and no stratum covers the last grid point
-        # only: the batch names that point, and no point is evaluated alone
+        # only: the batch and then a half at each halving name that point,
+        # in at most 2⌈log₂ 33⌉ + 1 batches
         batches = []
         real = SetValuedMap.evaluate_many
 
@@ -192,7 +193,7 @@ class TestLoader:
         with pytest.raises(SpecValidationError) as info:
             load_spec_dict(variant(strata=[["x1 < 1"]]))
         assert str(info.value) == "$.strata: no stratum covers the domain point [1.0]"
-        assert batches == [33]
+        assert batches[0] == 33 and len(batches) <= 2 * 6 + 1
 
     def test_atom_without_comparison(self):
         raw = variant(
@@ -453,6 +454,29 @@ def test_evaluation_errors_abort_with_a_report(command, tmp_path, capsys):
         "stage": "evaluation", "type": "EvalDomainError", "message": "division by zero",
     }
     assert len(out.read_text(encoding="utf-8").splitlines()) == 18
+
+
+# two pieces and a gap, (0.01, 0.02), that the load-time grid misses
+GAP = variant(
+    pieces=[{"region": ["x1 - 0.01 <= 0"], "body": {"interval": {"lo": "0", "hi": "1"}}},
+            {"region": ["0.02 - x1 <= 0"], "body": {"interval": {"lo": "0", "hi": "1"}}}],
+    tags={"declared_lsc": True},
+)
+
+
+@pytest.mark.parametrize("command, grid", [
+    ("select-michael", "33"), ("select-sandwich", "33"),  # on a refined grid
+    ("lns", "129"), ("envelopes", "129"), ("verify", "129"),
+])
+def test_a_point_no_piece_covers_after_load_is_an_input_error(command, grid, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(GAP), encoding="utf-8")
+    assert run_cli(command, "--spec", str(spec), "--grid", grid) == 1
+    assert capsys.readouterr().err == (
+        "error: $.pieces: no piece covers the domain point [0.015625]\n"
+    )
+    # no grid point of 17 lies in the gap
+    assert run_cli(command, "--spec", str(spec), "--grid", "17") == 0
 
 
 class TestConstantNormals:
