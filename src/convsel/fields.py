@@ -240,38 +240,30 @@ class Grid:
         return self.points.shape[0]
 
     def _build_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        # columns: tail, head, far (next point past head; -1 if none)
+        # columns: tail, head, far (next point past head; -1 if none); in each
+        # box, along each axis of width > 1, the forward edges and then the
+        # backward ones, each in the C order of their tails
         rows = []
         spacings = []
         for start, shape, spacing in self._blocks:
-            size = int(np.prod(shape))
-            strides = np.ones(len(shape), dtype=int)
-            for a in range(len(shape) - 2, -1, -1):
-                strides[a] = strides[a + 1] * shape[a + 1]
-            idx = np.arange(size)
-            coords = np.array(np.unravel_index(idx, shape)).T
+            lattice = _lattice(start, shape)
             for a, width in enumerate(shape):
                 if width < 2:
                     continue
-                for step in (1, -1):
-                    ok = (coords[:, a] + step >= 0) & (coords[:, a] + step < width)
-                    tails = idx[ok]
-                    heads = tails + step * strides[a]
-                    far = heads + step * strides[a]
-                    far_ok = (coords[ok, a] + 2 * step >= 0) & (
-                        coords[ok, a] + 2 * step < width
-                    )
-                    far = np.where(far_ok, far, -1 - start)
-                    rows.append(
-                        np.column_stack([tails, heads, far]) + start
-                    )
-                    spacings.append(np.full(len(tails), spacing[a]))
+                line = np.moveaxis(lattice, a, 0)
+                none = np.full_like(line[:1], -1)
+                for trio in ((line[:-1], line[1:], np.concatenate([line[2:], none])),
+                             (line[1:], line[:-1], np.concatenate([none, line[:-2]]))):
+                    rows.append(np.moveaxis(np.stack(trio, axis=-1), 0, a).reshape(-1, 3))
+                    spacings.append(np.full(rows[-1].shape[0], spacing[a]))
         if not rows:
             return np.empty((0, 3), dtype=int), np.empty(0)
         return np.vstack(rows), np.concatenate(spacings)
 
     def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """(edges, spacing): edges has columns (tail, head, far)."""
+        """(edges, spacing): edges has columns (tail, head, far), far being
+        the next point past head in the same direction, or -1; built at the
+        first call from each box's index lattice (:meth:`_build_edges`)."""
         if self._edges is None:
             self._edges = self._build_edges()
         return self._edges
@@ -286,19 +278,25 @@ class Grid:
         return Grid(self.domain, 2 * (self.per_axis - 1) + 1)
 
     def refined_rows(self) -> np.ndarray:
-        """Each point's row in :meth:`refined`: in a box, multi-index ``i``
-        goes to ``2i`` (a zero-width axis keeps its one index 0), and an
-        isolated point goes to itself."""
+        """Each point's row in :meth:`refined`: a box of shape ``w`` has the
+        fine lattice of shape ``2w - 1``, and its multi-index ``i`` goes to
+        ``2i``, read by slicing that lattice at every other index (a
+        zero-width axis keeps its one index 0); an isolated point goes to
+        itself."""
         rows = []
         start = 0
         for _, shape, _ in self._blocks:
-            fine = np.array([2 * w - 1 for w in shape])
-            strides = np.cumprod(np.append(1, fine[:0:-1]))[::-1]
-            coords = np.indices(shape).reshape(len(shape), -1)
-            rows.append(start + (2 * strides) @ coords)
-            start += int(np.prod(fine))
+            fine = tuple(2 * w - 1 for w in shape)
+            rows.append(_lattice(start, fine)[(slice(None, None, 2),) * len(fine)].reshape(-1))
+            start += math.prod(fine)
         rows.append(start + np.arange(len(self.domain.points)))
         return np.concatenate(rows)
+
+
+def _lattice(start: int, shape: tuple) -> np.ndarray:
+    """The rows of a box's points in its grid, ``start`` on, laid out as
+    the box's lattice: shape ``shape``, in C order."""
+    return start + np.arange(math.prod(shape)).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +346,13 @@ def _outermost_many(values: Callable, X, join: Callable = np.concatenate):
 
 
 class _Field:
-    """What both kinds of field share: ``_values``, a batch's values, of
-    shape (N,) + ``_tail`` for N points and with no NaN, or it raises."""
+    """What both kinds of field share: a known ``tag``, and ``_values``, a
+    batch's values, of shape (N,) + ``_tail`` for N points and with no
+    NaN, or it raises."""
+
+    def __post_init__(self):
+        if self.tag not in _TAGS:
+            raise TagError(f"unknown tag {self.tag!r}")
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         out = np.asarray(self.batch(X), dtype=float)
@@ -383,10 +386,6 @@ class ScalarField(_Field):
     tag: str = TAG_UNKNOWN
     name: str = ""
     _kind, _tail = "field", ()
-
-    def __post_init__(self):
-        if self.tag not in _TAGS:
-            raise TagError(f"unknown tag {self.tag!r}")
 
     def __call__(self, x) -> float:
         return float(self._values(np.asarray(x, dtype=float)[None])[0])

@@ -392,8 +392,7 @@ class HPolytope(ConvexBody):
     @property
     def _sets(self):
         """The kernel's operators, or None on the fallback path."""
-        lost = self._row._origin is not None and self._row._lost()[0]
-        return None if lost else self._row._sets
+        return None if self._row._lost[0] else self._row._sets
 
     @staticmethod
     def from_box(lo, hi) -> "HPolytope":
@@ -616,9 +615,10 @@ class PolytopeBatch(BodyBatch):
     unless ``_validated``, every row is checked nonempty.  The kernel's
     products are stacked over the rows (:meth:`_candidates`).  The
     candidates for the origin that pass the certificate (:meth:`_certify`)
-    give every row's least-norm point and coordinate extremes, computed
-    once.  A row where none passes (empty, or too ill-conditioned for the
-    kernel to tell) is on the fallback path once that is known, as is
+    give every row's least-norm point and coordinate extremes; they are
+    computed when the batch is made (:meth:`take` slices them).  A row
+    where none passes (empty, or too ill-conditioned for the kernel to
+    tell) is on the fallback path (``_lost``, fixed with them), as is
     every row without ``sets``: :func:`_nearest`, on the row's own
     normals, confirms it nonempty, gives its least-norm point, its
     extremes (two calls per coordinate) and the projection of each of its
@@ -629,7 +629,7 @@ class PolytopeBatch(BodyBatch):
 
     kind = HPolytope
 
-    def __init__(self, A, sets, B, bounding_box=None, _validated: bool = False):
+    def __init__(self, A, sets, B, bounding_box=None, _validated: bool = False, _origin=None):
         A = np.asarray(A, dtype=float)
         p, m = A.shape[-2:]
         B = np.asarray(B, dtype=float).reshape(-1, p)
@@ -646,9 +646,14 @@ class PolytopeBatch(BodyBatch):
         self.bounding_box = bounding_box
         self._sets = sets
         self._norms = np.linalg.norm(A, axis=-1)
-        self._origin = self._extremes = None
+        self._extremes = None
+        if sets is None:
+            self._origin, self._lost = None, np.ones(len(self), dtype=bool)
+        else:
+            self._origin = self._origin_candidates() if _origin is None else _origin
+            self._lost = ~self._origin[1].any(axis=1)
         if not _validated:
-            for i in np.flatnonzero(self._lost()):
+            for i in np.flatnonzero(self._lost):
                 self._solve(i, np.zeros(self.dim))  # confirms the row or raises
 
     def __len__(self) -> int:
@@ -661,18 +666,16 @@ class PolytopeBatch(BodyBatch):
         return a[rows] if self.A.ndim == 3 else a[None]
 
     def take(self, rows) -> "PolytopeBatch":
-        """The batch of ``rows``, with their candidates for the origin once
-        this batch holds them."""
-        box, A, sets = self.bounding_box, self.A, self._sets
+        """The batch of ``rows``, with their candidates for the origin."""
+        box, A, sets, origin = self.bounding_box, self.A, self._sets, self._origin
         if box is not None:
             box = (box[0][rows], box[1][rows])
         if A.ndim == 3:
             A = A[rows]
             sets = None if sets is None else KernelOperators(*(a[rows] for a in sets))
-        part = PolytopeBatch(A, sets, self.B[rows], box, _validated=True)
-        if self._origin is not None:
-            part._origin = tuple(a[rows] for a in self._origin)
-        return part
+        if origin is not None:
+            origin = tuple(a[rows] for a in origin)
+        return PolytopeBatch(A, sets, self.B[rows], box, _validated=True, _origin=origin)
 
     def _blocks(self, count: int, k: int):
         """``(block slice, point slice)`` chunks of ``count`` blocks of ``k``
@@ -706,23 +709,14 @@ class PolytopeBatch(BodyBatch):
 
     def _origin_candidates(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's candidates for the origin, shape (N, K, m), and which
-        lie in its body, shape (N, K), computed once."""
-        if self._origin is None:
-            N, K = len(self), self._sets.H.shape[-1] // self.dim
-            Y, inside = np.empty((N, K, self.dim)), np.empty((N, K), dtype=bool)
-            zero = np.zeros((N, 1, self.dim))
-            for rows, _ in self._blocks(N, 1):
-                Yr, inside_r = self._candidates(rows, zero[rows])
-                Y[rows], inside[rows] = Yr[:, 0], inside_r[:, 0]
-            self._origin = (Y, inside)
-        return self._origin
-
-    def _lost(self) -> np.ndarray:
-        """The rows on the fallback path, from the candidates for the
-        origin."""
-        if self._sets is None:
-            return np.ones(len(self), dtype=bool)
-        return ~self._origin_candidates()[1].any(axis=1)
+        lie in its body, shape (N, K)."""
+        N, K = len(self), self._sets.H.shape[-1] // self.dim
+        Y, inside = np.empty((N, K, self.dim)), np.empty((N, K), dtype=bool)
+        zero = np.zeros((N, 1, self.dim))
+        for rows, _ in self._blocks(N, 1):
+            Yr, inside_r = self._candidates(rows, zero[rows])
+            Y[rows], inside[rows] = Yr[:, 0], inside_r[:, 0]
+        return Y, inside
 
     def contains(self, rows, Y, tol: float = CONTAINS_TOL) -> np.ndarray:
         Y = np.asarray(Y, dtype=float)
@@ -753,20 +747,18 @@ class PolytopeBatch(BodyBatch):
                 best = np.argmin(d2, axis=2)[..., None]
                 out[r, s] = np.take_along_axis(Y, best[..., None], axis=2)[:, :, 0]
                 found[r, s] = np.take_along_axis(inside, best, axis=2)[:, :, 0]
-            if self._origin is not None:
-                found[self._lost()[rows]] = False  # rows on the fallback path
+            found[self._lost[rows]] = False  # rows on the fallback path
         for n, s in zip(*np.nonzero(~found)):
             out[n, s] = self._solve(rows[n], Z[n, s])[0]
         return out
 
     def least_norm(self) -> np.ndarray:
-        lost = self._lost()
         out = np.empty((len(self), self.dim))
         if self._sets is not None:
             Y, inside = self._origin
             d2 = np.where(inside, np.sum(Y**2, axis=2), np.inf)
             out[:] = Y[np.arange(len(self)), np.argmin(d2, axis=1)]
-        for i in np.flatnonzero(lost):
+        for i in np.flatnonzero(self._lost):
             out[i] = self._solve(i, np.zeros(self.dim))[0]
         return out
 
@@ -779,7 +771,7 @@ class PolytopeBatch(BodyBatch):
                         np.full((N, m, m), math.nan), np.full((N, m, m), math.nan))
             if self._sets is not None:
                 # the least-norm point of each optimal face is among the members
-                Y, inside = self._origin_candidates()
+                Y, inside = self._origin
                 norms2 = np.sum(Y**2, axis=2)
                 bounded = np.broadcast_to(self._sets.bounded, (N, 2, m))
                 for side, sign in enumerate((1.0, -1.0)):
@@ -791,7 +783,7 @@ class PolytopeBatch(BodyBatch):
                         at = np.flatnonzero(bounded[:, side, j])
                         extremes[side][at, j] = Y[at, i[at], j]
                         extremes[side + 2][at, j] = Y[at, i[at]]
-            for i, j, side in itertools.product(np.flatnonzero(self._lost()), range(m), (0, 1)):
+            for i, j, side in itertools.product(np.flatnonzero(self._lost), range(m), (0, 1)):
                 w = np.zeros(m)
                 w[j] = 2 * side - 1  # towards lo, then hi
                 y, d = self._solve(i, np.zeros(m), w)

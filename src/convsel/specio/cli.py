@@ -46,7 +46,7 @@ from convsel.fields import (
     grid_values,
     modulus_ratios,
     pymax,
-    semicontinuity_audit,
+    semicontinuity_audit_values,
 )
 from convsel.maps import envelopes, hypothesis_audits
 from convsel.sandwich import region_audit, sandwich_select
@@ -329,16 +329,24 @@ def _cmd_lns(spec: ProblemSpec, grid: Grid, args) -> int:
     return _finish(args, spec, entries)
 
 
+def _envelope_audits(spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, list[dict]]:
+    """The envelopes f and g of the map at every grid point, evaluated once
+    whatever their tags, shape (N, 2), and their semicontinuity entries."""
+    fields = envelopes(spec.map)
+    values = np.column_stack([fld.many(grid.points) for fld in fields])
+    entries = [
+        _report_entry(semicontinuity_audit_values(v, grid, fld.tag),
+                      f"{label}-{fld.tag}-semicontinuity")
+        for v, fld, label in zip(values.T, fields, ("floor", "ceiling"))
+    ]
+    return values, entries
+
+
 def _cmd_envelopes(spec: ProblemSpec, grid: Grid, args) -> int:
-    f, g = envelopes(spec.map)
     try:
+        values, entries = _envelope_audits(spec, grid)
         if args.out:
-            values = np.column_stack([f.many(grid.points), g.many(grid.points)])
             _write_csv(args.out, grid, values, ["f", "g"])
-        entries = [
-            _report_entry(semicontinuity_audit(f, grid), f"floor-{f.tag}-semicontinuity"),
-            _report_entry(semicontinuity_audit(g, grid), f"ceiling-{g.tag}-semicontinuity"),
-        ]
     except ConvselError as exc:
         return _abort(args, spec, "evaluation", exc)
     return _finish(args, spec, entries)
@@ -357,11 +365,7 @@ def _cmd_verify(spec: ProblemSpec, grid: Grid, args) -> int:
             for rep in hypothesis_audits(spec.map, spec.stratification, grid, seed=args.seed)
         )
         if spec.output_dim == 1:
-            f, g = envelopes(spec.map)
-            for fld, label in ((f, "floor"), (g, "ceiling")):
-                entries.append(_report_entry(
-                    semicontinuity_audit(fld, grid), f"{label}-{fld.tag}-semicontinuity"
-                ))
+            entries.extend(_envelope_audits(spec, grid)[1])
     except ConvselError as exc:
         return _abort(args, spec, "audit", exc)
     return _finish(args, spec, entries)

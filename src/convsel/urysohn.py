@@ -202,21 +202,21 @@ def dist_field(A: ClosedSet, domain: Domain | None = None, name: str = "") -> Sc
 
 
 def set_distance(A: ClosedSet, B: ClosedSet) -> float:
-    """Exact distance between two box/point unions (0 iff they meet)."""
+    """Exact distance between two box/point unions (0 iff they meet): the
+    least norm of the gap ``max(0, alo - bhi, blo - ahi)`` over every pair
+    of components, taken at once."""
     if A.is_empty or B.is_empty:
         raise EmptySetError("distance between sets needs both nonempty")
-    best = math.inf
-    comps_a = [("box", lo, hi) for lo, hi in A.boxes] + [
-        ("pt", p, p) for p in A.points
-    ]
-    comps_b = [("box", lo, hi) for lo, hi in B.boxes] + [
-        ("pt", p, p) for p in B.points
-    ]
-    for _, alo, ahi in comps_a:
-        for _, blo, bhi in comps_b:
-            gap = np.maximum(0.0, np.maximum(alo - bhi, blo - ahi))
-            best = min(best, float(np.linalg.norm(gap)))
-    return best
+    (alo, ahi), (blo, bhi) = _components(A), _components(B)
+    gap = np.maximum(0.0, np.maximum(alo[:, None] - bhi, blo - ahi[:, None]))
+    return float(np.min(row_norms(gap.reshape(-1, A.ambient_dim))))
+
+
+def _components(S: ClosedSet) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``, shape (k, n): the boxes of ``S``, then its points as
+    boxes of zero width."""
+    boxes = np.array(S.boxes).reshape(-1, 2, S.ambient_dim)
+    return np.vstack([boxes[:, 0], S.points]), np.vstack([boxes[:, 1], S.points])
 
 
 def separator(

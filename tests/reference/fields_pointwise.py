@@ -1,6 +1,7 @@
 """Scalar fields one point at a time: a field lifted from a per-point rule,
 the field operators, the per-point formulas of the distance, Tietze
-and envelope fields, and the search of a failing batch one row at a
+and envelope fields, the distance between two sets one pair of
+components at a time, and the search of a failing batch one row at a
 time: the oracles that ``convsel``'s batch rules must reproduce bit for
 bit."""
 
@@ -113,6 +114,19 @@ def dist_pointwise(A: ClosedSet, x) -> float:
     if len(A.points):
         cloud = np.asarray(A.points, dtype=float)
         best = min(best, math.sqrt(float(np.min(np.sum((x - cloud) ** 2, axis=1)))))
+    return best
+
+
+def set_distance_by_pairs(A: ClosedSet, B: ClosedSet) -> float:
+    """The distance between two nonempty box/point unions, one pair of
+    components at a time, a point being a box of zero width."""
+    best = math.inf
+    comps_a = [(lo, hi) for lo, hi in A.boxes] + [(p, p) for p in A.points]
+    comps_b = [(lo, hi) for lo, hi in B.boxes] + [(p, p) for p in B.points]
+    for alo, ahi in comps_a:
+        for blo, bhi in comps_b:
+            gap = np.maximum(0.0, np.maximum(alo - bhi, blo - ahi))
+            best = min(best, float(np.linalg.norm(gap)))
     return best
 
 

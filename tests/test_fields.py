@@ -16,6 +16,7 @@ from convsel.fields import (
     Domain,
     Grid,
     ScalarField,
+    VectorField,
     add,
     compress,
     compress_field,
@@ -188,6 +189,13 @@ class TestFieldAlgebra:
         assert add(cont, cont).tag == TAG_CONTINUOUS
         with pytest.raises(TagError):
             add(lower, upper)  # jumps can cancel or not; no claim survives
+
+    def test_both_kinds_of_field_reject_an_unknown_tag(self):
+        with pytest.raises(TagError, match="unknown tag 'bogus'"):
+            ScalarField(None, batch=lambda X: X[:, 0], tag="bogus")
+        with pytest.raises(TagError, match="unknown tag 'bogus'"):
+            VectorField(None, 2, batch=lambda X: X, tag="bogus")
+        assert VectorField(None, 2, batch=lambda X: X, tag=TAG_LOWER).tag == TAG_LOWER
 
     def test_negate_flips_direction(self):
         lower = lift(LINE, lambda x: x[0], tag=TAG_LOWER)

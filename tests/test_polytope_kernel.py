@@ -398,10 +398,37 @@ def test_a_batch_the_kernel_misses_goes_to_the_recursion_row_by_row(monkeypatch)
     monkeypatch.setattr(geometry.PolytopeBatch, "_certify", lambda self, rows, Y, tol=None:
                         geometry._within(self.A, self.B[rows], self._norms, Y, -1e-3))
     missed = geometry.PolytopeBatch(A, sets, B)
-    assert missed._lost().all()
+    assert missed._lost.all()
     got = (missed.project_rows(np.arange(4), Z), missed.least_norm(), *missed.coord_extremes())
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+def test_a_translated_batch_knows_its_fallback_rows_before_any_least_norm(monkeypatch):
+    # with the same certificate as above every row of the moved batch is on
+    # the fallback path, so each point of a block goes to the recursion,
+    # even the points inside, which the kernel's empty active set would
+    # certify: whether least_norm ran first changes nothing
+    A, b = large_body(20, 3, seed=7)
+    with mock.patch.object(geometry, "_MAX_ACTIVE_SETS", 10**9):
+        sets = geometry.kernel_operators(A)
+    monkeypatch.setattr(geometry.PolytopeBatch, "_certify", lambda self, rows, Y, tol=None:
+                        geometry._within(self.A, self.B[rows], self._norms, Y, -1e-3))
+    C = np.array([[0.5, -0.25, 0.1]] * 4)
+    batch = geometry.PolytopeBatch(A, sets, np.tile(b, (4, 1)))
+    Z = C[:, None, :] + np.random.default_rng(5).uniform(4.95, 5.05, size=(4, 6, 3))
+
+    solved = []
+    real = geometry.PolytopeBatch._solve
+    monkeypatch.setattr(geometry.PolytopeBatch, "_solve",
+                        lambda self, *a: solved.append(1) or real(self, *a))
+    moved = batch.translate(C)
+    assert moved._lost.all() and moved.take([2, 0])._lost.all()
+    first = moved.project_rows(np.arange(4), Z)
+    assert len(solved) == Z.shape[0] * Z.shape[1]
+    again = batch.translate(C)
+    again.least_norm()
+    np.testing.assert_array_equal(again.project_rows(np.arange(4), Z), first)
 
 
 # -- both solvers against exact rational arithmetic ----------------------------

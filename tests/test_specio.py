@@ -479,6 +479,20 @@ def test_a_point_no_piece_covers_after_load_is_an_input_error(command, grid, tmp
     assert run_cli(command, "--spec", str(spec), "--grid", "17") == 0
 
 
+@pytest.mark.parametrize("command", ["envelopes", "verify"])
+def test_envelopes_are_evaluated_whatever_the_tags(command, tmp_path, capsys):
+    # not declared lsc, so the envelopes make no claim to audit; they are
+    # still evaluated on the grid, where 0.015625 lies in the gap
+    untagged = {k: v for k, v in GAP.items() if k != "tags"}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(untagged), encoding="utf-8")
+    assert run_cli(command, "--spec", str(spec), "--grid", "129") == 1
+    assert capsys.readouterr().err == (
+        "error: $.pieces: no piece covers the domain point [0.015625]\n"
+    )
+    assert run_cli(command, "--spec", str(spec), "--grid", "17") == 0
+
+
 class TestConstantNormals:
     """Polytope pieces whose normals are constant share A and the kernel's
     operators across every point instead of rebuilding them."""

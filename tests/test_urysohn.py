@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convsel.errors import EmptySetError, OverlapError
 from convsel.fields import (
@@ -18,7 +19,8 @@ from convsel.urysohn import (
     set_distance,
     tietze_extend,
 )
-from reference.fields_pointwise import lift
+from conftest import assert_same_bits
+from reference.fields_pointwise import lift, set_distance_by_pairs
 
 SEGMENT_AND_POINT = ClosedSet(1, boxes=(((0.0,), (1.0,)),), points=((3.0,),))
 WIDE = Domain(1, boxes=(((-3.0,), (4.0,)),))
@@ -92,6 +94,34 @@ class TestSetDistance:
         a = ClosedSet(2, boxes=(((0.0, 0.0), (1.0, 1.0)),))
         b = ClosedSet(2, points=((2.0, 2.0),))
         assert set_distance(a, b) == pytest.approx(math.sqrt(2.0))
+
+
+@st.composite
+def set_pairs(draw):
+    """Two nonempty unions in R^n, n from 1 to 3, each of 0 to 2 boxes and
+    0 to 3 points."""
+    n = draw(st.integers(1, 3))
+    # small integers make sets that touch or overlap
+    coord = st.one_of(st.integers(-3, 3).map(float), st.floats(-100.0, 100.0))
+    sets = []
+    for _ in range(2):
+        boxes = []
+        for _ in range(draw(st.integers(0, 2))):
+            lo = np.array([draw(coord) for _ in range(n)])
+            widths = [draw(st.one_of(st.integers(0, 2).map(float), st.floats(0.0, 50.0)))
+                      for _ in range(n)]
+            boxes.append((lo, lo + np.array(widths)))
+        count = draw(st.integers(0 if boxes else 1, 3))
+        points = [[draw(coord) for _ in range(n)] for _ in range(count)]
+        sets.append(ClosedSet(n, boxes=tuple(boxes), points=tuple(points)))
+    return sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_pairs())
+def test_set_distance_is_the_loop_over_pairs_bit_for_bit(pair):
+    a, b = pair
+    assert_same_bits([set_distance(a, b)], [set_distance_by_pairs(a, b)])
 
 
 class TestSeparator:
