@@ -299,6 +299,24 @@ def _lattice(start: int, shape: tuple) -> np.ndarray:
     return start + np.arange(math.prod(shape)).reshape(shape)
 
 
+#: Element budget of every batch stage's per-row temporaries, in floats.
+FLOAT_BUDGET = 8192
+
+
+def row_blocks(count: int, floats, budget: int | None = None) -> list[slice]:
+    """Consecutive ranges of ``count`` rows, in order, whose float counts
+    sum within ``budget`` (:data:`FLOAT_BUDGET` by default): ``floats`` is
+    one count for every row or one per row, and a row that alone exceeds
+    the budget is a range of its own."""
+    budget = FLOAT_BUDGET if budget is None else budget
+    ends = np.concatenate(([0], np.cumsum(np.broadcast_to(floats, (count,)), dtype=np.int64)))
+    cuts = [0]
+    while cuts[-1] < count:
+        last = int(ends.searchsorted(ends[cuts[-1]] + budget, "right")) - 1
+        cuts.append(max(cuts[-1] + 1, last))
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
 # ---------------------------------------------------------------------------
 # fields
 
@@ -670,15 +688,17 @@ def _refined_values(f, grid: Grid, fine: Grid, vals: np.ndarray) -> np.ndarray:
     """``f`` at the points of ``fine = grid.refined()``, given its values
     ``vals`` at the points of ``grid``: a coarse point's row takes its value
     where its coordinates are bit for bit the coarse point's, and ``f`` is
-    evaluated once, in grid order, on every other row."""
+    evaluated once on every other row, in grid order, in the row blocks of
+    :func:`row_blocks` at one float a coordinate."""
     rows = grid.refined_rows()
     same = (fine.points[rows].view(np.int64) == grid.points.view(np.int64)).all(axis=1)
     known = np.zeros(len(fine), dtype=bool)
     known[rows[same]] = True
     out = np.empty((len(fine),) + vals.shape[1:])
     out[rows[same]] = vals[same]
-    if not known.all():
-        out[~known] = f.many(fine.points[~known])
+    new = np.flatnonzero(~known)
+    for block in row_blocks(new.size, fine.points.shape[1]):
+        out[new[block]] = f.many(fine.points[new[block]])
     return out
 
 
@@ -692,7 +712,8 @@ def modulus_ratios(
     ``values`` are the values of ``f`` at ``Grid(domain, per_axis)``,
     when the caller already holds them.  Each refined grid takes the
     values of the grid before it at the points the two share, so ``f`` is
-    evaluated only at the points each halving adds.  Refining stops at the
+    evaluated only at the points each halving adds, in row blocks (the grids
+    and values are held whole).  Refining stops at the
     first halving that adds no point (on isolated points and zero-width
     boxes), since every later grid would be the same: the list then has
     fewer than ``halvings`` ratios.

@@ -43,6 +43,7 @@ from .fields import (
     _outermost_many,
     confirmed_edges,
     default_eps,
+    row_blocks,
 )
 from .geometry import BodyBatch, ConvexBody, StackedBatch
 
@@ -368,12 +369,15 @@ def _sample(bodies: BodyBatch, k: np.ndarray, seed: int):
 def _round(bodies: BodyBatch, rows: np.ndarray, lo, span, size: int, seed: int,
            round_: int):
     """Round ``round_``'s ``size`` proposals for each body of ``rows``,
-    shape (R, size, m), and whether each lies in its body, shape (R, size)."""
+    shape (R, size, m), and whether each lies in its body, shape (R, size), in row blocks."""
     m = lo.shape[1]
-    Z = _uniforms(seed, rows, round_, size * m).reshape(rows.size, size, m)
-    Z *= span[rows, None]
-    Z += lo[rows, None]  # lo + span * u, in place
-    return Z, bodies.contains(rows, Z)
+    Z, inside = np.empty((rows.size, size, m)), np.empty((rows.size, size), dtype=bool)
+    for block in row_blocks(rows.size, size * m):
+        at = rows[block]
+        u = _uniforms(seed, at, round_, size * m).reshape(at.size, size, m)
+        Z[block] = u * span[at, None] + lo[at, None]
+        inside[block] = bodies.contains(at, Z[block])
+    return Z, inside
 
 
 def graph_sample(

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, EmptySetError, OverlapError
 from .fields import Domain, ScalarField, TAG_CONTINUOUS, _boxes_and_points, constant_field
-from .fields import pymax, pymin
+from .fields import pymax, pymin, row_blocks
 from .geometry import row_norms
 
 #: Distances at or below this snap to zero count as membership.
@@ -53,10 +53,6 @@ MEMBERSHIP_SNAP = 1e-12
 
 #: Nested coordinate search stops when every cell side is below this.
 SEARCH_TOL = 1e-10
-
-#: Element budget of the batched distance and extension rules: the floats
-#: of each (pairs, n) temporary, and the values of each box search step.
-_FLOAT_BUDGET = 8192
 
 #: A slab's half-width is widened by this factor, past every rounding
 #: error of the distance expression, and by this absolute margin, past
@@ -107,8 +103,8 @@ class ClosedSet:
         (a value in [1, 2] for each point of the sorted cloud), the
         infimum of ``ranked + |x - a|/d`` over the cloud wherever d is
         beyond the snap (None without ``ranked``); k and the infimum mean
-        nothing on the other rows.  The pairs are taken in chunks of whole
-        rows, each within the element budget or of one row.
+        nothing on the other rows.  The pairs are taken in the row blocks
+        of :func:`~convsel.fields.row_blocks`, at n floats a pair.
         """
         if self.is_empty:
             raise EmptySetError("distance to the empty set")
@@ -139,26 +135,19 @@ class ClosedSet:
         start = keys.searchsorted(np.fmax(q - r, -math.inf))
         counts = keys.searchsorted(q + r, "right") - start
         ends = counts.cumsum()
-        step = max(1, _FLOAT_BUDGET // X.shape[1])
-        cuts = [0, N]
-        if ends[-1] > step:
-            cuts = [0]
-            while cuts[-1] < N:
-                done = int(ends[cuts[-1] - 1]) if cuts[-1] else 0
-                cuts.append(max(cuts[-1] + 1, int(ends.searchsorted(done + step, "right"))))
         parts = []
-        for r0, r1 in zip(cuts, cuts[1:]):
-            c = counts[r0:r1]
-            seg = ends[r0:r1] - c
+        for block in row_blocks(N, counts * X.shape[1]):
+            c, end = counts[block], ends[block]
+            seg = end - c
             a = int(seg[0])
             if a:
                 seg -= a
-            row = np.arange(r1 - r0).repeat(c)
-            pos = np.arange(int(ends[r1 - 1]) - a) + (start[r0:r1] - seg).take(row)
-            g = _gaps(X[r0:r1].take(row, 0), self._sorted.take(pos, 0))
+            row = np.arange(c.size).repeat(c)
+            pos = np.arange(int(end[-1]) - a) + (start[block] - seg).take(row)
+            g = _gaps(X[block].take(row, 0), self._sorted.take(pos, 0))
             gap = np.minimum.reduceat(g, seg)
-            d = gap if boxd is None else np.minimum(boxd[r0:r1], gap)
-            k = np.zeros(r1 - r0, dtype=np.intp)
+            d = gap if boxd is None else np.minimum(boxd[block], gap)
+            k = np.zeros(c.size, dtype=np.intp)
             if np.fmin.reduce(gap) <= MEMBERSHIP_SNAP:  # the first point at the gap, as argmin
                 ties = self._order.take(pos)
                 ties[g != gap.take(row)] = keys.size
@@ -243,37 +232,35 @@ def separator(
 def _nested_min(F, lo: np.ndarray, hi: np.ndarray, rows: int) -> np.ndarray:
     """The least value over the box [lo, hi] of each of ``rows`` functions,
     by lattice refinement about the first least point until every cell side
-    is below ``SEARCH_TOL``, a block of rows within the element budget at
-    once: ``F(live, P)`` gives the values (R, L) of the functions ``live``
+    is below ``SEARCH_TOL``, a row block at a time (its first lattice's values
+    a row): ``F(live, P)`` gives the values (R, L) of the functions ``live``
     on their lattices ``P`` (R, L, n).  The axes are ``np.linspace`` rows,
     bit for bit the scalar calls; a flat cell axis takes its one point,
     repeated where another cell spans that axis, which moves neither the
     least value nor the first point at it."""
     n = lo.size
-    pts, later = (33 if n == 1 else 11 if n == 2 else 5), (9 if n <= 2 else 5)
-    block = max(1, _FLOAT_BUDGET // pts**n)
-    if rows > block:
-        return np.concatenate([_nested_min(lambda live, P, s=s: F(s + live, P), lo, hi,
-                                           min(block, rows - s)) for s in range(0, rows, block)])
-    cur_lo, cur_hi = np.tile(lo, (rows, 1)), np.tile(hi, (rows, 1))
-    best, live = np.full(rows, math.inf), np.arange(rows)
-    for _ in range(200):
-        if not live.size:
-            break
-        R, width, wide = live.size, cur_hi - cur_lo, cur_hi > cur_lo
-        # a zero step anywhere would change every row's linspace
-        axes = np.linspace(np.where(wide, cur_lo, 0.0), np.where(wide, cur_hi, 1.0), pts)
-        axes = np.where(wide, axes, cur_lo)  # (pts, R, n)
-        at = np.indices(np.where(wide.any(axis=0), pts, 1)).reshape(n, -1).T
-        lattice = axes[at, np.arange(R)[:, None, None], np.arange(n)]  # in meshgrid's order
-        vals = F(live, lattice)
-        k = np.argmin(vals, axis=1)
-        best[live] = pymin(best[live], vals[np.arange(R), k])
-        cell, center = width / max(pts - 1, 1), lattice[np.arange(R), k]
-        going = ~(np.max(width, axis=1) < SEARCH_TOL)
-        live, cur_lo, cur_hi = (live[going], np.maximum(lo, center - cell)[going],
-                                np.minimum(hi, center + cell)[going])
-        pts = later
+    first, later = (33 if n == 1 else 11 if n == 2 else 5), (9 if n <= 2 else 5)
+    best = np.full(rows, math.inf)
+    for block in row_blocks(rows, first**n):
+        live, pts = np.arange(rows)[block], first
+        cur_lo, cur_hi = np.tile(lo, (live.size, 1)), np.tile(hi, (live.size, 1))
+        for _ in range(200):
+            if not live.size:
+                break
+            R, width, wide = live.size, cur_hi - cur_lo, cur_hi > cur_lo
+            # a zero step anywhere would change every row's linspace
+            axes = np.linspace(np.where(wide, cur_lo, 0.0), np.where(wide, cur_hi, 1.0), pts)
+            axes = np.where(wide, axes, cur_lo)  # (pts, R, n)
+            at = np.indices(np.where(wide.any(axis=0), pts, 1)).reshape(n, -1).T
+            lattice = axes[at, np.arange(R)[:, None, None], np.arange(n)]  # in meshgrid's order
+            vals = F(live, lattice)
+            k = np.argmin(vals, axis=1)
+            best[live] = pymin(best[live], vals[np.arange(R), k])
+            cell, center = width / max(pts - 1, 1), lattice[np.arange(R), k]
+            going = ~(np.max(width, axis=1) < SEARCH_TOL)
+            live, cur_lo, cur_hi = (live[going], np.maximum(lo, center - cell)[going],
+                                    np.minimum(hi, center + cell)[going])
+            pts = later
     return best
 
 
