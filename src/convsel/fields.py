@@ -510,8 +510,9 @@ def compress_field(f: ScalarField) -> ScalarField:
 
 @dataclass(frozen=True)
 class Violation:
-    """One confirmed audit failure, anchored at a grid point; ``x``,
-    ``neighbor`` and ``probe`` are kept as tuples of Python floats."""
+    """One confirmed audit failure, anchored at a grid point (``x`` is
+    empty for a stratum that holds none); ``x``, ``neighbor`` and
+    ``probe`` are kept as tuples of Python floats."""
 
     x: tuple
     deficit: float

@@ -515,10 +515,11 @@ def continuity_audit(
 class Stratification:
     """An ordered partition C_1, ..., C_k of the domain, earliest first.
 
-    The audit enforces the two structural facts the selection recursion
-    leans on: every grid point belongs to exactly one stratum, and each
-    C_j is relatively open in C_j ∪ ... ∪ C_k (no grid point of C_j is
-    wedged against a persistently later-stratum neighbour).
+    The audit enforces the structural facts the selection recursion
+    leans on: every grid point belongs to exactly one stratum, every
+    stratum holds a grid point, and each C_j is relatively open in
+    C_j ∪ ... ∪ C_k (no grid point of C_j is wedged against a persistently
+    later-stratum neighbour).
     """
 
     strata: tuple
@@ -552,6 +553,8 @@ def stratification_audit_masks(inside: np.ndarray, grid: Grid) -> AuditReport:
             Violation(x=pts[i], deficit=float(abs(counts[i] - 1)),
                       message=f"grid point matches {word}")
         )
+    violations += [Violation(x=(), deficit=1.0, message=f"stratum {j} holds no grid point")
+                   for j in np.flatnonzero(~inside.any(axis=1))]
     if violations:
         return AuditReport(
             kind="stratification", passed=False, violations=tuple(violations),

@@ -132,12 +132,7 @@ def _build_levels(map_: SetValuedMap, strata: tuple, grid: Grid) -> list[Michael
     bakes the total of the level inside it on the tail's grid cloud."""
     levels = [MichaelLevel(strata[-1].label, "base", lns_field(map_))]
     for j in range(len(strata) - 2, -1, -1):
-        D = region_or(*strata[j + 1:])
-        pts = grid.points[D.mask(grid.points)]
-        if pts.shape[0] == 0:
-            raise StratificationError(
-                f"strata tail {D.label!r} holds no construction grid point"
-            )
+        pts = grid.points[region_or(*strata[j + 1:]).mask(grid.points)]
         extension = extend_componentwise(
             levels[-1].total, pts, map_.domain, name="partial-extension"
         )

@@ -1,9 +1,9 @@
 """Scalar fields one point at a time: a field lifted from a per-point rule,
-the field operators, the per-point formulas of the distance, Tietze
-and envelope fields, the distance between two sets one pair of
-components at a time, and the search of a failing batch one row at a
-time: the oracles that ``convsel``'s batch rules must reproduce bit for
-bit."""
+a rule read once at each point, sums and negations of per-point rules,
+the per-point formulas of the distance, Tietze and envelope fields, the
+distance between two sets one pair of components at a time, and the
+search of a failing batch one row at a time: the oracles that
+``convsel``'s batch rules must reproduce bit for bit."""
 
 from __future__ import annotations
 
@@ -14,14 +14,11 @@ import numpy as np
 from convsel.errors import DimensionMismatchError, IndeterminateSumError
 from convsel.fields import (
     EVAL_ERRORS,
-    TAG_CONTINUOUS,
     TAG_LOWER,
     TAG_UNKNOWN,
     TAG_UPPER,
     ScalarField,
-    _as_extended,
     _nesting,
-    _sum_tag,
     squash,
 )
 from convsel.urysohn import MEMBERSHIP_SNAP, SEARCH_TOL, ClosedSet
@@ -78,13 +75,9 @@ def lift_once(f: ScalarField) -> ScalarField:
     return lift(f.domain, once_per_point(f), tag=f.tag, name=f.name)
 
 
-def constant_field(domain, value: float, name: str = "") -> ScalarField:
-    v = _as_extended(value)
-    return lift(domain, lambda x: v, tag=TAG_CONTINUOUS, name=name)
-
-
-def add(a: ScalarField, b: ScalarField) -> ScalarField:
-    """a + b, raising where the two sides are opposite infinities."""
+def add(a, b):
+    """x -> a(x) + b(x), raising where the two sides are opposite
+    infinities."""
 
     def rule(x):
         s = a(x) + b(x)
@@ -92,12 +85,11 @@ def add(a: ScalarField, b: ScalarField) -> ScalarField:
             raise IndeterminateSumError("(+inf) + (-inf) in a field sum")
         return s
 
-    return lift(a.domain if a.domain is not None else b.domain, rule, tag=_sum_tag(a.tag, b.tag))
+    return rule
 
 
-def negate(a: ScalarField) -> ScalarField:
-    flip = {TAG_UPPER: TAG_LOWER, TAG_LOWER: TAG_UPPER}
-    return lift(a.domain, lambda x: -a(x), tag=flip.get(a.tag, a.tag))
+def negate(a):
+    return lambda x: -a(x)
 
 
 def compress_field(f: ScalarField) -> ScalarField:
@@ -174,11 +166,11 @@ def box_extremes(f, lo, hi) -> tuple[float, float]:
     return mn, mx
 
 
-def tietze_pointwise(f, A: ClosedSet, lo=None, hi=None, values=None) -> ScalarField:
-    """Hausdorff's formula for the extension of ``f`` from A, evaluated
-    at one point: the values at A's points baked (or ``values``), the
-    bounds those of the data unless given, the infimum over each box a
-    nested coordinate search."""
+def tietze_pointwise(f, A: ClosedSet, lo=None, hi=None, values=None):
+    """x -> Hausdorff's formula for the extension of ``f`` from A at x: the
+    values at A's points baked (or ``values``), the bounds those of the
+    data unless given, the infimum over each box a nested coordinate
+    search."""
     cloud = np.asarray(A.points, dtype=float).reshape(-1, A.ambient_dim)
     if values is None:
         values = [float(f(p)) for p in cloud]
@@ -212,7 +204,7 @@ def tietze_pointwise(f, A: ClosedSet, lo=None, hi=None, values=None) -> ScalarFi
         F = min(max(best - 1.0, 1.0), 2.0)
         return lo + (F - 1.0) * span
 
-    return lift(None, rule, tag=TAG_CONTINUOUS, name="tietze")
+    return rule
 
 
 def envelopes_pointwise(map_) -> tuple[ScalarField, ScalarField]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from convsel.fields import TAG_CONTINUOUS, VectorField
 from convsel.urysohn import ClosedSet
-from reference.fields_pointwise import tietze_pointwise
+from reference.fields_pointwise import once_per_point, tietze_pointwise
 
 
 def lift_vector(domain, dim: int, rule, name: str = "") -> VectorField:
@@ -76,14 +76,15 @@ def pointwise_levels(map_, strata, grid) -> list[PointwiseLevel]:
 
 
 def _glue_level(map_, C1, ext, zero) -> PointwiseLevel:
-    def glued_at(x, e):
+    # the extension and the glued part, each read once at a point
+    ext = once_per_point(ext)
+
+    @once_per_point
+    def glued(x):
+        e = ext(x)
         return map_.evaluate(x).translate(-e).least_norm() if C1(x) else zero
 
-    def total(x):
-        e = ext(x)
-        return glued_at(x, e) + e
-
-    return PointwiseLevel(total, lambda x: glued_at(x, ext(x)), ext)
+    return PointwiseLevel(lambda x: glued(x) + ext(x), glued, ext)
 
 
 def membership_pointwise(map_, values, points) -> tuple[float, np.ndarray | None]:

@@ -40,11 +40,11 @@ def _rational(M) -> list:
     return [[Fraction(float(v)) for v in row] for row in np.atleast_2d(M)]
 
 
-def _solve(M: list, v: list) -> list | None:
-    """The solution of the square system ``M x = v`` by Gauss-Jordan
-    elimination, or None when ``M`` is singular."""
+def _solve(M: list, columns: list) -> list | None:
+    """The solution of ``M x = v`` for each ``v`` in ``columns``, by one
+    Gauss-Jordan elimination, or None when the square ``M`` is singular."""
     n = len(M)
-    rows = [M[i][:] + [v[i]] for i in range(n)]
+    rows = [M[i][:] + [v[i] for v in columns] for i in range(n)]
     for c in range(n):
         pivot = next((r for r in range(c, n) if rows[r][c] != 0), None)
         if pivot is None:
@@ -54,7 +54,7 @@ def _solve(M: list, v: list) -> list | None:
             if r != c and rows[r][c] != 0:
                 f = rows[r][c] / rows[c][c]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return [rows[i][n] / rows[i][i] for i in range(n)]
+    return [[rows[i][n + k] / rows[i][i] for i in range(n)] for k in range(len(columns))]
 
 
 def _dot(u, v) -> Fraction:
@@ -69,6 +69,7 @@ class ExactPolytope:
         assert A.shape[0] <= 7 and A.shape[1] <= 3
         self.m = A.shape[1]
         self.A, self.b = _rational(A), [Fraction(float(v)) for v in np.ravel(b)]
+        self.gram = [[_dot(u, v) for v in self.A] for u in self.A]
         self.points = []  # the members among the flats' points nearest the origin
         self.bounded = np.zeros((2, self.m), dtype=bool)  # below, above
         self.nearly_bounded = np.zeros((2, self.m), dtype=bool)
@@ -78,25 +79,26 @@ class ExactPolytope:
 
     def _take(self, S) -> None:
         AS = [self.A[i] for i in S]
-        gram = [[_dot(u, v) for v in AS] for u in AS]
-        if S and _solve(gram, [Fraction(0)] * len(S)) is None:
+        gram = [[self.gram[i][k] for k in S] for i in S]
+        columns = [[a[j] for a in AS] for j in range(self.m)]
+        # mu for b_S and lam for each column of A_S, from one elimination
+        solved = _solve(gram, [[self.b[i] for i in S], *columns]) if S else [[]] * (self.m + 1)
+        if solved is None:
             return  # dependent rows
+        mu, lams = solved[0], solved[1:]
         # y = A_S^T (A_S A_S^T)^-1 b_S: on the flat, and normal to it
-        mu = _solve(gram, [self.b[i] for i in S]) if S else []
-        y = [_dot(mu, [a[j] for a in AS]) for j in range(self.m)]
+        y = [_dot(mu, column) for column in columns]
         if all(_dot(a, y) <= bi for a, bi in zip(self.A, self.b)):
             self.points.append(y)
-        for j in range(self.m):
+        for j, (column, lam) in enumerate(zip(columns, lams)):
             # lam combines the part of e_j in the span of S, off2 is the rest's
-            column = [a[j] for a in AS]
-            lam = _solve(gram, column) if S else []
             off2 = 1 - _dot(lam, column)
             for side, sign in enumerate((-1, 1)):
                 if off2 == 0 and all(sign * v >= 0 for v in lam):
                     self.bounded[side, j] = True
                 if off2 <= _SPAN_TOL**2 and all(
-                        sign * v >= 0 or v * v * _dot(a, a) <= _SEIDEL_SLACK**2
-                        for v, a in zip(lam, AS)):
+                        sign * v >= 0 or v * v * self.gram[i][i] <= _SEIDEL_SLACK**2
+                        for v, i in zip(lam, S)):
                     self.nearly_bounded[side, j] = True
 
     @property

@@ -1,17 +1,20 @@
-"""The sandwich construction's stages as pointwise fields: the oracle that
-the array passes of ``convsel.sandwich`` must reproduce bit for bit.
+"""The sandwich construction's stages one point at a time: the oracle
+that the array passes of ``convsel.sandwich`` must reproduce bit for bit.
 
-Each stage operator maps fields and regions to fields and regions,
-evaluated one point at a time.  :func:`pointwise_levels` rebuilds every
-level of a trace from these operators around the extensions its pass
-baked (h1, h3, h5) and its distance fields (eta1, eta2), so a test can
-compare each array of a pass with the field it stands for.
+Each stage operator maps per-point functions and regions to per-point
+functions and regions; a function is anything that takes a point and
+returns a float, a field of ``convsel`` included.  :func:`pointwise_levels`
+rebuilds every level of a trace from these operators around the
+extensions its pass baked (h1, h3, h5) and its distance fields (eta1,
+eta2), each read once at a point, so a test can compare each array of a
+pass with the function it stands for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 import numpy as np
 
@@ -25,15 +28,7 @@ from convsel.fields import (
     unsquash,
 )
 from convsel.sandwich import EQUALITY_TOL, STRICT_GAP
-from reference.fields_pointwise import (
-    add,
-    compress_field,
-    constant_field,
-    lift,
-    lift_once,
-    negate,
-    once_per_point,
-)
+from reference.fields_pointwise import add, compress_field, lift, negate, once_per_point
 from reference.maps_pointwise import PointwiseRegion, region_not, region_or
 
 
@@ -43,8 +38,9 @@ def reduce_to_bounded(f: ScalarField, g: ScalarField):
     return compress_field(f), compress_field(g)
 
 
-def base_midpoint(f: ScalarField, g: ScalarField, domain: Domain | None = None) -> ScalarField:
-    """(f + g)/2, the base-case selection; inputs must be finite."""
+def base_midpoint(f, g, domain: Domain | None = None) -> ScalarField:
+    """(f + g)/2, the base-case selection, as a field on ``domain`` (f's
+    by default); inputs must be finite."""
 
     def rule(x):
         vf, vg = f(x), g(x)
@@ -69,14 +65,11 @@ def check_glue_point(x, vf: float, vg: float):
         )
 
 
-def equalizer_glue(
-    f: ScalarField,
-    g: ScalarField,
-    U: PointwiseRegion,
-    E: Domain,
-    h_prev: ScalarField | None = None,
-    grid: Grid | None = None,
-):
+def _zero(x) -> float:
+    return 0.0
+
+
+def equalizer_glue(f, g, U: PointwiseRegion, h_prev=_zero, grid: Grid | None = None):
     """Zero function on E∖U glued with the common value on X = {f = g} ∩ U.
 
     ``h_prev`` (the extension of the partial answer from E∖U) is
@@ -84,8 +77,6 @@ def equalizer_glue(
     E∖U, strictly where the gap is positive, are checked point by point
     on ``grid`` when one is supplied.  Returns (h2 on (E∖U) ∪ X, X).
     """
-    if h_prev is None:
-        h_prev = constant_field(E, 0.0)
     f1 = add(f, negate(h_prev))
     g1 = add(g, negate(h_prev))
 
@@ -106,20 +97,11 @@ def equalizer_glue(
             return f1(x)
         raise UncoveredPointError(f"{np.asarray(x).tolist()} is outside (E∖U) ∪ X")
 
-    h2 = lift(E, rule, tag=TAG_CONTINUOUS, name="equalizer-glue")
-    return h2, X
+    return rule, X
 
 
-def interior_adjust(
-    f: ScalarField,
-    g: ScalarField,
-    V: PointwiseRegion,
-    Z1: PointwiseRegion,
-    Z2: PointwiseRegion,
-    eta1: ScalarField,
-    eta2: ScalarField,
-    domain: Domain | None = None,
-) -> ScalarField:
+def interior_adjust(f, g, V: PointwiseRegion, Z1: PointwiseRegion, Z2: PointwiseRegion,
+                    eta1, eta2):
     """The strictly-inside nudge on S = Z1 ∪ Z2 ∪ (E∖V): zero off V,
     min(f + eta1, midpoint) on Z1, max(g - eta2, midpoint) on Z2."""
 
@@ -134,17 +116,10 @@ def interior_adjust(
             return max(vg - eta2(x), mid)
         raise UncoveredPointError(f"{np.asarray(x).tolist()} is outside S")
 
-    return lift(domain or f.domain, rule, tag=TAG_CONTINUOUS, name="interior-adjust")
+    return rule
 
 
-def damp_to_safe(
-    h5: ScalarField,
-    f: ScalarField,
-    g: ScalarField,
-    V: PointwiseRegion,
-    Z1: PointwiseRegion,
-    Z2: PointwiseRegion,
-):
+def damp_to_safe(h5, f, g, V: PointwiseRegion, Z1: PointwiseRegion, Z2: PointwiseRegion):
     """Final glue: h5 on S, delta * h5 on V, with delta the ratio of the
     hinges phi_W = (min(h5-f, g-h5))⁺ and phi_W + phi_B, phi_B =
     (min(-f, g))⁺.  Returns (h, delta, W)."""
@@ -166,48 +141,45 @@ def damp_to_safe(
             )
         return phi_w / tot
 
-    delta = lift(f.domain, delta_rule, tag=TAG_CONTINUOUS, name="delta")
-
     def h_rule(x):
         if S(x):
             return h5(x)
-        return delta(x) * h5(x)
+        return delta_rule(x) * h5(x)
 
-    h = lift(f.domain, h_rule, tag=TAG_CONTINUOUS, name="damped-glue")
-    return h, delta, W
+    return h_rule, delta_rule, W
 
 
 @dataclass(frozen=True)
 class PointwiseLevel:
-    """One level of a trace as pointwise fields and regions."""
+    """One level of a trace as per-point functions and regions."""
 
     stratum: str
     kind: str  # "base" or "glue"
-    total: ScalarField
-    f_level: ScalarField
-    g_level: ScalarField
-    h0: ScalarField | None = None
-    h1: ScalarField | None = None
-    h2: ScalarField | None = None
-    h3: ScalarField | None = None
-    h4: ScalarField | None = None
-    h5: ScalarField | None = None
-    eta1: ScalarField | None = None
-    eta2: ScalarField | None = None
-    delta: ScalarField | None = None
+    total: Callable
+    f_level: Callable
+    g_level: Callable
+    h0: Callable | None = None
+    h1: Callable | None = None
+    h2: Callable | None = None
+    h3: Callable | None = None
+    h4: Callable | None = None
+    h5: Callable | None = None
+    eta1: Callable | None = None
+    eta2: Callable | None = None
+    delta: Callable | None = None
     regions: dict = dc_field(default_factory=dict)
 
 
-def glue_level(f, g, E, stratum, U, h1, h3, h5, eta1, eta2) -> PointwiseLevel:
-    """A glue level's fields and regions from the compressed envelopes
+def glue_level(f, g, stratum, U, h1, h3, h5, eta1, eta2) -> PointwiseLevel:
+    """A glue level's functions and regions from the compressed envelopes
     and the level's extensions and distance fields."""
-    h2, X = equalizer_glue(f, g, U, E, h_prev=h1)
+    h2, X = equalizer_glue(f, g, U, h_prev=h1)
     f2 = add(add(f, negate(h1)), negate(h3))
     g2 = add(add(g, negate(h1)), negate(h3))
     V = PointwiseRegion(lambda x: U(x) and not X(x), f"{U.label or 'U'} minus equality locus")
     Z1 = PointwiseRegion(lambda x: f2(x) >= 0.0, "floor has caught up (f2 >= 0)")
     Z2 = PointwiseRegion(lambda x: g2(x) <= 0.0, "ceiling has caught up (g2 <= 0)")
-    h4 = interior_adjust(f2, g2, V, Z1, Z2, eta1, eta2, E)
+    h4 = interior_adjust(f2, g2, V, Z1, Z2, eta1, eta2)
     h_glued, delta, W = damp_to_safe(h5, f2, g2, V, Z1, Z2)
     S = region_or(Z1, Z2, region_not(V))
     return PointwiseLevel(
@@ -223,31 +195,28 @@ def glue_level(f, g, E, stratum, U, h1, h3, h5, eta1, eta2) -> PointwiseLevel:
 
 
 def pointwise_levels(trace) -> list[PointwiseLevel]:
-    """Every level of ``trace``, innermost first, as pointwise fields
+    """Every level of ``trace``, innermost first, as per-point functions
     built by the stage operators around what each pass baked."""
-    f, g = trace.f_compressed, trace.g_compressed
-    E = trace.construction_grid.domain
+    # the envelopes, the pass's region and its baked fields, each read
+    # once at a point
+    f, g = once_per_point(trace.f_compressed), once_per_point(trace.g_compressed)
     out = []
     for level in trace.levels:
         if level.kind == "base":
-            h0 = base_midpoint(f, g, E)
+            h0 = base_midpoint(f, g, trace.construction_grid.domain)
             out.append(PointwiseLevel(level.stratum, "base", h0, f, g, h0=h0))
             continue
         p = level.arrays
-        # the pass's region and baked fields, each read once at a point
         U = PointwiseRegion(once_per_point(p.U), p.U.label)
-        baked = (lift_once(v) for v in (p.h1, p.h3, p.h5, p.eta1, p.eta2))
-        out.append(glue_level(f, g, E, level.stratum, U, *baked))
+        baked = (once_per_point(v) for v in (p.h1, p.h3, p.h5, p.eta1, p.eta2))
+        out.append(glue_level(f, g, level.stratum, U, *baked))
     return out
 
 
-def pointwise_selection(levels: list[PointwiseLevel]) -> ScalarField:
+def pointwise_selection(levels: list[PointwiseLevel]) -> Callable:
     """The selection h from the outer level's total: clamped a strictness
     margin inside [-1, 1] and decompressed, one point at a time."""
     h_c = levels[-1].total
     lo = -1.0 + STRICTNESS_MARGIN
     hi = 1.0 - STRICTNESS_MARGIN
-    return lift(
-        h_c.domain, lambda x: unsquash(min(max(h_c(x), lo), hi)),
-        tag=TAG_CONTINUOUS, name="sandwich",
-    )
+    return lambda x: unsquash(min(max(h_c(x), lo), hi))

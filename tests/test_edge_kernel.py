@@ -2,12 +2,12 @@
 
 ``fields.confirmed_edges`` sweeps every directed grid edge on arrays, and
 the semicontinuity, lsc, continuity and stratification audits call it.
-The reference loops below are the audits as they were written edge by
-edge; every audit must give the same violations, in the same order, with
-bit-equal deficits and the same neighbour and probe: on every spec
-fixture, on drawn value arrays with infinities, under masks that cut the
-far cell, on drawn stratum labellings, and on grids with several boxes
-and isolated points.
+The loops of ``reference.audits_pointwise`` are the audits as they were
+written edge by edge; every audit must give the same violations, in the
+same order, with bit-equal deficits and the same neighbour and probe: on
+every spec fixture, on drawn value arrays with infinities, under masks
+that cut the far cell, on drawn stratum labellings, and on grids with
+several boxes and isolated points.
 """
 
 import math
@@ -24,7 +24,6 @@ from convsel.fields import (
     TAG_UPPER,
     Domain,
     Grid,
-    Violation,
     confirmed_edges,
     default_eps,
     semicontinuity_audit,
@@ -41,146 +40,16 @@ from convsel.maps import (
 from convsel.specio.loader import load_spec
 
 from conftest import SPECS
-from reference.fields_pointwise import envelopes_pointwise, lift
-from reference.maps_pointwise import (
-    EVERYWHERE,
-    PointwiseMap,
-    PointwiseRegion,
-    distance_to,
-    load_pointwise,
-    probe_points,
+from reference.audits_pointwise import (
+    PointwiseProbes,
+    ref_lsc,
+    ref_semicontinuity,
+    ref_stratification,
 )
+from reference.fields_pointwise import envelopes_pointwise, lift
+from reference.maps_pointwise import EVERYWHERE, PointwiseMap, PointwiseRegion, load_pointwise
 
 FIXTURES = sorted(p.stem for p in SPECS.glob("*.json"))
-
-
-# --- the per-edge loops the kernel replaced ---------------------------------
-
-
-def ref_confirmed_edges(grid, bad, mask=None):
-    edges, spacing = grid.directed_edges()
-    out = []
-    for k in range(edges.shape[0]):
-        t, h, far = map(int, edges[k])
-        if mask is not None and not (mask[t] and mask[h]):
-            continue
-        d = bad(t, h, float(spacing[k]))
-        if d <= 0:
-            continue
-        if far < 0 or (mask is not None and not mask[far]):
-            out.append((t, h, d))
-            continue
-        d2 = bad(t, far, 2.0 * float(spacing[k]))
-        if d2 > 0:
-            out.append((t, h, d))
-    return out
-
-
-def ref_semicontinuity(values, grid, tag, eps, mask=None):
-    def jump(a, b):
-        if a == b:
-            return 0.0
-        return a - b
-
-    def drop(t, h, _s):
-        return jump(values[t], values[h]) - eps
-
-    def rise(t, h, _s):
-        return jump(values[h], values[t]) - eps
-
-    checks = []
-    if tag in (TAG_LOWER, TAG_CONTINUOUS):
-        checks.append(("lower", drop))
-    if tag in (TAG_UPPER, TAG_CONTINUOUS):
-        checks.append(("upper", rise))
-    violations = []
-    for label, fn in checks:
-        for t, h, d in ref_confirmed_edges(grid, fn, mask=mask):
-            violations.append(
-                Violation(
-                    x=tuple(grid.points[t]),
-                    deficit=float(d),
-                    neighbor=tuple(grid.points[h]),
-                    message=f"{label}-semicontinuity drop beyond eps",
-                )
-            )
-    return tuple(violations)
-
-
-def ref_lsc(map_, grid, eps=None, slope=1.0, interior_probes=3, mask=None):
-    """The lsc sweep edge by edge over the bodies of the pointwise ``map_``."""
-    if eps is None:
-        eps = default_eps(grid)
-    pts = grid.points
-    bodies = [map_.evaluate(x) for x in pts]
-    probe_count = 2 * map_.output_dim + 1 + interior_probes
-    probes = [
-        np.asarray(probe_points(b, probe_count, 0x5E1EC7, row), dtype=float)
-        for row, b in enumerate(bodies)
-    ]
-    edges, spacing = grid.directed_edges()
-    violations = []
-    for k in range(edges.shape[0]):
-        t, h, far = map(int, edges[k])
-        if mask is not None and not (mask[t] and mask[h]):
-            continue
-        s = float(spacing[k])
-        d = distance_to(bodies[h], probes[t]) - (eps + s * slope)
-        bad = np.nonzero(d > 0)[0]
-        if bad.size == 0:
-            continue
-        if far >= 0 and (mask is None or mask[far]):
-            d2 = distance_to(bodies[far], probes[t][bad]) - (eps + 2 * s * slope)
-            bad = bad[d2 > 0]
-        for j in bad:
-            violations.append(
-                Violation(
-                    x=tuple(pts[t]),
-                    deficit=float(d[j]),
-                    neighbor=tuple(pts[h]),
-                    probe=tuple(probes[t][j]),
-                    message="neighbour body stays far from a probe point",
-                )
-            )
-    return tuple(violations)
-
-
-def ref_stratification(strata, grid):
-    """The stratification audit point by point over pointwise ``strata``."""
-    pts = grid.points
-    violations = []
-    counts = np.zeros(len(grid), dtype=int)
-    for region in strata:
-        counts += region.mask(pts).astype(int)
-    for i in np.nonzero(counts != 1)[0]:
-        word = "no stratum" if counts[i] == 0 else f"{counts[i]} strata"
-        violations.append(
-            Violation(x=tuple(pts[i]), deficit=float(abs(counts[i] - 1)),
-                      message=f"grid point matches {word}")
-        )
-    if violations:
-        return tuple(violations)
-    cls = [next(j for j, region in enumerate(strata) if region(x)) for x in pts]
-    edges, _ = grid.directed_edges()
-    for k in range(edges.shape[0]):
-        t, h, far = map(int, edges[k])
-        j = int(cls[t])
-        if cls[h] <= j:
-            continue
-        if far >= 0 and cls[far] <= j:
-            continue
-        violations.append(
-            Violation(
-                x=tuple(pts[t]),
-                deficit=float(cls[h] - j),
-                neighbor=tuple(pts[h]),
-                message=(
-                    f"stratum {j} point has persistent stratum-{int(cls[h])} "
-                    "neighbours (relative openness fails)"
-                ),
-            )
-        )
-    return tuple(violations)
 
 
 # --- comparison ---------------------------------------------------------------
@@ -234,15 +103,16 @@ def test_fixture_audits_match_the_loops(name, per_axis):
 
     # the default eps passes nearly every fixture; eps = 0 flags every
     # jump the slope allowance does not cover, so order and deficits show
+    probed = PointwiseProbes(oracle, grid)
     for eps in (None, 0.0):
         got = outcome(lambda: lsc_audit(spec.map, grid, eps=eps).violations)
-        assert_same_outcome(got, outcome(ref_lsc, oracle, grid, eps=eps))
+        assert_same_outcome(got, outcome(ref_lsc, probed, eps=eps))
         for region in strat.strata:
             mask = region.mask(grid.points)
             got = outcome(
                 lambda: continuity_audit(spec.map, grid, eps=eps, region=region).violations
             )
-            assert_same_outcome(got, outcome(ref_lsc, oracle, grid, eps=eps, mask=mask))
+            assert_same_outcome(got, outcome(ref_lsc, probed, eps=eps, mask=mask))
 
     if spec.output_dim != 1:
         return
@@ -345,7 +215,7 @@ def test_drawn_masks_on_a_jumping_map_match_the_loop(data):
     mask = data.draw(masks(n))
     eps = data.draw(st.sampled_from([0.0, 0.1]))
     got = lsc_audit(m.library(), grid, eps=eps, mask=mask).violations
-    assert_same_violations(got, ref_lsc(m, grid, eps=eps, mask=mask))
+    assert_same_violations(got, ref_lsc(PointwiseProbes(m, grid), eps=eps, mask=mask))
 
 
 @settings(max_examples=200, deadline=None)

@@ -43,6 +43,7 @@ from convsel.specio.loader import load_spec, load_spec_dict
 
 from conftest import NONZERO, ORIGIN, SPECS, interval_rule
 from reference import polytope_pointwise
+from reference.audits_pointwise import PointwiseProbes
 from reference.maps_pointwise import distance_to, grid_probes, load_pointwise
 
 FIXTURES = sorted(p.stem for p in SPECS.glob("*.json"))
@@ -224,13 +225,12 @@ def assert_drawn_as_the_oracle(map_, oracle, grid, seed=DEFAULT_SEED):
     """The sweep's probes, every distance row it can ask for and
     ``graph_sample`` equal, bit for bit, those drawn and projected body by
     body on the oracle's bodies at the grid points."""
-    bodies = [oracle.evaluate(x) for x in grid.points]
-    probed = maps._ProbedGrid(map_, grid, seed)
-    want = grid_probes(bodies, probed.probe_count, seed)
-    assert bits(probed._drawn[1]) == bits(want)
+    probed, want = maps._ProbedGrid(map_, grid, seed), PointwiseProbes(oracle, grid, seed)
+    bodies, probes = want.drawn
+    assert bits(probed._drawn[1]) == bits(probes)
     tails, heads = swept_pairs(grid)
     assert bits(probed._distances(tails, heads)) == bits(
-        [distance_to(bodies[h], want[t]) for t, h in zip(tails, heads)])
+        [want.distances(t, h) for t, h in zip(tails, heads)])
     pairs = maps.graph_sample(map_, grid, 5, seed=7)
     assert bits([y for _, y in pairs]) == bits(grid_probes(bodies, 5, 7).reshape(-1, map_.output_dim))
     assert bits([x for x, _ in pairs]) == bits(np.repeat(grid.points, 5, axis=0))
@@ -476,6 +476,7 @@ def test_a_stack_calls_each_part_it_touches_once(monkeypatch):
     assert isinstance(bodies, StackedBatch)
     assert [batch.A.ndim for _, batch in bodies.parts] == [3, 2, 3, 2]
     own = [oracle.evaluate(x) for x in grid.points]
+    sets = [kernel_operators(body.A) for body in own]  # each body's, factored once
     part_of = {id(batch): p for p, (_, batch) in enumerate(bodies.parts)}
     calls = Counter()
     for name in ("project_rows", "contains", "coord_extremes", "sample_bounds"):
@@ -511,13 +512,12 @@ def test_a_stack_calls_each_part_it_touches_once(monkeypatch):
 
     for n, i in enumerate(rows):
         A, b = own[i].A, own[i].b
-        sets = kernel_operators(A)
-        want = polytope_pointwise.project(A, b, sets, Z[n])
+        want = polytope_pointwise.project(A, b, sets[i], Z[n])
         assert bits(projected[n]) == bits(own[i].project_many(Z[n]) if want is None else want)
         assert inside[n].tolist() == polytope_pointwise.members(A, b, projected[n]).tolist()
     boxed = 0
     for i, body in enumerate(own):
-        want = polytope_pointwise.coord_extremes(body.A, body.b, kernel_operators(body.A))
+        want = polytope_pointwise.coord_extremes(body.A, body.b, sets[i])
         want = body.coord_extremes() if want is None else want
         for got, part in zip(extremes, want):
             assert bits(got[i]) == bits(part)

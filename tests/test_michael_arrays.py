@@ -158,11 +158,13 @@ def check_batch(batch, bodies, rng):
     assert_same_bits(batch.least_norm(), [b.least_norm() for b in bodies])
     assert_same_bits(batch.project(Z), [b.project(z) for b, z in zip(bodies, Z)])
     assert_same_bits(batch.distance(Z), [b.distance(z) for b, z in zip(bodies, Z)])
-    lo, hi = batch.coord_bounds()
-    assert_same_bits(lo, [b.coord_bounds()[0] for b in bodies])
-    assert_same_bits(hi, [b.coord_bounds()[1] for b in bodies])
-    for k, got in enumerate(batch.coord_extremes()):
-        assert_same_bits(got, [b.coord_extremes()[k] for b in bodies])
+    # each body's bounds and extremes, read once
+    for got, want in zip(batch.coord_bounds(), zip(*(b.coord_bounds() for b in bodies)),
+                         strict=True):
+        assert_same_bits(got, want)
+    for got, want in zip(batch.coord_extremes(), zip(*(b.coord_extremes() for b in bodies)),
+                         strict=True):
+        assert_same_bits(got, want)
     Y = np.stack([Z, batch.project(Z)], axis=1)
     for tol in TOLS:
         np.testing.assert_array_equal(batch.contains(np.arange(N), Y, tol),

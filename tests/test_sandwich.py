@@ -87,7 +87,7 @@ class TestEqualizerGlue:
         self.U = PointwiseRegion(lambda x: abs(x[0]) > 1.0, "|x| > 1")
 
     def test_values_on_the_three_zones(self):
-        h2, X = equalizer_glue(self.f, self.g, self.U, self.E, grid=Grid(self.E, 33))
+        h2, X = equalizer_glue(self.f, self.g, self.U, grid=Grid(self.E, 33))
         # off U the glue is the zero function
         assert h2([0.0]) == 0.0
         assert h2([1.0]) == 0.0
@@ -99,7 +99,7 @@ class TestEqualizerGlue:
         assert h2([-1.5]) == pytest.approx(1.25)
 
     def test_empty_u_gives_zero_function(self):
-        h2, X = equalizer_glue(self.f, self.g, NEVER, self.E)
+        h2, X = equalizer_glue(self.f, self.g, NEVER)
         for x in np.linspace(-2, 2, 9):
             assert h2([x]) == 0.0
             assert not X(np.array([x]))
@@ -109,7 +109,7 @@ class TestEqualizerGlue:
         # genuinely excludes the point
         f = constant_field(self.E, -1.0)
         g = constant_field(self.E, 1.0)
-        h2, _ = equalizer_glue(f, g, self.U, self.E)
+        h2, _ = equalizer_glue(f, g, self.U)
         with pytest.raises(UncoveredPointError):
             h2([2.0])
 
@@ -117,17 +117,17 @@ class TestEqualizerGlue:
         f = constant_field(self.E, 0.5)  # f > 0 off U
         g = constant_field(self.E, 1.0)
         with pytest.raises(PostconditionError, match="precondition"):
-            equalizer_glue(f, g, self.U, self.E, grid=Grid(self.E, 9))
+            equalizer_glue(f, g, self.U, grid=Grid(self.E, 9))
 
     def test_precondition_strictness_violation(self):
         f = constant_field(self.E, 0.0)  # gap positive, f not < 0
         g = constant_field(self.E, 1.0)
         with pytest.raises(PostconditionError, match="strictness"):
-            equalizer_glue(f, g, self.U, self.E, grid=Grid(self.E, 9))
+            equalizer_glue(f, g, self.U, grid=Grid(self.E, 9))
 
     def test_previous_level_subtracted(self):
         h_prev = constant_field(self.E, -1.0)
-        h2, X = equalizer_glue(self.f, self.g, self.U, self.E, h_prev=h_prev)
+        h2, X = equalizer_glue(self.f, self.g, self.U, h_prev=h_prev)
         assert h2([2.0]) == pytest.approx(4.0)  # (x^2 - 1) - (-1) at x = 2
 
 
@@ -141,7 +141,7 @@ class TestInteriorAdjust:
         g2 = field(E, lambda x: 4.0 if x[0] < 0 else 0.0)
         eta1 = constant_field(E, 1.0)
         eta2 = constant_field(E, 3.0)
-        h4 = interior_adjust(f2, g2, V, floor_zone, ceil_zone, eta1, eta2, E)
+        h4 = interior_adjust(f2, g2, V, floor_zone, ceil_zone, eta1, eta2)
         # floor caught up: min(f2 + eta1, midpoint) = min(0 + 1, 2) = 1
         assert h4([-0.5]) == pytest.approx(1.0)
         # ceiling caught up: max(g2 - eta2, midpoint) = max(0 - 3, -2) = -2
@@ -156,7 +156,6 @@ class TestInteriorAdjust:
             NEVER,
             constant_field(LINE, 1.0),
             constant_field(LINE, 1.0),
-            LINE,
         )
         assert h4([0.5]) == 0.0
 
@@ -169,7 +168,6 @@ class TestInteriorAdjust:
             NEVER,
             constant_field(LINE, 1.0),
             constant_field(LINE, 1.0),
-            LINE,
         )
         with pytest.raises(UncoveredPointError):
             h4([0.0])

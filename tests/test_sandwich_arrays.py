@@ -143,7 +143,7 @@ def check_bakes(trace, P: np.ndarray):
                                     (ref.h3, ref.h2, ~a["U"] | a["X"]),
                                     (ref.h5, ref.h4, a["S"])):
                 cloud = G[on]
-                assert_same_bits(ext.many(cloud), [source(x) for x in cloud])
+                assert_same_bits([ext(x) for x in cloud], [source(x) for x in cloud])
         inner = ref
 
 

@@ -493,6 +493,38 @@ def test_envelopes_are_evaluated_whatever_the_tags(command, tmp_path, capsys):
     assert run_cli(command, "--spec", str(spec), "--grid", "17") == 0
 
 
+# bad_lsc with its point stratum moved off every dyadic grid, to 0.0103: no
+# grid point holds that stratum, so no audit can see the map jump there
+OFF_GRID_STRATUM = variant(
+    strata=[["0 < abs(x1 - 0.0103)"], ["abs(x1 - 0.0103) <= 0"]],
+    pieces=[{"region": ["0 < abs(x1 - 0.0103)"], "body": {"interval": {"lo": "0", "hi": "0"}}},
+            {"region": [], "body": {"interval": {"lo": "0", "hi": "1"}}}],
+    tags={"declared_lsc": True},
+)
+
+
+@pytest.mark.parametrize("command", ["verify", "select-michael", "select-sandwich"])
+def test_a_stratum_that_holds_no_grid_point_fails_the_stratification_audit(
+    command, tmp_path, capsys
+):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(OFF_GRID_STRATUM), encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert run_cli(command, "--spec", str(spec), "--grid", "129", "--report", str(report)) == 2
+    out, err = capsys.readouterr()
+    if command == "verify":
+        assert "[FAIL] stratification" in out.splitlines()
+        entry = next(e for e in json.loads(report.read_text(encoding="utf-8"))["invariants"]
+                     if e["name"] == "stratification")
+        assert entry["violations"] == [
+            {"x": [], "deficit": 1.0, "message": "stratum 1 holds no grid point"}
+        ]
+    else:
+        assert err == (
+            "selection: stratification audit failed: stratum 1 holds no grid point at ()\n"
+        )
+
+
 class TestConstantNormals:
     """Polytope pieces whose normals are constant share A and the kernel's
     operators across every point instead of rebuilding them."""

@@ -100,6 +100,27 @@ def test_the_library_imports_nothing_from_the_tests():
     assert [(f, name) for f, name in library_imports() if name.split(".")[0] in local] == []
 
 
+def test_the_audit_oracle_names_none_of_the_audits_it_checks():
+    # the edge-by-edge loops stay independent of the sweep they check;
+    # Grid.directed_edges is checked on its own against reference.grid_strides
+    path = Path(__file__).resolve().parent / "reference" / "audits_pointwise.py"
+    checked = {
+        "confirmed_edges", "_ProbedGrid", "hypothesis_audits", "lsc_audit",
+        "continuity_audit", "stratification_audit", "stratification_audit_masks",
+        "semicontinuity_audit", "semicontinuity_audit_values",
+    }
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+    assert named & checked == set()
+    assert "directed_edges" in named
+
+
 def test_every_exported_name_resolves():
     import convsel.specio
 
