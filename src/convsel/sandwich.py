@@ -239,15 +239,6 @@ def _eta_for(P: np.ndarray, near: np.ndarray, E: Domain, name: str) -> ScalarFie
     return constant_field(E, 1.0, name=name)
 
 
-def _cloud_of(P: np.ndarray, mask: np.ndarray, what: str) -> ClosedSet:
-    if not mask.any():
-        raise StratificationError(
-            f"{what} contains no construction grid point; refine the "
-            "construction grid or fix the stratification"
-        )
-    return ClosedSet.from_cloud(P[mask])
-
-
 def _bake(lvl: _GluePass, grid: Grid, a: dict, inner: np.ndarray) -> dict:
     """Run the stages of ``lvl`` on the construction grid, baking each
     extension from the arrays of the stages before it.  ``a`` holds the
@@ -255,14 +246,13 @@ def _bake(lvl: _GluePass, grid: Grid, a: dict, inner: np.ndarray) -> dict:
     P, E = grid.points, grid.domain
     outside = ~a["U"]
     lvl.h1 = tietze_extend(
-        None, _cloud_of(P, outside, "the tail of the stratification"), E,
-        name="h1", values=inner[outside],
+        None, ClosedSet.from_cloud(P[outside]), E, name="h1", values=inner[outside]
     )
     lvl.glue(P, a)
     _check_glue(P[outside], a["f1"][outside], a["g1"][outside])
     glued = outside | a["X"]
     lvl.h3 = tietze_extend(
-        None, _cloud_of(P, glued, "(E∖U) ∪ X"), E, name="h3", values=a["h2"][glued]
+        None, ClosedSet.from_cloud(P[glued]), E, name="h3", values=a["h2"][glued]
     )
     lvl.split(P, a)
     boundary = boundary_mask(a["V"], grid)
@@ -270,8 +260,7 @@ def _bake(lvl: _GluePass, grid: Grid, a: dict, inner: np.ndarray) -> dict:
     lvl.eta2 = _eta_for(P, boundary & a["Z2"], E, "eta2")
     lvl.adjust(P, a)
     lvl.h5 = tietze_extend(
-        None, _cloud_of(P, a["S"], "S = Z1 ∪ Z2 ∪ (E∖V)"), E, name="h5",
-        values=a["h4"][a["S"]],
+        None, ClosedSet.from_cloud(P[a["S"]]), E, name="h5", values=a["h4"][a["S"]]
     )
     lvl.damp(P, a)
     return a
@@ -356,9 +345,9 @@ def sandwich_select(
     masks = strat.masks(P)
     report = stratification_audit_masks(masks, grid)
     if not report.passed:
+        v = report.violations[0]
         raise StratificationError(
-            "stratification audit failed: "
-            f"{report.violations[0].message} at {report.violations[0].x}",
+            f"stratification audit failed: {v.message}{f' at {v.x}' if v.x else ''}"
         )
     # the envelope audits read the values already computed on the grid
     for j, stratum in enumerate(strat.strata):

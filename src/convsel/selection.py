@@ -173,7 +173,8 @@ def michael_select(
             )
         if rep.kind == "stratification":
             raise StratificationError(
-                f"stratification audit failed: {v.message} at {v.x}", report=rep
+                f"stratification audit failed: {v.message}{f' at {v.x}' if v.x else ''}",
+                report=rep,
             )
         label = rep.kind[len("continuity["):-1]
         raise StratificationError(

@@ -21,11 +21,14 @@ points and returns the ``(N,)`` values, each the value of Python float
 arithmetic at that row, bit for bit: the arithmetic, ``abs``, ``neg`` and
 ``sqrt`` are correctly rounded in numpy as in Python, and ``min`` /
 ``max`` pick the operand Python's do (:func:`convsel.fields.pymin`).
-``^`` does not use ``np.power``, whose results differ from Python's
-``float ** int`` in the last bit for some bases
-(``x = -0.3902108345010009``: ``x**2`` is ``0.15226449536196754``,
-``np.power(x, 2)`` is ``0.1522644953619675``); it raises the Python
-floats of an object array, which gives Python's bits and exceptions.
+``^`` is ``np.float_power``, the C ``pow`` that Python's ``float ** int``
+calls after its special cases, and not ``np.power``, whose results differ
+from Python's in the last bit for some bases (``x = -0.3902108345010009``:
+``x**2`` is ``0.15226449536196754``, ``np.power(x, 2)`` is
+``0.1522644953619675``).  One special case is Python's own: to a nonzero
+power, a NaN base is returned as it is, sign and payload kept.  A finite
+base whose power is infinite is a row where Python raises (``0 ** -k``,
+overflow).
 Where some row leaves the numeric domain, it raises
 :class:`EvalDomainError` with the message of one such row; callers that
 need the first failing row's error search the batch by halves
@@ -254,13 +257,6 @@ def parse_expr(source: str) -> Node:
 # --- evaluation -----------------------------------------------------------
 
 
-def _pow(v: float, exponent: int) -> float:
-    try:
-        return float(v**exponent)
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise EvalDomainError(f"cannot raise {v} to power {exponent}") from exc
-
-
 def evaluate(node: Node, point) -> float:
     """Evaluate ``node`` at ``point`` (a sequence of coordinates), as a
     batch of one row."""
@@ -270,6 +266,13 @@ def evaluate(node: Node, point) -> float:
 def evaluate_many(node: Node, X: np.ndarray) -> np.ndarray:
     """Evaluate ``node`` at every row of ``X`` (shape (N, n)); raises
     :class:`EvalDomainError` where some row leaves the numeric domain."""
+    # no warnings: inf - inf is NaN, as in Python, and the domain errors are
+    # raised from the values
+    with np.errstate(all="ignore"):
+        return _many(node, X)
+
+
+def _many(node: Node, X: np.ndarray) -> np.ndarray:
     if isinstance(node, Const):
         return np.full(X.shape[0], node.value)
     if isinstance(node, Var):
@@ -280,7 +283,7 @@ def evaluate_many(node: Node, X: np.ndarray) -> np.ndarray:
             )
         return X[:, node.index]
     if isinstance(node, Unary):
-        v = evaluate_many(node.arg, X)
+        v = _many(node.arg, X)
         if node.op == "neg":
             return -v
         if node.op == "abs":
@@ -289,26 +292,28 @@ def evaluate_many(node: Node, X: np.ndarray) -> np.ndarray:
             raise EvalDomainError(f"sqrt of negative value {v[v < 0.0][0]}")
         return np.sqrt(v)
     if isinstance(node, Pow):
-        v = evaluate_many(node.base, X)
-        try:
-            return (v.astype(object) ** node.exponent).astype(float)
-        except (ZeroDivisionError, OverflowError):
-            for base in v.tolist():  # name the base of the first failing row
-                _pow(base, node.exponent)
-            raise
-    lhs = evaluate_many(node.lhs, X)
-    rhs = evaluate_many(node.rhs, X)
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, as in Python
-        if node.op == "add":
-            return lhs + rhs
-        if node.op == "sub":
-            return lhs - rhs
-        if node.op == "mul":
-            return lhs * rhs
-        if node.op == "div":
-            if (rhs == 0.0).any():
-                raise EvalDomainError("division by zero")
-            return lhs / rhs
+        v = _many(node.base, X)
+        out = np.float_power(v, node.exponent)
+        failed = np.isinf(out) & np.isfinite(v)
+        if failed.any():
+            raise EvalDomainError(
+                f"cannot raise {float(v[np.argmax(failed)])} to power {node.exponent}"
+            )
+        if node.exponent:
+            np.copyto(out, v, where=np.isnan(v))
+        return out
+    lhs = _many(node.lhs, X)
+    rhs = _many(node.rhs, X)
+    if node.op == "add":
+        return lhs + rhs
+    if node.op == "sub":
+        return lhs - rhs
+    if node.op == "mul":
+        return lhs * rhs
+    if node.op == "div":
+        if (rhs == 0.0).any():
+            raise EvalDomainError("division by zero")
+        return lhs / rhs
     if node.op == "min":
         return pymin(lhs, rhs)
     return pymax(lhs, rhs)

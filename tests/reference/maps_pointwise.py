@@ -36,8 +36,16 @@ from convsel.errors import (
 from convsel.fields import Domain
 from convsel.geometry import Ball, ConvexBody, HPolytope, Interval, StackedBatch, kernel_operators
 from convsel.maps import Region, SetValuedMap
-from convsel.specio.expr import Const, Pow, Unary, Var, _pow, max_var_index
+from convsel.specio.expr import Const, Pow, Unary, Var, max_var_index
 from convsel.specio.loader import _interval_bound, _parse, _parse_atom, build_domain
+
+
+def _pow(v: float, exponent: int) -> float:
+    """Python's ``float ** int``, its exceptions raised as the library's."""
+    try:
+        return float(v**exponent)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise EvalDomainError(f"cannot raise {v} to power {exponent}") from exc
 
 
 def evaluate(node, point) -> float:

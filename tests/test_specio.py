@@ -521,7 +521,7 @@ def test_a_stratum_that_holds_no_grid_point_fails_the_stratification_audit(
         ]
     else:
         assert err == (
-            "selection: stratification audit failed: stratum 1 holds no grid point at ()\n"
+            "selection: stratification audit failed: stratum 1 holds no grid point\n"
         )
 
 
